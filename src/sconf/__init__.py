@@ -18,7 +18,7 @@ from .errors import (
     SconfError,
     UnsplitPolynomial,
 )
-from .scalars import QuadExt, Rational, Scalar, SQRT2
+from .scalars import QuadExt, Scalar, SQRT2
 from .algebras import (
     ALGEBRAS,
     AlgebraElement,

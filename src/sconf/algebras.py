@@ -26,7 +26,7 @@ from typing import Callable
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, Scalar, as_scalar
+from .scalars import INV_SQRT2, Scalar, add_terms, as_scalar, render_combination
 
 ALGEBRAS = ("R", "NS", "T", "N1R", "N1NS")
 
@@ -146,18 +146,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for sym, c in other.terms.items():
-            s = out.get(sym)
-            if s is None:
-                out[sym] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[sym]
-                else:
-                    out[sym] = s
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,21 +170,7 @@ class AlgebraElement:
     __hash__ = None
 
     def render(self):
-        if not self.terms:
-            return "0"
-        out = ""
-        for sym in sorted(self.terms):
-            pieces = self.terms[sym].render_terms()
-            if len(pieces) == 1:
-                sign, body = pieces[0]
-                body = sym.render() if body == "1" else f"{body}*{sym.render()}"
-            else:
-                sign, body = 1, f"({self.terms[sym].render()})*{sym.render()}"
-            if not out:
-                out = ("-" if sign < 0 else "") + body
-            else:
-                out += (" - " if sign < 0 else " + ") + body
-        return out
+        return render_combination((sym.render(), self.terms[sym]) for sym in sorted(self.terms))
 
     __str__ = render
 
@@ -386,21 +361,35 @@ def bracket(x, y):
     for sx, cx in x.terms.items():
         for sy, cy in y.terms.items():
             parts = _basis_bracket(sx, sy)
-            if not parts:
-                continue
-            c = cx * cy
-            for sym, f in parts:
-                add = c * f
-                s = acc.get(sym)
-                if s is None:
-                    acc[sym] = add
-                else:
-                    s = s + add
-                    if s.is_zero():
-                        del acc[sym]
-                    else:
-                        acc[sym] = s
+            if parts:
+                c = cx * cy
+                add_terms(acc, ((sym, c * f) for sym, f in parts))
     return AlgebraElement(x.algebra, acc)
+
+
+def check_representation(report, syms, act, vectors, label):
+    """Bracket compatibility of an action, recorded into ``report``.
+
+    For every ordered pair (X, Y) of ``syms`` and every vector v:
+
+        [X, Y] . v  ==  X.(Y.v) - (-1)^{|X||Y|} Y.(X.v)
+
+    ``act(x, v)`` applies an algebra element to a vector.  Each violation's
+    context is ``label`` followed by ``(X, Y) on v``.
+    """
+    elems = {s: AlgebraElement.basis(s) for s in syms}
+    acted = {s: [act(elems[s], v) for v in vectors] for s in syms}
+    for xs, ys in product(syms, repeat=2):
+        br = bracket(elems[xs], elems[ys])
+        odd_pair = bool(xs.parity and ys.parity)
+        for k, v in enumerate(vectors):
+            lhs = act(br, v)
+            xy = act(elems[xs], acted[ys][k])
+            yx = act(elems[ys], acted[xs][k])
+            rhs = xy + yx if odd_pair else xy - yx
+            if lhs != rhs:
+                report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,8 @@ def _restriction_params(args):
 
 def _verify_restriction(args):
     if args.check == "simplicity":
+        if args.algebra != "N1R":
+            raise _UsageError("--check simplicity applies only to --algebra N1R")
         lam0 = parse_quadext(args.lam0 or "3/2")
         alp0 = parse_quadext(args.alp0 or "2")
         a = parse_quadext(args.a_value or "0")

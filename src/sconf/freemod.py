@@ -27,94 +27,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebras import AlgebraElement, BasisSymbol, basis_symbols, bracket
+from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import SC_ONE, Scalar, as_scalar
+from .scalars import SC_ONE, Scalar, add_terms, as_scalar, monomial_text, render_combination
 
 EVEN, ODD = 0, 1
 _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
 
 
-# -- shared sparse bivariate helpers (exponent pair -> Scalar) ---------------
-
-def _terms_add(p, q):
-    out = dict(p)
-    for k, c in q.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del out[k]
-            else:
-                out[k] = s
-    return out
-
-
-def _terms_scale(p, c):
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in p.items()}
-
-
-def _terms_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            k = (i1 + i2, j1 + j2)
-            c = c1 * c2
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-    return out
+def binomial_shift(n, d):
+    """``(k, C(n, k) d^(n-k))`` for every k: the expansion of ``(u + d)^n``."""
+    if not d:
+        return ((n, 1),)
+    return [(k, comb(n, k) * d ** (n - k)) for k in range(n + 1)]
 
 
 def _terms_shift(p, dx, dy):
     """Substitute u -> u+dx, w -> w+dy (integer shifts, binomial expansion)."""
     if not dx and not dy:
         return dict(p)
-    out = {}
-    for (i, j), c in p.items():
-        if dx:
-            xparts = [(k, Fraction(comb(i, k) * dx ** (i - k))) for k in range(i + 1)]
-        else:
-            xparts = [(i, None)]
-        if dy:
-            yparts = [(l, Fraction(comb(j, l) * dy ** (j - l))) for l in range(j + 1)]
-        else:
-            yparts = [(j, None)]
-        for k, cx in xparts:
-            for l, cy in yparts:
-                w = c
-                if cx is not None:
-                    w = w * cx
-                if cy is not None:
-                    w = w * cy
-                if w.is_zero():
-                    continue
-                key = (k, l)
-                s = out.get(key)
-                if s is None:
-                    out[key] = w
-                else:
-                    s = s + w
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-    return out
+    return add_terms({}, (
+        ((k, l), c * (cx * cy))
+        for (i, j), c in p.items()
+        for k, cx in binomial_shift(i, dx)
+        for l, cy in binomial_shift(j, dy)
+    ))
 
 
-class ModuleElement:
-    """A parity-tagged polynomial: f(x,y) when even, g(s,t) when odd."""
+class ParityElement:
+    """A parity-tagged sparse polynomial with Scalar coefficients.
+
+    ``terms`` maps an exponent key to a nonzero Scalar; subclasses fix the
+    key shape and the variable names.  The zero vector is shared by both
+    parities: zeros of either parity compare equal, and adding a zero never
+    raises MixedParity.
+    """
 
     __slots__ = ("parity", "terms")
 
@@ -125,18 +73,18 @@ class ModuleElement:
         object.__setattr__(self, "terms", terms or {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("ModuleElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def monomial(cls, parity, i, j, coeff=1):
+    def _term(cls, parity, key, coeff):
         coeff = as_scalar(coeff)
         if coeff.is_zero():
             return cls(parity)
-        return cls(parity, {(i, j): coeff})
+        return cls(parity, {key: coeff})
 
     @classmethod
     def one(cls, parity):
-        return cls.monomial(parity, 0, 0)
+        return cls._term(parity, cls._ONE_KEY, 1)
 
     @classmethod
     def zero(cls, parity):
@@ -145,11 +93,8 @@ class ModuleElement:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
-
     def __add__(self, other):
-        if not isinstance(other, ModuleElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if other.is_zero():
             return self
@@ -157,71 +102,68 @@ class ModuleElement:
             return other
         if self.parity != other.parity:
             raise MixedParity("cannot add elements of different parity")
-        return ModuleElement(self.parity, _terms_add(self.terms, other.terms))
+        return type(self)(self.parity, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ModuleElement(self.parity, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.parity, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        return ModuleElement(self.parity, _terms_scale(self.terms, as_scalar(scalar)))
+        scalar = as_scalar(scalar)
+        if scalar.is_zero():
+            return type(self)(self.parity)
+        return type(self)(self.parity, {k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def times_poly(self, poly_terms):
-        """Multiply by a bivariate polynomial given as an exponent->Scalar map."""
-        return ModuleElement(self.parity, _terms_mul(self.terms, poly_terms))
-
-    def shifted(self, du, dv):
-        return ModuleElement(self.parity, _terms_shift(self.terms, du, dv))
-
     def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if not self.terms and not other.terms:
-            return True  # the zero vector is shared by both parities
+            return True
         return self.parity == other.parity and self.terms == other.terms
 
     __hash__ = None
 
     def render(self):
-        if not self.terms:
-            return "0"
-        u, v = _VARS[self.parity]
-        out = ""
-        for i, j in sorted(self.terms, reverse=True):
-            mono = []
-            if i:
-                mono.append(u if i == 1 else f"{u}^{i}")
-            if j:
-                mono.append(v if j == 1 else f"{v}^{j}")
-            mono = "*".join(mono)
-            pieces = self.terms[(i, j)].render_terms()
-            if len(pieces) == 1:
-                sign, body = pieces[0]
-                if not mono:
-                    pass
-                elif body == "1":
-                    body = mono
-                else:
-                    body = f"{body}*{mono}"
-            else:
-                sign = 1
-                body = f"({self.terms[(i, j)].render()})"
-                if mono:
-                    body = f"{body}*{mono}"
-            if not out:
-                out = ("-" if sign < 0 else "") + body
-            else:
-                out += (" - " if sign < 0 else " + ") + body
-        return out
+        return render_combination(
+            (self._monomial_text(k), self.terms[k]) for k in sorted(self.terms, reverse=True)
+        )
 
     __str__ = render
 
     def __repr__(self):
-        return f"<ModuleElement {'even' if self.parity == EVEN else 'odd'} {self.render()}>"
+        return f"<{type(self).__name__} {'even' if self.parity == EVEN else 'odd'} {self.render()}>"
+
+
+class ModuleElement(ParityElement):
+    """A parity-tagged polynomial: f(x,y) when even, g(s,t) when odd.
+
+    Keys are exponent pairs (i, j).
+    """
+
+    __slots__ = ()
+    _ONE_KEY = (0, 0)
+
+    @classmethod
+    def monomial(cls, parity, i, j, coeff=1):
+        return cls._term(parity, (i, j), coeff)
+
+    def _monomial_text(self, key):
+        return monomial_text(_VARS[self.parity], key)
+
+    def times_poly(self, poly_terms):
+        """Multiply by a bivariate polynomial given as an exponent->Scalar map."""
+        return ModuleElement(self.parity, add_terms({}, (
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.terms.items()
+            for (i2, j2), c2 in poly_terms.items()
+        )))
+
+    def shifted(self, du, dv):
+        return ModuleElement(self.parity, _terms_shift(self.terms, du, dv))
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +270,9 @@ def check_module_compatibility(index_window, degree_bound):
     report = VerificationReport(
         "module-compatibility", {"window": index_window, "degree": degree_bound}
     )
-    syms = basis_symbols("R", index_window)
-    elems = {s: AlgebraElement.basis(s) for s in syms}
-    vs = monomials(degree_bound)
-    acted = {s: [act_basis(s, v) for v in vs] for s in syms}
-    for xs in syms:
-        for ys in syms:
-            br = bracket(elems[xs], elems[ys])
-            odd_pair = bool(xs.parity and ys.parity)
-            for k, v in enumerate(vs):
-                lhs = act(br, v)
-                xy = act(elems[xs], acted[ys][k])
-                yx = act(elems[ys], acted[xs][k])
-                rhs = xy + yx if odd_pair else xy - yx
-                if lhs != rhs:
-                    report.record(
-                        f"compat ({xs}, {ys}) on {v}", lhs.render(), rhs.render()
-                    )
-    return report
+    return check_representation(
+        report, basis_symbols("R", index_window), act, monomials(degree_bound), "compat "
+    )
 
 
 def check_uh_freeness(degree_bound):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(sqrt2): incremental row spaces and rank.
+"""Exact linear algebra over Q(sqrt2): incremental row spaces.
 
 Only what the span witnesses and dimension counts need; vectors are plain
 lists of QuadExt.
@@ -55,11 +55,3 @@ class RowSpan:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def rank(vectors, dim):
-    """Rank of a family of vectors of the given length."""
-    span = RowSpan(dim)
-    for v in vectors:
-        span.add(v)
-    return span.rank

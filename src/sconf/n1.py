@@ -17,7 +17,6 @@ odd part closes under the restricted action and witnesses non-simplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebras import (
     AlgebraElement,
@@ -25,7 +24,7 @@ from .algebras import (
     GeneratorMap,
     apply_map,
     basis_symbols,
-    bracket,
+    check_representation,
     compose,
     embed_ns1_in_r1,
     embed_r1_in_r2,
@@ -33,7 +32,7 @@ from .algebras import (
 from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD
 from .linalg import RowSpan
-from .quotients import QuotientElement, QuotientParams, quotient_act
+from .quotients import QuotientElement, QuotientParams, quotient_act, quotient_monomials
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, QuadExt, Scalar, as_quadext
 
@@ -83,29 +82,13 @@ def check_n1_relations(r, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    syms = basis_symbols(r.source, index_window)
-    elems = {s: AlgebraElement.basis(s) for s in syms}
-    vs = [
-        QuotientElement.monomial(parity, k)
-        for parity in (EVEN, ODD)
-        for k in range(degree_bound + 1)
-    ]
-    acted = {s: [restricted_act(elems[s], v, r) for v in vs] for s in syms}
-    for xs, ys in product(syms, repeat=2):
-        br = bracket(elems[xs], elems[ys])
-        odd_pair = bool(xs.parity and ys.parity)
-        for k, v in enumerate(vs):
-            lhs = restricted_act(br, v, r)
-            xy = restricted_act(elems[xs], acted[ys][k], r)
-            yx = restricted_act(elems[ys], acted[xs][k], r)
-            rhs = xy + yx if odd_pair else xy - yx
-            if lhs != rhs:
-                report.record(
-                    f"n1 {r.source} {r.params.describe()} ({xs}, {ys}) on {v}",
-                    lhs.render(),
-                    rhs.render(),
-                )
-    return report
+    return check_representation(
+        report,
+        basis_symbols(r.source, index_window),
+        lambda x, v: restricted_act(x, v, r),
+        quotient_monomials(degree_bound),
+        f"n1 {r.source} {r.params.describe()} ",
+    )
 
 
 def check_rank1_freeness(r, degree_bound):
@@ -214,18 +197,10 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
     # words can raise the degree by one per letter
     max_degree = degree_bound + word_length
     dim = 2 * (max_degree + 1)
-    target_monos = [
-        QuotientElement.monomial(parity, k)
-        for parity in (EVEN, ODD)
-        for k in range(degree_bound + 1)
-    ]
+    target_monos = quotient_monomials(degree_bound)
     targets = [_as_vector(t, max_degree) for t in target_monos]
     if starts is None:
-        starts = [
-            QuotientElement.monomial(parity, k)
-            for parity in (EVEN, ODD)
-            for k in range(degree_bound + 1)
-        ]
+        starts = target_monos
     pooled = RowSpan(dim)
     for start in starts:
         # per-start orbit span (pruning against it is sound: a vector inside

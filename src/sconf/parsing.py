@@ -19,7 +19,7 @@ from .algebras import AlgebraElement, BasisSymbol, ALGEBRAS
 from .errors import ParseError
 from .freemod import EVEN, ODD, ModuleElement
 from .quotients import QuotientElement
-from .scalars import PARAMS, LAURENT_PARAMS, QuadExt, SQRT2, Scalar
+from .scalars import PARAMS, LAURENT_PARAMS, SC_ZERO, QuadExt, SQRT2, Scalar, add_terms
 from .submodules import SubmoduleSpec, UniPoly
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,]))")
@@ -111,16 +111,7 @@ class _PolyParser:
 
     def _add_term(self, acc, sign):
         coeff, exps = self.parse_term()
-        if sign < 0:
-            coeff = -coeff
-        if coeff.is_zero():
-            return
-        cur = acc.get(exps)
-        cur = coeff if cur is None else cur + coeff
-        if cur.is_zero():
-            acc.pop(exps, None)
-        else:
-            acc[exps] = cur
+        add_terms(acc, ((exps, -coeff if sign < 0 else coeff),))
 
     def parse_term(self):
         coeff, exps = self.parse_factor()
@@ -147,10 +138,7 @@ class _PolyParser:
             toks.next()
             inner = _PolyParser(toks, {}).parse_sum()
             toks.expect_op(")")
-            scalar = Scalar({})
-            for _, c in inner.items():
-                scalar = scalar + c
-            return scalar, zero_exps
+            return sum(inner.values(), SC_ZERO), zero_exps
         if kind != "name":
             toks.error("expected a number, name, or parenthesized expression")
         toks.next()
@@ -185,11 +173,7 @@ def _parse_all(toks, variables):
 
 def parse_scalar(text):
     """Parse a scalar expression such as ``3/2*lam^2*alp^-1*sqrt2``."""
-    acc = _parse_all(_Tokens(text), {})
-    scalar = Scalar({})
-    for _, c in acc.items():
-        scalar = scalar + c
-    return scalar
+    return sum(_parse_all(_Tokens(text), {}).values(), SC_ZERO)
 
 
 def parse_quadext(text):

@@ -27,164 +27,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
-from .algebras import AlgebraElement, BasisSymbol, basis_symbols, bracket
-from .errors import AlgebraMismatch, MixedParity, NotAUnit, ParamMismatch, UnsplitPolynomial
-from .freemod import EVEN, ODD, ModuleElement, act_basis, monomials
+from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
+from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
+from .freemod import (
+    EVEN, ODD, ModuleElement, ParityElement, act_basis, binomial_shift, monomials,
+)
 from .reports import VerificationReport
-from .scalars import QE_ONE, QuadExt, Scalar, as_quadext, as_scalar
+from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
 from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
 
-_VAR = {EVEN: "x", ODD: "s"}
+_VAR = {EVEN: ("x",), ODD: ("s",)}
 
 
-class QuotientElement:
-    """A parity-tagged univariate polynomial: f(x) when even, g(s) when odd."""
+class QuotientElement(ParityElement):
+    """A parity-tagged univariate polynomial: f(x) when even, g(s) when odd.
 
-    __slots__ = ("parity", "terms")
+    Keys are integer exponents.
+    """
 
-    def __init__(self, parity, terms=None):
-        if parity not in (EVEN, ODD):
-            raise ValueError("parity must be 0 (even) or 1 (odd)")
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "terms", terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientElement is immutable")
+    __slots__ = ()
+    _ONE_KEY = 0
 
     @classmethod
     def monomial(cls, parity, k, coeff=1):
-        coeff = as_scalar(coeff)
-        if coeff.is_zero():
-            return cls(parity)
-        return cls(parity, {k: coeff})
+        return cls._term(parity, k, coeff)
 
-    @classmethod
-    def one(cls, parity):
-        return cls.monomial(parity, 0)
-
-    @classmethod
-    def zero(cls, parity):
-        return cls(parity)
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max(self.terms, default=-1)
-
-    def __add__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.parity != other.parity:
-            raise MixedParity("cannot add quotient elements of different parity")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return QuotientElement(self.parity, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QuotientElement(self.parity, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        scalar = as_scalar(scalar)
-        if scalar.is_zero():
-            return QuotientElement(self.parity)
-        return QuotientElement(self.parity, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _monomial_text(self, key):
+        return monomial_text(_VAR[self.parity], (key,))
 
     def shifted(self, d):
         """Substitute the variable v -> v + d (integer shift)."""
         if not d:
             return self
-        out = {}
-        for k, c in self.terms.items():
-            for l in range(k + 1):
-                w = c * Fraction(comb(k, l) * d ** (k - l))
-                if w.is_zero():
-                    continue
-                s = out.get(l)
-                if s is None:
-                    out[l] = w
-                else:
-                    s = s + w
-                    if s.is_zero():
-                        del out[l]
-                    else:
-                        out[l] = s
-        return QuotientElement(self.parity, out)
+        return QuotientElement(self.parity, add_terms({}, (
+            (l, c * b) for k, c in self.terms.items() for l, b in binomial_shift(k, d)
+        )))
 
     def times_linear(self, const, slope=Scalar.number(1)):
         """Multiply by the linear polynomial slope*v + const."""
-        out = {}
-        for k, c in self.terms.items():
-            for kk, w in ((k + 1, c * slope), (k, c * const)):
-                if w.is_zero():
-                    continue
-                s = out.get(kk)
-                if s is None:
-                    out[kk] = w
-                else:
-                    s = s + w
-                    if s.is_zero():
-                        del out[kk]
-                    else:
-                        out[kk] = s
-        return QuotientElement(self.parity, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientElement):
-            return NotImplemented
-        if not self.terms and not other.terms:
-            return True
-        return self.parity == other.parity and self.terms == other.terms
-
-    __hash__ = None
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        var = _VAR[self.parity]
-        out = ""
-        for k in sorted(self.terms, reverse=True):
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            pieces = self.terms[k].render_terms()
-            if len(pieces) == 1:
-                sign, body = pieces[0]
-                if mono:
-                    body = mono if body == "1" else f"{body}*{mono}"
-            else:
-                sign = 1
-                body = f"({self.terms[k].render()})"
-                if mono:
-                    body = f"{body}*{mono}"
-            if not out:
-                out = ("-" if sign < 0 else "") + body
-            else:
-                out += (" - " if sign < 0 else " + ") + body
-        return out
-
-    __str__ = render
-
-    def __repr__(self):
-        return f"<QuotientElement {'even' if self.parity == EVEN else 'odd'} {self.render()}>"
+        return QuotientElement(self.parity, add_terms({}, (
+            pair
+            for k, c in self.terms.items()
+            for pair in ((k + 1, c * slope), (k, c * const))
+        )))
 
 
 @dataclass(frozen=True)
@@ -224,9 +111,6 @@ class QuotientParams:
             raise ValueError("this operation needs a concrete value for a")
         return self.a
 
-    def lam_pow(self, m):
-        return self.lam.int_pow(m)
-
     def describe(self):
         a = "a" if self.a is None else str(self.a)
         return f"(lam={self.lam}, alp={self.alp}, a={a})"
@@ -240,7 +124,7 @@ def quotient_act_basis(sym, v, p):
     if fam == "C":
         return QuotientElement.zero(v.parity)
     m = sym.twice // 2
-    lam_m = p.lam_pow(m)
+    lam_m = p.lam ** m
     a_s = p.a_scalar
     if fam == "L":
         const = a_s * Fraction(-m, 2)
@@ -285,21 +169,9 @@ def project(v, p):
     """
     a = p.concrete_a()
     sub = -a if v.parity == EVEN else -a - QE_ONE
-    out = {}
-    for (i, j), c in v.terms.items():
-        w = c * sub ** j
-        if w.is_zero():
-            continue
-        s = out.get(i)
-        if s is None:
-            out[i] = w
-        else:
-            s = s + w
-            if s.is_zero():
-                del out[i]
-            else:
-                out[i] = s
-    return QuotientElement(v.parity, out)
+    return QuotientElement(
+        v.parity, add_terms({}, ((i, c * sub ** j) for (i, j), c in v.terms.items()))
+    )
 
 
 def kernel_spec(p):
@@ -328,23 +200,9 @@ def iso_xi(v, h_tilde, p):
     """Embed a quotient element as a representative of the layer M_h~ / M_h
     with h = (y + a) h~: multiply by h~(y) (even) or h~(t+1) (odd)."""
     lift = h_tilde if v.parity == EVEN else h_tilde.shifted(1)
-    out = {}
-    for k, c in v.terms.items():
-        for j, hc in enumerate(lift.coeffs):
-            if hc.is_zero():
-                continue
-            w = c * hc
-            key = (k, j)
-            s = out.get(key)
-            if s is None:
-                out[key] = w
-            else:
-                s = s + w
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-    return ModuleElement(v.parity, out)
+    return ModuleElement(v.parity, add_terms({}, (
+        ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(lift.coeffs)
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +311,6 @@ class CompositionSeries:
     chain: tuple
     factors: tuple
 
-    def factor_multiset(self):
-        out = {}
-        for f in self.factors:
-            out[f] = out.get(f, 0) + 1
-        return out
-
     def render(self):
         lines = [f"series of quotient by M[h={self.h.render()}]:"]
         for k, spec in enumerate(self.chain):
@@ -506,26 +358,13 @@ def check_quotient_compatibility(p, index_window, degree_bound):
         "quotient-compatibility",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    syms = basis_symbols("R", index_window)
-    elems = {s: AlgebraElement.basis(s) for s in syms}
-    vs = quotient_monomials(degree_bound)
-    acted = {s: [quotient_act_basis(s, v, p) for v in vs] for s in syms}
-    for xs in syms:
-        for ys in syms:
-            br = bracket(elems[xs], elems[ys])
-            odd_pair = bool(xs.parity and ys.parity)
-            for k, v in enumerate(vs):
-                lhs = quotient_act(br, v, p)
-                xy = quotient_act(elems[xs], acted[ys][k], p)
-                yx = quotient_act(elems[ys], acted[xs][k], p)
-                rhs = xy + yx if odd_pair else xy - yx
-                if lhs != rhs:
-                    report.record(
-                        f"quotient compat {p.describe()} ({xs}, {ys}) on {v}",
-                        lhs.render(),
-                        rhs.render(),
-                    )
-    return report
+    return check_representation(
+        report,
+        basis_symbols("R", index_window),
+        lambda x, v: quotient_act(x, v, p),
+        quotient_monomials(degree_bound),
+        f"quotient compat {p.describe()} ",
+    )
 
 
 def check_projection_intertwines(p, index_window, degree_bound):

@@ -20,15 +20,25 @@ the verification sweeps.
 
 All three types are immutable after construction and safe to share between
 threads.
+
+Every sparse polynomial in the package (Scalar terms, module and quotient
+elements, algebra elements, the parser's accumulators) is a dict from a
+hashable key to a nonzero coefficient, and all of them are summed by one
+kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
+dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
+that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
+coefficients only need ``+`` and truth-testing (falsy exactly when zero);
+QuadExt, Scalar and Fraction all qualify.  ``join_signed`` is the one
+renderer of signed sums: every ``a - b + c`` text in the package comes out of
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import NotAUnit
-
-Rational = Fraction
 
 PARAMS = ("lam", "alp", "mu", "bet", "a", "b")
 LAURENT_PARAMS = frozenset(("lam", "alp", "mu", "bet"))
@@ -36,8 +46,55 @@ _PARAM_INDEX = {name: k for k, name in enumerate(PARAMS)}
 _NPARAMS = len(PARAMS)
 _ZERO_EXP = (0,) * _NPARAMS
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def add_terms(out, pairs):
+    """Add the ``(key, coeff)`` pairs into the dict ``out``, dropping zeros."""
+    for key, c in pairs:
+        s = out.get(key)
+        if s is None:
+            if c:
+                out[key] = c
+        else:
+            s = s + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def join_signed(parts):
+    """Join ``(sign, body)`` pairs into ``a - b + c``; ``0`` when empty."""
+    text = "".join((" - " if sign < 0 else " + ") + body for sign, body in parts)
+    if not text:
+        return "0"
+    return ("-" if text[1] == "-" else "") + text[3:]
+
+
+def monomial_text(names, exps):
+    """``x^2*y`` from names and exponents; the empty string for exponent 0."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def render_combination(pairs):
+    """Render ``sum coeff*mono`` from ``(mono, Scalar)`` pairs.
+
+    A coefficient that renders as one signed piece merges into its monomial
+    (``-2*x``, ``x``); a longer one is parenthesized (``(lam + alp)*x``).
+    """
+    parts = []
+    for mono, coeff in pairs:
+        pieces = coeff.render_terms()
+        if len(pieces) == 1:
+            sign, body = pieces[0]
+            if mono:
+                body = mono if body == "1" else f"{body}*{mono}"
+        else:
+            sign, body = 1, f"({join_signed(pieces)})"
+            if mono:
+                body = f"{body}*{mono}"
+        parts.append((sign, body))
+    return join_signed(parts)
 
 
 class QuadExt:
@@ -57,11 +114,8 @@ class QuadExt:
     def is_zero(self):
         return not self.rat and not self.root2
 
-    def is_rational(self):
-        return not self.root2
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.rat or self.root2)
 
     # -- field structure ----------------------------------------------------
 
@@ -155,20 +209,25 @@ class QuadExt:
     def __repr__(self):
         return f"QuadExt({self.rat!r}, {self.root2!r})"
 
-    def __str__(self):
-        parts = []
-        if self.rat:
-            parts.append((1 if self.rat > 0 else -1, str(abs(self.rat))))
-        if self.root2:
-            mag = abs(self.root2)
-            body = "sqrt2" if mag == 1 else f"{mag}*sqrt2"
-            parts.append((1 if self.root2 > 0 else -1, body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] < 0 else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += (" - " if sign < 0 else " + ") + body
+    def signed_terms(self, before="", after=""):
+        """``(sign, body)`` pairs rendering ``self * before * after``.
+
+        The rational part comes first, then the sqrt2 part, so every body
+        carries one rational magnitude (left out when it is 1 and other
+        factors remain) and at most one ``sqrt2`` factor.
+        """
+        out = []
+        for c, root in ((self.rat, ""), (self.root2, "sqrt2")):
+            if c:
+                factors = [f for f in (before, root, after) if f]
+                mag = abs(c)
+                if mag != 1 or not factors:
+                    factors.insert(0, str(mag))
+                out.append((1 if c > 0 else -1, "*".join(factors)))
         return out
+
+    def __str__(self):
+        return join_signed(self.signed_terms())
 
 
 def _as_quadext(v):
@@ -264,10 +323,6 @@ class Scalar:
             return self.terms[_ZERO_EXP]
         raise ValueError(f"scalar {self} is not constant")
 
-    def uses_param(self, name):
-        k = _PARAM_INDEX[name]
-        return any(ev[k] for ev in self.terms)
-
     # -- ring structure -------------------------------------------------------
 
     def __add__(self, other):
@@ -278,18 +333,7 @@ class Scalar:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for ev, c in other.terms.items():
-            s = out.get(ev)
-            if s is None:
-                out[ev] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[ev]
-                else:
-                    out[ev] = s
-        return Scalar(out)
+        return Scalar(add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -318,21 +362,11 @@ class Scalar:
             return NotImplemented
         if not self.terms or not other.terms:
             return SC_ZERO
-        out = {}
-        for ev1, c1 in self.terms.items():
-            for ev2, c2 in other.terms.items():
-                ev = tuple(e1 + e2 for e1, e2 in zip(ev1, ev2))
-                c = c1 * c2
-                s = out.get(ev)
-                if s is None:
-                    out[ev] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[ev]
-                    else:
-                        out[ev] = s
-        return Scalar(out)
+        return Scalar(add_terms({}, (
+            (tuple(map(add, ev1, ev2)), c1 * c2)
+            for ev1, c1 in self.terms.items()
+            for ev2, c2 in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -349,10 +383,6 @@ class Scalar:
             base = base * base
             n >>= 1
         return out
-
-    def int_pow(self, n):
-        """``self**n`` for any integer n; negative n inverts a unit monomial."""
-        return self ** n
 
     def invert_monomial(self):
         """Inverse of a one-term scalar whose a/b exponents vanish.
@@ -416,34 +446,14 @@ class Scalar:
         the rational part first, so that every rendered term carries a single
         rational magnitude and at most one ``sqrt2`` factor.
         """
-        parts = []
-        for ev in sorted(self.terms, reverse=True):
-            coeff = self.terms[ev]
-            for rat, is_sqrt in ((coeff.rat, False), (coeff.root2, True)):
-                if not rat:
-                    continue
-                factors = []
-                for name, e in zip(PARAMS, ev):
-                    if e == 1:
-                        factors.append(name)
-                    elif e:
-                        factors.append(f"{name}^{e}")
-                if is_sqrt:
-                    factors.append("sqrt2")
-                mag = abs(rat)
-                if mag != 1 or not factors:
-                    factors.insert(0, str(mag))
-                parts.append((1 if rat > 0 else -1, "*".join(factors)))
-        return parts
+        return [
+            part
+            for ev in sorted(self.terms, reverse=True)
+            for part in self.terms[ev].signed_terms(before=monomial_text(PARAMS, ev))
+        ]
 
     def render(self):
-        parts = self.render_terms()
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] < 0 else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += (" - " if sign < 0 else " + ") + body
-        return out
+        return join_signed(self.render_terms())
 
     __str__ = render
 

@@ -22,7 +22,9 @@ from math import comb
 from .algebras import basis_symbols
 from .freemod import EVEN, ODD, ModuleElement, act_basis
 from .reports import VerificationReport
-from .scalars import PARAMS, QE_ONE, QE_ZERO, QuadExt, Scalar, as_quadext
+from .scalars import (
+    PARAMS, QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
+)
 
 _A_SLOT = PARAMS.index("a")
 _B_SLOT = PARAMS.index("b")
@@ -45,10 +47,6 @@ class UniPoly:
     @classmethod
     def const(cls, v):
         return cls((v,))
-
-    @classmethod
-    def variable(cls):
-        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots):
@@ -156,31 +154,11 @@ class UniPoly:
         return hash(self.coeffs)
 
     def render(self, var="y"):
-        if not self.coeffs:
-            return "0"
-        out = ""
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            for rat, is_sqrt in ((c.rat, False), (c.root2, True)):
-                if not rat:
-                    continue
-                factors = []
-                if is_sqrt:
-                    factors.append("sqrt2")
-                if mono:
-                    factors.append(mono)
-                mag = abs(rat)
-                if mag != 1 or not factors:
-                    factors.insert(0, str(mag))
-                body = "*".join(factors)
-                if not out:
-                    out = ("-" if rat < 0 else "") + body
-                else:
-                    out += (" - " if rat < 0 else " + ") + body
-        return out
+        return join_signed(
+            part
+            for k in range(self.degree, -1, -1)
+            for part in self.coeffs[k].signed_terms(after=monomial_text((var,), (k,)))
+        )
 
     __str__ = render
 
@@ -256,28 +234,18 @@ def _divide_in_second_var(terms, divisor):
     coefficient ring because the divisor is monic.
     """
     dd = divisor.degree
-    dcoeffs = divisor.coeffs
+    minus_h = [(l, -d) for l, d in enumerate(divisor.coeffs) if d]
     work = dict(terms)
     quo = {}
     while work:
         jmax = max(j for _, j in work)
         if jmax < dd:
             break
-        for key in [k for k in work if k[1] == jmax]:
-            i, j = key
-            c = work.pop(key)
-            qkey = (i, j - dd)
-            quo[qkey] = quo.get(qkey, Scalar.number(0)) + c
-            for l in range(dd):  # leading term already cancelled by the pop
-                dl = dcoeffs[l]
-                if dl.is_zero():
-                    continue
-                tkey = (i, j - dd + l)
-                nv = work.get(tkey, Scalar.number(0)) - c * dl
-                if nv.is_zero():
-                    work.pop(tkey, None)
-                else:
-                    work[tkey] = nv
+        for i, j in [k for k in work if k[1] == jmax]:
+            c = work[(i, j)]
+            quo[(i, j - dd)] = c
+            # subtract c * u^i v^(j-dd) * h; h is monic, so (i, j) cancels
+            add_terms(work, (((i, j - dd + l), c * d) for l, d in minus_h))
     return work, quo
 
 

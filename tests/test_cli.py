@@ -159,3 +159,14 @@ def test_violations_sorted_in_json():
     doc = report.to_dict()
     assert [v["context"] for v in doc["violations"]] == ["a-context", "b-context"]
     assert report.exit_code == 1
+
+
+def test_simplicity_needs_n1r(capsys):
+    # the simplicity certificate is a statement about the N1R restriction;
+    # asking for it with --algebra N1NS must not silently run the N1R one
+    for command in (("verify", "restriction"), ("restrict",)):
+        code, out, err = run(
+            capsys, *command, "--algebra", "N1NS", "--a", "1", "--check", "simplicity",
+            "--degree", "1", "--words", "1",
+        )
+        assert code == 3 and out == "" and "N1R" in err
