@@ -226,6 +226,8 @@ def _verify_restriction(args):
 def _cmd_verify(args):
     if args.window < 1 or args.degree < 1:
         raise _UsageError("--window and --degree must be >= 1")
+    if args.spec is not None and args.suite != "submodule":
+        raise _UsageError("--spec applies only to the submodule suite")
     driver = {
         "algebra": _verify_algebra,
         "module": _verify_module,
@@ -240,6 +242,8 @@ def _cmd_verify(args):
 
 
 def _cmd_act(args):
+    if args.module == "omega" and (args.a_value, args.lam0, args.alp0) != (None, None, None):
+        raise _UsageError("--a, --lam0 and --alp0 apply only to --module quotient")
     parity = {"even": freemod.EVEN, "odd": freemod.ODD, None: None}[args.parity]
     words = [w for w in args.operator.split(";") if w.strip()]
     if not words:

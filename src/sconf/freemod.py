@@ -213,17 +213,25 @@ def act_basis(sym, v):
     raise AlgebraMismatch(f"family {fam} does not act")
 
 
-def act(x, v):
-    """Action of a homogeneous R-element on a module element."""
+def extend_linearly(x, v, basis_act, owner):
+    """Act by a homogeneous R-element (or one basis symbol) on ``v``.
+
+    ``basis_act(sym, v)`` is the action of one basis generator; ``owner``
+    names the module in the error for an element of another algebra.
+    """
     if isinstance(x, BasisSymbol):
         x = AlgebraElement.basis(x)
     if x.algebra != "R":
-        raise AlgebraMismatch(f"the rank-2 module is an R-module; got {x.algebra}")
-    out_parity = (v.parity + x.parity()) % 2
-    acc = ModuleElement.zero(out_parity)
+        raise AlgebraMismatch(f"{owner}; got {x.algebra}")
+    acc = type(v).zero((v.parity + x.parity()) % 2)
     for sym, coeff in x.terms.items():
-        acc = acc + act_basis(sym, v) * coeff
+        acc = acc + basis_act(sym, v) * coeff
     return acc
+
+
+def act(x, v):
+    """Action of a homogeneous R-element on a module element."""
+    return extend_linearly(x, v, act_basis, "the rank-2 module is an R-module")
 
 
 @dataclass(frozen=True)
@@ -349,29 +357,16 @@ def check_shift_identities(index_window, n_max, degree_bound):
             for n in range(1, n_max + 1):
                 for v in monomials(degree_bound):
                     xv = act_basis(X, v)
-                    # X . L0^n v
-                    lhs = act_basis(X, _iterate(L0, v, n))
-                    rhs = ModuleElement.zero(xv.parity)
-                    for k in range(n + 1):
-                        c = Fraction(comb(n, k) * m ** (n - k))
-                        if c:
-                            rhs = rhs + _iterate(L0, xv, k) * Scalar.number(c)
-                    if lhs != rhs:
-                        report.record(
-                            f"shift L0^{n} under {X} on {v}", lhs.render(), rhs.render()
-                        )
-                    # X . H0^n v
-                    e = eps[fam]
-                    lhs = act_basis(X, _iterate(H0, v, n))
-                    rhs = ModuleElement.zero(xv.parity)
-                    for k in range(n + 1):
-                        c = Fraction(comb(n, k) * (-e) ** (n - k))
-                        if c:
-                            rhs = rhs + _iterate(H0, xv, k) * Scalar.number(c)
-                    if lhs != rhs:
-                        report.record(
-                            f"shift H0^{n} under {X} on {v}", lhs.render(), rhs.render()
-                        )
+                    # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
+                    for name, Z, d in (("L0", L0, m), ("H0", H0, -eps[fam])):
+                        lhs = act_basis(X, _iterate(Z, v, n))
+                        rhs = ModuleElement.zero(xv.parity)
+                        for k, c in binomial_shift(n, d):
+                            rhs = rhs + _iterate(Z, xv, k) * Scalar.number(c)
+                        if lhs != rhs:
+                            report.record(
+                                f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
+                            )
     return report
 
 

@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .algebras import AlgebraElement, BasisSymbol, ALGEBRAS
 from .errors import ParseError
 from .freemod import EVEN, ODD, ModuleElement
 from .quotients import QuotientElement
-from .scalars import PARAMS, LAURENT_PARAMS, SC_ZERO, QuadExt, SQRT2, Scalar, add_terms
+from .scalars import PARAMS, LAURENT_PARAMS, QE_ZERO, SC_ZERO, SQRT2, Scalar, add_terms
 from .submodules import SubmoduleSpec, UniPoly
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,]))")
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
-_EVEN_VARS = ("x", "y")
-_ODD_VARS = ("s", "t")
 
 
 class _Tokens:
@@ -181,6 +180,38 @@ def parse_quadext(text):
     return parse_scalar(text).constant()
 
 
+def _parse_parity_poly(text, parity, even_vars, odd_vars):
+    """Parse a polynomial in the even or the odd variables; return
+    ``(parity, terms)`` with the exponents of both families folded onto one
+    key tuple.
+
+    The variables decide the parity; mixing the two families is an error,
+    and a polynomial without variables needs an explicit parity.
+    """
+    n = len(even_vars)
+    acc = _parse_all(_Tokens(text), {v: k for k, v in enumerate(even_vars + odd_vars)})
+    uses_even = any(any(e[:n]) for e in acc)
+    uses_odd = any(any(e[n:]) for e in acc)
+    if uses_even and uses_odd:
+        raise ParseError(
+            f"cannot mix {'/'.join(even_vars)} with {'/'.join(odd_vars)} in one polynomial",
+            pos=0,
+            token=text,
+        )
+    inferred = EVEN if uses_even else ODD if uses_odd else None
+    if inferred is None:
+        if parity is None:
+            raise ParseError(
+                "parity is ambiguous for a constant polynomial; pass parity=",
+                pos=0,
+                token=text,
+            )
+        inferred = parity
+    elif parity is not None and parity != inferred:
+        raise ParseError("polynomial variables contradict the requested parity", pos=0, token=text)
+    return inferred, {tuple(map(add, e[:n], e[n:])): c for e, c in acc.items()}
+
+
 def parse_module_element(text, parity=None):
     """Parse a bivariate polynomial; parity is inferred from the variables.
 
@@ -188,65 +219,30 @@ def parse_module_element(text, parity=None):
     families is an error.  A polynomial without variables needs an explicit
     parity.
     """
-    toks = _Tokens(text)
-    acc = _parse_all(toks, {"x": 0, "y": 1, "s": 2, "t": 3})
-    uses_even = any(e[0] or e[1] for e in acc)
-    uses_odd = any(e[2] or e[3] for e in acc)
-    if uses_even and uses_odd:
-        raise ParseError("cannot mix x/y with s/t in one polynomial", pos=0, token=text)
-    inferred = EVEN if uses_even else ODD if uses_odd else None
-    if inferred is None:
-        if parity is None:
-            raise ParseError(
-                "parity is ambiguous for a constant polynomial; pass parity=",
-                pos=0,
-                token=text,
-            )
-        inferred = parity
-    elif parity is not None and parity != inferred:
-        raise ParseError("polynomial variables contradict the requested parity", pos=0, token=text)
-    terms = {}
-    for e, c in acc.items():
-        key = (e[0] + e[2], e[1] + e[3])
-        terms[key] = c
-    return ModuleElement(inferred, terms)
+    return ModuleElement(*_parse_parity_poly(text, parity, ("x", "y"), ("s", "t")))
 
 
 def parse_quotient_element(text, parity=None):
     """Parse a univariate polynomial in x (even) or s (odd)."""
-    toks = _Tokens(text)
-    acc = _parse_all(toks, {"x": 0, "s": 1})
-    uses_even = any(e[0] for e in acc)
-    uses_odd = any(e[1] for e in acc)
-    if uses_even and uses_odd:
-        raise ParseError("cannot mix x with s in one polynomial", pos=0, token=text)
-    inferred = EVEN if uses_even else ODD if uses_odd else None
-    if inferred is None:
-        if parity is None:
-            raise ParseError(
-                "parity is ambiguous for a constant polynomial; pass parity=",
-                pos=0,
-                token=text,
-            )
-        inferred = parity
-    elif parity is not None and parity != inferred:
-        raise ParseError("polynomial variables contradict the requested parity", pos=0, token=text)
-    return QuotientElement(inferred, {e[0] + e[1]: c for e, c in acc.items()})
+    inferred, terms = _parse_parity_poly(text, parity, ("x",), ("s",))
+    return QuotientElement(inferred, {k: c for (k,), c in terms.items()})
+
+
+def _unipoly(acc, message, text):
+    """The UniPoly of a sum in one variable; ParseError ``message`` when a
+    coefficient carries a formal parameter."""
+    coeffs = [QE_ZERO] * (max((k for (k,) in acc), default=-1) + 1)
+    for (k,), c in acc.items():
+        if not c.is_constant():
+            raise ParseError(message, pos=0, token=text)
+        coeffs[k] = c.constant()
+    return UniPoly(coeffs)
 
 
 def parse_unipoly(text, var="y"):
     """Parse a univariate polynomial with QuadExt coefficients."""
-    toks = _Tokens(text)
-    acc = _parse_all(toks, {var: 0})
-    degree = max((e[0] for e in acc), default=-1)
-    coeffs = [QuadExt(0)] * (degree + 1)
-    for e, c in acc.items():
-        if not c.is_constant():
-            raise ParseError(
-                f"coefficients of {var} must be parameter-free", pos=0, token=text
-            )
-        coeffs[e[0]] = c.constant()
-    return UniPoly(coeffs)
+    acc = _parse_all(_Tokens(text), {var: 0})
+    return _unipoly(acc, f"coefficients of {var} must be parameter-free", text)
 
 
 def parse_submodule_spec(text):
@@ -265,13 +261,7 @@ def parse_submodule_spec(text):
     kind, value, pos = toks.peek()
     if kind != "end":
         raise ParseError("trailing input", pos=pos, token=value)
-    degree = max((e[0] for e in acc), default=-1)
-    coeffs = [QuadExt(0)] * (degree + 1)
-    for e, c in acc.items():
-        if not c.is_constant():
-            raise ParseError("h must have parameter-free coefficients", pos=0, token=text)
-        coeffs[e[0]] = c.constant()
-    h = UniPoly(coeffs)
+    h = _unipoly(acc, "h must have parameter-free coefficients", text)
     if h.is_zero():
         raise ParseError("h must be nonzero", pos=0, token=text)
     return SubmoduleSpec(kind_item[1], h)

@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from operator import eq
 
-from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
+from .algebras import basis_symbols, check_representation
 from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, act_basis, binomial_shift, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, act_basis, binomial_shift, extend_linearly, monomials,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
@@ -150,15 +151,9 @@ def quotient_act_basis(sym, v, p):
 
 def quotient_act(x, v, p):
     """Action of a homogeneous R-element on a quotient element."""
-    if isinstance(x, BasisSymbol):
-        x = AlgebraElement.basis(x)
-    if x.algebra != "R":
-        raise AlgebraMismatch(f"simple quotients are R-modules; got {x.algebra}")
-    out_parity = (v.parity + x.parity()) % 2
-    acc = QuotientElement.zero(out_parity)
-    for sym, coeff in x.terms.items():
-        acc = acc + quotient_act_basis(sym, v, p) * coeff
-    return acc
+    return extend_linearly(
+        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "simple quotients are R-modules"
+    )
 
 
 def project(v, p):
@@ -220,6 +215,12 @@ def _fraction_sqrt(f):
     return None
 
 
+def _divisors(n):
+    """The positive divisors of an integer n >= 1, found up to isqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return {q for d in small for q in (d, n // d)}
+
+
 def _rational_root(p):
     """One rational root of a monic UniPoly with rational coefficients."""
     if any(c.root2 for c in p.coeffs):
@@ -231,11 +232,8 @@ def _rational_root(p):
 
     scale = lcm(*(c.denominator for c in rats))
     ints = [int(c * scale) for c in rats]
-    c0, cn = abs(ints[0]), abs(ints[-1])
-    num_divs = sorted({d for d in range(1, c0 + 1) if c0 % d == 0})
-    den_divs = sorted({d for d in range(1, cn + 1) if cn % d == 0})
     candidates = sorted(
-        {Fraction(n, d) for n in num_divs for d in den_divs},
+        {Fraction(n, d) for n in _divisors(abs(ints[0])) for d in _divisors(abs(ints[-1]))}
     )
     for mag in candidates:
         for cand in (mag, -mag):
@@ -367,21 +365,32 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     )
 
 
+def _check_intertwining(report, index_window, vectors, lhs, rhs, label, same=eq):
+    """Record ``label``-prefixed violations where ``same(lhs(X, v), rhs(X, v))``
+    fails, for every R generator X in the window and every v in ``vectors``."""
+    for sym in basis_symbols("R", index_window):
+        for v in vectors:
+            left = lhs(sym, v)
+            right = rhs(sym, v)
+            if not same(left, right):
+                report.record(f"{label}{sym} on {v}", left.render(), right.render())
+    return report
+
+
 def check_projection_intertwines(p, index_window, degree_bound):
     """project(X . v) == X . project(v) for generators and monomials."""
     report = VerificationReport(
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    for sym in basis_symbols("R", index_window):
-        for v in monomials(degree_bound):
-            lhs = project(act_basis(sym, v), p)
-            rhs = quotient_act_basis(sym, project(v, p), p)
-            if lhs != rhs:
-                report.record(
-                    f"projection {p.describe()} {sym} on {v}", lhs.render(), rhs.render()
-                )
-    return report
+    return _check_intertwining(
+        report,
+        index_window,
+        monomials(degree_bound),
+        lambda sym, v: project(act_basis(sym, v), p),
+        lambda sym, v: quotient_act_basis(sym, project(v, p), p),
+        f"projection {p.describe()} ",
+    )
 
 
 def check_phi_intertwines(src, dst, index_window, degree_bound):
@@ -395,17 +404,14 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    for sym in basis_symbols("R", index_window):
-        for v in quotient_monomials(degree_bound):
-            lhs = iso_phi(quotient_act_basis(sym, v, src), src, dst)
-            rhs = quotient_act_basis(sym, iso_phi(v, src, dst), dst)
-            if lhs != rhs:
-                report.record(
-                    f"phi {src.describe()}->{dst.describe()} {sym} on {v}",
-                    lhs.render(),
-                    rhs.render(),
-                )
-    return report
+    return _check_intertwining(
+        report,
+        index_window,
+        quotient_monomials(degree_bound),
+        lambda sym, v: iso_phi(quotient_act_basis(sym, v, src), src, dst),
+        lambda sym, v: quotient_act_basis(sym, iso_phi(v, src, dst), dst),
+        f"phi {src.describe()}->{dst.describe()} ",
+    )
 
 
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
@@ -423,15 +429,12 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    for sym in basis_symbols("R", index_window):
-        for v in quotient_monomials(degree_bound):
-            lhs = act_basis(sym, iso_xi(v, h_tilde, p))
-            rhs = iso_xi(quotient_act_basis(sym, v, p), h_tilde, p)
-            diff = lhs - rhs
-            if not contains(full, diff):
-                report.record(
-                    f"xi h~={h_tilde.render()} {p.describe()} {sym} on {v}",
-                    lhs.render(),
-                    rhs.render(),
-                )
-    return report
+    return _check_intertwining(
+        report,
+        index_window,
+        quotient_monomials(degree_bound),
+        lambda sym, v: act_basis(sym, iso_xi(v, h_tilde, p)),
+        lambda sym, v: iso_xi(quotient_act_basis(sym, v, p), h_tilde, p),
+        f"xi h~={h_tilde.render()} {p.describe()} ",
+        same=lambda left, right: contains(full, left - right),
+    )

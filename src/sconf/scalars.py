@@ -63,6 +63,17 @@ def add_terms(out, pairs):
     return out
 
 
+def _power(base, n, one):
+    """``base**n`` for an int ``n >= 0`` by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 def join_signed(parts):
     """Join ``(sign, body)`` pairs into ``a - b + c``; ``0`` when empty."""
     text = "".join((" - " if sign < 0 else " + ") + body for sign, body in parts)
@@ -182,16 +193,7 @@ class QuadExt:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QE_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self if n >= 0 else self.inverse(), abs(n), QE_ONE)
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -277,15 +279,7 @@ class Scalar:
     @classmethod
     def param(cls, name, exp=1):
         """The monomial ``name**exp``; negative exp only for Laurent names."""
-        if name not in _PARAM_INDEX:
-            raise ValueError(f"unknown parameter {name!r}")
-        if exp < 0 and name not in LAURENT_PARAMS:
-            raise ValueError(f"parameter {name!r} is not invertible")
-        if exp == 0:
-            return SC_ONE
-        ev = [0] * _NPARAMS
-        ev[_PARAM_INDEX[name]] = exp
-        return cls({tuple(ev): QE_ONE})
+        return cls.monomial(QE_ONE, {name: exp})
 
     @classmethod
     def monomial(cls, coeff, exps=None, **named):
@@ -311,6 +305,11 @@ class Scalar:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def involves(self, *names):
+        """Whether some term carries a nonzero power of a named parameter."""
+        slots = [_PARAM_INDEX[name] for name in names]
+        return any(ev[k] for ev in self.terms for k in slots)
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
@@ -373,16 +372,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.invert_monomial() ** (-n)
-        out = SC_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self if n >= 0 else self.invert_monomial(), abs(n), SC_ONE)
 
     def invert_monomial(self):
         """Inverse of a one-term scalar whose a/b exponents vanish.

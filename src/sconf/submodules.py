@@ -17,17 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 
 from .algebras import basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, act_basis
+from .freemod import EVEN, ODD, ModuleElement, act_basis, binomial_shift
 from .reports import VerificationReport
 from .scalars import (
-    PARAMS, QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
+    QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
 )
-
-_A_SLOT = PARAMS.index("a")
-_B_SLOT = PARAMS.index("b")
 
 
 class UniPoly:
@@ -111,11 +107,9 @@ class UniPoly:
             return self
         out = [QE_ZERO] * (n + 1)
         for k, ck in enumerate(self.coeffs):
-            if ck.is_zero():
-                continue
-            # (y + c)^k
-            for l in range(k + 1):
-                out[l] = out[l] + ck * (comb(k, l) * c ** (k - l))
+            if ck:
+                for l, b in binomial_shift(k, c):
+                    out[l] = out[l] + ck * b
         return UniPoly(tuple(out))
 
     def __call__(self, v):
@@ -219,12 +213,8 @@ def _poly_in_second_var(p, parity):
 
 
 def _check_param_free(v):
-    for c in v.terms.values():
-        for ev in c.terms:
-            if ev[_A_SLOT] or ev[_B_SLOT]:
-                raise ValueError(
-                    "membership is defined for elements free of the parameters a, b"
-                )
+    if any(c.involves("a", "b") for c in v.terms.values()):
+        raise ValueError("membership is defined for elements free of the parameters a, b")
 
 
 def _divide_in_second_var(terms, divisor):

@@ -170,3 +170,17 @@ def test_simplicity_needs_n1r(capsys):
             "--degree", "1", "--words", "1",
         )
         assert code == 3 and out == "" and "N1R" in err
+
+
+def test_flags_the_command_ignores_are_usage_errors(capsys):
+    # --spec only selects the submodule spec; other suites must not drop it
+    code, out, err = run(
+        capsys, "verify", "algebra", "--which", "N1R", "--window", "1", "--spec", "M[h=y]"
+    )
+    assert code == 3 and out == "" and "--spec" in err
+    # the quotient parameters mean nothing on the rank-2 module
+    for flag, value in (("--a", "1"), ("--lam0", "2"), ("--alp0", "3")):
+        code, out, err = run(capsys, "act", "L[1]", "x", "--module", "omega", flag, value)
+        assert code == 3 and out == "" and flag in err
+        code, out, err = run(capsys, "act", "L[1]", "x", flag, value)
+        assert code == 3 and out == "" and flag in err

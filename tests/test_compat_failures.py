@@ -1,8 +1,20 @@
-"""The three bracket-compatibility sweeps report a wrong action as a failure."""
+"""The verification sweeps report a wrong action as a failure."""
 
 from sconf import freemod, n1, quotients
+from sconf.algebras import basis_symbols
+from sconf.freemod import act_basis
 from sconf.n1 import RestrictedAction, check_n1_relations
-from sconf.quotients import QuotientParams, check_quotient_compatibility
+from sconf.parsing import parse_unipoly
+from sconf.quotients import (
+    QuotientParams,
+    check_phi_intertwines,
+    check_projection_intertwines,
+    check_quotient_compatibility,
+    check_xi_intertwines,
+    iso_xi,
+    quotient_monomials,
+)
+from sconf.scalars import Scalar
 
 
 def _only_violations(report, prefix):
@@ -11,25 +23,25 @@ def _only_violations(report, prefix):
     assert all(v.context.startswith(prefix) for v in report.violations)
 
 
+def _double_family(monkeypatch, module, name, families):
+    """Replace ``module.name`` by an action that doubles the given families."""
+    good = getattr(module, name)
+
+    def wrong(sym, *rest):
+        out = good(sym, *rest)
+        return out * 2 if sym.family in families else out
+
+    monkeypatch.setattr(module, name, wrong)
+    return good
+
+
 def test_module_sweep_catches_a_wrong_family(monkeypatch):
-    good = freemod.act_basis
-
-    def wrong_h(sym, v):
-        out = good(sym, v)
-        return out * 2 if sym.family == "H" else out
-
-    monkeypatch.setattr(freemod, "act_basis", wrong_h)
+    _double_family(monkeypatch, freemod, "act_basis", ("H",))
     _only_violations(freemod.check_module_compatibility(1, 1), "compat (")
 
 
 def test_quotient_sweep_catches_a_wrong_family(monkeypatch):
-    good = quotients.quotient_act_basis
-
-    def wrong_l(sym, v, p):
-        out = good(sym, v, p)
-        return out * 2 if sym.family == "L" else out
-
-    monkeypatch.setattr(quotients, "quotient_act_basis", wrong_l)
+    _double_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
     p = QuotientParams(a=1)
     _only_violations(
         check_quotient_compatibility(p, 1, 1), f"quotient compat {p.describe()} ("
@@ -48,3 +60,50 @@ def test_n1_sweep_catches_a_wrong_family(monkeypatch):
     _only_violations(
         check_n1_relations(r, 1, 1), f"n1 N1NS {r.params.describe()} ("
     )
+
+
+def test_projection_sweep_catches_a_wrong_family(monkeypatch):
+    _double_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
+    p = QuotientParams(a=1)
+    _only_violations(check_projection_intertwines(p, 1, 1), "projection ")
+
+
+def test_phi_sweep_catches_a_wrong_family(monkeypatch):
+    good = quotients.quotient_act_basis
+
+    def gm_without_alp(sym, v, p):
+        out = good(sym, v, p)
+        return out * p.alp.invert_monomial() if sym.family == "Gm" else out
+
+    monkeypatch.setattr(quotients, "quotient_act_basis", gm_without_alp)
+    src = QuotientParams(a=1)
+    dst = QuotientParams(a=1, alp=Scalar.param("bet"))
+    _only_violations(check_phi_intertwines(src, dst, 1, 1), "phi ")
+
+
+def test_xi_sweep_catches_a_wrong_family_and_reports_the_module_side(monkeypatch):
+    good = _double_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
+    h_tilde = parse_unipoly("y - 1")
+    p = QuotientParams(a=1)
+    report = check_xi_intertwines(h_tilde, p, 1, 1)
+    _only_violations(report, "xi h~=")
+    label = f"xi h~={h_tilde.render()} {p.describe()} "
+    expected = {
+        (
+            f"{label}{sym} on {v}",
+            act_basis(sym, iso_xi(v, h_tilde, p)).render(),
+            iso_xi(good(sym, v, p) * 2, h_tilde, p).render(),
+        )
+        for sym in basis_symbols("R", 1)
+        if sym.family == "L"
+        for v in quotient_monomials(1)
+    }
+    assert {(v.context, v.lhs, v.rhs) for v in report.violations} <= expected
+
+
+def test_shift_sweep_catches_a_wrong_family(monkeypatch):
+    _double_family(monkeypatch, freemod, "act_basis", ("L", "H"))
+    report = freemod.check_shift_identities(1, 1, 1)
+    _only_violations(report, "shift ")
+    prefixes = {v.context[:len("shift L0^")] for v in report.violations}
+    assert prefixes == {"shift L0^", "shift H0^"}

@@ -144,3 +144,34 @@ def test_laurent_exponent_restrictions():
         parse_scalar("a^-1")
     with pytest.raises(ParseError):
         parse_module_element("x^-1")
+
+
+@pytest.mark.parametrize(
+    "parse, args, message",
+    [
+        (parse_module_element, ("x*t",),
+         "cannot mix x/y with s/t in one polynomial (token 'x*t' at position 0)"),
+        (parse_quotient_element, ("x + s",),
+         "cannot mix x with s in one polynomial (token 'x + s' at position 0)"),
+        (parse_module_element, ("1",),
+         "parity is ambiguous for a constant polynomial; pass parity= "
+         "(token '1' at position 0)"),
+        (parse_quotient_element, ("3",),
+         "parity is ambiguous for a constant polynomial; pass parity= "
+         "(token '3' at position 0)"),
+        (parse_module_element, ("x", ODD),
+         "polynomial variables contradict the requested parity (token 'x' at position 0)"),
+        (parse_quotient_element, ("s", EVEN),
+         "polynomial variables contradict the requested parity (token 's' at position 0)"),
+        (parse_unipoly, ("lam*y + 1",),
+         "coefficients of y must be parameter-free (token 'lam*y + 1' at position 0)"),
+        (parse_unipoly, ("a*x", "x"),
+         "coefficients of x must be parameter-free (token 'a*x' at position 0)"),
+        (parse_submodule_spec, ("M[h=lam*y]",),
+         "h must have parameter-free coefficients (token 'M[h=lam*y]' at position 0)"),
+    ],
+)
+def test_parse_error_texts(parse, args, message):
+    with pytest.raises(ParseError) as info:
+        parse(*args)
+    assert str(info.value) == message

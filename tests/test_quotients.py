@@ -1,5 +1,6 @@
 """Simple quotients: action, projection, isomorphisms, composition series."""
 
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -235,6 +236,21 @@ def test_find_roots_examples():
 def test_find_roots_rational_candidates():
     roots = find_roots(parse_unipoly("y^2 - 1/6*y - 1/3"))
     assert sorted(r.rat for r in roots) == [Fraction(-1, 2), Fraction(2, 3)]
+
+
+def test_find_roots_large_constant_in_bounded_time():
+    # the rational-root search must not trial-divide every integer up to |c0|
+    def timeout(*_):
+        raise TimeoutError("find_roots took longer than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        roots = find_roots(parse_unipoly("y^2 - 1234567*y + 234567000000"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert roots == [QuadExt(234567), QuadExt(1000000)]
 
 
 def test_composition_series_y2_minus_1():
