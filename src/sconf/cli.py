@@ -39,6 +39,11 @@ USAGE_ERROR = 3
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
+_VERIFY_FLAGS = {  # verify's optional flags: option -> (argparse dest, the suites that read it)
+    "--which": ("which", ("algebra",)), "--map": ("map_name", ("homomorphism",)),
+    "--spec": ("spec", ("submodule",)), "--a": ("a_value", ("quotient", "restriction")),
+    **{f"--{d}": (d, ("restriction",)) for d in ("algebra", "check", "lam0", "alp0", "words")},
+}
 
 
 class _UsageError(Exception):
@@ -68,13 +73,13 @@ def build_parser():
     v.add_argument("--degree", type=int, default=3, help="monomial degree bound")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
     v.add_argument("--a", dest="a_value", help="root parameter a (constant expression)")
-    v.add_argument("--algebra", choices=("N1R", "N1NS"), default="N1R",
-                   help="restriction source algebra")
+    v.add_argument("--algebra", choices=("N1R", "N1NS"),
+                   help="restriction source algebra (default N1R)")
     v.add_argument("--check", choices=("relations", "rank1", "simplicity"),
-                   default="relations", help="restriction check to run")
+                   help="restriction check to run (default relations)")
     v.add_argument("--lam0", help="numeric specialization of lam")
     v.add_argument("--alp0", help="numeric specialization of alp")
-    v.add_argument("--words", type=int, default=3, help="word length for span searches")
+    v.add_argument("--words", type=int, help="word length for span searches (default 3)")
     common(v)
 
     a = sub.add_parser("act", help="apply an algebra expression to an element")
@@ -90,7 +95,7 @@ def build_parser():
 
     d = sub.add_parser("decompose", help="composition series of a quotient")
     d.add_argument("--h", required=True, help="monic polynomial in y, e.g. 'y^2-1'")
-    d.add_argument("--roots", help="comma-separated root hints, e.g. '1,-1'")
+    d.add_argument("--roots", help="roots to put first in the chain, comma-separated, e.g. '1,-1'")
     common(d)
 
     r = sub.add_parser("restrict", help="N=1 restriction checks")
@@ -205,19 +210,20 @@ def _restriction_params(args):
 
 def _verify_restriction(args):
     if args.check == "simplicity":
-        if args.algebra != "N1R":
+        if args.algebra == "N1NS":
             raise _UsageError("--check simplicity applies only to --algebra N1R")
         lam0 = parse_quadext(args.lam0 or "3/2")
         alp0 = parse_quadext(args.alp0 or "2")
         a = parse_quadext(args.a_value or "0")
+        words = 3 if args.words is None else args.words
         return n1.check_simplicity_witness(
-            a, lam0, alp0, args.degree, args.words, index_window=args.window
+            a, lam0, alp0, args.degree, words, index_window=args.window
         )
     params = _restriction_params(args)
-    if args.algebra == "N1R":
-        r = n1.RestrictedAction.ramond(params)
-    else:
+    if args.algebra == "N1NS":
         r = n1.RestrictedAction.neveu_schwarz(params)
+    else:
+        r = n1.RestrictedAction.ramond(params)
     if args.check == "rank1":
         return n1.check_rank1_freeness(r, args.degree)
     return n1.check_n1_relations(r, args.window, args.degree)
@@ -226,8 +232,10 @@ def _verify_restriction(args):
 def _cmd_verify(args):
     if args.window < 1 or args.degree < 1:
         raise _UsageError("--window and --degree must be >= 1")
-    if args.spec is not None and args.suite != "submodule":
-        raise _UsageError("--spec applies only to the submodule suite")
+    for flag, (dest, suites) in _VERIFY_FLAGS.items():
+        if getattr(args, dest) is not None and args.suite not in suites:
+            raise _UsageError(f"{flag} applies only to the {' and '.join(suites)} suite"
+                              + "s" * (len(suites) > 1))
     driver = {
         "algebra": _verify_algebra,
         "module": _verify_module,
@@ -322,10 +330,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except SconfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (SconfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import eq
 
 from .algebras import basis_symbols, check_representation
@@ -204,95 +204,90 @@ def iso_xi(v, h_tilde, p):
 # root finding and composition series
 # ---------------------------------------------------------------------------
 
-def _fraction_sqrt(f):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+def _negated_remainder(a, b):
+    """-(a mod b) times a positive integer, for ascending integer coefficient lists."""
+    a, lead, sign = list(a), abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(a) >= len(b):
+        top, pad = sign * a[-1], len(a) - len(b)
+        a = [lead * c - top * (b[i - pad] if i >= pad else 0) for i, c in enumerate(a)][:-1]
+    while a and not a[-1]:
+        a.pop()
+    g = gcd(*a)
+    return [-c // g for c in a]
 
 
-def _divisors(n):
-    """The positive divisors of an integer n >= 1, found up to isqrt(n)."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return {q for d in small for q in (d, n // d)}
+def _sign_changes(chain, z):
+    signs = []
+    for f in chain:
+        acc = 0
+        for c in reversed(f):
+            acc = acc * z + c
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _rational_root(p):
-    """One rational root of a monic UniPoly with rational coefficients."""
-    if any(c.root2 for c in p.coeffs):
-        return None
-    rats = [c.rat for c in p.coeffs]
-    if not rats[0]:
-        return QuadExt(0)
-    from math import lcm
-
-    scale = lcm(*(c.denominator for c in rats))
-    ints = [int(c * scale) for c in rats]
-    candidates = sorted(
-        {Fraction(n, d) for n in _divisors(abs(ints[0])) for d in _divisors(abs(ints[-1]))}
-    )
-    for mag in candidates:
-        for cand in (mag, -mag):
-            if p(cand).is_zero():
-                return QuadExt(cand)
-    return None
-
-
-def _quadratic_roots(p):
-    """Roots of a monic rational quadratic if they lie in Q(sqrt2)."""
-    if p.degree != 2 or any(c.root2 for c in p.coeffs):
-        return None
-    B, D = p.coeffs[1].rat, p.coeffs[0].rat
-    disc = B * B - 4 * D
-    r = _fraction_sqrt(disc)
-    if r is not None:
-        return [QuadExt((-B + r) / 2), QuadExt((-B - r) / 2)]
-    r = _fraction_sqrt(disc / 2)
-    if r is not None:  # sqrt(disc) = r*sqrt2
-        return [
-            QuadExt(Fraction(-B, 2), r / 2),
-            QuadExt(Fraction(-B, 2), -r / 2),
-        ]
-    return None
+def _candidates(h):
+    """Every (P + Q sqrt2)/D that an ordered pair of real roots of the norm
+    h * conj(h) rounds to, D the common denominator of the monic h.  Each root
+    of h in Q(sqrt2) has that form, and it and its conjugate are real roots of
+    the norm (of h itself, when h is rational)."""
+    D = lcm(*(f.denominator for c in h.coeffs for f in (c.rat, c.root2)))
+    if any(c.root2 for c in h.coeffs):
+        h = h * UniPoly(tuple(c.conjugate() for c in h.coeffs))
+    # In z = 16 D y the norm is monic with integer coefficients (D times a root
+    # of h is an algebraic integer) and has its roots inside (-bound, bound)
+    # (Fujiwara).  It has none at odd z (rational roots sit at z = 16 P), where
+    # its Sturm chain counts distinct roots as that of its square-free part would.
+    n = h.degree
+    p = [int(c.rat * (16 * D) ** (n - i)) for i, c in enumerate(h.coeffs)]
+    bound = 4 << max((c.bit_length() // (n - i) for i, c in enumerate(p[:-1])), default=0) | 1
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
+        chain.append(r)
+    points, todo = [], [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        if _sign_changes(chain, lo) == _sign_changes(chain, hi):
+            continue
+        if hi - lo == 2:
+            points.append(hi // 2)
+            continue
+        mid = (lo + hi) // 2 | 1
+        todo += [(lo, mid), (mid, hi)]
+    # Each root x has a point a with |8 D x - a| < 1/2.  For x = (P + Q sqrt2)/D
+    # and its conjugate, a + b = 16 P and |a - b - 16 sqrt2 Q| < 1.
+    return {
+        QuadExt(Fraction((a + b) // 16, D), Fraction(q if a >= b else -q, D))
+        for a in points
+        for b in points
+        if (a + b) % 16 == 0
+        for q in (isqrt((abs(a - b) + 1) ** 2 // 512),)
+    }
 
 
 def find_roots(h, root_hint=None):
     """All roots of a monic polynomial in Q(sqrt2), multiplicity included.
 
-    Hints are consumed first (each one verified and deflated); the rest is
-    covered by the rational-root search plus the quadratic conjugate-pair
-    test.  Raises UnsplitPolynomial when the polynomial does not split.
+    Hints are consumed first (each one verified and deflated).  Then h is
+    deflated by each exact search candidate (Sturm bisection of the norm, see
+    ``_candidates``) while it vanishes there: rational roots first, then by
+    |rational part|, positive first.  Raises UnsplitPolynomial, naming the
+    factor left, when the polynomial does not split.
     """
-    work = h.monic()
-    roots = []
-    for cand in root_hint or ():
-        cand = as_quadext(cand)
+    work, roots = h.monic(), []
+    for cand in map(as_quadext, root_hint or ()):
         if work.degree < 1 or not work(cand).is_zero():
-            raise UnsplitPolynomial(
-                f"hinted value {cand} is not a root of {work.render()}"
-            )
+            raise UnsplitPolynomial(f"hinted value {cand} is not a root of {work.render()}")
         work, _ = work.divmod_monic(UniPoly((-cand, QE_ONE)))
         roots.append(cand)
-    while work.degree > 0:
-        if work.degree == 1:
-            roots.append(-work.coeffs[0])
-            break
-        r = _rational_root(work)
-        if r is not None:
-            roots.append(r)
+    key = lambda r: (bool(r.root2), abs(r.rat), r.rat < 0, abs(r.root2), r.root2 < 0)  # noqa: E731
+    for r in sorted(_candidates(work), key=key):
+        while work(r).is_zero():
             work, _ = work.divmod_monic(UniPoly((-r, QE_ONE)))
-            continue
-        pair = _quadratic_roots(work) if work.degree == 2 else None
-        if pair is not None:
-            roots.extend(pair)
-            break
-        raise UnsplitPolynomial(
-            f"cannot split {work.render()} over Q(sqrt2); supply root_hint"
-        )
+            roots.append(r)
+    if work.degree > 0:
+        raise UnsplitPolynomial(f"cannot split {work.render()} over Q(sqrt2)")
     return roots
 
 

@@ -114,6 +114,9 @@ def test_decompose_pass(capsys):
     assert code == 0 and doc["status"] == "pass"
     assert doc["params"]["factors"] == ["-1", "1"]
     assert doc["params"]["chain"] == ["M[h=y - 1]", "M[h=y^2 - 1]"]
+    # two conjugate pairs: (y^2 - 2)(y^2 - 8)
+    code, doc = run_json(capsys, "decompose", "--h", "y^4-10*y^2+16")
+    assert code == 0 and doc["status"] == "pass" and len(doc["params"]["factors"]) == 4
 
 
 def test_decompose_with_hints(capsys):
@@ -184,3 +187,18 @@ def test_flags_the_command_ignores_are_usage_errors(capsys):
         assert code == 3 and out == "" and flag in err
         code, out, err = run(capsys, "act", "L[1]", "x", flag, value)
         assert code == 3 and out == "" and flag in err
+    # each verify suite takes only the optional flags it reads
+    for suite, flag, value in (
+        ("module", "--a", "1"),
+        ("algebra", "--map", "sigma"),
+        ("algebra", "--check", "rank1"),
+        ("quotient", "--words", "5"),
+        ("homomorphism", "--which", "R"),
+        ("submodule", "--algebra", "N1R"),
+        ("quotient", "--lam0", "2"),
+        ("module", "--alp0", "3"),
+    ):
+        code, out, err = run(
+            capsys, "verify", suite, flag, value, "--window", "1", "--degree", "1"
+        )
+        assert code == 3 and out == "" and flag in err, (suite, flag)

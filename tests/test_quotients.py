@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sconf.algebras import BasisSymbol
 from sconf.errors import ParamMismatch, UnsplitPolynomial
@@ -31,7 +33,7 @@ from sconf.quotients import (
     quotient_act_basis,
 )
 from sconf.scalars import QuadExt, Scalar
-from sconf.submodules import SubmoduleSpec, contains
+from sconf.submodules import SubmoduleSpec, UniPoly, contains
 
 
 def sym(family, m):
@@ -231,6 +233,15 @@ def test_find_roots_examples():
         find_roots(parse_unipoly("y^3 - y + 1"))
     with pytest.raises(UnsplitPolynomial):
         find_roots(parse_unipoly("y^2 - 1"), root_hint=[QuadExt(2)])
+    # irrational roots that are not one conjugate pair of a rational quadratic
+    assert find_roots(UniPoly.from_roots([1, QuadExt(0, 1)])) == [QuadExt(1), QuadExt(0, 1)]
+    assert find_roots(parse_unipoly("y^2 - 2*sqrt2*y + 2")) == [QuadExt(0, 1), QuadExt(0, 1)]
+    assert Counter(find_roots(parse_unipoly("y^4 - 10*y^2 + 16"))) == Counter(
+        [QuadExt(0, 1), QuadExt(0, -1), QuadExt(0, 2), QuadExt(0, -2)]
+    )
+    # the unsplit note names the factor left after deflation
+    with pytest.raises(UnsplitPolynomial, match=r"^cannot split y\^2 - 3 over Q\(sqrt2\)$"):
+        find_roots(UniPoly.from_roots([QuadExt(0, 2)]) * parse_unipoly("y^2 - 3"))
 
 
 def test_find_roots_rational_candidates():
@@ -239,7 +250,7 @@ def test_find_roots_rational_candidates():
 
 
 def test_find_roots_large_constant_in_bounded_time():
-    # the rational-root search must not trial-divide every integer up to |c0|
+    # the root search must stay fast on constants up to 10^18
     def timeout(*_):
         raise TimeoutError("find_roots took longer than 5 s")
 
@@ -247,10 +258,59 @@ def test_find_roots_large_constant_in_bounded_time():
     signal.alarm(5)
     try:
         roots = find_roots(parse_unipoly("y^2 - 1234567*y + 234567000000"))
+        big16 = find_roots(parse_unipoly("y^2 - 9999999999999999*y - 10000000000000000"))
+        big18 = find_roots(parse_unipoly("y^2 - 999999999999999999*y - 1000000000000000000"))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert roots == [QuadExt(234567), QuadExt(1000000)]
+    assert big16 == [QuadExt(-1), QuadExt(10 ** 16)]
+    assert big18 == [QuadExt(-1), QuadExt(10 ** 18)]
+
+
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# y^2 - k with k neither a square nor twice a square, and y^3 - c with c no cube
+_IRREDUCIBLE = [
+    parse_unipoly(text) for text in ("y^2 - 3", "y^2 + 2", "y^2 - 6", "y^3 - 2", "y^3 + 5")
+]
+
+
+@st.composite
+def _root_multisets(draw):
+    """1 to 5 roots p + q sqrt2 of small height, with repeats and conjugates."""
+    roots = draw(st.lists(st.builds(QuadExt, _SMALL, _SMALL | st.just(0)), min_size=1, max_size=3))
+    for r in list(roots):
+        roots.extend(draw(st.sampled_from(((), (r,), (r.conjugate(),)))))
+    return roots[:5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_multisets(), st.sampled_from(_IRREDUCIBLE))
+def test_find_roots_returns_the_drawn_multiset(roots, irreducible):
+    h = UniPoly.from_roots(roots)
+    assert Counter(find_roots(h)) == Counter(roots)
+    with pytest.raises(UnsplitPolynomial):
+        find_roots(h * irreducible)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_root_multisets(), st.sampled_from([UniPoly.const(1)] + _IRREDUCIBLE))
+def test_find_roots_agrees_with_sympy_linear_factors(roots, extra):
+    sympy = pytest.importorskip("sympy")
+    h = UniPoly.from_roots(roots) * extra
+    y = sympy.Symbol("y")
+    expr = sum(
+        (sympy.Rational(c.rat) + sympy.Rational(c.root2) * sympy.sqrt(2)) * y ** k
+        for k, c in enumerate(h.coeffs)
+    )
+    _, factors = sympy.factor_list(expr, y, extension=sympy.sqrt(2))
+    linear = sum(m for f, m in factors if sympy.degree(f, y) == 1)
+    try:
+        found = len(find_roots(h))
+    except UnsplitPolynomial:
+        found = len(roots)
+        assert extra.degree > 0
+    assert linear == found
 
 
 def test_composition_series_y2_minus_1():
