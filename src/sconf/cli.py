@@ -12,6 +12,9 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive (bounded search could not decide),
 3 usage error (bad flags or unparsable expressions).  ``--json`` renders the
 report as a single JSON object with the fixed keys suite, params, status,
 violations[].
+
+Sizes are bounded, and a larger one is a usage error: --window, --degree and
+--words at most 6, and an exponent of a variable (x, y, s, t) at most 64.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .reports import VerificationReport
 from .scalars import Scalar
 
 USAGE_ERROR = 3
+# Fixed upper bounds on the sweep sizes, so every request ends in bounded time.
+MAX_SIZE = {"window": 6, "degree": 6, "words": 6}
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
@@ -69,8 +74,10 @@ def build_parser():
     v.add_argument("--which", choices=algebras.ALGEBRAS, help="algebra to sweep")
     v.add_argument("--map", dest="map_name", choices=sorted(algebras.STANDARD_MAPS),
                    help="homomorphism to check (default: all, plus the twist composition)")
-    v.add_argument("--window", type=int, default=3, help="mode window |m| <= N")
-    v.add_argument("--degree", type=int, default=3, help="monomial degree bound")
+    v.add_argument("--window", type=int, default=3,
+                   help=f"mode window |m| <= N (at most {MAX_SIZE['window']})")
+    v.add_argument("--degree", type=int, default=3,
+                   help=f"monomial degree bound (at most {MAX_SIZE['degree']})")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
     v.add_argument("--a", dest="a_value", help="root parameter a (constant expression)")
     v.add_argument("--algebra", choices=("N1R", "N1NS"),
@@ -79,7 +86,8 @@ def build_parser():
                    help="restriction check to run (default relations)")
     v.add_argument("--lam0", help="numeric specialization of lam")
     v.add_argument("--alp0", help="numeric specialization of alp")
-    v.add_argument("--words", type=int, help="word length for span searches (default 3)")
+    v.add_argument("--words", type=int,
+                   help=f"word length for span searches (default 3, at most {MAX_SIZE['words']})")
     common(v)
 
     a = sub.add_parser("act", help="apply an algebra expression to an element")
@@ -103,9 +111,9 @@ def build_parser():
     r.add_argument("--a", dest="a_value", default="0", help="root parameter a")
     r.add_argument("--check", choices=("relations", "rank1", "simplicity"),
                    required=True)
-    r.add_argument("--window", type=int, default=3)
-    r.add_argument("--degree", type=int, default=3)
-    r.add_argument("--words", type=int, default=3)
+    r.add_argument("--window", type=int, default=3, help=f"at most {MAX_SIZE['window']}")
+    r.add_argument("--degree", type=int, default=3, help=f"at most {MAX_SIZE['degree']}")
+    r.add_argument("--words", type=int, default=3, help=f"at most {MAX_SIZE['words']}")
     r.add_argument("--lam0", default="3/2", help="numeric lam for simplicity spans")
     r.add_argument("--alp0", default="2", help="numeric alp for simplicity spans")
     common(r)
@@ -229,6 +237,13 @@ def _verify_restriction(args):
     return n1.check_n1_relations(r, args.window, args.degree)
 
 
+def _check_sizes(args):
+    for name, cap in MAX_SIZE.items():
+        value = getattr(args, name)
+        if value is not None and value > cap:
+            raise _UsageError(f"--{name} must be <= {cap}")
+
+
 def _cmd_verify(args):
     if args.window < 1 or args.degree < 1:
         raise _UsageError("--window and --degree must be >= 1")
@@ -236,6 +251,7 @@ def _cmd_verify(args):
         if getattr(args, dest) is not None and args.suite not in suites:
             raise _UsageError(f"{flag} applies only to the {' and '.join(suites)} suite"
                               + "s" * (len(suites) > 1))
+    _check_sizes(args)
     driver = {
         "algebra": _verify_algebra,
         "module": _verify_module,
@@ -298,6 +314,7 @@ def _cmd_decompose(args):
 def _cmd_restrict(args):
     if args.window < 1 or args.degree < 1:
         raise _UsageError("--window and --degree must be >= 1")
+    _check_sizes(args)
     return _verify_restriction(args)
 
 

@@ -26,6 +26,7 @@ from .submodules import SubmoduleSpec, UniPoly
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,]))")
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
+MAX_EXPONENT = 64  # largest exponent of a variable in one term
 
 
 class _Tokens:
@@ -113,11 +114,14 @@ class _PolyParser:
         add_terms(acc, ((exps, -coeff if sign < 0 else coeff),))
 
     def parse_term(self):
+        pos = self.toks.peek()[2]
         coeff, exps = self.parse_factor()
         while self.toks.accept_op("*"):
             c2, e2 = self.parse_factor()
             coeff = coeff * c2
             exps = tuple(a + b for a, b in zip(exps, e2))
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise ParseError(f"variable exponents must be <= {MAX_EXPONENT}", pos=pos)
         return coeff, exps
 
     def parse_factor(self):

@@ -21,6 +21,20 @@ the verification sweeps.
 All three types are immutable after construction and safe to share between
 threads.
 
+Both parts of a QuadExt are always ``Fraction`` instances.  The public
+``QuadExt(rat, root2)`` takes ints or Fractions (anything else is a
+TypeError); arithmetic results come from the one trusted constructor ``_qe``,
+which stores the Fractions it is given without re-wrapping them.  Almost
+every coefficient the sweeps meet is rational, so the kernel passes a zero
+sqrt2 part through untouched: ``+``, ``-`` and unary ``-`` skip its sum or
+negation, and ``*`` takes one Fraction product when both operands are
+rational, two when exactly one is, and the four-product formula only when
+both carry sqrt2.  An int or Fraction operand scales both parts directly.
+``Scalar * s`` returns the Scalar itself when ``s`` is one (the int 1, a
+QuadExt or Fraction equal to 1, or ``SC_ONE``, which ``Scalar.number(1)``
+returns), and scales each coefficient when ``s`` is an int, Fraction or
+QuadExt.
+
 Every sparse polynomial in the package (Scalar terms, module and quotient
 elements, algebra elements, the parser's accumulators) is a dict from a
 hashable key to a nonzero coefficient, and all of them are summed by one
@@ -109,11 +123,15 @@ def render_combination(pairs):
 
 
 class QuadExt:
-    """An element ``rat + root2*sqrt(2)`` of the field Q(sqrt2)."""
+    """An element ``rat + root2*sqrt(2)`` of the field Q(sqrt2); both parts
+    are Fractions (see the module docstring for the arithmetic's paths)."""
 
     __slots__ = ("rat", "root2")
 
     def __init__(self, rat=0, root2=0):
+        for part in (rat, root2):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"QuadExt parts must be int or Fraction, not {part!r}")
         object.__setattr__(self, "rat", Fraction(rat))
         object.__setattr__(self, "root2", Fraction(root2))
 
@@ -134,7 +152,8 @@ class QuadExt:
         other = _as_quadext(other)
         if other is None:
             return NotImplemented
-        return QuadExt(self.rat + other.rat, self.root2 + other.root2)
+        q = other.root2
+        return _qe(self.rat + other.rat, self.root2 + q if q else self.root2)
 
     __radd__ = __add__
 
@@ -142,7 +161,8 @@ class QuadExt:
         other = _as_quadext(other)
         if other is None:
             return NotImplemented
-        return QuadExt(self.rat - other.rat, self.root2 - other.root2)
+        q = other.root2
+        return _qe(self.rat - other.rat, self.root2 - q if q else self.root2)
 
     def __rsub__(self, other):
         other = _as_quadext(other)
@@ -151,22 +171,27 @@ class QuadExt:
         return other - self
 
     def __neg__(self):
-        return QuadExt(-self.rat, -self.root2)
+        q = self.root2
+        return _qe(-self.rat, -q if q else q)
 
     def __mul__(self, other):
-        other = _as_quadext(other)
-        if other is None:
-            return NotImplemented
-        # (p + q*sqrt2)(u + v*sqrt2) = (pu + 2qv) + (pv + qu)*sqrt2
-        return QuadExt(
-            self.rat * other.rat + 2 * self.root2 * other.root2,
-            self.rat * other.root2 + self.root2 * other.rat,
-        )
+        p, q = self.rat, self.root2
+        if isinstance(other, QuadExt):
+            u, v = other.rat, other.root2
+            if not v:
+                return _qe(p * u, q * u if q else q)
+            if not q:
+                return _qe(p * u, p * v)
+            # (p + q*sqrt2)(u + v*sqrt2) = (pu + 2qv) + (pv + qu)*sqrt2
+            return _qe(p * u + 2 * q * v, p * v + q * u)
+        if isinstance(other, (int, Fraction)):
+            return _qe(p * other, q * other if q else q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return QuadExt(self.rat, -self.root2)
+        return _qe(self.rat, -self.root2)
 
     def norm(self):
         """Field norm ``p^2 - 2 q^2``; multiplicative, zero only at zero."""
@@ -176,7 +201,7 @@ class QuadExt:
         n = self.norm()
         if not n:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return QuadExt(self.rat / n, -self.root2 / n)
+        return _qe(self.rat / n, -self.root2 / n)
 
     def __truediv__(self, other):
         other = _as_quadext(other)
@@ -232,11 +257,25 @@ class QuadExt:
         return join_signed(self.signed_terms())
 
 
+_F0 = Fraction(0)
+_new_quadext = object.__new__
+_set_rat = QuadExt.rat.__set__
+_set_root2 = QuadExt.root2.__set__
+
+
+def _qe(rat, root2):
+    """The trusted constructor: ``rat`` and ``root2`` must be Fractions."""
+    q = _new_quadext(QuadExt)
+    _set_rat(q, rat)
+    _set_root2(q, root2)
+    return q
+
+
 def _as_quadext(v):
     if isinstance(v, QuadExt):
         return v
     if isinstance(v, (int, Fraction)):
-        return QuadExt(v)
+        return _qe(Fraction(v), _F0)
     return None
 
 
@@ -274,6 +313,8 @@ class Scalar:
             raise TypeError(f"cannot build a Scalar from {v!r}")
         if q.is_zero():
             return SC_ZERO
+        if q == QE_ONE:
+            return SC_ONE
         return cls({_ZERO_EXP: q})
 
     @classmethod
@@ -352,12 +393,20 @@ class Scalar:
         return Scalar({ev: -c for ev, c in self.terms.items()})
 
     def __mul__(self, other):
-        q = _as_quadext(other)
-        if q is not None:
-            if q.is_zero():
+        # One returns the other operand; a number scales each coefficient
+        # (an int or Fraction without becoming a QuadExt).
+        if isinstance(other, Scalar):
+            if other is SC_ONE:
+                return self
+            if self is SC_ONE:
+                return other
+        elif isinstance(other, (int, Fraction, QuadExt)):
+            if other == 1:
+                return self
+            if not other:
                 return SC_ZERO
-            return Scalar({ev: c * q for ev, c in self.terms.items()})
-        if not isinstance(other, Scalar):
+            return Scalar({ev: c * other for ev, c in self.terms.items()})
+        else:
             return NotImplemented
         if not self.terms or not other.terms:
             return SC_ZERO

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, JSON schema, output round trips."""
 
 import json
+import re
 
 import jsonschema
+import pytest
 
-from sconf import algebras
+from sconf import algebras, freemod, n1, quotients, submodules
 from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap
-from sconf.cli import main
+from sconf.cli import MAX_SIZE, main
+from sconf.parsing import MAX_EXPONENT
 from sconf.reports import VerificationReport
 
 REPORT_SCHEMA = {
@@ -202,3 +205,81 @@ def test_flags_the_command_ignores_are_usage_errors(capsys):
             capsys, "verify", suite, flag, value, "--window", "1", "--degree", "1"
         )
         assert code == 3 and out == "" and flag in err, (suite, flag)
+
+
+# the entry point of every sweep a capped size could start
+_SWEEPS = (
+    (algebras, "check_super_jacobi"), (algebras, "check_homomorphism"),
+    (freemod, "check_module_compatibility"), (freemod, "check_uh_freeness"),
+    (submodules, "check_closure"), (quotients, "check_quotient_compatibility"),
+    (n1, "check_n1_relations"), (n1, "check_rank1_freeness"),
+    (n1, "check_simplicity_witness"),
+)
+
+
+def _record_sweeps(monkeypatch):
+    """Replace every sweep by a stub that records its arguments."""
+    calls = []
+    for module, name in _SWEEPS:
+        def stub(*args, _name=name, **kwargs):
+            calls.append((_name, args, kwargs))
+            return VerificationReport(_name, {})
+        monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "algebra", "--window", "7"),
+    ("verify", "homomorphism", "--map", "sigma", "--window", "7"),
+    ("verify", "module", "--window", "7"),
+    ("verify", "module", "--degree", "7"),
+    ("verify", "submodule", "--degree", "7"),
+    ("verify", "quotient", "--window", "7"),
+    ("verify", "restriction", "--check", "simplicity", "--a", "1", "--words", "7"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--words", "7"),
+    ("restrict", "--check", "rank1", "--degree", "7"),
+    ("restrict", "--check", "relations", "--window", "7"),
+])
+def test_sizes_above_the_caps_are_usage_errors(capsys, monkeypatch, argv):
+    calls = _record_sweeps(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    flag = argv[-2]
+    assert code == 3 and out == "" and not calls
+    assert err == f"usage error: {flag} must be <= {MAX_SIZE[flag[2:]]}\n"
+
+
+def test_sizes_at_the_caps_run(capsys, monkeypatch):
+    calls = _record_sweeps(monkeypatch)
+    assert run(capsys, "verify", "module", "--window", "6", "--degree", "6")[0] == 0
+    assert calls[0][1] == (6, 6)
+    assert run(capsys, "restrict", "--check", "simplicity", "--a", "1", "--window", "6",
+               "--degree", "6", "--words", "6")[0] == 0
+    assert calls[-1][1][3:] == (6, 6)
+
+
+def test_variable_exponents_are_capped(capsys):
+    code, out, _ = run(capsys, "act", "L[1]", f"x^{MAX_EXPONENT}")
+    assert code == 0 and f"x^{MAX_EXPONENT}" in out
+    for argv in (
+        ("act", "L[1]", "x^6000"),
+        ("act", "L[1]", "x^32*x^33"),
+        ("act", "L[1]", "lam*t^65", "--module", "omega"),
+        ("act", "L[1]", "s^65", "--module", "quotient"),
+        ("decompose", "--h", "y^65 - 1"),
+        ("verify", "submodule", "--spec", "M[h=y^65]", "--window", "1", "--degree", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert f"variable exponents must be <= {MAX_EXPONENT}" in err, argv
+
+
+def test_help_states_the_caps(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"at most {MAX_EXPONENT}" in capsys.readouterr().out
+    for argv in (["verify", "--help"], ["restrict", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        for name, cap in MAX_SIZE.items():
+            assert re.search(rf"--{name} {name.upper()} [^-]*at most {cap}", text), (argv, name)

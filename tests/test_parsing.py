@@ -1,5 +1,7 @@
 """Grammar coverage: round trips and error positions."""
 
+from fractions import Fraction
+
 import pytest
 
 from sconf.errors import ParseError
@@ -133,7 +135,7 @@ def test_unipoly_parsing():
 
 
 def test_quadext_parsing():
-    assert parse_quadext("1 + 1/2*sqrt2") == QuadExt(1, "1/2")
+    assert parse_quadext("1 + 1/2*sqrt2") == QuadExt(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         parse_quadext("lam")
 

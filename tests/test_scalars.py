@@ -11,9 +11,11 @@ from sconf.scalars import (
     LAURENT_PARAMS,
     PARAMS,
     QE_ONE,
+    SC_ONE,
     QuadExt,
     SQRT2,
     Scalar,
+    as_quadext,
 )
 
 
@@ -171,3 +173,85 @@ def test_quadext_pow(u, n):
     for _ in range(n):
         expect = expect * u
     assert u ** n == expect
+
+
+# -- the kernel's operand shapes ----------------------------------------------
+#
+# QuadExt arithmetic takes a shorter path when an operand has no sqrt2 part;
+# these draw each shape on purpose and check every path against the
+# schoolbook formulas on plain Fractions.
+
+_nonzero_fractions = _fractions.filter(bool)
+_rational = st.builds(QuadExt, _fractions)
+_pure_root2 = st.builds(lambda q: QuadExt(0, q), _nonzero_fractions)
+_mixed = st.builds(QuadExt, _nonzero_fractions, _nonzero_fractions)
+_shaped = st.one_of(_rational, _pure_root2, _mixed)
+_rationals = st.one_of(st.integers(min_value=-5, max_value=5), _fractions)
+
+
+def _parts(u):
+    assert type(u.rat) is Fraction and type(u.root2) is Fraction
+    return u.rat, u.root2
+
+
+def _schoolbook(op, u, v):
+    p, q = Fraction(u.rat), Fraction(u.root2)
+    r, s = Fraction(v.rat), Fraction(v.root2)
+    if op == "+":
+        return p + r, q + s
+    if op == "-":
+        return p - r, q - s
+    return p * r + 2 * q * s, p * s + q * r
+
+
+@settings(max_examples=150)
+@given(_shaped, _shaped)
+def test_quadext_ops_match_schoolbook(u, v):
+    assert _parts(u + v) == _schoolbook("+", u, v)
+    assert _parts(u - v) == _schoolbook("-", u, v)
+    assert _parts(u * v) == _schoolbook("*", u, v)
+    assert _parts(v * u) == _schoolbook("*", u, v)
+    assert _parts(-u) == (-u.rat, -u.root2)
+
+
+@settings(max_examples=100)
+@given(_shaped, _rationals)
+def test_quadext_with_rational_operands(u, k):
+    kq = QuadExt(k)
+    for op, got in (("+", u + k), ("+", k + u), ("-", u - k), ("*", u * k), ("*", k * u)):
+        assert _parts(got) == _schoolbook(op, u, kq)
+    assert _parts(k - u) == _schoolbook("-", kq, u)
+    assert _parts(as_quadext(k)) == (k, 0)
+    assert _parts(Scalar.number(k).constant()) == (k, 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", None, 1j])
+def test_quadext_rejects_parts_that_are_not_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        QuadExt(bad)
+    with pytest.raises(TypeError):
+        QuadExt(1, bad)
+
+
+def _generic(k):
+    """A constant Scalar built without the shared SC_ONE, so that a product
+    with it takes the generic Scalar x Scalar path."""
+    return Scalar.monomial(k)
+
+
+@settings(max_examples=100)
+@given(_scalars, st.sampled_from([1, 0, -3, 7, Fraction(-2, 3), QE_ONE, QuadExt(1)]) | _shaped)
+def test_scalar_times_number_matches_generic_product(u, k):
+    expect = u * _generic(k)
+    assert u * k == expect and k * u == expect
+    assert u * Scalar.number(k) == expect and Scalar.number(k) * u == expect
+    if k == 1:
+        assert u * k is u and k * u is u
+
+
+@settings(max_examples=50)
+@given(_scalars)
+def test_scalar_times_one(u):
+    assert u * SC_ONE is u and SC_ONE * u is u
+    assert Scalar.number(1) is SC_ONE
+    assert u * _generic(1) == u and _generic(1) * u == u
