@@ -13,8 +13,9 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive (bounded search could not decide),
 report as a single JSON object with the fixed keys suite, params, status,
 violations[].
 
-Sizes are bounded, and a larger one is a usage error: --window, --degree and
---words at most 6, and an exponent of a variable (x, y, s, t) at most 64.
+Sizes are bounded, and one out of range is a usage error: --window and
+--degree from 1 to 6, --words from 0 to 6, and an exponent of a variable
+(x, y, s, t) at most 64.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ def _verify_restriction(args):
 
 
 def _check_sizes(args):
+    if args.words is not None and args.words < 0:
+        raise _UsageError("--words must be >= 0")
     for name, cap in MAX_SIZE.items():
         value = getattr(args, name)
         if value is not None and value > cap:

@@ -34,7 +34,7 @@ from .freemod import EVEN, ODD
 from .linalg import RowSpan
 from .quotients import QuotientElement, QuotientParams, quotient_act, quotient_monomials
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, QuadExt, Scalar, as_quadext
+from .scalars import INV_SQRT2, QE_ZERO, Scalar, as_quadext
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,7 @@ def _as_vector(v, max_degree):
     """Coordinates of a numeric quotient element in the truncated basis
     (even monomials first, then odd)."""
     dim = max_degree + 1
-    out = [None] * (2 * dim)
-    for k in range(2 * dim):
-        out[k] = QuadExt(0)
+    out = [QE_ZERO] * (2 * dim)
     for k, c in v.terms.items():
         if k > max_degree:
             raise ValueError(f"degree {k} exceeds the truncation bound {max_degree}")

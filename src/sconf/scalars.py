@@ -21,19 +21,27 @@ the verification sweeps.
 All three types are immutable after construction and safe to share between
 threads.
 
-Both parts of a QuadExt are always ``Fraction`` instances.  The public
+A QuadExt is three ints ``(p, q, d)`` standing for ``(p + q*sqrt2)/d``, kept
+in lowest terms: ``d > 0`` and ``gcd(p, q, d) == 1``, so zero is ``(0, 0, 1)``
+and two QuadExts are equal exactly when their triples are.  The public
 ``QuadExt(rat, root2)`` takes ints or Fractions (anything else is a
-TypeError); arithmetic results come from the one trusted constructor ``_qe``,
-which stores the Fractions it is given without re-wrapping them.  Almost
-every coefficient the sweeps meet is rational, so the kernel passes a zero
-sqrt2 part through untouched: ``+``, ``-`` and unary ``-`` skip its sum or
-negation, and ``*`` takes one Fraction product when both operands are
-rational, two when exactly one is, and the four-product formula only when
-both carry sqrt2.  An int or Fraction operand scales both parts directly.
+TypeError), and ``.rat`` and ``.root2`` give the two parts back as Fractions.
+Arithmetic results come from the one trusted constructor ``_qe``, which
+divides a triple by a single ``gcd(p, q, d)`` and skips it when ``d == 1``.
+``+`` and ``-`` add numerators directly when the denominators agree; ``*``
+takes one integer product per part when an operand has no sqrt2 part, and
+the four-product formula only when both carry sqrt2.  An int operand scales
+p and q, a Fraction scales by its numerator and denominator, and a rational
+QuadExt raised to n is ``(p^n, 0, d^n)``.  A rational QuadExt hashes like
+the equal Fraction or int.
+
 ``Scalar * s`` returns the Scalar itself when ``s`` is one (the int 1, a
 QuadExt or Fraction equal to 1, or ``SC_ONE``, which ``Scalar.number(1)``
 returns), and scales each coefficient when ``s`` is an int, Fraction or
-QuadExt.
+QuadExt.  The product of two one-term Scalars is built as its single term
+without the sparse kernel, since a product of nonzero field elements is
+never zero.  A one-term Scalar raised to n multiplies its exponent vector by
+n and raises its coefficient to n (negative n inverts the monomial first).
 
 Every sparse polynomial in the package (Scalar terms, module and quotient
 elements, algebra elements, the parser's accumulators) is a dict from a
@@ -50,6 +58,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .errors import NotAUnit
@@ -123,28 +132,41 @@ def render_combination(pairs):
 
 
 class QuadExt:
-    """An element ``rat + root2*sqrt(2)`` of the field Q(sqrt2); both parts
-    are Fractions (see the module docstring for the arithmetic's paths)."""
+    """An element ``(p + q*sqrt(2))/d`` of the field Q(sqrt2), stored as three
+    ints in lowest terms (see the module docstring for the invariant)."""
 
-    __slots__ = ("rat", "root2")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, rat=0, root2=0):
         for part in (rat, root2):
             if not isinstance(part, (int, Fraction)):
                 raise TypeError(f"QuadExt parts must be int or Fraction, not {part!r}")
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "root2", Fraction(root2))
+        u, v = Fraction(rat), Fraction(root2)
+        d = lcm(u.denominator, v.denominator)  # lowest terms already
+        _set_p(self, u.numerator * (d // u.denominator))
+        _set_q(self, v.numerator * (d // v.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
+    @property
+    def rat(self):
+        """The rational part as a Fraction."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def root2(self):
+        """The coefficient of sqrt2 as a Fraction."""
+        return Fraction(self.q, self.d)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.rat and not self.root2
+        return not self.p and not self.q
 
     def __bool__(self):
-        return bool(self.rat or self.root2)
+        return bool(self.p or self.q)
 
     # -- field structure ----------------------------------------------------
 
@@ -152,8 +174,10 @@ class QuadExt:
         other = _as_quadext(other)
         if other is None:
             return NotImplemented
-        q = other.root2
-        return _qe(self.rat + other.rat, self.root2 + q if q else self.root2)
+        d, e = self.d, other.d
+        if d == e:
+            return _qe(self.p + other.p, self.q + other.q, d)
+        return _qe(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
@@ -161,8 +185,10 @@ class QuadExt:
         other = _as_quadext(other)
         if other is None:
             return NotImplemented
-        q = other.root2
-        return _qe(self.rat - other.rat, self.root2 - q if q else self.root2)
+        d, e = self.d, other.d
+        if d == e:
+            return _qe(self.p - other.p, self.q - other.q, d)
+        return _qe(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
         other = _as_quadext(other)
@@ -171,37 +197,44 @@ class QuadExt:
         return other - self
 
     def __neg__(self):
-        q = self.root2
-        return _qe(-self.rat, -q if q else q)
+        return _qe(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        p, q = self.rat, self.root2
+        p, q = self.p, self.q
         if isinstance(other, QuadExt):
-            u, v = other.rat, other.root2
+            u, v = other.p, other.q
             if not v:
-                return _qe(p * u, q * u if q else q)
+                return _qe(p * u, q * u, self.d * other.d)
             if not q:
-                return _qe(p * u, p * v)
+                return _qe(p * u, p * v, self.d * other.d)
             # (p + q*sqrt2)(u + v*sqrt2) = (pu + 2qv) + (pv + qu)*sqrt2
-            return _qe(p * u + 2 * q * v, p * v + q * u)
-        if isinstance(other, (int, Fraction)):
-            return _qe(p * other, q * other if q else q)
+            return _qe(p * u + 2 * q * v, p * v + q * u, self.d * other.d)
+        if isinstance(other, int):
+            return _qe(p * other, q * other, self.d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _qe(p * n, q * n, self.d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return _qe(self.rat, -self.root2)
+        return _qe(self.p, -self.q, self.d)
 
     def norm(self):
-        """Field norm ``p^2 - 2 q^2``; multiplicative, zero only at zero."""
-        return self.rat * self.rat - 2 * self.root2 * self.root2
+        """Field norm ``(p^2 - 2 q^2)/d^2``; multiplicative, zero only at zero."""
+        p, q = self.p, self.q
+        return Fraction(p * p - 2 * q * q, self.d * self.d)
 
     def inverse(self):
-        n = self.norm()
+        # d/(p + q*sqrt2) = d*(p - q*sqrt2)/(p^2 - 2q^2), sign moved up
+        p, q, d = self.p, self.q, self.d
+        n = p * p - 2 * q * q
         if not n:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return _qe(self.rat / n, -self.root2 / n)
+        if n < 0:
+            return _qe(-d * p, d * q, -n)
+        return _qe(d * p, -d * q, n)
 
     def __truediv__(self, other):
         other = _as_quadext(other)
@@ -218,7 +251,11 @@ class QuadExt:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return _power(self if n >= 0 else self.inverse(), abs(n), QE_ONE)
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        if not base.q:
+            return _qe(base.p ** n, 0, base.d ** n)
+        return _power(base, n, QE_ONE)
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -226,12 +263,13 @@ class QuadExt:
         other = _as_quadext(other)
         if other is None:
             return NotImplemented
-        return self.rat == other.rat and self.root2 == other.root2
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        if not self.root2:
-            return hash(self.rat)
-        return hash((self.rat, self.root2))
+        # a rational value hashes like the equal int or Fraction
+        if not self.q:
+            return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        return hash((self.p, self.q, self.d))
 
     def __repr__(self):
         return f"QuadExt({self.rat!r}, {self.root2!r})"
@@ -257,25 +295,35 @@ class QuadExt:
         return join_signed(self.signed_terms())
 
 
-_F0 = Fraction(0)
 _new_quadext = object.__new__
-_set_rat = QuadExt.rat.__set__
-_set_root2 = QuadExt.root2.__set__
+_set_p = QuadExt.p.__set__
+_set_q = QuadExt.q.__set__
+_set_d = QuadExt.d.__set__
 
 
-def _qe(rat, root2):
-    """The trusted constructor: ``rat`` and ``root2`` must be Fractions."""
-    q = _new_quadext(QuadExt)
-    _set_rat(q, rat)
-    _set_root2(q, root2)
-    return q
+def _qe(p, q, d):
+    """The trusted constructor: ``(p + q*sqrt2)/d`` for ints with ``d > 0``,
+    reduced by one gcd (none when ``d == 1``)."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    x = _new_quadext(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
 
 
 def _as_quadext(v):
     if isinstance(v, QuadExt):
         return v
-    if isinstance(v, (int, Fraction)):
-        return _qe(Fraction(v), _F0)
+    if isinstance(v, int):
+        return _qe(v, 0, 1)
+    if isinstance(v, Fraction):
+        return _qe(v.numerator, 0, v.denominator)
     return None
 
 
@@ -408,12 +456,18 @@ class Scalar:
             return Scalar({ev: c * other for ev, c in self.terms.items()})
         else:
             return NotImplemented
-        if not self.terms or not other.terms:
+        s, t = self.terms, other.terms
+        if not s or not t:
             return SC_ZERO
+        if len(s) == 1 and len(t) == 1:
+            # a product of nonzero field elements is nonzero: one term, no merge
+            (ev1, c1), = s.items()
+            (ev2, c2), = t.items()
+            return Scalar({tuple(map(add, ev1, ev2)): c1 * c2})
         return Scalar(add_terms({}, (
             (tuple(map(add, ev1, ev2)), c1 * c2)
-            for ev1, c1 in self.terms.items()
-            for ev2, c2 in other.terms.items()
+            for ev1, c1 in s.items()
+            for ev2, c2 in t.items()
         )))
 
     __rmul__ = __mul__
@@ -421,7 +475,12 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return _power(self if n >= 0 else self.invert_monomial(), abs(n), SC_ONE)
+        base = self if n >= 0 else self.invert_monomial()
+        n = abs(n)
+        if n and len(base.terms) == 1:
+            (ev, c), = base.terms.items()
+            return Scalar({tuple(e * n for e in ev): c ** n})
+        return _power(base, n, SC_ONE)
 
     def invert_monomial(self):
         """Inverse of a one-term scalar whose a/b exponents vanish.

@@ -248,6 +248,17 @@ def test_sizes_above_the_caps_are_usage_errors(capsys, monkeypatch, argv):
     assert err == f"usage error: {flag} must be <= {MAX_SIZE[flag[2:]]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "restriction", "--check", "simplicity", "--a", "1", "--words", "-2"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--words", "-1"),
+])
+def test_negative_words_is_a_usage_error(capsys, monkeypatch, argv):
+    calls = _record_sweeps(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and not calls
+    assert err == "usage error: --words must be >= 0\n"
+
+
 def test_sizes_at_the_caps_run(capsys, monkeypatch):
     calls = _record_sweeps(monkeypatch)
     assert run(capsys, "verify", "module", "--window", "6", "--degree", "6")[0] == 0

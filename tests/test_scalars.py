@@ -1,6 +1,9 @@
 """Arithmetic unit tests and ring-axiom property tests for the scalar tower."""
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from sconf.scalars import (
     QuadExt,
     SQRT2,
     Scalar,
+    _power,
+    add_terms,
     as_quadext,
 )
 
@@ -190,6 +195,7 @@ _rationals = st.one_of(st.integers(min_value=-5, max_value=5), _fractions)
 
 
 def _parts(u):
+    _canonical(u)
     assert type(u.rat) is Fraction and type(u.root2) is Fraction
     return u.rat, u.root2
 
@@ -255,3 +261,106 @@ def test_scalar_times_one(u):
     assert u * SC_ONE is u and SC_ONE * u is u
     assert Scalar.number(1) is SC_ONE
     assert u * _generic(1) == u and _generic(1) * u == u
+
+
+# -- the integer-triple invariant ----------------------------------------------
+#
+# A QuadExt is (p + q*sqrt2)/d in lowest terms.  Equality compares the triples,
+# so every result must come out canonical, and a rational value must hash like
+# the equal int or Fraction.
+
+def _canonical(u):
+    p, q, d = u.p, u.q, u.d
+    assert all(type(x) is int for x in (p, q, d))
+    assert d > 0 and gcd(p, q, d) == 1  # so zero is (0, 0, 1)
+    return u
+
+
+@settings(max_examples=200)
+@given(_shaped | _quadexts, _shaped | _quadexts, st.integers(min_value=-4, max_value=4))
+def test_every_result_is_canonical(u, v, n):
+    results = [u + v, u - v, u * v, -u, u.conjugate(), u ** abs(n)]
+    if v:
+        results += [u / v, v.inverse(), v ** n]
+    for w in results:
+        _canonical(w)
+    _canonical(QuadExt(u.rat, u.root2))
+    zero = u - u
+    assert (zero.p, zero.q, zero.d) == (0, 0, 1)
+
+
+@settings(max_examples=150)
+@given(_shaped | _quadexts, _shaped | _quadexts, _rationals)
+def test_equal_values_hash_equal(u, v, k):
+    w = (u * v) / v if v else u  # u again, reached through the kernel
+    assert w == u and hash(w) == hash(u)
+    kq = (QuadExt(k) * u - u * k) + k  # k again, reached through the kernel
+    assert kq == k and hash(kq) == hash(k)
+    assert kq == Fraction(k) and hash(kq) == hash(Fraction(k))
+    assert (u == v) == ((u.p, u.q, u.d) == (v.p, v.q, v.d))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(_fractions, _fractions), min_size=1, max_size=4))
+def test_counter_keys_match_the_public_constructor(roots):
+    # the shape of cli-mix's oracle: roots built from parts against roots
+    # that came out of arithmetic
+    want = Counter(QuadExt(-p, -q) for p, q in roots)
+    got = Counter(-(QuadExt(p) + QuadExt(0, q) * QE_ONE) for p, q in roots)
+    assert got == want
+
+
+def _fraction_inverse(p, q):
+    n = p * p - 2 * q * q
+    return p / n, -q / n
+
+
+@settings(max_examples=150)
+@given(_shaped | _quadexts, _shaped.filter(bool), st.integers(min_value=-4, max_value=4))
+def test_inverse_division_power_norm_match_schoolbook(u, v, n):
+    p, q = _parts(u)
+    r, s = _parts(v)
+    assert u.norm() == p * p - 2 * q * q and type(u.norm()) is Fraction
+    assert _parts(v.inverse()) == _fraction_inverse(r, s)
+    ir, is_ = _fraction_inverse(r, s)
+    assert _parts(u / v) == (p * ir + 2 * q * is_, p * is_ + q * ir)
+    if n < 0 and not u:
+        with pytest.raises(ZeroDivisionError):
+            u ** n
+        return
+    base = (p, q) if n >= 0 else _fraction_inverse(p, q)
+    expect = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        a, b = expect
+        expect = (a * base[0] + 2 * b * base[1], a * base[1] + b * base[0])
+    assert _parts(u ** n) == expect
+
+
+_one_term = st.builds(
+    lambda c, ev: Scalar({ev: c}), _quadexts.filter(bool), _exps()
+)
+
+
+@settings(max_examples=150)
+@given(_one_term, _one_term | _scalars)
+def test_one_term_products_match_the_sparse_kernel(u, v):
+    def generic(x, y):
+        return Scalar(add_terms({}, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in x.terms.items()
+            for e2, c2 in y.terms.items()
+        )))
+
+    assert u * v == generic(u, v)
+    assert v * u == generic(v, u)
+
+
+@settings(max_examples=150)
+@given(_one_term, st.integers(min_value=-4, max_value=4))
+def test_one_term_powers_match_repeated_squaring(u, n):
+    laurent = Scalar({ev[:4] + (0, 0): c for ev, c in u.terms.items()})
+    assert u ** abs(n) == _power(u, abs(n), SC_ONE)
+    assert laurent ** n == _power(laurent if n >= 0 else laurent.invert_monomial(), abs(n), SC_ONE)
+    if n < 0 and u.involves("a", "b"):
+        with pytest.raises(NotAUnit):
+            u ** n
