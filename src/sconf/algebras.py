@@ -10,10 +10,15 @@ Supported algebras (by tag):
 * ``N1NS`` -- centerless N=1, Neveu-Schwarz sector: L_m, G_r (half-integer).
 
 Mode indices are stored doubled (``twice``), so half-integer modes stay exact
-integers.  Structure constants are tabulated once per canonically ordered
-family pair; the remaining orderings come from super-antisymmetry
-``[x, y] = -(-1)^{|x||y|} [y, x]``, which removes a whole class of
-transcription hazards.
+integers.  The brackets and the standard maps are data.  A bracket table
+(one for R/NS, one for T, one for the N=1 pair) maps each canonically ordered
+family pair to rows (result family, coefficient(m, n)), and a map maps each
+source family to rows (target family, doubled image mode, coefficient(m)).
+One evaluator, ``_basis_bracket``, reads the tables: it places every term at
+the total mode, keeps a central row only at total mode 0, drops zero terms,
+and derives the other ordering from super-antisymmetry
+``[x, y] = -(-1)^{|x||y|} [y, x]``.  One builder, ``_generator_map``, reads
+the map rows the same way.
 """
 
 from __future__ import annotations
@@ -178,14 +183,13 @@ class AlgebraElement:
         return f"<{self.algebra} element {self.render()}>"
 
 
-def basis_symbols(algebra, window, include_center=True):
-    """All basis symbols with |mode| <= window, i.e. |twice| <= 2*window."""
+def basis_symbols(algebra, window):
+    """All basis symbols with |mode| <= window, i.e. |twice| <= 2*window, and C."""
     out = []
     half = algebra in _HALF_ODD
     for family in _ALGEBRA_FAMILIES[algebra]:
         if family == "C":
-            if include_center:
-                out.append(BasisSymbol(algebra, "C"))
+            out.append(BasisSymbol(algebra, "C"))
             continue
         if _FAMILY_PARITY[family] == 1 and half:
             modes = [t for t in range(-2 * window, 2 * window + 1) if t % 2]
@@ -199,153 +203,73 @@ def basis_symbols(algebra, window, include_center=True):
 # structure constants
 # ---------------------------------------------------------------------------
 
-def _sym(algebra, family, twice=0):
-    return BasisSymbol(algebra, family, twice)
-
-
-def _n2_table(x, y):
-    """Canonical brackets of the Ramond/Neveu-Schwarz N=2 algebra.
-
-    Returns a list of (symbol, Fraction) or None when the ordered pair is not
-    in canonical order.  Central terms carry the delta factor on the total
-    mode already evaluated.
-    """
-    alg = x.algebra
-    fx, fy = x.family, y.family
-    m, n = x.index, y.index
-    tot = x.twice + y.twice
-    out = []
-    if fx == "L" and fy == "L":
-        if m != n:
-            out.append((_sym(alg, "L", tot), m - n))
-        if tot == 0:
-            c = (m**3 - m) / 12
-            if c:
-                out.append((_sym(alg, "C"), c))
-        return out
-    if fx == "L" and fy == "H":
-        if n:
-            out.append((_sym(alg, "H", tot), -n))
-        return out
-    if fx == "H" and fy == "H":
-        if tot == 0 and m:
-            out.append((_sym(alg, "C"), m / 3))
-        return out
-    if fx == "L" and fy in ("Gp", "Gm"):
-        c = m / 2 - n
-        if c:
-            out.append((_sym(alg, fy, tot), c))
-        return out
-    if fx == "H" and fy in ("Gp", "Gm"):
-        out.append((_sym(alg, fy, tot), Fraction(1 if fy == "Gp" else -1)))
-        return out
-    if fx == "Gm" and fy == "Gp":
-        out.append((_sym(alg, "L", tot), Fraction(2)))
-        if m != n:
-            out.append((_sym(alg, "H", tot), -(m - n)))
-        if tot == 0:
-            c = (m * m - Fraction(1, 4)) / 3
-            if c:
-                out.append((_sym(alg, "C"), c))
-        return out
-    if fx == "Gp" and fy == "Gp" or fx == "Gm" and fy == "Gm":
-        return out
-    return None
-
-
-def _topological_table(x, y):
-    """Canonical brackets of the topological N=2 algebra."""
-    alg = x.algebra
-    fx, fy = x.family, y.family
-    m, n = x.index, y.index
-    tot = x.twice + y.twice
-    out = []
-    if fx == "L" and fy == "L":
-        if m != n:
-            out.append((_sym(alg, "L", tot), m - n))
-        return out
-    if fx == "L" and fy == "H":
-        if n:
-            out.append((_sym(alg, "H", tot), -n))
-        if tot == 0:
-            c = (m * m + m) / 6
-            if c:
-                out.append((_sym(alg, "C"), c))
-        return out
-    if fx == "H" and fy == "H":
-        if tot == 0 and m:
-            out.append((_sym(alg, "C"), m / 3))
-        return out
-    if fx == "L" and fy == "G":
-        if m != n:
-            out.append((_sym(alg, "G", tot), m - n))
-        return out
-    if fx == "L" and fy == "Q":
-        if n:
-            out.append((_sym(alg, "Q", tot), -n))
-        return out
-    if fx == "H" and fy == "G":
-        out.append((_sym(alg, "G", tot), Fraction(1)))
-        return out
-    if fx == "H" and fy == "Q":
-        out.append((_sym(alg, "Q", tot), Fraction(-1)))
-        return out
-    if fx == "G" and fy == "Q":
-        out.append((_sym(alg, "L", tot), Fraction(2)))
-        if n:
-            out.append((_sym(alg, "H", tot), -2 * n))
-        if tot == 0:
-            c = (m * m + m) / 3
-            if c:
-                out.append((_sym(alg, "C"), c))
-        return out
-    if fx == fy and fx in ("G", "Q"):
-        return out
-    return None
-
-
-def _n1_table(x, y):
-    """Canonical brackets of the centerless N=1 algebras."""
-    alg = x.algebra
-    fx, fy = x.family, y.family
-    m, n = x.index, y.index
-    tot = x.twice + y.twice
-    out = []
-    if fx == "L" and fy == "L":
-        if m != n:
-            out.append((_sym(alg, "L", tot), m - n))
-        return out
-    if fx == "L" and fy == "G":
-        c = m / 2 - n
-        if c:
-            out.append((_sym(alg, "G", tot), c))
-        return out
-    if fx == "G" and fy == "G":
-        out.append((_sym(alg, "L", tot), Fraction(2)))
-        return out
-    return None
-
-
-_TABLES = {
-    "R": _n2_table,
-    "NS": _n2_table,
-    "T": _topological_table,
-    "N1R": _n1_table,
-    "N1NS": _n1_table,
+# family pair -> rows (result family, coefficient(m, n)), m and n the modes
+# of the pair as Fractions; _basis_bracket reads them (see the docstring above)
+_N2 = {
+    ("L", "L"): (("L", lambda m, n: m - n), ("C", lambda m, n: (m**3 - m) / 12)),
+    ("L", "H"): (("H", lambda m, n: -n),),
+    ("H", "H"): (("C", lambda m, n: m / 3),),
+    ("L", "Gp"): (("Gp", lambda m, n: m / 2 - n),),
+    ("L", "Gm"): (("Gm", lambda m, n: m / 2 - n),),
+    ("H", "Gp"): (("Gp", lambda m, n: 1),),
+    ("H", "Gm"): (("Gm", lambda m, n: -1),),
+    ("Gm", "Gp"): (
+        ("L", lambda m, n: 2),
+        ("H", lambda m, n: n - m),
+        ("C", lambda m, n: (m * m - Fraction(1, 4)) / 3),
+    ),
+    ("Gp", "Gp"): (),
+    ("Gm", "Gm"): (),
 }
+
+_TOPOLOGICAL = {
+    ("L", "L"): (("L", lambda m, n: m - n),),
+    ("L", "H"): (("H", lambda m, n: -n), ("C", lambda m, n: (m * m + m) / 6)),
+    ("H", "H"): (("C", lambda m, n: m / 3),),
+    ("L", "G"): (("G", lambda m, n: m - n),),
+    ("L", "Q"): (("Q", lambda m, n: -n),),
+    ("H", "G"): (("G", lambda m, n: 1),),
+    ("H", "Q"): (("Q", lambda m, n: -1),),
+    ("G", "Q"): (
+        ("L", lambda m, n: 2),
+        ("H", lambda m, n: -2 * n),
+        ("C", lambda m, n: (m * m + m) / 3),
+    ),
+    ("G", "G"): (),
+    ("Q", "Q"): (),
+}
+
+_N1 = {  # centerless
+    ("L", "L"): (("L", lambda m, n: m - n),),
+    ("L", "G"): (("G", lambda m, n: m / 2 - n),),
+    ("G", "G"): (("L", lambda m, n: 2),),
+}
+
+_TABLES = {"R": _N2, "NS": _N2, "T": _TOPOLOGICAL, "N1R": _N1, "N1NS": _N1}
 
 
 @lru_cache(maxsize=None)
 def _basis_bracket(x, y):
-    """Bracket of two basis symbols as a tuple of (symbol, Fraction)."""
+    """Bracket of two basis symbols as a tuple of (symbol, nonzero Fraction).
+
+    The one reader of the tables above.
+    """
     if x.family == "C" or y.family == "C":
         return ()
     table = _TABLES[x.algebra]
-    out = table(x, y)
-    if out is None:
-        # derive from super-antisymmetry: [x,y] = -(-1)^{|x||y|} [y,x]
-        sign = -1 if (x.parity * y.parity) % 2 == 0 else 1
-        out = [(sym, sign * c) for sym, c in table(y, x)]
+    rows, m, n, sign = table.get((x.family, y.family)), x.index, y.index, 1
+    if rows is None:
+        # super-antisymmetry: [x,y] = -(-1)^{|x||y|} [y,x]
+        rows, m, n = table.get((y.family, x.family)), n, m
+        sign = 1 if x.parity and y.parity else -1
+        if rows is None:
+            raise LookupError(f"no bracket of {x.family} with {y.family} in {x.algebra}")
+    tot = x.twice + y.twice
+    out = []
+    for family, coeff in rows:
+        c = sign * Fraction(coeff(m, n))
+        if c and (tot == 0 or family != "C"):
+            out.append((BasisSymbol(x.algebra, family, tot), c))
     return tuple(out)
 
 
@@ -566,101 +490,72 @@ def maps_agree(m1, m2, window):
 
 # -- the standard maps ------------------------------------------------------
 
-def _el(algebra, *parts):
-    acc = AlgebraElement.zero(algebra)
-    for family, twice, coeff in parts:
-        acc = acc + AlgebraElement.basis(BasisSymbol(algebra, family, twice), coeff)
-    return acc
+def _generator_map(name, source, target, rows, mod_center=False):
+    """The GeneratorMap read from ``rows``: source family -> rows (target
+    family, a, b, coefficient), one image term coefficient(m) * Y_{(a t + b)/2}
+    per row for the source symbol X_{t/2} with mode m = t/2.  A C row is a
+    central term, present only at t = 0; a coefficient may be a constant.
+    """
+
+    def rule(sym):
+        t = sym.twice
+        terms = {}
+        for family, a, b, coeff in rows[sym.family]:
+            c = as_scalar(coeff(sym.index) if callable(coeff) else coeff)
+            if not c.is_zero() and (t == 0 or family != "C"):
+                terms[BasisSymbol(target, family, a * t + b)] = c
+        return AlgebraElement(target, terms)
+
+    return GeneratorMap(name, source, target, rule, mod_center)
 
 
 def spectral_flow():
     """The mode-shifting isomorphism from the NS sector onto the Ramond one."""
-
-    def rule(sym):
-        t = sym.twice
-        if sym.family == "L":
-            parts = [("L", t, 1), ("H", t, Fraction(1, 2))]
-            if t == 0:
-                parts.append(("C", 0, Fraction(1, 24)))
-            return _el("R", *parts)
-        if sym.family == "H":
-            parts = [("H", t, 1)]
-            if t == 0:
-                parts.append(("C", 0, Fraction(1, 6)))
-            return _el("R", *parts)
-        if sym.family == "Gp":
-            return _el("R", ("Gp", t + 1, 1))
-        if sym.family == "Gm":
-            return _el("R", ("Gm", t - 1, 1))
-        return _el("R", ("C", 0, 1))
-
-    return GeneratorMap("sigma", "NS", "R", rule)
+    return _generator_map("sigma", "NS", "R", {
+        "L": (("L", 1, 0, 1), ("H", 1, 0, Fraction(1, 2)), ("C", 0, 0, Fraction(1, 24))),
+        "H": (("H", 1, 0, 1), ("C", 0, 0, Fraction(1, 6))),
+        "Gp": (("Gp", 1, 1, 1),),
+        "Gm": (("Gm", 1, -1, 1),),
+        "C": (("C", 0, 0, 1),),
+    })
 
 
 def topological_twist():
     """The current-shifted map from the NS sector onto the topological algebra."""
-
-    def rule(sym):
-        t = sym.twice
-        if sym.family == "L":
-            m = t // 2
-            return _el("T", ("L", t, 1), ("H", t, Fraction(-(m + 1), 2)))
-        if sym.family == "H":
-            return _el("T", ("H", t, 1))
-        if sym.family == "Gp":
-            return _el("T", ("G", t - 1, 1))
-        if sym.family == "Gm":
-            return _el("T", ("Q", t + 1, 1))
-        return _el("T", ("C", 0, 1))
-
-    return GeneratorMap("tau", "NS", "T", rule)
+    return _generator_map("tau", "NS", "T", {
+        "L": (("L", 1, 0, 1), ("H", 1, 0, lambda m: -(m + 1) / 2)),
+        "H": (("H", 1, 0, 1),),
+        "Gp": (("G", 1, -1, 1),),
+        "Gm": (("Q", 1, 1, 1),),
+        "C": (("C", 0, 0, 1),),
+    })
 
 
 def topological_to_ramond():
     """The isomorphism from the topological algebra onto the Ramond one."""
-
-    def rule(sym):
-        t = sym.twice
-        if sym.family == "L":
-            m = t // 2
-            parts = [("L", t, 1), ("H", t, Fraction(m, 2) + 1)]
-            if t == 0:
-                parts.append(("C", 0, Fraction(1, 8)))
-            return _el("R", *parts)
-        if sym.family == "H":
-            parts = [("H", t, 1)]
-            if t == 0:
-                parts.append(("C", 0, Fraction(1, 6)))
-            return _el("R", *parts)
-        if sym.family == "G":
-            return _el("R", ("Gp", t + 2, 1))
-        if sym.family == "Q":
-            return _el("R", ("Gm", t - 2, 1))
-        return _el("R", ("C", 0, 1))
-
-    return GeneratorMap("t2r", "T", "R", rule)
+    return _generator_map("t2r", "T", "R", {
+        "L": (("L", 1, 0, 1), ("H", 1, 0, lambda m: m / 2 + 1), ("C", 0, 0, Fraction(1, 8))),
+        "H": (("H", 1, 0, 1), ("C", 0, 0, Fraction(1, 6))),
+        "G": (("Gp", 1, 2, 1),),
+        "Q": (("Gm", 1, -2, 1),),
+        "C": (("C", 0, 0, 1),),
+    })
 
 
 def embed_ns1_in_r1():
     """Mode-doubling embedding of the N=1 NS algebra into the N=1 Ramond one."""
-
-    def rule(sym):
-        if sym.family == "L":
-            return _el("N1R", ("L", 2 * sym.twice, Fraction(1, 2)))
-        return _el("N1R", ("G", 2 * sym.twice, INV_SQRT2))
-
-    return GeneratorMap("upsilon1", "N1NS", "N1R", rule)
+    return _generator_map("upsilon1", "N1NS", "N1R", {
+        "L": (("L", 2, 0, Fraction(1, 2)),),
+        "G": (("G", 2, 0, INV_SQRT2),),
+    })
 
 
 def embed_r1_in_r2():
     """Embedding of the N=1 Ramond algebra into the N=2 one, modulo center."""
-
-    def rule(sym):
-        if sym.family == "L":
-            return _el("R", ("L", sym.twice, 1))
-        return _el("R", ("Gp", sym.twice, INV_SQRT2), ("Gm", sym.twice, INV_SQRT2))
-
-    return GeneratorMap("upsilon2", "N1R", "R", rule, mod_center=True)
+    return _generator_map("upsilon2", "N1R", "R", {
+        "L": (("L", 1, 0, 1),),
+        "G": (("Gp", 1, 0, INV_SQRT2), ("Gm", 1, 0, INV_SQRT2)),
+    }, mod_center=True)
 
 
 STANDARD_MAPS = {

@@ -15,7 +15,11 @@ violations[].
 
 Sizes are bounded, and one out of range is a usage error: --window and
 --degree from 1 to 6, --words from 0 to 6, and an exponent of a variable
-(x, y, s, t) at most 64.
+(x, y, s, t) at most 64.  ``act`` takes generator modes |m| at most 64 and
+at most 100000 units of work, summed over its ';' factors before each one
+runs: a factor costs its generator terms times the coefficient terms of the
+element it acts on, each term weighted by its binomial shift ((i+1)(j+1) for
+x^i*y^j, k+1 for x^k) and by its size in 64-bit words.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import algebras, freemod, n1, quotients, submodules
 from .errors import SconfError, UnsplitPolynomial
@@ -42,6 +47,9 @@ from .scalars import Scalar
 USAGE_ERROR = 3
 # Fixed upper bounds on the sweep sizes, so every request ends in bounded time.
 MAX_SIZE = {"window": 6, "degree": 6, "words": 6}
+# act's bounds on the generator modes and on the work (see the docstring above)
+ACT_MAX_MODE = 64
+ACT_MAX_WORK = 100_000
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
@@ -69,6 +77,17 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
+    def restriction_options(p, **check):
+        # no defaults here: _verify_restriction and _restriction_params hold them
+        p.add_argument("--check", choices=("relations", "rank1", "simplicity"), **check)
+        p.add_argument("--algebra", choices=("N1R", "N1NS"),
+                       help="restriction source algebra (default N1R)")
+        for name, value in (("lam", "3/2"), ("alp", "2")):
+            p.add_argument(f"--{name}0", help=f"numeric {name} (default {value} for the "
+                           f"simplicity check, the formal {name} for the others)")
+        p.add_argument("--words", type=int, help="word length for span searches "
+                       f"(default 3, at most {MAX_SIZE['words']})")
+
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=(
         "algebra", "module", "homomorphism", "submodule", "quotient", "restriction"))
@@ -80,19 +99,14 @@ def build_parser():
     v.add_argument("--degree", type=int, default=3,
                    help=f"monomial degree bound (at most {MAX_SIZE['degree']})")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
-    v.add_argument("--a", dest="a_value", help="root parameter a (constant expression)")
-    v.add_argument("--algebra", choices=("N1R", "N1NS"),
-                   help="restriction source algebra (default N1R)")
-    v.add_argument("--check", choices=("relations", "rank1", "simplicity"),
-                   help="restriction check to run (default relations)")
-    v.add_argument("--lam0", help="numeric specialization of lam")
-    v.add_argument("--alp0", help="numeric specialization of alp")
-    v.add_argument("--words", type=int,
-                   help=f"word length for span searches (default 3, at most {MAX_SIZE['words']})")
+    v.add_argument("--a", dest="a_value", help="root parameter a (default: the battery "
+                   "0, 1, -1, 3/2 for quotient, 0 for restriction)")
+    restriction_options(v, help="restriction check to run (default relations)")
     common(v)
 
     a = sub.add_parser("act", help="apply an algebra expression to an element")
-    a.add_argument("operator", help="algebra expression, e.g. 'L[1]'; use ';' to compose")
+    a.add_argument("operator", help="algebra expression, e.g. 'L[1]'; use ';' to compose "
+                   f"(modes |m| <= {ACT_MAX_MODE}, work <= {ACT_MAX_WORK}; see sconf --help)")
     a.add_argument("element", help="polynomial element, e.g. 'x^2*y - 3'")
     a.add_argument("--module", choices=("omega", "quotient"), default="omega",
                    help="act on the rank-2 module or on a simple quotient")
@@ -108,15 +122,10 @@ def build_parser():
     common(d)
 
     r = sub.add_parser("restrict", help="N=1 restriction checks")
-    r.add_argument("--algebra", choices=("N1R", "N1NS"), default="N1R")
-    r.add_argument("--a", dest="a_value", default="0", help="root parameter a")
-    r.add_argument("--check", choices=("relations", "rank1", "simplicity"),
-                   required=True)
     r.add_argument("--window", type=int, default=3, help=f"at most {MAX_SIZE['window']}")
     r.add_argument("--degree", type=int, default=3, help=f"at most {MAX_SIZE['degree']}")
-    r.add_argument("--words", type=int, default=3, help=f"at most {MAX_SIZE['words']}")
-    r.add_argument("--lam0", default="3/2", help="numeric lam for simplicity spans")
-    r.add_argument("--alp0", default="2", help="numeric alp for simplicity spans")
+    r.add_argument("--a", dest="a_value", help="root parameter a (default 0)")
+    restriction_options(r, required=True)
     common(r)
 
     return parser
@@ -268,6 +277,16 @@ def _cmd_verify(args):
     return report
 
 
+def _act_work(op, v):
+    """The work of acting by ``op`` on ``v``, as the module docstring counts it."""
+    return len(op.terms) * sum(
+        (prod(e + 1 for e in key) if isinstance(key, tuple) else key + 1)
+        * sum(1 + (q.p.bit_length() + q.q.bit_length() + q.d.bit_length()) // 64
+              for q in c.terms.values())
+        for key, c in v.terms.items()
+    )
+
+
 def _cmd_act(args):
     if args.module == "omega" and (args.a_value, args.lam0, args.alp0) != (None, None, None):
         raise _UsageError("--a, --lam0 and --alp0 apply only to --module quotient")
@@ -276,15 +295,21 @@ def _cmd_act(args):
     if not words:
         raise _UsageError("empty operator expression")
     ops = [parse_algebra_element(w, "R") for w in words]
+    if any(abs(sym.twice) > 2 * ACT_MAX_MODE for op in ops for sym in op.terms):
+        raise _UsageError(f"act takes generator modes |m| <= {ACT_MAX_MODE}")
     if args.module == "omega":
         v = parse_module_element(args.element, parity)
-        for op in reversed(ops):
-            v = freemod.act(op, v)
+        act = freemod.act
     else:
         p = _restriction_params(args)
         v = parse_quotient_element(args.element, parity)
-        for op in reversed(ops):
-            v = quotients.quotient_act(op, v, p)
+        act = lambda op, w: quotients.quotient_act(op, w, p)  # noqa: E731
+    work = 0
+    for op in reversed(ops):
+        work += _act_work(op, v)
+        if work > ACT_MAX_WORK:
+            raise _UsageError(f"act exceeds its work bound {ACT_MAX_WORK}")
+        v = act(op, v)
     return v.render()
 
 

@@ -243,10 +243,10 @@ def _unipoly(acc, message, text):
     return UniPoly(coeffs)
 
 
-def parse_unipoly(text, var="y"):
-    """Parse a univariate polynomial with QuadExt coefficients."""
-    acc = _parse_all(_Tokens(text), {var: 0})
-    return _unipoly(acc, f"coefficients of {var} must be parameter-free", text)
+def parse_unipoly(text):
+    """Parse a univariate polynomial in y with QuadExt coefficients."""
+    acc = _parse_all(_Tokens(text), {"y": 0})
+    return _unipoly(acc, "coefficients of y must be parameter-free", text)
 
 
 def parse_submodule_spec(text):

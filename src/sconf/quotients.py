@@ -66,12 +66,10 @@ class QuotientElement(ParityElement):
             (l, c * b) for k, c in self.terms.items() for l, b in binomial_shift(k, d)
         )))
 
-    def times_linear(self, const, slope=Scalar.number(1)):
-        """Multiply by the linear polynomial slope*v + const."""
+    def times_linear(self, const):
+        """Multiply by the linear polynomial v + const."""
         return QuotientElement(self.parity, add_terms({}, (
-            pair
-            for k, c in self.terms.items()
-            for pair in ((k + 1, c * slope), (k, c * const))
+            pair for k, c in self.terms.items() for pair in ((k + 1, c), (k, c * const))
         )))
 
 
@@ -336,10 +334,10 @@ def composition_series(h, root_hint=None):
 # verification sweeps
 # ---------------------------------------------------------------------------
 
-def quotient_monomials(degree_bound, parities=(EVEN, ODD)):
+def quotient_monomials(degree_bound):
     return [
         QuotientElement.monomial(parity, k)
-        for parity in parities
+        for parity in (EVEN, ODD)
         for k in range(degree_bound + 1)
     ]
 

@@ -368,18 +368,16 @@ class Scalar:
     @classmethod
     def param(cls, name, exp=1):
         """The monomial ``name**exp``; negative exp only for Laurent names."""
-        return cls.monomial(QE_ONE, {name: exp})
+        return cls.monomial(QE_ONE, **{name: exp})
 
     @classmethod
-    def monomial(cls, coeff, exps=None, **named):
+    def monomial(cls, coeff, **named):
         """Single term ``coeff * prod(name**exp)``."""
         q = _as_quadext(coeff)
         if q is None or q.is_zero():
             return SC_ZERO
-        merged = dict(exps or {})
-        merged.update(named)
         ev = [0] * _NPARAMS
-        for name, exp in merged.items():
+        for name, exp in named.items():
             if name not in _PARAM_INDEX:
                 raise ValueError(f"unknown parameter {name!r}")
             if exp < 0 and name not in LAURENT_PARAMS:

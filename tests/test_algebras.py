@@ -1,9 +1,11 @@
 """Bracket tables, sweeps, and the standard homomorphisms."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from sconf import algebras
 from sconf.algebras import (
     ALGEBRAS,
     STANDARD_MAPS,
@@ -114,6 +116,43 @@ def test_parity_additive_under_bracket(algebra):
         for sym, _ in _basis_bracket(x, y):
             if sym.family != "C":
                 assert sym.parity == want, (x, y, sym)
+
+
+# -- the evaluator's contract ------------------------------------------------------
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_basis_bracket_contract(algebra):
+    families = {s.family for s in basis_symbols(algebra, 1)}
+    for x, y in product(basis_symbols(algebra, 4), repeat=2):
+        for sym, c in _basis_bracket(x, y):
+            assert type(c) is Fraction and c != 0, (x, y, sym, c)
+            assert sym.algebra == algebra and sym.family in families, (x, y, sym)
+            if sym.family == "C":
+                assert x.twice + y.twice == 0, (x, y)
+            else:
+                assert sym.twice == x.twice + y.twice, (x, y, sym)
+
+
+def test_pair_missing_from_a_table_is_an_error(monkeypatch):
+    table = {pair: rows for pair, rows in algebras._N1.items() if pair != ("L", "G")}
+    monkeypatch.setitem(algebras._TABLES, "N1R", table)
+    _basis_bracket.cache_clear()
+    try:
+        L0, G1 = (algebras.BasisSymbol("N1R", f, 2) for f in ("L", "G"))
+        for pair in ((L0, G1), (G1, L0)):
+            with pytest.raises(LookupError):
+                _basis_bracket(*pair)
+    finally:
+        _basis_bracket.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_MAPS))
+def test_map_images_keep_parity_and_center_at_mode_zero(name):
+    gmap = STANDARD_MAPS[name]()
+    for s in basis_symbols(gmap.source, 4):
+        image = gmap.rule(s)
+        assert not image.is_zero() and image.parity() == s.parity, (s, image)
+        assert all(sym.family != "C" or s.twice == 0 for sym in image.terms), (s, image)
 
 
 def test_jacobi_trivial_triple():

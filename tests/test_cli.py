@@ -2,13 +2,14 @@
 
 import json
 import re
+import time
 
 import jsonschema
 import pytest
 
 from sconf import algebras, freemod, n1, quotients, submodules
 from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap
-from sconf.cli import MAX_SIZE, main
+from sconf.cli import ACT_MAX_MODE, ACT_MAX_WORK, MAX_SIZE, main
 from sconf.parsing import MAX_EXPONENT
 from sconf.reports import VerificationReport
 
@@ -88,6 +89,17 @@ def test_restrict_simplicity(capsys):
         "--degree", "3", "--words", "3",
     )
     assert code == 0 and doc["status"] == "pass"
+
+
+@pytest.mark.parametrize("check", ("relations", "rank1", "simplicity"))
+def test_restrict_is_verify_restriction(capsys, check):
+    # both commands read their defaults from one place, so the same flags
+    # must check the same thing; only the suite name differs
+    flags = ("--check", check, "--a", "1", "--window", "1", "--degree", "1", "--words", "1")
+    _, restrict = run_json(capsys, "restrict", *flags)
+    _, verify = run_json(capsys, "verify", "restriction", *flags)
+    assert restrict.pop("suite") != verify.pop("suite") == "restriction"
+    assert restrict == verify
 
 
 def test_act_examples(capsys):
@@ -284,10 +296,77 @@ def test_variable_exponents_are_capped(capsys):
         assert f"variable exponents must be <= {MAX_EXPONENT}" in err, argv
 
 
+def _record_acts(monkeypatch):
+    """Replace both actions by stubs that record the factor and return v."""
+    calls = []
+
+    def stub(op, v, *params):
+        calls.append(op)
+        return v
+
+    monkeypatch.setattr(freemod, "act", stub)
+    monkeypatch.setattr(quotients, "quotient_act", stub)
+    return calls
+
+
+def _sum(template, count):
+    return " + ".join(template.format(k) for k in range(count))
+
+
+@pytest.mark.parametrize("argv", [
+    # one factor: 25 generator terms x 64^2 shift terms
+    ("act", _sum("L[{}]", 25), "x^63*y^63"),
+    # one factor: 25 generator terms x 62 coefficient terms x 65 shift terms
+    ("act", _sum("L[{}]", 25), f"({_sum('lam^{}', 62)})*x^64", "--module", "quotient"),
+    # one factor: 2 generator terms x 75 coefficient terms x 13^2 shift terms
+    # is 25350, times 5 for the five 64-bit words of 3^200
+    ("act", "L[1] + H[1]", f"{3**200}*({_sum('lam^{}', 75)})*x^12*y^12"),
+])
+def test_act_over_the_work_bound_runs_no_factor(capsys, monkeypatch, argv):
+    calls = _record_acts(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and not calls
+    assert err == f"usage error: act exceeds its work bound {ACT_MAX_WORK}\n"
+
+
+def test_act_work_is_summed_over_the_factors(capsys, monkeypatch):
+    # each factor costs 2 * 65^2 = 8450 on the unchanged stub output, so the
+    # twelfth one would bring the sum over 100000
+    calls = _record_acts(monkeypatch)
+    assert 11 * 8450 <= ACT_MAX_WORK < 12 * 8450
+    code, out, _ = run(capsys, "act", "; ".join(["L[1] + H[1]"] * 11), "x^64*y^64")
+    assert code == 0 and len(calls) == 11
+    calls.clear()
+    code, out, err = run(capsys, "act", "; ".join(["L[1] + H[1]"] * 12), "x^64*y^64")
+    assert code == 3 and out == "" and len(calls) == 11 and "work bound" in err
+
+
+def test_act_modes_are_capped(capsys, monkeypatch):
+    calls = _record_acts(monkeypatch)
+    for mode in (ACT_MAX_MODE, -ACT_MAX_MODE):
+        assert run(capsys, "act", f"L[{mode}] + H[{mode}]", "x")[0] == 0
+    for mode in (ACT_MAX_MODE + 1, -ACT_MAX_MODE - 1):
+        code, out, err = run(capsys, "act", f"L[1]; Gm[{mode}]", "x")
+        assert code == 3 and out == ""
+        assert err == f"usage error: act takes generator modes |m| <= {ACT_MAX_MODE}\n"
+    assert len(calls) == 2
+
+
+def test_long_act_composition_is_rejected_fast(capsys):
+    # six alternating factors on x^64*y^64 ran for about a minute unbounded
+    op = "; ".join(["L[5] + H[3]", "Gp[2] + Gm[-4]"] * 3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "act", op, "x^64*y^64")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "work bound" in err
+
+
 def test_help_states_the_caps(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
-    assert f"at most {MAX_EXPONENT}" in capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {MAX_EXPONENT}" in text
+    assert f"modes |m| at most {ACT_MAX_MODE}" in text and f"most {ACT_MAX_WORK} units" in text
     for argv in (["verify", "--help"], ["restrict", "--help"]):
         with pytest.raises(SystemExit):
             main(argv)

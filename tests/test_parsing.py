@@ -167,8 +167,8 @@ def test_laurent_exponent_restrictions():
          "polynomial variables contradict the requested parity (token 's' at position 0)"),
         (parse_unipoly, ("lam*y + 1",),
          "coefficients of y must be parameter-free (token 'lam*y + 1' at position 0)"),
-        (parse_unipoly, ("a*x", "x"),
-         "coefficients of x must be parameter-free (token 'a*x' at position 0)"),
+        (parse_unipoly, ("a*y",),
+         "coefficients of y must be parameter-free (token 'a*y' at position 0)"),
         (parse_submodule_spec, ("M[h=lam*y]",),
          "h must have parameter-free coefficients (token 'M[h=lam*y]' at position 0)"),
     ],
