@@ -14,12 +14,15 @@ report as a single JSON object with the fixed keys suite, params, status,
 violations[].
 
 Sizes are bounded, and one out of range is a usage error: --window and
---degree from 1 to 6, --words from 0 to 6, and an exponent of a variable
-(x, y, s, t) at most 64.  ``act`` takes generator modes |m| at most 64 and
-at most 100000 units of work, summed over its ';' factors before each one
-runs: a factor costs its generator terms times the coefficient terms of the
-element it acts on, each term weighted by its binomial shift ((i+1)(j+1) for
-x^i*y^j, k+1 for x^k) and by its size in 64-bit words.
+--degree from 1 to 6, --words from 0 to 6, an exponent of a variable
+(x, y, s, t) at most 64, and a number at most 20 digits (each integer in
+the text, and each of p, q, d of a parsed number (p + q*sqrt2)/d).  ``act``
+takes generator modes |m| at most 64 and at most 100000 units of work,
+summed over its ';' factors before each one runs: a factor costs its
+generator terms times the coefficient terms of the element it acts on, each
+term weighted by its binomial shift ((i+1)(j+1) for x^i*y^j, k+1 for x^k)
+and by its size in 64-bit words.  A factor whose result holds a number of
+more than 4000 digits stops ``act`` with a usage error.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ MAX_SIZE = {"window": 6, "degree": 6, "words": 6}
 # act's bounds on the generator modes and on the work (see the docstring above)
 ACT_MAX_MODE = 64
 ACT_MAX_WORK = 100_000
+ACT_MAX_DIGITS = 4000  # below the interpreter's 4300-digit limit on str(int)
+_ACT_NUMBER_BOUND = 10 ** ACT_MAX_DIGITS
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
@@ -106,7 +111,8 @@ def build_parser():
 
     a = sub.add_parser("act", help="apply an algebra expression to an element")
     a.add_argument("operator", help="algebra expression, e.g. 'L[1]'; use ';' to compose "
-                   f"(modes |m| <= {ACT_MAX_MODE}, work <= {ACT_MAX_WORK}; see sconf --help)")
+                   f"(modes |m| <= {ACT_MAX_MODE}, work <= {ACT_MAX_WORK}, result numbers <= "
+                   f"{ACT_MAX_DIGITS} digits; see sconf --help)")
     a.add_argument("element", help="polynomial element, e.g. 'x^2*y - 3'")
     a.add_argument("--module", choices=("omega", "quotient"), default="omega",
                    help="act on the rank-2 module or on a simple quotient")
@@ -299,17 +305,20 @@ def _cmd_act(args):
         raise _UsageError(f"act takes generator modes |m| <= {ACT_MAX_MODE}")
     if args.module == "omega":
         v = parse_module_element(args.element, parity)
-        act = freemod.act
+        act = freemod.module_action()
     else:
         p = _restriction_params(args)
         v = parse_quotient_element(args.element, parity)
-        act = lambda op, w: quotients.quotient_act(op, w, p)  # noqa: E731
+        act = quotients.quotient_action(p)
     work = 0
     for op in reversed(ops):
         work += _act_work(op, v)
         if work > ACT_MAX_WORK:
             raise _UsageError(f"act exceeds its work bound {ACT_MAX_WORK}")
         v = act(op, v)
+        if any(max(abs(q.p), abs(q.q), q.d) >= _ACT_NUMBER_BOUND
+               for c in v.terms.values() for q in c.terms.values()):
+            raise _UsageError(f"act's result has a number of more than {ACT_MAX_DIGITS} digits")
     return v.render()
 
 

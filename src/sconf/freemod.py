@@ -19,6 +19,12 @@ basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
 resp. t.  Both parities share one bivariate representation; the parity tag
 decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
+
+Every action is linear, so it is fixed by its values on monomials.
+``linear_action`` extends a basis action to whole elements through a table
+of those values, owned by the ``act`` function it returns: a sweep or a CLI
+request builds its action once (``module_action()`` here), and the table
+goes when the action does.  The one-shot ``act`` builds a throwaway table.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ from math import comb
 from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import SC_ONE, Scalar, add_terms, as_scalar, monomial_text, render_combination
+from .scalars import (
+    SC_ONE, Scalar, add_products, add_terms, as_scalar, join_by_key, monomial_text,
+    render_combination, split_by_exponent,
+)
 
 EVEN, ODD = 0, 1
 _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
@@ -43,16 +52,26 @@ def binomial_shift(n, d):
     return [(k, comb(n, k) * d ** (n - k)) for k in range(n + 1)]
 
 
-def _terms_shift(p, dx, dy):
-    """Substitute u -> u+dx, w -> w+dy (integer shifts, binomial expansion)."""
-    if not dx and not dy:
-        return dict(p)
-    return add_terms({}, (
-        ((k, l), c * (cx * cy))
-        for (i, j), c in p.items()
-        for k, cx in binomial_shift(i, dx)
-        for l, cy in binomial_shift(j, dy)
-    ))
+def shifted_image(v, parity, expand, scale):
+    """``scale`` times the image of ``v`` under the monomial map ``expand``,
+    as an element of ``parity``.
+
+    Every generator acts by one pattern: shift the variables, multiply by a
+    prefactor, scale by a Scalar such as lam^m and maybe flip the parity.
+    ``expand(key)`` yields the (key, number) terms of a shifted monomial
+    times the prefactor; they are summed as numbers (or Scalars for a formal
+    root) before each coefficient of v is scaled, so every output term costs
+    one Scalar product.
+    """
+    out = {}
+    for key, c in v.terms.items():
+        nums = {}
+        for k, n in expand(key):
+            s = nums.get(k)
+            nums[k] = n if s is None else s + n
+        c = c * scale
+        add_terms(out, ((k, c * n) for k, n in nums.items() if n))
+    return type(v)(parity, out)
 
 
 class ParityElement:
@@ -162,20 +181,12 @@ class ModuleElement(ParityElement):
             for (i2, j2), c2 in poly_terms.items()
         )))
 
-    def shifted(self, du, dv):
-        return ModuleElement(self.parity, _terms_shift(self.terms, du, dv))
-
 
 # ---------------------------------------------------------------------------
 # the action
 # ---------------------------------------------------------------------------
 
-def _lam(m):
-    return Scalar.param("lam", m)
-
-
-_ALP = Scalar.param("alp")
-_TWO_OVER_ALP = Scalar.monomial(2, alp=-1)
+_HALF = Fraction(1, 2)
 
 
 def act_basis(sym, v):
@@ -186,52 +197,84 @@ def act_basis(sym, v):
     if fam == "C":
         return ModuleElement.zero(v.parity)
     m = sym.twice // 2
-    lam_m = _lam(m)
-    if fam == "L":
-        shifted = v.shifted(m, 0)
-        pre = {(1, 0): SC_ONE}
-        if m:
-            pre[(0, 1)] = Scalar.number(Fraction(m, 2))
-        if v.parity == ODD and m:
-            pre[(0, 0)] = Scalar.number(m)
-        return shifted.times_poly(pre) * lam_m
-    if fam == "H":
-        return v.shifted(m, 0).times_poly({(0, 1): SC_ONE}) * lam_m
-    if fam == "Gp":
-        if v.parity == EVEN:
+    parity = v.parity
+    if fam == "L":  # the prefactor doubled and the scale halved, to shift in integers
+        pre, dy = (((1, 0), 2), ((0, 1), m), ((0, 0), 2 * m * parity)), 0
+        scale = Scalar.monomial(_HALF, lam=m)
+    elif fam == "H":
+        pre, dy, scale = (((0, 1), 1),), 0, Scalar.monomial(1, lam=m)
+    elif fam == "Gp":
+        if parity == EVEN:
             return ModuleElement.zero(ODD)
-        out = ModuleElement(EVEN, _terms_shift(v.terms, m, -1))
-        pre = {(1, 0): SC_ONE}
-        if m:
-            pre[(0, 1)] = Scalar.number(m)
-        return out.times_poly(pre) * (lam_m * _TWO_OVER_ALP)
-    if fam == "Gm":
-        if v.parity == ODD:
+        pre, dy, parity = (((1, 0), 1), ((0, 1), m)), -1, EVEN
+        scale = Scalar.monomial(2, lam=m, alp=-1)
+    elif fam == "Gm":
+        if parity == ODD:
             return ModuleElement.zero(EVEN)
-        out = ModuleElement(ODD, _terms_shift(v.terms, m, 1))
-        return out * (lam_m * _ALP)
-    raise AlgebraMismatch(f"family {fam} does not act")
+        pre, dy, scale, parity = (((0, 0), 1),), 1, Scalar.monomial(1, lam=m, alp=1), ODD
+    else:
+        raise AlgebraMismatch(f"family {fam} does not act")
+    pre = [term for term in pre if term[1]]
+    return shifted_image(v, parity, lambda key: (
+        ((k + p, l + q), bx * by * n)
+        for k, bx in binomial_shift(key[0], m)
+        for l, by in binomial_shift(key[1], dy)
+        for (p, q), n in pre
+    ), scale)
 
 
-def extend_linearly(x, v, basis_act, owner):
-    """Act by a homogeneous R-element (or one basis symbol) on ``v``.
+def linear_action(basis_act, algebra, owner):
+    """The linear extension of ``basis_act`` to elements: an ``act(x, v)``.
 
-    ``basis_act(sym, v)`` is the action of one basis generator; ``owner``
-    names the module in the error for an element of another algebra.
+    ``basis_act(sym, w)`` is the action of one basis generator of ``algebra``
+    on a module element; ``owner`` names the module in the error for an
+    element of another algebra.  Every action here is linear, so it is fixed
+    by its values on monomials: ``act`` evaluates ``basis_act`` once per
+    (basis symbol, parity, monomial key) into a table that belongs to the
+    returned function and lives as long as it does.  It then sums
+    ``coeff(x) * coeff(v) * image`` over the terms of x and v into one dict,
+    in QuadExt arithmetic per parameter monomial, and builds each output
+    coefficient once.  A sweep or a request builds its action once and drops
+    it when it ends; nothing is cached at module level.
     """
-    if isinstance(x, BasisSymbol):
-        x = AlgebraElement.basis(x)
-    if x.algebra != "R":
-        raise AlgebraMismatch(f"{owner}; got {x.algebra}")
-    acc = type(v).zero((v.parity + x.parity()) % 2)
-    for sym, coeff in x.terms.items():
-        acc = acc + basis_act(sym, v) * coeff
-    return acc
+    table = {}
+
+    def image(sym, parity, key, cls):
+        out = basis_act(sym, cls(parity, {key: SC_ONE}))
+        if out.terms and out.parity != (parity + sym.parity) % 2:
+            raise MixedParity(f"{sym} maps a monomial to the wrong parity")
+        table[sym, parity, key] = split = split_by_exponent(out.terms)
+        return split
+
+    def act(x, v):
+        if x.algebra != algebra:
+            raise AlgebraMismatch(f"{owner}; got {x.algebra}")
+        if isinstance(x, BasisSymbol):
+            x_terms, x_parity = ((x, SC_ONE),), x.parity
+        else:
+            x_terms, x_parity = x.terms.items(), x.parity()
+        cls, parity = type(v), v.parity
+        acc = {}
+        for sym, cx in x_terms:
+            for key, cv in v.terms.items():
+                split = table.get((sym, parity, key))
+                if split is None:
+                    split = image(sym, parity, key, cls)
+                if split:
+                    add_products(acc, cx * cv, split)
+        return cls((parity + x_parity) % 2, join_by_key(acc))
+
+    return act
+
+
+def module_action():
+    """The action of R on the rank-2 module, with its own table."""
+    return linear_action(act_basis, "R", "the rank-2 module is an R-module")
 
 
 def act(x, v):
     """Action of a homogeneous R-element on a module element."""
-    return extend_linearly(x, v, act_basis, "the rank-2 module is an R-module")
+    return module_action()(x, v)
 
 
 @dataclass(frozen=True)
@@ -246,8 +289,9 @@ class ActionWord:
                 raise AlgebraMismatch("action words are products of R elements")
 
     def act(self, v):
+        action = module_action()
         for f in reversed(self.factors):
-            v = act(f, v)
+            v = action(f, v)
         return v
 
 
@@ -279,7 +323,8 @@ def check_module_compatibility(index_window, degree_bound):
         "module-compatibility", {"window": index_window, "degree": degree_bound}
     )
     return check_representation(
-        report, basis_symbols("R", index_window), act, monomials(degree_bound), "compat "
+        report, basis_symbols("R", index_window), module_action(), monomials(degree_bound),
+        "compat ",
     )
 
 
@@ -291,13 +336,14 @@ def check_uh_freeness(degree_bound):
     of each parity exactly (so the two parity generators are free generators).
     """
     report = VerificationReport("uh-freeness", {"degree": degree_bound})
+    act_by = module_action()
     L0 = BasisSymbol("R", "L", 0)
     H0 = BasisSymbol("R", "H", 0)
     for v in monomials(degree_bound):
         expect_l = v.times_poly({(1, 0): SC_ONE})
         expect_h = v.times_poly({(0, 1): SC_ONE})
-        got_l = act_basis(L0, v)
-        got_h = act_basis(H0, v)
+        got_l = act_by(L0, v)
+        got_h = act_by(H0, v)
         if got_l != expect_l:
             report.record(f"L0 on {v}", got_l.render(), expect_l.render())
         if got_h != expect_h:
@@ -306,11 +352,7 @@ def check_uh_freeness(degree_bound):
         seen = set()
         for i in range(degree_bound + 1):
             for j in range(degree_bound + 1 - i):
-                w = ModuleElement.one(parity)
-                for _ in range(i):
-                    w = act_basis(L0, w)
-                for _ in range(j):
-                    w = act_basis(H0, w)
+                w = _iterate(act_by, H0, _iterate(act_by, L0, ModuleElement.one(parity), i), j)
                 expect = ModuleElement.monomial(parity, i, j)
                 if w != expect:
                     report.record(
@@ -329,9 +371,9 @@ def check_uh_freeness(degree_bound):
     return report
 
 
-def _iterate(sym, v, n):
+def _iterate(act_by, sym, v, n):
     for _ in range(n):
-        v = act_basis(sym, v)
+        v = act_by(sym, v)
     return v
 
 
@@ -348,6 +390,7 @@ def check_shift_identities(index_window, n_max, degree_bound):
         "shift-identities",
         {"window": index_window, "n_max": n_max, "degree": degree_bound},
     )
+    act_by = module_action()
     L0 = BasisSymbol("R", "L", 0)
     H0 = BasisSymbol("R", "H", 0)
     eps = {"L": 0, "H": 0, "Gp": 1, "Gm": -1}
@@ -356,13 +399,13 @@ def check_shift_identities(index_window, n_max, degree_bound):
             X = BasisSymbol("R", fam, 2 * m)
             for n in range(1, n_max + 1):
                 for v in monomials(degree_bound):
-                    xv = act_basis(X, v)
+                    xv = act_by(X, v)
                     # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
                     for name, Z, d in (("L0", L0, m), ("H0", H0, -eps[fam])):
-                        lhs = act_basis(X, _iterate(Z, v, n))
+                        lhs = act_by(X, _iterate(act_by, Z, v, n))
                         rhs = ModuleElement.zero(xv.parity)
                         for k, c in binomial_shift(n, d):
-                            rhs = rhs + _iterate(Z, xv, k) * Scalar.number(c)
+                            rhs = rhs + _iterate(act_by, Z, xv, k) * Scalar.number(c)
                         if lhs != rhs:
                             report.record(
                                 f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
@@ -375,13 +418,14 @@ def check_odd_square_zero(index_window, degree_bound):
     report = VerificationReport(
         "odd-square-zero", {"window": index_window, "degree": degree_bound}
     )
+    act_by = module_action()
     for fam in ("Gp", "Gm"):
         for m in range(-index_window, index_window + 1):
             for n in range(-index_window, index_window + 1):
                 X = BasisSymbol("R", fam, 2 * m)
                 Y = BasisSymbol("R", fam, 2 * n)
                 for v in monomials(degree_bound):
-                    out = act_basis(X, act_basis(Y, v))
+                    out = act_by(X, act_by(Y, v))
                     if not out.is_zero():
                         report.record(f"{X} {Y} on {v}", out.render(), "0")
     return report
@@ -393,17 +437,16 @@ def check_central_triviality(degree_bound):
     [H_1, H_-1] = C/3, so 3 H_1 H_-1 - 3 H_-1 H_1 must kill every element.
     """
     report = VerificationReport("central-triviality", {"degree": degree_bound})
+    act_by = module_action()
     C = BasisSymbol("R", "C")
     H1 = BasisSymbol("R", "H", 2)
     Hm1 = BasisSymbol("R", "H", -2)
     three = Scalar.number(3)
     for v in monomials(degree_bound):
-        cv = act_basis(C, v)
+        cv = act_by(C, v)
         if not cv.is_zero():
             report.record(f"C on {v}", cv.render(), "0")
-        combo = act_basis(H1, act_basis(Hm1, v)) * three - act_basis(
-            Hm1, act_basis(H1, v)
-        ) * three
+        combo = act_by(H1, act_by(Hm1, v)) * three - act_by(Hm1, act_by(H1, v)) * three
         if not combo.is_zero():
             report.record(f"3[H1,H-1] combo on {v}", combo.render(), "0")
     return report

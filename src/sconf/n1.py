@@ -12,6 +12,11 @@ monomials, and one application of G_0 reaches the odd part with the fixed
 coefficient alp/sqrt2.  Simplicity of the restriction holds exactly for a
 nonzero root parameter; at a = 0 the even span of x together with the whole
 odd part closes under the restricted action and witnesses non-simplicity.
+
+``restricted_action(r)`` tabulates the restricted action per N=1 basis
+symbol, parity and monomial: each table entry pushes its symbol through the
+embedding and acts on the quotient once, so ``apply_map``, lam^m, a and
+1/alp are computed once per entry.  The table belongs to one sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .algebras import (
     embed_r1_in_r2,
 )
 from .errors import AlgebraMismatch
-from .freemod import EVEN, ODD
+from .freemod import EVEN, ODD, linear_action
 from .linalg import RowSpan
 from .quotients import QuotientElement, QuotientParams, quotient_act, quotient_monomials
 from .reports import VerificationReport
@@ -71,6 +76,17 @@ def restricted_act(x, v, r):
     return quotient_act(apply_map(r.embedding, x), v, r.params)
 
 
+def restricted_action(r):
+    """The restricted action of ``r.source`` with its own table (see
+    ``freemod.linear_action``): each entry pushes one N=1 basis symbol
+    through the embedding once and acts by its image on one monomial."""
+    basis_act = restricted_act
+    return linear_action(
+        lambda sym, w: basis_act(AlgebraElement.basis(sym), w, r), r.source,
+        f"the restriction is an {r.source}-module",
+    )
+
+
 def check_n1_relations(r, index_window, degree_bound):
     """Bracket compatibility of the restricted action on the N=1 generators."""
     report = VerificationReport(
@@ -85,7 +101,7 @@ def check_n1_relations(r, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols(r.source, index_window),
-        lambda x, v: restricted_act(x, v, r),
+        restricted_action(r),
         quotient_monomials(degree_bound),
         f"n1 {r.source} {r.params.describe()} ",
     )
@@ -106,8 +122,9 @@ def check_rank1_freeness(r, degree_bound):
     L0 = BasisSymbol("N1R", "L", 0)
     G0 = BasisSymbol("N1R", "G", 0)
     odd_coeff = r.params.alp * Scalar.number(INV_SQRT2)
+    act_by = restricted_action(r)
     even_word = QuotientElement.one(EVEN)
-    odd_word = restricted_act(G0, QuotientElement.one(EVEN), r)
+    odd_word = act_by(G0, QuotientElement.one(EVEN))
     for k in range(degree_bound + 1):
         expect_even = QuotientElement.monomial(EVEN, k)
         if even_word != expect_even:
@@ -115,8 +132,8 @@ def check_rank1_freeness(r, degree_bound):
         expect_odd = QuotientElement.monomial(ODD, k, odd_coeff)
         if odd_word != expect_odd:
             report.record(f"L0^{k} G0 . 1_even", odd_word.render(), expect_odd.render())
-        even_word = restricted_act(L0, even_word, r)
-        odd_word = restricted_act(L0, odd_word, r)
+        even_word = act_by(L0, even_word)
+        odd_word = act_by(L0, odd_word)
     return report
 
 
@@ -157,7 +174,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
     if lam0.is_zero() or alp0.is_zero():
         raise ValueError("lam0 and alp0 must be nonzero")
     params = QuotientParams(a=a_value, lam=Scalar.number(lam0), alp=Scalar.number(alp0))
-    r = RestrictedAction.ramond(params)
+    act_by = restricted_action(RestrictedAction.ramond(params))
     report = VerificationReport(
         "simplicity-witness",
         {
@@ -181,7 +198,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         for sym in gens:
             for v in spanning:
-                out = restricted_act(sym, v, r)
+                out = act_by(sym, v)
                 if out.parity == EVEN and 0 in out.terms:
                     report.record(
                         f"a=0 closure {sym} on {v}", out.render(), "member of xC[x]+C[s]"
@@ -211,7 +228,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
             new_frontier = []
             for v in frontier:
                 for sym in gens:
-                    w = restricted_act(sym, v, r)
+                    w = act_by(sym, v)
                     if w.is_zero():
                         continue
                     if span.add(_as_vector(w, max_degree)):

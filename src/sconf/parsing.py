@@ -23,31 +23,36 @@ from .quotients import QuotientElement
 from .scalars import PARAMS, LAURENT_PARAMS, QE_ZERO, SC_ZERO, SQRT2, Scalar, add_terms
 from .submodules import SubmoduleSpec, UniPoly
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,]))")
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,])"
+                    r"|(?P<space>\s+)|(?P<stray>.)", re.DOTALL)
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
 MAX_EXPONENT = 64  # largest exponent of a variable in one term
+# most digits of an integer in the text, and of each of p, q, d in a parsed
+# number (p + q*sqrt2)/d
+MAX_DIGITS = 20
+_NUMBER_BOUND = 10 ** MAX_DIGITS
+_DIGITS_ERROR = f"numbers must have at most {MAX_DIGITS} digits"
 
 
 class _Tokens:
     def __init__(self, text):
         self.text = text
         self.items = []  # (kind, value, pos)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == m.start():
-                stray = text[pos:].lstrip()
-                if not stray:
-                    break
-                raise ParseError("unexpected character", pos=pos, token=stray[0])
-            if m.group("num") is not None:
-                self.items.append(("num", int(m.group("num")), m.start("num")))
-            elif m.group("name") is not None:
-                self.items.append(("name", m.group("name"), m.start("name")))
-            elif m.group("op") is not None:
-                self.items.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
+        end = 0  # an unexpected character is reported where the token before it ends
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "space":
+                continue
+            value = m[kind]
+            if kind == "stray":
+                raise ParseError("unexpected character", pos=end, token=value)
+            if kind == "num":
+                if len(value) > MAX_DIGITS:
+                    raise ParseError(_DIGITS_ERROR, pos=m.start())
+                value = int(value)
+            self.items.append((kind, value, m.start()))
+            end = m.end()
         self.k = 0
 
     def peek(self):
@@ -166,11 +171,21 @@ class _PolyParser:
         return exp
 
 
+def _check_digits(coeffs):
+    """ParseError when a parsed number has a part of more than MAX_DIGITS digits."""
+    for c in coeffs:
+        for q in c.terms.values():
+            if max(abs(q.p), abs(q.q), q.d) >= _NUMBER_BOUND:
+                raise ParseError(_DIGITS_ERROR)
+    return coeffs
+
+
 def _parse_all(toks, variables):
     out = _PolyParser(toks, variables).parse_sum()
     kind, value, pos = toks.peek()
     if kind != "end":
         raise ParseError("trailing input", pos=pos, token=value)
+    _check_digits(out.values())
     return out
 
 
@@ -261,6 +276,7 @@ def parse_submodule_spec(text):
         raise ParseError("expected 'h='", pos=name_item[2], token=name_item[1])
     toks.expect_op("=")
     acc = _PolyParser(toks, {"y": 0}).parse_sum()
+    _check_digits(acc.values())
     toks.expect_op("]")
     kind, value, pos = toks.peek()
     if kind != "end":
@@ -297,6 +313,7 @@ def parse_algebra_element(text, algebra):
             sign = -1 if toks.accept_op("-") else 1
             first = False
         acc = acc + _parse_algebra_term(toks, algebra, sign)
+    _check_digits(acc.terms.values())
     return acc
 
 

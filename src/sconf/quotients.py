@@ -21,6 +21,12 @@ formal Scalar parameter ``a``, which is enough for acting and for bracket
 sweeps.  ``lam``/``alp`` default to the formal parameters but may be replaced
 by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
+
+``quotient_action(p)`` is the action with its own table of generator images
+on monomials (see ``freemod.linear_action``); a sweep builds it once per
+parameter set and drops it when it ends, and the one-shot ``quotient_act``
+builds a throwaway one.  The constants of the action that depend on p alone
+(the root and 2/alp) are computed once, when p is built.
 """
 
 from __future__ import annotations
@@ -33,13 +39,15 @@ from operator import eq
 from .algebras import basis_symbols, check_representation
 from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, act_basis, binomial_shift, extend_linearly, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, binomial_shift, linear_action, module_action,
+    monomials, shifted_image,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
 from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
 
 _VAR = {EVEN: ("x",), ODD: ("s",)}
+_HALF = Fraction(1, 2)
 
 
 class QuotientElement(ParityElement):
@@ -58,20 +66,6 @@ class QuotientElement(ParityElement):
     def _monomial_text(self, key):
         return monomial_text(_VAR[self.parity], (key,))
 
-    def shifted(self, d):
-        """Substitute the variable v -> v + d (integer shift)."""
-        if not d:
-            return self
-        return QuotientElement(self.parity, add_terms({}, (
-            (l, c * b) for k, c in self.terms.items() for l, b in binomial_shift(k, d)
-        )))
-
-    def times_linear(self, const):
-        """Multiply by the linear polynomial v + const."""
-        return QuotientElement(self.parity, add_terms({}, (
-            pair for k, c in self.terms.items() for pair in ((k + 1, c), (k, c * const))
-        )))
-
 
 @dataclass(frozen=True)
 class QuotientParams:
@@ -85,6 +79,8 @@ class QuotientParams:
     a: QuadExt | None = None
     lam: Scalar = field(default_factory=lambda: Scalar.param("lam"))
     alp: Scalar = field(default_factory=lambda: Scalar.param("alp"))
+    root: QuadExt | Scalar = field(init=False, repr=False, compare=False)
+    two_over_alp: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a is not None:
@@ -98,12 +94,9 @@ class QuotientParams:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alp", alp)
-
-    @property
-    def a_scalar(self):
-        if self.a is None:
-            return Scalar.param("a")
-        return Scalar.number(self.a)
+        # constants of the action, computed once per parameter set
+        object.__setattr__(self, "root", Scalar.param("a") if self.a is None else self.a)
+        object.__setattr__(self, "two_over_alp", alp.invert_monomial() * 2)
 
     def concrete_a(self):
         if self.a is None:
@@ -123,35 +116,39 @@ def quotient_act_basis(sym, v, p):
     if fam == "C":
         return QuotientElement.zero(v.parity)
     m = sym.twice // 2
-    lam_m = p.lam ** m
-    a_s = p.a_scalar
-    if fam == "L":
-        const = a_s * Fraction(-m, 2)
-        if v.parity == ODD:
-            const = const + Scalar.number(Fraction(m, 2))
-        return v.shifted(m).times_linear(const) * lam_m
-    if fam == "H":
-        c = -a_s if v.parity == EVEN else -(a_s + Scalar.number(1))
-        return v.shifted(m) * (c * lam_m)
-    if fam == "Gp":
-        if v.parity == EVEN:
+    parity, root = v.parity, p.root
+    if fam == "L":  # the prefactor doubled and the scale halved, as in act_basis
+        pre, scale = ((1, 2), (0, root * -m + m * parity)), p.lam ** m * _HALF
+    elif fam == "H":
+        pre, scale = ((0, -root - parity),), p.lam ** m
+    elif fam == "Gp":
+        if parity == EVEN:
             return QuotientElement.zero(ODD)
-        out = QuotientElement(EVEN, v.shifted(m).terms)
-        coeff = lam_m * Scalar.number(2) * p.alp.invert_monomial()
-        return out.times_linear(a_s * (-m)) * coeff
-    if fam == "Gm":
-        if v.parity == ODD:
+        pre, scale, parity = ((1, 1), (0, root * -m)), p.lam ** m * p.two_over_alp, EVEN
+    elif fam == "Gm":
+        if parity == ODD:
             return QuotientElement.zero(EVEN)
-        out = QuotientElement(ODD, v.shifted(m).terms)
-        return out * (lam_m * p.alp)
-    raise AlgebraMismatch(f"family {fam} does not act")
+        pre, scale, parity = ((0, 1),), p.lam ** m * p.alp, ODD
+    else:
+        raise AlgebraMismatch(f"family {fam} does not act")
+    pre = [term for term in pre if term[1]]
+    return shifted_image(v, parity, lambda k: (
+        (l + e, b * n) for l, b in binomial_shift(k, m) for e, n in pre
+    ), scale)
+
+
+def quotient_action(p):
+    """The action of R on the quotient with parameters ``p``, with its own
+    table (see ``freemod.linear_action``)."""
+    basis_act = quotient_act_basis
+    return linear_action(
+        lambda sym, w: basis_act(sym, w, p), "R", "simple quotients are R-modules"
+    )
 
 
 def quotient_act(x, v, p):
     """Action of a homogeneous R-element on a quotient element."""
-    return extend_linearly(
-        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "simple quotients are R-modules"
-    )
+    return quotient_action(p)(x, v)
 
 
 def project(v, p):
@@ -352,7 +349,7 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols("R", index_window),
-        lambda x, v: quotient_act(x, v, p),
+        quotient_action(p),
         quotient_monomials(degree_bound),
         f"quotient compat {p.describe()} ",
     )
@@ -376,12 +373,13 @@ def check_projection_intertwines(p, index_window, degree_bound):
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
+    module, quotient = module_action(), quotient_action(p)
     return _check_intertwining(
         report,
         index_window,
         monomials(degree_bound),
-        lambda sym, v: project(act_basis(sym, v), p),
-        lambda sym, v: quotient_act_basis(sym, project(v, p), p),
+        lambda sym, v: project(module(sym, v), p),
+        lambda sym, v: quotient(sym, project(v, p)),
         f"projection {p.describe()} ",
     )
 
@@ -397,12 +395,13 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    at_src, at_dst = quotient_action(src), quotient_action(dst)
     return _check_intertwining(
         report,
         index_window,
         quotient_monomials(degree_bound),
-        lambda sym, v: iso_phi(quotient_act_basis(sym, v, src), src, dst),
-        lambda sym, v: quotient_act_basis(sym, iso_phi(v, src, dst), dst),
+        lambda sym, v: iso_phi(at_src(sym, v), src, dst),
+        lambda sym, v: at_dst(sym, iso_phi(v, src, dst)),
         f"phi {src.describe()}->{dst.describe()} ",
     )
 
@@ -422,12 +421,13 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    module, quotient = module_action(), quotient_action(p)
     return _check_intertwining(
         report,
         index_window,
         quotient_monomials(degree_bound),
-        lambda sym, v: act_basis(sym, iso_xi(v, h_tilde, p)),
-        lambda sym, v: iso_xi(quotient_act_basis(sym, v, p), h_tilde, p),
+        lambda sym, v: module(sym, iso_xi(v, h_tilde, p)),
+        lambda sym, v: iso_xi(quotient(sym, v), h_tilde, p),
         f"xi h~={h_tilde.render()} {p.describe()} ",
         same=lambda left, right: contains(full, left - right),
     )

@@ -451,6 +451,9 @@ class Scalar:
                 return self
             if not other:
                 return SC_ZERO
+            if len(self.terms) == 1:
+                (ev, c), = self.terms.items()
+                return Scalar({ev: c * other})
             return Scalar({ev: c * other for ev, c in self.terms.items()})
         else:
             return NotImplemented
@@ -576,6 +579,43 @@ def as_scalar(v):
     if s is None:
         raise TypeError(f"cannot coerce {v!r} to Scalar")
     return s
+
+
+# -- sums of products over keyed Scalars -----------------------------------------
+#
+# A map of keys (monomials of a module) to Scalars, regrouped by exponent
+# vector, lets a linear action sum coeff * image over many terms in QuadExt
+# arithmetic and build each Scalar once at the end.
+
+def split_by_exponent(terms):
+    """``{ev: [(key, QuadExt), ...]}`` for a map of keys to Scalars."""
+    out = {}
+    for key, c in terms.items():
+        for ev, q in c.terms.items():
+            out.setdefault(ev, []).append((key, q))
+    return out
+
+
+def add_products(acc, c, split):
+    """Add ``c`` times a ``split_by_exponent`` map into ``acc``, a dict from
+    (key, ev) to QuadExt; ``join_by_key`` reads it back."""
+    for ev1, q1 in c.terms.items():
+        for ev2, parts in split.items():
+            ev = tuple(map(add, ev1, ev2))
+            for key, q2 in parts:
+                t = q1 * q2
+                s = acc.get((key, ev))
+                acc[key, ev] = t if s is None else s + t
+    return acc
+
+
+def join_by_key(acc):
+    """``{key: Scalar}`` from an ``add_products`` accumulator, zeros dropped."""
+    out = {}
+    for (key, ev), q in acc.items():
+        if q:
+            out.setdefault(key, {})[ev] = q
+    return {key: Scalar(terms) for key, terms in out.items()}
 
 
 def as_quadext(v):

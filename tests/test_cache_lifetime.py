@@ -1,0 +1,97 @@
+"""No cache outlives the sweep or the request that filled it.
+
+Action tables belong to the ``act`` function that ``freemod.linear_action``
+returns; a sweep or a CLI request builds one and drops it when it ends.  The
+only cache at module level is the structure-constant table of
+``algebras._basis_bracket``, which is fixed by the algebra, not by the input.
+"""
+
+import ast
+import contextlib
+import gc
+import io
+from pathlib import Path
+from types import FunctionType
+
+from sconf import cli, freemod, n1, quotients, submodules
+from sconf.algebras import BasisSymbol
+from sconf.parsing import parse_submodule_spec
+from sconf.quotients import QuotientParams
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sconf"
+ALLOWED = {("algebras", "_basis_bracket")}
+_CACHES = {"lru_cache", "cache"}
+
+
+def _cache_name(node):
+    """'lru_cache' or 'cache' when ``node`` names one (called or not), else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in _CACHES else None
+
+
+def test_every_cache_is_on_the_allow_list():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    decorators.add(id(dec))
+                    if _cache_name(dec):
+                        found.add((path.stem, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in decorators and _cache_name(node.func):
+                found.add((path.stem, f"call at line {node.lineno}"))
+    assert found == ALLOWED
+
+
+def _is_table(obj):
+    """A dict keyed by (basis symbol, parity, monomial key), as action tables are."""
+    if type(obj) is not dict or not obj:
+        return False
+    key = next(iter(obj))
+    return type(key) is tuple and len(key) == 3 and type(key[0]) is BasisSymbol
+
+
+def _live_actions():
+    """The number of action functions and of action tables still alive."""
+    gc.collect()
+    return sum(
+        1 for obj in gc.get_objects()
+        if type(obj) is FunctionType and obj.__qualname__ == "linear_action.<locals>.act"
+        or _is_table(obj)
+    )
+
+
+def test_no_action_table_survives_sweeps_or_requests():
+    before = _live_actions()
+    freemod.check_module_compatibility(1, 1)
+    freemod.check_shift_identities(1, 1, 1)
+    submodules.check_closure(parse_submodule_spec("N[h=y-1]"), 1, 1)
+    quotients.check_projection_intertwines(QuotientParams(a=1), 1, 1)
+    n1.check_n1_relations(n1.RestrictedAction.neveu_schwarz(QuotientParams(a=1)), 1, 1)
+    n1.check_simplicity_witness(1, 3, 2, 1, 1, index_window=1)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for k in range(40):
+            assert cli.main(["act", f"L[{k % 5}] + H[1]; Gp[{k % 3}]", f"s^{k % 7}*t + 1",
+                             "--parity", "odd"]) == 0
+            assert cli.main(["act", f"Gm[{k % 4}]; L[-1]", f"x^{k % 6 + 1} - 2", "--module",
+                             "quotient", "--a", "3/2", "--lam0", "sqrt2"]) == 0
+    assert _live_actions() == before == 0
+
+
+def test_cli_act_builds_one_action_per_request(monkeypatch):
+    built = []
+    good = freemod.module_action
+
+    def counting():
+        built.append(1)
+        return good()
+
+    monkeypatch.setattr(freemod, "module_action", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["act", "L[1]; H[2]; Gm[0]; L[0]", "x*y"]) == 0
+    assert built == [1]

@@ -9,8 +9,8 @@ import pytest
 
 from sconf import algebras, freemod, n1, quotients, submodules
 from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap
-from sconf.cli import ACT_MAX_MODE, ACT_MAX_WORK, MAX_SIZE, main
-from sconf.parsing import MAX_EXPONENT
+from sconf.cli import ACT_MAX_DIGITS, ACT_MAX_MODE, ACT_MAX_WORK, MAX_SIZE, main
+from sconf.parsing import MAX_DIGITS, MAX_EXPONENT
 from sconf.reports import VerificationReport
 
 REPORT_SCHEMA = {
@@ -297,15 +297,16 @@ def test_variable_exponents_are_capped(capsys):
 
 
 def _record_acts(monkeypatch):
-    """Replace both actions by stubs that record the factor and return v."""
+    """Replace both action builders by stubs whose action records the factor
+    and returns v."""
     calls = []
 
-    def stub(op, v, *params):
+    def stub(op, v):
         calls.append(op)
         return v
 
-    monkeypatch.setattr(freemod, "act", stub)
-    monkeypatch.setattr(quotients, "quotient_act", stub)
+    monkeypatch.setattr(freemod, "module_action", lambda: stub)
+    monkeypatch.setattr(quotients, "quotient_action", lambda p: stub)
     return calls
 
 
@@ -318,9 +319,9 @@ def _sum(template, count):
     ("act", _sum("L[{}]", 25), "x^63*y^63"),
     # one factor: 25 generator terms x 62 coefficient terms x 65 shift terms
     ("act", _sum("L[{}]", 25), f"({_sum('lam^{}', 62)})*x^64", "--module", "quotient"),
-    # one factor: 2 generator terms x 75 coefficient terms x 13^2 shift terms
-    # is 25350, times 5 for the five 64-bit words of 3^200
-    ("act", "L[1] + H[1]", f"{3**200}*({_sum('lam^{}', 75)})*x^12*y^12"),
+    # one factor: 2 generator terms x 60 coefficient terms x 21^2 shift terms
+    # is 52920, times 2 for the two 64-bit words of the 20-digit 3^40
+    ("act", "L[1] + H[1]", f"{3**40}*({_sum('lam^{}', 60)})*x^20*y^20"),
 ])
 def test_act_over_the_work_bound_runs_no_factor(capsys, monkeypatch, argv):
     calls = _record_acts(monkeypatch)
@@ -373,3 +374,44 @@ def test_help_states_the_caps(capsys):
         text = " ".join(capsys.readouterr().out.split())
         for name, cap in MAX_SIZE.items():
             assert re.search(rf"--{name} {name.upper()} [^-]*at most {cap}", text), (argv, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "L[64]", "x", "--module", "quotient", "--a", "1", "--lam0", "1" + "0" * 100,
+     "--alp0", "3"),
+    ("act", "L[1]", f"{'7' * 4000}*x"),
+    ("act", "L[1]", "x", "--module", "quotient", "--a", f"1/{'3' * 21}"),
+    ("decompose", "--h", f"y^2 - {'1' * 4000}"),
+    ("decompose", "--h", "y^2 - 1", "--roots", f"{'1' * 21}"),
+    ("verify", "quotient", "--a", f"{'10' * 11}*sqrt2", "--window", "1", "--degree", "1"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--alp0", "2" * 21, "--degree", "1"),
+])
+def test_constants_over_the_digit_cap_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert f"numbers must have at most {MAX_DIGITS} digits" in err and "limit" not in err
+
+
+def test_act_stops_at_a_result_over_the_digit_cap(capsys):
+    # 9^(64 k) passes 4000 digits at the 66th factor, under the work bound
+    ops = "; ".join(["H[64]"] * 75)
+    code, out, err = run(capsys, "act", ops, "1", "--parity", "even", "--module", "quotient",
+                         "--a", "1", "--lam0", "9", "--alp0", "1")
+    assert code == 3 and out == ""
+    assert err == f"usage error: act's result has a number of more than {ACT_MAX_DIGITS} digits\n"
+    code, out, _ = run(capsys, "act", "; ".join(["H[64]"] * 65), "1", "--parity", "even",
+                       "--module", "quotient", "--a", "1", "--lam0", "9", "--alp0", "1")
+    assert code == 0 and len(out) > 3900
+
+
+def test_help_states_the_number_caps(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"a number at most {MAX_DIGITS} digits" in text
+    assert f"more than {ACT_MAX_DIGITS} digits" in text
+    with pytest.raises(SystemExit):
+        main(["act", "--help"])
+    assert f"result numbers <= {ACT_MAX_DIGITS} digits" in " ".join(capsys.readouterr().out.split())

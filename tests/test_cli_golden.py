@@ -76,6 +76,13 @@ CASES = [
     ["act", "; ".join(["L[5] + H[3]", "Gp[2] + Gm[-4]"] * 3), "x^64*y^64"],
     ["act", "; ".join(["L[1]"] * 40), "x^64"],
     ["act", "L[1] + Gp[65]", "1", "--parity", "odd"],
+    ["act", "; ".join(["H[64]"] * 75), "1", "--parity", "even", "--module", "quotient",
+     "--a", "1", "--lam0", "9", "--alp0", "1"],
+    # numbers over 20 digits, in the text or after parsing
+    ["act", "L[64]", "x", "--module", "quotient", "--a", "1", "--lam0", "1" + "0" * 100,
+     "--alp0", "3"],
+    ["decompose", "--h", "y^2-" + "1" * 21],
+    ["decompose", "--h", "y^2-10000000000*10000000000"],
     # usage errors
     ["verify", "nosuchsuite"],
     ["act", "L[1", "1", "--parity", "even"],

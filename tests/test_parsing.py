@@ -7,6 +7,7 @@ import pytest
 from sconf.errors import ParseError
 from sconf.freemod import EVEN, ODD
 from sconf.parsing import (
+    MAX_DIGITS,
     parse_algebra_element,
     parse_module_element,
     parse_quadext,
@@ -177,3 +178,38 @@ def test_parse_error_texts(parse, args, message):
     with pytest.raises(ParseError) as info:
         parse(*args)
     assert str(info.value) == message
+
+
+_TWENTY = "9" * MAX_DIGITS  # the largest integer a parsed number may hold
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_quadext, f"{_TWENTY}/7 + {_TWENTY}/7*sqrt2"),
+    (parse_scalar, f"{_TWENTY}*lam^-2"),
+    (parse_module_element, f"-{_TWENTY}*x*y"),
+    (parse_quotient_element, f"1/{_TWENTY}*s"),
+    (parse_unipoly, f"y^2 - {_TWENTY}"),
+    (parse_submodule_spec, f"M[h=y - {_TWENTY}]"),
+    (lambda text: parse_algebra_element(text, "R"), f"{_TWENTY}*sqrt2*L[1]"),
+])
+def test_numbers_up_to_the_digit_cap_parse(parse, text):
+    parse(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    # one integer in the text over the cap
+    (parse_quadext, "1" + "0" * MAX_DIGITS),
+    (parse_quadext, "1" + "0" * 5000),
+    (parse_scalar, f"lam^1{'0' * MAX_DIGITS}"),
+    # parsed parts over the cap: numerator, sqrt2 part, denominator
+    (parse_quadext, f"{_TWENTY} + 1"),
+    (parse_quadext, f"1 + 10*{_TWENTY}*sqrt2"),
+    (parse_module_element, f"1/{_TWENTY}*1/{_TWENTY}*x"),
+    (parse_quotient_element, f"(1/7 + 1/{_TWENTY})*s"),
+    (parse_unipoly, f"y - {_TWENTY}*{_TWENTY}"),
+    (parse_submodule_spec, f"N[h=y + {_TWENTY}*sqrt2*3]"),
+    (lambda text: parse_algebra_element(text, "R"), f"{_TWENTY}*L[1] + {_TWENTY}*L[1]"),
+])
+def test_numbers_over_the_digit_cap_are_parse_errors(parse, text):
+    with pytest.raises(ParseError, match=f"numbers must have at most {MAX_DIGITS} digits"):
+        parse(text)
