@@ -18,7 +18,9 @@ One evaluator, ``_basis_bracket``, reads the tables: it places every term at
 the total mode, keeps a central row only at total mode 0, drops zero terms,
 and derives the other ordering from super-antisymmetry
 ``[x, y] = -(-1)^{|x||y|} [y, x]``.  One builder, ``_generator_map``, reads
-the map rows the same way.
+the map rows the same way.  The graded Jacobi sweep reads each row it needs
+from ``_basis_bracket`` once, scales them all to integers over one common
+denominator, and sums every triple in machine ints.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Callable
 
 from .errors import AlgebraMismatch, MixedParity
@@ -332,8 +335,13 @@ def check_super_jacobi(algebra, window):
     """Exhaustive graded Jacobi sweep over basis triples within the window.
 
     Checks (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
-    The sweep works directly on the structure-constant table (coefficients in
-    these triples are always rational), which keeps window-3 runs fast.
+    The structure constants in these triples are rational, so the sweep works
+    in machine ints.  It numbers the window's symbols and every symbol a
+    bracket yields, reads each needed ``_basis_bracket`` row once, and scales
+    all of them by ``den``, the lcm of their denominators.  A triple's sum is
+    then ``den**2`` times the Fraction sum, zero exactly when that is, and a
+    nonzero one is rendered divided by ``den**2``.  The tables live for this
+    call only.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -341,22 +349,40 @@ def check_super_jacobi(algebra, window):
         "algebra-jacobi", {"which": algebra, "window": window}
     )
     syms = basis_symbols(algebra, window)
+    index = {s: k for k, s in enumerate(syms)}  # symbol -> number
 
-    def nested(outer, inner_parts, negate, acc):
-        for sym, f in inner_parts:
-            for s2, f2 in _basis_bracket(outer, sym):
-                c = f * f2
-                acc[s2] = acc.get(s2, 0) + (-c if negate else c)
+    def number(sym):
+        return index.setdefault(sym, len(index))
 
-    for x, y, z in product(syms, repeat=3):
+    inner = [[_basis_bracket(y, z) for z in syms] for y in syms]
+    reached = {number(s): s for row_list in inner for row in row_list for s, _ in row}
+    outer = [[()] * len(index) for _ in syms]
+    for row_list, x in zip(outer, syms):
+        for k, s in reached.items():
+            row_list[k] = _basis_bracket(x, s)
+    den = lcm(*(c.denominator for table in (inner, outer)
+                for row_list in table for row in row_list for _, c in row))
+
+    def scaled(row, sign=1):
+        return tuple((number(s), sign * c.numerator * (den // c.denominator)) for s, c in row)
+
+    inner = [[scaled(row) for row in row_list] for row_list in inner]
+    # each outer row twice: as read, and negated for the sign (-1)^{|x||z|} = -1
+    outer = [([scaled(row) for row in row_list], [scaled(row, -1) for row in row_list])
+             for row_list in outer]
+    symbols = list(index)
+    parity = [s.parity for s in syms]
+    for i, j, k in product(range(len(syms)), repeat=3):
         acc = {}
-        nested(x, _basis_bracket(y, z), bool(x.parity and z.parity), acc)
-        nested(y, _basis_bracket(z, x), bool(y.parity and x.parity), acc)
-        nested(z, _basis_bracket(x, y), bool(z.parity and y.parity), acc)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            rows = outer[a][parity[a] & parity[c]]
+            for s, f in inner[b][c]:
+                for s2, f2 in rows[s]:
+                    acc[s2] = acc.get(s2, 0) + f * f2
         if any(acc.values()):
-            report.record(
-                f"jacobi {algebra} ({x}, {y}, {z})", _render_fraction_combo(acc), "0"
-            )
+            lhs = {symbols[s]: Fraction(v, den * den) for s, v in acc.items()}
+            report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
+                          _render_fraction_combo(lhs), "0")
     return report
 
 

@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 pass, 1 fail, 2 inconclusive (bounded search could not decide),
 3 usage error (bad flags or unparsable expressions).  ``--json`` renders the
 report as a single JSON object with the fixed keys suite, params, status,
-violations[].
+violations[].  An optional ``verify`` flag that the chosen suite does not
+read is a usage error: --degree, for one, applies only to the module,
+submodule, quotient and restriction suites (default 3).
 
 Sizes are bounded, and one out of range is a usage error: --window and
 --degree from 1 to 6, --words from 0 to 6, an exponent of a variable
@@ -58,11 +60,20 @@ _ACT_NUMBER_BOUND = 10 ** ACT_MAX_DIGITS
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
+_DEGREE_SUITES = ("module", "submodule", "quotient", "restriction")
+DEFAULT_DEGREE = 3
 _VERIFY_FLAGS = {  # verify's optional flags: option -> (argparse dest, the suites that read it)
     "--which": ("which", ("algebra",)), "--map": ("map_name", ("homomorphism",)),
     "--spec": ("spec", ("submodule",)), "--a": ("a_value", ("quotient", "restriction")),
     **{f"--{d}": (d, ("restriction",)) for d in ("algebra", "check", "lam0", "alp0", "words")},
+    "--degree": ("degree", _DEGREE_SUITES),
 }
+
+
+def _suite_names(suites):
+    """The suites as text: 'a', 'a and b', 'a, b and c'."""
+    *rest, last = suites
+    return f"{', '.join(rest)} and {last}" if rest else last
 
 
 class _UsageError(Exception):
@@ -101,8 +112,9 @@ def build_parser():
                    help="homomorphism to check (default: all, plus the twist composition)")
     v.add_argument("--window", type=int, default=3,
                    help=f"mode window |m| <= N (at most {MAX_SIZE['window']})")
-    v.add_argument("--degree", type=int, default=3,
-                   help=f"monomial degree bound (at most {MAX_SIZE['degree']})")
+    v.add_argument("--degree", type=int,
+                   help=f"monomial degree bound for the {_suite_names(_DEGREE_SUITES)} suites "
+                   f"(default {DEFAULT_DEGREE}, at most {MAX_SIZE['degree']})")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
     v.add_argument("--a", dest="a_value", help="root parameter a (default: the battery "
                    "0, 1, -1, 3/2 for quotient, 0 for restriction)")
@@ -129,7 +141,8 @@ def build_parser():
 
     r = sub.add_parser("restrict", help="N=1 restriction checks")
     r.add_argument("--window", type=int, default=3, help=f"at most {MAX_SIZE['window']}")
-    r.add_argument("--degree", type=int, default=3, help=f"at most {MAX_SIZE['degree']}")
+    r.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+                   help=f"at most {MAX_SIZE['degree']}")
     r.add_argument("--a", dest="a_value", help="root parameter a (default 0)")
     restriction_options(r, required=True)
     common(r)
@@ -263,13 +276,15 @@ def _check_sizes(args):
 
 
 def _cmd_verify(args):
-    if args.window < 1 or args.degree < 1:
+    if args.window < 1 or (args.degree is not None and args.degree < 1):
         raise _UsageError("--window and --degree must be >= 1")
     for flag, (dest, suites) in _VERIFY_FLAGS.items():
         if getattr(args, dest) is not None and args.suite not in suites:
-            raise _UsageError(f"{flag} applies only to the {' and '.join(suites)} suite"
+            raise _UsageError(f"{flag} applies only to the {_suite_names(suites)} suite"
                               + "s" * (len(suites) > 1))
     _check_sizes(args)
+    if args.suite in _DEGREE_SUITES and args.degree is None:
+        args.degree = DEFAULT_DEGREE
     driver = {
         "algebra": _verify_algebra,
         "module": _verify_module,

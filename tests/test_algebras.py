@@ -146,6 +146,60 @@ def test_pair_missing_from_a_table_is_an_error(monkeypatch):
         _basis_bracket.cache_clear()
 
 
+def _jacobi_oracle(algebra, window):
+    """The violations of the graded Jacobi sweep, summed in Fractions term by
+    term over ``_basis_bracket``: (context, lhs, rhs) in sweep order."""
+    out = []
+    for x, y, z in product(basis_symbols(algebra, window), repeat=3):
+        acc = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            sign = -1 if a.parity and c.parity else 1
+            for sym, f in _basis_bracket(b, c):
+                for s2, f2 in _basis_bracket(a, sym):
+                    acc[s2] = acc.get(s2, 0) + sign * f * f2
+        if any(acc.values()):
+            out.append((f"jacobi {algebra} ({x}, {y}, {z})",
+                        algebras._render_fraction_combo(acc), "0"))
+    return out
+
+
+# one corrupted row per table, with denominators the true tables lack; the
+# N=2 row carries the central term, so NS reaches it at half-integer modes
+_CORRUPTED_ROWS = {
+    "_N2": (("Gm", "Gp"), (
+        ("L", lambda m, n: 2),
+        ("H", lambda m, n: n - m),
+        ("C", lambda m, n: (m * m - Fraction(1, 4)) / 5),
+    ), ("R", "NS")),
+    "_TOPOLOGICAL": (("L", "Q"), (("Q", lambda m, n: m / 7 - n),), ("T",)),
+    "_N1": (("L", "G"), (("G", lambda m, n: m / 3 - n),), ("N1R", "N1NS")),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_CORRUPTED_ROWS))
+def test_jacobi_violations_match_a_fraction_oracle(monkeypatch, table):
+    pair, rows, tags = _CORRUPTED_ROWS[table]
+    monkeypatch.setitem(getattr(algebras, table), pair, rows)
+    _basis_bracket.cache_clear()
+    try:
+        for algebra in tags:
+            want = _jacobi_oracle(algebra, 2)
+            got = [(v.context, v.lhs, v.rhs) for v in check_super_jacobi(algebra, 2).violations]
+            assert want and got == want, algebra
+    finally:
+        _basis_bracket.cache_clear()
+
+
+def test_jacobi_sweep_reports_a_missing_pair(monkeypatch):
+    monkeypatch.delitem(algebras._TOPOLOGICAL, ("H", "Q"))
+    _basis_bracket.cache_clear()
+    try:
+        with pytest.raises(LookupError):
+            check_super_jacobi("T", 1)
+    finally:
+        _basis_bracket.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(STANDARD_MAPS))
 def test_map_images_keep_parity_and_center_at_mode_zero(name):
     gmap = STANDARD_MAPS[name]()

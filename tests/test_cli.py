@@ -219,6 +219,19 @@ def test_flags_the_command_ignores_are_usage_errors(capsys):
         assert code == 3 and out == "" and flag in err, (suite, flag)
 
 
+def test_degree_where_no_suite_reads_it_is_a_usage_error(capsys, monkeypatch):
+    for argv in (("algebra", "--which", "N1R"), ("homomorphism", "--map", "sigma")):
+        code, out, err = run(capsys, "verify", *argv, "--window", "1", "--degree", "5")
+        assert code == 3 and out == "", argv
+        assert err == ("usage error: --degree applies only to the module, submodule, "
+                       "quotient and restriction suites\n"), argv
+    # the suites that read it default it to 3
+    calls = _record_sweeps(monkeypatch)
+    assert run(capsys, "verify", "module", "--window", "1")[0] == 0
+    assert run(capsys, "verify", "restriction", "--check", "rank1", "--a", "1")[0] == 0
+    assert calls[0][1] == (1, 3) and calls[-1][1][1:] == (3,)
+
+
 # the entry point of every sweep a capped size could start
 _SWEEPS = (
     (algebras, "check_super_jacobi"), (algebras, "check_homomorphism"),
