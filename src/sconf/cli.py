@@ -59,6 +59,8 @@ ACT_MAX_DIGITS = 4000  # below the interpreter's 4300-digit limit on str(int)
 _ACT_NUMBER_BOUND = 10 ** ACT_MAX_DIGITS
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
+# --check simplicity's defaults; --a's holds for the other restriction checks too
+SIMPLICITY_DEFAULTS = {"lam0": "3/2", "alp0": "2", "a_value": "0", "words": 3}
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
 _DEGREE_SUITES = ("module", "submodule", "quotient", "restriction")
 DEFAULT_DEGREE = 3
@@ -94,15 +96,16 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     def restriction_options(p, **check):
-        # no defaults here: _verify_restriction and _restriction_params hold them
+        # no argparse defaults: _verify_restriction and _restriction_params apply them
         p.add_argument("--check", choices=("relations", "rank1", "simplicity"), **check)
         p.add_argument("--algebra", choices=("N1R", "N1NS"),
                        help="restriction source algebra (default N1R)")
-        for name, value in (("lam", "3/2"), ("alp", "2")):
-            p.add_argument(f"--{name}0", help=f"numeric {name} (default {value} for the "
-                           f"simplicity check, the formal {name} for the others)")
-        p.add_argument("--words", type=int, help="word length for span searches "
-                       f"(default 3, at most {MAX_SIZE['words']})")
+        for name in ("lam", "alp"):
+            p.add_argument(f"--{name}0", help=f"numeric {name} (default "
+                           f"{SIMPLICITY_DEFAULTS[name + '0']} for the simplicity check, "
+                           f"the formal {name} for the others)")
+        p.add_argument("--words", type=int, help="word length for span searches (default "
+                       f"{SIMPLICITY_DEFAULTS['words']}, at most {MAX_SIZE['words']})")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=(
@@ -117,7 +120,8 @@ def build_parser():
                    f"(default {DEFAULT_DEGREE}, at most {MAX_SIZE['degree']})")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
     v.add_argument("--a", dest="a_value", help="root parameter a (default: the battery "
-                   "0, 1, -1, 3/2 for quotient, 0 for restriction)")
+                   f"0, 1, -1, 3/2 for quotient, {SIMPLICITY_DEFAULTS['a_value']} for "
+                   "restriction)")
     restriction_options(v, help="restriction check to run (default relations)")
     common(v)
 
@@ -143,7 +147,8 @@ def build_parser():
     r.add_argument("--window", type=int, default=3, help=f"at most {MAX_SIZE['window']}")
     r.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                    help=f"at most {MAX_SIZE['degree']}")
-    r.add_argument("--a", dest="a_value", help="root parameter a (default 0)")
+    r.add_argument("--a", dest="a_value",
+                   help=f"root parameter a (default {SIMPLICITY_DEFAULTS['a_value']})")
     restriction_options(r, required=True)
     common(r)
 
@@ -241,18 +246,17 @@ def _verify_quotient(args):
 def _restriction_params(args):
     lam = Scalar.number(parse_quadext(args.lam0)) if args.lam0 else Scalar.param("lam")
     alp = Scalar.number(parse_quadext(args.alp0)) if args.alp0 else Scalar.param("alp")
-    a = parse_quadext(args.a_value) if args.a_value is not None else 0
-    return QuotientParams(a=a, lam=lam, alp=alp)
+    a = args.a_value if args.a_value is not None else SIMPLICITY_DEFAULTS["a_value"]
+    return QuotientParams(a=parse_quadext(a), lam=lam, alp=alp)
 
 
 def _verify_restriction(args):
     if args.check == "simplicity":
         if args.algebra == "N1NS":
             raise _UsageError("--check simplicity applies only to --algebra N1R")
-        lam0 = parse_quadext(args.lam0 or "3/2")
-        alp0 = parse_quadext(args.alp0 or "2")
-        a = parse_quadext(args.a_value or "0")
-        words = 3 if args.words is None else args.words
+        lam0, alp0, a = (parse_quadext(getattr(args, name) or SIMPLICITY_DEFAULTS[name])
+                         for name in ("lam0", "alp0", "a_value"))
+        words = SIMPLICITY_DEFAULTS["words"] if args.words is None else args.words
         return n1.check_simplicity_witness(
             a, lam0, alp0, args.degree, words, index_window=args.window
         )
@@ -345,6 +349,10 @@ def _cmd_decompose(args):
     hints = None
     if args.roots:
         hints = [parse_quadext(r) for r in args.roots.split(",") if r.strip()]
+        hinted = submodules.UniPoly.from_roots(hints)
+        if not hinted.divides(h):
+            raise _UsageError(f"--roots {', '.join(map(str, hints))}: {hinted.render()} "
+                              f"does not divide {h.render()}")
     report = VerificationReport("decompose", {"h": h.render()})
     try:
         series = quotients.composition_series(h, hints)

@@ -14,6 +14,10 @@ coefficients in the Scalar ring so that the module parameters ``lam`` and
     Gm_m . g     = 0
     C . anything  = 0
 
+These formulas are written once, as the rows of ``_ACTION``.  One reader,
+``_row_terms``, evaluates a row: ``act_basis`` with the formal lam and alp,
+``quotients.quotient_act_basis`` with the quotient's.
+
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
 resp. t.  Both parities share one bivariate representation; the parity tag
@@ -47,31 +51,9 @@ _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
 
 def binomial_shift(n, d):
     """``(k, C(n, k) d^(n-k))`` for every k: the expansion of ``(u + d)^n``."""
-    if not d:
+    if not d or not n:
         return ((n, 1),)
     return [(k, comb(n, k) * d ** (n - k)) for k in range(n + 1)]
-
-
-def shifted_image(v, parity, expand, scale):
-    """``scale`` times the image of ``v`` under the monomial map ``expand``,
-    as an element of ``parity``.
-
-    Every generator acts by one pattern: shift the variables, multiply by a
-    prefactor, scale by a Scalar such as lam^m and maybe flip the parity.
-    ``expand(key)`` yields the (key, number) terms of a shifted monomial
-    times the prefactor; they are summed as numbers (or Scalars for a formal
-    root) before each coefficient of v is scaled, so every output term costs
-    one Scalar product.
-    """
-    out = {}
-    for key, c in v.terms.items():
-        nums = {}
-        for k, n in expand(key):
-            s = nums.get(k)
-            nums[k] = n if s is None else s + n
-        c = c * scale
-        add_terms(out, ((k, c * n) for k, n in nums.items() if n))
-    return type(v)(parity, out)
 
 
 class ParityElement:
@@ -186,41 +168,58 @@ class ModuleElement(ParityElement):
 # the action
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
+# (family, parity acted on) -> (target parity, shift of the second variable,
+# number, power of alp, prefactor rows (i, j, c, d)): the generator of mode m
+# sends u^k v^l to lam^m number alp^power (sum (c + d m) u^i v^j) times
+# (u + m)^k (v + shift)^l, in the target's variables.  L's prefactor is
+# doubled and its number halved, to shift in integers.  A missing pair (C,
+# or G on the parity it kills) acts as zero.
+_ACTION = {
+    ("L", EVEN): (EVEN, 0, Fraction(1, 2), 0, ((1, 0, 2, 0), (0, 1, 0, 1))),
+    ("L", ODD): (ODD, 0, Fraction(1, 2), 0, ((1, 0, 2, 0), (0, 1, 0, 1), (0, 0, 0, 2))),
+    ("H", EVEN): (EVEN, 0, 1, 0, ((0, 1, 1, 0),)),
+    ("H", ODD): (ODD, 0, 1, 0, ((0, 1, 1, 0),)),
+    ("Gp", ODD): (EVEN, -1, 2, -1, ((1, 0, 1, 0), (0, 1, 0, 1))),
+    ("Gm", EVEN): (ODD, 1, 1, 1, ((0, 0, 1, 0),)),
+}
+_LAM, _ALP = Scalar.param("lam"), Scalar.param("alp")
+
+
+def _row_terms(sym, parity, terms, lam, alp):
+    """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
+    ``terms`` of a parity, with ``lam`` and ``alp``: the target parity and,
+    per pair, c times the row's scale with the integers ``{(i, j): n}`` of
+    the image of u^k v^l, so that the image is the sum of c * n * u^i v^j."""
+    row = _ACTION.get((sym.family, parity))
+    if row is None:
+        return (parity + sym.parity) % 2, ()
+    parity, dy, number, power, rows = row
+    m = sym.twice // 2
+    pre = [((i, j), c + d * m) for i, j, c, d in rows if c + d * m]
+    scale = lam ** m * number
+    if power:
+        scale = scale * alp ** power
+    images = []
+    for (k, l), c in terms:
+        nums = {}
+        for i, bx in binomial_shift(k, m):
+            for j, by in binomial_shift(l, dy):
+                for (p, q), n in pre:
+                    key = (i + p, j + q)
+                    nums[key] = nums.get(key, 0) + bx * by * n
+        images.append((c * scale, nums))
+    return parity, images
 
 
 def act_basis(sym, v):
     """Action of one basis generator of the Ramond algebra."""
     if sym.algebra != "R":
         raise AlgebraMismatch(f"the rank-2 module is an R-module; got {sym.algebra}")
-    fam = sym.family
-    if fam == "C":
-        return ModuleElement.zero(v.parity)
-    m = sym.twice // 2
-    parity = v.parity
-    if fam == "L":  # the prefactor doubled and the scale halved, to shift in integers
-        pre, dy = (((1, 0), 2), ((0, 1), m), ((0, 0), 2 * m * parity)), 0
-        scale = Scalar.monomial(_HALF, lam=m)
-    elif fam == "H":
-        pre, dy, scale = (((0, 1), 1),), 0, Scalar.monomial(1, lam=m)
-    elif fam == "Gp":
-        if parity == EVEN:
-            return ModuleElement.zero(ODD)
-        pre, dy, parity = (((1, 0), 1), ((0, 1), m)), -1, EVEN
-        scale = Scalar.monomial(2, lam=m, alp=-1)
-    elif fam == "Gm":
-        if parity == ODD:
-            return ModuleElement.zero(EVEN)
-        pre, dy, scale, parity = (((0, 0), 1),), 1, Scalar.monomial(1, lam=m, alp=1), ODD
-    else:
-        raise AlgebraMismatch(f"family {fam} does not act")
-    pre = [term for term in pre if term[1]]
-    return shifted_image(v, parity, lambda key: (
-        ((k + p, l + q), bx * by * n)
-        for k, bx in binomial_shift(key[0], m)
-        for l, by in binomial_shift(key[1], dy)
-        for (p, q), n in pre
-    ), scale)
+    parity, images = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
+    out = {}
+    for c, nums in images:
+        add_terms(out, ((key, c * n) for key, n in nums.items()))
+    return ModuleElement(parity, out)
 
 
 def linear_action(basis_act, algebra, owner):

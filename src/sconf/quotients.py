@@ -22,11 +22,14 @@ sweeps.  ``lam``/``alp`` default to the formal parameters but may be replaced
 by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
 
-``quotient_action(p)`` is the action with its own table of generator images
-on monomials (see ``freemod.linear_action``); a sweep builds it once per
-parameter set and drops it when it ends, and the one-shot ``quotient_act``
-builds a throwaway one.  The constants of the action that depend on p alone
-(the root and 2/alp) are computed once, when p is built.
+The quotient is the module row read through the projection:
+``quotient_act_basis`` lifts x^k to x^k y^0, reads the generator's
+``freemod._ACTION`` row with p's lam and alp, and freezes the second variable
+with ``_freeze``, as ``project`` does.  ``quotient_action(p)`` is the action
+with its own table of generator images on monomials (see
+``freemod.linear_action``); a sweep builds it once per parameter set and
+drops it when it ends, and the one-shot ``quotient_act`` builds a throwaway
+one.
 """
 
 from __future__ import annotations
@@ -39,15 +42,13 @@ from operator import eq
 from .algebras import basis_symbols, check_representation
 from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, binomial_shift, linear_action, module_action,
-    monomials, shifted_image,
+    EVEN, ODD, ModuleElement, ParityElement, _row_terms, linear_action, module_action, monomials,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
 from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
 
 _VAR = {EVEN: ("x",), ODD: ("s",)}
-_HALF = Fraction(1, 2)
 
 
 class QuotientElement(ParityElement):
@@ -80,7 +81,6 @@ class QuotientParams:
     lam: Scalar = field(default_factory=lambda: Scalar.param("lam"))
     alp: Scalar = field(default_factory=lambda: Scalar.param("alp"))
     root: QuadExt | Scalar = field(init=False, repr=False, compare=False)
-    two_over_alp: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a is not None:
@@ -94,9 +94,8 @@ class QuotientParams:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alp", alp)
-        # constants of the action, computed once per parameter set
+        # the root the action freezes y at, formal when a is None
         object.__setattr__(self, "root", Scalar.param("a") if self.a is None else self.a)
-        object.__setattr__(self, "two_over_alp", alp.invert_monomial() * 2)
 
     def concrete_a(self):
         if self.a is None:
@@ -109,32 +108,16 @@ class QuotientParams:
 
 
 def quotient_act_basis(sym, v, p):
-    """Action of one Ramond basis generator on a quotient element."""
+    """Action of one Ramond basis generator on a quotient element: the
+    module's row on v lifted to C[x,y] + C[s,t], then frozen."""
     if sym.algebra != "R":
         raise AlgebraMismatch(f"simple quotients are R-modules; got {sym.algebra}")
-    fam = sym.family
-    if fam == "C":
-        return QuotientElement.zero(v.parity)
-    m = sym.twice // 2
-    parity, root = v.parity, p.root
-    if fam == "L":  # the prefactor doubled and the scale halved, as in act_basis
-        pre, scale = ((1, 2), (0, root * -m + m * parity)), p.lam ** m * _HALF
-    elif fam == "H":
-        pre, scale = ((0, -root - parity),), p.lam ** m
-    elif fam == "Gp":
-        if parity == EVEN:
-            return QuotientElement.zero(ODD)
-        pre, scale, parity = ((1, 1), (0, root * -m)), p.lam ** m * p.two_over_alp, EVEN
-    elif fam == "Gm":
-        if parity == ODD:
-            return QuotientElement.zero(EVEN)
-        pre, scale, parity = ((0, 1),), p.lam ** m * p.alp, ODD
-    else:
-        raise AlgebraMismatch(f"family {fam} does not act")
-    pre = [term for term in pre if term[1]]
-    return shifted_image(v, parity, lambda k: (
-        (l + e, b * n) for l, b in binomial_shift(k, m) for e, n in pre
-    ), scale)
+    lifted = (((k, 0), c) for k, c in v.terms.items())
+    parity, images = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
+    out = {}
+    for c, nums in images:
+        add_terms(out, ((i, c * n) for i, n in _freeze(nums, parity, p.root).items()))
+    return QuotientElement(parity, out)
 
 
 def quotient_action(p):
@@ -151,17 +134,20 @@ def quotient_act(x, v, p):
     return quotient_action(p)(x, v)
 
 
+def _freeze(terms, parity, a):
+    """Terms in x^i y^j (s^i t^j) as terms in x^i (s^i): y -> -a on the
+    even part, t -> -a-1 on the odd part."""
+    sub = -a if parity == EVEN else -a - 1
+    return add_terms({}, ((i, c * sub ** j if j else c) for (i, j), c in terms.items()))
+
+
 def project(v, p):
     """Canonical projection from the rank-2 module onto the quotient.
 
     Freezes the second variable: y -> -a on the even part, t -> -a-1 on the
     odd part.  The kernel is exactly the M-kind submodule of h = y + a.
     """
-    a = p.concrete_a()
-    sub = -a if v.parity == EVEN else -a - QE_ONE
-    return QuotientElement(
-        v.parity, add_terms({}, ((i, c * sub ** j) for (i, j), c in v.terms.items()))
-    )
+    return QuotientElement(v.parity, _freeze(v.terms, v.parity, p.concrete_a()))
 
 
 def kernel_spec(p):

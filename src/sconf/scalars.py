@@ -32,8 +32,8 @@ divides a triple by a single ``gcd(p, q, d)`` and skips it when ``d == 1``.
 takes one integer product per part when an operand has no sqrt2 part, and
 the four-product formula only when both carry sqrt2.  An int operand scales
 p and q, a Fraction scales by its numerator and denominator, and a rational
-QuadExt raised to n is ``(p^n, 0, d^n)``.  A rational QuadExt hashes like
-the equal Fraction or int.
+QuadExt raised to n is ``(p^n, 0, d^n)``; ``x ** 1`` is x, here and for a
+Scalar.  A rational QuadExt hashes like the equal Fraction or int.
 
 ``Scalar * s`` returns the Scalar itself when ``s`` is one (the int 1, a
 QuadExt or Fraction equal to 1, or ``SC_ONE``, which ``Scalar.number(1)``
@@ -253,6 +253,8 @@ class QuadExt:
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         n = abs(n)
+        if n == 1:
+            return base
         if not base.q:
             return _qe(base.p ** n, 0, base.d ** n)
         return _power(base, n, QE_ONE)
@@ -478,6 +480,8 @@ class Scalar:
             return NotImplemented
         base = self if n >= 0 else self.invert_monomial()
         n = abs(n)
+        if n == 1:
+            return base
         if n and len(base.terms) == 1:
             (ev, c), = base.terms.items()
             return Scalar({tuple(e * n for e in ev): c ** n})

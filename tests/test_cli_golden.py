@@ -95,6 +95,8 @@ CASES = [
     ["verify", "quotient", "--words", "5", "--window", "1", "--degree", "1"],
     ["decompose", "--h", "1"],
     ["decompose", "--h", "y^2-2", "--roots", "-sqrt2"],
+    ["decompose", "--h", "y-1", "--roots", "2"],
+    ["decompose", "--h", "y^2-2", "--roots", "sqrt2,sqrt2"],
     ["restrict", "--check", "simplicity", "--a", "1", "--words", "-1"],
     ["restrict", "--algebra", "N1NS", "--a", "1", "--check", "simplicity", "--degree", "1",
      "--words", "1"],
