@@ -20,7 +20,9 @@ and derives the other ordering from super-antisymmetry
 ``[x, y] = -(-1)^{|x||y|} [y, x]``.  One builder, ``_generator_map``, reads
 the map rows the same way.  The graded Jacobi sweep reads each row it needs
 from ``_basis_bracket`` once, scales them all to integers over one common
-denominator, and sums every triple in machine ints.
+denominator, and sums every triple in machine ints.  The bracket-compatibility
+sweep of an action, ``check_representation``, does the same over a table of
+the action's images local to the call.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from typing import Callable
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, Scalar, add_terms, as_scalar, render_combination
+from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination
 
 ALGEBRAS = ("R", "NS", "T", "N1R", "N1NS")
 
@@ -303,19 +305,123 @@ def check_representation(report, syms, act, vectors, label):
 
     ``act(x, v)`` applies an algebra element to a vector.  Each violation's
     context is ``label`` followed by ``(X, Y) on v``.
+
+    The sweep runs in machine ints over a table local to the call.  The table
+    holds ``act(symbol, monomial)`` once per (symbol, parity, monomial key)
+    the sweep needs: every symbol of ``syms`` and of their brackets on the
+    monomials of each v, and every symbol of ``syms`` on the monomials of
+    each Y.v.  A coefficient (p + q sqrt2)/d of a parameter monomial becomes
+    the ints p D/d and q D/d, D the common denominator of the table and the
+    vectors, keyed by one int that packs the monomial, the exponent vector
+    and the power r of sqrt2; a product whose r reaches 2 doubles its int.
+    The bracket rows are scaled by B, the lcm of their denominators.  Both
+    sides of a case are then D**3 B times the exact ones, so they are equal
+    exactly when those are.  Per v, X.(Y.v) is formed once for every pair
+    and serves both (X, Y) and (Y, X).  Only a failing case is rebuilt
+    through ``act`` and ``bracket``, for its text.
     """
-    elems = {s: AlgebraElement.basis(s) for s in syms}
-    acted = {s: [act(elems[s], v) for v in vectors] for s in syms}
-    for xs, ys in product(syms, repeat=2):
-        br = bracket(elems[xs], elems[ys])
-        odd_pair = bool(xs.parity and ys.parity)
-        for k, v in enumerate(vectors):
-            lhs = act(br, v)
-            xy = act(elems[xs], acted[ys][k])
-            yx = act(elems[ys], acted[xs][k])
-            rhs = xy + yx if odd_pair else xy - yx
-            if lhs != rhs:
-                report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
+    n = len(syms)
+    number = {s: k for k, s in enumerate(syms)}  # symbol -> table row
+    brackets = [[_basis_bracket(x, y) for y in syms] for x in syms]
+    for row in chain.from_iterable(brackets):
+        for s, _ in row:
+            number.setdefault(s, len(number))
+    symbols = list(number)
+    images = {}  # (symbol number, parity, key) -> act(symbol, monomial)
+
+    def fill(count, parity, keys, cls):
+        for k in range(count):
+            for key in keys:
+                if (k, parity, key) not in images:
+                    images[k, parity, key] = act(
+                        AlgebraElement.basis(symbols[k]), cls(parity, {key: SC_ONE}))
+
+    for v in vectors:
+        fill(len(symbols), v.parity, v.terms, type(v))
+    for (y, _, _), img in list(images.items()):
+        if y < n:
+            fill(n, img.parity, img.terms, type(img))
+
+    elements = [*images.values(), *vectors]
+    coeffs = [c for e in elements for c in e.terms.values()]
+    den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
+    # exponent vectors pack into one int in base ``base``: a sum of three
+    # of them keeps every entry below base / 2 in size, so packing is injective
+    base = 6 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
+    keys = {}  # (parity, monomial key) -> number
+    for e in elements:
+        for key in e.terms:
+            keys.setdefault((e.parity, key), len(keys))
+    nk = len(keys)
+
+    def flat(e):
+        """``den`` times ``e`` as {key + nk (r + 2 packed ev): int}."""
+        out = {}
+        for key, c in e.terms.items():
+            at = keys[e.parity, key]
+            for ev, q in c.terms.items():
+                packed = 0
+                for x in reversed(ev):
+                    packed = packed * base + x
+                where, s = at + 2 * nk * packed, den // q.d
+                if q.p:
+                    out[where] = q.p * s
+                if q.q:
+                    out[where + nk] = q.q * s
+        return out
+
+    # rows[symbol][monomial] = (image, sqrt2 times image) as (int key, int) pairs
+    rows = [[None] * nk for _ in symbols]
+    for (k, parity, key), img in images.items():
+        plain = list(flat(img).items())
+        root2 = [(c - nk, 2 * m) if c // nk & 1 else (c + nk, m) for c, m in plain]
+        rows[k][keys[parity, key]] = (plain, root2)
+
+    def split(vec, scale=1):
+        """The nonzero entries of a flat vector as (monomial, r, offset, int)."""
+        out = []
+        for c, m in vec.items():
+            if m:
+                rest, at = divmod(c, nk)
+                r = rest & 1
+                out.append((at, r, (rest - r) * nk, m * scale))
+        return out
+
+    def apply(k, parts):
+        table, acc = rows[k], {}
+        for at, r, off, m in parts:
+            for c, f in table[at][r]:
+                c += off
+                acc[c] = acc.get(c, 0) + m * f
+        return acc
+
+    lcm_b = lcm(*(f.denominator for row in chain.from_iterable(brackets) for _, f in row))
+    scaled = [[tuple((number[s], den * f.numerator * (lcm_b // f.denominator)) for s, f in row)
+               for row in row_list] for row_list in brackets]
+    odd = [s.parity for s in syms]
+    fails = []
+    for t, v in enumerate(vectors):
+        parts = split(flat(v))
+        zv = [apply(k, parts) for k in range(len(symbols))]
+        yv = [split(zv[y], lcm_b) for y in range(n)]
+        xyv = [[apply(x, yv[y]) for y in range(n)] for x in range(n)]
+        for x, y in product(range(n), repeat=2):
+            diff = dict(xyv[x][y])
+            sign = 1 if odd[x] and odd[y] else -1
+            for c, m in xyv[y][x].items():
+                diff[c] = diff.get(c, 0) + sign * m
+            for z, f in scaled[x][y]:
+                for c, m in zv[z].items():
+                    diff[c] = diff.get(c, 0) - f * m
+            if any(diff.values()):
+                fails.append((x, y, t))
+    for x, y, t in sorted(fails):
+        xs, ys, v = syms[x], syms[y], vectors[t]
+        ex, ey = AlgebraElement.basis(xs), AlgebraElement.basis(ys)
+        lhs = act(bracket(ex, ey), v)
+        xy, yx = act(ex, act(ey, v)), act(ey, act(ex, v))
+        rhs = xy + yx if xs.parity and ys.parity else xy - yx
+        report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
     return report
 
 

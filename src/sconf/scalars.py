@@ -33,7 +33,8 @@ takes one integer product per part when an operand has no sqrt2 part, and
 the four-product formula only when both carry sqrt2.  An int operand scales
 p and q, a Fraction scales by its numerator and denominator, and a rational
 QuadExt raised to n is ``(p^n, 0, d^n)``; ``x ** 1`` is x, here and for a
-Scalar.  A rational QuadExt hashes like the equal Fraction or int.
+Scalar.  A rational QuadExt hashes like the equal Fraction or int, and a
+QuadExt compares with an int by its fields.
 
 ``Scalar * s`` returns the Scalar itself when ``s`` is one (the int 1, a
 QuadExt or Fraction equal to 1, or ``SC_ONE``, which ``Scalar.number(1)``
@@ -262,9 +263,12 @@ class QuadExt:
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        other = _as_quadext(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, QuadExt):
+            if isinstance(other, int):  # by the fields, building no QuadExt
+                return not self.q and self.d == 1 and self.p == other
+            other = _as_quadext(other)
+            if other is None:
+                return NotImplemented
         return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):

@@ -71,6 +71,7 @@ def test_no_action_table_survives_sweeps_or_requests():
     freemod.check_module_compatibility(1, 1)
     freemod.check_shift_identities(1, 1, 1)
     submodules.check_closure(parse_submodule_spec("N[h=y-1]"), 1, 1)
+    quotients.check_quotient_compatibility(QuotientParams(a=1), 1, 1)
     quotients.check_projection_intertwines(QuotientParams(a=1), 1, 1)
     n1.check_n1_relations(n1.RestrictedAction.neveu_schwarz(QuotientParams(a=1)), 1, 1)
     n1.check_simplicity_witness(1, 3, 2, 1, 1, index_window=1)

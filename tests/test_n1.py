@@ -1,10 +1,12 @@
 """N=1 restriction: transported action, rank-1 freeness, simplicity."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from sconf.algebras import BasisSymbol, bracket, AlgebraElement
+from sconf import n1
+from sconf.algebras import BasisSymbol, basis_symbols, bracket, AlgebraElement
 from sconf.errors import AlgebraMismatch
 from sconf.freemod import EVEN, ODD
 from sconf.n1 import (
@@ -15,8 +17,8 @@ from sconf.n1 import (
     restricted_act,
 )
 from sconf.parsing import parse_quotient_element
-from sconf.quotients import QuotientElement, QuotientParams
-from sconf.scalars import INV_SQRT2, QuadExt, Scalar
+from sconf.quotients import QuotientElement, QuotientParams, quotient_monomials
+from sconf.scalars import INV_SQRT2, SQRT2, QuadExt, Scalar
 
 
 def q(text, parity=None):
@@ -93,6 +95,53 @@ def test_relations_neveu_schwarz():
     r = RestrictedAction.neveu_schwarz(QuotientParams(a=1))
     report = check_n1_relations(r, 2, 3)
     assert report.passed, report.render_text()
+
+
+def _twist_images(monkeypatch, twist):
+    """Replace every restricted image by ``twist(x, image)``."""
+    good = n1.restricted_act
+    monkeypatch.setattr(n1, "restricted_act", lambda x, v, r: twist(x, good(x, v, r)))
+
+
+def _restriction(source):
+    build = RestrictedAction.ramond if source == "N1R" else RestrictedAction.neveu_schwarz
+    return build(QuotientParams(a=1))
+
+
+def _conjugate(x, out):
+    return type(out)(out.parity, {
+        k: Scalar({ev: q.conjugate() for ev, q in c.terms.items()}) for k, c in out.terms.items()
+    })
+
+
+@pytest.mark.parametrize("source", ["N1R", "N1NS"])
+def test_relations_hold_under_the_galois_twist(monkeypatch, source):
+    # sqrt2 -> -sqrt2 on every image is again a representation: the brackets
+    # are rational.  Through the NS embeddings the two 1/sqrt2 multiply to 1/2,
+    # so only the N1R images carry sqrt2.
+    _twist_images(monkeypatch, _conjugate)
+    r = _restriction(source)
+    image = n1.restricted_action(r)(basis_symbols(source, 1)[-1], QuotientElement.one(EVEN))
+    assert any(q.q for c in image.terms.values() for q in c.terms.values()) == (source == "N1R")
+    report = check_n1_relations(r, 2, 2)
+    assert report.passed, report.render_text()
+
+
+@pytest.mark.parametrize("source", ["N1R", "N1NS"])
+def test_sqrt2_on_g_breaks_exactly_the_g_pairs(monkeypatch, source):
+    # sqrt2 G . sqrt2 G = 2 G.G while [G, G] = 2 L keeps its coefficient;
+    # [L, G] scales by sqrt2 on both sides
+    _twist_images(
+        monkeypatch, lambda x, out: out * SQRT2 if any(s.family == "G" for s in x.terms) else out
+    )
+    r = _restriction(source)
+    report = check_n1_relations(r, 1, 1)
+    assert report.status == "fail"
+    odd = [s for s in basis_symbols(source, 1) if s.family == "G"]
+    label = f"n1 {source} {r.params.describe()} "
+    assert [v.context for v in report.violations] == [
+        f"{label}({x}, {y}) on {v}" for x, y in product(odd, repeat=2) for v in quotient_monomials(1)
+    ]
 
 
 def test_relations_window0():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sconf import scalars
 from sconf.errors import NotAUnit
 from sconf.scalars import (
     LAURENT_PARAMS,
@@ -60,6 +61,24 @@ def test_mul_inv_sqrt2():
 def test_mul_alp_cancel():
     # alp * (2/alp) = 2; the same cancellation that makes Gp0 Gm0 . 1 = 2 L0 . 1
     assert Scalar.param("alp") * Scalar.monomial(2, alp=-1) == Scalar.number(2)
+
+
+def test_mul_by_quadext_builds_one_quadext(monkeypatch):
+    built = []
+    good = scalars._qe
+
+    def counting(p, q, d):
+        built.append((p, q, d))
+        return good(p, q, d)
+
+    lam, factor = Scalar.monomial(Fraction(2, 3), lam=1), QuadExt(Fraction(1, 2), 1)
+    monkeypatch.setattr(scalars, "_qe", counting)
+    out = lam * factor
+    assert built == [(2, 4, 6)]  # the one product, (2/3) * (1 + 2 sqrt2)/2
+    assert lam * QE_ONE is lam
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert out == Scalar.monomial(QuadExt(Fraction(1, 3), Fraction(2, 3)), lam=1)
 
 
 def test_invert_examples():
