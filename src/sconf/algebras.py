@@ -21,8 +21,8 @@ and derives the other ordering from super-antisymmetry
 the map rows the same way.  The graded Jacobi sweep reads each row it needs
 from ``_basis_bracket`` once, scales them all to integers over one common
 denominator, and sums every triple in machine ints.  The bracket-compatibility
-sweep of an action, ``check_representation``, does the same over a table of
-the action's images local to the call.
+sweep of a basis action, ``check_representation``, does the same over a
+table of that action's images local to the call.
 """
 
 from __future__ import annotations
@@ -296,29 +296,30 @@ def bracket(x, y):
     return AlgebraElement(x.algebra, acc)
 
 
-def check_representation(report, syms, act, vectors, label):
+def check_representation(report, syms, basis_act, vectors, label):
     """Bracket compatibility of an action, recorded into ``report``.
 
     For every ordered pair (X, Y) of ``syms`` and every vector v:
 
         [X, Y] . v  ==  X.(Y.v) - (-1)^{|X||Y|} Y.(X.v)
 
-    ``act(x, v)`` applies an algebra element to a vector.  Each violation's
-    context is ``label`` followed by ``(X, Y) on v``.
+    ``basis_act(sym, w)`` applies one basis symbol to a vector.  Each
+    violation's context is ``label`` followed by ``(X, Y) on v``.
 
     The sweep runs in machine ints over a table local to the call.  The table
-    holds ``act(symbol, monomial)`` once per (symbol, parity, monomial key)
-    the sweep needs: every symbol of ``syms`` and of their brackets on the
-    monomials of each v, and every symbol of ``syms`` on the monomials of
-    each Y.v.  A coefficient (p + q sqrt2)/d of a parameter monomial becomes
-    the ints p D/d and q D/d, D the common denominator of the table and the
-    vectors, keyed by one int that packs the monomial, the exponent vector
-    and the power r of sqrt2; a product whose r reaches 2 doubles its int.
-    The bracket rows are scaled by B, the lcm of their denominators.  Both
-    sides of a case are then D**3 B times the exact ones, so they are equal
-    exactly when those are.  Per v, X.(Y.v) is formed once for every pair
-    and serves both (X, Y) and (Y, X).  Only a failing case is rebuilt
-    through ``act`` and ``bracket``, for its text.
+    holds ``basis_act(symbol, monomial)`` once per (symbol, parity, monomial
+    key) the sweep needs: every symbol of ``syms`` and of their brackets on
+    the monomials of each v, and every symbol of ``syms`` on the monomials of
+    each Y.v; an image of the wrong parity raises MixedParity.  A
+    coefficient (p + q sqrt2)/d of a parameter monomial becomes the ints
+    p D/d and q D/d, D the common denominator of the table and the vectors,
+    keyed by one int that packs the monomial, the exponent vector and the
+    power r of sqrt2; a product whose r reaches 2 doubles its int.  The
+    bracket rows are scaled by B, the lcm of their denominators.  Both sides
+    of a case are then D**3 B times the exact ones, so they are equal exactly
+    when those are.  Per v, X.(Y.v) is formed once for every pair and serves
+    both (X, Y) and (Y, X).  Only a failing case is rebuilt, for its text,
+    from ``basis_act`` and the ``_basis_bracket`` rows.
     """
     n = len(syms)
     number = {s: k for k, s in enumerate(syms)}  # symbol -> table row
@@ -327,14 +328,17 @@ def check_representation(report, syms, act, vectors, label):
         for s, _ in row:
             number.setdefault(s, len(number))
     symbols = list(number)
-    images = {}  # (symbol number, parity, key) -> act(symbol, monomial)
+    images = {}  # (symbol number, parity, key) -> basis_act(symbol, monomial)
 
     def fill(count, parity, keys, cls):
         for k in range(count):
+            sym = symbols[k]
             for key in keys:
                 if (k, parity, key) not in images:
-                    images[k, parity, key] = act(
-                        AlgebraElement.basis(symbols[k]), cls(parity, {key: SC_ONE}))
+                    img = basis_act(sym, cls(parity, {key: SC_ONE}))
+                    if img.terms and img.parity != (parity + sym.parity) % 2:
+                        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
+                    images[k, parity, key] = img
 
     for v in vectors:
         fill(len(symbols), v.parity, v.terms, type(v))
@@ -417,9 +421,10 @@ def check_representation(report, syms, act, vectors, label):
                 fails.append((x, y, t))
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
-        ex, ey = AlgebraElement.basis(xs), AlgebraElement.basis(ys)
-        lhs = act(bracket(ex, ey), v)
-        xy, yx = act(ex, act(ey, v)), act(ey, act(ex, v))
+        lhs = type(v).zero(v.parity)
+        for z, f in brackets[x][y]:
+            lhs = lhs + basis_act(z, v) * f
+        xy, yx = basis_act(xs, basis_act(ys, v)), basis_act(ys, basis_act(xs, v))
         rhs = xy + yx if xs.parity and ys.parity else xy - yx
         report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
     return report
@@ -499,13 +504,10 @@ def check_antisymmetry(algebra, window):
     )
     syms = basis_symbols(algebra, window)
     for x, y in product(syms, repeat=2):
-        acc = {}
-        for sym, f in _basis_bracket(x, y):
-            acc[sym] = acc.get(sym, 0) + f
         sign = -1 if (x.parity and y.parity) else 1
-        for sym, f in _basis_bracket(y, x):
-            acc[sym] = acc.get(sym, 0) + sign * f
-        if any(acc.values()):
+        acc = add_terms({}, _basis_bracket(x, y))
+        add_terms(acc, ((sym, sign * f) for sym, f in _basis_bracket(y, x)))
+        if acc:
             report.record(
                 f"antisymmetry {algebra} ({x}, {y})", _render_fraction_combo(acc), "0"
             )

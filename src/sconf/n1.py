@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import quotients
 from .algebras import (
     AlgebraElement,
     BasisSymbol,
@@ -37,7 +38,7 @@ from .algebras import (
 from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD, linear_action
 from .linalg import RowSpan
-from .quotients import QuotientElement, QuotientParams, quotient_act, quotient_monomials
+from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, QE_ZERO, Scalar, as_quadext
 
@@ -68,12 +69,17 @@ class RestrictedAction:
 
 
 def restricted_act(x, v, r):
-    """Push an N=1 element through the embedding and act on the quotient."""
+    """Push an N=1 element through the embedding and act on the quotient by
+    each basis symbol of its image (``quotients.quotient_act_basis``)."""
     if isinstance(x, BasisSymbol):
         x = AlgebraElement.basis(x)
     if x.algebra != r.source:
         raise AlgebraMismatch(f"expected a {r.source} element, got {x.algebra}")
-    return quotient_act(apply_map(r.embedding, x), v, r.params)
+    image = apply_map(r.embedding, x)
+    out = QuotientElement.zero((v.parity + image.parity()) % 2)
+    for sym, c in image.terms.items():
+        out = out + quotients.quotient_act_basis(sym, v, r.params) * c
+    return out
 
 
 def restricted_action(r):
@@ -101,7 +107,7 @@ def check_n1_relations(r, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols(r.source, index_window),
-        restricted_action(r),
+        lambda sym, w: restricted_act(AlgebraElement.basis(sym), w, r),
         quotient_monomials(degree_bound),
         f"n1 {r.source} {r.params.describe()} ",
     )

@@ -27,9 +27,10 @@ The quotient is the module row read through the projection:
 ``freemod._ACTION`` row with p's lam and alp, and freezes the second variable
 with ``_freeze``, as ``project`` does.  ``quotient_action(p)`` is the action
 with its own table of generator images on monomials (see
-``freemod.linear_action``); a sweep builds it once per parameter set and
-drops it when it ends, and the one-shot ``quotient_act`` builds a throwaway
-one.
+``freemod.linear_action``); an intertwining sweep builds it once per
+parameter set and drops it when it ends, and the one-shot ``quotient_act``
+builds a throwaway one.  The compatibility sweep and ``n1.restricted_act``
+read ``quotient_act_basis`` itself.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols("R", index_window),
-        quotient_action(p),
+        lambda sym, w: quotient_act_basis(sym, w, p),
         quotient_monomials(degree_bound),
         f"quotient compat {p.describe()} ",
     )

@@ -51,7 +51,9 @@ kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
 dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
 that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
 coefficients only need ``+`` and truth-testing (falsy exactly when zero);
-QuadExt, Scalar and Fraction all qualify.  ``join_signed`` is the one
+QuadExt, Scalar and Fraction all qualify.  A linear action's accumulator,
+(monomial, exponent vector) -> QuadExt, is summed by it too; only the
+machine-int loops of the sweeps sum by hand.  ``join_signed`` is the one
 renderer of signed sums: every ``a - b + c`` text in the package comes out of
 it.
 """
@@ -589,11 +591,12 @@ def as_scalar(v):
     return s
 
 
-# -- sums of products over keyed Scalars -----------------------------------------
+# -- keyed Scalars regrouped by exponent vector ------------------------------------
 #
 # A map of keys (monomials of a module) to Scalars, regrouped by exponent
 # vector, lets a linear action sum coeff * image over many terms in QuadExt
-# arithmetic and build each Scalar once at the end.
+# arithmetic, through ``add_terms`` on (key, exponent vector) pairs, and build
+# each Scalar once at the end.
 
 def split_by_exponent(terms):
     """``{ev: [(key, QuadExt), ...]}`` for a map of keys to Scalars."""
@@ -604,25 +607,11 @@ def split_by_exponent(terms):
     return out
 
 
-def add_products(acc, c, split):
-    """Add ``c`` times a ``split_by_exponent`` map into ``acc``, a dict from
-    (key, ev) to QuadExt; ``join_by_key`` reads it back."""
-    for ev1, q1 in c.terms.items():
-        for ev2, parts in split.items():
-            ev = tuple(map(add, ev1, ev2))
-            for key, q2 in parts:
-                t = q1 * q2
-                s = acc.get((key, ev))
-                acc[key, ev] = t if s is None else s + t
-    return acc
-
-
 def join_by_key(acc):
-    """``{key: Scalar}`` from an ``add_products`` accumulator, zeros dropped."""
+    """``{key: Scalar}`` from a dict of (key, ev) to nonzero QuadExt."""
     out = {}
     for (key, ev), q in acc.items():
-        if q:
-            out.setdefault(key, {})[ev] = q
+        out.setdefault(key, {})[ev] = q
     return {key: Scalar(terms) for key, terms in out.items()}
 
 

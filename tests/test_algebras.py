@@ -104,6 +104,24 @@ def test_antisymmetry_window3(algebra):
     assert check_antisymmetry(algebra, 3).passed
 
 
+def test_antisymmetry_reports_a_symmetric_row(monkeypatch):
+    (_, center), = [row for row in algebras._N2[("L", "L")] if row[0] == "C"]
+    monkeypatch.setitem(algebras._N2, ("L", "L"), (("L", lambda m, n: m + n), ("C", center)))
+    _basis_bracket.cache_clear()
+    try:
+        report = check_antisymmetry("R", 1)
+    finally:
+        _basis_bracket.cache_clear()
+    assert [(v.context, v.lhs, v.rhs) for v in report.violations] == [
+        ("antisymmetry R (L[-1], L[-1])", "-4*L[-2]", "0"),
+        ("antisymmetry R (L[-1], L[0])", "-2*L[-1]", "0"),
+        ("antisymmetry R (L[0], L[-1])", "-2*L[-1]", "0"),
+        ("antisymmetry R (L[0], L[1])", "2*L[1]", "0"),
+        ("antisymmetry R (L[1], L[0])", "2*L[1]", "0"),
+        ("antisymmetry R (L[1], L[1])", "4*L[2]", "0"),
+    ]
+
+
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_centrality(algebra):
     assert check_centrality(algebra, 3).passed

@@ -1,0 +1,56 @@
+"""No dead imports or private helpers in ``src/sconf``.
+
+Every name a module imports is used in that module (``__init__.py`` is
+exempt: it re-exports), and every private function ``_name`` is referenced
+somewhere in the package besides its own definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sconf"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _referenced(tree):
+    """Every name read as a bare name or as an attribute in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    assert imported - _referenced(tree) == set()
+
+
+def test_every_private_function_is_referenced():
+    trees = [_tree(path) for path in MODULES]
+    referenced = set().union(*map(_referenced, trees))
+    private = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    assert private - referenced == set()

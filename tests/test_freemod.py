@@ -2,6 +2,7 @@
 
 import pytest
 
+from sconf import freemod
 from sconf.algebras import BasisSymbol
 from sconf.errors import AlgebraMismatch, MixedParity
 from sconf.freemod import (
@@ -127,6 +128,20 @@ def test_uh_freeness():
     # explicit multiplication statements
     assert act_basis(sym("L", 0), mod("x^2*y")) == mod("x^3*y")
     assert act_basis(sym("H", 0), mod("s*t")) == mod("s*t^2")
+
+
+def test_uh_freeness_records_each_failure_once(monkeypatch):
+    good = freemod.act_basis
+    monkeypatch.setattr(
+        freemod, "act_basis", lambda s, v: good(s, v) * (2 if s.family == "H" else 1)
+    )
+    report = check_uh_freeness(2)
+    words = [f"L0^{i} H0^{j} 1_{name}" for name in ("even", "odd")
+             for i in range(3) for j in range(1, 3 - i)]
+    assert [v.context for v in report.violations] == (
+        [f"H0 on {v}" for v in monomials(2)] + words
+    )
+    assert (report.violations[-1].lhs, report.violations[-1].rhs) == ("2*s*t", "s*t")
 
 
 def test_span_of_iterated_mode_zero_actions():
