@@ -557,7 +557,7 @@ def apply_map(gmap, x):
         raise AlgebraMismatch(
             f"map {gmap.name} expects {gmap.source} elements, got {x.algebra}"
         )
-    acc = AlgebraElement.zero(gmap.target)
+    out = {}
     for sym, coeff in x.terms.items():
         image = gmap.rule(sym)
         if image.algebra != gmap.target:
@@ -566,10 +566,11 @@ def apply_map(gmap, x):
             )
         if sym.parity != image.parity():
             raise MixedParity(f"map {gmap.name} does not preserve parity at {sym}")
-        acc = acc + image * coeff
-    if gmap.mod_center:
-        acc = acc.drop_center()
-    return acc
+        add_terms(out, (
+            (s, c * coeff) for s, c in image.terms.items()
+            if not (gmap.mod_center and s.family == "C")
+        ))
+    return AlgebraElement(gmap.target, out)
 
 
 def compose(outer, inner):

@@ -33,6 +33,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from . import algebras, freemod, n1, quotients, submodules
@@ -324,11 +325,10 @@ def _cmd_act(args):
         raise _UsageError(f"act takes generator modes |m| <= {ACT_MAX_MODE}")
     if args.module == "omega":
         v = parse_module_element(args.element, parity)
-        act = freemod.module_action()
+        act = freemod.act
     else:
-        p = _restriction_params(args)
         v = parse_quotient_element(args.element, parity)
-        act = quotients.quotient_action(p)
+        act = partial(quotients.quotient_act, p=_restriction_params(args))
     work = 0
     for op in reversed(ops):
         work += _act_work(op, v)

@@ -24,13 +24,13 @@ resp. t.  Both parities share one bivariate representation; the parity tag
 decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
 
-Every action is linear, so it is fixed by its values on monomials.
-``linear_action`` extends a basis action to whole elements through a table
-of those values, owned by the ``act`` function it returns: a sweep or a CLI
-request builds its action once (``module_action()`` here), and the table
-goes when the action does.  The one-shot ``act`` builds a throwaway table.
-The bracket-compatibility sweep, ``algebras.check_representation``, takes
-the basis action itself (``act_basis`` here) and keeps its own table.
+Every action is linear.  ``extend_linearly`` acts by an element x as the
+sum of coeff * (basis action of each generator of x), each generator read
+once on the whole element through its row; ``act`` is that extension of
+``act_basis``, and ``quotients.quotient_act`` that of ``quotient_act_basis``.
+Nothing is tabulated or cached.  The bracket-compatibility sweep,
+``algebras.check_representation``, takes the basis action itself
+(``act_basis`` here) and keeps a table local to the call.
 """
 
 from __future__ import annotations
@@ -38,15 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
 
 from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import (
-    SC_ONE, Scalar, add_terms, as_scalar, join_by_key, monomial_text, render_combination,
-    split_by_exponent,
-)
+from .scalars import SC_ONE, Scalar, add_terms, as_scalar, monomial_text, render_combination
 
 EVEN, ODD = 0, 1
 _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
@@ -225,62 +221,32 @@ def act_basis(sym, v):
     return ModuleElement(parity, out)
 
 
-def linear_action(basis_act, algebra, owner):
-    """The linear extension of ``basis_act`` to elements: an ``act(x, v)``.
-
-    ``basis_act(sym, w)`` is the action of one basis generator of ``algebra``
-    on a module element; ``owner`` names the module in the error for an
-    element of another algebra.  Every action here is linear, so it is fixed
-    by its values on monomials: ``act`` evaluates ``basis_act`` once per
-    (basis symbol, parity, monomial key) into a table that belongs to the
-    returned function and lives as long as it does.  It then sums
-    ``coeff(x) * coeff(v) * image`` over the terms of x and v with
-    ``add_terms`` into one dict of (monomial key, exponent vector) ->
-    QuadExt, one exponent sum per pair of parameter monomials, and builds
-    each output coefficient once.  A sweep or a request builds its action
-    once and drops it when it ends; nothing is cached at module level.
-    """
-    table = {}
-
-    def image(sym, parity, key, cls):
-        out = basis_act(sym, cls(parity, {key: SC_ONE}))
-        if out.terms and out.parity != (parity + sym.parity) % 2:
-            raise MixedParity(f"{sym} maps a monomial to the wrong parity")
-        table[sym, parity, key] = split = split_by_exponent(out.terms)
-        return split
-
-    def act(x, v):
-        if x.algebra != algebra:
-            raise AlgebraMismatch(f"{owner}; got {x.algebra}")
-        if isinstance(x, BasisSymbol):
-            x_terms, x_parity = ((x, SC_ONE),), x.parity
-        else:
-            x_terms, x_parity = x.terms.items(), x.parity()
-        cls, parity = type(v), v.parity
-        acc = {}  # (key, ev) -> nonzero QuadExt
-        for sym, cx in x_terms:
-            for key, cv in v.terms.items():
-                split = table.get((sym, parity, key))
-                if split is None:
-                    split = image(sym, parity, key, cls)
-                if split:
-                    for ev1, q1 in (cx * cv).terms.items():
-                        for ev2, parts in split.items():
-                            ev = tuple(map(add, ev1, ev2))
-                            add_terms(acc, (((k, ev), q1 * q2) for k, q2 in parts))
-        return cls((parity + x_parity) % 2, join_by_key(acc))
-
-    return act
+def _checked(basis_act, sym, v):
+    """``basis_act(sym, v)``, refused when it lands in the wrong parity."""
+    image = basis_act(sym, v)
+    if image.terms and image.parity != (v.parity + sym.parity) % 2:
+        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
+    return image
 
 
-def module_action():
-    """The action of R on the rank-2 module, with its own table."""
-    return linear_action(act_basis, "R", "the rank-2 module is an R-module")
+def extend_linearly(x, v, basis_act, algebra, owner):
+    """Act by ``x``, an element or a basis symbol of ``algebra``, on ``v``:
+    the sum over the generators of x of coeff * ``basis_act(generator, v)``,
+    each generator acting once on the whole of v.  ``owner`` names the module
+    in the error for an element of another algebra."""
+    if x.algebra != algebra:
+        raise AlgebraMismatch(f"{owner}; got {x.algebra}")
+    if isinstance(x, BasisSymbol):
+        return _checked(basis_act, x, v)
+    out = type(v).zero((v.parity + x.parity()) % 2)
+    for sym, c in x.terms.items():
+        out = out + _checked(basis_act, sym, v) * c
+    return out
 
 
 def act(x, v):
-    """Action of a homogeneous R-element on a module element."""
-    return module_action()(x, v)
+    """Action of a homogeneous R-element (or one basis symbol) on a module element."""
+    return extend_linearly(x, v, act_basis, "R", "the rank-2 module is an R-module")
 
 
 @dataclass(frozen=True)
@@ -295,9 +261,8 @@ class ActionWord:
                 raise AlgebraMismatch("action words are products of R elements")
 
     def act(self, v):
-        action = module_action()
         for f in reversed(self.factors):
-            v = action(f, v)
+            v = act(f, v)
         return v
 
 
@@ -341,14 +306,13 @@ def check_uh_freeness(degree_bound):
     of each parity exactly (so the two parity generators are free generators).
     """
     report = VerificationReport("uh-freeness", {"degree": degree_bound})
-    act_by = module_action()
     L0 = BasisSymbol("R", "L", 0)
     H0 = BasisSymbol("R", "H", 0)
     for v in monomials(degree_bound):
         expect_l = v.times_poly({(1, 0): SC_ONE})
         expect_h = v.times_poly({(0, 1): SC_ONE})
-        got_l = act_by(L0, v)
-        got_h = act_by(H0, v)
+        got_l = act(L0, v)
+        got_h = act(H0, v)
         if got_l != expect_l:
             report.record(f"L0 on {v}", got_l.render(), expect_l.render())
         if got_h != expect_h:
@@ -356,7 +320,7 @@ def check_uh_freeness(degree_bound):
     for parity in (EVEN, ODD):
         for i in range(degree_bound + 1):
             for j in range(degree_bound + 1 - i):
-                w = _iterate(act_by, H0, _iterate(act_by, L0, ModuleElement.one(parity), i), j)
+                w = _iterate(H0, _iterate(L0, ModuleElement.one(parity), i), j)
                 expect = ModuleElement.monomial(parity, i, j)
                 if w != expect:
                     report.record(
@@ -367,9 +331,9 @@ def check_uh_freeness(degree_bound):
     return report
 
 
-def _iterate(act_by, sym, v, n):
+def _iterate(sym, v, n):
     for _ in range(n):
-        v = act_by(sym, v)
+        v = act(sym, v)
     return v
 
 
@@ -386,7 +350,6 @@ def check_shift_identities(index_window, n_max, degree_bound):
         "shift-identities",
         {"window": index_window, "n_max": n_max, "degree": degree_bound},
     )
-    act_by = module_action()
     L0 = BasisSymbol("R", "L", 0)
     H0 = BasisSymbol("R", "H", 0)
     eps = {"L": 0, "H": 0, "Gp": 1, "Gm": -1}
@@ -395,13 +358,13 @@ def check_shift_identities(index_window, n_max, degree_bound):
             X = BasisSymbol("R", fam, 2 * m)
             for n in range(1, n_max + 1):
                 for v in monomials(degree_bound):
-                    xv = act_by(X, v)
+                    xv = act(X, v)
                     # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
                     for name, Z, d in (("L0", L0, m), ("H0", H0, -eps[fam])):
-                        lhs = act_by(X, _iterate(act_by, Z, v, n))
+                        lhs = act(X, _iterate(Z, v, n))
                         rhs = ModuleElement.zero(xv.parity)
                         for k, c in binomial_shift(n, d):
-                            rhs = rhs + _iterate(act_by, Z, xv, k) * Scalar.number(c)
+                            rhs = rhs + _iterate(Z, xv, k) * Scalar.number(c)
                         if lhs != rhs:
                             report.record(
                                 f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
@@ -414,14 +377,13 @@ def check_odd_square_zero(index_window, degree_bound):
     report = VerificationReport(
         "odd-square-zero", {"window": index_window, "degree": degree_bound}
     )
-    act_by = module_action()
     for fam in ("Gp", "Gm"):
         for m in range(-index_window, index_window + 1):
             for n in range(-index_window, index_window + 1):
                 X = BasisSymbol("R", fam, 2 * m)
                 Y = BasisSymbol("R", fam, 2 * n)
                 for v in monomials(degree_bound):
-                    out = act_by(X, act_by(Y, v))
+                    out = act(X, act(Y, v))
                     if not out.is_zero():
                         report.record(f"{X} {Y} on {v}", out.render(), "0")
     return report
@@ -433,16 +395,15 @@ def check_central_triviality(degree_bound):
     [H_1, H_-1] = C/3, so 3 H_1 H_-1 - 3 H_-1 H_1 must kill every element.
     """
     report = VerificationReport("central-triviality", {"degree": degree_bound})
-    act_by = module_action()
     C = BasisSymbol("R", "C")
     H1 = BasisSymbol("R", "H", 2)
     Hm1 = BasisSymbol("R", "H", -2)
     three = Scalar.number(3)
     for v in monomials(degree_bound):
-        cv = act_by(C, v)
+        cv = act(C, v)
         if not cv.is_zero():
             report.record(f"C on {v}", cv.render(), "0")
-        combo = act_by(H1, act_by(Hm1, v)) * three - act_by(Hm1, act_by(H1, v)) * three
+        combo = act(H1, act(Hm1, v)) * three - act(Hm1, act(H1, v)) * three
         if not combo.is_zero():
             report.record(f"3[H1,H-1] combo on {v}", combo.render(), "0")
     return report

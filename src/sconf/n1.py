@@ -13,10 +13,11 @@ coefficient alp/sqrt2.  Simplicity of the restriction holds exactly for a
 nonzero root parameter; at a = 0 the even span of x together with the whole
 odd part closes under the restricted action and witnesses non-simplicity.
 
-``restricted_action(r)`` tabulates the restricted action per N=1 basis
-symbol, parity and monomial: each table entry pushes its symbol through the
-embedding and acts on the quotient once, so ``apply_map``, lam^m, a and
-1/alp are computed once per entry.  The table belongs to one sweep.
+``restricted_act`` pushes an N=1 element through the embedding once and acts
+on the quotient by the image (``quotients.quotient_act``), so every
+restricted action reads the same ``freemod._ACTION`` rows.  The N=1 sweeps
+act by one basis generator at a time, ``AlgebraElement.basis(sym)``, so a
+fault put on ``restricted_act`` sees which generator acts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .algebras import (
     embed_r1_in_r2,
 )
 from .errors import AlgebraMismatch
-from .freemod import EVEN, ODD, linear_action
+from .freemod import EVEN, ODD
 from .linalg import RowSpan
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
@@ -69,28 +70,11 @@ class RestrictedAction:
 
 
 def restricted_act(x, v, r):
-    """Push an N=1 element through the embedding and act on the quotient by
-    each basis symbol of its image (``quotients.quotient_act_basis``)."""
-    if isinstance(x, BasisSymbol):
-        x = AlgebraElement.basis(x)
+    """Push an N=1 element (or one basis symbol) through the embedding and act
+    on the quotient by its image."""
     if x.algebra != r.source:
         raise AlgebraMismatch(f"expected a {r.source} element, got {x.algebra}")
-    image = apply_map(r.embedding, x)
-    out = QuotientElement.zero((v.parity + image.parity()) % 2)
-    for sym, c in image.terms.items():
-        out = out + quotients.quotient_act_basis(sym, v, r.params) * c
-    return out
-
-
-def restricted_action(r):
-    """The restricted action of ``r.source`` with its own table (see
-    ``freemod.linear_action``): each entry pushes one N=1 basis symbol
-    through the embedding once and acts by its image on one monomial."""
-    basis_act = restricted_act
-    return linear_action(
-        lambda sym, w: basis_act(AlgebraElement.basis(sym), w, r), r.source,
-        f"the restriction is an {r.source}-module",
-    )
+    return quotients.quotient_act(apply_map(r.embedding, x), v, r.params)
 
 
 def check_n1_relations(r, index_window, degree_bound):
@@ -125,12 +109,11 @@ def check_rank1_freeness(r, degree_bound):
     report = VerificationReport(
         "rank1-freeness", {"params": r.params.describe(), "degree": degree_bound}
     )
-    L0 = BasisSymbol("N1R", "L", 0)
-    G0 = BasisSymbol("N1R", "G", 0)
+    L0 = AlgebraElement.basis(BasisSymbol("N1R", "L", 0))
+    G0 = AlgebraElement.basis(BasisSymbol("N1R", "G", 0))
     odd_coeff = r.params.alp * Scalar.number(INV_SQRT2)
-    act_by = restricted_action(r)
     even_word = QuotientElement.one(EVEN)
-    odd_word = act_by(G0, QuotientElement.one(EVEN))
+    odd_word = restricted_act(G0, QuotientElement.one(EVEN), r)
     for k in range(degree_bound + 1):
         expect_even = QuotientElement.monomial(EVEN, k)
         if even_word != expect_even:
@@ -138,8 +121,8 @@ def check_rank1_freeness(r, degree_bound):
         expect_odd = QuotientElement.monomial(ODD, k, odd_coeff)
         if odd_word != expect_odd:
             report.record(f"L0^{k} G0 . 1_even", odd_word.render(), expect_odd.render())
-        even_word = act_by(L0, even_word)
-        odd_word = act_by(L0, odd_word)
+        even_word = restricted_act(L0, even_word, r)
+        odd_word = restricted_act(L0, odd_word, r)
     return report
 
 
@@ -180,7 +163,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
     if lam0.is_zero() or alp0.is_zero():
         raise ValueError("lam0 and alp0 must be nonzero")
     params = QuotientParams(a=a_value, lam=Scalar.number(lam0), alp=Scalar.number(alp0))
-    act_by = restricted_action(RestrictedAction.ramond(params))
+    r = RestrictedAction.ramond(params)
     report = VerificationReport(
         "simplicity-witness",
         {
@@ -193,7 +176,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         },
     )
     gens = [
-        BasisSymbol("N1R", fam, 2 * m)
+        AlgebraElement.basis(BasisSymbol("N1R", fam, 2 * m))
         for fam in ("L", "G")
         for m in range(-index_window, index_window + 1)
     ]
@@ -204,7 +187,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         for sym in gens:
             for v in spanning:
-                out = act_by(sym, v)
+                out = restricted_act(sym, v, r)
                 if out.parity == EVEN and 0 in out.terms:
                     report.record(
                         f"a=0 closure {sym} on {v}", out.render(), "member of xC[x]+C[s]"
@@ -234,7 +217,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
             new_frontier = []
             for v in frontier:
                 for sym in gens:
-                    w = act_by(sym, v)
+                    w = restricted_act(sym, v, r)
                     if w.is_zero():
                         continue
                     if span.add(_as_vector(w, max_degree)):

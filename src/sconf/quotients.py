@@ -25,12 +25,11 @@ or ``mu``/``bet`` for a second family of modules.
 The quotient is the module row read through the projection:
 ``quotient_act_basis`` lifts x^k to x^k y^0, reads the generator's
 ``freemod._ACTION`` row with p's lam and alp, and freezes the second variable
-with ``_freeze``, as ``project`` does.  ``quotient_action(p)`` is the action
-with its own table of generator images on monomials (see
-``freemod.linear_action``); an intertwining sweep builds it once per
-parameter set and drops it when it ends, and the one-shot ``quotient_act``
-builds a throwaway one.  The compatibility sweep and ``n1.restricted_act``
-read ``quotient_act_basis`` itself.
+with ``_freeze``, as ``project`` does.  ``quotient_act`` is its linear
+extension (``freemod.extend_linearly``): one ``quotient_act_basis`` call per
+generator of the acting element, on the whole quotient element.  The
+compatibility sweep reads ``quotient_act_basis`` itself, and
+``n1.restricted_act`` is ``quotient_act`` on the embedded image.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from operator import eq
 from .algebras import basis_symbols, check_representation
 from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, _row_terms, linear_action, module_action, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, _row_terms, act, extend_linearly, monomials,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
@@ -121,18 +120,12 @@ def quotient_act_basis(sym, v, p):
     return QuotientElement(parity, out)
 
 
-def quotient_action(p):
-    """The action of R on the quotient with parameters ``p``, with its own
-    table (see ``freemod.linear_action``)."""
-    basis_act = quotient_act_basis
-    return linear_action(
-        lambda sym, w: basis_act(sym, w, p), "R", "simple quotients are R-modules"
-    )
-
-
 def quotient_act(x, v, p):
-    """Action of a homogeneous R-element on a quotient element."""
-    return quotient_action(p)(x, v)
+    """Action of a homogeneous R-element (or one basis symbol) on a quotient
+    element."""
+    return extend_linearly(
+        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "R", "simple quotients are R-modules"
+    )
 
 
 def _freeze(terms, parity, a):
@@ -360,13 +353,12 @@ def check_projection_intertwines(p, index_window, degree_bound):
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    module, quotient = module_action(), quotient_action(p)
     return _check_intertwining(
         report,
         index_window,
         monomials(degree_bound),
-        lambda sym, v: project(module(sym, v), p),
-        lambda sym, v: quotient(sym, project(v, p)),
+        lambda sym, v: project(act(sym, v), p),
+        lambda sym, v: quotient_act(sym, project(v, p), p),
         f"projection {p.describe()} ",
     )
 
@@ -382,13 +374,12 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    at_src, at_dst = quotient_action(src), quotient_action(dst)
     return _check_intertwining(
         report,
         index_window,
         quotient_monomials(degree_bound),
-        lambda sym, v: iso_phi(at_src(sym, v), src, dst),
-        lambda sym, v: at_dst(sym, iso_phi(v, src, dst)),
+        lambda sym, v: iso_phi(quotient_act(sym, v, src), src, dst),
+        lambda sym, v: quotient_act(sym, iso_phi(v, src, dst), dst),
         f"phi {src.describe()}->{dst.describe()} ",
     )
 
@@ -408,13 +399,12 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    module, quotient = module_action(), quotient_action(p)
     return _check_intertwining(
         report,
         index_window,
         quotient_monomials(degree_bound),
-        lambda sym, v: module(sym, iso_xi(v, h_tilde, p)),
-        lambda sym, v: iso_xi(quotient(sym, v), h_tilde, p),
+        lambda sym, v: act(sym, iso_xi(v, h_tilde, p)),
+        lambda sym, v: iso_xi(quotient_act(sym, v, p), h_tilde, p),
         f"xi h~={h_tilde.render()} {p.describe()} ",
         same=lambda left, right: contains(full, left - right),
     )

@@ -51,9 +51,8 @@ kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
 dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
 that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
 coefficients only need ``+`` and truth-testing (falsy exactly when zero);
-QuadExt, Scalar and Fraction all qualify.  A linear action's accumulator,
-(monomial, exponent vector) -> QuadExt, is summed by it too; only the
-machine-int loops of the sweeps sum by hand.  ``join_signed`` is the one
+QuadExt, Scalar and Fraction all qualify; only the machine-int loops of the
+sweeps sum by hand.  ``join_signed`` is the one
 renderer of signed sums: every ``a - b + c`` text in the package comes out of
 it.
 """
@@ -589,30 +588,6 @@ def as_scalar(v):
     if s is None:
         raise TypeError(f"cannot coerce {v!r} to Scalar")
     return s
-
-
-# -- keyed Scalars regrouped by exponent vector ------------------------------------
-#
-# A map of keys (monomials of a module) to Scalars, regrouped by exponent
-# vector, lets a linear action sum coeff * image over many terms in QuadExt
-# arithmetic, through ``add_terms`` on (key, exponent vector) pairs, and build
-# each Scalar once at the end.
-
-def split_by_exponent(terms):
-    """``{ev: [(key, QuadExt), ...]}`` for a map of keys to Scalars."""
-    out = {}
-    for key, c in terms.items():
-        for ev, q in c.terms.items():
-            out.setdefault(ev, []).append((key, q))
-    return out
-
-
-def join_by_key(acc):
-    """``{key: Scalar}`` from a dict of (key, ev) to nonzero QuadExt."""
-    out = {}
-    for (key, ev), q in acc.items():
-        out.setdefault(key, {})[ev] = q
-    return {key: Scalar(terms) for key, terms in out.items()}
 
 
 def as_quadext(v):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebras import basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, binomial_shift, module_action
+from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift
 from .reports import VerificationReport
 from .scalars import (
     QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
@@ -273,10 +273,9 @@ def check_closure(spec, index_window, degree_bound):
         {"spec": spec.render(), "window": index_window, "degree": degree_bound},
     )
     elements = spec.spanning_elements(degree_bound)
-    act_by = module_action()
     for sym in basis_symbols("R", index_window):
         for v in elements:
-            out = act_by(sym, v)
+            out = act(sym, v)
             if not contains(spec, out):
                 report.record(
                     f"closure {spec} under {sym} on {v}", out.render(), "member"

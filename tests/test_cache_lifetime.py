@@ -1,8 +1,8 @@
 """No cache outlives the sweep or the request that filled it.
 
-Action tables belong to the ``act`` function that ``freemod.linear_action``
-returns; a sweep or a CLI request builds one and drops it when it ends.  The
-only cache at module level is the structure-constant table of
+Acting by an element tabulates nothing; the one table of generator images,
+in ``algebras.check_representation``, is local to its call.  The only cache
+at module level is the structure-constant table of
 ``algebras._basis_bracket``, which is fixed by the algebra, not by the input.
 """
 
@@ -11,7 +11,6 @@ import contextlib
 import gc
 import io
 from pathlib import Path
-from types import FunctionType
 
 from sconf import cli, freemod, n1, quotients, submodules
 from sconf.algebras import BasisSymbol
@@ -57,13 +56,9 @@ def _is_table(obj):
 
 
 def _live_actions():
-    """The number of action functions and of action tables still alive."""
+    """The number of action tables still alive."""
     gc.collect()
-    return sum(
-        1 for obj in gc.get_objects()
-        if type(obj) is FunctionType and obj.__qualname__ == "linear_action.<locals>.act"
-        or _is_table(obj)
-    )
+    return sum(1 for obj in gc.get_objects() if _is_table(obj))
 
 
 def test_no_action_table_survives_sweeps_or_requests():
@@ -82,17 +77,3 @@ def test_no_action_table_survives_sweeps_or_requests():
             assert cli.main(["act", f"Gm[{k % 4}]; L[-1]", f"x^{k % 6 + 1} - 2", "--module",
                              "quotient", "--a", "3/2", "--lam0", "sqrt2"]) == 0
     assert _live_actions() == before == 0
-
-
-def test_cli_act_builds_one_action_per_request(monkeypatch):
-    built = []
-    good = freemod.module_action
-
-    def counting():
-        built.append(1)
-        return good()
-
-    monkeypatch.setattr(freemod, "module_action", counting)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["act", "L[1]; H[2]; Gm[0]; L[0]", "x*y"]) == 0
-    assert built == [1]

@@ -310,16 +310,15 @@ def test_variable_exponents_are_capped(capsys):
 
 
 def _record_acts(monkeypatch):
-    """Replace both action builders by stubs whose action records the factor
-    and returns v."""
+    """Replace both actions by stubs that record the factor and return v."""
     calls = []
 
-    def stub(op, v):
+    def stub(op, v, p=None):
         calls.append(op)
         return v
 
-    monkeypatch.setattr(freemod, "module_action", lambda: stub)
-    monkeypatch.setattr(quotients, "quotient_action", lambda p: stub)
+    monkeypatch.setattr(freemod, "act", stub)
+    monkeypatch.setattr(quotients, "quotient_act", stub)
     return calls
 
 

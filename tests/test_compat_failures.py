@@ -137,8 +137,7 @@ def _scalar_violations(syms, act, vectors, label):
 
 def _module_sweeps():
     return (freemod.check_module_compatibility(1, 1),
-            _scalar_violations(basis_symbols("R", 1), freemod.module_action(), monomials(1),
-                               "compat "))
+            _scalar_violations(basis_symbols("R", 1), freemod.act, monomials(1), "compat "))
 
 
 def _module_case(monkeypatch):
@@ -160,7 +159,8 @@ def _quotient_case(monkeypatch):
     _double_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
     p = QuotientParams(a=1)
     return (check_quotient_compatibility(p, 1, 1),
-            _scalar_violations(basis_symbols("R", 1), quotients.quotient_action(p),
+            _scalar_violations(basis_symbols("R", 1),
+                               lambda x, v: quotients.quotient_act(x, v, p),
                                quotient_monomials(1), f"quotient compat {p.describe()} "))
 
 
@@ -168,7 +168,8 @@ def _n1_case(monkeypatch):
     _double_g(monkeypatch)
     r = RestrictedAction.neveu_schwarz(QuotientParams(a=1))
     return (check_n1_relations(r, 1, 1),
-            _scalar_violations(basis_symbols("N1NS", 1), n1.restricted_action(r),
+            _scalar_violations(basis_symbols("N1NS", 1),
+                               lambda x, v: n1.restricted_act(x, v, r),
                                quotient_monomials(1), f"n1 N1NS {r.params.describe()} "))
 
 

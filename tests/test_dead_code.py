@@ -1,8 +1,10 @@
-"""No dead imports or private helpers in ``src/sconf``.
+"""No dead imports, helpers or public names in ``src/sconf``.
 
 Every name a module imports is used in that module (``__init__.py`` is
-exempt: it re-exports), and every private function ``_name`` is referenced
-somewhere in the package besides its own definition.
+exempt: it re-exports), every private function ``_name`` is referenced
+somewhere in the package besides its own definition, and so is every public
+module-level function and class, where an export from ``__init__.py`` counts
+as a reference.
 """
 
 import ast
@@ -54,3 +56,22 @@ def test_every_private_function_is_referenced():
         and node.name.startswith("_") and not node.name.endswith("__")
     }
     assert private - referenced == set()
+
+
+def test_every_public_name_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    referenced |= {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert public - referenced == set()

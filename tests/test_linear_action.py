@@ -1,10 +1,11 @@
-"""The tabulated linear action equals the per-generator action on whole elements.
+"""Acting by a whole element equals the per-generator reference.
 
-The reference below is the linear extension the sweeps used before the table:
-act by each basis generator of x on the whole element v, scale by its
-coefficient and sum.  ``linear_action`` instead evaluates the generator on
-each monomial once and sums coeff(x) * coeff(v) * image; the two must agree
-term by term and in parity, also on the zero vector.
+The reference below is the linear extension written out: act by each basis
+generator of x on the whole element v, scale by its coefficient and sum.
+``freemod.act``, ``quotients.quotient_act`` and ``n1.restricted_act`` go
+through ``freemod.extend_linearly``, which calls the basis action once per
+generator of x on the whole of v; they must agree with the reference term by
+term and in parity, also on the zero vector.
 """
 
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from sconf import freemod, n1, quotients
 from sconf.algebras import AlgebraElement, BasisSymbol, apply_map, basis_symbols
 from sconf.errors import AlgebraMismatch, MixedParity
-from sconf.freemod import EVEN, ODD, ModuleElement, act_basis, linear_action, module_action
-from sconf.n1 import RestrictedAction, restricted_action
-from sconf.quotients import QuotientElement, QuotientParams, quotient_act_basis, quotient_action
+from sconf.freemod import EVEN, ODD, ModuleElement, act, act_basis, extend_linearly
+from sconf.n1 import RestrictedAction, restricted_act
+from sconf.quotients import QuotientElement, QuotientParams, quotient_act, quotient_act_basis
 from sconf.scalars import LAURENT_PARAMS, PARAMS, QuadExt, Scalar
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -82,14 +83,14 @@ def assert_same(got, want):
 @settings(max_examples=30, deadline=None)
 @given(_algebra_elements("R"), _module_elements)
 def test_module_table_equals_per_generator_action(x, v):
-    assert_same(module_action()(x, v), reference(act_basis, x, v))
+    assert_same(act(x, v), reference(act_basis, x, v))
 
 
 @settings(max_examples=30, deadline=None)
 @given(_algebra_elements("R"), _quotient_elements, _params)
 def test_quotient_table_equals_per_generator_action(x, v, p):
     want = reference(lambda sym, w: quotient_act_basis(sym, w, p), x, v)
-    assert_same(quotient_action(p)(x, v), want)
+    assert_same(quotient_act(x, v, p), want)
 
 
 @settings(max_examples=20, deadline=None)
@@ -99,13 +100,12 @@ def test_restricted_table_equals_per_generator_action(data, source, v, p):
     x = data.draw(_algebra_elements(source))
     image = apply_map(r.embedding, x)
     want = reference(lambda sym, w: quotient_act_basis(sym, w, p), image, v)
-    assert_same(restricted_action(r)(x, v), want)
+    assert_same(restricted_act(x, v, r), want)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.tuples(_algebra_elements("R"), _module_elements), min_size=2, max_size=4))
 def test_one_table_serves_many_calls(pairs):
-    act = module_action()
     for x, v in pairs:
         assert_same(act(x, v), reference(act_basis, x, v))
 
@@ -117,92 +117,83 @@ def test_one_table_serves_many_calls(pairs):
     (BasisSymbol("R", "Gm", 0), ODD),
 ])
 def test_the_zero_vector_keeps_its_parity(x, parity):
+    p = QuotientParams(a=1)
     for v in (ModuleElement.zero(EVEN), ModuleElement.one(EVEN) * 0):
-        out = module_action()(x, v)
+        for out in (act(x, v), extend_linearly(x, v, act_basis, "R", "m")):
+            assert out.is_zero() and out.parity == parity
+    for out in (quotient_act(x, QuotientElement.zero(EVEN), p),
+                extend_linearly(x, QuotientElement.zero(EVEN),
+                                lambda sym, w: quotient_act_basis(sym, w, p), "R", "m")):
         assert out.is_zero() and out.parity == parity
-    out = quotient_action(QuotientParams(a=1))(x, QuotientElement.zero(EVEN))
-    assert out.is_zero() and out.parity == parity
 
 
 def test_zero_images_keep_the_parity_of_the_generator():
     # Gp kills the even part: the image of an even element is the odd zero
-    out = module_action()(BasisSymbol("R", "Gp", 2), ModuleElement.monomial(EVEN, 1, 1))
+    out = act(BasisSymbol("R", "Gp", 2), ModuleElement.monomial(EVEN, 1, 1))
     assert out.is_zero() and out.parity == ODD
 
 
 def test_mixed_parity_is_an_error():
     x = AlgebraElement("R", {BasisSymbol("R", "L", 2): Scalar.number(1),
                              BasisSymbol("R", "Gp", 2): Scalar.number(1)})
-    for act, v in ((module_action(), ModuleElement.one(EVEN)),
-                   (quotient_action(QuotientParams(a=1)), QuotientElement.one(ODD))):
-        with pytest.raises(MixedParity):
-            act(x, v)
+    with pytest.raises(MixedParity):
+        act(x, ModuleElement.one(EVEN))
+    with pytest.raises(MixedParity):
+        quotient_act(x, QuotientElement.one(ODD), QuotientParams(a=1))
 
 
-@pytest.mark.parametrize("make, v, message", [
-    (module_action, ModuleElement.one(EVEN), "the rank-2 module is an R-module; got N1R"),
-    (lambda: quotient_action(QuotientParams()), QuotientElement.one(EVEN),
+@pytest.mark.parametrize("act_on, v, message", [
+    (act, ModuleElement.one(EVEN), "the rank-2 module is an R-module; got N1R"),
+    (lambda x, w: quotient_act(x, w, QuotientParams()), QuotientElement.one(EVEN),
      "simple quotients are R-modules; got N1R"),
 ])
-def test_elements_of_another_algebra_are_an_error(make, v, message):
-    act = make()
+def test_elements_of_another_algebra_are_an_error(act_on, v, message):
     for x in (BasisSymbol("N1R", "L", 2), AlgebraElement.basis(BasisSymbol("N1R", "G", 0))):
         with pytest.raises(AlgebraMismatch, match=message):
-            act(x, v)
+            act_on(x, v)
 
 
 def test_restricted_action_takes_only_its_source_algebra():
-    act = restricted_action(RestrictedAction.ramond(QuotientParams(a=1)))
-    with pytest.raises(AlgebraMismatch, match="N1R-module; got R"):
-        act(BasisSymbol("R", "L", 0), QuotientElement.one(EVEN))
+    r = RestrictedAction.ramond(QuotientParams(a=1))
+    with pytest.raises(AlgebraMismatch, match="expected a N1R element, got R"):
+        restricted_act(BasisSymbol("R", "L", 0), QuotientElement.one(EVEN), r)
 
 
 def test_a_basis_action_that_changes_parity_wrongly_is_an_error():
-    act = linear_action(lambda sym, w: ModuleElement(1 - w.parity, dict(w.terms)), "R", "m")
-    with pytest.raises(MixedParity):
-        act(BasisSymbol("R", "L", 0), ModuleElement.one(EVEN))
+    def flip(sym, w):
+        return ModuleElement(1 - w.parity, dict(w.terms))
+
+    v = ModuleElement(EVEN, {(0, 0): Scalar.number(1), (2, 1): Scalar.param("lam")})
+    for x in (BasisSymbol("R", "L", 0), AlgebraElement.basis(BasisSymbol("R", "H", 2), 3)):
+        with pytest.raises(MixedParity, match="maps a monomial to the wrong parity"):
+            extend_linearly(x, v, flip, "R", "m")
 
 
-def test_each_monomial_is_evaluated_once_per_table():
+def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
     seen = []
+    for module, name in ((freemod, "act_basis"), (quotients, "quotient_act_basis")):
+        good = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda sym, w, *rest, good=good: (
+            seen.append((sym, w)) or good(sym, w, *rest)))
 
-    def counting(sym, w):
-        seen.append((sym, w.parity, next(iter(w.terms))))
-        return act_basis(sym, w)
+    def calls_on(v):
+        assert all(w is v for _, w in seen), "a generator acted on part of the element"
+        out = sorted(sym for sym, _ in seen)
+        seen.clear()
+        return out
 
-    act = linear_action(counting, "R", "m")
-    x = AlgebraElement("R", {BasisSymbol("R", "L", 2): Scalar.number(2),
-                             BasisSymbol("R", "H", -2): Scalar.param("lam")})
+    L2, Hm2 = BasisSymbol("R", "L", 2), BasisSymbol("R", "H", -2)
+    x = AlgebraElement("R", {L2: Scalar.number(2), Hm2: Scalar.param("lam")})
     v = ModuleElement(EVEN, {(1, 0): Scalar.number(3), (0, 2): Scalar.param("alp")})
-    first = act(x, v)
-    assert act(x, v) == first and act(x, v * 5) == first * 5
-    assert sorted(seen) == sorted(set(seen)) and len(seen) == 4
-    # a second table evaluates again
-    linear_action(counting, "R", "m")(x, v)
-    assert len(seen) == 8
-
-
-def test_one_shot_calls_build_a_table_each(monkeypatch):
-    calls = []
-    good = freemod.act_basis
-
-    def counting(sym, w):
-        calls.append(sym)
-        return good(sym, w)
-
-    monkeypatch.setattr(freemod, "act_basis", counting)
-    v = ModuleElement.monomial(EVEN, 2, 1)
-    assert freemod.act(BasisSymbol("R", "L", 2), v) == freemod.act(BasisSymbol("R", "L", 2), v)
-    assert len(calls) == 2
-    monkeypatch.setattr(quotients, "quotient_act_basis", lambda sym, w, p: calls.append(sym) or w)
+    freemod.act(x, v)
+    assert calls_on(v) == sorted((L2, Hm2))
+    assert freemod.act(L2, v) == act_basis(L2, v) and calls_on(v) == [L2]
     p = QuotientParams(a=1)
-    quotients.quotient_act(BasisSymbol("R", "L", 2), QuotientElement.one(EVEN), p)
-    quotients.quotient_act(BasisSymbol("R", "L", 2), QuotientElement.one(EVEN), p)
-    assert len(calls) == 4
+    q = QuotientElement(ODD, {0: Scalar.number(1), 3: Scalar.param("lam")})
+    quotients.quotient_act(x, q, p)
+    assert calls_on(q) == sorted((L2, Hm2))
     r = RestrictedAction.ramond(p)
-    monkeypatch.setattr(n1, "restricted_act",
-                        lambda x, w, r: calls.append(x) or QuotientElement(ODD, dict(w.terms)))
-    act = restricted_action(r)
-    act(BasisSymbol("N1R", "G", 0), QuotientElement.one(EVEN))
-    act(BasisSymbol("N1R", "G", 0), QuotientElement.one(EVEN))
-    assert len(calls) == 5
+    xn = AlgebraElement("N1R", {BasisSymbol("N1R", "G", 0): Scalar.number(1),
+                                BasisSymbol("N1R", "G", 2): Scalar.number(2)})
+    n1.restricted_act(xn, q, r)
+    assert calls_on(q) == sorted(apply_map(r.embedding, xn).terms) and len(seen) == 0

@@ -121,7 +121,7 @@ def test_relations_hold_under_the_galois_twist(monkeypatch, source):
     # so only the N1R images carry sqrt2.
     _twist_images(monkeypatch, _conjugate)
     r = _restriction(source)
-    image = n1.restricted_action(r)(basis_symbols(source, 1)[-1], QuotientElement.one(EVEN))
+    image = n1.restricted_act(basis_symbols(source, 1)[-1], QuotientElement.one(EVEN), r)
     assert any(q.q for c in image.terms.values() for q in c.terms.values()) == (source == "N1R")
     report = check_n1_relations(r, 2, 2)
     assert report.passed, report.render_text()

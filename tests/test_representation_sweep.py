@@ -1,5 +1,6 @@
 """The bracket-compatibility sweeps act through the basis action they are
-given, never through a linear action built for whole elements."""
+given, one generator at a time, never through ``act`` or ``quotient_act`` on
+whole algebra elements."""
 
 import pytest
 
@@ -13,14 +14,24 @@ P = QuotientParams(a=1)
 
 def test_sweeps_build_no_linear_action(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a compatibility sweep built a linear action")
+        raise AssertionError("a compatibility sweep acted by a whole element")
 
-    for module, name in ((freemod, "module_action"), (quotients, "quotient_action"),
-                         (n1, "restricted_action")):
-        monkeypatch.setattr(module, name, refuse)
-    reports = [
-        freemod.check_module_compatibility(1, 1),
-        check_quotient_compatibility(P, 1, 1),
+    good = n1.restricted_act
+
+    def one_generator(x, w, r):
+        assert len(x.terms) == 1, f"an N=1 sweep acted by {x}"
+        return good(x, w, r)
+
+    monkeypatch.setattr(freemod, "act", refuse)
+    monkeypatch.setattr(n1, "restricted_act", one_generator)
+    with monkeypatch.context() as m:
+        # the N=1 basis action is quotient_act on the embedded generator
+        m.setattr(quotients, "quotient_act", refuse)
+        reports = [
+            freemod.check_module_compatibility(1, 1),
+            check_quotient_compatibility(P, 1, 1),
+        ]
+    reports += [
         check_n1_relations(RestrictedAction.ramond(P), 1, 1),
         check_n1_relations(RestrictedAction.neveu_schwarz(P), 1, 1),
     ]
