@@ -44,7 +44,6 @@ from .algebras import (
 from .freemod import (
     EVEN,
     ODD,
-    ActionWord,
     ModuleElement,
     act,
     act_basis,

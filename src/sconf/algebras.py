@@ -22,7 +22,9 @@ the map rows the same way.  The graded Jacobi sweep reads each row it needs
 from ``_basis_bracket`` once, scales them all to integers over one common
 denominator, and sums every triple in machine ints.  The bracket-compatibility
 sweep of a basis action, ``check_representation``, does the same over a
-table of that action's images local to the call.
+table of that action's images local to the call; it and
+``freemod.extend_linearly`` read every image through one parity guard,
+``_checked``, which refuses an image of the wrong parity.
 """
 
 from __future__ import annotations
@@ -296,6 +298,14 @@ def bracket(x, y):
     return AlgebraElement(x.algebra, acc)
 
 
+def _checked(basis_act, sym, v):
+    """``basis_act(sym, v)``, refused when it lands in the wrong parity."""
+    image = basis_act(sym, v)
+    if image.terms and image.parity != (v.parity + sym.parity) % 2:
+        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
+    return image
+
+
 def check_representation(report, syms, basis_act, vectors, label):
     """Bracket compatibility of an action, recorded into ``report``.
 
@@ -310,7 +320,7 @@ def check_representation(report, syms, basis_act, vectors, label):
     holds ``basis_act(symbol, monomial)`` once per (symbol, parity, monomial
     key) the sweep needs: every symbol of ``syms`` and of their brackets on
     the monomials of each v, and every symbol of ``syms`` on the monomials of
-    each Y.v; an image of the wrong parity raises MixedParity.  A
+    each Y.v, each read through ``_checked``.  A
     coefficient (p + q sqrt2)/d of a parameter monomial becomes the ints
     p D/d and q D/d, D the common denominator of the table and the vectors,
     keyed by one int that packs the monomial, the exponent vector and the
@@ -335,10 +345,7 @@ def check_representation(report, syms, basis_act, vectors, label):
             sym = symbols[k]
             for key in keys:
                 if (k, parity, key) not in images:
-                    img = basis_act(sym, cls(parity, {key: SC_ONE}))
-                    if img.terms and img.parity != (parity + sym.parity) % 2:
-                        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
-                    images[k, parity, key] = img
+                    images[k, parity, key] = _checked(basis_act, sym, cls(parity, {key: SC_ONE}))
 
     for v in vectors:
         fill(len(symbols), v.parity, v.terms, type(v))
@@ -600,9 +607,7 @@ def check_homomorphism(gmap, window):
     for x, y in product(syms, repeat=2):
         lhs = apply_map(gmap, bracket(elems[x], elems[y]))
         rhs = bracket(images[x], images[y])
-        if gmap.mod_center:
-            lhs = lhs.drop_center()
-            rhs = rhs.drop_center()
+        rhs = rhs.drop_center() if gmap.mod_center else rhs  # apply_map drops lhs's C
         if lhs != rhs:
             report.record(f"hom {gmap.name} ({x}, {y})", lhs.render(), rhs.render())
     return report

@@ -156,6 +156,10 @@ def build_parser():
     return parser
 
 
+# one parser per process, shared by every ``main`` call: parse_args keeps no state on it
+_PARSER = build_parser()
+
+
 # ---------------------------------------------------------------------------
 # suite drivers
 # ---------------------------------------------------------------------------
@@ -387,9 +391,8 @@ def _emit(report, as_json):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

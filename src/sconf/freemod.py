@@ -30,16 +30,16 @@ once on the whole element through its row; ``act`` is that extension of
 ``act_basis``, and ``quotients.quotient_act`` that of ``quotient_act_basis``.
 Nothing is tabulated or cached.  The bracket-compatibility sweep,
 ``algebras.check_representation``, takes the basis action itself
-(``act_basis`` here) and keeps a table local to the call.
+(``act_basis`` here) and keeps a table local to the call.  Both read each
+basis image through the one parity guard, ``algebras._checked``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebras import AlgebraElement, BasisSymbol, basis_symbols, check_representation
+from .algebras import BasisSymbol, _checked, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import SC_ONE, Scalar, add_terms, as_scalar, monomial_text, render_combination
@@ -221,20 +221,12 @@ def act_basis(sym, v):
     return ModuleElement(parity, out)
 
 
-def _checked(basis_act, sym, v):
-    """``basis_act(sym, v)``, refused when it lands in the wrong parity."""
-    image = basis_act(sym, v)
-    if image.terms and image.parity != (v.parity + sym.parity) % 2:
-        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
-    return image
-
-
-def extend_linearly(x, v, basis_act, algebra, owner):
-    """Act by ``x``, an element or a basis symbol of ``algebra``, on ``v``:
-    the sum over the generators of x of coeff * ``basis_act(generator, v)``,
-    each generator acting once on the whole of v.  ``owner`` names the module
-    in the error for an element of another algebra."""
-    if x.algebra != algebra:
+def extend_linearly(x, v, basis_act, owner):
+    """Act by ``x``, an R element or basis symbol, on ``v``: the sum over the
+    generators of x of coeff * ``basis_act(generator, v)``, each acting once
+    on the whole of v.  ``owner`` names the module in the error for an
+    element of another algebra."""
+    if x.algebra != "R":
         raise AlgebraMismatch(f"{owner}; got {x.algebra}")
     if isinstance(x, BasisSymbol):
         return _checked(basis_act, x, v)
@@ -246,24 +238,7 @@ def extend_linearly(x, v, basis_act, algebra, owner):
 
 def act(x, v):
     """Action of a homogeneous R-element (or one basis symbol) on a module element."""
-    return extend_linearly(x, v, act_basis, "R", "the rank-2 module is an R-module")
-
-
-@dataclass(frozen=True)
-class ActionWord:
-    """An ordered product of algebra elements, applied right-to-left."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        for f in self.factors:
-            if not isinstance(f, AlgebraElement) or f.algebra != "R":
-                raise AlgebraMismatch("action words are products of R elements")
-
-    def act(self, v):
-        for f in reversed(self.factors):
-            v = act(f, v)
-        return v
+    return extend_linearly(x, v, act_basis, "the rank-2 module is an R-module")
 
 
 def monomials(degree_bound, parities=(EVEN, ODD)):
@@ -309,32 +284,28 @@ def check_uh_freeness(degree_bound):
     L0 = BasisSymbol("R", "L", 0)
     H0 = BasisSymbol("R", "H", 0)
     for v in monomials(degree_bound):
-        expect_l = v.times_poly({(1, 0): SC_ONE})
-        expect_h = v.times_poly({(0, 1): SC_ONE})
-        got_l = act(L0, v)
-        got_h = act(H0, v)
-        if got_l != expect_l:
-            report.record(f"L0 on {v}", got_l.render(), expect_l.render())
-        if got_h != expect_h:
-            report.record(f"H0 on {v}", got_h.render(), expect_h.render())
-    for parity in (EVEN, ODD):
-        for i in range(degree_bound + 1):
-            for j in range(degree_bound + 1 - i):
-                w = _iterate(H0, _iterate(L0, ModuleElement.one(parity), i), j)
-                expect = ModuleElement.monomial(parity, i, j)
-                if w != expect:
-                    report.record(
-                        f"L0^{i} H0^{j} 1_{'even' if parity == EVEN else 'odd'}",
-                        w.render(),
-                        expect.render(),
-                    )
+        for name, Z, var in (("L0", L0, (1, 0)), ("H0", H0, (0, 1))):
+            got, expect = act(Z, v), v.times_poly({var: SC_ONE})
+            if got != expect:
+                report.record(f"{name} on {v}", got.render(), expect.render())
+    words = {(p, i): _powers(H0, u, degree_bound - i) for p in (EVEN, ODD)
+             for i, u in enumerate(_powers(L0, ModuleElement.one(p), degree_bound))}
+    for v in monomials(degree_bound):
+        (i, j), = v.terms
+        w = words[v.parity, i][j]
+        if w != v:
+            report.record(
+                f"L0^{i} H0^{j} 1_{'even' if v.parity == EVEN else 'odd'}", w.render(), v.render()
+            )
     return report
 
 
-def _iterate(sym, v, n):
+def _powers(sym, v, n):
+    """``[v, sym.v, ..., sym^n.v]``."""
+    out = [v]
     for _ in range(n):
-        v = act(sym, v)
-    return v
+        out.append(act(sym, out[-1]))
+    return out
 
 
 def check_shift_identities(index_window, n_max, degree_bound):
@@ -345,30 +316,33 @@ def check_shift_identities(index_window, n_max, degree_bound):
 
         X . L0^n = (L0 + m)^n . X            (all four families)
         X . H0^n = (H0 - e)^n . X            (e = +1 for Gp, -1 for Gm, 0 else)
+
+    Z^k.v is formed once per (v, Z), and Z^k.(X v) once per (X, v, Z).
     """
     report = VerificationReport(
         "shift-identities",
         {"window": index_window, "n_max": n_max, "degree": degree_bound},
     )
-    L0 = BasisSymbol("R", "L", 0)
-    H0 = BasisSymbol("R", "H", 0)
+    zs = (("L0", BasisSymbol("R", "L", 0)), ("H0", BasisSymbol("R", "H", 0)))
     eps = {"L": 0, "H": 0, "Gp": 1, "Gm": -1}
-    for fam in ("L", "H", "Gp", "Gm"):
-        for m in range(-index_window, index_window + 1):
-            X = BasisSymbol("R", fam, 2 * m)
-            for n in range(1, n_max + 1):
-                for v in monomials(degree_bound):
-                    xv = act(X, v)
-                    # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
-                    for name, Z, d in (("L0", L0, m), ("H0", H0, -eps[fam])):
-                        lhs = act(X, _iterate(Z, v, n))
-                        rhs = ModuleElement.zero(xv.parity)
-                        for k, c in binomial_shift(n, d):
-                            rhs = rhs + _iterate(Z, xv, k) * Scalar.number(c)
-                        if lhs != rhs:
-                            report.record(
-                                f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
-                            )
+    vectors = monomials(degree_bound)
+    z_powers = [[_powers(Z, v, n_max) for _, Z in zs] for v in vectors]
+    for X in (s for s in basis_symbols("R", index_window) if s.family != "C"):
+        shifts = (X.twice // 2, -eps[X.family])
+        xv_powers = [[_powers(Z, xv, n_max) for _, Z in zs]
+                     for xv in (act(X, v) for v in vectors)]
+        for n in range(1, n_max + 1):
+            for v, vz, xz in zip(vectors, z_powers, xv_powers):
+                # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
+                for (name, _), d, zv, zxv in zip(zs, shifts, vz, xz):
+                    lhs = act(X, zv[n])
+                    rhs = ModuleElement.zero(zxv[0].parity)
+                    for k, c in binomial_shift(n, d):
+                        rhs = rhs + zxv[k] * Scalar.number(c)
+                    if lhs != rhs:
+                        report.record(
+                            f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
+                        )
     return report
 
 
@@ -377,15 +351,12 @@ def check_odd_square_zero(index_window, degree_bound):
     report = VerificationReport(
         "odd-square-zero", {"window": index_window, "degree": degree_bound}
     )
-    for fam in ("Gp", "Gm"):
-        for m in range(-index_window, index_window + 1):
-            for n in range(-index_window, index_window + 1):
-                X = BasisSymbol("R", fam, 2 * m)
-                Y = BasisSymbol("R", fam, 2 * n)
-                for v in monomials(degree_bound):
-                    out = act(X, act(Y, v))
-                    if not out.is_zero():
-                        report.record(f"{X} {Y} on {v}", out.render(), "0")
+    odd = [s for s in basis_symbols("R", index_window) if s.parity]
+    for X, Y in ((X, Y) for X in odd for Y in odd if X.family == Y.family):
+        for v in monomials(degree_bound):
+            out = act(X, act(Y, v))
+            if not out.is_zero():
+                report.record(f"{X} {Y} on {v}", out.render(), "0")
     return report
 
 

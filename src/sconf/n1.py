@@ -175,11 +175,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
             "window": index_window,
         },
     )
-    gens = [
-        AlgebraElement.basis(BasisSymbol("N1R", fam, 2 * m))
-        for fam in ("L", "G")
-        for m in range(-index_window, index_window + 1)
-    ]
+    gens = [AlgebraElement.basis(s) for s in basis_symbols("N1R", index_window)]
 
     if a_value.is_zero():
         # closure certificate for the proper subspace x C[x] + C[s]

@@ -124,7 +124,7 @@ def quotient_act(x, v, p):
     """Action of a homogeneous R-element (or one basis symbol) on a quotient
     element."""
     return extend_linearly(
-        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "R", "simple quotients are R-modules"
+        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "simple quotients are R-modules"
     )
 
 

@@ -4,6 +4,9 @@ Acting by an element tabulates nothing; the one table of generator images,
 in ``algebras.check_representation``, is local to its call.  The only cache
 at module level is the structure-constant table of
 ``algebras._basis_bracket``, which is fixed by the algebra, not by the input.
+The argument parser that every ``cli.main`` call shares is per-process
+configuration, built once from constants when ``cli`` is imported; it holds
+nothing of any request, so it is not a cache.
 """
 
 import ast
@@ -13,7 +16,7 @@ import io
 from pathlib import Path
 
 from sconf import cli, freemod, n1, quotients, submodules
-from sconf.algebras import BasisSymbol
+from sconf.freemod import EVEN, ODD, ParityElement
 from sconf.parsing import parse_submodule_spec
 from sconf.quotients import QuotientParams
 
@@ -48,11 +51,13 @@ def test_every_cache_is_on_the_allow_list():
 
 
 def _is_table(obj):
-    """A dict keyed by (basis symbol, parity, monomial key), as action tables are."""
+    """A dict from (generator, parity, monomial key) to a parity-tagged image,
+    as the table of ``check_representation`` is; it numbers its generators."""
     if type(obj) is not dict or not obj:
         return False
-    key = next(iter(obj))
-    return type(key) is tuple and len(key) == 3 and type(key[0]) is BasisSymbol
+    key, image = next(iter(obj.items()))
+    return (type(key) is tuple and len(key) == 3 and key[1] in (EVEN, ODD)
+            and isinstance(image, ParityElement))
 
 
 def _live_actions():

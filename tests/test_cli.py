@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from sconf import algebras, freemod, n1, quotients, submodules
+from sconf import algebras, cli, freemod, n1, quotients, submodules
 from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap
 from sconf.cli import ACT_MAX_DIGITS, ACT_MAX_MODE, ACT_MAX_WORK, MAX_SIZE, main
 from sconf.parsing import MAX_DIGITS, MAX_EXPONENT
@@ -122,6 +122,18 @@ def test_act_quotient_with_specialization(capsys):
 def test_act_word_composition(capsys):
     code, out, _ = run(capsys, "act", "Gp[0]; Gm[0]", "1", "--parity", "even")
     assert code == 0 and out.strip() == "2*x"
+    code, out, _ = run(capsys, "act", "Gm[0]; Gp[0]", "1", "--parity", "even")
+    assert code == 0 and out.strip() == "0"  # the right-hand factor acts first
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("cli.main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    first, second = (run(capsys, "act", "L[1]; Gp[2]", "s^2*t - 3")
+                     for _ in range(2))
+    assert first == second and first[0] == 0 and first[1].strip() != "0"
 
 
 def test_decompose_pass(capsys):

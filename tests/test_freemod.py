@@ -8,7 +8,6 @@ from sconf.errors import AlgebraMismatch, MixedParity
 from sconf.freemod import (
     EVEN,
     ODD,
-    ActionWord,
     ModuleElement,
     act,
     act_basis,
@@ -104,15 +103,6 @@ def test_act_linear_and_parity():
         act(mixed, v)
     with pytest.raises(AlgebraMismatch):
         act(parse_algebra_element("L[0]", "NS"), v)
-
-
-def test_action_word_right_to_left():
-    gp = parse_algebra_element("Gp[0]", "R")
-    gm = parse_algebra_element("Gm[0]", "R")
-    word = ActionWord((gp, gm))  # applies gm first
-    assert word.act(ModuleElement.one(EVEN)) == mod("2*x")
-    word2 = ActionWord((gm, gp))
-    assert word2.act(ModuleElement.one(EVEN)).is_zero()
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""A wrong basis action still reaches every sweep that acts through a table.
+"""A wrong basis action shows in every sweep that acts through it.
 
-Each sweep builds its action when it starts, from ``freemod.act_basis``,
-``quotients.quotient_act_basis`` or ``n1.restricted_act`` as they are then;
-a fault put there first must show in the sweep's report.
+Each sweep looks up ``freemod.act_basis`` or ``n1.restricted_act`` when it
+acts, so a fault put there before the sweep runs must show in its report.
 """
 
 from sconf import freemod, n1, submodules
