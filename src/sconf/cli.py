@@ -13,12 +13,14 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive (bounded search could not decide),
 report as a single JSON object with the fixed keys suite, params, status,
 violations[].  An optional ``verify`` flag that the chosen suite does not
 read is a usage error: --degree, for one, applies only to the module,
-submodule, quotient and restriction suites (default 3).
+submodule, quotient and restriction suites (default 3).  Flags are written
+in full, and a value given to a flag, even an empty one, is always read.
 
 Sizes are bounded, and one out of range is a usage error: --window and
 --degree from 1 to 6, --words from 0 to 6, an exponent of a variable
-(x, y, s, t) at most 64, and a number at most 20 digits (each integer in
-the text, and each of p, q, d of a parsed number (p + q*sqrt2)/d).  ``act``
+(x, y, s, t) at most 64, parentheses at most 32 deep, no more --roots than
+the degree of --h, and a number at most 20 digits (each integer in the
+text, and each of p, q, d of a parsed number (p + q*sqrt2)/d).  ``act``
 takes generator modes |m| at most 64 and at most 100000 units of work,
 summed over its ';' factors before each one runs: a factor costs its
 generator terms times the coefficient terms of the element it acts on, each
@@ -84,6 +86,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviated flags: "--h" must not read as "--help" where there is no --h
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -207,7 +213,7 @@ def _verify_homomorphism(args):
 
 
 def _verify_submodule(args):
-    if args.spec:
+    if args.spec is not None:
         spec = parse_submodule_spec(args.spec)
         return _merge(
             "submodule",
@@ -234,7 +240,7 @@ def _verify_submodule(args):
 
 
 def _verify_quotient(args):
-    a_values = [parse_quadext(args.a_value)] if args.a_value else list(_BATTERY_A)
+    a_values = list(_BATTERY_A) if args.a_value is None else [parse_quadext(args.a_value)]
     reports = []
     for a in a_values:
         p = QuotientParams(a=a)
@@ -249,8 +255,8 @@ def _verify_quotient(args):
 
 
 def _restriction_params(args):
-    lam = Scalar.number(parse_quadext(args.lam0)) if args.lam0 else Scalar.param("lam")
-    alp = Scalar.number(parse_quadext(args.alp0)) if args.alp0 else Scalar.param("alp")
+    lam = Scalar.param("lam") if args.lam0 is None else Scalar.number(parse_quadext(args.lam0))
+    alp = Scalar.param("alp") if args.alp0 is None else Scalar.number(parse_quadext(args.alp0))
     a = args.a_value if args.a_value is not None else SIMPLICITY_DEFAULTS["a_value"]
     return QuotientParams(a=parse_quadext(a), lam=lam, alp=alp)
 
@@ -259,8 +265,10 @@ def _verify_restriction(args):
     if args.check == "simplicity":
         if args.algebra == "N1NS":
             raise _UsageError("--check simplicity applies only to --algebra N1R")
-        lam0, alp0, a = (parse_quadext(getattr(args, name) or SIMPLICITY_DEFAULTS[name])
-                         for name in ("lam0", "alp0", "a_value"))
+        lam0, alp0, a = (
+            parse_quadext(SIMPLICITY_DEFAULTS[name] if value is None else value)
+            for name, value in (("lam0", args.lam0), ("alp0", args.alp0), ("a_value", args.a_value))
+        )
         words = SIMPLICITY_DEFAULTS["words"] if args.words is None else args.words
         return n1.check_simplicity_witness(
             a, lam0, alp0, args.degree, words, index_window=args.window
@@ -351,8 +359,10 @@ def _cmd_decompose(args):
         raise _UsageError("--h must have degree >= 1")
     h = h.monic()
     hints = None
-    if args.roots:
-        hints = [parse_quadext(r) for r in args.roots.split(",") if r.strip()]
+    if args.roots is not None:
+        hints = [parse_quadext(r) for r in args.roots.split(",")]
+        if len(hints) > h.degree:  # too many to divide h; refused before their product is formed
+            raise _UsageError(f"--roots lists {len(hints)} roots; h has degree {h.degree}")
         hinted = submodules.UniPoly.from_roots(hints)
         if not hinted.divides(h):
             raise _UsageError(f"--roots {', '.join(map(str, hints))}: {hinted.render()} "

@@ -1,12 +1,13 @@
 """Exact linear algebra over Q(sqrt2): incremental row spaces.
 
 Only what the span witnesses and dimension counts need; vectors are plain
-lists of QuadExt.
+lists of QuadExt.  Reduced rows are mostly zero, so reduction skips the
+arithmetic wherever a row entry is zero; the results are the same.
 """
 
 from __future__ import annotations
 
-from .scalars import QE_ONE, as_quadext
+from .scalars import QE_ONE, QuadExt, as_quadext
 
 
 class RowSpan:
@@ -21,36 +22,35 @@ class RowSpan:
         self.rows = []  # (pivot_index, row) sorted by pivot
 
     def _reduce(self, vec):
-        vec = [as_quadext(v) for v in vec]
+        vec = [v if type(v) is QuadExt else as_quadext(v) for v in vec]
         if len(vec) != self.dim:
             raise ValueError(f"expected vector of length {self.dim}, got {len(vec)}")
         for pivot, row in self.rows:
             c = vec[pivot]
-            if c.is_zero():
-                continue
-            vec = [v - c * r for v, r in zip(vec, row)]
+            if c:
+                vec = [v - c * r if r else v for v, r in zip(vec, row)]
         return vec
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
         vec = self._reduce(vec)
-        pivot = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
+        pivot = next((k for k, v in enumerate(vec) if v), None)
         if pivot is None:
             return False
         inv = vec[pivot].inverse()
-        row = [v * inv for v in vec]
+        row = [v * inv if v else v for v in vec]
         row[pivot] = QE_ONE
         # clear the new pivot column in the existing rows
         for k, (p, r) in enumerate(self.rows):
             c = r[pivot]
-            if not c.is_zero():
-                self.rows[k] = (p, [a - c * b for a, b in zip(r, row)])
+            if c:
+                self.rows[k] = (p, [a - c * b if b else a for a, b in zip(r, row)])
         self.rows.append((pivot, row))
         self.rows.sort(key=lambda pr: pr[0])
         return True
 
     def contains(self, vec):
-        return all(v.is_zero() for v in self._reduce(vec))
+        return not any(self._reduce(vec))
 
     @property
     def rank(self):

@@ -18,6 +18,11 @@ on the quotient by the image (``quotients.quotient_act``), so every
 restricted action reads the same ``freemod._ACTION`` rows.  The N=1 sweeps
 act by one basis generator at a time, ``AlgebraElement.basis(sym)``, so a
 fault put on ``restricted_act`` sees which generator acts.
+
+The simplicity witness searches in coordinates over a table local to the
+call: ``restricted_act`` of each generator on each monomial, filled lazily
+once per (generator number, parity, exponent).  By linearity a vector's
+image is the sum of its coordinates times those images.
 """
 
 from __future__ import annotations
@@ -126,15 +131,21 @@ def check_rank1_freeness(r, degree_bound):
     return report
 
 
-def _as_vector(v, max_degree):
-    """Coordinates of a numeric quotient element in the truncated basis
-    (even monomials first, then odd)."""
-    dim = max_degree + 1
-    out = [QE_ZERO] * (2 * dim)
+def _coordinates(v, max_degree):
+    """The nonzero coordinates of a numeric quotient element in the truncated
+    basis (even monomials first, then odd) as (index, QuadExt) pairs."""
+    shift = max_degree + 1 if v.parity == ODD else 0
     for k, c in v.terms.items():
         if k > max_degree:
             raise ValueError(f"degree {k} exceeds the truncation bound {max_degree}")
-        out[k + (dim if v.parity == ODD else 0)] = c.constant()
+        yield k + shift, c.constant()
+
+
+def _as_vector(v, max_degree):
+    """Coordinates of a numeric quotient element in the truncated basis."""
+    out = [QE_ZERO] * (2 * (max_degree + 1))
+    for i, c in _coordinates(v, max_degree):
+        out[i] = c
     return out
 
 
@@ -156,6 +167,15 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
       words.
     * a == 0: the span of x C[x] + C[s] must be closed under all generators
       in the window, certifying a proper nonzero invariant subspace.
+
+    The a != 0 search keeps its vectors as coordinate lists (even monomials
+    first, then odd, up to degree_bound + word_length).  A table local to
+    the call maps (generator number, parity, exponent) to
+    ``restricted_act(generator, monomial)``, filled the first time the search
+    needs it; a vector's image is the sum of its coordinates times the images
+    of their monomials.  Only vectors of degree below degree_bound +
+    word_length are acted on, so from starts of degree <= degree_bound one
+    call acts at most |generators| * 2 * (degree_bound + word_length) times.
     """
     a_value = as_quadext(a_value)
     lam0 = as_quadext(lam0)
@@ -196,7 +216,26 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
 
     # words can raise the degree by one per letter
     max_degree = degree_bound + word_length
-    dim = 2 * (max_degree + 1)
+    width = max_degree + 1
+    dim = 2 * width
+    images = {}  # (generator number, parity, exponent) -> restricted image of the monomial
+
+    def act(g, coords):
+        """Coordinates of generator number g applied to the vector whose
+        nonzero coordinates are ``coords``: the sum of c times the image of
+        each monomial, by linearity."""
+        out = [QE_ZERO] * dim
+        for i, c in coords:
+            parity, k = divmod(i, width)
+            image = images.get((g, parity, k))
+            if image is None:
+                image = images[g, parity, k] = restricted_act(
+                    gens[g], QuotientElement.monomial(parity, k), r
+                )
+            for j, e in _coordinates(image, max_degree):
+                out[j] = out[j] + c * e
+        return out
+
     target_monos = quotient_monomials(degree_bound)
     targets = [_as_vector(t, max_degree) for t in target_monos]
     if starts is None:
@@ -207,16 +246,15 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         # the span of already-expanded vectors contributes nothing new, by
         # linearity of the action)
         span = RowSpan(dim)
-        span.add(_as_vector(start, max_degree))
-        frontier = [start]
+        frontier = [_as_vector(start, max_degree)]
+        span.add(frontier[0])
         for _ in range(word_length):
             new_frontier = []
-            for v in frontier:
-                for sym in gens:
-                    w = restricted_act(sym, v, r)
-                    if w.is_zero():
-                        continue
-                    if span.add(_as_vector(w, max_degree)):
+            for vec in frontier:
+                coords = [(i, c) for i, c in enumerate(vec) if c]
+                for g in range(len(gens)):
+                    w = act(g, coords)
+                    if span.add(w):
                         new_frontier.append(w)
             frontier = new_frontier
             if not frontier:

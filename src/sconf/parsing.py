@@ -4,10 +4,11 @@ submodule specs.
 Expressions are sums of terms; a term is a ``*``-separated product of
 factors.  Factors are integers, fractions (``3/2``), ``sqrt2``, parameters
 with optional integer exponents (``lam^-2``), variables with nonnegative
-exponents (``x^2``), or a parenthesized scalar subexpression.  Algebra terms
-end in exactly one generator, e.g. ``2*L[1] + lam*H[0] - C``; half-integer
-modes are written ``Gp[1/2]``.  Renderers elsewhere in the package emit this
-grammar, and parse(render(v)) == v is part of the contract.
+exponents (``x^2``), or a parenthesized scalar subexpression (no variables,
+at most MAX_NESTING parentheses deep).  Algebra terms end in exactly one
+generator, e.g. ``2*L[1] + lam*H[0] - C``; half-integer modes are written
+``Gp[1/2]``.  Renderers elsewhere in the package emit this grammar, and
+parse(render(v)) == v is part of the contract.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
 MAX_EXPONENT = 64  # largest exponent of a variable in one term
+MAX_NESTING = 32  # deepest nesting of parentheses
 # most digits of an integer in the text, and of each of p, q, d in a parsed
 # number (p + q*sqrt2)/d
 MAX_DIGITS = 20
@@ -95,12 +97,15 @@ class _PolyParser:
 
     ``variables`` maps a variable name to its slot in the exponent tuple;
     terms accumulate into a dict mapping variable-exponent tuples to Scalar.
+    ``depth`` counts the parentheses around the expression: inside them the
+    variables are known but refused, since parentheses hold scalars only.
     """
 
-    def __init__(self, toks, variables):
+    def __init__(self, toks, variables, depth=0):
         self.toks = toks
         self.vars = variables
         self.nvars = len(variables)
+        self.depth = depth
 
     def parse_sum(self):
         acc = {}
@@ -143,8 +148,10 @@ class _PolyParser:
                 return Scalar.number(Fraction(num, den)), zero_exps
             return Scalar.number(num), zero_exps
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses must nest at most {MAX_NESTING} deep", pos=pos)
             toks.next()
-            inner = _PolyParser(toks, {}).parse_sum()
+            inner = _PolyParser(toks, self.vars, self.depth + 1).parse_sum()
             toks.expect_op(")")
             return sum(inner.values(), SC_ZERO), zero_exps
         if kind != "name":
@@ -156,6 +163,9 @@ class _PolyParser:
             exp = self._parse_exponent(allow_negative=value in LAURENT_PARAMS, name=value, pos=pos)
             return Scalar.param(value, exp), zero_exps
         if value in self.vars:
+            if self.depth:
+                raise ParseError("parentheses hold scalars only: numbers, sqrt2 and parameters",
+                                 pos=pos, token=value)
             exp = self._parse_exponent(allow_negative=False, name=value, pos=pos)
             exps = [0] * self.nvars
             exps[self.vars[value]] = exp

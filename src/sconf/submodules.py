@@ -15,7 +15,7 @@ undecidable, and the action formulas never need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .algebras import basis_symbols
@@ -166,6 +166,7 @@ class SubmoduleSpec:
 
     kind: str
     h: UniPoly
+    odd_divisor: UniPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("M", "N"):
@@ -174,14 +175,13 @@ class SubmoduleSpec:
             raise ValueError("h must be nonzero")
         if not self.h.is_monic():
             object.__setattr__(self, "h", self.h.monic())
+        # the odd divisor h(t+1), read by every membership test on the odd part
+        object.__setattr__(self, "odd_divisor", self.h.shifted(1))
 
     def render(self):
         return f"{self.kind}[h={self.h.render()}]"
 
     __str__ = render
-
-    def odd_divisor(self):
-        return self.h.shifted(1)
 
     def generators(self):
         """Module generators: enough to decide containment in any other spec."""
@@ -192,7 +192,7 @@ class SubmoduleSpec:
         else:
             gens.append(h_even.times_poly({(1, 0): Scalar.number(1)}))
             gens.append(h_even.times_poly({(0, 1): Scalar.number(1)}))
-        gens.append(_poly_in_second_var(self.odd_divisor(), ODD))
+        gens.append(_poly_in_second_var(self.odd_divisor, ODD))
         return gens
 
     def spanning_elements(self, degree_bound):
@@ -255,13 +255,13 @@ def contains(spec, v):
         if spec.kind == "N":
             return (0, 0) not in quo
         return True
-    rem, _ = _divide_in_second_var(v.terms, spec.odd_divisor())
+    rem, _ = _divide_in_second_var(v.terms, spec.odd_divisor)
     return not rem
 
 
 def reduce_mod(spec, v):
     """Canonical representative of v modulo the M-kind submodule of spec.h."""
-    divisor = spec.h if v.parity == EVEN else spec.odd_divisor()
+    divisor = spec.h if v.parity == EVEN else spec.odd_divisor
     rem, _ = _divide_in_second_var(v.terms, divisor)
     return ModuleElement(v.parity, rem)
 

@@ -10,7 +10,7 @@ import pytest
 from sconf import algebras, cli, freemod, n1, quotients, submodules
 from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap
 from sconf.cli import ACT_MAX_DIGITS, ACT_MAX_MODE, ACT_MAX_WORK, MAX_SIZE, main
-from sconf.parsing import MAX_DIGITS, MAX_EXPONENT
+from sconf.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 from sconf.reports import VerificationReport
 
 REPORT_SCHEMA = {
@@ -439,3 +439,69 @@ def test_help_states_the_number_caps(capsys):
     with pytest.raises(SystemExit):
         main(["act", "--help"])
     assert f"result numbers <= {ACT_MAX_DIGITS} digits" in " ".join(capsys.readouterr().out.split())
+
+
+_DEEP = "(" * 250 + "1" + ")" * 250
+
+
+def test_help_states_the_nesting_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"parentheses at most {MAX_NESTING} deep" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "L[1]", f"{_DEEP}*x"),
+    ("act", "(" * 1000 + "L[1]" + ")" * 1000, "x"),
+    ("decompose", "--h", f"y - {_DEEP}"),
+    ("verify", "quotient", "--a", _DEEP, "--window", "1", "--degree", "1"),
+])
+def test_deep_parentheses_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"parentheses must nest at most {MAX_NESTING} deep" in err
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("act", "L[1]", "(x)"), "x"),
+    (("decompose", "--h", "(y-1)^2"), "y"),
+])
+def test_variables_in_parentheses_are_named_as_such(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == ("error: parentheses hold scalars only: numbers, sqrt2 and parameters "
+                   f"(token '{token}' at position 1)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "quotient", "--a", "", "--window", "1", "--degree", "1"),
+    ("verify", "submodule", "--spec", "", "--window", "1", "--degree", "1"),
+    ("verify", "restriction", "--lam0", "", "--window", "1", "--degree", "1"),
+    ("restrict", "--check", "simplicity", "--a", "", "--degree", "1", "--window", "1"),
+    ("restrict", "--check", "simplicity", "--alp0", "", "--degree", "1", "--window", "1"),
+    ("act", "L[1]", "x", "--module", "quotient", "--a", "1", "--lam0", ""),
+    ("decompose", "--h", "y^2-1", "--roots", ""),
+    ("decompose", "--h", "y^2-1", "--roots", "1,"),
+])
+def test_empty_values_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "algebra", "--window", "1", "--h", "y"),
+    ("verify", "module", "--win", "1"),
+    ("restrict", "--check", "rank1", "--deg", "1"),
+])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: unrecognized arguments")
+
+
+def test_more_roots_than_the_degree_are_refused_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--h", "y^2-2", "--roots", ",".join(["sqrt2"] * 2000))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == "usage error: --roots lists 2000 roots; h has degree 2\n"

@@ -8,6 +8,7 @@ from sconf.errors import ParseError
 from sconf.freemod import EVEN, ODD
 from sconf.parsing import (
     MAX_DIGITS,
+    MAX_NESTING,
     parse_algebra_element,
     parse_module_element,
     parse_quadext,
@@ -213,3 +214,56 @@ def test_numbers_up_to_the_digit_cap_parse(parse, text):
 def test_numbers_over_the_digit_cap_are_parse_errors(parse, text):
     with pytest.raises(ParseError, match=f"numbers must have at most {MAX_DIGITS} digits"):
         parse(text)
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+_PARSERS = {
+    "quadext": parse_quadext,
+    "scalar": parse_scalar,
+    "unipoly": parse_unipoly,
+    "module": lambda text: parse_module_element(text + "*x*y"),
+    "quotient": lambda text: parse_quotient_element(text + "*s"),
+    "spec": lambda text: parse_submodule_spec(f"M[h=y + {text}]"),
+    "algebra": lambda text: parse_algebra_element(text + "*L[1]", "R"),
+}
+
+
+@pytest.mark.parametrize("name", _PARSERS)
+def test_parentheses_nest_up_to_the_cap(name):
+    _PARSERS[name](_nested("2", MAX_NESTING) + "*" + _nested("1 + sqrt2", MAX_NESTING // 2)
+                   + "*" + _nested("-3 + " + _nested("sqrt2", MAX_NESTING - 1), 1))
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 250, 1000])
+@pytest.mark.parametrize("name", _PARSERS)
+def test_parentheses_past_the_cap_are_parse_errors(name, depth):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[name](_nested("2", depth))
+    assert str(info.value).startswith(f"parentheses must nest at most {MAX_NESTING} deep")
+
+
+def test_algebra_element_inside_deep_parentheses_is_a_parse_error():
+    with pytest.raises(ParseError, match="parentheses must nest"):
+        parse_algebra_element(_nested("L[1]", 1000), "R")
+
+
+@pytest.mark.parametrize("parse, text, token", [
+    (parse_quotient_element, "(x)", "x"),
+    (parse_quotient_element, "2*(1 + s)", "s"),
+    (parse_module_element, "x*((y))", "y"),
+    (parse_unipoly, "(y-1)^2", "y"),
+    (parse_submodule_spec, "M[h=(y+1)]", "y"),
+])
+def test_parentheses_hold_scalars_only(parse, text, token):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == ("parentheses hold scalars only: numbers, sqrt2 and parameters "
+                               f"(token {token!r} at position {text.index(token)})")
+
+
+def test_unknown_names_in_parentheses_stay_unknown():
+    with pytest.raises(ParseError, match="unknown name"):
+        parse_quotient_element("(q)*x")

@@ -158,3 +158,19 @@ def test_quotient_class_count():
                     vec[ii * n + jj] = c.constant()
                 span.add(vec)
         assert span.rank == dim
+
+
+def test_odd_divisor_is_stored_once(monkeypatch):
+    spec = SubmoduleSpec("N", parse_unipoly("2*y^2 - 2"))
+    assert spec.odd_divisor == spec.h.shifted(1) == parse_unipoly("y^2 + 2*y")
+    assert "odd_divisor" not in repr(spec)
+    assert spec == SubmoduleSpec("N", parse_unipoly("y^2 - 1"))
+
+    def no_shift(self, c):
+        raise AssertionError("odd divisor recomputed")
+
+    monkeypatch.setattr(UniPoly, "shifted", no_shift)
+    odd = parse_module_element("s*t^2 + 2*s*t")
+    assert contains(spec, odd)
+    assert reduce_mod(spec, odd).is_zero()
+    assert spec.generators()[-1] == parse_module_element("t^2 + 2*t")
