@@ -29,7 +29,6 @@ from .algebras import (
     basis_symbols,
     bracket,
     check_antisymmetry,
-    check_centrality,
     check_homomorphism,
     check_super_jacobi,
     check_twist_composition,

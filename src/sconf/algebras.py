@@ -20,11 +20,15 @@ and derives the other ordering from super-antisymmetry
 ``[x, y] = -(-1)^{|x||y|} [y, x]``.  One builder, ``_generator_map``, reads
 the map rows the same way.  The graded Jacobi sweep reads each row it needs
 from ``_basis_bracket`` once, scales them all to integers over one common
-denominator, and sums every triple in machine ints.  The bracket-compatibility
-sweep of a basis action, ``check_representation``, does the same over a
-table of that action's images local to the call; it and
-``freemod.extend_linearly`` read every image through one parity guard,
-``_checked``, which refuses an image of the wrong parity.
+denominator, and computes one sum in machine ints per cyclic orbit of
+triples, since the three rotations of a triple give the same sum.  The
+bracket-compatibility sweep of a basis action, ``check_representation``,
+also runs in machine ints, over a table of that action's images local to
+the call; it and ``freemod.extend_linearly`` read every image through one
+parity guard, ``_checked``, which refuses an image of the wrong parity.  The
+homomorphism check reads the map's images through a table local to the
+call, one image per symbol it needs, and compares the two sides of each
+pair as sums of Scalars, building no element for a pair that passes.
 """
 
 from __future__ import annotations
@@ -453,13 +457,17 @@ def check_super_jacobi(algebra, window):
     """Exhaustive graded Jacobi sweep over basis triples within the window.
 
     Checks (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
-    The structure constants in these triples are rational, so the sweep works
-    in machine ints.  It numbers the window's symbols and every symbol a
-    bracket yields, reads each needed ``_basis_bracket`` row once, and scales
-    all of them by ``den``, the lcm of their denominators.  A triple's sum is
-    then ``den**2`` times the Fraction sum, zero exactly when that is, and a
-    nonzero one is rendered divided by ``den**2``.  The tables live for this
-    call only.
+    The three cyclic rotations of a triple give the same sum, term for term,
+    so the sweep computes one sum per cyclic orbit: the triples (i, j, k) of
+    symbol numbers with j >= i and k > i, and the diagonal (i, i, i).  A
+    nonzero sum is recorded at every distinct rotation of its orbit, in the
+    order of the ordered triples.  The structure constants in these triples
+    are rational, so the sweep works in machine ints.  It numbers the
+    window's symbols and every symbol a bracket yields once, reads each
+    needed ``_basis_bracket`` row once, and scales all of them by ``den``,
+    the lcm of their denominators.  An orbit's sum is then ``den**2`` times
+    the Fraction sum, zero exactly when that is, and a nonzero one is
+    rendered divided by ``den**2``.  The tables live for this call only.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -467,40 +475,43 @@ def check_super_jacobi(algebra, window):
         "algebra-jacobi", {"which": algebra, "window": window}
     )
     syms = basis_symbols(algebra, window)
+    n = len(syms)
     index = {s: k for k, s in enumerate(syms)}  # symbol -> number
-
-    def number(sym):
-        return index.setdefault(sym, len(index))
-
     inner = [[_basis_bracket(y, z) for z in syms] for y in syms]
-    reached = {number(s): s for row_list in inner for row in row_list for s, _ in row}
-    outer = [[()] * len(index) for _ in syms]
-    for row_list, x in zip(outer, syms):
-        for k, s in reached.items():
-            row_list[k] = _basis_bracket(x, s)
+    for row in chain.from_iterable(inner):
+        for s, _ in row:
+            index.setdefault(s, len(index))
+    # the outer rows: each window symbol bracketed with every numbered symbol
+    outer = [[_basis_bracket(x, s) for s in list(index)] for x in syms]
     den = lcm(*(c.denominator for table in (inner, outer)
-                for row_list in table for row in row_list for _, c in row))
+                for row in chain.from_iterable(table) for _, c in row))
 
-    def scaled(row, sign=1):
-        return tuple((number(s), sign * c.numerator * (den // c.denominator)) for s, c in row)
+    def scaled(row):
+        return tuple((index.setdefault(s, len(index)), c.numerator * (den // c.denominator))
+                     for s, c in row)
 
     inner = [[scaled(row) for row in row_list] for row_list in inner]
-    # each outer row twice: as read, and negated for the sign (-1)^{|x||z|} = -1
-    outer = [([scaled(row) for row in row_list], [scaled(row, -1) for row in row_list])
-             for row_list in outer]
-    symbols = list(index)
+    outer = [[scaled(row) for row in row_list] for row_list in outer]
     parity = [s.parity for s in syms]
-    for i, j, k in product(range(len(syms)), repeat=3):
-        acc = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            rows = outer[a][parity[a] & parity[c]]
-            for s, f in inner[b][c]:
-                for s2, f2 in rows[s]:
-                    acc[s2] = acc.get(s2, 0) + f * f2
-        if any(acc.values()):
-            lhs = {symbols[s]: Fraction(v, den * den) for s, v in acc.items()}
-            report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
-                          _render_fraction_combo(lhs), "0")
+    fails = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i if j == i else i + 1, n):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    rows = outer[a]
+                    sign = -1 if parity[a] & parity[c] else 1
+                    for s, f in inner[b][c]:
+                        f *= sign
+                        for s2, f2 in rows[s]:
+                            acc[s2] = acc.get(s2, 0) + f * f2
+                if any(acc.values()):
+                    fails.extend((t, acc) for t in {(i, j, k), (j, k, i), (k, i, j)})
+    symbols = list(index)
+    for (i, j, k), acc in sorted(fails, key=lambda fail: fail[0]):
+        lhs = {symbols[s]: Fraction(v, den * den) for s, v in acc.items()}
+        report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
+                      _render_fraction_combo(lhs), "0")
     return report
 
 
@@ -518,22 +529,6 @@ def check_antisymmetry(algebra, window):
             report.record(
                 f"antisymmetry {algebra} ({x}, {y})", _render_fraction_combo(acc), "0"
             )
-    return report
-
-
-def check_centrality(algebra, window):
-    """[x, C] = 0 for every basis symbol (vacuous for the centerless tags)."""
-    report = VerificationReport(
-        "algebra-centrality", {"which": algebra, "window": window}
-    )
-    if "C" not in _ALGEBRA_FAMILIES[algebra]:
-        report.notes.append(f"{algebra} is centerless; nothing to check")
-        return report
-    center = AlgebraElement.basis(BasisSymbol(algebra, "C"))
-    for x in basis_symbols(algebra, window):
-        out = bracket(AlgebraElement.basis(x), center)
-        if not out.is_zero():
-            report.record(f"centrality {algebra} ({x})", out.render(), "0")
     return report
 
 
@@ -597,19 +592,44 @@ def compose(outer, inner):
 
 
 def check_homomorphism(gmap, window):
-    """apply([x,y]) == [apply(x), apply(y)] for basis pairs in the window."""
+    """apply([x,y]) == [apply(x), apply(y)] for basis pairs in the window.
+
+    A table local to the call holds ``apply_map(gmap, s)`` for each window
+    symbol, and for each symbol a bracket reaches, filled when first needed.
+    Per pair, the sum of f * image(z) over ``_basis_bracket(x, y)`` is
+    compared with the sum of c1 * c2 * ``_basis_bracket(s1, s2)`` over the
+    terms of the two images, C dropped when ``mod_center`` is set, as
+    ``apply_map`` drops it from the other side.  ``apply_map`` refuses an
+    image of mixed or wrong parity, which is all ``bracket`` would check.
+    """
     report = VerificationReport(
         "homomorphism", {"map": gmap.name, "window": window, "mod_center": gmap.mod_center}
     )
     syms = basis_symbols(gmap.source, window)
-    elems = {s: AlgebraElement.basis(s) for s in syms}
-    images = {s: apply_map(gmap, elems[s]) for s in syms}
+    mod_center = gmap.mod_center
+    images = {s: apply_map(gmap, s).terms for s in syms}  # symbol -> image terms
+
+    def image(s):
+        if s not in images:
+            images[s] = apply_map(gmap, s).terms
+        return images[s]
+
     for x, y in product(syms, repeat=2):
-        lhs = apply_map(gmap, bracket(elems[x], elems[y]))
-        rhs = bracket(images[x], images[y])
-        rhs = rhs.drop_center() if gmap.mod_center else rhs  # apply_map drops lhs's C
+        lhs = {}
+        for z, f in _basis_bracket(x, y):
+            add_terms(lhs, ((s, c * f) for s, c in image(z).items()))
+        rhs = {}
+        for s1, c1 in images[x].items():
+            for s2, c2 in images[y].items():
+                parts = _basis_bracket(s1, s2)
+                if parts:
+                    c = c1 * c2
+                    add_terms(rhs, ((s, c * f) for s, f in parts
+                                    if not (mod_center and s.family == "C")))
         if lhs != rhs:
-            report.record(f"hom {gmap.name} ({x}, {y})", lhs.render(), rhs.render())
+            report.record(f"hom {gmap.name} ({x}, {y})",
+                          AlgebraElement(gmap.target, lhs).render(),
+                          AlgebraElement(gmap.target, rhs).render())
     return report
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -85,6 +86,14 @@ class _UsageError(Exception):
     pass
 
 
+def _ascii_int(text):
+    """``int(text)`` for an optional sign and ASCII digits only: ``int`` also
+    reads the digits of other scripts, so a fullwidth 6 would run window 6."""
+    if not re.fullmatch(r"[-+]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # no abbreviated flags: "--h" must not read as "--help" where there is no --h
     def __init__(self, **kwargs):
@@ -111,8 +120,8 @@ def build_parser():
             p.add_argument(f"--{name}0", help=f"numeric {name} (default "
                            f"{SIMPLICITY_DEFAULTS[name + '0']} for the simplicity check, "
                            f"the formal {name} for the others)")
-        p.add_argument("--words", type=int, help="word length for span searches (default "
-                       f"{SIMPLICITY_DEFAULTS['words']}, at most {MAX_SIZE['words']})")
+        p.add_argument("--words", type=_ascii_int, help="word length for span searches "
+                       f"(default {SIMPLICITY_DEFAULTS['words']}, at most {MAX_SIZE['words']})")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=(
@@ -120,9 +129,9 @@ def build_parser():
     v.add_argument("--which", choices=algebras.ALGEBRAS, help="algebra to sweep")
     v.add_argument("--map", dest="map_name", choices=sorted(algebras.STANDARD_MAPS),
                    help="homomorphism to check (default: all, plus the twist composition)")
-    v.add_argument("--window", type=int, default=3,
+    v.add_argument("--window", type=_ascii_int, default=3,
                    help=f"mode window |m| <= N (at most {MAX_SIZE['window']})")
-    v.add_argument("--degree", type=int,
+    v.add_argument("--degree", type=_ascii_int,
                    help=f"monomial degree bound for the {_suite_names(_DEGREE_SUITES)} suites "
                    f"(default {DEFAULT_DEGREE}, at most {MAX_SIZE['degree']})")
     v.add_argument("--spec", help="submodule spec, e.g. M[h=y^2-1]")
@@ -151,8 +160,9 @@ def build_parser():
     common(d)
 
     r = sub.add_parser("restrict", help="N=1 restriction checks")
-    r.add_argument("--window", type=int, default=3, help=f"at most {MAX_SIZE['window']}")
-    r.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+    r.add_argument("--window", type=_ascii_int, default=3,
+                   help=f"at most {MAX_SIZE['window']}")
+    r.add_argument("--degree", type=_ascii_int, default=DEFAULT_DEGREE,
                    help=f"at most {MAX_SIZE['degree']}")
     r.add_argument("--a", dest="a_value",
                    help=f"root parameter a (default {SIMPLICITY_DEFAULTS['a_value']})")

@@ -25,7 +25,7 @@ from .scalars import PARAMS, LAURENT_PARAMS, QE_ZERO, SC_ZERO, SQRT2, Scalar, ad
 from .submodules import SubmoduleSpec, UniPoly
 
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,])"
-                    r"|(?P<space>\s+)|(?P<stray>.)", re.DOTALL)
+                    r"|(?P<space>\s+)|(?P<stray>.)", re.ASCII | re.DOTALL)
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
 MAX_EXPONENT = 64  # largest exponent of a variable in one term

@@ -1,7 +1,8 @@
 """No cache outlives the sweep or the request that filled it.
 
-Acting by an element tabulates nothing; the one table of generator images,
-in ``algebras.check_representation``, is local to its call.  The only cache
+Acting by an element tabulates nothing.  The table of generator images in
+``algebras.check_representation`` and the table of map images in
+``algebras.check_homomorphism`` are local to their calls.  The only cache
 at module level is the structure-constant table of
 ``algebras._basis_bracket``, which is fixed by the algebra, not by the input.
 The argument parser that every ``cli.main`` call shares is per-process
@@ -15,7 +16,8 @@ import gc
 import io
 from pathlib import Path
 
-from sconf import cli, freemod, n1, quotients, submodules
+from sconf import algebras, cli, freemod, n1, quotients, submodules
+from sconf.algebras import BasisSymbol
 from sconf.freemod import EVEN, ODD, ParityElement
 from sconf.parsing import parse_submodule_spec
 from sconf.quotients import QuotientParams
@@ -82,3 +84,36 @@ def test_no_action_table_survives_sweeps_or_requests():
             assert cli.main(["act", f"Gm[{k % 4}]; L[-1]", f"x^{k % 6 + 1} - 2", "--module",
                              "quotient", "--a", "3/2", "--lam0", "sqrt2"]) == 0
     assert _live_actions() == before == 0
+
+
+def _is_image_table(obj):
+    """A dict from a basis symbol to the terms of its image, as the table of
+    ``check_homomorphism`` is."""
+    if type(obj) is not dict or not obj:
+        return False
+    key, image = next(iter(obj.items()))
+    return type(key) is BasisSymbol and type(image) is dict
+
+
+def _live_image_tables():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if _is_image_table(obj))
+
+
+def test_no_image_table_survives_a_homomorphism_request(monkeypatch):
+    before = _live_image_tables()
+    seen = []  # live tables counted while a sweep fills its own
+    apply_map = algebras.apply_map
+
+    def counting(gmap, x):
+        seen.append(_live_image_tables())
+        return apply_map(gmap, x)
+
+    monkeypatch.setattr(algebras, "apply_map", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "homomorphism", "--map", "sigma", "--window", "1"]) == 0
+    monkeypatch.undo()
+    assert max(seen) == 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "homomorphism", "--window", "2"]) == 0
+    assert _live_image_tables() == before == 0

@@ -296,6 +296,20 @@ def test_negative_words_is_a_usage_error(capsys, monkeypatch, argv):
     assert err == "usage error: --words must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("act", "L[\u0661]", "x^2"),  # ARABIC-INDIC DIGIT ONE
+    ("act", "L[1]", "x^\uff12"),  # FULLWIDTH DIGIT TWO
+    ("act", "L[1]", "x^2\u00a0+ 1"),  # NO-BREAK SPACE
+    ("verify", "module", "--window", "\uff16", "--degree", "1"),
+    ("verify", "quotient", "--window", "1", "--degree", "\u0661"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--words", "\uff12"),
+])
+def test_non_ascii_digits_are_usage_errors(capsys, monkeypatch, argv):
+    calls = _record_sweeps(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and out == "" and not calls
+
+
 def test_sizes_at_the_caps_run(capsys, monkeypatch):
     calls = _record_sweeps(monkeypatch)
     assert run(capsys, "verify", "module", "--window", "6", "--degree", "6")[0] == 0

@@ -52,8 +52,11 @@ FLAGS = [
 ]
 PAST_THE_CAPS = [*([f"--{name}", str(cap + 1)] for name, cap in MAX_SIZE.items()),
                  ["--window", "0"], ["--degree", "-1"], ["--words", "-1"],
-                 ["--window", "1" * 30], ["--degree", "1.5"]]
-STRAY_CHARACTERS = ["λ", "é", "²", "−", "一", "\U0001f600", "\x00"]
+                 ["--window", "1" * 30], ["--degree", "1.5"], ["--window", "\uff16"],
+                 ["--degree", "\u0661"], ["--words", "\uff12"]]
+# non-ASCII digits (ARABIC-INDIC ONE, FULLWIDTH TWO) and space (NO-BREAK) included
+STRAY_CHARACTERS = ["λ", "é", "²", "−", "一", "\U0001f600", "\x00", "\u0661", "\uff12",
+                    "\u00a0"]
 
 
 class _PastDeadline(Exception):
