@@ -17,7 +17,14 @@ source family to rows (target family, doubled image mode, coefficient(m)).
 One evaluator, ``_basis_bracket``, reads the tables: it places every term at
 the total mode, keeps a central row only at total mode 0, drops zero terms,
 and derives the other ordering from super-antisymmetry
-``[x, y] = -(-1)^{|x||y|} [y, x]``.  One builder, ``_generator_map``, reads
+``[x, y] = -(-1)^{|x||y|} [y, x]``.  Its cache holds every pair it has
+seen; a miss calls each row on the two symbols' stored Fraction modes,
+keeps the Fraction the row returns (wrapping only a constant row's int),
+negates it for the reversed order, and builds each result symbol through
+the one validated constructor, whose check is a single set lookup.  A
+symbol stores its mode and its hash when built, and equality compares the
+``sort_index`` tuples, so every lookup, hit or miss, hashes and compares
+symbols without building a tuple.  One builder, ``_generator_map``, reads
 the map rows the same way.  The graded Jacobi sweep reads each row it needs
 from ``_basis_bracket`` once, scales them all to integers over one common
 denominator, and computes one sum in machine ints per cyclic orbit of
@@ -61,16 +68,44 @@ _ALGEBRA_FAMILIES = {
 _HALF_ODD = {"NS", "N1NS"}  # odd generators live at half-integer modes
 
 
+# (algebra, family, twice % 2) of every valid symbol; C's entry holds its
+# one doubled mode, 0, in that place
+_VALID_SYMBOLS = frozenset(
+    (algebra, family, int(_FAMILY_PARITY[family] == 1 and algebra in _HALF_ODD))
+    for algebra, families in _ALGEBRA_FAMILIES.items() for family in families
+)
+
+
 @dataclass(frozen=True, order=True)
 class BasisSymbol:
-    """One basis generator, identified by algebra tag, family, and 2*mode."""
+    """One basis generator, identified by algebra tag, family, and 2*mode.
+
+    The constructor validates with one set lookup of (algebra, family,
+    ``twice % 2``), ``twice`` itself for C; only a refused symbol runs the
+    branches that pick its message.  It stores the exact mode ``index`` (a
+    Fraction) and the hash of ``sort_index``, neither compared nor shown by
+    ``repr``.  Symbols are equal exactly when their ``sort_index`` tuples
+    are, which orders them; equality checks identity first.
+    """
 
     sort_index: tuple = field(init=False, repr=False, compare=True)
     algebra: str = field(compare=False)
     family: str = field(compare=False)
     twice: int = field(compare=False, default=0)
+    index: Fraction = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        algebra, family, twice = self.algebra, self.family, self.twice
+        if (algebra, family, twice if family == "C" else twice % 2) not in _VALID_SYMBOLS:
+            self._refuse()
+        sort_index = (algebra, _FAMILY_ORDER[family], twice)
+        object.__setattr__(self, "sort_index", sort_index)
+        object.__setattr__(self, "index", Fraction(twice, 2))
+        object.__setattr__(self, "_hash", hash(sort_index))
+
+    def _refuse(self):
+        """Raise the ValueError that names why the symbol is invalid."""
         if self.algebra not in _ALGEBRA_FAMILIES:
             raise ValueError(f"unknown algebra {self.algebra!r}")
         if self.family not in _ALGEBRA_FAMILIES[self.algebra]:
@@ -86,18 +121,20 @@ class BasisSymbol:
             if (self.twice % 2 == 0) == want_odd:
                 kind = "half-integers" if want_odd else "integers"
                 raise ValueError(f"{self.family} modes in {self.algebra} are {kind}")
-        object.__setattr__(
-            self, "sort_index", (self.algebra, _FAMILY_ORDER[self.family], self.twice)
-        )
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_index == other.sort_index
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def parity(self):
         return _FAMILY_PARITY[self.family]
-
-    @property
-    def index(self):
-        """The mode index as an exact Fraction."""
-        return Fraction(self.twice, 2)
 
     def render(self):
         if self.family == "C":
@@ -268,19 +305,21 @@ def _basis_bracket(x, y):
     if x.family == "C" or y.family == "C":
         return ()
     table = _TABLES[x.algebra]
-    rows, m, n, sign = table.get((x.family, y.family)), x.index, y.index, 1
+    rows, m, n, negate = table.get((x.family, y.family)), x.index, y.index, False
     if rows is None:
         # super-antisymmetry: [x,y] = -(-1)^{|x||y|} [y,x]
         rows, m, n = table.get((y.family, x.family)), n, m
-        sign = 1 if x.parity and y.parity else -1
+        negate = not (x.parity and y.parity)
         if rows is None:
             raise LookupError(f"no bracket of {x.family} with {y.family} in {x.algebra}")
     tot = x.twice + y.twice
     out = []
     for family, coeff in rows:
-        c = sign * Fraction(coeff(m, n))
+        c = coeff(m, n)  # a Fraction over Fraction modes; a constant row gives an int
         if c and (tot == 0 or family != "C"):
-            out.append((BasisSymbol(x.algebra, family, tot), c))
+            if type(c) is int:
+                c = Fraction(c)
+            out.append((BasisSymbol(x.algebra, family, tot), -c if negate else c))
     return tuple(out)
 
 

@@ -28,6 +28,8 @@ Every action is linear.  ``extend_linearly`` acts by an element x as the
 sum of coeff * (basis action of each generator of x), each generator read
 once on the whole element through its row; ``act`` is that extension of
 ``act_basis``, and ``quotients.quotient_act`` that of ``quotient_act_basis``.
+One guard, ``_require_r``, refuses an element or generator outside R for all
+four, with the text that each module names once as its ``_OWNER``.
 Nothing is tabulated or cached.  The bracket-compatibility sweep,
 ``algebras.check_representation``, takes the basis action itself
 (``act_basis`` here) and keeps a table local to the call.  Both read each
@@ -210,10 +212,19 @@ def _row_terms(sym, parity, terms, lam, alp):
     return parity, images
 
 
+_OWNER = "the rank-2 module is an R-module"
+
+
+def _require_r(x, owner):
+    """The one R-membership guard: refuse ``x``, an element or basis symbol,
+    unless it belongs to R.  ``owner`` names the module that acts."""
+    if x.algebra != "R":
+        raise AlgebraMismatch(f"{owner}; got {x.algebra}")
+
+
 def act_basis(sym, v):
     """Action of one basis generator of the Ramond algebra."""
-    if sym.algebra != "R":
-        raise AlgebraMismatch(f"the rank-2 module is an R-module; got {sym.algebra}")
+    _require_r(sym, _OWNER)
     parity, images = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
     out = {}
     for c, nums in images:
@@ -226,8 +237,7 @@ def extend_linearly(x, v, basis_act, owner):
     generators of x of coeff * ``basis_act(generator, v)``, each acting once
     on the whole of v.  ``owner`` names the module in the error for an
     element of another algebra."""
-    if x.algebra != "R":
-        raise AlgebraMismatch(f"{owner}; got {x.algebra}")
+    _require_r(x, owner)
     if isinstance(x, BasisSymbol):
         return _checked(basis_act, x, v)
     out = type(v).zero((v.parity + x.parity()) % 2)
@@ -238,7 +248,7 @@ def extend_linearly(x, v, basis_act, owner):
 
 def act(x, v):
     """Action of a homogeneous R-element (or one basis symbol) on a module element."""
-    return extend_linearly(x, v, act_basis, "the rank-2 module is an R-module")
+    return extend_linearly(x, v, act_basis, _OWNER)
 
 
 def monomials(degree_bound, parities=(EVEN, ODD)):

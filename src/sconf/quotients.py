@@ -40,9 +40,10 @@ from math import gcd, isqrt, lcm
 from operator import eq
 
 from .algebras import basis_symbols, check_representation
-from .errors import AlgebraMismatch, NotAUnit, ParamMismatch, UnsplitPolynomial
+from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, _row_terms, act, extend_linearly, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, _require_r, _row_terms, act, extend_linearly,
+    monomials,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
@@ -107,11 +108,13 @@ class QuotientParams:
         return f"(lam={self.lam}, alp={self.alp}, a={a})"
 
 
+_OWNER = "simple quotients are R-modules"
+
+
 def quotient_act_basis(sym, v, p):
     """Action of one Ramond basis generator on a quotient element: the
     module's row on v lifted to C[x,y] + C[s,t], then frozen."""
-    if sym.algebra != "R":
-        raise AlgebraMismatch(f"simple quotients are R-modules; got {sym.algebra}")
+    _require_r(sym, _OWNER)
     lifted = (((k, 0), c) for k, c in v.terms.items())
     parity, images = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
     out = {}
@@ -123,9 +126,7 @@ def quotient_act_basis(sym, v, p):
 def quotient_act(x, v, p):
     """Action of a homogeneous R-element (or one basis symbol) on a quotient
     element."""
-    return extend_linearly(
-        x, v, lambda sym, w: quotient_act_basis(sym, w, p), "simple quotients are R-modules"
-    )
+    return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
 
 
 def _freeze(terms, parity, a):
@@ -169,9 +170,14 @@ def iso_phi(v, src, dst):
 def iso_xi(v, h_tilde, p):
     """Embed a quotient element as a representative of the layer M_h~ / M_h
     with h = (y + a) h~: multiply by h~(y) (even) or h~(t+1) (odd)."""
-    lift = h_tilde if v.parity == EVEN else h_tilde.shifted(1)
+    return _lift(v, h_tilde if v.parity == EVEN else h_tilde.shifted(1))
+
+
+def _lift(v, by):
+    """``iso_xi``'s product: the quotient element v times ``by`` in the
+    second variable, as a module element."""
     return ModuleElement(v.parity, add_terms({}, (
-        ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(lift.coeffs)
+        ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(by.coeffs)
     )))
 
 
@@ -386,10 +392,16 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
 
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
-    M_h with h = (y+a) h~ (membership-tested, not representative-equal)."""
+    M_h with h = (y+a) h~ (membership-tested, not representative-equal).
+    The sweep runs ``iso_xi``'s product with h~(t+1) formed once per call."""
     a = p.concrete_a()
     h = UniPoly((a, QE_ONE)) * h_tilde
     full = SubmoduleSpec("M", h)
+    lifts = {EVEN: h_tilde, ODD: h_tilde.shifted(1)}  # parity -> multiplier
+
+    def xi(v):
+        return _lift(v, lifts[v.parity])
+
     report = VerificationReport(
         "xi-intertwines",
         {
@@ -403,8 +415,8 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
         report,
         index_window,
         quotient_monomials(degree_bound),
-        lambda sym, v: act(sym, iso_xi(v, h_tilde, p)),
-        lambda sym, v: iso_xi(quotient_act(sym, v, p), h_tilde, p),
+        lambda sym, v: act(sym, xi(v)),
+        lambda sym, v: xi(quotient_act(sym, v, p)),
         f"xi h~={h_tilde.render()} {p.describe()} ",
         same=lambda left, right: contains(full, left - right),
     )

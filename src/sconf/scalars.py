@@ -286,15 +286,18 @@ class QuadExt:
 
         The rational part comes first, then the sqrt2 part, so every body
         carries one rational magnitude (left out when it is 1 and other
-        factors remain) and at most one ``sqrt2`` factor.
+        factors remain) and at most one ``sqrt2`` factor.  A magnitude is
+        written as ``str`` writes a Fraction, reduced here by one int gcd.
         """
         out = []
-        for c, root in ((self.rat, ""), (self.root2, "sqrt2")):
+        d = self.d
+        for c, root in ((self.p, ""), (self.q, "sqrt2")):
             if c:
                 factors = [f for f in (before, root, after) if f]
-                mag = abs(c)
-                if mag != 1 or not factors:
-                    factors.insert(0, str(mag))
+                g = gcd(c, d)
+                num, den = abs(c) // g, d // g
+                if num != 1 or den != 1 or not factors:
+                    factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
                 out.append((1 if c > 0 else -1, "*".join(factors)))
         return out
 

@@ -1,5 +1,6 @@
 """Bracket tables, sweeps, and the standard homomorphisms."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from sconf.algebras import (
     ALGEBRAS,
     STANDARD_MAPS,
     AlgebraElement,
+    BasisSymbol,
     GeneratorMap,
     apply_map,
     basis_symbols,
@@ -202,6 +204,92 @@ def test_jacobi_violations_match_a_fraction_oracle(monkeypatch, table):
             assert want and got == want, algebra
     finally:
         _basis_bracket.cache_clear()
+
+
+def _bracket_oracle(x, y):
+    """``_basis_bracket`` as first written: ``Fraction(coeff(m, n))`` over
+    ``Fraction(twice, 2)`` modes, each result a validated symbol."""
+    if x.family == "C" or y.family == "C":
+        return ()
+    table = algebras._TABLES[x.algebra]
+    m, n = Fraction(x.twice, 2), Fraction(y.twice, 2)
+    rows, sign = table.get((x.family, y.family)), 1
+    if rows is None:
+        rows, m, n = table[(y.family, x.family)], n, m
+        sign = 1 if x.parity and y.parity else -1
+    tot = x.twice + y.twice
+    out = []
+    for family, coeff in rows:
+        c = sign * Fraction(coeff(m, n))
+        if c and (tot == 0 or family != "C"):
+            out.append((BasisSymbol(x.algebra, family, tot), c))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("table", [None, *sorted(_CORRUPTED_ROWS)])
+def test_basis_bracket_matches_the_fraction_oracle(monkeypatch, table):
+    if table is not None:
+        pair, rows, _ = _CORRUPTED_ROWS[table]
+        monkeypatch.setitem(getattr(algebras, table), pair, rows)
+    _basis_bracket.cache_clear()
+    try:
+        for algebra in ALGEBRAS:
+            for x, y in product(basis_symbols(algebra, 4), repeat=2):
+                got, want = _basis_bracket(x, y), _bracket_oracle(x, y)
+                assert got == want, (x, y)
+                assert all(type(c) is Fraction for _, c in got), (x, y)
+    finally:
+        _basis_bracket.cache_clear()
+
+
+# -- symbol identity ---------------------------------------------------------------
+
+def test_symbols_from_every_source_are_one_symbol():
+    for algebra in ALGEBRAS:
+        syms = basis_symbols(algebra, 2)
+        for s in syms:
+            twin = BasisSymbol(s.algebra, s.family, s.twice)
+            (parsed,) = el(algebra, s.render()).terms
+            assert twin is not s and s == twin == parsed, s
+            assert hash(s) == hash(twin) == hash(parsed), s
+            assert type(s.index) is Fraction and s.index == Fraction(s.twice, 2), s
+            for other in syms:
+                assert (s == other) == (s is other), (s, other)
+        for x, y in product(syms, repeat=2):
+            for z, _ in _basis_bracket(x, y):
+                twin = BasisSymbol(z.algebra, z.family, z.twice)
+                assert z == twin and hash(z) == hash(twin), (x, y, z)
+        # sorted by algebra tag, then family (L, H, Gp, Gm, G, Q, C), then mode
+        keys = [(s.algebra, algebras._FAMILY_ORDER[s.family], s.twice) for s in syms]
+        assert [s.sort_index for s in sorted(reversed(syms))] == sorted(keys)
+
+
+def test_symbol_order_repr_and_replace():
+    R, NS = (lambda f, t=0: BasisSymbol("R", f, t)), (lambda f, t=0: BasisSymbol("NS", f, t))
+    mixed = [R("C"), NS("Gp", -1), R("Gp", 0), R("L", 2), R("H", -2), NS("L", 0), R("L", -2)]
+    assert sorted(mixed) == [NS("L", 0), NS("Gp", -1), R("L", -2), R("L", 2), R("H", -2),
+                             R("Gp", 0), R("C")]
+    assert R("L", 0) != NS("L", 0) and R("L", 0) != R("H", 0) and R("L", 0) < R("H", 0)
+    assert R("L", 0) != "L[0]" and R("L", 0).__eq__(("R", 0, 0)) is NotImplemented
+    assert repr(NS("Gp", -1)) == "BasisSymbol(algebra='NS', family='Gp', twice=-1)"
+    assert repr(R("C")) == "BasisSymbol(algebra='R', family='C', twice=0)"
+    moved = dataclasses.replace(R("L", 2), twice=-6)
+    assert moved.index == -3 and moved == R("L", -6) and hash(moved) == hash(R("L", -6))
+    assert moved != R("L", 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("X", "L", 0), "unknown algebra 'X'"),
+    (("R", "G", 0), "family 'G' does not exist in R"),
+    (("R", "C", 2), "C carries no mode index"),
+    (("NS", "H", 1), "H modes are integers"),
+    (("NS", "Gm", 2), "Gm modes in NS are half-integers"),
+    (("N1R", "G", -1), "G modes in N1R are integers"),
+])
+def test_invalid_symbols_are_refused(args, message):
+    with pytest.raises(ValueError) as info:
+        BasisSymbol(*args)
+    assert str(info.value) == message
 
 
 def test_jacobi_sweep_reports_a_missing_pair(monkeypatch):

@@ -220,6 +220,15 @@ def test_xi_intertwines_window2(a, ht):
     assert report.passed, report.render_text()
 
 
+def test_xi_sweep_forms_its_odd_lift_once(monkeypatch):
+    calls = []
+    good = UniPoly.shifted
+    monkeypatch.setattr(UniPoly, "shifted", lambda self, c: calls.append(self) or good(self, c))
+    report = check_xi_intertwines(parse_unipoly("y^2 + y - 2"), QuotientParams(a=-1), 1, 2)
+    assert report.passed, report.render_text()
+    assert len(calls) <= 2  # the kernel's odd divisor and h~(t+1)
+
+
 # -- roots and composition series ---------------------------------------------------
 
 def test_find_roots_examples():

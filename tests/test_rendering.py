@@ -1,5 +1,6 @@
 """Exact rendered text of each element type (the CLI prints these strings)."""
 
+import random
 from fractions import Fraction
 
 from sconf.algebras import AlgebraElement, BasisSymbol
@@ -51,3 +52,27 @@ def test_rendered_strings_are_pinned():
     h = UniPoly((QuadExt(1, -1), Fraction(-1, 2), 0, sqrt2))
     assert h.render() == "sqrt2*y^3 - 1/2*y + 1 - sqrt2"
     assert h.render("t") == "sqrt2*t^3 - 1/2*t + 1 - sqrt2"
+
+
+def _signed_terms_oracle(x, before, after):
+    """``QuadExt.signed_terms`` written over the Fraction parts."""
+    out = []
+    for c, root in ((Fraction(x.p, x.d), ""), (Fraction(x.q, x.d), "sqrt2")):
+        if c:
+            factors = [f for f in (before, root, after) if f]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            out.append((1 if c > 0 else -1, "*".join(factors)))
+    return out
+
+
+def test_quadext_terms_render_as_fractions_do():
+    rng = random.Random(18)
+    seen_d = set()
+    for _ in range(3000):
+        d = rng.choice((1, 2, 3, 4, 6, 12, rng.randint(1, 10**6)))
+        x = QuadExt(Fraction(rng.randint(-30, 30), d), Fraction(rng.randint(-30, 30), d))
+        seen_d.add(x.d > 1)
+        for before, after in (("", ""), ("lam", ""), ("", "y^2"), ("alp^2", "t")):
+            assert x.signed_terms(before, after) == _signed_terms_oracle(x, before, after), x
+    assert seen_d == {True, False}
