@@ -132,6 +132,11 @@ class BasisSymbol:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # unpickle through the constructor: the stored hash of a str differs
+        # between interpreters
+        return BasisSymbol, (self.algebra, self.family, self.twice)
+
     @property
     def parity(self):
         return _FAMILY_PARITY[self.family]

@@ -1,6 +1,7 @@
 """Bracket tables, sweeps, and the standard homomorphisms."""
 
 import dataclasses
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -276,6 +277,14 @@ def test_symbol_order_repr_and_replace():
     moved = dataclasses.replace(R("L", 2), twice=-6)
     assert moved.index == -3 and moved == R("L", -6) and hash(moved) == hash(R("L", -6))
     assert moved != R("L", 2)
+
+
+def test_pickled_symbols_are_rebuilt_not_copied():
+    s = BasisSymbol("NS", "Gm", 3)
+    data = pickle.dumps(s)
+    assert b"_hash" not in data and b"sort_index" not in data
+    back = pickle.loads(data)
+    assert back == s and hash(back) == hash(s) and back.index == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("args, message", [
