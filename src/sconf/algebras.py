@@ -32,10 +32,15 @@ triples, since the three rotations of a triple give the same sum.  The
 bracket-compatibility sweep of a basis action, ``check_representation``,
 also runs in machine ints, over a table of that action's images local to
 the call; it and ``freemod.extend_linearly`` read every image through one
-parity guard, ``_checked``, which refuses an image of the wrong parity.  The
-homomorphism check reads the map's images through a table local to the
-call, one image per symbol it needs, and compares the two sides of each
-pair as sums of Scalars, building no element for a pair that passes.
+parity guard, ``_checked``, which refuses an image of the wrong parity.
+``_check_images`` is the one loop that applies each generator of a list to
+each vector of a list and tests the image.  Its five callers are the
+projection, phi and xi intertwining sweeps (``quotients``), the submodule
+closure (``submodules.check_closure``) and the a = 0 closure certificate
+of ``n1.check_simplicity_witness``.  The homomorphism check reads the
+map's images through a table local to the call, one image per symbol it
+needs, and compares the two sides of each pair as sums of Scalars,
+building no element for a pair that passes.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import lcm
+from operator import eq
 from typing import Callable
 
 from .errors import AlgebraMismatch, MixedParity
@@ -482,6 +488,19 @@ def check_representation(report, syms, basis_act, vectors, label):
         xy, yx = basis_act(xs, basis_act(ys, v)), basis_act(ys, basis_act(xs, v))
         rhs = xy + yx if xs.parity and ys.parity else xy - yx
         report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
+    return report
+
+
+def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
+    """Record ``label``-prefixed violations where ``same(lhs(X, v), rhs(X, v))``
+    fails, for every X of ``syms`` (outer loop) and every v of ``vectors``
+    (inner loop).  Each side is recorded as its text, so it may be an element
+    or a fixed text such as ``"member"``."""
+    for sym in syms:
+        for v in vectors:
+            left, right = lhs(sym, v), rhs(sym, v)
+            if not same(left, right):
+                report.record(f"{label}{sym} on {v}", left, right)
     return report
 
 

@@ -286,9 +286,11 @@ def check_module_compatibility(index_window, degree_bound):
 def check_uh_freeness(degree_bound):
     """L_0 and H_0 act as multiplication by the two variables.
 
-    Verifies the multiplication statement on every monomial up to the bound
-    and that the iterated images L_0^i H_0^j . 1 enumerate the monomial basis
-    of each parity exactly (so the two parity generators are free generators).
+    Verifies the multiplication statement on every monomial up to the bound.
+    The word statement, that L_0^i H_0^j . 1 is the monomial of bidegree
+    (i, j) in each parity (so the two parity generators are free
+    generators), follows from it: each step of such a word with i + j <= the
+    bound applies L_0 or H_0 to a monomial of lower degree.
     """
     report = VerificationReport("uh-freeness", {"degree": degree_bound})
     L0 = BasisSymbol("R", "L", 0)
@@ -298,15 +300,6 @@ def check_uh_freeness(degree_bound):
             got, expect = act(Z, v), v.times_poly({var: SC_ONE})
             if got != expect:
                 report.record(f"{name} on {v}", got.render(), expect.render())
-    words = {(p, i): _powers(H0, u, degree_bound - i) for p in (EVEN, ODD)
-             for i, u in enumerate(_powers(L0, ModuleElement.one(p), degree_bound))}
-    for v in monomials(degree_bound):
-        (i, j), = v.terms
-        w = words[v.parity, i][j]
-        if w != v:
-            report.record(
-                f"L0^{i} H0^{j} 1_{'even' if v.parity == EVEN else 'odd'}", w.render(), v.render()
-            )
     return report
 
 

@@ -34,6 +34,7 @@ from .algebras import (
     AlgebraElement,
     BasisSymbol,
     GeneratorMap,
+    _check_images,
     apply_map,
     basis_symbols,
     check_representation,
@@ -201,13 +202,11 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         # closure certificate for the proper subspace x C[x] + C[s]
         spanning = [QuotientElement.monomial(EVEN, k + 1) for k in range(degree_bound + 1)]
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
-        for sym in gens:
-            for v in spanning:
-                out = restricted_act(sym, v, r)
-                if out.parity == EVEN and 0 in out.terms:
-                    report.record(
-                        f"a=0 closure {sym} on {v}", out.render(), "member of xC[x]+C[s]"
-                    )
+        _check_images(
+            report, gens, spanning, lambda g, v: restricted_act(g, v, r),
+            lambda g, v: "member of xC[x]+C[s]", "a=0 closure ",
+            lambda out, _: out.parity != EVEN or 0 not in out.terms,
+        )
         report.notes.append(
             "a=0: the subspace x*C[x] + C[s] is closed and omits 1_even, "
             "so the restriction is not simple"

@@ -29,7 +29,9 @@ with ``_freeze``, as ``project`` does.  ``quotient_act`` is its linear
 extension (``freemod.extend_linearly``): one ``quotient_act_basis`` call per
 generator of the acting element, on the whole quotient element.  The
 compatibility sweep reads ``quotient_act_basis`` itself, and
-``n1.restricted_act`` is ``quotient_act`` on the embedded image.
+``n1.restricted_act`` is ``quotient_act`` on the embedded image.  The
+projection, phi and xi sweeps are three of the five callers of the one
+generator sweep, ``algebras._check_images``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import eq
 
-from .algebras import basis_symbols, check_representation
+from .algebras import _check_images, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
     EVEN, ODD, ModuleElement, ParityElement, _require_r, _row_terms, act, extend_linearly,
@@ -341,27 +342,15 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     )
 
 
-def _check_intertwining(report, index_window, vectors, lhs, rhs, label, same=eq):
-    """Record ``label``-prefixed violations where ``same(lhs(X, v), rhs(X, v))``
-    fails, for every R generator X in the window and every v in ``vectors``."""
-    for sym in basis_symbols("R", index_window):
-        for v in vectors:
-            left = lhs(sym, v)
-            right = rhs(sym, v)
-            if not same(left, right):
-                report.record(f"{label}{sym} on {v}", left.render(), right.render())
-    return report
-
-
 def check_projection_intertwines(p, index_window, degree_bound):
     """project(X . v) == X . project(v) for generators and monomials."""
     report = VerificationReport(
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    return _check_intertwining(
+    return _check_images(
         report,
-        index_window,
+        basis_symbols("R", index_window),
         monomials(degree_bound),
         lambda sym, v: project(act(sym, v), p),
         lambda sym, v: quotient_act(sym, project(v, p), p),
@@ -380,9 +369,9 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    return _check_intertwining(
+    return _check_images(
         report,
-        index_window,
+        basis_symbols("R", index_window),
         quotient_monomials(degree_bound),
         lambda sym, v: iso_phi(quotient_act(sym, v, src), src, dst),
         lambda sym, v: quotient_act(sym, iso_phi(v, src, dst), dst),
@@ -411,9 +400,9 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    return _check_intertwining(
+    return _check_images(
         report,
-        index_window,
+        basis_symbols("R", index_window),
         quotient_monomials(degree_bound),
         lambda sym, v: act(sym, xi(v)),
         lambda sym, v: xi(quotient_act(sym, v, p)),

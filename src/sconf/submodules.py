@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebras import basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift
+from .algebras import _check_images, basis_symbols
+from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift, monomials
 from .reports import VerificationReport
 from .scalars import (
     QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
@@ -197,12 +197,8 @@ class SubmoduleSpec:
 
     def spanning_elements(self, degree_bound):
         """Generators times all monomials up to the degree bound."""
-        out = []
-        for g in self.generators():
-            for i in range(degree_bound + 1):
-                for j in range(degree_bound + 1 - i):
-                    out.append(g.times_poly({(i, j): Scalar.number(1)}))
-        return out
+        monos = monomials(degree_bound, (EVEN,))
+        return [g.times_poly(m.terms) for g in self.generators() for m in monos]
 
 
 def _poly_in_second_var(p, parity):
@@ -272,15 +268,10 @@ def check_closure(spec, index_window, degree_bound):
         "submodule-closure",
         {"spec": spec.render(), "window": index_window, "degree": degree_bound},
     )
-    elements = spec.spanning_elements(degree_bound)
-    for sym in basis_symbols("R", index_window):
-        for v in elements:
-            out = act(sym, v)
-            if not contains(spec, out):
-                report.record(
-                    f"closure {spec} under {sym} on {v}", out.render(), "member"
-                )
-    return report
+    return _check_images(
+        report, basis_symbols("R", index_window), spec.spanning_elements(degree_bound), act,
+        lambda sym, v: "member", f"closure {spec} under ", lambda out, _: contains(spec, out),
+    )
 
 
 def check_containment(inner, outer):

@@ -34,24 +34,28 @@ def test_rank1_sweep_catches_a_wrong_family(monkeypatch):
     assert {v.context for v in report.violations} == {f"L0^{k} G0 . 1_even" for k in range(3)}
 
 
-def test_a0_closure_certificate_catches_a_leak_into_the_constants(monkeypatch):
-    def leak(good, x, v, r):
-        out = good(x, v, r)
-        if out.parity == EVEN and any(s.family == "L" for s in x.terms):
-            return out + QuotientElement.one(EVEN)
-        return out
+def _leak(good, x, v, r):
+    """The restricted action, plus 1_even on an even image of an L element."""
+    out = good(x, v, r)
+    if out.parity == EVEN and any(s.family == "L" for s in x.terms):
+        return out + QuotientElement.one(EVEN)
+    return out
 
-    _wrap(monkeypatch, n1, "restricted_act", leak)
+
+def _h_adds_one(good, sym, v):
+    """The module action, plus 1 of the image's parity for an H generator."""
+    out = good(sym, v)
+    return out + ModuleElement.one(out.parity) if sym.family == "H" else out
+
+
+def test_a0_closure_certificate_catches_a_leak_into_the_constants(monkeypatch):
+    _wrap(monkeypatch, n1, "restricted_act", _leak)
     report = check_simplicity_witness(0, 3, 2, 1, 1, index_window=1)
     _only_violations(report, "a=0 closure L[")
 
 
 def test_closure_sweep_catches_a_wrong_family(monkeypatch):
-    def add_one(good, sym, v):
-        out = good(sym, v)
-        return out + ModuleElement.one(out.parity) if sym.family == "H" else out
-
-    _wrap(monkeypatch, freemod, "act_basis", add_one)
+    _wrap(monkeypatch, freemod, "act_basis", _h_adds_one)
     report = submodules.check_closure(parse_submodule_spec("M[h=y^2-1]"), 1, 1)
     _only_violations(report, "closure M[h=y^2 - 1] under H[")
 
@@ -73,3 +77,49 @@ def test_central_sweep_catches_a_wrong_family(monkeypatch):
 
     _wrap(monkeypatch, freemod, "act_basis", c_is_identity)
     _only_violations(freemod.check_central_triviality(1), "C on ")
+
+
+_CLOSURE_H_ADDS_ONE = [
+    ("closure M[h=y^2 - 1] under H[-1] on y^2 - 1", "lam^-1*y^3 - lam^-1*y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[-1] on y^3 - y", "lam^-1*y^4 - lam^-1*y^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[-1] on x*y^2 - x",
+     "lam^-1*x*y^3 - lam^-1*x*y - lam^-1*y^3 + lam^-1*y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[-1] on t^2 + 2*t", "lam^-1*t^3 + 2*lam^-1*t^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[-1] on t^3 + 2*t^2", "lam^-1*t^4 + 2*lam^-1*t^3 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[-1] on s*t^2 + 2*s*t",
+     "lam^-1*s*t^3 + 2*lam^-1*s*t^2 - lam^-1*t^3 - 2*lam^-1*t^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on y^2 - 1", "y^3 - y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on y^3 - y", "y^4 - y^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on x*y^2 - x", "x*y^3 - x*y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on t^2 + 2*t", "t^3 + 2*t^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on t^3 + 2*t^2", "t^4 + 2*t^3 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[0] on s*t^2 + 2*s*t", "s*t^3 + 2*s*t^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on y^2 - 1", "lam*y^3 - lam*y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on y^3 - y", "lam*y^4 - lam*y^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on x*y^2 - x",
+     "lam*x*y^3 - lam*x*y + lam*y^3 - lam*y + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on t^2 + 2*t", "lam*t^3 + 2*lam*t^2 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on t^3 + 2*t^2", "lam*t^4 + 2*lam*t^3 + 1", "member"),
+    ("closure M[h=y^2 - 1] under H[1] on s*t^2 + 2*s*t",
+     "lam*s*t^3 + 2*lam*s*t^2 + lam*t^3 + 2*lam*t^2 + 1", "member"),
+]
+
+_A0_LEAK = [
+    ("a=0 closure L[-1] on x", "1/3*x^2 - 1/3*x + 1", "member of xC[x]+C[s]"),
+    ("a=0 closure L[-1] on x^2", "1/3*x^3 - 2/3*x^2 + 1/3*x + 1", "member of xC[x]+C[s]"),
+    ("a=0 closure L[0] on x", "x^2 + 1", "member of xC[x]+C[s]"),
+    ("a=0 closure L[0] on x^2", "x^3 + 1", "member of xC[x]+C[s]"),
+    ("a=0 closure L[1] on x", "3*x^2 + 3*x + 1", "member of xC[x]+C[s]"),
+    ("a=0 closure L[1] on x^2", "3*x^3 + 6*x^2 + 3*x + 1", "member of xC[x]+C[s]"),
+]
+
+
+def test_closure_and_a0_certificate_record_every_violation_in_sweep_order(monkeypatch):
+    # generator outer, spanning vector inner; each side as its full text
+    _wrap(monkeypatch, freemod, "act_basis", _h_adds_one)
+    report = submodules.check_closure(parse_submodule_spec("M[h=y^2-1]"), 1, 1)
+    assert [(v.context, v.lhs, v.rhs) for v in report.violations] == _CLOSURE_H_ADDS_ONE
+    monkeypatch.undo()
+    _wrap(monkeypatch, n1, "restricted_act", _leak)
+    report = check_simplicity_witness(0, 3, 2, 1, 1, index_window=1)
+    assert [(v.context, v.lhs, v.rhs) for v in report.violations] == _A0_LEAK
