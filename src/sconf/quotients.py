@@ -254,8 +254,10 @@ def find_roots(h, root_hint=None):
     Hints are consumed first (each one verified and deflated).  Then h is
     deflated by each exact search candidate (Sturm bisection of the norm, see
     ``_candidates``) while it vanishes there: rational roots first, then by
-    |rational part|, positive first.  Raises UnsplitPolynomial, naming the
-    factor left, when the polynomial does not split.
+    |rational part|, positive first.  Each deflation is ``UniPoly.divmod_monic``
+    by y - r, the long division that submodule membership uses too.  Raises
+    UnsplitPolynomial, naming the factor left, when the polynomial does not
+    split.
     """
     work, roots = h.monic(), []
     for cand in map(as_quadext, root_hint or ()):

@@ -51,8 +51,10 @@ kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
 dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
 that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
 coefficients only need ``+`` and truth-testing (falsy exactly when zero);
-QuadExt, Scalar and Fraction all qualify; only the machine-int loops of the
-sweeps sum by hand.  ``join_signed`` is the one
+QuadExt, Scalar and Fraction all qualify.  Only the machine-int loops of the
+sweeps and the one long division, ``submodules._divmod_monic``, sum by hand:
+the division works on a dense coefficient list (one per power of x for a
+module element), not through ``add_terms``.  ``join_signed`` is the one
 renderer of signed sums: every ``a - b + c`` text in the package comes out of
 it.
 """

@@ -11,6 +11,12 @@ variable (with an extra no-constant-term condition on the quotient for the
 N kind), so it is decidable term by term.  Coefficients of h are restricted
 to Q(sqrt2) -- formal parameters inside h would make divisibility
 undecidable, and the action formulas never need them.
+
+One long division, ``_divmod_monic``, divides a dense ascending coefficient
+list by a monic UniPoly over any coefficient ring.  ``UniPoly.divmod_monic``
+(and so ``divides`` and the root deflation of ``quotients.find_roots``) runs
+it on QuadExt coefficients; membership runs it on Scalar coefficients, once
+per power of the first variable.
 """
 
 from __future__ import annotations
@@ -21,9 +27,7 @@ from itertools import product
 from .algebras import _check_images, basis_symbols
 from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift, monomials
 from .reports import VerificationReport
-from .scalars import (
-    QE_ONE, QE_ZERO, QuadExt, Scalar, add_terms, as_quadext, join_signed, monomial_text,
-)
+from .scalars import QE_ONE, QE_ZERO, SC_ZERO, Scalar, as_quadext, join_signed, monomial_text
 
 
 class UniPoly:
@@ -72,24 +76,8 @@ class UniPoly:
         inv = self.leading().inverse()
         return UniPoly(tuple(c * inv for c in self.coeffs))
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UniPoly(
-            tuple(
-                (a[k] if k < len(a) else QE_ZERO) + (b[k] if k < len(b) else QE_ZERO)
-                for k in range(n)
-            )
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, (int, QuadExt)) or not isinstance(other, UniPoly):
+        if not isinstance(other, UniPoly):
             other = UniPoly.const(as_quadext(other))
         out = [QE_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
@@ -123,17 +111,8 @@ class UniPoly:
         """Quotient and remainder by a monic divisor."""
         if not d.is_monic():
             raise ValueError("divisor must be monic")
-        dd = d.degree
-        rem = list(self.coeffs)
-        quo = [QE_ZERO] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c.is_zero():
-                continue
-            quo[k - dd] = c
-            for l in range(dd + 1):
-                rem[k - dd + l] = rem[k - dd + l] - c * d.coeffs[l]
-        return UniPoly(tuple(quo)), UniPoly(tuple(rem[:dd]))
+        quo, rem = _divmod_monic(list(self.coeffs), d)
+        return UniPoly(quo), UniPoly(rem)
 
     def divides(self, other):
         _, rem = other.divmod_monic(self.monic())
@@ -213,26 +192,41 @@ def _check_param_free(v):
         raise ValueError("membership is defined for elements free of the parameters a, b")
 
 
+def _divmod_monic(rem, d):
+    """Long division of an ascending coefficient list by the monic UniPoly d.
+
+    Works over any coefficient ring (QuadExt, Scalar) because d is monic.
+    ``rem`` is reduced in place; returns the quotient's and the remainder's
+    coefficient lists, both ascending.
+    """
+    dd = d.degree
+    minus_d = [(l, -b) for l, b in enumerate(d.coeffs[:dd]) if b]
+    quo = [None] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = quo[k - dd] = rem[k]
+        if c:
+            # subtract c * y^(k-dd) * d below the leading term, which cancels
+            for l, b in minus_d:
+                rem[k - dd + l] = rem[k - dd + l] + c * b
+    return quo, rem[:dd]
+
+
 def _divide_in_second_var(terms, divisor):
     """Exact long division of a bivariate polynomial by monic h(second var).
 
-    Returns (remainder, quotient) as exponent->Scalar maps.  Works over any
-    coefficient ring because the divisor is monic.
+    Returns (remainder, quotient) as zero-free exponent->Scalar maps: one
+    ``_divmod_monic`` on the dense coefficient list of each power of the
+    first variable.
     """
-    dd = divisor.degree
-    minus_h = [(l, -d) for l, d in enumerate(divisor.coeffs) if d]
-    work = dict(terms)
-    quo = {}
-    while work:
-        jmax = max(j for _, j in work)
-        if jmax < dd:
-            break
-        for i, j in [k for k in work if k[1] == jmax]:
-            c = work[(i, j)]
-            quo[(i, j - dd)] = c
-            # subtract c * u^i v^(j-dd) * h; h is monic, so (i, j) cancels
-            add_terms(work, (((i, j - dd + l), c * d) for l, d in minus_h))
-    return work, quo
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, {})[j] = c
+    rem, quo = {}, {}
+    for i, row in rows.items():
+        q, r = _divmod_monic([row.get(j, SC_ZERO) for j in range(max(row) + 1)], divisor)
+        quo.update(((i, j), c) for j, c in enumerate(q) if c)
+        rem.update(((i, j), c) for j, c in enumerate(r) if c)
+    return rem, quo
 
 
 def contains(spec, v):

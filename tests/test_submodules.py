@@ -1,14 +1,18 @@
 """Membership, closure, and lattice order for the submodule family."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from sconf.freemod import EVEN, ODD, ModuleElement
 from sconf.linalg import RowSpan
 from sconf.parsing import parse_module_element, parse_submodule_spec, parse_unipoly
-from sconf.scalars import QuadExt, Scalar
+from sconf.scalars import QE_ZERO, QuadExt, Scalar, add_terms
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
+    _divide_in_second_var,
     check_closure,
     check_containment,
     check_lattice_order,
@@ -38,6 +42,83 @@ def test_unipoly_arithmetic():
     assert UniPoly.from_roots([1, -1]) == p
     assert p(3) == QuadExt(8)
     assert parse_unipoly("2*y + 2").monic() == q
+
+
+# Two independent long divisions, kept as oracles for the one that UniPoly and
+# membership share: the dense UniPoly loop and the sparse bivariate one.
+
+def _dense_divmod_monic(self, d):
+    if not d.is_monic():
+        raise ValueError("divisor must be monic")
+    dd = d.degree
+    rem = list(self.coeffs)
+    quo = [QE_ZERO] * max(len(rem) - dd, 0)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if c.is_zero():
+            continue
+        quo[k - dd] = c
+        for l in range(dd + 1):
+            rem[k - dd + l] = rem[k - dd + l] - c * d.coeffs[l]
+    return UniPoly(tuple(quo)), UniPoly(tuple(rem[:dd]))
+
+
+def _sparse_divide_in_second_var(terms, divisor):
+    dd = divisor.degree
+    minus_h = [(l, -d) for l, d in enumerate(divisor.coeffs) if d]
+    work = dict(terms)
+    quo = {}
+    while work:
+        jmax = max(j for _, j in work)
+        if jmax < dd:
+            break
+        for i, j in [k for k in work if k[1] == jmax]:
+            c = work[(i, j)]
+            quo[(i, j - dd)] = c
+            # subtract c * u^i v^(j-dd) * h; h is monic, so (i, j) cancels
+            add_terms(work, (((i, j - dd + l), c * d) for l, d in minus_h))
+    return work, quo
+
+
+def _random_quadext(rng):
+    """A Q(sqrt2) number; zero a third of the time, irrational a third."""
+    roll = rng.randrange(3)
+    if roll == 0:
+        return QuadExt(0)
+    rat = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return QuadExt(rat, rng.randint(-3, 3) if roll == 2 else 0)
+
+
+def _random_poly(rng, degree, monic):
+    coeffs = [_random_quadext(rng) for _ in range(degree)]
+    return UniPoly(coeffs + [QuadExt(1) if monic else _random_quadext(rng)])
+
+
+def _random_scalar(rng):
+    return sum(
+        (Scalar.monomial(_random_quadext(rng), lam=rng.randint(-2, 2), alp=rng.randint(-2, 2))
+         for _ in range(rng.randint(1, 3))),
+        Scalar.number(0),
+    )
+
+
+def test_one_division_matches_both_oracles():
+    rng = random.Random(20)
+    for _ in range(2000):
+        d = _random_poly(rng, rng.randint(0, 3), monic=True)
+        p = _random_poly(rng, rng.randint(0, 7), monic=False)
+        assert p.divmod_monic(d) == _dense_divmod_monic(p, d)
+    for _ in range(1000):
+        d = _random_poly(rng, rng.randint(0, 3), monic=True)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            c = _random_scalar(rng)
+            if c:
+                terms[(rng.randint(0, 3), rng.randint(0, 6))] = c
+        assert _divide_in_second_var(terms, d) == _sparse_divide_in_second_var(terms, d)
+    for d in (UniPoly((1, 2)), UniPoly((QuadExt(0, 1),)), UniPoly(())):
+        with pytest.raises(ValueError):
+            parse_unipoly("y^3 - 1").divmod_monic(d)
 
 
 def test_unipoly_sqrt2_coefficients():
