@@ -342,14 +342,21 @@ def bracket(x, y):
         raise AlgebraMismatch(f"bracket across {x.algebra} and {y.algebra}")
     x.parity()
     y.parity()
+    return AlgebraElement(x.algebra, _bracket_terms(x.terms, y.terms))
+
+
+def _bracket_terms(xterms, yterms, drop_center=False):
+    """The terms of the bracket of two elements given by their terms: the sum
+    of c1 * c2 * ``_basis_bracket(s1, s2)``, without C when ``drop_center``."""
     acc = {}
-    for sx, cx in x.terms.items():
-        for sy, cy in y.terms.items():
-            parts = _basis_bracket(sx, sy)
+    for s1, c1 in xterms.items():
+        for s2, c2 in yterms.items():
+            parts = _basis_bracket(s1, s2)
             if parts:
-                c = cx * cy
-                add_terms(acc, ((sym, c * f) for sym, f in parts))
-    return AlgebraElement(x.algebra, acc)
+                c = c1 * c2
+                add_terms(acc, ((s, c * f) for s, f in parts
+                                if not (drop_center and s.family == "C")))
+    return acc
 
 
 def _checked(basis_act, sym, v):
@@ -661,7 +668,8 @@ def check_homomorphism(gmap, window):
     symbol, and for each symbol a bracket reaches, filled when first needed.
     Per pair, the sum of f * image(z) over ``_basis_bracket(x, y)`` is
     compared with the sum of c1 * c2 * ``_basis_bracket(s1, s2)`` over the
-    terms of the two images, C dropped when ``mod_center`` is set, as
+    terms of the two images (``_bracket_terms``, which ``bracket`` sums
+    too), C dropped when ``mod_center`` is set, as
     ``apply_map`` drops it from the other side.  ``apply_map`` refuses an
     image of mixed or wrong parity, which is all ``bracket`` would check.
     """
@@ -681,14 +689,7 @@ def check_homomorphism(gmap, window):
         lhs = {}
         for z, f in _basis_bracket(x, y):
             add_terms(lhs, ((s, c * f) for s, c in image(z).items()))
-        rhs = {}
-        for s1, c1 in images[x].items():
-            for s2, c2 in images[y].items():
-                parts = _basis_bracket(s1, s2)
-                if parts:
-                    c = c1 * c2
-                    add_terms(rhs, ((s, c * f) for s, f in parts
-                                    if not (mod_center and s.family == "C")))
+        rhs = _bracket_terms(images[x], images[y], mod_center)
         if lhs != rhs:
             report.record(f"hom {gmap.name} ({x}, {y})",
                           AlgebraElement(gmap.target, lhs).render(),

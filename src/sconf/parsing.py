@@ -9,23 +9,39 @@ at most MAX_NESTING parentheses deep).  Algebra terms end in exactly one
 generator, e.g. ``2*L[1] + lam*H[0] - C``; half-integer modes are written
 ``Gp[1/2]``.  Renderers elsewhere in the package emit this grammar, and
 parse(render(v)) == v is part of the contract.
+
+A text is cut into pieces by one ``_TOKEN.findall``.  Its alternatives tile
+the text, so a piece starts at the summed length of the pieces before it;
+that sum is taken only when an error is reported.  The tokens are the pieces
+that are not white space, then the end token ``""``, reported as None at
+position ``len(text)``.  A number stays a digit string until it is read.  One
+search of the whole text (``_SUSPECT``) looks for a stray character or a
+number of more than MAX_DIGITS digits first; when it finds one, the first
+such piece in text order is reported, a number where it starts and a stray
+character where the token before it ends.
+
+A term is accumulated in plain ints: a signed numerator and a denominator, a
+count of ``sqrt2`` factors, an exponent list for the parameters and one for
+the variables.  When the term ends it becomes one QuadExt coefficient, added
+into one dict for the whole sum under the key (variable exponents, parameter
+exponents), or (generator, parameter exponents) in an algebra element; the
+Scalars are formed from that dict once, at the end.  A parenthesized factor
+holds scalars only: it is parsed as a sum of its own, and multiplied into the
+coefficient when it is a constant, or into the term as a Scalar when it
+carries a parameter.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from operator import add
 
 from .algebras import AlgebraElement, BasisSymbol, ALGEBRAS
 from .errors import ParseError
 from .freemod import EVEN, ODD, ModuleElement
 from .quotients import QuotientElement
-from .scalars import PARAMS, LAURENT_PARAMS, QE_ZERO, SC_ZERO, SQRT2, Scalar, add_terms
+from .scalars import (LAURENT_PARAMS, PARAMS, QE_ONE, QE_ZERO, SC_ONE, SC_ZERO, Scalar,
+                      _qe, add_terms)
 from .submodules import SubmoduleSpec, UniPoly
-
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()\[\]=,])"
-                    r"|(?P<space>\s+)|(?P<stray>.)", re.ASCII | re.DOTALL)
 
 _FAMILIES = ("Gp", "Gm", "L", "H", "G", "Q", "C")
 MAX_EXPONENT = 64  # largest exponent of a variable in one term
@@ -36,172 +52,261 @@ MAX_DIGITS = 20
 _NUMBER_BOUND = 10 ** MAX_DIGITS
 _DIGITS_ERROR = f"numbers must have at most {MAX_DIGITS} digits"
 
+# The alternatives tile the text: names, numbers, operators, white space, and
+# any other character as a stray piece of its own.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|[-+*/^()\[\]=,]|\s+|.", re.ASCII | re.DOTALL)
+# a character no token holds, or a number with too many digits (or a name
+# holding that many)
+_SUSPECT = re.compile(rf"[^-+*/^()\[\]=,A-Za-z0-9\s]|\d{{{MAX_DIGITS + 1}}}", re.ASCII)
+_OPERATORS = frozenset("-+*/^()[]=,")
+_SPACE = frozenset(" \t\n\r\f\v")  # what \s matches under re.ASCII
+_NPARAMS = len(PARAMS)
+_PARAM_SLOTS = {name: (False, slot) for slot, name in enumerate(PARAMS)}
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.items = []  # (kind, value, pos)
-        end = 0  # an unexpected character is reported where the token before it ends
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "space":
-                continue
-            value = m[kind]
-            if kind == "stray":
-                raise ParseError("unexpected character", pos=end, token=value)
-            if kind == "num":
-                if len(value) > MAX_DIGITS:
-                    raise ParseError(_DIGITS_ERROR, pos=m.start())
-                value = int(value)
-            self.items.append((kind, value, m.start()))
-            end = m.end()
+
+def _check_pieces(pieces):
+    """ParseError at the first stray character or overlong number, in text
+    order; a stray character is reported where the token before it ends."""
+    pos = end = 0
+    for piece in pieces:
+        c = piece[0]
+        if c not in _SPACE:
+            if c not in _OPERATORS and not (c.isascii() and c.isalnum()):
+                raise ParseError("unexpected character", pos=end, token=piece)
+            if c.isdigit() and len(piece) > MAX_DIGITS:
+                raise ParseError(_DIGITS_ERROR, pos=pos)
+            end = pos + len(piece)
+        pos += len(piece)
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text, ``k`` the current one.
+
+    ``variables`` names the variables, in the order of their exponent slots;
+    ``names`` maps each parameter and variable to (is a variable, slot).
+    ``depth`` counts the parentheses around the expression being read:
+    inside them the variables are known but refused, since parentheses hold
+    scalars only.
+    """
+
+    def __init__(self, text, variables=()):
+        self.pieces = _TOKEN.findall(text)
+        if _SUSPECT.search(text):
+            _check_pieces(self.pieces)
+        self.toks = [piece for piece in self.pieces if not piece.isspace()]
+        self.toks.append("")
         self.k = 0
+        self.nvars = len(variables)
+        self.names = {**_PARAM_SLOTS, **{v: (True, slot) for slot, v in enumerate(variables)}}
 
-    def peek(self):
-        if self.k < len(self.items):
-            return self.items[self.k]
-        return ("end", None, len(self.text))
+    def value(self, k):
+        """Token k as an error reports it: an int for a number, None at the end."""
+        tok = self.toks[k]
+        return int(tok) if tok.isdigit() else tok or None
 
-    def next(self):
-        item = self.peek()
-        self.k += 1
-        return item
+    def position(self, k):
+        """Where token k starts: the length of the pieces before it."""
+        pos = 0
+        for piece in self.pieces:
+            if not piece.isspace():
+                if not k:
+                    break
+                k -= 1
+            pos += len(piece)
+        return pos
 
-    def accept_op(self, op):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == op:
+    def fail(self, message, k, token=None):
+        raise ParseError(message, pos=self.position(k), token=token)
+
+    def error(self, message):
+        """A ParseError at the current token."""
+        self.fail(message, self.k, self.value(self.k))
+
+    def accept(self, op):
+        if self.toks[self.k] == op:
             self.k += 1
             return True
         return False
 
-    def expect_op(self, op):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos=pos, token=value)
+    def expect(self, op):
+        if not self.accept(op):
+            self.error(f"expected {op!r}")
 
-    def error(self, message):
-        _, value, pos = self.peek()
-        raise ParseError(message, pos=pos, token=value)
+    def finish(self):
+        if self.toks[self.k]:
+            self.error("trailing input")
 
+    def integer(self, k):
+        """The integer, perhaps negated, that starts at token ``k``, and the
+        index of its last token."""
+        toks = self.toks
+        neg = toks[k] == "-"
+        if neg:
+            k += 1
+        if not toks[k].isdigit():
+            self.fail("expected an integer", k, self.value(k))
+        value = int(toks[k])
+        return -value if neg else value, k
 
-def _parse_integer(toks):
-    neg = toks.accept_op("-")
-    kind, value, pos = toks.next()
-    if kind != "num":
-        raise ParseError("expected an integer", pos=pos, token=value)
-    return -value if neg else value
-
-
-class _PolyParser:
-    """Recursive-descent parser for polynomial expressions.
-
-    ``variables`` maps a variable name to its slot in the exponent tuple;
-    terms accumulate into a dict mapping variable-exponent tuples to Scalar.
-    ``depth`` counts the parentheses around the expression: inside them the
-    variables are known but refused, since parentheses hold scalars only.
-    """
-
-    def __init__(self, toks, variables, depth=0):
-        self.toks = toks
-        self.vars = variables
-        self.nvars = len(variables)
-        self.depth = depth
-
-    def parse_sum(self):
-        acc = {}
-        sign = -1 if self.toks.accept_op("-") else 1
-        self._add_term(acc, sign)
+    def sum(self, acc, depth=0):
+        """Add the terms of a signed sum into ``acc``; returns ``acc``."""
+        toks = self.toks
+        sign = -1 if self.accept("-") else 1
         while True:
-            if self.toks.accept_op("+"):
-                self._add_term(acc, 1)
-            elif self.toks.accept_op("-"):
-                self._add_term(acc, -1)
+            self.term(acc, sign, depth)
+            tok = toks[self.k]
+            if tok == "+":
+                sign = 1
+            elif tok == "-":
+                sign = -1
             else:
                 return acc
+            self.k += 1
 
-    def _add_term(self, acc, sign):
-        coeff, exps = self.parse_term()
-        add_terms(acc, ((exps, -coeff if sign < 0 else coeff),))
+    def term(self, acc, sign, depth, algebra=None):
+        """Read one term and add it into ``acc``.
 
-    def parse_term(self):
-        pos = self.toks.peek()[2]
-        coeff, exps = self.parse_factor()
-        while self.toks.accept_op("*"):
-            c2, e2 = self.parse_factor()
-            coeff = coeff * c2
-            exps = tuple(a + b for a, b in zip(exps, e2))
-        if max(exps, default=0) > MAX_EXPONENT:
-            raise ParseError(f"variable exponents must be <= {MAX_EXPONENT}", pos=pos)
-        return coeff, exps
+        The term is accumulated as ``num/den * sqrt2**r2 * params**pexp *
+        variables**vexp``, times ``mult`` for the constant parenthesized
+        factors and the Scalar of each other one in ``parens``, and added
+        under (variable exponents, parameter exponents).  When
+        ``algebra`` is given the term ends in a generator of that algebra
+        instead, and is added under (generator, parameter exponents).
+        """
+        toks, k, names = self.toks, self.k, self.names
+        start = k
+        num, den, r2 = sign, 1, 0
+        pexp, vexp, mult, parens = [0] * _NPARAMS, [0] * self.nvars, QE_ONE, []
+        while True:
+            tok = toks[k]
+            if tok in names:
+                is_var, slot = names[tok]
+                if is_var and depth:
+                    self.fail("parentheses hold scalars only: numbers, sqrt2 and parameters",
+                              k, tok)
+                if toks[k + 1] == "^":
+                    e, last = self.integer(k + 2)
+                    if e < 0 and (is_var or tok not in LAURENT_PARAMS):
+                        self.fail(f"{tok!r} cannot carry a negative exponent", k, tok)
+                    k = last
+                else:
+                    e = 1
+                if is_var:
+                    vexp[slot] += e
+                else:
+                    pexp[slot] += e
+            elif tok.isdigit():
+                num *= int(tok)
+                if toks[k + 1] == "/":
+                    k += 2
+                    d = int(toks[k]) if toks[k].isdigit() else 0
+                    if not d:
+                        self.fail("expected a nonzero denominator", k, self.value(k))
+                    den *= d
+            elif tok == "sqrt2":
+                r2 += 1
+            elif tok == "(":
+                if depth == MAX_NESTING:
+                    self.fail(f"parentheses must nest at most {MAX_NESTING} deep", k)
+                self.k = k + 1
+                inner = self.sum({}, depth + 1)
+                self.expect(")")
+                k = self.k - 1
+                s = Scalar({p: c for (_, p), c in inner.items()})
+                if s.is_constant():
+                    mult = mult * s.constant()
+                else:
+                    parens.append(s)
+            elif algebra and tok in _FAMILIES:
+                self.k = k
+                key = self.symbol(algebra)
+                if self.accept("*"):
+                    self.error("coefficients must precede the generator")
+                break
+            elif not tok or tok in _OPERATORS:
+                self.fail("expected a number, name, or parenthesized expression", k,
+                          self.value(k))
+            else:
+                self.fail("unknown name", k, tok)
+            k += 1
+            if toks[k] == "*":
+                k += 1
+            elif algebra:
+                self.fail("a term must contain exactly one generator", k, self.value(k))
+            else:
+                if vexp and max(vexp) > MAX_EXPONENT:
+                    self.fail(f"variable exponents must be <= {MAX_EXPONENT}", start)
+                self.k = k
+                key = tuple(vexp)
+                break
+        if not num:
+            return
+        num <<= r2 >> 1  # sqrt2**r2 is 2**(r2 // 2), times sqrt2 when r2 is odd
+        coeff = _qe(0, num, den) if r2 & 1 else _qe(num, 0, den)
+        if mult is not QE_ONE:
+            coeff = coeff * mult
+        if not parens:
+            add_terms(acc, (((key, tuple(pexp)), coeff),))
+            return
+        value = Scalar({tuple(pexp): coeff})
+        for s in parens:
+            value = value * s
+        add_terms(acc, (((key, p), c) for p, c in value.terms.items()))
 
-    def parse_factor(self):
-        toks = self.toks
-        zero_exps = (0,) * self.nvars
-        kind, value, pos = toks.peek()
-        if kind == "num":
-            toks.next()
-            num = value
-            if toks.accept_op("/"):
-                kind2, den, pos2 = toks.next()
-                if kind2 != "num" or den == 0:
-                    raise ParseError("expected a nonzero denominator", pos=pos2, token=den)
-                return Scalar.number(Fraction(num, den)), zero_exps
-            return Scalar.number(num), zero_exps
-        if kind == "op" and value == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses must nest at most {MAX_NESTING} deep", pos=pos)
-            toks.next()
-            inner = _PolyParser(toks, self.vars, self.depth + 1).parse_sum()
-            toks.expect_op(")")
-            return sum(inner.values(), SC_ZERO), zero_exps
-        if kind != "name":
-            toks.error("expected a number, name, or parenthesized expression")
-        toks.next()
-        if value == "sqrt2":
-            return Scalar.number(SQRT2), zero_exps
-        if value in PARAMS:
-            exp = self._parse_exponent(allow_negative=value in LAURENT_PARAMS, name=value, pos=pos)
-            return Scalar.param(value, exp), zero_exps
-        if value in self.vars:
-            if self.depth:
-                raise ParseError("parentheses hold scalars only: numbers, sqrt2 and parameters",
-                                 pos=pos, token=value)
-            exp = self._parse_exponent(allow_negative=False, name=value, pos=pos)
-            exps = [0] * self.nvars
-            exps[self.vars[value]] = exp
-            return Scalar.number(1), tuple(exps)
-        raise ParseError("unknown name", pos=pos, token=value)
-
-    def _parse_exponent(self, allow_negative, name, pos):
-        if not self.toks.accept_op("^"):
-            return 1
-        exp = _parse_integer(self.toks)
-        if exp < 0 and not allow_negative:
-            raise ParseError(f"{name!r} cannot carry a negative exponent", pos=pos, token=name)
-        return exp
+    def symbol(self, algebra):
+        """The basis symbol at the current token: a family, then its mode."""
+        k = self.k
+        family = self.toks[k]
+        self.k += 1
+        twice = 0
+        if family != "C":
+            self.expect("[")
+            num, last = self.integer(self.k)
+            self.k = last + 1
+            twice = 2 * num
+            if self.accept("/"):
+                if self.value(self.k) != 2:
+                    self.error("mode denominators must be 2")
+                if num % 2 == 0:
+                    self.fail("half-integer modes need an odd numerator", self.k, num)
+                self.k += 1
+                twice = num
+            self.expect("]")
+        try:
+            return BasisSymbol(algebra, family, twice)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos=self.position(k), token=family) from exc
 
 
-def _check_digits(coeffs):
-    """ParseError when a parsed number has a part of more than MAX_DIGITS digits."""
-    for c in coeffs:
-        for q in c.terms.values():
-            if max(abs(q.p), abs(q.q), q.d) >= _NUMBER_BOUND:
-                raise ParseError(_DIGITS_ERROR)
-    return coeffs
+def _check_digits(acc):
+    """``acc``; ParseError when a coefficient has a part of more than
+    MAX_DIGITS digits."""
+    for q in acc.values():
+        if max(abs(q.p), abs(q.q), q.d) >= _NUMBER_BOUND:
+            raise ParseError(_DIGITS_ERROR)
+    return acc
 
 
-def _parse_all(toks, variables):
-    out = _PolyParser(toks, variables).parse_sum()
-    kind, value, pos = toks.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos=pos, token=value)
-    _check_digits(out.values())
-    return out
+def _parse_all(text, variables=()):
+    parser = _Parser(text, variables)
+    acc = parser.sum({})
+    parser.finish()
+    return _check_digits(acc)
+
+
+def _scalars(acc):
+    """``{key: Scalar}`` from ``{(key, parameter exponents): QuadExt}``; a
+    coefficient equal to one is ``SC_ONE``, as ``Scalar.number(1)`` is."""
+    out = {}
+    for (key, pexp), c in acc.items():
+        out.setdefault(key, {})[pexp] = c
+    return {key: SC_ONE if terms == SC_ONE.terms else Scalar(terms)
+            for key, terms in out.items()}
 
 
 def parse_scalar(text):
     """Parse a scalar expression such as ``3/2*lam^2*alp^-1*sqrt2``."""
-    return sum(_parse_all(_Tokens(text), {}).values(), SC_ZERO)
+    return _scalars(_parse_all(text)).get((), SC_ZERO)
 
 
 def parse_quadext(text):
@@ -218,9 +323,9 @@ def _parse_parity_poly(text, parity, even_vars, odd_vars):
     and a polynomial without variables needs an explicit parity.
     """
     n = len(even_vars)
-    acc = _parse_all(_Tokens(text), {v: k for k, v in enumerate(even_vars + odd_vars)})
-    uses_even = any(any(e[:n]) for e in acc)
-    uses_odd = any(any(e[n:]) for e in acc)
+    acc = _parse_all(text, even_vars + odd_vars)
+    uses_even = any(any(e[:n]) for e, _ in acc)
+    uses_odd = any(any(e[n:]) for e, _ in acc)
     if uses_even and uses_odd:
         raise ParseError(
             f"cannot mix {'/'.join(even_vars)} with {'/'.join(odd_vars)} in one polynomial",
@@ -238,7 +343,8 @@ def _parse_parity_poly(text, parity, even_vars, odd_vars):
         inferred = parity
     elif parity is not None and parity != inferred:
         raise ParseError("polynomial variables contradict the requested parity", pos=0, token=text)
-    return inferred, {tuple(map(add, e[:n], e[n:])): c for e, c in acc.items()}
+    return inferred, _scalars({(e[:n] if uses_even else e[n:], pexp): c
+                               for (e, pexp), c in acc.items()})
 
 
 def parse_module_element(text, parity=None):
@@ -260,41 +366,36 @@ def parse_quotient_element(text, parity=None):
 def _unipoly(acc, message, text):
     """The UniPoly of a sum in one variable; ParseError ``message`` when a
     coefficient carries a formal parameter."""
-    coeffs = [QE_ZERO] * (max((k for (k,) in acc), default=-1) + 1)
-    for (k,), c in acc.items():
-        if not c.is_constant():
+    coeffs = [QE_ZERO] * (max((k for (k,), _ in acc), default=-1) + 1)
+    for ((k,), pexp), c in acc.items():
+        if any(pexp):
             raise ParseError(message, pos=0, token=text)
-        coeffs[k] = c.constant()
+        coeffs[k] = c
     return UniPoly(coeffs)
 
 
 def parse_unipoly(text):
     """Parse a univariate polynomial in y with QuadExt coefficients."""
-    acc = _parse_all(_Tokens(text), {"y": 0})
-    return _unipoly(acc, "coefficients of y must be parameter-free", text)
+    return _unipoly(_parse_all(text, ("y",)), "coefficients of y must be parameter-free", text)
 
 
 def parse_submodule_spec(text):
     """Parse a submodule spec such as ``M[h=y^2-1]`` or ``N[h=1]``."""
-    toks = _Tokens(text)
-    kind_item = toks.next()
-    if kind_item[0] != "name" or kind_item[1] not in ("M", "N"):
-        raise ParseError("expected submodule kind M or N", pos=kind_item[2], token=kind_item[1])
-    toks.expect_op("[")
-    name_item = toks.next()
-    if name_item[0] != "name" or name_item[1] != "h":
-        raise ParseError("expected 'h='", pos=name_item[2], token=name_item[1])
-    toks.expect_op("=")
-    acc = _PolyParser(toks, {"y": 0}).parse_sum()
-    _check_digits(acc.values())
-    toks.expect_op("]")
-    kind, value, pos = toks.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos=pos, token=value)
+    parser = _Parser(text, ("y",))
+    kind = parser.toks[0]
+    if not (parser.accept("M") or parser.accept("N")):
+        parser.error("expected submodule kind M or N")
+    parser.expect("[")
+    if not parser.accept("h"):
+        parser.error("expected 'h='")
+    parser.expect("=")
+    acc = _check_digits(parser.sum({}))
+    parser.expect("]")
+    parser.finish()
     h = _unipoly(acc, "h must have parameter-free coefficients", text)
     if h.is_zero():
         raise ParseError("h must be nonzero", pos=0, token=text)
-    return SubmoduleSpec(kind_item[1], h)
+    return SubmoduleSpec(kind, h)
 
 
 def parse_algebra_element(text, algebra):
@@ -303,65 +404,18 @@ def parse_algebra_element(text, algebra):
         raise ParseError(f"unknown algebra {algebra!r}", pos=0, token=algebra)
     if text.strip() == "0":  # the rendering of the zero element
         return AlgebraElement.zero(algebra)
-    toks = _Tokens(text)
-    acc = AlgebraElement.zero(algebra)
-    first = True
+    parser = _Parser(text)
+    if not parser.toks[0]:
+        parser.error("empty expression")
+    acc = {}
+    sign = -1 if parser.accept("-") else 1
     while True:
-        kind, value, pos = toks.peek()
-        if kind == "end":
-            if first:
-                toks.error("empty expression")
-            break
-        if not first:
-            if toks.accept_op("+"):
-                sign = 1
-            elif toks.accept_op("-"):
-                sign = -1
-            else:
-                toks.error("expected '+' or '-' between terms")
+        parser.term(acc, sign, 0, algebra)
+        if parser.accept("+"):
+            sign = 1
+        elif parser.accept("-"):
+            sign = -1
+        elif not parser.toks[parser.k]:
+            return AlgebraElement(algebra, _scalars(_check_digits(acc)))
         else:
-            sign = -1 if toks.accept_op("-") else 1
-            first = False
-        acc = acc + _parse_algebra_term(toks, algebra, sign)
-    _check_digits(acc.terms.values())
-    return acc
-
-
-def _parse_algebra_term(toks, algebra, sign):
-    poly = _PolyParser(toks, {})
-    coeff = Scalar.number(sign)
-    while True:
-        kind, value, pos = toks.peek()
-        if kind == "name" and value in _FAMILIES:
-            toks.next()
-            sym = _parse_symbol(toks, algebra, value, pos)
-            if toks.accept_op("*"):
-                toks.error("coefficients must precede the generator")
-            return AlgebraElement.basis(sym, coeff)
-        c, _ = poly.parse_factor()
-        coeff = coeff * c
-        if not toks.accept_op("*"):
-            toks.error("a term must contain exactly one generator")
-
-
-def _parse_symbol(toks, algebra, family, pos):
-    if family == "C":
-        try:
-            return BasisSymbol(algebra, "C")
-        except ValueError as exc:
-            raise ParseError(str(exc), pos=pos, token=family) from exc
-    toks.expect_op("[")
-    num = _parse_integer(toks)
-    twice = 2 * num
-    if toks.accept_op("/"):
-        kind, den, dpos = toks.next()
-        if kind != "num" or den != 2:
-            raise ParseError("mode denominators must be 2", pos=dpos, token=den)
-        if num % 2 == 0:
-            raise ParseError("half-integer modes need an odd numerator", pos=dpos, token=num)
-        twice = num
-    toks.expect_op("]")
-    try:
-        return BasisSymbol(algebra, family, twice)
-    except ValueError as exc:
-        raise ParseError(str(exc), pos=pos, token=family) from exc
+            parser.error("expected '+' or '-' between terms")

@@ -227,10 +227,17 @@ def _candidates(h):
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
         chain.append(r)
+    counts = {}  # point -> its sign changes; an interval shares its ends with its parent
+
+    def changes(z):
+        if z not in counts:
+            counts[z] = _sign_changes(chain, z)
+        return counts[z]
+
     points, todo = [], [(-bound, bound)]
     while todo:
         lo, hi = todo.pop()
-        if _sign_changes(chain, lo) == _sign_changes(chain, hi):
+        if changes(lo) == changes(hi):
             continue
         if hi - lo == 2:
             points.append(hi // 2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sconf import quotients
 from sconf.algebras import BasisSymbol
 from sconf.errors import ParamMismatch, UnsplitPolynomial
 from sconf.freemod import EVEN, ODD, act_basis, monomials
@@ -320,6 +321,32 @@ def test_find_roots_agrees_with_sympy_linear_factors(roots, extra):
         found = len(roots)
         assert extra.degree > 0
     assert linear == found
+
+
+def test_root_search_evaluates_each_sturm_point_once(monkeypatch):
+    """Every decompose shape of this file, split or not: within one call of
+    the Sturm bisection no point is evaluated twice."""
+    texts = ["y^2 - 1", "y", "y^2 - 2", "y^2 - 2*y + 1", "y^2 - 3", "y^3 - y + 1",
+             "y^2 - 2*sqrt2*y + 2", "y^4 - 10*y^2 + 16", "y^2 - 1/6*y - 1/3",
+             "y^2 - 1234567*y + 234567000000", "y^2 - 9999999999999999*y - 10000000000000000",
+             "y^2 - 999999999999999999*y - 1000000000000000000", "y^3 - 2*y^2 - y + 2"]
+    shapes = [parse_unipoly(text) for text in texts] + [
+        UniPoly.from_roots([1, QuadExt(0, 1)]),
+        UniPoly.from_roots([QuadExt(0, 2)]) * parse_unipoly("y^2 - 3"),
+    ]
+    drawn = [QuadExt(Fraction(3, 2), -2), QuadExt(Fraction(3, 2), 2), QuadExt(-1), QuadExt(-1)]
+    shapes += [UniPoly.from_roots(drawn) * extra for extra in [UniPoly.const(1)] + _IRREDUCIBLE]
+    points = []
+    sign_changes = quotients._sign_changes
+    monkeypatch.setattr(quotients, "_sign_changes",
+                        lambda chain, z: points.append(z) or sign_changes(chain, z))
+    for h in shapes:
+        points.clear()
+        try:
+            find_roots(h)
+        except UnsplitPolynomial:
+            pass
+        assert points and len(points) == len(set(points)), h
 
 
 def test_composition_series_y2_minus_1():
