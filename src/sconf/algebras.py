@@ -12,35 +12,42 @@ Supported algebras (by tag):
 Mode indices are stored doubled (``twice``), so half-integer modes stay exact
 integers.  The brackets and the standard maps are data.  A bracket table
 (one for R/NS, one for T, one for the N=1 pair) maps each canonically ordered
-family pair to rows (result family, coefficient(m, n)), and a map maps each
+family pair to rows (result family, terms, d): integer terms (c, i, j) of a
+polynomial in the pair's doubled modes t and u, over one positive int
+denominator d, so that (m^3 - m)/12 is (t^3 - 4t)/96.  A map maps each
 source family to rows (target family, doubled image mode, coefficient(m)).
-One evaluator, ``_basis_bracket``, reads the tables: it places every term at
-the total mode, keeps a central row only at total mode 0, drops zero terms,
-and derives the other ordering from super-antisymmetry
-``[x, y] = -(-1)^{|x||y|} [y, x]``.  Its cache holds every pair it has
-seen; a miss calls each row on the two symbols' stored Fraction modes,
-keeps the Fraction the row returns (wrapping only a constant row's int),
-negates it for the reversed order, and builds each result symbol through
-the one validated constructor, whose check is a single set lookup.  A
-symbol stores its mode and its hash when built, and equality compares the
-``sort_index`` tuples, so every lookup, hit or miss, hashes and compares
+One evaluator, ``_bracket_ints``, reads the bracket tables at concrete
+(family, twice) pairs: it places every term at the total mode, keeps a
+central row only at total mode 0, drops zero terms, derives the other
+ordering from super-antisymmetry ``[x, y] = -(-1)^{|x||y|} [y, x]``, raises
+LookupError for a pair the table lacks, and returns int numerators over a
+denominator the caller computes from the rows with ``_denominator``.  It
+has three readers:
+
+* ``_basis_bracket`` turns its ints into (symbol, Fraction) pairs, and its
+  cache holds every pair it has seen; ``bracket``, the representation sweep
+  and the failure texts read it.
+* The graded Jacobi sweep numbers symbols by (family, twice) and computes
+  one sum in machine ints per cyclic orbit of triples, since the three
+  rotations of a triple give the same sum.
+* The homomorphism check reads the map's image of each symbol it needs
+  once, through ``apply_map``, into a table local to the call, flattens the
+  images to ints as the representation sweep does, and compares the two
+  sides of each pair in machine ints.
+
+Both sweeps build symbols, Fractions and elements only for a failing case,
+for its text.  A symbol stores its mode and its hash when built, and
+equality compares the ``sort_index`` tuples, so lookups hash and compare
 symbols without building a tuple.  One builder, ``_generator_map``, reads
-the map rows the same way.  The graded Jacobi sweep reads each row it needs
-from ``_basis_bracket`` once, scales them all to integers over one common
-denominator, and computes one sum in machine ints per cyclic orbit of
-triples, since the three rotations of a triple give the same sum.  The
-bracket-compatibility sweep of a basis action, ``check_representation``,
-also runs in machine ints, over a table of that action's images local to
-the call; it and ``freemod.extend_linearly`` read every image through one
-parity guard, ``_checked``, which refuses an image of the wrong parity.
-``_check_images`` is the one loop that applies each generator of a list to
-each vector of a list and tests the image.  Its five callers are the
-projection, phi and xi intertwining sweeps (``quotients``), the submodule
-closure (``submodules.check_closure``) and the a = 0 closure certificate
-of ``n1.check_simplicity_witness``.  The homomorphism check reads the
-map's images through a table local to the call, one image per symbol it
-needs, and compares the two sides of each pair as sums of Scalars,
-building no element for a pair that passes.
+the map rows.  The bracket-compatibility sweep of a basis action,
+``check_representation``, also runs in machine ints, over a table of that
+action's images local to the call; it and ``freemod.extend_linearly`` read
+every image through one parity guard, ``_checked``, which refuses an image
+of the wrong parity.  ``_check_images`` is the one loop that applies each
+generator of a list to each vector of a list and tests the image.  Its
+five callers are the projection, phi and xi intertwining sweeps
+(``quotients``), the submodule closure (``submodules.check_closure``) and
+the a = 0 closure certificate of ``n1.check_simplicity_witness``.
 """
 
 from __future__ import annotations
@@ -262,76 +269,97 @@ def basis_symbols(algebra, window):
 # structure constants
 # ---------------------------------------------------------------------------
 
-# family pair -> rows (result family, coefficient(m, n)), m and n the modes
-# of the pair as Fractions; _basis_bracket reads them (see the docstring above)
+# family pair -> rows (result family, terms, d).  The coefficient of the
+# result family at the total mode is sum(c * t**i * u**j) / d over the terms
+# (c, i, j), t and u the doubled modes (``twice``) of the pair: at m = t/2,
+# (m**3 - m)/12 is (t**3 - 4 t)/96.  ``_bracket_ints`` reads them (see the
+# docstring above)
 _N2 = {
-    ("L", "L"): (("L", lambda m, n: m - n), ("C", lambda m, n: (m**3 - m) / 12)),
-    ("L", "H"): (("H", lambda m, n: -n),),
-    ("H", "H"): (("C", lambda m, n: m / 3),),
-    ("L", "Gp"): (("Gp", lambda m, n: m / 2 - n),),
-    ("L", "Gm"): (("Gm", lambda m, n: m / 2 - n),),
-    ("H", "Gp"): (("Gp", lambda m, n: 1),),
-    ("H", "Gm"): (("Gm", lambda m, n: -1),),
+    ("L", "L"): (("L", ((1, 1, 0), (-1, 0, 1)), 2), ("C", ((1, 3, 0), (-4, 1, 0)), 96)),
+    ("L", "H"): (("H", ((-1, 0, 1),), 2),),
+    ("H", "H"): (("C", ((1, 1, 0),), 6),),
+    ("L", "Gp"): (("Gp", ((1, 1, 0), (-2, 0, 1)), 4),),
+    ("L", "Gm"): (("Gm", ((1, 1, 0), (-2, 0, 1)), 4),),
+    ("H", "Gp"): (("Gp", ((1, 0, 0),), 1),),
+    ("H", "Gm"): (("Gm", ((-1, 0, 0),), 1),),
     ("Gm", "Gp"): (
-        ("L", lambda m, n: 2),
-        ("H", lambda m, n: n - m),
-        ("C", lambda m, n: (m * m - Fraction(1, 4)) / 3),
+        ("L", ((2, 0, 0),), 1),
+        ("H", ((-1, 1, 0), (1, 0, 1)), 2),
+        ("C", ((1, 2, 0), (-1, 0, 0)), 12),
     ),
     ("Gp", "Gp"): (),
     ("Gm", "Gm"): (),
 }
 
 _TOPOLOGICAL = {
-    ("L", "L"): (("L", lambda m, n: m - n),),
-    ("L", "H"): (("H", lambda m, n: -n), ("C", lambda m, n: (m * m + m) / 6)),
-    ("H", "H"): (("C", lambda m, n: m / 3),),
-    ("L", "G"): (("G", lambda m, n: m - n),),
-    ("L", "Q"): (("Q", lambda m, n: -n),),
-    ("H", "G"): (("G", lambda m, n: 1),),
-    ("H", "Q"): (("Q", lambda m, n: -1),),
+    ("L", "L"): (("L", ((1, 1, 0), (-1, 0, 1)), 2),),
+    ("L", "H"): (("H", ((-1, 0, 1),), 2), ("C", ((1, 2, 0), (2, 1, 0)), 24)),
+    ("H", "H"): (("C", ((1, 1, 0),), 6),),
+    ("L", "G"): (("G", ((1, 1, 0), (-1, 0, 1)), 2),),
+    ("L", "Q"): (("Q", ((-1, 0, 1),), 2),),
+    ("H", "G"): (("G", ((1, 0, 0),), 1),),
+    ("H", "Q"): (("Q", ((-1, 0, 0),), 1),),
     ("G", "Q"): (
-        ("L", lambda m, n: 2),
-        ("H", lambda m, n: -2 * n),
-        ("C", lambda m, n: (m * m + m) / 3),
+        ("L", ((2, 0, 0),), 1),
+        ("H", ((-1, 0, 1),), 1),
+        ("C", ((1, 2, 0), (2, 1, 0)), 12),
     ),
     ("G", "G"): (),
     ("Q", "Q"): (),
 }
 
 _N1 = {  # centerless
-    ("L", "L"): (("L", lambda m, n: m - n),),
-    ("L", "G"): (("G", lambda m, n: m / 2 - n),),
-    ("G", "G"): (("L", lambda m, n: 2),),
+    ("L", "L"): (("L", ((1, 1, 0), (-1, 0, 1)), 2),),
+    ("L", "G"): (("G", ((1, 1, 0), (-2, 0, 1)), 4),),
+    ("G", "G"): (("L", ((2, 0, 0),), 1),),
 }
 
 _TABLES = {"R": _N2, "NS": _N2, "T": _TOPOLOGICAL, "N1R": _N1, "N1NS": _N1}
 
 
-@lru_cache(maxsize=None)
-def _basis_bracket(x, y):
-    """Bracket of two basis symbols as a tuple of (symbol, nonzero Fraction).
+def _denominator(table):
+    """The lcm of the row denominators of a bracket table."""
+    return lcm(*(d for rows in table.values() for _, _, d in rows))
 
-    The one reader of the tables above.
+
+def _bracket_ints(algebra, den, f1, t1, f2, t2):
+    """The bracket of the symbols (f1, t1) and (f2, t2) of ``algebra``, given
+    by family and doubled mode, as a list of (family, int): ``den`` times each
+    nonzero coefficient at the total mode (t1 + t2)/2.
+
+    The one reader of the tables above; ``den`` must be a multiple of every
+    row denominator, as ``_denominator`` of the table is.
     """
-    if x.family == "C" or y.family == "C":
-        return ()
-    table = _TABLES[x.algebra]
-    rows, m, n, negate = table.get((x.family, y.family)), x.index, y.index, False
+    if f1 == "C" or f2 == "C":
+        return []
+    table = _TABLES[algebra]
+    rows, sign = table.get((f1, f2)), 1
     if rows is None:
         # super-antisymmetry: [x,y] = -(-1)^{|x||y|} [y,x]
-        rows, m, n = table.get((y.family, x.family)), n, m
-        negate = not (x.parity and y.parity)
+        rows, t1, t2 = table.get((f2, f1)), t2, t1
+        sign = 1 if _FAMILY_PARITY[f1] and _FAMILY_PARITY[f2] else -1
         if rows is None:
-            raise LookupError(f"no bracket of {x.family} with {y.family} in {x.algebra}")
-    tot = x.twice + y.twice
+            raise LookupError(f"no bracket of {f1} with {f2} in {algebra}")
+    central = t1 + t2 == 0
     out = []
-    for family, coeff in rows:
-        c = coeff(m, n)  # a Fraction over Fraction modes; a constant row gives an int
-        if c and (tot == 0 or family != "C"):
-            if type(c) is int:
-                c = Fraction(c)
-            out.append((BasisSymbol(x.algebra, family, tot), -c if negate else c))
-    return tuple(out)
+    for family, terms, d in rows:
+        if central or family != "C":
+            c = 0
+            for k, i, j in terms:
+                c += k * t1**i * t2**j
+            if c:
+                out.append((family, sign * (den // d) * c))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _basis_bracket(x, y):
+    """Bracket of two basis symbols as a tuple of (symbol, nonzero Fraction),
+    read through ``_bracket_ints``."""
+    algebra, tot = x.algebra, x.twice + y.twice
+    den = _denominator(_TABLES[algebra])
+    return tuple((BasisSymbol(algebra, family, tot), Fraction(c, den))
+                 for family, c in _bracket_ints(algebra, den, x.family, x.twice, y.family, y.twice))
 
 
 def bracket(x, y):
@@ -365,6 +393,39 @@ def _checked(basis_act, sym, v):
     if image.terms and image.parity != (v.parity + sym.parity) % 2:
         raise MixedParity(f"{sym} maps a monomial to the wrong parity")
     return image
+
+
+def _flat(terms, number, den, base, stride):
+    """``den`` times the sum of c * e_k over the terms {key: Scalar c}, k =
+    ``number[key]``, as {k + stride (r + 2 packed ev): int}: ``0 <= k <
+    stride`` numbers the basis element e_k, each coefficient term is an
+    exponent vector ev, packed in base ``base``, times sqrt2**r, and ``den``
+    is a multiple of every coefficient denominator."""
+    out = {}
+    for key, c in terms.items():
+        at = number[key]
+        for ev, q in c.terms.items():
+            packed = 0
+            for x in reversed(ev):
+                packed = packed * base + x
+            where, s = at + 2 * stride * packed, den // q.d
+            if q.p:
+                out[where] = q.p * s
+            if q.q:
+                out[where + stride] = q.q * s
+    return out
+
+
+def _split(vec, stride, scale=1):
+    """The nonzero entries of a ``_flat`` vector as (at, r, offset, int), the
+    offset ``2 stride packed ev`` and the int scaled by ``scale``."""
+    out = []
+    for c, m in vec.items():
+        if m:
+            rest, at = divmod(c, stride)
+            r = rest & 1
+            out.append((at, r, (rest - r) * stride, m * scale))
+    return out
 
 
 def check_representation(report, syms, basis_act, vectors, label):
@@ -420,44 +481,19 @@ def check_representation(report, syms, basis_act, vectors, label):
     # exponent vectors pack into one int in base ``base``: a sum of three
     # of them keeps every entry below base / 2 in size, so packing is injective
     base = 6 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
-    keys = {}  # (parity, monomial key) -> number
+    keys, nk = {}, 0  # parity -> {monomial key: number}
     for e in elements:
+        numbers = keys.setdefault(e.parity, {})
         for key in e.terms:
-            keys.setdefault((e.parity, key), len(keys))
-    nk = len(keys)
-
-    def flat(e):
-        """``den`` times ``e`` as {key + nk (r + 2 packed ev): int}."""
-        out = {}
-        for key, c in e.terms.items():
-            at = keys[e.parity, key]
-            for ev, q in c.terms.items():
-                packed = 0
-                for x in reversed(ev):
-                    packed = packed * base + x
-                where, s = at + 2 * nk * packed, den // q.d
-                if q.p:
-                    out[where] = q.p * s
-                if q.q:
-                    out[where + nk] = q.q * s
-        return out
-
-    # rows[symbol][monomial] = (image, sqrt2 times image) as (int key, int) pairs
+            if key not in numbers:
+                numbers[key], nk = nk, nk + 1
+    # rows[symbol][monomial] = (image, sqrt2 times image) as (int key, int)
+    # pairs, each ``den`` times the exact one, keyed by ``_flat``
     rows = [[None] * nk for _ in symbols]
     for (k, parity, key), img in images.items():
-        plain = list(flat(img).items())
+        plain = list(_flat(img.terms, keys[img.parity], den, base, nk).items())
         root2 = [(c - nk, 2 * m) if c // nk & 1 else (c + nk, m) for c, m in plain]
-        rows[k][keys[parity, key]] = (plain, root2)
-
-    def split(vec, scale=1):
-        """The nonzero entries of a flat vector as (monomial, r, offset, int)."""
-        out = []
-        for c, m in vec.items():
-            if m:
-                rest, at = divmod(c, nk)
-                r = rest & 1
-                out.append((at, r, (rest - r) * nk, m * scale))
-        return out
+        rows[k][keys[parity][key]] = (plain, root2)
 
     def apply(k, parts):
         table, acc = rows[k], {}
@@ -473,9 +509,9 @@ def check_representation(report, syms, basis_act, vectors, label):
     odd = [s.parity for s in syms]
     fails = []
     for t, v in enumerate(vectors):
-        parts = split(flat(v))
+        parts = _split(_flat(v.terms, keys[v.parity], den, base, nk), nk)
         zv = [apply(k, parts) for k in range(len(symbols))]
-        yv = [split(zv[y], lcm_b) for y in range(n)]
+        yv = [_split(zv[y], nk, lcm_b) for y in range(n)]
         xyv = [[apply(x, yv[y]) for y in range(n)] for x in range(n)]
         for x, y in product(range(n), repeat=2):
             diff = dict(xyv[x][y])
@@ -531,13 +567,14 @@ def check_super_jacobi(algebra, window):
     so the sweep computes one sum per cyclic orbit: the triples (i, j, k) of
     symbol numbers with j >= i and k > i, and the diagonal (i, i, i).  A
     nonzero sum is recorded at every distinct rotation of its orbit, in the
-    order of the ordered triples.  The structure constants in these triples
-    are rational, so the sweep works in machine ints.  It numbers the
-    window's symbols and every symbol a bracket yields once, reads each
-    needed ``_basis_bracket`` row once, and scales all of them by ``den``,
-    the lcm of their denominators.  An orbit's sum is then ``den**2`` times
-    the Fraction sum, zero exactly when that is, and a nonzero one is
-    rendered divided by ``den**2``.  The tables live for this call only.
+    order of the ordered triples.  The sweep works in machine ints: it
+    numbers the window's symbols and every symbol their brackets yield by
+    (family, twice), and reads each bracket it needs once from
+    ``_bracket_ints`` over ``den``, the table's ``_denominator``.  All terms
+    of an orbit's sum sit at one total mode, so the sum is a list indexed
+    by family, ``den**2`` times the Fraction sum and zero exactly when that
+    is.  Only a nonzero one is rebuilt as symbols and Fractions, for its
+    text.  The tables live for this call only.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -546,40 +583,38 @@ def check_super_jacobi(algebra, window):
     )
     syms = basis_symbols(algebra, window)
     n = len(syms)
-    index = {s: k for k, s in enumerate(syms)}  # symbol -> number
-    inner = [[_basis_bracket(y, z) for z in syms] for y in syms]
-    for row in chain.from_iterable(inner):
-        for s, _ in row:
-            index.setdefault(s, len(index))
-    # the outer rows: each window symbol bracketed with every numbered symbol
-    outer = [[_basis_bracket(x, s) for s in list(index)] for x in syms]
-    den = lcm(*(c.denominator for table in (inner, outer)
-                for row in chain.from_iterable(table) for _, c in row))
-
-    def scaled(row):
-        return tuple((index.setdefault(s, len(index)), c.numerator * (den // c.denominator))
-                     for s, c in row)
-
-    inner = [[scaled(row) for row in row_list] for row_list in inner]
-    outer = [[scaled(row) for row in row_list] for row_list in outer]
+    keys = [(s.family, s.twice) for s in syms]
+    index = {key: k for k, key in enumerate(keys)}  # (family, twice) -> number
+    den = _denominator(_TABLES[algebra])
+    # the inner rows: every two window symbols, each term as (number, int)
+    inner = [[[(index.setdefault((family, t1 + t2), len(index)), c)
+               for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
+              for f2, t2 in keys] for f1, t1 in keys]
+    # the outer rows: each window symbol bracketed with every numbered symbol,
+    # each term keyed by its family alone
+    order = _FAMILY_ORDER
+    outer = [[[(order[family], c) for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
+              for f2, t2 in index] for f1, t1 in keys]
     parity = [s.parity for s in syms]
     fails = []
     for i in range(n):
         for j in range(i, n):
             for k in range(i if j == i else i + 1, n):
-                acc = {}
+                acc = [0] * len(order)
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     rows = outer[a]
                     sign = -1 if parity[a] & parity[c] else 1
                     for s, f in inner[b][c]:
                         f *= sign
-                        for s2, f2 in rows[s]:
-                            acc[s2] = acc.get(s2, 0) + f * f2
-                if any(acc.values()):
+                        for g, f2 in rows[s]:
+                            acc[g] += f * f2
+                if any(acc):
                     fails.extend((t, acc) for t in {(i, j, k), (j, k, i), (k, i, j)})
-    symbols = list(index)
+    families = sorted(order, key=order.get)
     for (i, j, k), acc in sorted(fails, key=lambda fail: fail[0]):
-        lhs = {symbols[s]: Fraction(v, den * den) for s, v in acc.items()}
+        tot = syms[i].twice + syms[j].twice + syms[k].twice
+        lhs = {BasisSymbol(algebra, families[g], tot): Fraction(v, den * den)
+               for g, v in enumerate(acc) if v}
         report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
                       _render_fraction_combo(lhs), "0")
     return report
@@ -664,36 +699,85 @@ def compose(outer, inner):
 def check_homomorphism(gmap, window):
     """apply([x,y]) == [apply(x), apply(y)] for basis pairs in the window.
 
-    A table local to the call holds ``apply_map(gmap, s)`` for each window
-    symbol, and for each symbol a bracket reaches, filled when first needed.
-    Per pair, the sum of f * image(z) over ``_basis_bracket(x, y)`` is
-    compared with the sum of c1 * c2 * ``_basis_bracket(s1, s2)`` over the
-    terms of the two images (``_bracket_terms``, which ``bracket`` sums
-    too), C dropped when ``mod_center`` is set, as
-    ``apply_map`` drops it from the other side.  ``apply_map`` refuses an
-    image of mixed or wrong parity, which is all ``bracket`` would check.
+    The sweep works in machine ints.  It numbers the window's symbols and
+    every symbol their brackets yield by (family, twice), reading those
+    brackets from ``_bracket_ints``.  A table local to the call holds the
+    terms of ``apply_map(gmap, s)`` for each numbered symbol s, one call per
+    symbol; ``apply_map`` refuses an image of mixed or wrong parity, which is
+    all ``bracket`` would check.  The target symbols of the images, and of
+    the target brackets of every two terms of window images, are numbered
+    the same way, and each image is flattened by ``_flat`` over D, the lcm
+    of its coefficient denominators.  Per pair, the sum of f * image(z) over
+    the source bracket is compared with the sum of c1 * c2 [s1, s2] over
+    the terms of the two images, C dropped when ``mod_center`` is set, as
+    ``apply_map`` drops it from the other side.  Both sides are scaled to
+    D**2 times the product of the two tables' denominators, so they are
+    equal exactly when the exact sides are.  Only a failing pair is rebuilt
+    as elements, for its text, from ``_basis_bracket`` and
+    ``_bracket_terms``, which ``bracket`` sums too.
     """
     report = VerificationReport(
         "homomorphism", {"map": gmap.name, "window": window, "mod_center": gmap.mod_center}
     )
-    syms = basis_symbols(gmap.source, window)
-    mod_center = gmap.mod_center
-    images = {s: apply_map(gmap, s).terms for s in syms}  # symbol -> image terms
-
-    def image(s):
-        if s not in images:
-            images[s] = apply_map(gmap, s).terms
-        return images[s]
-
-    for x, y in product(syms, repeat=2):
+    source, target, mod_center = gmap.source, gmap.target, gmap.mod_center
+    syms = basis_symbols(source, window)
+    n = len(syms)
+    sden, tden = _denominator(_TABLES[source]), _denominator(_TABLES[target])
+    number = {(s.family, s.twice): k for k, s in enumerate(syms)}  # source symbols
+    # per window pair (x, y): the source bracket as (symbol number, int)
+    pairs = [[(number.setdefault((family, x.twice + y.twice), len(number)), f)
+              for family, f in _bracket_ints(source, sden, x.family, x.twice, y.family, y.twice)]
+             for x, y in product(syms, repeat=2)]
+    images = {}  # symbol -> the terms of its image, in symbol number order
+    for s in syms + [BasisSymbol(source, *key) for key in list(number)[n:]]:
+        images[s] = apply_map(gmap, s).terms
+    terms = [{(t.family, t.twice): c for t, c in image.items()} for image in images.values()]
+    tnumber = {}  # target (family, twice) -> number, the window images' first
+    for key in chain.from_iterable(terms[:n]):
+        tnumber.setdefault(key, len(tnumber))
+    keys = list(tnumber)
+    # [k1][k2]: -sden times the target bracket of keys k1 and k2, as (number, int)
+    brackets = [[[(tnumber.setdefault((family, t1 + t2), len(tnumber)), -g * sden)
+                  for family, g in _bracket_ints(target, tden, f1, t1, f2, t2)
+                  if not (mod_center and family == "C")]
+                 for f2, t2 in keys] for f1, t1 in keys]
+    for key in chain.from_iterable(terms):
+        tnumber.setdefault(key, len(tnumber))
+    nt = len(tnumber)
+    coeffs = [c for row in terms for c in row.values()]
+    den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
+    # a product of two coefficients keeps every exponent below base / 2 in size
+    base = 4 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
+    flat = [_flat(row, tnumber, den, base, nt) for row in terms]
+    parts = [_split(image, nt) for image in flat[:n]]
+    scale = den * tden
+    fails = []
+    for p, (xp, yp) in enumerate(product(parts, repeat=2)):
+        acc = {}
+        for z, f in pairs[p]:
+            f *= scale
+            for c, m in flat[z].items():
+                acc[c] = acc.get(c, 0) + f * m
+        for k1, r1, off1, m1 in xp:
+            row = brackets[k1]
+            for k2, r2, off2, m2 in yp:
+                m = m1 * m2
+                if r1 & r2:
+                    m *= 2
+                off = off1 + off2 + (r1 ^ r2) * nt
+                for z, g in row[k2]:
+                    acc[z + off] = acc.get(z + off, 0) + g * m
+        if any(acc.values()):
+            fails.append(p)
+    for p in fails:
+        x, y = syms[p // n], syms[p % n]
         lhs = {}
         for z, f in _basis_bracket(x, y):
-            add_terms(lhs, ((s, c * f) for s, c in image(z).items()))
+            add_terms(lhs, ((s, c * f) for s, c in images[z].items()))
         rhs = _bracket_terms(images[x], images[y], mod_center)
-        if lhs != rhs:
-            report.record(f"hom {gmap.name} ({x}, {y})",
-                          AlgebraElement(gmap.target, lhs).render(),
-                          AlgebraElement(gmap.target, rhs).render())
+        report.record(f"hom {gmap.name} ({x}, {y})",
+                      AlgebraElement(target, lhs).render(),
+                      AlgebraElement(target, rhs).render())
     return report
 
 

@@ -59,7 +59,8 @@ _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|[-+*/^()\[\]=,]|\s+|.", re.ASCII 
 # holding that many)
 _SUSPECT = re.compile(rf"[^-+*/^()\[\]=,A-Za-z0-9\s]|\d{{{MAX_DIGITS + 1}}}", re.ASCII)
 _OPERATORS = frozenset("-+*/^()[]=,")
-_SPACE = frozenset(" \t\n\r\f\v")  # what \s matches under re.ASCII
+_SPACE_TEXT = " \t\n\r\f\v"  # what \s matches under re.ASCII
+_SPACE = frozenset(_SPACE_TEXT)
 _NPARAMS = len(PARAMS)
 _PARAM_SLOTS = {name: (False, slot) for slot, name in enumerate(PARAMS)}
 
@@ -402,7 +403,7 @@ def parse_algebra_element(text, algebra):
     """Parse a linear combination of generators of the given algebra."""
     if algebra not in ALGEBRAS:
         raise ParseError(f"unknown algebra {algebra!r}", pos=0, token=algebra)
-    if text.strip() == "0":  # the rendering of the zero element
+    if text.strip(_SPACE_TEXT) == "0":  # the rendering of the zero element
         return AlgebraElement.zero(algebra)
     parser = _Parser(text)
     if not parser.toks[0]:

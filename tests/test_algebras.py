@@ -109,8 +109,9 @@ def test_antisymmetry_window3(algebra):
 
 
 def test_antisymmetry_reports_a_symmetric_row(monkeypatch):
-    (_, center), = [row for row in algebras._N2[("L", "L")] if row[0] == "C"]
-    monkeypatch.setitem(algebras._N2, ("L", "L"), (("L", lambda m, n: m + n), ("C", center)))
+    center, = [row for row in algebras._N2[("L", "L")] if row[0] == "C"]
+    # m + n at m = t/2, n = u/2
+    monkeypatch.setitem(algebras._N2, ("L", "L"), (("L", ((1, 1, 0), (1, 0, 1)), 2), center))
     _basis_bracket.cache_clear()
     try:
         report = check_antisymmetry("R", 1)
@@ -165,14 +166,21 @@ def test_pair_missing_from_a_table_is_an_error(monkeypatch):
 
 def _jacobi_oracle(algebra, window):
     """The violations of the graded Jacobi sweep, summed in Fractions term by
-    term over ``_basis_bracket``: (context, lhs, rhs) in sweep order."""
+    term over ``_bracket_oracle``: (context, lhs, rhs) in sweep order."""
+    memo = {}
+
+    def br(x, y):
+        if (x, y) not in memo:
+            memo[x, y] = _bracket_oracle(x, y)
+        return memo[x, y]
+
     out = []
     for x, y, z in product(basis_symbols(algebra, window), repeat=3):
         acc = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             sign = -1 if a.parity and c.parity else 1
-            for sym, f in _basis_bracket(b, c):
-                for s2, f2 in _basis_bracket(a, sym):
+            for sym, f in br(b, c):
+                for s2, f2 in br(a, sym):
                     acc[s2] = acc.get(s2, 0) + sign * f * f2
         if any(acc.values()):
             out.append((f"jacobi {algebra} ({x}, {y}, {z})",
@@ -181,15 +189,16 @@ def _jacobi_oracle(algebra, window):
 
 
 # one corrupted row per table, with denominators the true tables lack; the
-# N=2 row carries the central term, so NS reaches it at half-integer modes
+# N=2 row carries the central term, so NS reaches it at half-integer modes.
+# As lambdas on m = t/2 and n = u/2: (m*m - 1/4)/5, m/7 - n and m/3 - n.
 _CORRUPTED_ROWS = {
     "_N2": (("Gm", "Gp"), (
-        ("L", lambda m, n: 2),
-        ("H", lambda m, n: n - m),
-        ("C", lambda m, n: (m * m - Fraction(1, 4)) / 5),
+        ("L", ((2, 0, 0),), 1),
+        ("H", ((-1, 1, 0), (1, 0, 1)), 2),
+        ("C", ((1, 2, 0), (-1, 0, 0)), 20),
     ), ("R", "NS")),
-    "_TOPOLOGICAL": (("L", "Q"), (("Q", lambda m, n: m / 7 - n),), ("T",)),
-    "_N1": (("L", "G"), (("G", lambda m, n: m / 3 - n),), ("N1R", "N1NS")),
+    "_TOPOLOGICAL": (("L", "Q"), (("Q", ((1, 1, 0), (-7, 0, 1)), 14),), ("T",)),
+    "_N1": (("L", "G"), (("G", ((1, 1, 0), (-3, 0, 1)), 6),), ("N1R", "N1NS")),
 }
 
 
@@ -207,12 +216,24 @@ def test_jacobi_violations_match_a_fraction_oracle(monkeypatch, table):
         _basis_bracket.cache_clear()
 
 
-def _bracket_oracle(x, y):
-    """``_basis_bracket`` as first written: ``Fraction(coeff(m, n))`` over
-    ``Fraction(twice, 2)`` modes, each result a validated symbol."""
+def _int_row(row, m, n):
+    """An int row (family, terms, d) read at the Fraction modes m and n."""
+    _, terms, d = row
+    return Fraction(sum(c * (2 * m) ** i * (2 * n) ** j for c, i, j in terms), d)
+
+
+def _lambda_row(row, m, n):
+    """A row (family, coefficient(m, n)) of ``_LAMBDA_TABLES``."""
+    return Fraction(row[1](m, n))
+
+
+def _bracket_oracle(x, y, tables=None, value=_int_row):
+    """``_basis_bracket`` as first written: each row's ``value`` over
+    ``Fraction(twice, 2)`` modes, each result a validated symbol.  The rows
+    are those of ``algebras._TABLES`` unless ``tables`` is given."""
     if x.family == "C" or y.family == "C":
         return ()
-    table = algebras._TABLES[x.algebra]
+    table = (algebras._TABLES if tables is None else tables)[x.algebra]
     m, n = Fraction(x.twice, 2), Fraction(y.twice, 2)
     rows, sign = table.get((x.family, y.family)), 1
     if rows is None:
@@ -220,11 +241,84 @@ def _bracket_oracle(x, y):
         sign = 1 if x.parity and y.parity else -1
     tot = x.twice + y.twice
     out = []
-    for family, coeff in rows:
-        c = sign * Fraction(coeff(m, n))
-        if c and (tot == 0 or family != "C"):
-            out.append((BasisSymbol(x.algebra, family, tot), c))
+    for row in rows:
+        c = sign * value(row, m, n)
+        if c and (tot == 0 or row[0] != "C"):
+            out.append((BasisSymbol(x.algebra, row[0], tot), c))
     return tuple(out)
+
+
+# The bracket tables as they were written before their rows became int data:
+# (result family, coefficient(m, n)), m and n the pair's modes as Fractions.
+_LAMBDA_N2 = {
+    ("L", "L"): (("L", lambda m, n: m - n), ("C", lambda m, n: (m**3 - m) / 12)),
+    ("L", "H"): (("H", lambda m, n: -n),),
+    ("H", "H"): (("C", lambda m, n: m / 3),),
+    ("L", "Gp"): (("Gp", lambda m, n: m / 2 - n),),
+    ("L", "Gm"): (("Gm", lambda m, n: m / 2 - n),),
+    ("H", "Gp"): (("Gp", lambda m, n: 1),),
+    ("H", "Gm"): (("Gm", lambda m, n: -1),),
+    ("Gm", "Gp"): (
+        ("L", lambda m, n: 2),
+        ("H", lambda m, n: n - m),
+        ("C", lambda m, n: (m * m - Fraction(1, 4)) / 3),
+    ),
+    ("Gp", "Gp"): (),
+    ("Gm", "Gm"): (),
+}
+
+_LAMBDA_TOPOLOGICAL = {
+    ("L", "L"): (("L", lambda m, n: m - n),),
+    ("L", "H"): (("H", lambda m, n: -n), ("C", lambda m, n: (m * m + m) / 6)),
+    ("H", "H"): (("C", lambda m, n: m / 3),),
+    ("L", "G"): (("G", lambda m, n: m - n),),
+    ("L", "Q"): (("Q", lambda m, n: -n),),
+    ("H", "G"): (("G", lambda m, n: 1),),
+    ("H", "Q"): (("Q", lambda m, n: -1),),
+    ("G", "Q"): (
+        ("L", lambda m, n: 2),
+        ("H", lambda m, n: -2 * n),
+        ("C", lambda m, n: (m * m + m) / 3),
+    ),
+    ("G", "G"): (),
+    ("Q", "Q"): (),
+}
+
+_LAMBDA_N1 = {  # centerless
+    ("L", "L"): (("L", lambda m, n: m - n),),
+    ("L", "G"): (("G", lambda m, n: m / 2 - n),),
+    ("G", "G"): (("L", lambda m, n: 2),),
+}
+
+_LAMBDA_TABLES = {"R": _LAMBDA_N2, "NS": _LAMBDA_N2, "T": _LAMBDA_TOPOLOGICAL,
+                  "N1R": _LAMBDA_N1, "N1NS": _LAMBDA_N1}
+
+
+def test_int_rows_transcribe_the_lambda_tables():
+    _basis_bracket.cache_clear()
+    try:
+        for algebra in ALGEBRAS:
+            for x, y in product(basis_symbols(algebra, 4), repeat=2):
+                want = _bracket_oracle(x, y, _LAMBDA_TABLES, _lambda_row)
+                assert _basis_bracket(x, y) == want, (x, y)
+    finally:
+        _basis_bracket.cache_clear()
+
+
+def test_every_table_row_is_int_data():
+    for algebra, table in algebras._TABLES.items():
+        for pair, rows in table.items():
+            assert type(rows) is tuple, (algebra, pair)
+            for row in rows:
+                assert type(row) is tuple and len(row) == 3, (algebra, pair, row)
+                family, terms, d = row
+                assert family in algebras._FAMILY_PARITY, (algebra, pair, row)
+                assert type(terms) is tuple and terms, (algebra, pair, row)
+                for term in terms:
+                    assert type(term) is tuple and len(term) == 3, (algebra, pair, term)
+                    assert all(type(k) is int for k in term), (algebra, pair, term)
+                    assert term[0] and min(term[1:]) >= 0, (algebra, pair, term)
+                assert type(d) is int and d > 0, (algebra, pair, row)
 
 
 @pytest.mark.parametrize("table", [None, *sorted(_CORRUPTED_ROWS)])
@@ -301,6 +395,18 @@ def test_invalid_symbols_are_refused(args, message):
     assert str(info.value) == message
 
 
+def test_a_passing_jacobi_sweep_reads_no_basis_bracket(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return _basis_bracket(x, y)
+
+    monkeypatch.setattr(algebras, "_basis_bracket", counting)
+    assert check_super_jacobi("R", 2).passed
+    assert calls == []
+
+
 def test_jacobi_sweep_reports_a_missing_pair(monkeypatch):
     monkeypatch.delitem(algebras._TOPOLOGICAL, ("H", "Q"))
     _basis_bracket.cache_clear()
@@ -364,6 +470,31 @@ def test_upsilon2_needs_mod_center():
     report = check_homomorphism(raw, 2)
     assert not report.passed
     assert any("G[1]" in v.context and "G[-1]" in v.context for v in report.violations)
+
+
+def test_a_passing_homomorphism_check_builds_nothing_beyond_its_images(monkeypatch):
+    built, depth = [], [0]  # elements and scalars built outside apply_map
+    apply, inits = algebras.apply_map, {cls: cls.__init__ for cls in (AlgebraElement, Scalar)}
+
+    def nested(gmap, x):
+        depth[0] += 1
+        try:
+            return apply(gmap, x)
+        finally:
+            depth[0] -= 1
+
+    def counting(cls):
+        def init(self, *args):
+            if not depth[0]:
+                built.append(cls.__name__)
+            inits[cls](self, *args)
+        return init
+
+    monkeypatch.setattr(algebras, "apply_map", nested)
+    for cls in inits:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    assert check_homomorphism(spectral_flow(), 2).passed
+    assert built == []
 
 
 def _homomorphism_oracle(gmap, window):

@@ -90,6 +90,10 @@ def test_algebra_zero_roundtrip():
     assert zero.render() == "0"
     assert parse_algebra_element("0", "R") == zero
     assert parse_algebra_element("0*L[1]", "R") == zero
+    assert parse_algebra_element(" \t0\n", "R") == zero
+    for text in ("\u00a00", "0\u00a0"):  # a non-ASCII space, as around any other term
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_algebra_element(text, "R")
 
 
 def test_algebra_errors_carry_position():

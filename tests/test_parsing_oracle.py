@@ -2,7 +2,8 @@
 
 ``sconf.parsing`` reads each term in plain ints.  The reference below is the
 earlier parser, token objects and Scalar products included, copied with only
-its imports made absolute.  On a seeded corpus -- the expression options of
+its imports made absolute and its lone-zero shortcut stripping only ASCII
+white space, as ``sconf.parsing`` does.  On a seeded corpus -- the expression options of
 ``tests/cli_golden.json``, the texts of ``tests/test_parsing.py``, two
 cli-mix decks, every prefix of ten of those texts, and hostile mutations at
 and past the caps -- every entry point must return an equal value (of the
@@ -310,7 +311,7 @@ def parse_algebra_element(text, algebra):
     """Parse a linear combination of generators of the given algebra."""
     if algebra not in ALGEBRAS:
         raise ParseError(f"unknown algebra {algebra!r}", pos=0, token=algebra)
-    if text.strip() == "0":  # the rendering of the zero element
+    if text.strip(" \t\n\r\f\v") == "0":  # the rendering of the zero element
         return AlgebraElement.zero(algebra)
     toks = _Tokens(text)
     acc = AlgebraElement.zero(algebra)
