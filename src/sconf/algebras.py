@@ -52,17 +52,16 @@ the a = 0 closure certificate of ``n1.check_simplicity_witness``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import lcm
 from operator import eq
-from typing import Callable
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination
+from .values import Value
 
 ALGEBRAS = ("R", "NS", "T", "N1R", "N1NS")
 
@@ -89,33 +88,32 @@ _VALID_SYMBOLS = frozenset(
 )
 
 
-@dataclass(frozen=True, order=True)
-class BasisSymbol:
+class BasisSymbol(Value):
     """One basis generator, identified by algebra tag, family, and 2*mode.
 
     The constructor validates with one set lookup of (algebra, family,
     ``twice % 2``), ``twice`` itself for C; only a refused symbol runs the
-    branches that pick its message.  It stores the exact mode ``index`` (a
-    Fraction) and the hash of ``sort_index``, neither compared nor shown by
-    ``repr``.  Symbols are equal exactly when their ``sort_index`` tuples
-    are, which orders them; equality checks identity first.
+    branches that pick its message.  It stores ``sort_index``, the tuple
+    (algebra, family order, twice), and its hash, neither shown by ``repr``.
+    Symbols are equal exactly when their ``sort_index`` tuples are, which
+    orders them; equality checks identity first.  The exact mode ``index``
+    (a Fraction) is computed on read.  A symbol pickles and copies through
+    its constructor, since the stored hash of a str differs between
+    interpreters.
     """
 
-    sort_index: tuple = field(init=False, repr=False, compare=True)
-    algebra: str = field(compare=False)
-    family: str = field(compare=False)
-    twice: int = field(compare=False, default=0)
-    index: Fraction = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("algebra", "family", "twice", "sort_index", "_hash")
+    _fields = ("algebra", "family", "twice")
 
-    def __post_init__(self):
-        algebra, family, twice = self.algebra, self.family, self.twice
+    def __init__(self, algebra, family, twice=0):
+        _set_algebra(self, algebra)
+        _set_family(self, family)
+        _set_twice(self, twice)
         if (algebra, family, twice if family == "C" else twice % 2) not in _VALID_SYMBOLS:
             self._refuse()
         sort_index = (algebra, _FAMILY_ORDER[family], twice)
-        object.__setattr__(self, "sort_index", sort_index)
-        object.__setattr__(self, "index", Fraction(twice, 2))
-        object.__setattr__(self, "_hash", hash(sort_index))
+        _set_sort_index(self, sort_index)
+        _set_hash(self, hash(sort_index))
 
     def _refuse(self):
         """Raise the ValueError that names why the symbol is invalid."""
@@ -142,13 +140,32 @@ class BasisSymbol:
             return NotImplemented
         return self.sort_index == other.sort_index
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_index < other.sort_index
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_index <= other.sort_index
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_index > other.sort_index
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_index >= other.sort_index
+
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # unpickle through the constructor: the stored hash of a str differs
-        # between interpreters
-        return BasisSymbol, (self.algebra, self.family, self.twice)
+    @property
+    def index(self):
+        return Fraction(self.twice, 2)
 
     @property
     def parity(self):
@@ -162,6 +179,13 @@ class BasisSymbol:
         return f"{self.family}[{self.twice}/2]"
 
     __str__ = render
+
+
+_set_algebra = BasisSymbol.algebra.__set__
+_set_family = BasisSymbol.family.__set__
+_set_twice = BasisSymbol.twice.__set__
+_set_sort_index = BasisSymbol.sort_index.__set__
+_set_hash = BasisSymbol._hash.__set__
 
 
 class AlgebraElement:
@@ -181,6 +205,9 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.algebra, self.terms)
 
     @classmethod
     def basis(cls, symbol, coeff=1):
@@ -641,19 +668,24 @@ def check_antisymmetry(algebra, window):
 # homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(Value):
     """A linear map given on basis symbols, extended linearly to elements.
 
-    ``mod_center`` marks maps into a quotient by the center: C components are
-    dropped from images, and homomorphism checks compare modulo C.
+    ``rule`` sends a BasisSymbol of ``source`` to an AlgebraElement of
+    ``target``.  ``mod_center`` marks maps into a quotient by the center: C
+    components are dropped from images, and homomorphism checks compare
+    modulo C.
     """
 
-    name: str
-    source: str
-    target: str
-    rule: Callable[[BasisSymbol], AlgebraElement]
-    mod_center: bool = False
+    __slots__ = ("name", "source", "target", "rule", "mod_center")
+    _fields = __slots__
+
+    def __init__(self, name, source, target, rule, mod_center=False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "mod_center", mod_center)
 
 
 def apply_map(gmap, x):

@@ -77,6 +77,9 @@ class ParityElement:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.parity, self.terms)
+
     @classmethod
     def _term(cls, parity, key, coeff):
         coeff = as_scalar(coeff)

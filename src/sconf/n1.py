@@ -27,13 +27,10 @@ image is the sum of its coordinates times those images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import quotients
 from .algebras import (
     AlgebraElement,
     BasisSymbol,
-    GeneratorMap,
     _check_images,
     apply_map,
     basis_symbols,
@@ -48,23 +45,25 @@ from .linalg import RowSpan
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, QE_ZERO, Scalar, as_quadext
+from .values import Value
 
 
-@dataclass(frozen=True)
-class RestrictedAction:
+class RestrictedAction(Value):
     """A quotient module seen through an N=1 embedding."""
 
-    source: str
-    embedding: GeneratorMap
-    params: QuotientParams
+    __slots__ = ("source", "embedding", "params")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.source not in ("N1R", "N1NS"):
-            raise AlgebraMismatch(f"restriction source must be N1R or N1NS, got {self.source}")
-        if self.embedding.source != self.source or self.embedding.target != "R":
+    def __init__(self, source, embedding, params):
+        if source not in ("N1R", "N1NS"):
+            raise AlgebraMismatch(f"restriction source must be N1R or N1NS, got {source}")
+        if embedding.source != source or embedding.target != "R":
             raise AlgebraMismatch("embedding must map the source algebra into R")
-        if not self.embedding.mod_center:
+        if not embedding.mod_center:
             raise AlgebraMismatch("the embedding must be taken modulo the center")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "embedding", embedding)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def ramond(cls, params):

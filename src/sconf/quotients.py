@@ -36,7 +36,6 @@ generator sweep, ``algebras._check_images``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -49,8 +48,10 @@ from .freemod import (
 from .reports import VerificationReport
 from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
 from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
+from .values import Value
 
 _VAR = {EVEN: ("x",), ODD: ("s",)}
+_LAM, _ALP = Scalar.param("lam"), Scalar.param("alp")
 
 
 class QuotientElement(ParityElement):
@@ -70,34 +71,33 @@ class QuotientElement(ParityElement):
         return monomial_text(_VAR[self.parity], (key,))
 
 
-@dataclass(frozen=True)
-class QuotientParams:
+class QuotientParams(Value):
     """Parameters of one simple quotient: the root a and the pair (lam, alp).
 
     ``a`` is a concrete Q(sqrt2) number, or None for the formal parameter.
     ``lam`` and ``alp`` must be invertible monomials (formal parameters,
-    nonzero numbers, or products of those).
+    nonzero numbers, or products of those); they default to the formal
+    ``lam`` and ``alp``.
     """
 
-    a: QuadExt | None = None
-    lam: Scalar = field(default_factory=lambda: Scalar.param("lam"))
-    alp: Scalar = field(default_factory=lambda: Scalar.param("alp"))
-    root: QuadExt | Scalar = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "lam", "alp", "root")
+    _fields = ("a", "lam", "alp")
 
-    def __post_init__(self):
-        if self.a is not None:
-            object.__setattr__(self, "a", as_quadext(self.a))
-        lam = as_scalar(self.lam)
-        alp = as_scalar(self.alp)
+    def __init__(self, a=None, lam=_LAM, alp=_ALP):
+        if a is not None:
+            a = as_quadext(a)
+        lam = as_scalar(lam)
+        alp = as_scalar(alp)
         for name, value in (("lam", lam), ("alp", alp)):
             try:
                 value.invert_monomial()
             except NotAUnit as exc:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alp", alp)
         # the root the action freezes y at, formal when a is None
-        object.__setattr__(self, "root", Scalar.param("a") if self.a is None else self.a)
+        object.__setattr__(self, "root", Scalar.param("a") if a is None else a)
 
     def concrete_a(self):
         if self.a is None:
@@ -282,8 +282,7 @@ def find_roots(h, root_hint=None):
     return roots
 
 
-@dataclass(frozen=True)
-class CompositionSeries:
+class CompositionSeries(Value):
     """A maximal chain of M-kind submodules above M_h, with its factor list.
 
     ``chain[i]`` is the M-kind spec of (y - a_1)...(y - a_{i+1}); the factor
@@ -291,9 +290,13 @@ class CompositionSeries:
     = -a_{i+1}.
     """
 
-    h: UniPoly
-    chain: tuple
-    factors: tuple
+    __slots__ = ("h", "chain", "factors")
+    _fields = __slots__
+
+    def __init__(self, h, chain, factors):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "factors", factors)
 
     def render(self):
         lines = [f"series of quotient by M[h={self.h.render()}]:"]

@@ -2,31 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Violation:
-    context: str
-    lhs: str
-    rhs: str
+class Violation(Value):
+    """One failed identity: where, and the text of its two sides."""
+
+    __slots__ = ("context", "lhs", "rhs")
+    _fields = __slots__
+
+    def __init__(self, context, lhs, rhs):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of one verification sweep.
 
     ``status`` is ``fail`` when any violation was recorded, ``inconclusive``
     when a bounded search could neither confirm nor refute, and ``pass``
     otherwise.  ``notes`` are human-readable remarks that do not affect the
-    status (and are not part of the JSON contract).
+    status (and are not part of the JSON contract).  Unlike the other value
+    classes, a report is mutable and unhashable; ``params``,
+    ``violations`` and ``notes`` default to a new dict or list.
     """
 
-    suite: str
-    params: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    inconclusive: bool = False
-    notes: list = field(default_factory=list)
+    _fields = ("suite", "params", "violations", "inconclusive", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite, params=None, violations=None, inconclusive=False, notes=None):
+        self.suite = suite
+        self.params = {} if params is None else params
+        self.violations = [] if violations is None else violations
+        self.inconclusive = inconclusive
+        self.notes = [] if notes is None else notes
 
     def record(self, context, lhs, rhs):
         self.violations.append(Violation(context, str(lhs), str(rhs)))

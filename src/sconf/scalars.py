@@ -154,6 +154,11 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):
+        # pickle and copy through the trusted constructor: the default slot
+        # restore would go through the refusing __setattr__
+        return _qe, (self.p, self.q, self.d)
+
     @property
     def rat(self):
         """The rational part as a Fraction."""
@@ -362,6 +367,9 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.terms,)
 
     # -- constructors ---------------------------------------------------------
 

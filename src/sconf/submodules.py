@@ -21,13 +21,13 @@ per power of the first variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .algebras import _check_images, basis_symbols
 from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift, monomials
 from .reports import VerificationReport
 from .scalars import QE_ONE, QE_ZERO, SC_ZERO, Scalar, as_quadext, join_signed, monomial_text
+from .values import Value
 
 
 class UniPoly:
@@ -43,6 +43,9 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
 
     @classmethod
     def const(cls, v):
@@ -139,23 +142,23 @@ class UniPoly:
         return f"<UniPoly {self.render()}>"
 
 
-@dataclass(frozen=True)
-class SubmoduleSpec:
+class SubmoduleSpec(Value):
     """A submodule of the rank-2 module: kind tag plus monic h(y)."""
 
-    kind: str
-    h: UniPoly
-    odd_divisor: UniPoly = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "h", "odd_divisor")
+    _fields = ("kind", "h")
 
-    def __post_init__(self):
-        if self.kind not in ("M", "N"):
+    def __init__(self, kind, h):
+        if kind not in ("M", "N"):
             raise ValueError("kind must be 'M' or 'N'")
-        if self.h.is_zero():
+        if h.is_zero():
             raise ValueError("h must be nonzero")
-        if not self.h.is_monic():
-            object.__setattr__(self, "h", self.h.monic())
+        if not h.is_monic():
+            h = h.monic()
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "h", h)
         # the odd divisor h(t+1), read by every membership test on the odd part
-        object.__setattr__(self, "odd_divisor", self.h.shifted(1))
+        object.__setattr__(self, "odd_divisor", h.shifted(1))
 
     def render(self):
         return f"{self.kind}[h={self.h.render()}]"

@@ -1,6 +1,5 @@
 """Bracket tables, sweeps, and the standard homomorphisms."""
 
-import dataclasses
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -368,7 +367,8 @@ def test_symbol_order_repr_and_replace():
     assert R("L", 0) != "L[0]" and R("L", 0).__eq__(("R", 0, 0)) is NotImplemented
     assert repr(NS("Gp", -1)) == "BasisSymbol(algebra='NS', family='Gp', twice=-1)"
     assert repr(R("C")) == "BasisSymbol(algebra='R', family='C', twice=0)"
-    moved = dataclasses.replace(R("L", 2), twice=-6)
+    s = R("L", 2)
+    moved = BasisSymbol(s.algebra, s.family, -6)
     assert moved.index == -3 and moved == R("L", -6) and hash(moved) == hash(R("L", -6))
     assert moved != R("L", 2)
 
