@@ -16,7 +16,14 @@ coefficients in the Scalar ring so that the module parameters ``lam`` and
 
 These formulas are written once, as the rows of ``_ACTION``.  One reader,
 ``_row_terms``, evaluates a row: ``act_basis`` with the formal lam and alp,
-``quotients.quotient_act_basis`` with the quotient's.
+``quotients.quotient_act_basis`` with the quotient's.  It sums the image of
+a whole element in ints, one slice per (output monomial, parameter
+monomial): each input term adds the integers of its binomial-shift image
+times its coefficient's parts into the slices (``scalars.add_slice``), and
+``act_basis`` builds each output Scalar once from its slices
+(``scalars.build_slices``).  The row scale lam^m * number * alp^power is
+read from the exponent vectors of lam and alp and folded into each input
+coefficient once, so no Scalar is multiplied or added on the way.
 
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
@@ -24,10 +31,11 @@ resp. t.  Both parities share one bivariate representation; the parity tag
 decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
 
-Every action is linear.  ``extend_linearly`` acts by an element x as the
-sum of coeff * (basis action of each generator of x), each generator read
-once on the whole element through its row; ``act`` is that extension of
-``act_basis``, and ``quotients.quotient_act`` that of ``quotient_act_basis``.
+Every action is linear over the Scalars.  ``extend_linearly`` acts by an
+element x as the sum of the basis actions of the generators of x, each on
+the whole element scaled by that generator's coefficient (the element has
+fewer terms than its image); ``act`` is that extension of ``act_basis``,
+and ``quotients.quotient_act`` that of ``quotient_act_basis``.
 One guard, ``_require_r``, refuses an element or generator outside R for all
 four, with the text that each module names once as its ``_OWNER``.
 Nothing is tabulated or cached.  The bracket-compatibility sweep,
@@ -40,11 +48,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .algebras import BasisSymbol, _checked, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import SC_ONE, Scalar, add_terms, as_scalar, monomial_text, render_combination
+from .scalars import (
+    SC_ONE, Scalar, _unreduced, add_slice, add_terms, as_quadext, as_scalar, build_slices,
+    monomial_text, render_combination,
+)
 
 EVEN, ODD = 0, 1
 _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
@@ -189,30 +201,67 @@ _ACTION = {
 _LAM, _ALP = Scalar.param("lam"), Scalar.param("alp")
 
 
+def _scale(lam, alp, m, number, power):
+    """The row scale lam^m * number * alp^power as its exponent vector and
+    the ints (p, q, d) of its coefficient (p + q sqrt2)/d, read from the
+    exponent vectors of the one-term lam and alp; a coefficient 1 is not
+    raised."""
+    (ev, c), = lam.terms.items()
+    ev = tuple(e * m for e in ev)
+    c = number if c == 1 else c ** m * number
+    if power:
+        (aev, ac), = alp.terms.items()
+        ev = tuple(e + f * power for e, f in zip(ev, aev))
+        if ac != 1:
+            c = ac ** power * c
+    c = as_quadext(c)
+    return ev, c.p, c.q, c.d
+
+
 def _row_terms(sym, parity, terms, lam, alp):
     """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
-    ``terms`` of a parity, with ``lam`` and ``alp``: the target parity and,
-    per pair, c times the row's scale with the integers ``{(i, j): n}`` of
-    the image of u^k v^l, so that the image is the sum of c * n * u^i v^j."""
+    ``terms`` of a parity, with ``lam`` and ``alp``: the target parity and
+    the image as slices ``{(i, j): {ev: QuadExt under construction}}``, one
+    per output monomial u^i v^j and parameter monomial ev, each summed in
+    ints over the terms (``add_slice``).  The row scale is folded into each
+    input coefficient once."""
     row = _ACTION.get((sym.family, parity))
     if row is None:
-        return (parity + sym.parity) % 2, ()
+        return (parity + sym.parity) % 2, {}
     parity, dy, number, power, rows = row
     m = sym.twice // 2
     pre = [((i, j), c + d * m) for i, j, c, d in rows if c + d * m]
-    scale = lam ** m * number
-    if power:
-        scale = scale * alp ** power
-    images = []
+    sev, sp, sq, sd = _scale(lam, alp, m, number, power)
+    move = any(sev)
+    slices = {}
     for (k, l), c in terms:
-        nums = {}
+        parts = []
+        for ev, x in c.terms.items():
+            if move:
+                ev = tuple(map(add, ev, sev))
+            p, q = x.p, x.q
+            if sq:
+                p, q = p * sp + 2 * q * sq, p * sq + q * sp
+            else:
+                p, q = p * sp, q * sp
+            parts.append((ev, p, q, x.d * sd))
+        nums, ys = {}, binomial_shift(l, dy)
         for i, bx in binomial_shift(k, m):
-            for j, by in binomial_shift(l, dy):
+            for j, by in ys:
+                b = bx * by
                 for (p, q), n in pre:
                     key = (i + p, j + q)
-                    nums[key] = nums.get(key, 0) + bx * by * n
-        images.append((c * scale, nums))
-    return parity, images
+                    nums[key] = nums.get(key, 0) + b * n
+        for key, n in nums.items():
+            if not n:
+                continue
+            slot = slices.get(key)
+            if slot is None:
+                slices[key] = {ev: _unreduced(n * p, n * q, d) for ev, p, q, d in parts}
+            else:
+                for ev, p, q, d in parts:
+                    add_slice(slot, ev, n * p, n * q, d)
+    return parity, slices
 
 
 _OWNER = "the rank-2 module is an R-module"
@@ -228,24 +277,21 @@ def _require_r(x, owner):
 def act_basis(sym, v):
     """Action of one basis generator of the Ramond algebra."""
     _require_r(sym, _OWNER)
-    parity, images = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
-    out = {}
-    for c, nums in images:
-        add_terms(out, ((key, c * n) for key, n in nums.items()))
-    return ModuleElement(parity, out)
+    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
+    return ModuleElement(parity, build_slices(slices))
 
 
 def extend_linearly(x, v, basis_act, owner):
     """Act by ``x``, an R element or basis symbol, on ``v``: the sum over the
-    generators of x of coeff * ``basis_act(generator, v)``, each acting once
-    on the whole of v.  ``owner`` names the module in the error for an
-    element of another algebra."""
+    generators of x of ``basis_act(generator, coeff * v)``, each acting once
+    on the whole of v (on v itself when coeff is 1).  ``owner`` names the
+    module in the error for an element of another algebra."""
     _require_r(x, owner)
     if isinstance(x, BasisSymbol):
         return _checked(basis_act, x, v)
     out = type(v).zero((v.parity + x.parity()) % 2)
     for sym, c in x.terms.items():
-        out = out + _checked(basis_act, sym, v) * c
+        out = out + _checked(basis_act, sym, v if c is SC_ONE else v * c)
     return out
 
 

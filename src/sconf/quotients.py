@@ -24,10 +24,15 @@ or ``mu``/``bet`` for a second family of modules.
 
 The quotient is the module row read through the projection:
 ``quotient_act_basis`` lifts x^k to x^k y^0, reads the generator's
-``freemod._ACTION`` row with p's lam and alp, and freezes the second variable
-with ``_freeze``, as ``project`` does.  ``quotient_act`` is its linear
-extension (``freemod.extend_linearly``): one ``quotient_act_basis`` call per
-generator of the acting element, on the whole quotient element.  The
+``freemod._ACTION`` row with p's lam and alp into int slices keyed x^i y^j
+(``freemod._row_terms``), and freezes the second variable on those slices
+with ``_freeze``: each slice of x^i y^j is added in ints, times the j-th
+power of the frozen root, to the slices of x^i.  Each output Scalar is
+built once.  ``project`` freezes a module element's coefficients the same
+way.  ``quotient_act`` is its linear extension
+(``freemod.extend_linearly``): one ``quotient_act_basis`` call per
+generator of the acting element, on the whole quotient element scaled by
+that generator's coefficient.  The
 compatibility sweep reads ``quotient_act_basis`` itself, and
 ``n1.restricted_act`` is ``quotient_act`` on the embedded image.  The
 projection, phi and xi sweeps are three of the five callers of the one
@@ -36,8 +41,8 @@ generator sweep, ``algebras._check_images``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .algebras import _check_images, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
@@ -46,7 +51,10 @@ from .freemod import (
     monomials,
 )
 from .reports import VerificationReport
-from .scalars import QE_ONE, QuadExt, Scalar, add_terms, as_quadext, as_scalar, monomial_text
+from .scalars import (
+    QE_ONE, Scalar, _qe, _unreduced, add_slice, add_terms, as_quadext, as_scalar,
+    build_slices, monomial_text,
+)
 from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
 from .values import Value
 
@@ -117,11 +125,8 @@ def quotient_act_basis(sym, v, p):
     module's row on v lifted to C[x,y] + C[s,t], then frozen."""
     _require_r(sym, _OWNER)
     lifted = (((k, 0), c) for k, c in v.terms.items())
-    parity, images = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
-    out = {}
-    for c, nums in images:
-        add_terms(out, ((i, c * n) for i, n in _freeze(nums, parity, p.root).items()))
-    return QuotientElement(parity, out)
+    parity, slices = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
+    return QuotientElement(parity, build_slices(_freeze(slices, parity, p.root)))
 
 
 def quotient_act(x, v, p):
@@ -130,11 +135,30 @@ def quotient_act(x, v, p):
     return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
 
 
-def _freeze(terms, parity, a):
-    """Terms in x^i y^j (s^i t^j) as terms in x^i (s^i): y -> -a on the
-    even part, t -> -a-1 on the odd part."""
-    sub = -a if parity == EVEN else -a - 1
-    return add_terms({}, ((i, c * sub ** j if j else c) for (i, j), c in terms.items()))
+def _freeze(slices, parity, a):
+    """Slices keyed x^i y^j (s^i t^j) as slices keyed x^i (s^i): y -> -a on
+    the even part, t -> -a-1 on the odd part.  Each power of the root is
+    formed once, as (shift of the parameter monomial, p, q, d) parts, and
+    each slice is added in ints, times each part, to the slices of x^i.
+    Reads ``slices`` up: the first slot of x^i, when it is y^0's, is kept."""
+    powers, out = {0: [(None, 1, 0, 1)]}, {}
+    for (i, j), slot in slices.items():
+        target = out.get(i)
+        if target is None and not j:
+            out[i] = slot
+            continue
+        if target is None:
+            target = out[i] = {}
+        if j not in powers:
+            sub = (-a if parity == EVEN else -a - 1) ** j
+            parts = sub.terms.items() if isinstance(sub, Scalar) else ((None, sub),)
+            powers[j] = [(ev if ev and any(ev) else None, w.p, w.q, w.d) for ev, w in parts]
+        for ev, x in slot.items():
+            P, Q, D = x.p, x.q, x.d
+            for shift, u, w, e in powers[j]:
+                add_slice(target, ev if shift is None else tuple(map(add, ev, shift)),
+                          P * u + 2 * Q * w, P * w + Q * u, D * e)
+    return out
 
 
 def project(v, p):
@@ -143,7 +167,9 @@ def project(v, p):
     Freezes the second variable: y -> -a on the even part, t -> -a-1 on the
     odd part.  The kernel is exactly the M-kind submodule of h = y + a.
     """
-    return QuotientElement(v.parity, _freeze(v.terms, v.parity, p.concrete_a()))
+    slices = {key: {ev: _unreduced(x.p, x.q, x.d) for ev, x in c.terms.items()}
+              for key, c in v.terms.items()}
+    return QuotientElement(v.parity, build_slices(_freeze(slices, v.parity, p.concrete_a())))
 
 
 def kernel_spec(p):
@@ -214,15 +240,15 @@ def _candidates(h):
     h * conj(h) rounds to, D the common denominator of the monic h.  Each root
     of h in Q(sqrt2) has that form, and it and its conjugate are real roots of
     the norm (of h itself, when h is rational)."""
-    D = lcm(*(f.denominator for c in h.coeffs for f in (c.rat, c.root2)))
-    if any(c.root2 for c in h.coeffs):
+    D = lcm(*(c.d for c in h.coeffs))  # in lowest terms, d is the lcm of p/d's and q/d's
+    if any(c.q for c in h.coeffs):
         h = h * UniPoly(tuple(c.conjugate() for c in h.coeffs))
     # In z = 16 D y the norm is monic with integer coefficients (D times a root
     # of h is an algebraic integer) and has its roots inside (-bound, bound)
     # (Fujiwara).  It has none at odd z (rational roots sit at z = 16 P), where
     # its Sturm chain counts distinct roots as that of its square-free part would.
     n = h.degree
-    p = [int(c.rat * (16 * D) ** (n - i)) for i, c in enumerate(h.coeffs)]
+    p = [c.p * (16 * D) ** (n - i) // c.d for i, c in enumerate(h.coeffs)]
     bound = 4 << max((c.bit_length() // (n - i) for i, c in enumerate(p[:-1])), default=0) | 1
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
@@ -247,7 +273,7 @@ def _candidates(h):
     # Each root x has a point a with |8 D x - a| < 1/2.  For x = (P + Q sqrt2)/D
     # and its conjugate, a + b = 16 P and |a - b - 16 sqrt2 Q| < 1.
     return {
-        QuadExt(Fraction((a + b) // 16, D), Fraction(q if a >= b else -q, D))
+        _qe((a + b) // 16, q if a >= b else -q, D)
         for a in points
         for b in points
         if (a + b) % 16 == 0
@@ -272,8 +298,13 @@ def find_roots(h, root_hint=None):
             raise UnsplitPolynomial(f"hinted value {cand} is not a root of {work.render()}")
         work, _ = work.divmod_monic(UniPoly((-cand, QE_ONE)))
         roots.append(cand)
-    key = lambda r: (bool(r.root2), abs(r.rat), r.rat < 0, abs(r.root2), r.root2 < 0)  # noqa: E731
-    for r in sorted(_candidates(work), key=key):
+    candidates = _candidates(work)
+    L = lcm(*(r.d for r in candidates))  # the parts by size and sign, over one denominator
+
+    def key(r):
+        return bool(r.q), abs(r.p) * (L // r.d), r.p < 0, abs(r.q) * (L // r.d), r.q < 0
+
+    for r in sorted(candidates, key=key):
         while work(r).is_zero():
             work, _ = work.divmod_monic(UniPoly((-r, QE_ONE)))
             roots.append(r)

@@ -51,12 +51,23 @@ kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
 dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
 that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
 coefficients only need ``+`` and truth-testing (falsy exactly when zero);
-QuadExt, Scalar and Fraction all qualify.  Only the machine-int loops of the
-sweeps and the one long division, ``submodules._divmod_monic``, sum by hand:
-the division works on a dense coefficient list (one per power of x for a
-module element), not through ``add_terms``.  ``join_signed`` is the one
-renderer of signed sums: every ``a - b + c`` text in the package comes out of
-it.
+QuadExt, Scalar and Fraction all qualify.  Three kinds of code sum by hand
+instead:
+
+* the machine-int loops of the sweeps;
+* the one long division, ``submodules._divmod_monic``, which works on a dense
+  QuadExt list (for a module element, one per power of x and parameter
+  monomial);
+* the action: ``freemod._row_terms``, ``quotients._freeze`` and
+  ``quotients.project`` sum an image in ints, one slice per (monomial,
+  parameter monomial), with ``add_slice``.  A slice is a QuadExt under
+  construction: ``add_slice`` sums its ints in place over one denominator,
+  the lcm of those added there, and ``build_slices`` reduces it in place, as
+  ``_qe`` would, and hands each slot over as the terms of one Scalar, built
+  once.  No slice outlives the call that builds it.
+
+``join_signed`` is the one renderer of signed sums: every ``a - b + c`` text
+in the package comes out of it.
 """
 
 from __future__ import annotations
@@ -332,6 +343,61 @@ def _qe(p, q, d):
     _set_q(x, q)
     _set_d(x, d)
     return x
+
+
+def _unreduced(p, q, d):
+    """``(p + q*sqrt2)/d`` as given, not reduced: only for the value of a
+    slice under construction (``add_slice``)."""
+    x = _new_quadext(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def add_slice(slot, ev, p, q, d):
+    """Add ``(p + q*sqrt2)/d`` (ints, d > 0) into the slice ``slot[ev]``: a
+    QuadExt under construction whose ints are summed in place over one
+    denominator, the lcm of the denominators added there."""
+    x = slot.get(ev)
+    if x is None:
+        slot[ev] = _unreduced(p, q, d)
+        return
+    e = x.d
+    if e == d:
+        _set_p(x, x.p + p)
+        _set_q(x, x.q + q)
+    else:
+        g = gcd(e, d)
+        u, v = d // g, e // g
+        _set_p(x, x.p * u + p * v)
+        _set_q(x, x.q * u + q * v)
+        _set_d(x, e * u)
+
+
+def build_slices(slices):
+    """``{key: Scalar}`` from slices ``{key: {ev: QuadExt under
+    construction}}``: each value is reduced in place, as ``_qe`` would
+    build it, and each slot becomes the terms of its Scalar; a value that
+    sums to zero is left out, and so is a key with none left."""
+    out = {}
+    for key, slot in slices.items():
+        zero = False
+        for x in slot.values():
+            p, q, d = x.p, x.q, x.d
+            if not (p or q):
+                zero = True
+            elif d != 1:
+                g = gcd(p, q, d)
+                if g != 1:
+                    _set_p(x, p // g)
+                    _set_q(x, q // g)
+                    _set_d(x, d // g)
+        if zero:
+            slot = {ev: x for ev, x in slot.items() if x}
+        if slot:
+            out[key] = Scalar(slot)
+    return out
 
 
 def _as_quadext(v):

@@ -13,10 +13,12 @@ to Q(sqrt2) -- formal parameters inside h would make divisibility
 undecidable, and the action formulas never need them.
 
 One long division, ``_divmod_monic``, divides a dense ascending coefficient
-list by a monic UniPoly over any coefficient ring.  ``UniPoly.divmod_monic``
-(and so ``divides`` and the root deflation of ``quotients.find_roots``) runs
-it on QuadExt coefficients; membership runs it on Scalar coefficients, once
-per power of the first variable.
+list by a monic UniPoly over any coefficient ring.  It runs on QuadExt
+coefficients everywhere: ``UniPoly.divmod_monic`` (and so ``divides`` and
+the root deflation of ``quotients.find_roots``) on a UniPoly's, membership
+(``contains``, ``reduce_mod``) once per power of the first variable and
+parameter monomial, on that slice of the element's coefficients.  No Scalar
+is built until the remainder and the quotient are returned.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import product
 from .algebras import _check_images, basis_symbols
 from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift, monomials
 from .reports import VerificationReport
-from .scalars import QE_ONE, QE_ZERO, SC_ZERO, Scalar, as_quadext, join_signed, monomial_text
+from .scalars import QE_ONE, QE_ZERO, Scalar, as_quadext, join_signed, monomial_text
 from .values import Value
 
 
@@ -218,18 +220,22 @@ def _divide_in_second_var(terms, divisor):
     """Exact long division of a bivariate polynomial by monic h(second var).
 
     Returns (remainder, quotient) as zero-free exponent->Scalar maps: one
-    ``_divmod_monic`` on the dense coefficient list of each power of the
-    first variable.
+    ``_divmod_monic`` on the dense QuadExt coefficient list of each power of
+    the first variable and parameter monomial, each Scalar of the results
+    built once.
     """
     rows = {}
     for (i, j), c in terms.items():
-        rows.setdefault(i, {})[j] = c
+        for ev, x in c.terms.items():
+            rows.setdefault((i, ev), {})[j] = x
     rem, quo = {}, {}
-    for i, row in rows.items():
-        q, r = _divmod_monic([row.get(j, SC_ZERO) for j in range(max(row) + 1)], divisor)
-        quo.update(((i, j), c) for j, c in enumerate(q) if c)
-        rem.update(((i, j), c) for j, c in enumerate(r) if c)
-    return rem, quo
+    for (i, ev), row in rows.items():
+        q, r = _divmod_monic([row.get(j, QE_ZERO) for j in range(max(row) + 1)], divisor)
+        for out, coeffs in ((quo, q), (rem, r)):
+            for j, x in enumerate(coeffs):
+                if x:
+                    out.setdefault((i, j), {})[ev] = x
+    return {k: Scalar(t) for k, t in rem.items()}, {k: Scalar(t) for k, t in quo.items()}
 
 
 def contains(spec, v):

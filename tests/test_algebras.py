@@ -36,6 +36,21 @@ def el(algebra, text):
     return parse_algebra_element(text, algebra)
 
 
+def test_subtraction_and_negation_match_the_forward_operators():
+    for algebra, text, other in (("R", "2*L[1] + lam*H[-2] + C", "L[1] - sqrt2*H[-2]"),
+                                 ("N1NS", "(1/2)*G[1/2] + alp*G[-3/2]", "G[1/2]")):
+        x, y = el(algebra, text), el(algebra, other)
+        assert -x == x * -1 == (-1) * x
+        assert -(-x) == x
+        assert x - y == x + y * -1 == x + (-y)
+        assert (x - y) + y == x
+        assert (x - x).terms == {}
+        with pytest.raises(AlgebraMismatch):
+            x - el("N1R" if algebra == "R" else "R", "L[0]")
+    zero = AlgebraElement("R")
+    assert -zero == zero and zero - zero == zero
+
+
 # -- pinned bracket values ----------------------------------------------------
 
 def test_bracket_LL_central():

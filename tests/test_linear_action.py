@@ -169,8 +169,11 @@ def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
         monkeypatch.setattr(module, name, lambda sym, w, *rest, good=good: (
             seen.append((sym, w)) or good(sym, w, *rest)))
 
-    def calls_on(v):
-        assert all(w is v for _, w in seen), "a generator acted on part of the element"
+    def calls_on(v, x=None):
+        # each generator acts on the whole of v, scaled by its coefficient in x
+        coeff = {} if x is None or isinstance(x, BasisSymbol) else x.terms
+        assert all(w is v if sym not in coeff else w == v * coeff[sym] for sym, w in seen), \
+            "a generator acted on part of the element"
         out = sorted(sym for sym, _ in seen)
         seen.clear()
         return out
@@ -179,14 +182,15 @@ def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
     x = AlgebraElement("R", {L2: Scalar.number(2), Hm2: Scalar.param("lam")})
     v = ModuleElement(EVEN, {(1, 0): Scalar.number(3), (0, 2): Scalar.param("alp")})
     freemod.act(x, v)
-    assert calls_on(v) == sorted((L2, Hm2))
+    assert calls_on(v, x) == sorted((L2, Hm2))
     assert freemod.act(L2, v) == act_basis(L2, v) and calls_on(v) == [L2]
     p = QuotientParams(a=1)
     q = QuotientElement(ODD, {0: Scalar.number(1), 3: Scalar.param("lam")})
     quotients.quotient_act(x, q, p)
-    assert calls_on(q) == sorted((L2, Hm2))
+    assert calls_on(q, x) == sorted((L2, Hm2))
     r = RestrictedAction.ramond(p)
     xn = AlgebraElement("N1R", {BasisSymbol("N1R", "G", 0): Scalar.number(1),
                                 BasisSymbol("N1R", "G", 2): Scalar.number(2)})
     n1.restricted_act(xn, q, r)
-    assert calls_on(q) == sorted(apply_map(r.embedding, xn).terms) and len(seen) == 0
+    image = apply_map(r.embedding, xn)
+    assert calls_on(q, image) == sorted(image.terms) and len(seen) == 0

@@ -282,6 +282,32 @@ def test_scalar_times_one(u):
     assert u * _generic(1) == u and _generic(1) * u == u
 
 
+@settings(max_examples=100)
+@given(_shaped | _quadexts, _rationals | st.sampled_from([0, 1, -3, QuadExt(1, -1)]))
+def test_reflected_division_matches_the_forward_operator(u, k):
+    """``k / u`` for a number k reaches ``QuadExt.__rtruediv__``."""
+    if u.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            k / u
+        return
+    got = k / u
+    assert type(got) is QuadExt
+    assert got == as_quadext(k) / u == as_quadext(k) * u.inverse()
+    assert got * u == as_quadext(k)
+
+
+@settings(max_examples=100)
+@given(_scalars, _rationals | st.sampled_from([0, 1, -3, QuadExt(1, -1)]))
+def test_reflected_subtraction_matches_the_forward_operator(u, k):
+    """``k - u`` for a number k reaches ``Scalar.__rsub__``."""
+    got = k - u
+    assert type(got) is Scalar
+    assert got == Scalar.number(k) - u == -(u - k)
+    assert got + u == Scalar.number(k)
+    with pytest.raises(TypeError):
+        "1" - u
+
+
 # -- the integer-triple invariant ----------------------------------------------
 #
 # A QuadExt is (p + q*sqrt2)/d in lowest terms.  Equality compares the triples,

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from sconf.freemod import EVEN, ODD, ModuleElement
+from sconf import submodules
+from sconf.algebras import basis_symbols
+from sconf.freemod import EVEN, ODD, ModuleElement, act
 from sconf.linalg import RowSpan
 from sconf.parsing import parse_module_element, parse_submodule_spec, parse_unipoly
-from sconf.scalars import QE_ZERO, QuadExt, Scalar, add_terms
+from sconf.scalars import QE_ZERO, SC_ZERO, QuadExt, Scalar, add_terms
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
     _divide_in_second_var,
+    _divmod_monic,
     check_closure,
     check_containment,
     check_lattice_order,
@@ -119,6 +122,48 @@ def test_one_division_matches_both_oracles():
     for d in (UniPoly((1, 2)), UniPoly((QuadExt(0, 1),)), UniPoly(())):
         with pytest.raises(ValueError):
             parse_unipoly("y^3 - 1").divmod_monic(d)
+
+
+def _scalar_divide_in_second_var(terms, divisor):
+    """The earlier membership division, verbatim: one ``_divmod_monic`` on
+    the dense Scalar coefficient list of each power of the first variable."""
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, {})[j] = c
+    rem, quo = {}, {}
+    for i, row in rows.items():
+        q, r = _divmod_monic([row.get(j, SC_ZERO) for j in range(max(row) + 1)], divisor)
+        quo.update(((i, j), c) for j, c in enumerate(q) if c)
+        rem.update(((i, j), c) for j, c in enumerate(r) if c)
+    return rem, quo
+
+
+_ORACLE_SPECS = ("M[h=y^2-1]", "N[h=y-2]", "M[h=y + sqrt2]", "N[h=y^2 - sqrt2*y + 1/2]",
+                 "M[h=y^3 - 3*y + 2]")
+
+
+def test_membership_per_parameter_slice_matches_the_scalar_division(monkeypatch):
+    """Every window-2 generator on every spanning element of five specs, each
+    image with and without a stray lam term: the division per parameter
+    slice decides membership and reduces as the Scalar division did."""
+    stray = Scalar.param("lam")
+    cases = 0
+    for text in _ORACLE_SPECS:
+        s = spec(text)
+        for v in s.spanning_elements(2):
+            for sym in basis_symbols("R", 2):
+                image = act(sym, v)
+                for w in (image, image + ModuleElement.monomial(image.parity, 1, 0, stray)):
+                    got = _divide_in_second_var(w.terms, s.h if w.parity == EVEN else s.odd_divisor)
+                    found = contains(s, w), reduce_mod(s, w)
+                    with monkeypatch.context() as m:
+                        m.setattr(submodules, "_divide_in_second_var", _scalar_divide_in_second_var)
+                        want = _scalar_divide_in_second_var(
+                            w.terms, s.h if w.parity == EVEN else s.odd_divisor)
+                        assert found == (contains(s, w), reduce_mod(s, w)), (text, sym, w)
+                    assert got == want
+                    cases += 1
+    assert cases == 3024
 
 
 def test_unipoly_sqrt2_coefficients():
