@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -384,14 +385,14 @@ def _cmd_decompose(args):
         report.inconclusive = True
         report.notes.append(str(exc))
         return report
-    report.params["chain"] = [spec.render() for spec in series.chain]
-    report.params["factors"] = [str(f) for f in series.factors]
-    report.params["links_verified"] = max(len(series.chain) - 1, 0)
-    report.notes.append(series.render())
-    for k, (inner, outer) in enumerate(zip(series.chain[1:], series.chain[:-1])):
-        report.notes.append(
-            f"link {k + 1}: {inner.render()} <= {outer.render()} verified"
-        )
+    chain = report.params["chain"] = [spec.render() for spec in series.chain]
+    factors = report.params["factors"] = [str(f) for f in series.factors]
+    report.params["links_verified"] = max(len(chain) - 1, 0)
+    report.notes.append("\n".join([f"series of quotient by M[h={report.params['h']}]:", *(
+        f"  layer {k}: {spec}  factor a={f}" for k, (spec, f) in enumerate(zip(chain, factors), 1)
+    )]))
+    report.notes += (f"link {k}: {inner} <= {outer} verified"
+                     for k, (inner, outer) in enumerate(zip(chain[1:], chain), 1))
     return report
 
 
@@ -402,11 +403,22 @@ def _cmd_restrict(args):
     return _verify_restriction(args)
 
 
+def _write(text):
+    """Print ``text``.  When the reader has closed stdout (``sconf ... | head``
+    can), stdout is pointed at devnull, so that the interpreter's last flush
+    does not raise again, and the verdict's exit code stands."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report, as_json):
-    if as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
+    _write(json.dumps(report.to_dict(), indent=2, sort_keys=True) if as_json
+           else report.render_text())
     return report.exit_code
 
 
@@ -420,7 +432,7 @@ def main(argv=None):
         if args.command == "verify":
             return _emit(_cmd_verify(args), args.json)
         if args.command == "act":
-            print(_cmd_act(args))
+            _write(_cmd_act(args))
             return 0
         if args.command == "decompose":
             return _emit(_cmd_decompose(args), args.json)

@@ -55,7 +55,7 @@ from .scalars import (
     QE_ONE, Scalar, _qe, _unreduced, add_slice, add_terms, as_quadext, as_scalar,
     build_slices, monomial_text,
 )
-from .submodules import SubmoduleSpec, UniPoly, check_containment, contains
+from .submodules import SubmoduleSpec, UniPoly, _deflated, check_containment, contains
 from .values import Value
 
 _VAR = {EVEN: ("x",), ODD: ("s",)}
@@ -287,16 +287,18 @@ def find_roots(h, root_hint=None):
     Hints are consumed first (each one verified and deflated).  Then h is
     deflated by each exact search candidate (Sturm bisection of the norm, see
     ``_candidates``) while it vanishes there: rational roots first, then by
-    |rational part|, positive first.  Each deflation is ``UniPoly.divmod_monic``
-    by y - r, the long division that submodule membership uses too.  Raises
-    UnsplitPolynomial, naming the factor left, when the polynomial does not
-    split.
+    |rational part|, positive first.  Each test and deflation is one division
+    by y - r (``submodules._deflated``), the long division in ints that
+    submodule membership uses too: r is a root exactly when its remainder is
+    zero, and only then is the quotient built.  Raises UnsplitPolynomial,
+    naming the factor left, when the polynomial does not split.
     """
     work, roots = h.monic(), []
     for cand in map(as_quadext, root_hint or ()):
-        if work.degree < 1 or not work(cand).is_zero():
+        deflated = _deflated(work, cand)
+        if deflated is None:
             raise UnsplitPolynomial(f"hinted value {cand} is not a root of {work.render()}")
-        work, _ = work.divmod_monic(UniPoly((-cand, QE_ONE)))
+        work = deflated
         roots.append(cand)
     candidates = _candidates(work)
     L = lcm(*(r.d for r in candidates))  # the parts by size and sign, over one denominator
@@ -305,8 +307,8 @@ def find_roots(h, root_hint=None):
         return bool(r.q), abs(r.p) * (L // r.d), r.p < 0, abs(r.q) * (L // r.d), r.q < 0
 
     for r in sorted(candidates, key=key):
-        while work(r).is_zero():
-            work, _ = work.divmod_monic(UniPoly((-r, QE_ONE)))
+        while (deflated := _deflated(work, r)) is not None:
+            work = deflated
             roots.append(r)
     if work.degree > 0:
         raise UnsplitPolynomial(f"cannot split {work.render()} over Q(sqrt2)")
@@ -328,12 +330,6 @@ class CompositionSeries(Value):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "factors", factors)
-
-    def render(self):
-        lines = [f"series of quotient by M[h={self.h.render()}]:"]
-        for k, spec in enumerate(self.chain):
-            lines.append(f"  layer {k + 1}: {spec.render()}  factor a={self.factors[k]}")
-        return "\n".join(lines)
 
 
 def composition_series(h, root_hint=None):

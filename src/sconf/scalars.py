@@ -55,9 +55,9 @@ QuadExt, Scalar and Fraction all qualify.  Three kinds of code sum by hand
 instead:
 
 * the machine-int loops of the sweeps;
-* the one long division, ``submodules._divmod_monic``, which works on a dense
-  QuadExt list (for a module element, one per power of x and parameter
-  monomial);
+* the one long division, ``submodules._divmod_monic``, which divides in
+  Z[sqrt2] ints, each row over its own common denominator (for a module
+  element, one row per power of x and parameter monomial);
 * the action: ``freemod._row_terms``, ``quotients._freeze`` and
   ``quotients.project`` sum an image in ints, one slice per (monomial,
   parameter monomial), with ``add_slice``.  A slice is a QuadExt under

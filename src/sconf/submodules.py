@@ -12,24 +12,35 @@ N kind), so it is decidable term by term.  Coefficients of h are restricted
 to Q(sqrt2) -- formal parameters inside h would make divisibility
 undecidable, and the action formulas never need them.
 
-One long division, ``_divmod_monic``, divides a dense ascending coefficient
-list by a monic UniPoly over any coefficient ring.  It runs on QuadExt
-coefficients everywhere: ``UniPoly.divmod_monic`` (and so ``divides`` and
-the root deflation of ``quotients.find_roots``) on a UniPoly's, membership
-(``contains``, ``reduce_mod``) once per power of the first variable and
-parameter monomial, on that slice of the element's coefficients.  No Scalar
-is built until the remainder and the quotient are returned.
+One long division, ``_divmod_monic``, divides in machine ints.  A monic
+divisor d of degree n becomes g(z) = E^n d(z/E), E the lcm of its
+denominators, which is monic over Z[sqrt2] (``_int_divisor``); a dividend
+f of degree top becomes the ints of D E^top f(z/E), D the lcm of its own
+denominators (``_scaled``).  Dividing those by g takes no gcd and builds no
+QuadExt, and entry j of the result, remainder and quotient alike, stands
+for its ints over D E^(top - j) (``_unscaled``).  Every caller divides this
+way.  ``contains`` reads a remainder, and for the N kind the quotient's
+constant term, in ints and builds no Scalar.  ``reduce_mod``,
+``UniPoly.divmod_monic`` (and so ``divides``), the root deflation of
+``quotients.find_roots`` (``_deflated``) and ``UniPoly.shifted`` (a Taylor
+shift, by repeated division by y - c) build one QuadExt per coefficient
+they return.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
 from .algebras import _check_images, basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, act, binomial_shift, monomials
+from .freemod import EVEN, ODD, ModuleElement, act, monomials
 from .reports import VerificationReport
-from .scalars import QE_ONE, QE_ZERO, Scalar, as_quadext, join_signed, monomial_text
+from .scalars import (
+    PARAMS, QE_ONE, QE_ZERO, Scalar, _qe, as_quadext, join_signed, monomial_text,
+)
 from .values import Value
+
+_A, _B = PARAMS.index("a"), PARAMS.index("b")
 
 
 class UniPoly:
@@ -93,17 +104,18 @@ class UniPoly:
     __rmul__ = __mul__
 
     def shifted(self, c):
-        """The composition p(y + c)."""
+        """The composition p(y + c): its coefficients are the remainders of
+        repeated division by y - c, since p(y) = sum b_k (y - c)^k, each
+        division taken in ints on the quotient the one before left."""
         c = as_quadext(c)
         n = self.degree
-        if n < 0 or c.is_zero():
+        if n < 1 or not c:
             return self
-        out = [QE_ZERO] * (n + 1)
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                for l, b in binomial_shift(k, c):
-                    out[l] = out[l] + ck * b
-        return UniPoly(tuple(out))
+        divisor = _, E, _ = _linear(c)
+        P, Q, D = _scaled(dict(enumerate(self.coeffs)), E)
+        for lo in range(n):
+            _divmod_monic(P, Q, divisor, lo)
+        return UniPoly(_unscaled(P, Q, D, E, 0, n + 1))
 
     def __call__(self, v):
         v = as_quadext(v)
@@ -116,8 +128,14 @@ class UniPoly:
         """Quotient and remainder by a monic divisor."""
         if not d.is_monic():
             raise ValueError("divisor must be monic")
-        quo, rem = _divmod_monic(list(self.coeffs), d)
-        return UniPoly(quo), UniPoly(rem)
+        if not self.coeffs:
+            return self, self
+        divisor = n, E, _ = _int_divisor(d)
+        P, Q, D = _scaled(dict(enumerate(self.coeffs)), E)
+        _divmod_monic(P, Q, divisor)
+        top = len(P)
+        return (UniPoly(_unscaled(P, Q, D, E, n, top)),
+                UniPoly(_unscaled(P, Q, D, E, 0, min(n, top))))
 
     def divides(self, other):
         _, rem = other.divmod_monic(self.monic())
@@ -192,49 +210,99 @@ def _poly_in_second_var(p, parity):
     )
 
 
-def _check_param_free(v):
-    if any(c.involves("a", "b") for c in v.terms.values()):
-        raise ValueError("membership is defined for elements free of the parameters a, b")
-
-
-def _divmod_monic(rem, d):
-    """Long division of an ascending coefficient list by the monic UniPoly d.
-
-    Works over any coefficient ring (QuadExt, Scalar) because d is monic.
-    ``rem`` is reduced in place; returns the quotient's and the remainder's
-    coefficient lists, both ascending.
-    """
-    dd = d.degree
-    minus_d = [(l, -b) for l, b in enumerate(d.coeffs[:dd]) if b]
-    quo = [None] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = quo[k - dd] = rem[k]
+def _int_divisor(d):
+    """The monic UniPoly d of degree n as d(y) = g(E y) / E^n, E the lcm of
+    its denominators, so that g is monic over Z[sqrt2]: (n, E, -g below its
+    leading term as (l, p, q) triples, p + q sqrt2 the coefficient of z^l)."""
+    n, E = d.degree, lcm(*[c.d for c in d.coeffs])
+    minus_g = []
+    for l, c in enumerate(d.coeffs[:n]):
         if c:
-            # subtract c * y^(k-dd) * d below the leading term, which cancels
-            for l, b in minus_d:
-                rem[k - dd + l] = rem[k - dd + l] + c * b
-    return quo, rem[:dd]
+            s = E // c.d * E ** (n - 1 - l)
+            minus_g.append((l, -c.p * s, -c.q * s))
+    return n, E, minus_g
+
+
+def _linear(r):
+    """``_int_divisor`` of y - r, for the QuadExt r: E = r.d and g = z - E r."""
+    return 1, r.d, ((0, r.p, r.q),)
+
+
+def _scaled(row, E):
+    """A row {j: QuadExt} of f = sum x y^j, top its highest j, as the ints
+    of D E^top f(z/E), D the lcm of the row's denominators: ascending lists
+    P, Q of the parts, and D.  Entry j stands for
+    (P[j] + Q[j] sqrt2) / (D E^(top - j))."""
+    top = max(row)
+    D = lcm(*[x.d for x in row.values()])
+    P, Q = [0] * (top + 1), [0] * (top + 1)
+    for j, x in row.items():
+        s = D // x.d * E ** (top - j)
+        P[j] = x.p * s
+        Q[j] = x.q * s
+    return P, Q, D
+
+
+def _divmod_monic(P, Q, divisor, lo=0):
+    """Long division, in place and in ints, of the polynomial on entries
+    lo.. of the lists P, Q (``_scaled``) by the monic g of ``divisor``
+    (``_int_divisor``), of degree n.  Afterwards the entries from lo below
+    lo + n hold the remainder and those from lo + n up the quotient, shifted
+    up by n; each still stands for its ints over D E^(top - j)."""
+    n, _, minus_g = divisor
+    for k in range(len(P) - 1, lo + n - 1, -1):
+        cp, cq = P[k], Q[k]
+        if cp or cq:
+            # add c * z^(k-n) * (-g) below the leading term, which cancels
+            k -= n
+            for l, gp, gq in minus_g:
+                P[k + l] += cp * gp + 2 * cq * gq
+                Q[k + l] += cp * gq + cq * gp
+
+
+def _unscaled(P, Q, D, E, lo, hi):
+    """The QuadExts that entries lo..hi-1 of a division stand for."""
+    top = len(P) - 1
+    return [_qe(P[j], Q[j], D * E ** (top - j)) for j in range(lo, hi)]
+
+
+def _deflated(p, r):
+    """p / (y - r) when r is a root of the UniPoly p, else None: the remainder
+    is read in ints before the quotient is built."""
+    divisor = _, E, _ = _linear(r)
+    P, Q, D = _scaled(dict(enumerate(p.coeffs)), E)
+    _divmod_monic(P, Q, divisor)
+    if P[0] or Q[0]:
+        return None
+    return UniPoly(_unscaled(P, Q, D, E, 1, len(P)))
+
+
+def _rows(terms):
+    """A module element's terms as rows: (power of the first variable,
+    parameter monomial) -> {power of the second variable: QuadExt}."""
+    rows = {}
+    for (i, j), c in terms.items():
+        for ev, x in c.terms.items():
+            rows.setdefault((i, ev), {})[j] = x
+    return rows
 
 
 def _divide_in_second_var(terms, divisor):
     """Exact long division of a bivariate polynomial by monic h(second var).
 
     Returns (remainder, quotient) as zero-free exponent->Scalar maps: one
-    ``_divmod_monic`` on the dense QuadExt coefficient list of each power of
-    the first variable and parameter monomial, each Scalar of the results
-    built once.
+    ``_divmod_monic`` on the ints of each row (``_rows``), each nonzero
+    coefficient unscaled once and each Scalar of the results built once.
     """
-    rows = {}
-    for (i, j), c in terms.items():
-        for ev, x in c.terms.items():
-            rows.setdefault((i, ev), {})[j] = x
+    divisor = n, E, _ = _int_divisor(divisor)
     rem, quo = {}, {}
-    for (i, ev), row in rows.items():
-        q, r = _divmod_monic([row.get(j, QE_ZERO) for j in range(max(row) + 1)], divisor)
-        for out, coeffs in ((quo, q), (rem, r)):
-            for j, x in enumerate(coeffs):
-                if x:
-                    out.setdefault((i, j), {})[ev] = x
+    for (i, ev), row in _rows(terms).items():
+        P, Q, D = _scaled(row, E)
+        _divmod_monic(P, Q, divisor)
+        for j, x in enumerate(_unscaled(P, Q, D, E, 0, len(P))):
+            if x:
+                out, key = (rem, (i, j)) if j < n else (quo, (i, j - n))
+                out.setdefault(key, {})[ev] = x
     return {k: Scalar(t) for k, t in rem.items()}, {k: Scalar(t) for k, t in quo.items()}
 
 
@@ -242,20 +310,25 @@ def contains(spec, v):
     """Exact membership of a module element in the submodule.
 
     The element must not involve the formal parameters a, b (membership is a
-    question about the h-ideal, not a parametric one).
+    question about the h-ideal, not a parametric one).  Each row is divided
+    in ints, and the first nonzero remainder decides.
     """
     if v.is_zero():
         return True
-    _check_param_free(v)
-    if v.parity == EVEN:
-        rem, quo = _divide_in_second_var(v.terms, spec.h)
-        if rem:
+    rows = _rows(v.terms)
+    if any(ev[_A] or ev[_B] for _, ev in rows):
+        raise ValueError("membership is defined for elements free of the parameters a, b")
+    even = v.parity == EVEN
+    divisor = n, E, _ = _int_divisor(spec.h if even else spec.odd_divisor)
+    constant = even and spec.kind == "N"  # the quotient may have no constant term
+    for (i, _), row in rows.items():
+        P, Q, _ = _scaled(row, E)
+        _divmod_monic(P, Q, divisor)
+        if any(P[:n]) or any(Q[:n]):
             return False
-        if spec.kind == "N":
-            return (0, 0) not in quo
-        return True
-    rem, _ = _divide_in_second_var(v.terms, spec.odd_divisor)
-    return not rem
+        if constant and not i and len(P) > n and (P[n] or Q[n]):
+            return False
+    return True
 
 
 def reduce_mod(spec, v):

@@ -1,8 +1,12 @@
 """CLI contract: exit codes, JSON schema, output round trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -519,3 +523,22 @@ def test_more_roots_than_the_degree_are_refused_fast(capsys):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err == "usage error: --roots lists 2000 roots; h has degree 2\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decompose", "--h=y^3-y"], 0), (["act", "L[1]", "x"], 0), (["decompose", "--h=y^2-3"], 2),
+])
+def test_a_closed_stdout_keeps_the_verdict(argv, code):
+    """A reader that closed stdout (``sconf decompose ... | head -n 3`` can)
+    leaves no traceback and the verdict's own exit code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "sconf.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (code, b"")

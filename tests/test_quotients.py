@@ -243,6 +243,12 @@ def test_find_roots_examples():
         find_roots(parse_unipoly("y^3 - y + 1"))
     with pytest.raises(UnsplitPolynomial):
         find_roots(parse_unipoly("y^2 - 1"), root_hint=[QuadExt(2)])
+    # a hint's denominator need not divide those of h
+    with pytest.raises(UnsplitPolynomial, match=r"^hinted value 1/7 - 2/7\*sqrt2 is not a root "
+                       r"of y \+ 1$"):
+        find_roots(parse_unipoly("y^2 - 1"),
+                   root_hint=[1, QuadExt(Fraction(1, 7), Fraction(-2, 7))])
+    assert find_roots(parse_unipoly("y^2 - 1"), root_hint=[-1]) == [QuadExt(-1), QuadExt(1)]
     # irrational roots that are not one conjugate pair of a rational quadratic
     assert find_roots(UniPoly.from_roots([1, QuadExt(0, 1)])) == [QuadExt(1), QuadExt(0, 1)]
     assert find_roots(parse_unipoly("y^2 - 2*sqrt2*y + 2")) == [QuadExt(0, 1), QuadExt(0, 1)]
@@ -295,10 +301,13 @@ def _root_multisets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_root_multisets(), st.sampled_from(_IRREDUCIBLE))
-def test_find_roots_returns_the_drawn_multiset(roots, irreducible):
+@given(_root_multisets(), st.sampled_from(_IRREDUCIBLE), st.integers(1, 5))
+def test_find_roots_returns_the_drawn_multiset(roots, irreducible, hinted):
     h = UniPoly.from_roots(roots)
     assert Counter(find_roots(h)) == Counter(roots)
+    hints = roots[:hinted]  # put first, repeated and sqrt2 roots among them
+    found = find_roots(h, hints)
+    assert found[:len(hints)] == hints and Counter(found) == Counter(roots)
     with pytest.raises(UnsplitPolynomial):
         find_roots(h * irreducible)
 

@@ -7,15 +7,15 @@ import pytest
 
 from sconf import submodules
 from sconf.algebras import basis_symbols
-from sconf.freemod import EVEN, ODD, ModuleElement, act
+from sconf.freemod import EVEN, ODD, ModuleElement, act, binomial_shift
 from sconf.linalg import RowSpan
 from sconf.parsing import parse_module_element, parse_submodule_spec, parse_unipoly
-from sconf.scalars import QE_ZERO, SC_ZERO, QuadExt, Scalar, add_terms
+from sconf.scalars import QE_ZERO, SC_ZERO, QuadExt, Scalar, add_terms, as_quadext
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
     _divide_in_second_var,
-    _divmod_monic,
+    _poly_in_second_var,
     check_closure,
     check_containment,
     check_lattice_order,
@@ -124,6 +124,25 @@ def test_one_division_matches_both_oracles():
             parse_unipoly("y^3 - 1").divmod_monic(d)
 
 
+def _divmod_monic(rem, d):
+    """Long division of an ascending coefficient list by the monic UniPoly d.
+
+    Works over any coefficient ring (QuadExt, Scalar) because d is monic.
+    ``rem`` is reduced in place; returns the quotient's and the remainder's
+    coefficient lists, both ascending.
+    """
+    dd = d.degree
+    minus_d = [(l, -b) for l, b in enumerate(d.coeffs[:dd]) if b]
+    quo = [None] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = quo[k - dd] = rem[k]
+        if c:
+            # subtract c * y^(k-dd) * d below the leading term, which cancels
+            for l, b in minus_d:
+                rem[k - dd + l] = rem[k - dd + l] + c * b
+    return quo, rem[:dd]
+
+
 def _scalar_divide_in_second_var(terms, divisor):
     """The earlier membership division, verbatim: one ``_divmod_monic`` on
     the dense Scalar coefficient list of each power of the first variable."""
@@ -138,11 +157,20 @@ def _scalar_divide_in_second_var(terms, divisor):
     return rem, quo
 
 
+def _scalar_membership(s, w):
+    """Membership read straight off the Scalar division: the remainder is
+    empty and, for the N kind's even part, the quotient has no constant term;
+    with the remainder, which ``reduce_mod`` returns."""
+    even = w.parity == EVEN
+    rem, quo = _scalar_divide_in_second_var(w.terms, s.h if even else s.odd_divisor)
+    return not rem and not (even and s.kind == "N" and (0, 0) in quo), rem, quo
+
+
 _ORACLE_SPECS = ("M[h=y^2-1]", "N[h=y-2]", "M[h=y + sqrt2]", "N[h=y^2 - sqrt2*y + 1/2]",
                  "M[h=y^3 - 3*y + 2]")
 
 
-def test_membership_per_parameter_slice_matches_the_scalar_division(monkeypatch):
+def test_membership_per_parameter_slice_matches_the_scalar_division():
     """Every window-2 generator on every spanning element of five specs, each
     image with and without a stray lam term: the division per parameter
     slice decides membership and reduces as the Scalar division did."""
@@ -154,16 +182,98 @@ def test_membership_per_parameter_slice_matches_the_scalar_division(monkeypatch)
             for sym in basis_symbols("R", 2):
                 image = act(sym, v)
                 for w in (image, image + ModuleElement.monomial(image.parity, 1, 0, stray)):
-                    got = _divide_in_second_var(w.terms, s.h if w.parity == EVEN else s.odd_divisor)
-                    found = contains(s, w), reduce_mod(s, w)
-                    with monkeypatch.context() as m:
-                        m.setattr(submodules, "_divide_in_second_var", _scalar_divide_in_second_var)
-                        want = _scalar_divide_in_second_var(
-                            w.terms, s.h if w.parity == EVEN else s.odd_divisor)
-                        assert found == (contains(s, w), reduce_mod(s, w)), (text, sym, w)
-                    assert got == want
+                    member, rem, quo = _scalar_membership(s, w)
+                    assert contains(s, w) == member, (text, sym, w)
+                    assert reduce_mod(s, w) == ModuleElement(w.parity, rem), (text, sym, w)
+                    divisor = s.h if w.parity == EVEN else s.odd_divisor
+                    assert _divide_in_second_var(w.terms, divisor) == (rem, quo)
                     cases += 1
     assert cases == 3024
+
+
+def test_membership_builds_no_scalar(monkeypatch):
+    """The closure sweeps of the oracle specs: ``contains`` decides every
+    image in ints."""
+    inside, built, calls = [], [], []
+    init, real = Scalar.__init__, submodules.contains
+
+    def counting_init(self, terms=None):
+        if inside:
+            built.append(terms)
+        init(self, terms)
+
+    def tracked(s, v):
+        calls.append(v)
+        inside.append(v)
+        try:
+            return real(s, v)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(submodules, "contains", tracked)
+    for text in _ORACLE_SPECS:
+        assert check_closure(spec(text), 2, 2).passed
+    assert len(calls) > 1000 and built == []
+
+
+_HOSTILE = ("N[h=y^6 + (1/12345678901234567890*sqrt2)*y^5 "
+            "+ (98765432109876543210/99999999999999999989)*y + 7/13]")
+_SQRT2_SEXTIC = "M[h=y^6 - sqrt2*y^5 + 1/2*y^4 + (3 - 2*sqrt2)*y^2 - 5/3*sqrt2*y + 7]"
+
+
+@pytest.mark.parametrize("text", [_HOSTILE, _SQRT2_SEXTIC, "N[h=y-2]", "M[h=y-2]"])
+def test_membership_edge_cases_match_the_scalar_division(text):
+    """20-digit parts, a degree-6 h with sqrt2 coefficients, and an N-kind
+    quotient whose constant term lies in one parameter slice only."""
+    s = spec(text)
+    lam, alp = Scalar.param("lam"), Scalar.param("alp")
+    h_even = _poly_in_second_var(s.h, EVEN)
+    one_slice = h_even * lam + h_even.times_poly({(1, 0): alp})  # quotient lam + alp*x
+    elements = [one_slice, one_slice + ModuleElement.monomial(EVEN, 0, 7, alp)]
+    for g in s.spanning_elements(1):
+        elements += [g, g * lam + g.times_poly({(2, 1): alp}),
+                     g + ModuleElement.monomial(g.parity, 1, 0, lam),
+                     g * alp - g.times_poly({(0, 1): lam})]
+    verdicts = []
+    for w in elements:
+        member, _, _ = _scalar_membership(s, w)
+        assert contains(s, w) == member, w
+        verdicts.append(member)
+    assert verdicts[0] == (s.kind == "M") and True in verdicts and False in verdicts
+
+
+def test_membership_refuses_a_and_b_before_dividing():
+    """A stray a or b is refused even when an earlier slice already fails."""
+    for name in ("a", "b"):
+        v = ModuleElement.one(EVEN) + ModuleElement.monomial(EVEN, 0, 1, Scalar.param(name))
+        assert next(iter(v.terms)) == (0, 0)
+        with pytest.raises(ValueError, match="^membership is defined for elements free of the "
+                           "parameters a, b$"):
+            contains(spec("M[h=y]"), v)
+
+
+def _binomial_shifted(self, c):
+    """The earlier ``UniPoly.shifted``, verbatim: the binomial expansion."""
+    c = as_quadext(c)
+    n = self.degree
+    if n < 0 or c.is_zero():
+        return self
+    out = [QE_ZERO] * (n + 1)
+    for k, ck in enumerate(self.coeffs):
+        if ck:
+            for l, b in binomial_shift(k, c):
+                out[l] = out[l] + ck * b
+    return UniPoly(tuple(out))
+
+
+def test_shift_matches_the_binomial_expansion():
+    rng = random.Random(25)
+    polys = [_random_poly(rng, rng.randint(0, 7), monic=rng.random() < 0.5) for _ in range(150)]
+    polys += [spec(_HOSTILE).h, spec(_SQRT2_SEXTIC).h]
+    for c in (1, -1, Fraction(3, 2), QuadExt(0, 1), QuadExt(1, 1)):
+        for p in polys:
+            assert p.shifted(c) == _binomial_shifted(p, c), (p, c)
 
 
 def test_unipoly_sqrt2_coefficients():
