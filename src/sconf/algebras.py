@@ -28,8 +28,8 @@ has three readers:
   cache holds every pair it has seen; ``bracket``, the representation sweep
   and the failure texts read it.
 * The graded Jacobi sweep numbers symbols by (family, twice) and computes
-  one sum in machine ints per cyclic orbit of triples, since the three
-  rotations of a triple give the same sum.
+  one sum per cyclic orbit of triples, since the three rotations of a
+  triple give the same sum, as one int that packs a digit per family.
 * The homomorphism check reads the map's image of each symbol it needs
   once, through ``apply_map``, into a table local to the call, flattens the
   images to ints as the representation sweep does, and compares the two
@@ -598,10 +598,20 @@ def check_super_jacobi(algebra, window):
     numbers the window's symbols and every symbol their brackets yield by
     (family, twice), and reads each bracket it needs once from
     ``_bracket_ints`` over ``den``, the table's ``_denominator``.  All terms
-    of an orbit's sum sit at one total mode, so the sum is a list indexed
-    by family, ``den**2`` times the Fraction sum and zero exactly when that
-    is.  Only a nonzero one is rebuilt as symbols and Fractions, for its
-    text.  The tables live for this call only.
+    of an orbit's sum sit at one total mode, so the sum has one int per
+    family, ``den**2`` times its Fraction coefficient.
+
+    Those ints are packed into one Python int as digits of width w, the
+    digit of the g-th family of the algebra at bit w * g: each outer row
+    [a, s] is packed once, as sum(c << (w * g)), so a rotation is one int
+    multiply-add per term of its inner bracket [b, c].  A family's sum is at
+    most 3 * F * G in absolute value, F the largest sum of |f| over the
+    terms of an inner bracket and G the largest |coefficient| of an outer
+    one.  So w is the bit length of 3 * F * G plus one sign bit: every
+    signed digit stays below 2**(w - 1), no digit carries into the next, and
+    an orbit passes exactly when its int is 0.  Only a nonzero int is
+    unpacked into its family ints and rebuilt as symbols and Fractions, for
+    its text.  The tables live for this call only.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -617,31 +627,49 @@ def check_super_jacobi(algebra, window):
     inner = [[[(index.setdefault((family, t1 + t2), len(index)), c)
                for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
               for f2, t2 in keys] for f1, t1 in keys]
-    # the outer rows: each window symbol bracketed with every numbered symbol,
-    # each term keyed by its family alone
-    order = _FAMILY_ORDER
-    outer = [[[(order[family], c) for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
-              for f2, t2 in index] for f1, t1 in keys]
+    # the outer rows: each window symbol bracketed with every numbered symbol
+    outer = [[_bracket_ints(algebra, den, f1, t1, f2, t2) for f2, t2 in index]
+             for f1, t1 in keys]
+    # the digit width: a family's orbit sum is at most 3 * spread * largest
+    spread = max([sum([abs(f) for _, f in cell]) for row in inner for cell in row])
+    largest = max([abs(c) for row in outer for cell in row for _, c in cell], default=0)
+    w = (3 * spread * largest).bit_length() + 1
+    families = sorted(_ALGEBRA_FAMILIES[algebra], key=_FAMILY_ORDER.get)
+    shift = {family: w * g for g, family in enumerate(families)}
+    packed = [[sum([c << shift[family] for family, c in cell]) for cell in row] for row in outer]
     parity = [s.parity for s in syms]
+    # signed[a][p]: the packed rows of a, negated when a and parity p are odd
+    signed = [(row, [-v for v in row] if p else row) for row, p in zip(packed, parity)]
     fails = []
     for i in range(n):
+        inner_i, signed_i = inner[i], signed[i]
         for j in range(i, n):
+            inner_j, ij = inner[j], inner_i[j]
+            rows_j = signed[j][parity[i]]     # a = j, c = i
+            p_j = parity[j]
             for k in range(i if j == i else i + 1, n):
-                acc = [0] * len(order)
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    rows = outer[a]
-                    sign = -1 if parity[a] & parity[c] else 1
-                    for s, f in inner[b][c]:
-                        f *= sign
-                        for g, f2 in rows[s]:
-                            acc[g] += f * f2
-                if any(acc):
-                    fails.extend((t, acc) for t in {(i, j, k), (j, k, i), (k, i, j)})
-    families = sorted(order, key=order.get)
-    for (i, j, k), acc in sorted(fails, key=lambda fail: fail[0]):
-        tot = syms[i].twice + syms[j].twice + syms[k].twice
-        lhs = {BasisSymbol(algebra, families[g], tot): Fraction(v, den * den)
-               for g, v in enumerate(acc) if v}
+                tot = 0
+                rows = signed_i[parity[k]]    # a = i, b = j, c = k
+                for s, f in inner_j[k]:
+                    tot += f * rows[s]
+                for s, f in inner[k][i]:      # a = j, b = k, c = i
+                    tot += f * rows_j[s]
+                rows = signed[k][p_j]         # a = k, b = i, c = j
+                for s, f in ij:
+                    tot += f * rows[s]
+                if tot:
+                    fails.extend((t, tot) for t in {(i, j, k), (j, k, i), (k, i, j)})
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    for (i, j, k), tot in sorted(fails, key=lambda fail: fail[0]):
+        mode = syms[i].twice + syms[j].twice + syms[k].twice
+        lhs = {}
+        for family in families:
+            v = tot & mask
+            if v >= half:
+                v -= mask + 1
+            if v:
+                lhs[BasisSymbol(algebra, family, mode)] = Fraction(v, den * den)
+            tot = (tot - v) >> w
         report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
                       _render_fraction_combo(lhs), "0")
     return report

@@ -479,11 +479,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.terms)
 
-    def involves(self, *names):
-        """Whether some term carries a nonzero power of a named parameter."""
-        slots = [_PARAM_INDEX[name] for name in names]
-        return any(ev[k] for ev in self.terms for k in slots)
-
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 

@@ -19,8 +19,11 @@ f of degree top becomes the ints of D E^top f(z/E), D the lcm of its own
 denominators (``_scaled``).  Dividing those by g takes no gcd and builds no
 QuadExt, and entry j of the result, remainder and quotient alike, stands
 for its ints over D E^(top - j) (``_unscaled``).  Every caller divides this
-way.  ``contains`` reads a remainder, and for the N kind the quotient's
-constant term, in ints and builds no Scalar.  ``reduce_mod``,
+way.  ``contains`` and ``reduce_mod`` divide a module element row by row
+(``_rows``), by a g that a spec computes once per parity, the first time
+one of them needs it (``_spec_divisor``).  ``contains`` reads a remainder,
+and for the N kind the quotient's constant term, in ints and builds no
+Scalar.  ``reduce_mod``,
 ``UniPoly.divmod_monic`` (and so ``divides``), the root deflation of
 ``quotients.find_roots`` (``_deflated``) and ``UniPoly.shifted`` (a Taylor
 shift, by repeated division by y - c) build one QuadExt per coefficient
@@ -165,7 +168,7 @@ class UniPoly:
 class SubmoduleSpec(Value):
     """A submodule of the rank-2 module: kind tag plus monic h(y)."""
 
-    __slots__ = ("kind", "h", "odd_divisor")
+    __slots__ = ("kind", "h", "odd_divisor", "_int_divisors")
     _fields = ("kind", "h")
 
     def __init__(self, kind, h):
@@ -179,6 +182,9 @@ class SubmoduleSpec(Value):
         object.__setattr__(self, "h", h)
         # the odd divisor h(t+1), read by every membership test on the odd part
         object.__setattr__(self, "odd_divisor", h.shifted(1))
+        # ``_int_divisor`` of h (even) and of h(t+1) (odd), each filled the
+        # first time a division needs that parity
+        object.__setattr__(self, "_int_divisors", [None, None])
 
     def render(self):
         return f"{self.kind}[h={self.h.render()}]"
@@ -287,23 +293,14 @@ def _rows(terms):
     return rows
 
 
-def _divide_in_second_var(terms, divisor):
-    """Exact long division of a bivariate polynomial by monic h(second var).
-
-    Returns (remainder, quotient) as zero-free exponent->Scalar maps: one
-    ``_divmod_monic`` on the ints of each row (``_rows``), each nonzero
-    coefficient unscaled once and each Scalar of the results built once.
-    """
-    divisor = n, E, _ = _int_divisor(divisor)
-    rem, quo = {}, {}
-    for (i, ev), row in _rows(terms).items():
-        P, Q, D = _scaled(row, E)
-        _divmod_monic(P, Q, divisor)
-        for j, x in enumerate(_unscaled(P, Q, D, E, 0, len(P))):
-            if x:
-                out, key = (rem, (i, j)) if j < n else (quo, (i, j - n))
-                out.setdefault(key, {})[ev] = x
-    return {k: Scalar(t) for k, t in rem.items()}, {k: Scalar(t) for k, t in quo.items()}
+def _spec_divisor(spec, parity):
+    """``_int_divisor`` of the divisor of ``spec`` on the part of ``parity``:
+    h(y) (even) or h(t+1) (odd), computed once per spec and parity."""
+    divisor = spec._int_divisors[parity]
+    if divisor is None:
+        divisor = spec._int_divisors[parity] = _int_divisor(
+            spec.h if parity == EVEN else spec.odd_divisor)
+    return divisor
 
 
 def contains(spec, v):
@@ -318,9 +315,8 @@ def contains(spec, v):
     rows = _rows(v.terms)
     if any(ev[_A] or ev[_B] for _, ev in rows):
         raise ValueError("membership is defined for elements free of the parameters a, b")
-    even = v.parity == EVEN
-    divisor = n, E, _ = _int_divisor(spec.h if even else spec.odd_divisor)
-    constant = even and spec.kind == "N"  # the quotient may have no constant term
+    divisor = n, E, _ = _spec_divisor(spec, v.parity)
+    constant = v.parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
     for (i, _), row in rows.items():
         P, Q, _ = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
@@ -332,10 +328,18 @@ def contains(spec, v):
 
 
 def reduce_mod(spec, v):
-    """Canonical representative of v modulo the M-kind submodule of spec.h."""
-    divisor = spec.h if v.parity == EVEN else spec.odd_divisor
-    rem, _ = _divide_in_second_var(v.terms, divisor)
-    return ModuleElement(v.parity, rem)
+    """Canonical representative of v modulo the M-kind submodule of spec.h:
+    the remainder of each row's division in ints, each nonzero coefficient
+    unscaled once and each Scalar built once."""
+    divisor = n, E, _ = _spec_divisor(spec, v.parity)
+    rem = {}
+    for (i, ev), row in _rows(v.terms).items():
+        P, Q, D = _scaled(row, E)
+        _divmod_monic(P, Q, divisor)
+        for j, x in enumerate(_unscaled(P, Q, D, E, 0, min(n, len(P)))):
+            if x:
+                rem.setdefault((i, j), {})[ev] = x
+    return ModuleElement(v.parity, {k: Scalar(t) for k, t in rem.items()})
 
 
 def check_closure(spec, index_window, degree_bound):

@@ -230,6 +230,103 @@ def test_jacobi_violations_match_a_fraction_oracle(monkeypatch, table):
         _basis_bracket.cache_clear()
 
 
+def _list_accumulator_sweep(algebra, window):
+    """The graded Jacobi sweep as it was before each orbit's sum became one
+    packed int, kept verbatim: one list indexed by family per orbit."""
+    _bracket_ints = algebras._bracket_ints
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    report = algebras.VerificationReport(
+        "algebra-jacobi", {"which": algebra, "window": window}
+    )
+    syms = basis_symbols(algebra, window)
+    n = len(syms)
+    keys = [(s.family, s.twice) for s in syms]
+    index = {key: k for k, key in enumerate(keys)}  # (family, twice) -> number
+    den = algebras._denominator(algebras._TABLES[algebra])
+    # the inner rows: every two window symbols, each term as (number, int)
+    inner = [[[(index.setdefault((family, t1 + t2), len(index)), c)
+               for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
+              for f2, t2 in keys] for f1, t1 in keys]
+    # the outer rows: each window symbol bracketed with every numbered symbol,
+    # each term keyed by its family alone
+    order = algebras._FAMILY_ORDER
+    outer = [[[(order[family], c) for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
+              for f2, t2 in index] for f1, t1 in keys]
+    parity = [s.parity for s in syms]
+    fails = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i if j == i else i + 1, n):
+                acc = [0] * len(order)
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    rows = outer[a]
+                    sign = -1 if parity[a] & parity[c] else 1
+                    for s, f in inner[b][c]:
+                        f *= sign
+                        for g, f2 in rows[s]:
+                            acc[g] += f * f2
+                if any(acc):
+                    fails.extend((t, acc) for t in {(i, j, k), (j, k, i), (k, i, j)})
+    families = sorted(order, key=order.get)
+    for (i, j, k), acc in sorted(fails, key=lambda fail: fail[0]):
+        tot = syms[i].twice + syms[j].twice + syms[k].twice
+        lhs = {BasisSymbol(algebra, families[g], tot): Fraction(v, den * den)
+               for g, v in enumerate(acc) if v}
+        report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
+                      algebras._render_fraction_combo(lhs), "0")
+    return report
+
+
+def _assert_sweeps_agree(algebra, window):
+    want = _list_accumulator_sweep(algebra, window)
+    got = check_super_jacobi(algebra, window)
+    assert [(v.context, v.lhs, v.rhs) for v in got.violations] == \
+        [(v.context, v.lhs, v.rhs) for v in want.violations], algebra
+    return len(want.violations)
+
+
+_TABLE_ALGEBRAS = {"_N2": ("R", "NS"), "_TOPOLOGICAL": ("T",), "_N1": ("N1R", "N1NS")}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_ALGEBRAS))
+def test_packed_jacobi_sweep_matches_the_list_accumulator_sweep(monkeypatch, table):
+    """Every row of every table, negated and doubled in turn: the packed
+    sweep records the violations the list accumulator does, in its order."""
+    rows_of = getattr(algebras, table)
+    failing = 0
+    for pair, rows in list(rows_of.items()):
+        for r, (family, terms, d) in enumerate(rows):
+            for scale in (-1, 2):
+                row = (family, tuple((scale * c, i, j) for c, i, j in terms), d)
+                monkeypatch.setitem(rows_of, pair, rows[:r] + (row,) + rows[r + 1:])
+                for algebra in _TABLE_ALGEBRAS[table]:
+                    failing += bool(_assert_sweeps_agree(algebra, 2))
+        monkeypatch.setitem(rows_of, pair, rows)
+    assert failing
+
+
+def test_packed_jacobi_digits_widen_for_a_huge_coefficient(monkeypatch):
+    """A central row scaled by 10**40 breaks Jacobi: the digit width grows
+    with it, and the failures unpack to the list accumulator's sums."""
+    monkeypatch.setitem(algebras._N2, ("H", "H"), (("C", ((10**40, 1, 0),), 6),))
+    for algebra in ("R", "NS"):
+        assert _assert_sweeps_agree(algebra, 2)
+    lhs = {v.lhs.lstrip("-") for v in check_super_jacobi("R", 1).violations}
+    assert "3" * 40 + "*C" in lhs
+
+
+@pytest.mark.parametrize("k", [1, 10**40])
+def test_packed_jacobi_digits_reach_their_bound(monkeypatch, k):
+    """[L_m, L_n] = k (m + n) L_{m+n}: at (L[w], L[w], L[w]) the orbit sum,
+    2 k^2 (3w)^2 L[3w], equals the digit-width bound 3 * (2 w k) * (3 w k)."""
+    monkeypatch.setitem(algebras._N1, ("L", "L"), (("L", ((k, 1, 0), (k, 0, 1)), 2),))
+    for algebra in ("N1R", "N1NS"):
+        assert _assert_sweeps_agree(algebra, 2)
+    contexts = {v.context: v.lhs for v in check_super_jacobi("N1R", 2).violations}
+    assert contexts["jacobi N1R (L[2], L[2], L[2])"] == f"{72 * k * k}*L[6]"
+
+
 def _int_row(row, m, n):
     """An int row (family, terms, d) read at the Fraction modes m and n."""
     _, terms, d = row
@@ -408,6 +505,17 @@ def test_invalid_symbols_are_refused(args, message):
     with pytest.raises(ValueError) as info:
         BasisSymbol(*args)
     assert str(info.value) == message
+
+
+def test_symbols_compare_in_sort_index_order():
+    syms = basis_symbols("R", 1) + basis_symbols("NS", 1) + basis_symbols("T", 1)
+    for x, y in product(syms, repeat=2):
+        u, v = x.sort_index, y.sort_index
+        assert (x < y, x <= y, x > y, x >= y) == (u < v, u <= v, u > v, u >= v), (x, y)
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(syms[0], compare)(0) is NotImplemented
+    with pytest.raises(TypeError):
+        syms[0] <= 0
 
 
 def test_a_passing_jacobi_sweep_reads_no_basis_bracket(monkeypatch):

@@ -1,10 +1,13 @@
-"""No dead imports, helpers or public names in ``src/sconf``.
+"""No dead imports, helpers, public names or methods in ``src/sconf``.
 
 Every name a module imports is used in that module (``__init__.py`` is
 exempt: it re-exports), every private function ``_name`` is referenced
 somewhere in the package besides its own definition, and so is every public
 module-level function and class, where an export from ``__init__.py`` counts
-as a reference.
+as a reference.  Every method that is not a dunder is read as an attribute
+somewhere in the package, or named in a class body (``__str__ = render``),
+unless ``UNREFERENCED_METHODS`` names it with its reason: a bare name
+elsewhere is a local or a parameter, not the method.
 """
 
 import ast
@@ -75,3 +78,40 @@ def test_every_public_name_is_referenced():
         and not node.name.startswith("_")
     }
     assert public - referenced == set()
+
+
+# class.method -> why it stays although nothing in the package calls it
+UNREFERENCED_METHODS = {
+    "QuadExt.norm": "public field norm; the tests check multiplicativity with it",
+    "Scalar.evaluate": "public specialisation of every parameter to a number",
+    "VerificationReport.passed": "public verdict of a report for library callers",
+    "RowSpan.rank": "public dimension of the span; the tests read it",
+    "AlgebraElement.drop_center": "the benchmark's cli-mix replay reads it",
+}
+
+
+def _method_references(tree):
+    """Every attribute name read in ``tree``, and every name read on the
+    right of an assignment in a class body."""
+    out = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            out.update(node.id for stmt in cls.body if isinstance(stmt, ast.Assign)
+                       for node in ast.walk(stmt.value) if isinstance(node, ast.Name))
+    return out
+
+
+def test_every_method_is_referenced():
+    trees = [_tree(path) for path in MODULES]
+    referenced = set().union(*map(_method_references, trees))
+    unreferenced = {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    }
+    assert unreferenced == set(UNREFERENCED_METHODS)

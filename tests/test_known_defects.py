@@ -1,0 +1,42 @@
+"""Known wrong answers, pinned as strict expected failures.
+
+Each test asserts the right answer, so it fails while the defect stands and
+its strict xfail turns into a tier-1 failure the moment the defect is fixed.
+The change that fixes one turns its test into a plain test.
+"""
+
+import json
+
+import pytest
+
+from sconf.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.xfail(strict=True, reason="decompose gives no N-kind link for the root 0 "
+                                       "(ROADMAP item 2)")
+def test_decompose_with_a_zero_root_lists_an_n_kind_link(capsys):
+    # M[h=y] ⊋ N[h=y - 1] ⊋ M[h=y^2 - y]: the a = 0 layer is not simple
+    code, out = run(capsys, "decompose", "--h=y^2-y", "--json")
+    assert code == 0
+    assert any(link.startswith("N[") for link in json.loads(out)["params"]["chain"])
+
+
+@pytest.mark.xfail(strict=True, reason="decompose stops at a factor with no root in "
+                                       "Q(sqrt2) (ROADMAP item 3)")
+def test_decompose_answers_an_h_that_does_not_split(capsys):
+    # "no root in Q(sqrt2)" is decided by the exact root search, not a bound
+    code, _ = run(capsys, "decompose", "--h=y^2-3")
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the simplicity search passes with no words "
+                                       "(ROADMAP item 4)")
+def test_simplicity_with_no_words_does_not_pass(capsys):
+    # every start note says the span misses 7 of 8 monomials
+    _, out = run(capsys, "restrict", "--check", "simplicity", "--a", "1", "--words", "0")
+    assert "status=pass" not in out.splitlines()[0]

@@ -14,7 +14,6 @@ from sconf.scalars import QE_ZERO, SC_ZERO, QuadExt, Scalar, add_terms, as_quade
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
-    _divide_in_second_var,
     _poly_in_second_var,
     check_closure,
     check_containment,
@@ -118,7 +117,12 @@ def test_one_division_matches_both_oracles():
             c = _random_scalar(rng)
             if c:
                 terms[(rng.randint(0, 3), rng.randint(0, 6))] = c
-        assert _divide_in_second_var(terms, d) == _sparse_divide_in_second_var(terms, d)
+        rem, quo = _sparse_divide_in_second_var(terms, d)
+        v = ModuleElement(EVEN, terms)
+        for kind in ("M", "N"):
+            s = SubmoduleSpec(kind, d)
+            assert reduce_mod(s, v) == ModuleElement(EVEN, rem)
+            assert contains(s, v) == (not rem and not (kind == "N" and (0, 0) in quo))
     for d in (UniPoly((1, 2)), UniPoly((QuadExt(0, 1),)), UniPoly(())):
         with pytest.raises(ValueError):
             parse_unipoly("y^3 - 1").divmod_monic(d)
@@ -182,11 +186,9 @@ def test_membership_per_parameter_slice_matches_the_scalar_division():
             for sym in basis_symbols("R", 2):
                 image = act(sym, v)
                 for w in (image, image + ModuleElement.monomial(image.parity, 1, 0, stray)):
-                    member, rem, quo = _scalar_membership(s, w)
+                    member, rem, _ = _scalar_membership(s, w)
                     assert contains(s, w) == member, (text, sym, w)
                     assert reduce_mod(s, w) == ModuleElement(w.parity, rem), (text, sym, w)
-                    divisor = s.h if w.parity == EVEN else s.odd_divisor
-                    assert _divide_in_second_var(w.terms, divisor) == (rem, quo)
                     cases += 1
     assert cases == 3024
 
@@ -410,3 +412,16 @@ def test_odd_divisor_is_stored_once(monkeypatch):
     assert contains(spec, odd)
     assert reduce_mod(spec, odd).is_zero()
     assert spec.generators()[-1] == parse_module_element("t^2 + 2*t")
+
+
+def test_int_divisor_is_computed_once_per_spec_and_parity(monkeypatch):
+    calls, real = [], submodules._int_divisor
+    monkeypatch.setattr(submodules, "_int_divisor", lambda d: calls.append(d) or real(d))
+    s = spec("N[h=y^2 - sqrt2*y + 1/2]")
+    assert s == spec("N[h=y^2 - sqrt2*y + 1/2]") and "_int_divisors" not in repr(s)
+    assert calls == []  # a spec no division reads computes nothing
+    assert contains(s, mod("x*y^2 - sqrt2*x*y + 1/2*x"))
+    assert calls == [s.h]
+    assert check_closure(s, 2, 2).passed
+    assert reduce_mod(s, mod("s*t^3", ODD)) == reduce_mod(s, mod("s*t^3", ODD))
+    assert calls == [s.h, s.odd_divisor]
