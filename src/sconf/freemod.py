@@ -16,14 +16,16 @@ coefficients in the Scalar ring so that the module parameters ``lam`` and
 
 These formulas are written once, as the rows of ``_ACTION``.  One reader,
 ``_row_terms``, evaluates a row: ``act_basis`` with the formal lam and alp,
-``quotients.quotient_act_basis`` with the quotient's.  It sums the image of
-a whole element in ints, one slice per (output monomial, parameter
-monomial): each input term adds the integers of its binomial-shift image
-times its coefficient's parts into the slices (``scalars.add_slice``), and
-``act_basis`` builds each output Scalar once from its slices
-(``scalars.build_slices``).  The row scale lam^m * number * alp^power is
-read from the exponent vectors of lam and alp and folded into each input
-coefficient once, so no Scalar is multiplied or added on the way.
+``quotients.quotient_act_basis`` with the quotient's and its frozen root.
+It sums the image of a whole element in ints, one slice per (output
+monomial, parameter monomial): each input term adds the integers of its
+binomial-shift image times its coefficient's parts into the slices
+(``scalars.add_slice``), and each output Scalar is built once from its
+slices (``scalars.build_slices``).  The row scale lam^m * number *
+alp^power is formed in ints from the (exponent vector, p, q, d) parts of
+lam, alp and their inverses (``_parts``) and folded into each input
+coefficient once, so no Scalar is multiplied or added on the way.  A
+quotient's frozen root enters the same way, through the prefactor rows.
 
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
@@ -54,7 +56,7 @@ from .algebras import BasisSymbol, _checked, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
-    SC_ONE, Scalar, _unreduced, add_slice, add_terms, as_quadext, as_scalar, build_slices,
+    _ZERO_EXP, SC_ONE, Scalar, _unreduced, add_slice, add_terms, as_scalar, build_slices,
     monomial_text, render_combination,
 )
 
@@ -83,8 +85,8 @@ class ParityElement:
     def __init__(self, parity, terms=None):
         if parity not in (EVEN, ODD):
             raise ValueError("parity must be 0 (even) or 1 (odd)")
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "terms", terms or {})
+        _set_parity(self, parity)
+        _set_terms(self, terms or {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -155,6 +157,9 @@ class ParityElement:
         return f"<{type(self).__name__} {'even' if self.parity == EVEN else 'odd'} {self.render()}>"
 
 
+_set_parity, _set_terms = ParityElement.parity.__set__, ParityElement.terms.__set__
+
+
 class ModuleElement(ParityElement):
     """A parity-tagged polynomial: f(x,y) when even, g(s,t) when odd.
 
@@ -198,67 +203,75 @@ _ACTION = {
     ("Gp", ODD): (EVEN, -1, 2, -1, ((1, 0, 1, 0), (0, 1, 0, 1))),
     ("Gm", EVEN): (ODD, 1, 1, 1, ((0, 0, 1, 0),)),
 }
-_LAM, _ALP = Scalar.param("lam"), Scalar.param("alp")
 
 
-def _scale(lam, alp, m, number, power):
-    """The row scale lam^m * number * alp^power as its exponent vector and
-    the ints (p, q, d) of its coefficient (p + q sqrt2)/d, read from the
-    exponent vectors of the one-term lam and alp; a coefficient 1 is not
-    raised."""
-    (ev, c), = lam.terms.items()
-    ev = tuple(e * m for e in ev)
-    c = number if c == 1 else c ** m * number
-    if power:
-        (aev, ac), = alp.terms.items()
-        ev = tuple(e + f * power for e, f in zip(ev, aev))
-        if ac != 1:
-            c = ac ** power * c
-    c = as_quadext(c)
-    return ev, c.p, c.q, c.d
+def _parts(*values):
+    """Each of the numbers or Scalars ``values`` as the (exponent vector, p,
+    q, d) ints of its terms, the form the row reader scales by."""
+    return tuple([(ev, c.p, c.q, c.d) for ev, c in as_scalar(x).terms.items()] for x in values)
 
 
-def _row_terms(sym, parity, terms, lam, alp):
+_UNITS = _parts(*(Scalar.param(name, e) for name in ("lam", "alp") for e in (1, -1)))
+
+
+def _row_terms(sym, parity, terms, units, roots=None):
     """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
-    ``terms`` of a parity, with ``lam`` and ``alp``: the target parity and
-    the image as slices ``{(i, j): {ev: QuadExt under construction}}``, one
-    per output monomial u^i v^j and parameter monomial ev, each summed in
-    ints over the terms (``add_slice``).  The row scale is folded into each
-    input coefficient once."""
+    ``terms`` of a parity: the target parity and the image as slices
+    ``{(i, j): {ev: QuadExt under construction}}``, one per output monomial
+    u^i v^j and parameter monomial ev, each summed in ints over the terms
+    (``add_slice``).  The row scale lam^m * number * alp^power is formed in
+    ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, and folded
+    into each input coefficient once.  ``roots``, the parts of the root v
+    is frozen at on each target parity, is for terms with l = 0: v then
+    enters only through the prefactor, where v^j becomes the j-th power of
+    the root, and every key is (i, 0).  A shift by the shared zero vector
+    ``_ZERO_EXP`` is skipped."""
     row = _ACTION.get((sym.family, parity))
     if row is None:
         return (parity + sym.parity) % 2, {}
     parity, dy, number, power, rows = row
     m = sym.twice // 2
-    pre = [((i, j), c + d * m) for i, j, c, d in rows if c + d * m]
-    sev, sp, sq, sd = _scale(lam, alp, m, number, power)
-    move = any(sev)
+    (p, d), ev, q = number.as_integer_ratio(), _ZERO_EXP, 0
+    for k, n in ((m < 0, abs(m)), (2 + (power < 0), abs(power))):  # lam^m, alp^power
+        (uev, u, v, e), = units[k]
+        for _ in range(n):
+            ev = uev if ev is _ZERO_EXP else tuple(map(add, ev, uev))
+            p, q, d = p * u + 2 * q * v, p * v + q * u, d * e
+    # (parts of a factor, its prefactor rows): the scale, and the scale times the root
+    scaled, frozen = [], []
+    for i, j, c, dm in rows:
+        n = c + dm * m
+        if n and roots is not None and j:
+            frozen.append(((i, 0), n))
+        elif n:
+            scaled.append(((i, j), n))
+    pre = [([(ev, p, q, d)], scaled)] if scaled else []
+    if frozen:
+        pre.append(([(ev if rev is _ZERO_EXP else tuple(map(add, ev, rev)), p * u + 2 * q * v,
+                      p * v + q * u, d * e) for rev, u, v, e in roots[parity]], frozen))
     slices = {}
     for (k, l), c in terms:
-        parts = []
-        for ev, x in c.terms.items():
-            if move:
-                ev = tuple(map(add, ev, sev))
-            p, q = x.p, x.q
-            if sq:
-                p, q = p * sp + 2 * q * sq, p * sq + q * sp
-            else:
-                p, q = p * sp, q * sp
-            parts.append((ev, p, q, x.d * sd))
-        nums, ys = {}, binomial_shift(l, dy)
-        for i, bx in binomial_shift(k, m):
-            for j, by in ys:
-                b = bx * by
-                for (p, q), n in pre:
-                    key = (i + p, j + q)
-                    nums[key] = nums.get(key, 0) + b * n
-        for key, n in nums.items():
-            if not n:
-                continue
-            slot = slices.get(key)
-            if slot is None:
-                slices[key] = {ev: _unreduced(n * p, n * q, d) for ev, p, q, d in parts}
-            else:
+        xs, ys = binomial_shift(k, m), binomial_shift(l, dy)
+        for fac, fpre in pre:
+            parts = [(sev if ev is _ZERO_EXP else tuple(map(add, ev, sev)),
+                      x.p * sp + 2 * x.q * sq, x.p * sq + x.q * sp, x.d * sd)
+                     for ev, x in c.terms.items() for sev, sp, sq, sd in fac]
+            nums = {}
+            for i, bx in xs:
+                for j, by in ys:
+                    b = bx * by
+                    for (di, dj), n in fpre:
+                        key = (i + di, j + dj)
+                        nums[key] = nums.get(key, 0) + b * n
+            for key, n in nums.items():
+                if not n:
+                    continue
+                slot = slices.get(key)
+                if slot is None and len(fac) == 1:  # one factor part: distinct monomials
+                    slices[key] = {ev: _unreduced(n * p, n * q, d) for ev, p, q, d in parts}
+                    continue
+                if slot is None:
+                    slot = slices[key] = {}
                 for ev, p, q, d in parts:
                     add_slice(slot, ev, n * p, n * q, d)
     return parity, slices
@@ -277,7 +290,7 @@ def _require_r(x, owner):
 def act_basis(sym, v):
     """Action of one basis generator of the Ramond algebra."""
     _require_r(sym, _OWNER)
-    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
+    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _UNITS)
     return ModuleElement(parity, build_slices(slices))
 
 
@@ -416,6 +429,8 @@ def check_central_triviality(degree_bound):
     """C, and the bracket combination that reconstructs it, act as zero.
 
     [H_1, H_-1] = C/3, so 3 H_1 H_-1 - 3 H_-1 H_1 must kill every element.
+    C acts through the row lookup of every generator (``_row_terms``), so a
+    C row in ``_ACTION`` fails the first half.
     """
     report = VerificationReport("central-triviality", {"degree": degree_bound})
     C = BasisSymbol("R", "C")

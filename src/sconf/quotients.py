@@ -23,13 +23,14 @@ by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
 
 The quotient is the module row read through the projection:
-``quotient_act_basis`` lifts x^k to x^k y^0, reads the generator's
-``freemod._ACTION`` row with p's lam and alp into int slices keyed x^i y^j
-(``freemod._row_terms``), and freezes the second variable on those slices
-with ``_freeze``: each slice of x^i y^j is added in ints, times the j-th
-power of the frozen root, to the slices of x^i.  Each output Scalar is
-built once.  ``project`` freezes a module element's coefficients the same
-way.  ``quotient_act`` is its linear extension
+``quotient_act_basis`` reads the generator's ``freemod._ACTION`` row on
+x^k y^0 (``freemod._row_terms``) with the ints that p builds with it: the
+parts of its lam, alp and their inverses (``units``) and of y = -a and
+t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
+image is summed once into slices keyed x^i, and each output Scalar is built
+once.  ``project`` freezes a module element with ``_freeze``, adding each
+slice of x^i y^j, times the j-th power of the root, to the slices of x^i.
+``quotient_act`` is the linear extension of ``quotient_act_basis``
 (``freemod.extend_linearly``): one ``quotient_act_basis`` call per
 generator of the acting element, on the whole quotient element scaled by
 that generator's coefficient.  The
@@ -42,13 +43,12 @@ generator sweep, ``algebras._check_images``.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from operator import add
 
 from .algebras import _check_images, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, _require_r, _row_terms, act, extend_linearly,
-    monomials,
+    EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act,
+    extend_linearly, monomials,
 )
 from .reports import VerificationReport
 from .scalars import (
@@ -88,7 +88,7 @@ class QuotientParams(Value):
     ``lam`` and ``alp``.
     """
 
-    __slots__ = ("a", "lam", "alp", "root")
+    __slots__ = ("a", "lam", "alp", "root", "units", "roots")
     _fields = ("a", "lam", "alp")
 
     def __init__(self, a=None, lam=_LAM, alp=_ALP):
@@ -104,8 +104,12 @@ class QuotientParams(Value):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alp", alp)
-        # the root the action freezes y at, formal when a is None
-        object.__setattr__(self, "root", Scalar.param("a") if a is None else a)
+        # the root the action freezes y at, formal when a is None, and the ints
+        # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1
+        root = Scalar.param("a") if a is None else a
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "units", _parts(lam, lam ** -1, alp, alp ** -1))
+        object.__setattr__(self, "roots", _parts(-root, -root - 1))
 
     def concrete_a(self):
         if self.a is None:
@@ -122,11 +126,11 @@ _OWNER = "simple quotients are R-modules"
 
 def quotient_act_basis(sym, v, p):
     """Action of one Ramond basis generator on a quotient element: the
-    module's row on v lifted to C[x,y] + C[s,t], then frozen."""
+    module's row on v lifted to C[x] y^0 + C[s] t^0, read at the frozen root."""
     _require_r(sym, _OWNER)
     lifted = (((k, 0), c) for k, c in v.terms.items())
-    parity, slices = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
-    return QuotientElement(parity, build_slices(_freeze(slices, parity, p.root)))
+    parity, slices = _row_terms(sym, v.parity, lifted, p.units, p.roots)
+    return QuotientElement(parity, build_slices({i: s for (i, _), s in slices.items()}))
 
 
 def quotient_act(x, v, p):
@@ -135,13 +139,13 @@ def quotient_act(x, v, p):
     return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
 
 
-def _freeze(slices, parity, a):
-    """Slices keyed x^i y^j (s^i t^j) as slices keyed x^i (s^i): y -> -a on
-    the even part, t -> -a-1 on the odd part.  Each power of the root is
-    formed once, as (shift of the parameter monomial, p, q, d) parts, and
-    each slice is added in ints, times each part, to the slices of x^i.
-    Reads ``slices`` up: the first slot of x^i, when it is y^0's, is kept."""
-    powers, out = {0: [(None, 1, 0, 1)]}, {}
+def _freeze(slices, parts):
+    """Slices keyed x^i y^j (s^i t^j) as slices keyed x^i (s^i), with the
+    second variable at the concrete root whose parts are ``parts``.  Each
+    power of the root is formed once by int multiplication, and each slice
+    is added in ints, times it, to the slices of x^i.  Reads ``slices`` up:
+    the first slot of x^i, when it is y^0's, is kept."""
+    powers, out = [[(1, 0, 1)]], {}
     for (i, j), slot in slices.items():
         target = out.get(i)
         if target is None and not j:
@@ -149,15 +153,13 @@ def _freeze(slices, parity, a):
             continue
         if target is None:
             target = out[i] = {}
-        if j not in powers:
-            sub = (-a if parity == EVEN else -a - 1) ** j
-            parts = sub.terms.items() if isinstance(sub, Scalar) else ((None, sub),)
-            powers[j] = [(ev if ev and any(ev) else None, w.p, w.q, w.d) for ev, w in parts]
+        while len(powers) <= j:
+            powers.append([(p * u + 2 * q * v, p * v + q * u, d * e)
+                           for p, q, d in powers[-1] for _, u, v, e in parts])
         for ev, x in slot.items():
             P, Q, D = x.p, x.q, x.d
-            for shift, u, w, e in powers[j]:
-                add_slice(target, ev if shift is None else tuple(map(add, ev, shift)),
-                          P * u + 2 * Q * w, P * w + Q * u, D * e)
+            for u, w, e in powers[j]:
+                add_slice(target, ev, P * u + 2 * Q * w, P * w + Q * u, D * e)
     return out
 
 
@@ -167,9 +169,10 @@ def project(v, p):
     Freezes the second variable: y -> -a on the even part, t -> -a-1 on the
     odd part.  The kernel is exactly the M-kind submodule of h = y + a.
     """
+    p.concrete_a()  # refuse a formal root: _freeze shifts no parameter monomial
     slices = {key: {ev: _unreduced(x.p, x.q, x.d) for ev, x in c.terms.items()}
               for key, c in v.terms.items()}
-    return QuotientElement(v.parity, build_slices(_freeze(slices, v.parity, p.concrete_a())))
+    return QuotientElement(v.parity, build_slices(_freeze(slices, p.roots[v.parity])))
 
 
 def kernel_spec(p):

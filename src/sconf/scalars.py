@@ -58,9 +58,10 @@ instead:
 * the one long division, ``submodules._divmod_monic``, which divides in
   Z[sqrt2] ints, each row over its own common denominator (for a module
   element, one row per power of x and parameter monomial);
-* the action: ``freemod._row_terms``, ``quotients._freeze`` and
-  ``quotients.project`` sum an image in ints, one slice per (monomial,
-  parameter monomial), with ``add_slice``.  A slice is a QuadExt under
+* the action: ``freemod._row_terms``, the one row reader, and
+  ``quotients.project`` (through ``_freeze``) sum an image in ints, one
+  slice per (monomial, parameter monomial), with ``add_slice``, scaling by
+  (exponent vector, p, q, d) ints, not QuadExts.  A slice is a QuadExt under
   construction: ``add_slice`` sums its ints in place over one denominator,
   the lcm of those added there, and ``build_slices`` reduces it in place, as
   ``_qe`` would, and hands each slot over as the terms of one Scalar, built
@@ -429,7 +430,7 @@ class Scalar:
     def __init__(self, terms=None):
         # terms is trusted to be normalized (no zero coefficients, valid
         # exponents); use the classmethod constructors from outside.
-        object.__setattr__(self, "terms", terms or {})
+        _set_terms(self, terms or {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -652,6 +653,7 @@ def _as_scalar(v):
     return Scalar.number(q)
 
 
+_set_terms = Scalar.terms.__set__
 SC_ZERO = Scalar({})
 SC_ONE = Scalar({_ZERO_EXP: QE_ONE})
 

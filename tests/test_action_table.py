@@ -12,7 +12,9 @@ import pytest
 
 from sconf import freemod
 from sconf.algebras import BasisSymbol
-from sconf.freemod import EVEN, ODD, ModuleElement, act_basis, check_module_compatibility
+from sconf.freemod import (
+    EVEN, ODD, ModuleElement, act_basis, check_central_triviality, check_module_compatibility,
+)
 from sconf.quotients import (
     QuotientElement,
     QuotientParams,
@@ -144,3 +146,15 @@ def test_a_wrong_row_fails_the_module_and_the_quotient_sweeps(monkeypatch):
     monkeypatch.setitem(freemod._ACTION, ("Gm", EVEN), (parity, shift, number, 0, rows))
     assert check_module_compatibility(1, 1).status == "fail"
     assert check_quotient_compatibility(QuotientParams(a=1), 1, 1).status == "fail"
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD], ids=["even", "odd"])
+def test_a_central_row_fails_the_central_sweep(monkeypatch, parity):
+    """C acts through the same row lookup as every generator, so the C half
+    of the central sweep reads ``_ACTION`` and fails once a C row is there."""
+    assert check_central_triviality(1).status == "pass"
+    monkeypatch.setitem(freemod._ACTION, ("C", parity), (parity, 0, 1, 0, ((0, 0, 1, 0),)))
+    report = check_central_triviality(1)
+    assert report.status == "fail"
+    assert report.violations and all(
+        v.context.startswith("C on ") for v in report.violations)

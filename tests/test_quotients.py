@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sconf import quotients
-from sconf.algebras import BasisSymbol
+from sconf.algebras import AlgebraElement, BasisSymbol
 from sconf.errors import ParamMismatch, UnsplitPolynomial
 from sconf.freemod import EVEN, ODD, act_basis, monomials
 from sconf.linalg import RowSpan
@@ -92,6 +92,31 @@ def test_custom_lam_alp():
 
 
 # -- projection -------------------------------------------------------------------
+
+def test_the_action_sums_its_image_in_one_pass(monkeypatch):
+    """The root is read in the row's prefactor, so no slice is frozen after
+    the row is summed: with ``_freeze`` refusing, every family and parity
+    still acts, by a basis symbol and by an element."""
+    cases = [(p, BasisSymbol("R", "C") if family == "C" else sym(family, m), parity)
+             for p in (QuotientParams(), QuotientParams(a=QuadExt(1, 1), lam=Scalar.number(2)))
+             for family in ("L", "H", "Gp", "Gm", "C") for m in (-2, 0, 3)
+             for parity in (EVEN, ODD)]
+    element = AlgebraElement("R", {sym("L", 1): Scalar.number(QuadExt(1, 1)),
+                                   sym("H", -2): Scalar.param("lam"),
+                                   BasisSymbol("R", "C"): Scalar.number(1)})
+    v = {EVEN: q("x^2 + 2*x - lam"), ODD: q("s^3 + alp", ODD)}
+    want = [(quotient_act_basis(x, v[parity], p), quotients.quotient_act(x, v[parity], p),
+             quotients.quotient_act(element, v[parity], p)) for p, x, parity in cases]
+
+    def refuse(*args):
+        raise AssertionError("an image is frozen after it is summed")
+
+    monkeypatch.setattr(quotients, "_freeze", refuse)
+    got = [(quotient_act_basis(x, v[parity], p), quotients.quotient_act(x, v[parity], p),
+            quotients.quotient_act(element, v[parity], p)) for p, x, parity in cases]
+    assert got == want
+    assert sum(not image.is_zero() for row in got for image in row) > len(cases)
+
 
 def test_project_kernel_generator():
     p = QuotientParams(a=1)

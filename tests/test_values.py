@@ -20,7 +20,9 @@ from sconf.errors import AlgebraMismatch
 from sconf.freemod import EVEN, ODD
 from sconf.n1 import RestrictedAction
 from sconf.parsing import parse_algebra_element, parse_module_element
-from sconf.quotients import QuotientElement, QuotientParams, composition_series
+from sconf.quotients import (
+    QuotientElement, QuotientParams, composition_series, quotient_act_basis,
+)
 from sconf.reports import VerificationReport, Violation
 from sconf.scalars import QuadExt, Scalar
 from sconf.submodules import SubmoduleSpec, UniPoly
@@ -218,12 +220,40 @@ def test_pickle_and_copy_round_trips(name):
         assert hash(back) == hash(value)
 
 
+_ROOT2_UNIT = QuadExt(1, 1)
+_QUOTIENT_PARAMS = (
+    QuotientParams(),  # formal a
+    QuotientParams(_ROOT2_UNIT),
+    QuotientParams(lam=Scalar.number(_ROOT2_UNIT)),
+    QuotientParams(1, alp=Scalar.param("bet", -1)),
+    QuotientParams(_ROOT2_UNIT, Scalar.number(_ROOT2_UNIT), Scalar.param("bet", -1)),
+)
+
+
 def test_unpickled_values_recompute_their_derived_fields():
     spec = pickle.loads(pickle.dumps(SubmoduleSpec("M", UniPoly((2, 2)))))
     assert spec.odd_divisor == UniPoly((2, 1))
     params = copy.deepcopy(QuotientParams())
     assert params.root == Scalar.param("a")
     assert copy.deepcopy(BasisSymbol("R", "L", -4)).index == -2
+    for value in _QUOTIENT_PARAMS:
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            # the ints the action reads are rebuilt, not carried over
+            assert back.units is not value.units and back.roots is not value.roots
+            assert (back.units, back.roots) == (value.units, value.roots)
+            assert back == value and repr(back) == repr(value)
+            for v in value, back:
+                with pytest.raises(TypeError):  # Scalar fields are unhashable
+                    hash(v)
+            images = 0
+            for sym in (BasisSymbol("R", f, t) for f in ("L", "H", "Gp", "Gm") for t in (-6, 6)):
+                for parity in (EVEN, ODD):
+                    v = QuotientElement(parity, {0: Scalar.param("a") if value.a is None
+                                                 else Scalar.number(2), 2: Scalar.param("lam")})
+                    got = quotient_act_basis(sym, v, back)
+                    assert got == quotient_act_basis(sym, v, value)
+                    images += not got.is_zero()
+            assert images == 12  # Gp kills the even part and Gm the odd part
 
 
 def test_maps_and_restrictions_deepcopy():
