@@ -41,10 +41,14 @@ equality compares the ``sort_index`` tuples, so lookups hash and compare
 symbols without building a tuple.  One builder, ``_generator_map``, reads
 the map rows.  The bracket-compatibility sweep of a basis action,
 ``check_representation``, also runs in machine ints, over a table of that
-action's images local to the call; it and ``freemod.extend_linearly`` read
-every image through one parity guard, ``_checked``, which refuses an image
-of the wrong parity.  ``_check_images`` is the one loop that applies each
-generator of a list to each vector of a list and tests the image.  Its
+action's images local to the call.  It sums each unordered pair of
+generators once per vector, in one int accumulator, and decides the
+reverse order by the same sum when the two bracket rows are sign-related
+(equal up to the super-antisymmetry sign, in any term order); a pair whose
+rows are not sums each order on its own.  It and ``freemod.extend_linearly``
+read every image through one parity guard, ``_checked``, which refuses an
+image of the wrong parity.  ``_check_images`` is the one loop that applies
+each generator of a list to each vector of a list and tests the image.  Its
 five callers are the projection, phi and xi intertwining sweeps
 (``quotients``), the submodule closure (``submodules.check_closure``) and
 the a = 0 closure certificate of ``n1.check_simplicity_witness``.
@@ -476,8 +480,15 @@ def check_representation(report, syms, basis_act, vectors, label):
     power r of sqrt2; a product whose r reaches 2 doubles its int.  The
     bracket rows are scaled by B, the lcm of their denominators.  Both sides
     of a case are then D**3 B times the exact ones, so they are equal exactly
-    when those are.  Per v, X.(Y.v) is formed once for every pair and serves
-    both (X, Y) and (Y, X).  Only a failing case is rebuilt, for its text,
+    when those are.
+
+    Each unordered pair {X, Y} is summed once per v: X.(Y.v) + sign Y.(X.v)
+    - [X, Y].v lands in one int accumulator, sign = -(-1)^{|X||Y|}, and a
+    diagonal pair is the one sum (1 + sign) X.(X.v) - [X, X].v.  When the
+    scaled rows of [Y, X] are sign times those of [X, Y], term for term in
+    any order, the case (Y, X) is sign times the case (X, Y) and fails
+    exactly when it does; a pair whose rows are not so related sums (Y, X)
+    as a case of its own.  Only a failing case is rebuilt, for its text,
     from ``basis_act`` and the ``_basis_bracket`` rows.
     """
     n = len(syms)
@@ -490,11 +501,15 @@ def check_representation(report, syms, basis_act, vectors, label):
     images = {}  # (symbol number, parity, key) -> basis_act(symbol, monomial)
 
     def fill(count, parity, keys, cls):
-        for k in range(count):
-            sym = symbols[k]
-            for key in keys:
+        # a unit monomial is built only while some symbol lacks its image,
+        # so once per (parity, key) over the whole table
+        for key in keys:
+            unit = None
+            for k in range(count):
                 if (k, parity, key) not in images:
-                    images[k, parity, key] = _checked(basis_act, sym, cls(parity, {key: SC_ONE}))
+                    if unit is None:
+                        unit = cls(parity, {key: SC_ONE})
+                    images[k, parity, key] = _checked(basis_act, symbols[k], unit)
 
     for v in vectors:
         fill(len(symbols), v.parity, v.terms, type(v))
@@ -507,7 +522,8 @@ def check_representation(report, syms, basis_act, vectors, label):
     den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
     # exponent vectors pack into one int in base ``base``: a sum of three
     # of them keeps every entry below base / 2 in size, so packing is injective
-    base = 6 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
+    exponents = {ev for c in coeffs for ev in c.terms}
+    base = 6 * max((abs(e) for ev in exponents for e in ev), default=0) + 1
     keys, nk = {}, 0  # parity -> {monomial key: number}
     for e in elements:
         numbers = keys.setdefault(e.parity, {})
@@ -522,9 +538,11 @@ def check_representation(report, syms, basis_act, vectors, label):
         root2 = [(c - nk, 2 * m) if c // nk & 1 else (c + nk, m) for c, m in plain]
         rows[k][keys[parity][key]] = (plain, root2)
 
-    def apply(k, parts):
-        table, acc = rows[k], {}
+    def apply(k, parts, acc, scale=1):
+        """Add ``scale`` times symbol k on the ``_split`` vector into ``acc``."""
+        table = rows[k]
         for at, r, off, m in parts:
+            m *= scale
             for c, f in table[at][r]:
                 c += off
                 acc[c] = acc.get(c, 0) + m * f
@@ -534,22 +552,36 @@ def check_representation(report, syms, basis_act, vectors, label):
     scaled = [[tuple((number[s], den * f.numerator * (lcm_b // f.denominator)) for s, f in row)
                for row in row_list] for row_list in brackets]
     odd = [s.parity for s in syms]
+    # the cases, (x, y, sums, bracket row, mirrored): sums lists (k, j,
+    # scale) for the terms scale * k.(j.v), sign = -(-1)^{|X||Y|}; an even
+    # diagonal pair has none, and a mirrored case stands for (y, x) as well
+    cases = []
+    for x in range(n):
+        for y in range(x, n):
+            sign = 1 if odd[x] and odd[y] else -1
+            if x == y:
+                cases.append((x, x, ((x, x, 2),) if sign > 0 else (), scaled[x][x], False))
+                continue
+            mirrored = sorted(scaled[y][x]) == sorted((z, sign * f) for z, f in scaled[x][y])
+            cases.append((x, y, ((x, y, 1), (y, x, sign)), scaled[x][y], mirrored))
+            if not mirrored:
+                cases.append((y, x, ((y, x, 1), (x, y, sign)), scaled[y][x], False))
     fails = []
     for t, v in enumerate(vectors):
         parts = _split(_flat(v.terms, keys[v.parity], den, base, nk), nk)
-        zv = [apply(k, parts) for k in range(len(symbols))]
+        zv = [apply(k, parts, {}) for k in range(len(symbols))]
         yv = [_split(zv[y], nk, lcm_b) for y in range(n)]
-        xyv = [[apply(x, yv[y]) for y in range(n)] for x in range(n)]
-        for x, y in product(range(n), repeat=2):
-            diff = dict(xyv[x][y])
-            sign = 1 if odd[x] and odd[y] else -1
-            for c, m in xyv[y][x].items():
-                diff[c] = diff.get(c, 0) + sign * m
-            for z, f in scaled[x][y]:
+        for x, y, sums, row, mirrored in cases:
+            acc = {}
+            for k, at, scale in sums:
+                apply(k, yv[at], acc, scale)
+            for z, f in row:
                 for c, m in zv[z].items():
-                    diff[c] = diff.get(c, 0) - f * m
-            if any(diff.values()):
+                    acc[c] = acc.get(c, 0) - f * m
+            if any(acc.values()):
                 fails.append((x, y, t))
+                if mirrored:
+                    fails.append((y, x, t))
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
         lhs = type(v).zero(v.parity)

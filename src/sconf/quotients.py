@@ -390,12 +390,14 @@ def check_projection_intertwines(p, index_window, degree_bound):
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
+    vectors = monomials(degree_bound)
+    projected = {id(v): project(v, p) for v in vectors}  # formed once per vector
     return _check_images(
         report,
         basis_symbols("R", index_window),
-        monomials(degree_bound),
+        vectors,
         lambda sym, v: project(act(sym, v), p),
-        lambda sym, v: quotient_act(sym, project(v, p), p),
+        lambda sym, v: quotient_act(sym, projected[id(v)], p),
         f"projection {p.describe()} ",
     )
 
@@ -411,12 +413,14 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    vectors = quotient_monomials(degree_bound)
+    mapped = {id(v): iso_phi(v, src, dst) for v in vectors}  # formed once per vector
     return _check_images(
         report,
         basis_symbols("R", index_window),
-        quotient_monomials(degree_bound),
+        vectors,
         lambda sym, v: iso_phi(quotient_act(sym, v, src), src, dst),
-        lambda sym, v: quotient_act(sym, iso_phi(v, src, dst), dst),
+        lambda sym, v: quotient_act(sym, mapped[id(v)], dst),
         f"phi {src.describe()}->{dst.describe()} ",
     )
 
@@ -442,11 +446,13 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    vectors = quotient_monomials(degree_bound)
+    lifted = {id(v): xi(v) for v in vectors}  # formed once per vector
     return _check_images(
         report,
         basis_symbols("R", index_window),
-        quotient_monomials(degree_bound),
-        lambda sym, v: act(sym, xi(v)),
+        vectors,
+        lambda sym, v: act(sym, lifted[id(v)]),
         lambda sym, v: xi(quotient_act(sym, v, p)),
         f"xi h~={h_tilde.render()} {p.describe()} ",
         same=lambda left, right: contains(full, left - right),

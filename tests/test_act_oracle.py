@@ -2,11 +2,13 @@
 
 ``freemod._row_terms`` sums an element's image in ints, once per output
 monomial and parameter monomial, and builds each output Scalar once;
-``quotients.quotient_act_basis`` freezes those int sums, and
-``freemod.extend_linearly`` scales the input by each generator's
-coefficient.  The oracle below is the earlier kernel, kept verbatim: it
-scaled and summed one Scalar per input term and output monomial, froze the
-built bivariate image, and scaled each generator's image.  Both must give
+``quotients.quotient_act_basis`` reads the same rows on the quotient
+element lifted to y^0 (t^0), with the frozen root in each row's prefactor,
+so nothing is frozen after the sum; and ``freemod.extend_linearly``
+scales the input by each generator's coefficient.  The oracle below is the
+earlier kernel, kept verbatim: it scaled and summed one Scalar per input
+term and output monomial, froze the built bivariate image, and scaled each
+generator's image.  Both must give
 equal elements of equal parity on a seeded corpus that covers every family,
 modes |m| <= 5, degrees <= 6, both parities, multi-term Laurent
 coefficients with sqrt2 parts, concrete and formal roots a, and numeric
