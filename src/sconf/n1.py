@@ -22,7 +22,10 @@ fault put on ``restricted_act`` sees which generator acts.
 The simplicity witness searches in coordinates over a table local to the
 call: ``restricted_act`` of each generator on each monomial, filled lazily
 once per (generator number, parity, exponent).  By linearity a vector's
-image is the sum of its coordinates times those images.
+image is the sum of its coordinates times those images.  A start of degree
+<= degree_bound stops once its span holds every target, and the pooled span
+once it holds them all; a higher custom start searches on, to its
+truncation error.
 """
 
 from __future__ import annotations
@@ -176,6 +179,13 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
     of their monomials.  Only vectors of degree below degree_bound +
     word_length are acted on, so from starts of degree <= degree_bound one
     call acts at most |generators| * 2 * (degree_bound + word_length) times.
+
+    A note depends only on which targets a span holds, and the verdict only
+    on the pooled span holding them all, so a start's search ends once its
+    span holds every target and the pooled span then takes no more rows.
+    Only a start of degree <= degree_bound stops early, since from it no act
+    leaves the truncation; a higher custom start searches on and raises the
+    truncation error where its words leave it.
     """
     a_value = as_quadext(a_value)
     lam0 = as_quadext(lam0)
@@ -238,11 +248,13 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
     targets = [_as_vector(t, max_degree) for t in target_monos]
     if starts is None:
         starts = target_monos
-    pooled = RowSpan(dim)
-    for start in starts:
-        # per-start orbit span (pruning against it is sound: a vector inside
-        # the span of already-expanded vectors contributes nothing new, by
-        # linearity of the action)
+
+    def orbit_span(start):
+        """Span of the word images of ``start``, with the early stop above
+        (pruning against it is sound: a vector inside the span of
+        already-expanded vectors contributes nothing new, by linearity of
+        the action)."""
+        stop = max(start.terms, default=0) <= degree_bound
         span = RowSpan(dim)
         frontier = [_as_vector(start, max_degree)]
         span.add(frontier[0])
@@ -253,10 +265,17 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
                 for g in range(len(gens)):
                     w = act(g, coords)
                     if span.add(w):
+                        if stop and _holds(span, targets):
+                            return span
                         new_frontier.append(w)
             frontier = new_frontier
             if not frontier:
                 break
+        return span
+
+    pooled = RowSpan(dim)
+    for start in starts:
+        span = orbit_span(start)
         missed = sum(1 for t in targets if not span.contains(t))
         tag = "even" if start.parity == EVEN else "odd"
         if missed:
@@ -266,6 +285,8 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         else:
             report.notes.append(f"start {start} ({tag}): full span reached")
         for _, row in span.rows:
+            if _holds(pooled, targets):
+                break
             pooled.add(row)
     missing = [m for m, t in zip(target_monos, targets) if not pooled.contains(t)]
     if missing:
@@ -276,3 +297,9 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
             + f" (bounds degree={degree_bound}, words={word_length} too small to conclude)"
         )
     return report
+
+
+def _holds(span, targets):
+    """Whether ``span`` contains every target; the targets are independent,
+    so a span of smaller rank cannot."""
+    return span.rank >= len(targets) and all(map(span.contains, targets))

@@ -23,8 +23,8 @@ way.  ``contains`` and ``reduce_mod`` divide a module element row by row
 (``_rows``), by a g that a spec computes once per parity, the first time
 one of them needs it (``_spec_divisor``).  ``contains`` reads a remainder,
 and for the N kind the quotient's constant term, in ints and builds no
-Scalar.  ``reduce_mod``,
-``UniPoly.divmod_monic`` (and so ``divides``), the root deflation of
+Scalar; ``UniPoly.divides`` reads its remainder in ints and builds no
+quotient.  ``reduce_mod``, ``UniPoly.divmod_monic``, the root deflation of
 ``quotients.find_roots`` (``_deflated``) and ``UniPoly.shifted`` (a Taylor
 shift, by repeated division by y - c) build one QuadExt per coefficient
 they return.
@@ -141,8 +141,14 @@ class UniPoly:
                 UniPoly(_unscaled(P, Q, D, E, 0, min(n, top))))
 
     def divides(self, other):
-        _, rem = other.divmod_monic(self.monic())
-        return rem.is_zero()
+        """Whether self divides other: the remainder is read in ints (as in
+        ``_deflated``) and no quotient is built."""
+        divisor = n, E, _ = _int_divisor(self.monic())
+        if not other.coeffs:
+            return True
+        P, Q, _ = _scaled(dict(enumerate(other.coeffs)), E)
+        _divmod_monic(P, Q, divisor)
+        return not any(P[:n]) and not any(Q[:n])
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

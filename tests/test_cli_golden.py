@@ -65,6 +65,15 @@ CASES = [
      "--degree", "1", "--json"],
     ["restrict", "--check", "rank1", "--degree", "1", "--lam0", "sqrt2", "--alp0=-1/3",
      "--json"],
+    # simplicity notes mixing "full span reached" and "span misses"
+    ["restrict", "--check", "simplicity", "--a", "1", "--window", "2", "--degree", "2",
+     "--words", "2"],
+    ["restrict", "--check", "simplicity", "--a", "-1", "--window", "1", "--degree", "3",
+     "--words", "1", "--json"],
+    ["restrict", "--check", "simplicity", "--a", "2", "--window", "1", "--degree", "1",
+     "--words", "3"],
+    ["restrict", "--check", "simplicity", "--a", "1+sqrt2", "--window", "2", "--degree", "2",
+     "--words", "3"],
     # act on omega and on a quotient, with odd and sqrt2 outputs
     ["act", "sqrt2*Gm[-1] + lam*Gp[3]", "x^2*y - 3*y^3", "--parity", "even"],
     ["act", "L[-2] + (1/2)*H[1]; Gp[1]", "s*t^2 + alp^-1*t", "--parity", "odd"],

@@ -85,8 +85,8 @@ UNREFERENCED_METHODS = {
     "QuadExt.norm": "public field norm; the tests check multiplicativity with it",
     "Scalar.evaluate": "public specialisation of every parameter to a number",
     "VerificationReport.passed": "public verdict of a report for library callers",
-    "RowSpan.rank": "public dimension of the span; the tests read it",
     "AlgebraElement.drop_center": "the benchmark's cli-mix replay reads it",
+    "UniPoly.divmod_monic": "public quotient and remainder; the tests read it",
 }
 
 

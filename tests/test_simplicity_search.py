@@ -197,3 +197,50 @@ def test_rowspan_matches_dense_reduction():
         vec = [rng.choice((0, 1, -3, Fraction(2, 5))) for _ in range(dim)]
         assert sparse.add(vec) == dense.add(vec)
         assert sparse.rows == dense.rows
+
+
+@pytest.mark.parametrize("a", [1, 2, Fraction(5, 2)], ids=str)
+def test_starts_above_the_degree_bound_search_to_the_same_end(a):
+    # a start above degree_bound may leave the truncation later in its
+    # search, so it must not stop early, whatever its span holds
+    for degree, words in product((1, 2), (1, 2, 3)):
+        for k, parity in product(range(degree + 1, degree + words + 1), (EVEN, ODD)):
+            start = [QuotientElement.monomial(parity, k)]
+            try:
+                got = _facts(check_simplicity_witness(a, LAM0, ALP0, degree, words,
+                                                      index_window=1, starts=start))
+            except ValueError as err:
+                got = str(err)
+            try:
+                want = _facts(elementwise_witness(a, degree, words, 1, start))
+            except ValueError as err:
+                want = str(err)
+            assert got == want, (a, degree, words, start)
+
+
+@pytest.mark.parametrize("a", [1, -1, 2], ids=str)
+def test_no_span_grows_after_it_holds_every_target(monkeypatch, a):
+    degree, words, window = 3, 3, 3
+    targets = [_as_vector(t, degree + words) for t in quotient_monomials(degree)]
+    spans = []
+
+    class CountingRowSpan(RowSpan):
+        def __init__(self, dim):
+            super().__init__(dim)
+            self.late_adds = 0
+            spans.append(self)
+
+        def full(self):
+            return all(self.contains(t) for t in targets)
+
+        def add(self, vec):
+            self.late_adds += self.full()
+            return super().add(vec)
+
+    monkeypatch.setattr(n1, "RowSpan", CountingRowSpan)
+    report = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window)
+    assert report.status == "pass"
+    # the pooled span, made first, and one span per default start
+    assert len(spans) == 1 + len(targets)
+    assert [s.late_adds for s in spans] == [0] * len(spans)
+    assert spans[0].full() and sum(s.full() for s in spans[1:]) >= 1

@@ -128,6 +128,30 @@ def test_one_division_matches_both_oracles():
             parse_unipoly("y^3 - 1").divmod_monic(d)
 
 
+def test_divides_reads_the_remainder_of_the_division():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(1500):
+        d = _random_poly(rng, rng.randint(0, 3), monic=rng.randrange(2))
+        if d.is_zero():
+            continue
+        p = _random_poly(rng, rng.randint(0, 7), monic=False)
+        dp = d * p
+        nudged = UniPoly(tuple(c + (k == 0) for k, c in enumerate(dp.coeffs)))
+        for other in (p, dp, nudged):
+            want = other.divmod_monic(d.monic())[1].is_zero()
+            assert d.divides(other) == want, (d, other)
+            outcomes.add((d.is_monic(), want))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    sqrt2_lead = UniPoly((1, QuadExt(0, 1)))  # sqrt2*y + 1
+    assert sqrt2_lead.divides(sqrt2_lead * parse_unipoly("y^2 - 3"))
+    assert not sqrt2_lead.divides(parse_unipoly("y^2 - 3"))
+    assert sqrt2_lead.divides(UniPoly(()))
+    for other in (parse_unipoly("y - 1"), UniPoly(())):
+        with pytest.raises(ValueError, match="cannot be made monic"):
+            UniPoly(()).divides(other)
+
+
 def _divmod_monic(rem, d):
     """Long division of an ascending coefficient list by the monic UniPoly d.
 
