@@ -21,15 +21,18 @@ One evaluator, ``_bracket_ints``, reads the bracket tables at concrete
 central row only at total mode 0, drops zero terms, derives the other
 ordering from super-antisymmetry ``[x, y] = -(-1)^{|x||y|} [y, x]``, raises
 LookupError for a pair the table lacks, and returns int numerators over a
-denominator the caller computes from the rows with ``_denominator``.  It
-has three readers:
+denominator the caller computes from the rows with ``_denominator``.
+Nothing caches what it returns.  It has these readers:
 
-* ``_basis_bracket`` turns its ints into (symbol, Fraction) pairs, and its
-  cache holds every pair it has seen; ``bracket``, the representation sweep
-  and the failure texts read it.
-* The graded Jacobi sweep numbers symbols by (family, twice) and computes
-  one sum per cyclic orbit of triples, since the three rotations of a
-  triple give the same sum, as one int that packs a digit per family.
+* ``_basis_bracket`` turns its ints into (symbol, Fraction) pairs for
+  ``bracket``, ``check_antisymmetry`` and the failure texts of the sweeps.
+* ``_numbered_brackets`` reads the brackets of every two symbols of a list
+  as (number, int) pairs, numbering each result symbol by (family, twice):
+  the rows of the representation sweep, the inner rows of the Jacobi sweep
+  and the source pairs of the homomorphism check.
+* The graded Jacobi sweep computes one sum per cyclic orbit of triples,
+  since the three rotations of a triple give the same sum, as one int that
+  packs a digit per family.
 * The homomorphism check reads the map's image of each symbol it needs
   once, through ``apply_map``, into a table local to the call, flattens the
   images to ints as the representation sweep does, and compares the two
@@ -57,7 +60,6 @@ the a = 0 closure certificate of ``n1.check_simplicity_witness``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, product
 from math import lcm
 from operator import eq
@@ -383,7 +385,16 @@ def _bracket_ints(algebra, den, f1, t1, f2, t2):
     return out
 
 
-@lru_cache(maxsize=None)
+def _numbered_brackets(algebra, den, keys, number):
+    """The brackets of every two (family, twice) ``keys`` of ``algebra``, as
+    rows [k1][k2] of (number, int) pairs: ``_bracket_ints`` over ``den``,
+    each result symbol numbered by its (family, twice) in the dict
+    ``number``, which gains the keys it lacks in the order they appear."""
+    return [[[(number.setdefault((family, t1 + t2), len(number)), c)
+              for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
+             for f2, t2 in keys] for f1, t1 in keys]
+
+
 def _basis_bracket(x, y):
     """Bracket of two basis symbols as a tuple of (symbol, nonzero Fraction),
     read through ``_bracket_ints``."""
@@ -478,9 +489,10 @@ def check_representation(report, syms, basis_act, vectors, label):
     p D/d and q D/d, D the common denominator of the table and the vectors,
     keyed by one int that packs the monomial, the exponent vector and the
     power r of sqrt2; a product whose r reaches 2 doubles its int.  The
-    bracket rows are scaled by B, the lcm of their denominators.  Both sides
-    of a case are then D**3 B times the exact ones, so they are equal exactly
-    when those are.
+    bracket rows are read from ``_bracket_ints`` as ints over B, the
+    ``_denominator`` of the algebra's table, keyed by (family, twice) and
+    numbered by ``_numbered_brackets``.  Both sides of a case are then
+    D**3 B times the exact ones, so they are equal exactly when those are.
 
     Each unordered pair {X, Y} is summed once per v: X.(Y.v) + sign Y.(X.v)
     - [X, Y].v lands in one int accumulator, sign = -(-1)^{|X||Y|}, and a
@@ -489,15 +501,16 @@ def check_representation(report, syms, basis_act, vectors, label):
     any order, the case (Y, X) is sign times the case (X, Y) and fails
     exactly when it does; a pair whose rows are not so related sums (Y, X)
     as a case of its own.  Only a failing case is rebuilt, for its text,
-    from ``basis_act`` and the ``_basis_bracket`` rows.
+    from ``basis_act`` and the ``_basis_bracket`` rows.  An empty ``syms``
+    checks nothing.
     """
-    n = len(syms)
-    number = {s: k for k, s in enumerate(syms)}  # symbol -> table row
-    brackets = [[_basis_bracket(x, y) for y in syms] for x in syms]
-    for row in chain.from_iterable(brackets):
-        for s, _ in row:
-            number.setdefault(s, len(number))
-    symbols = list(number)
+    if not syms:
+        return report
+    n, algebra = len(syms), syms[0].algebra
+    bden = _denominator(_TABLES[algebra])
+    number = {(s.family, s.twice): k for k, s in enumerate(syms)}  # -> table row
+    brackets = _numbered_brackets(algebra, bden, list(number), number)
+    symbols = [*syms, *(BasisSymbol(algebra, *key) for key in list(number)[n:])]
     images = {}  # (symbol number, parity, key) -> basis_act(symbol, monomial)
 
     def fill(count, parity, keys, cls):
@@ -548,9 +561,7 @@ def check_representation(report, syms, basis_act, vectors, label):
                 acc[c] = acc.get(c, 0) + m * f
         return acc
 
-    lcm_b = lcm(*(f.denominator for row in chain.from_iterable(brackets) for _, f in row))
-    scaled = [[tuple((number[s], den * f.numerator * (lcm_b // f.denominator)) for s, f in row)
-               for row in row_list] for row_list in brackets]
+    scaled = [[tuple((z, den * c) for z, c in row) for row in row_list] for row_list in brackets]
     odd = [s.parity for s in syms]
     # the cases, (x, y, sums, bracket row, mirrored): sums lists (k, j,
     # scale) for the terms scale * k.(j.v), sign = -(-1)^{|X||Y|}; an even
@@ -570,7 +581,7 @@ def check_representation(report, syms, basis_act, vectors, label):
     for t, v in enumerate(vectors):
         parts = _split(_flat(v.terms, keys[v.parity], den, base, nk), nk)
         zv = [apply(k, parts, {}) for k in range(len(symbols))]
-        yv = [_split(zv[y], nk, lcm_b) for y in range(n)]
+        yv = [_split(zv[y], nk, bden) for y in range(n)]
         for x, y, sums, row, mirrored in cases:
             acc = {}
             for k, at, scale in sums:
@@ -585,7 +596,7 @@ def check_representation(report, syms, basis_act, vectors, label):
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
         lhs = type(v).zero(v.parity)
-        for z, f in brackets[x][y]:
+        for z, f in _basis_bracket(xs, ys):
             lhs = lhs + basis_act(z, v) * f
         xy, yx = basis_act(xs, basis_act(ys, v)), basis_act(ys, basis_act(xs, v))
         rhs = xy + yx if xs.parity and ys.parity else xy - yx
@@ -656,9 +667,7 @@ def check_super_jacobi(algebra, window):
     index = {key: k for k, key in enumerate(keys)}  # (family, twice) -> number
     den = _denominator(_TABLES[algebra])
     # the inner rows: every two window symbols, each term as (number, int)
-    inner = [[[(index.setdefault((family, t1 + t2), len(index)), c)
-               for family, c in _bracket_ints(algebra, den, f1, t1, f2, t2)]
-              for f2, t2 in keys] for f1, t1 in keys]
+    inner = _numbered_brackets(algebra, den, keys, index)
     # the outer rows: each window symbol bracketed with every numbered symbol
     outer = [[_bracket_ints(algebra, den, f1, t1, f2, t2) for f2, t2 in index]
              for f1, t1 in keys]
@@ -816,10 +825,8 @@ def check_homomorphism(gmap, window):
     n = len(syms)
     sden, tden = _denominator(_TABLES[source]), _denominator(_TABLES[target])
     number = {(s.family, s.twice): k for k, s in enumerate(syms)}  # source symbols
-    # per window pair (x, y): the source bracket as (symbol number, int)
-    pairs = [[(number.setdefault((family, x.twice + y.twice), len(number)), f)
-              for family, f in _bracket_ints(source, sden, x.family, x.twice, y.family, y.twice)]
-             for x, y in product(syms, repeat=2)]
+    # per window pair (x, y), at x n + y: the source bracket as (symbol number, int)
+    pairs = [*chain.from_iterable(_numbered_brackets(source, sden, list(number), number))]
     images = {}  # symbol -> the terms of its image, in symbol number order
     for s in syms + [BasisSymbol(source, *key) for key in list(number)[n:]]:
         images[s] = apply_map(gmap, s).terms

@@ -56,7 +56,7 @@ from .algebras import BasisSymbol, _checked, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
-    _ZERO_EXP, SC_ONE, Scalar, _unreduced, add_slice, add_terms, as_scalar, build_slices,
+    _ZERO_EXP, SC_ONE, Scalar, add_slice, add_terms, as_scalar, build_slices,
     monomial_text, render_combination,
 )
 
@@ -217,8 +217,8 @@ _UNITS = _parts(*(Scalar.param(name, e) for name in ("lam", "alp") for e in (1, 
 def _row_terms(sym, parity, terms, units, roots=None):
     """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
     ``terms`` of a parity: the target parity and the image as slices
-    ``{(i, j): {ev: QuadExt under construction}}``, one per output monomial
-    u^i v^j and parameter monomial ev, each summed in ints over the terms
+    ``{(i, j): {ev: [p, q, d]}}``, one per output monomial u^i v^j and
+    parameter monomial ev, each summed in ints over the terms
     (``add_slice``).  The row scale lam^m * number * alp^power is formed in
     ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, and folded
     into each input coefficient once.  ``roots``, the parts of the root v
@@ -268,7 +268,7 @@ def _row_terms(sym, parity, terms, units, roots=None):
                     continue
                 slot = slices.get(key)
                 if slot is None and len(fac) == 1:  # one factor part: distinct monomials
-                    slices[key] = {ev: _unreduced(n * p, n * q, d) for ev, p, q, d in parts}
+                    slices[key] = {ev: [n * p, n * q, d] for ev, p, q, d in parts}
                     continue
                 if slot is None:
                     slot = slices[key] = {}

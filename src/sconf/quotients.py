@@ -52,7 +52,7 @@ from .freemod import (
 )
 from .reports import VerificationReport
 from .scalars import (
-    QE_ONE, Scalar, _qe, _unreduced, add_slice, add_terms, as_quadext, as_scalar,
+    QE_ONE, Scalar, _qe, add_slice, add_terms, as_quadext, as_scalar,
     build_slices, monomial_text,
 )
 from .submodules import SubmoduleSpec, UniPoly, _deflated, check_containment, contains
@@ -156,8 +156,7 @@ def _freeze(slices, parts):
         while len(powers) <= j:
             powers.append([(p * u + 2 * q * v, p * v + q * u, d * e)
                            for p, q, d in powers[-1] for _, u, v, e in parts])
-        for ev, x in slot.items():
-            P, Q, D = x.p, x.q, x.d
+        for ev, (P, Q, D) in slot.items():
             for u, w, e in powers[j]:
                 add_slice(target, ev, P * u + 2 * Q * w, P * w + Q * u, D * e)
     return out
@@ -170,7 +169,7 @@ def project(v, p):
     odd part.  The kernel is exactly the M-kind submodule of h = y + a.
     """
     p.concrete_a()  # refuse a formal root: _freeze shifts no parameter monomial
-    slices = {key: {ev: _unreduced(x.p, x.q, x.d) for ev, x in c.terms.items()}
+    slices = {key: {ev: [x.p, x.q, x.d] for ev, x in c.terms.items()}
               for key, c in v.terms.items()}
     return QuotientElement(v.parity, build_slices(_freeze(slices, p.roots[v.parity])))
 

@@ -61,11 +61,11 @@ instead:
 * the action: ``freemod._row_terms``, the one row reader, and
   ``quotients.project`` (through ``_freeze``) sum an image in ints, one
   slice per (monomial, parameter monomial), with ``add_slice``, scaling by
-  (exponent vector, p, q, d) ints, not QuadExts.  A slice is a QuadExt under
-  construction: ``add_slice`` sums its ints in place over one denominator,
-  the lcm of those added there, and ``build_slices`` reduces it in place, as
-  ``_qe`` would, and hands each slot over as the terms of one Scalar, built
-  once.  No slice outlives the call that builds it.
+  (exponent vector, p, q, d) ints, not QuadExts.  A slice is a plain list
+  ``[p, q, d]``: ``add_slice`` sums its ints in place over one denominator,
+  the lcm of those added there, and ``build_slices`` builds each nonzero
+  one once with ``_qe``, so no QuadExt changes after ``_qe`` or
+  ``QuadExt.__init__`` returns.  No slice outlives the call that builds it.
 
 ``join_signed`` is the one renderer of signed sums: every ``a - b + c`` text
 in the package comes out of it.
@@ -346,58 +346,38 @@ def _qe(p, q, d):
     return x
 
 
-def _unreduced(p, q, d):
-    """``(p + q*sqrt2)/d`` as given, not reduced: only for the value of a
-    slice under construction (``add_slice``)."""
-    x = _new_quadext(QuadExt)
-    _set_p(x, p)
-    _set_q(x, q)
-    _set_d(x, d)
-    return x
-
-
 def add_slice(slot, ev, p, q, d):
-    """Add ``(p + q*sqrt2)/d`` (ints, d > 0) into the slice ``slot[ev]``: a
-    QuadExt under construction whose ints are summed in place over one
-    denominator, the lcm of the denominators added there."""
+    """Add ``(p + q*sqrt2)/d`` (ints, d > 0) into the slice ``slot[ev]``, a
+    list ``[p, q, d]`` whose ints are summed in place over one denominator,
+    the lcm of the denominators added there."""
     x = slot.get(ev)
     if x is None:
-        slot[ev] = _unreduced(p, q, d)
+        slot[ev] = [p, q, d]
         return
-    e = x.d
+    e = x[2]
     if e == d:
-        _set_p(x, x.p + p)
-        _set_q(x, x.q + q)
+        x[0] += p
+        x[1] += q
     else:
         g = gcd(e, d)
         u, v = d // g, e // g
-        _set_p(x, x.p * u + p * v)
-        _set_q(x, x.q * u + q * v)
-        _set_d(x, e * u)
+        x[0] = x[0] * u + p * v
+        x[1] = x[1] * u + q * v
+        x[2] = e * u
 
 
 def build_slices(slices):
-    """``{key: Scalar}`` from slices ``{key: {ev: QuadExt under
-    construction}}``: each value is reduced in place, as ``_qe`` would
-    build it, and each slot becomes the terms of its Scalar; a value that
-    sums to zero is left out, and so is a key with none left."""
+    """``{key: Scalar}`` from slices ``{key: {ev: [p, q, d]}}``: each value
+    is built once by ``_qe``; a value that sums to zero is left out, and so
+    is a key with none left."""
     out = {}
     for key, slot in slices.items():
-        zero = False
-        for x in slot.values():
-            p, q, d = x.p, x.q, x.d
-            if not (p or q):
-                zero = True
-            elif d != 1:
-                g = gcd(p, q, d)
-                if g != 1:
-                    _set_p(x, p // g)
-                    _set_q(x, q // g)
-                    _set_d(x, d // g)
-        if zero:
-            slot = {ev: x for ev, x in slot.items() if x}
-        if slot:
-            out[key] = Scalar(slot)
+        terms = {}  # a loop, not a comprehension: no frame per slot
+        for ev, (p, q, d) in slot.items():
+            if p or q:
+                terms[ev] = _qe(p, q, d)
+        if terms:
+            out[key] = Scalar(terms)
     return out
 
 

@@ -20,11 +20,11 @@ denominators (``_scaled``).  Dividing those by g takes no gcd and builds no
 QuadExt, and entry j of the result, remainder and quotient alike, stands
 for its ints over D E^(top - j) (``_unscaled``).  Every caller divides this
 way.  ``contains`` and ``reduce_mod`` divide a module element row by row
-(``_rows``), by a g that a spec computes once per parity, the first time
-one of them needs it (``_spec_divisor``).  ``contains`` reads a remainder,
-and for the N kind the quotient's constant term, in ints and builds no
-Scalar; ``UniPoly.divides`` reads its remainder in ints and builds no
-quotient.  ``reduce_mod``, ``UniPoly.divmod_monic``, the root deflation of
+(``_rows``), by the g of its parity, which a spec computes for both
+parities when it is built.  ``contains`` reads a remainder, and for the N
+kind the quotient's constant term, in ints and builds no Scalar;
+``UniPoly.divides`` reads its remainder in ints and builds no quotient.
+``reduce_mod``, ``UniPoly.divmod_monic``, the root deflation of
 ``quotients.find_roots`` (``_deflated``) and ``UniPoly.shifted`` (a Taylor
 shift, by repeated division by y - c) build one QuadExt per coefficient
 they return.
@@ -188,9 +188,9 @@ class SubmoduleSpec(Value):
         object.__setattr__(self, "h", h)
         # the odd divisor h(t+1), read by every membership test on the odd part
         object.__setattr__(self, "odd_divisor", h.shifted(1))
-        # ``_int_divisor`` of h (even) and of h(t+1) (odd), each filled the
-        # first time a division needs that parity
-        object.__setattr__(self, "_int_divisors", [None, None])
+        # ``_int_divisor`` of h (even) and of h(t+1) (odd), by parity
+        object.__setattr__(self, "_int_divisors",
+                           (_int_divisor(h), _int_divisor(self.odd_divisor)))
 
     def render(self):
         return f"{self.kind}[h={self.h.render()}]"
@@ -232,7 +232,7 @@ def _int_divisor(d):
         if c:
             s = E // c.d * E ** (n - 1 - l)
             minus_g.append((l, -c.p * s, -c.q * s))
-    return n, E, minus_g
+    return n, E, tuple(minus_g)
 
 
 def _linear(r):
@@ -299,16 +299,6 @@ def _rows(terms):
     return rows
 
 
-def _spec_divisor(spec, parity):
-    """``_int_divisor`` of the divisor of ``spec`` on the part of ``parity``:
-    h(y) (even) or h(t+1) (odd), computed once per spec and parity."""
-    divisor = spec._int_divisors[parity]
-    if divisor is None:
-        divisor = spec._int_divisors[parity] = _int_divisor(
-            spec.h if parity == EVEN else spec.odd_divisor)
-    return divisor
-
-
 def contains(spec, v):
     """Exact membership of a module element in the submodule.
 
@@ -321,7 +311,7 @@ def contains(spec, v):
     rows = _rows(v.terms)
     if any(ev[_A] or ev[_B] for _, ev in rows):
         raise ValueError("membership is defined for elements free of the parameters a, b")
-    divisor = n, E, _ = _spec_divisor(spec, v.parity)
+    divisor = n, E, _ = spec._int_divisors[v.parity]
     constant = v.parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
     for (i, _), row in rows.items():
         P, Q, _ = _scaled(row, E)
@@ -337,7 +327,7 @@ def reduce_mod(spec, v):
     """Canonical representative of v modulo the M-kind submodule of spec.h:
     the remainder of each row's division in ints, each nonzero coefficient
     unscaled once and each Scalar built once."""
-    divisor = n, E, _ = _spec_divisor(spec, v.parity)
+    divisor = n, E, _ = spec._int_divisors[v.parity]
     rem = {}
     for (i, ev), row in _rows(v.terms).items():
         P, Q, D = _scaled(row, E)

@@ -7,11 +7,13 @@ with instances of the same class only, a hash of the field tuple, an
 ``AttributeError`` on assignment or deletion, and pickling and copying
 through the constructor, so an unpickled value is validated and its derived
 attributes are recomputed.  A derived attribute (``QuotientParams.root``,
-``.units`` and ``.roots``; ``SubmoduleSpec.odd_divisor`` and the lazily
-filled ``._int_divisors``) stays out of ``_fields``: it is neither shown
-nor compared.  A subclass's ``__init__`` sets its attributes past the
-refusing ``__setattr__``, with ``object.__setattr__`` or, where construction
-is hot (``BasisSymbol``), with each slot's own setter.
+``.units`` and ``.roots``; ``SubmoduleSpec.odd_divisor`` and
+``._int_divisors``) is computed in ``__init__`` and stays out of
+``_fields``: it is neither shown nor compared.  A subclass's ``__init__``
+sets its attributes past the refusing ``__setattr__``, with
+``object.__setattr__`` or, where construction is hot (``BasisSymbol``),
+with each slot's own setter; no attribute is set after ``__init__``
+returns.
 """
 
 

@@ -126,11 +126,7 @@ def test_antisymmetry_reports_a_symmetric_row(monkeypatch):
     center, = [row for row in algebras._N2[("L", "L")] if row[0] == "C"]
     # m + n at m = t/2, n = u/2
     monkeypatch.setitem(algebras._N2, ("L", "L"), (("L", ((1, 1, 0), (1, 0, 1)), 2), center))
-    _basis_bracket.cache_clear()
-    try:
-        report = check_antisymmetry("R", 1)
-    finally:
-        _basis_bracket.cache_clear()
+    report = check_antisymmetry("R", 1)
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == [
         ("antisymmetry R (L[-1], L[-1])", "-4*L[-2]", "0"),
         ("antisymmetry R (L[-1], L[0])", "-2*L[-1]", "0"),
@@ -168,14 +164,10 @@ def test_basis_bracket_contract(algebra):
 def test_pair_missing_from_a_table_is_an_error(monkeypatch):
     table = {pair: rows for pair, rows in algebras._N1.items() if pair != ("L", "G")}
     monkeypatch.setitem(algebras._TABLES, "N1R", table)
-    _basis_bracket.cache_clear()
-    try:
-        L0, G1 = (algebras.BasisSymbol("N1R", f, 2) for f in ("L", "G"))
-        for pair in ((L0, G1), (G1, L0)):
-            with pytest.raises(LookupError):
-                _basis_bracket(*pair)
-    finally:
-        _basis_bracket.cache_clear()
+    L0, G1 = (algebras.BasisSymbol("N1R", f, 2) for f in ("L", "G"))
+    for pair in ((L0, G1), (G1, L0)):
+        with pytest.raises(LookupError):
+            _basis_bracket(*pair)
 
 
 def _jacobi_oracle(algebra, window):
@@ -220,14 +212,10 @@ _CORRUPTED_ROWS = {
 def test_jacobi_violations_match_a_fraction_oracle(monkeypatch, table):
     pair, rows, tags = _CORRUPTED_ROWS[table]
     monkeypatch.setitem(getattr(algebras, table), pair, rows)
-    _basis_bracket.cache_clear()
-    try:
-        for algebra in tags:
-            want = _jacobi_oracle(algebra, 2)
-            got = [(v.context, v.lhs, v.rhs) for v in check_super_jacobi(algebra, 2).violations]
-            assert want and got == want, algebra
-    finally:
-        _basis_bracket.cache_clear()
+    for algebra in tags:
+        want = _jacobi_oracle(algebra, 2)
+        got = [(v.context, v.lhs, v.rhs) for v in check_super_jacobi(algebra, 2).violations]
+        assert want and got == want, algebra
 
 
 def _list_accumulator_sweep(algebra, window):
@@ -406,14 +394,10 @@ _LAMBDA_TABLES = {"R": _LAMBDA_N2, "NS": _LAMBDA_N2, "T": _LAMBDA_TOPOLOGICAL,
 
 
 def test_int_rows_transcribe_the_lambda_tables():
-    _basis_bracket.cache_clear()
-    try:
-        for algebra in ALGEBRAS:
-            for x, y in product(basis_symbols(algebra, 4), repeat=2):
-                want = _bracket_oracle(x, y, _LAMBDA_TABLES, _lambda_row)
-                assert _basis_bracket(x, y) == want, (x, y)
-    finally:
-        _basis_bracket.cache_clear()
+    for algebra in ALGEBRAS:
+        for x, y in product(basis_symbols(algebra, 4), repeat=2):
+            want = _bracket_oracle(x, y, _LAMBDA_TABLES, _lambda_row)
+            assert _basis_bracket(x, y) == want, (x, y)
 
 
 def test_every_table_row_is_int_data():
@@ -437,15 +421,11 @@ def test_basis_bracket_matches_the_fraction_oracle(monkeypatch, table):
     if table is not None:
         pair, rows, _ = _CORRUPTED_ROWS[table]
         monkeypatch.setitem(getattr(algebras, table), pair, rows)
-    _basis_bracket.cache_clear()
-    try:
-        for algebra in ALGEBRAS:
-            for x, y in product(basis_symbols(algebra, 4), repeat=2):
-                got, want = _basis_bracket(x, y), _bracket_oracle(x, y)
-                assert got == want, (x, y)
-                assert all(type(c) is Fraction for _, c in got), (x, y)
-    finally:
-        _basis_bracket.cache_clear()
+    for algebra in ALGEBRAS:
+        for x, y in product(basis_symbols(algebra, 4), repeat=2):
+            got, want = _basis_bracket(x, y), _bracket_oracle(x, y)
+            assert got == want, (x, y)
+            assert all(type(c) is Fraction for _, c in got), (x, y)
 
 
 # -- symbol identity ---------------------------------------------------------------
@@ -532,12 +512,8 @@ def test_a_passing_jacobi_sweep_reads_no_basis_bracket(monkeypatch):
 
 def test_jacobi_sweep_reports_a_missing_pair(monkeypatch):
     monkeypatch.delitem(algebras._TOPOLOGICAL, ("H", "Q"))
-    _basis_bracket.cache_clear()
-    try:
-        with pytest.raises(LookupError):
-            check_super_jacobi("T", 1)
-    finally:
-        _basis_bracket.cache_clear()
+    with pytest.raises(LookupError):
+        check_super_jacobi("T", 1)
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD_MAPS))

@@ -2,12 +2,11 @@
 
 Acting by an element tabulates nothing.  The table of generator images in
 ``algebras.check_representation`` and the table of map images in
-``algebras.check_homomorphism`` are local to their calls.  The only cache
-at module level is the structure-constant table of
-``algebras._basis_bracket``, which is fixed by the algebra, not by the input.
-The argument parser that every ``cli.main`` call shares is per-process
-configuration, built once from constants when ``cli`` is imported; it holds
-nothing of any request, so it is not a cache.
+``algebras.check_homomorphism`` are local to their calls.  The package
+keeps no module-level cache: every bracket is read from the tables when it
+is needed.  The argument parser that every ``cli.main`` call shares is
+per-process configuration, built once from constants when ``cli`` is
+imported; it holds nothing of any request, so it is not a cache.
 """
 
 import ast
@@ -23,7 +22,7 @@ from sconf.parsing import parse_submodule_spec
 from sconf.quotients import QuotientParams
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sconf"
-ALLOWED = {("algebras", "_basis_bracket")}
+ALLOWED = set()
 _CACHES = {"lru_cache", "cache"}
 
 

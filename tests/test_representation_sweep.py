@@ -4,8 +4,6 @@ whole algebra elements.  The sweep that sums each unordered generator pair
 once gives the reports of the ordered-pair sweep it replaced, kept here
 verbatim as ``reference_check_representation``."""
 
-import sys
-from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
@@ -196,28 +194,29 @@ def _double_family(monkeypatch, module, name, families):
 
 
 def _twist_brackets(monkeypatch, algebra):
-    """Patch ``_basis_bracket`` so that [X, L0] gains the term X for two
-    generators X, an even and an odd one: for the even X, [L0, X] keeps its
-    true row, so the two rows are not sign-related; for the odd X, [L0, X]
-    gains -X in front of its true row, so the rows are sign-related in a
-    different term order."""
-    good = algebras._basis_bracket
+    """Patch ``_bracket_ints``, which every bracket row is read through, so
+    that [X, L0] gains the term X for two generators X, an even and an odd
+    one: for the even X, [L0, X] keeps its true row, so the two rows are not
+    sign-related; for the odd X, [L0, X] gains -X in front of its true row,
+    so the rows are sign-related in a different term order."""
+    good = algebras._bracket_ints
     zero = BasisSymbol(algebra, "L", 0)
     syms = basis_symbols(algebra, 1)
     lone = next(s for s in syms if s.family == "L" and s != zero)
     paired = next(s for s in syms if s.parity)
+    twists = {(lone.family, lone.twice), (paired.family, paired.twice)}
 
-    def twisted(x, y):
-        row = good(x, y)
-        if y == zero and x in (lone, paired):
-            return row + ((x, Fraction(1)),)
-        if x == zero and y == paired:
-            return ((y, Fraction(-1)),) + row
+    def twisted(alg, den, f1, t1, f2, t2):
+        row = good(alg, den, f1, t1, f2, t2)
+        if alg == algebra and (f2, t2) == ("L", 0) and (f1, t1) in twists:
+            return row + [(f1, den)]
+        if alg == algebra and (f1, t1) == ("L", 0) and (f2, t2) == (paired.family, paired.twice):
+            return [(f2, -den)] + row
         return row
 
-    # the reference reads this module's name, the sweep the algebras module's
-    monkeypatch.setattr(algebras, "_basis_bracket", twisted)
-    monkeypatch.setattr(sys.modules[__name__], "_basis_bracket", twisted)
+    # the sweep reads the rows through ``_numbered_brackets``, the reference
+    # and the failure texts through ``_basis_bracket``: both call this
+    monkeypatch.setattr(algebras, "_bracket_ints", twisted)
     return zero, lone, paired
 
 
