@@ -17,16 +17,16 @@ submodule, quotient and restriction suites (default 3).  Flags are written
 in full, and a value given to a flag, even an empty one, is always read.
 
 Sizes are bounded, and one out of range is a usage error: --window and
---degree from 1 to 6, --words from 0 to 6, an exponent of a variable
-(x, y, s, t) at most 64, parentheses at most 32 deep, no more --roots than
-the degree of --h, and a number at most 20 digits (each integer in the
-text, and each of p, q, d of a parsed number (p + q*sqrt2)/d).  ``act``
-takes generator modes |m| at most 64 and at most 100000 units of work,
-summed over its ';' factors before each one runs: a factor costs its
-generator terms times the coefficient terms of the element it acts on, each
-term weighted by its binomial shift ((i+1)(j+1) for x^i*y^j, k+1 for x^k)
-and by its size in 64-bit words.  A factor whose result holds a number of
-more than 4000 digits stops ``act`` with a usage error.
+--degree from 1 to 6, an exponent of a variable (x, y, s, t) at most 64,
+parentheses at most 32 deep, no more --roots than the degree of --h, and a
+number at most 20 digits (each integer in the text, and each of p, q, d of
+a parsed number (p + q*sqrt2)/d).  ``act`` takes generator modes |m| at
+most 64 and at most 100000 units of work, summed over its ';' factors
+before each one runs: a factor costs its generator terms times the
+coefficient terms of the element it acts on, each term weighted by its
+binomial shift ((i+1)(j+1) for x^i*y^j, k+1 for x^k) and by its size in
+64-bit words.  A factor whose result holds a number of more than 4000
+digits stops ``act`` with a usage error.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .scalars import Scalar
 
 USAGE_ERROR = 3
 # Fixed upper bounds on the sweep sizes, so every request ends in bounded time.
-MAX_SIZE = {"window": 6, "degree": 6, "words": 6}
+MAX_SIZE = {"window": 6, "degree": 6}
 # act's bounds on the generator modes and on the work (see the docstring above)
 ACT_MAX_MODE = 64
 ACT_MAX_WORK = 100_000
@@ -65,14 +65,14 @@ _ACT_NUMBER_BOUND = 10 ** ACT_MAX_DIGITS
 
 _BATTERY_A = (0, 1, -1, Fraction(3, 2))
 # --check simplicity's defaults; --a's holds for the other restriction checks too
-SIMPLICITY_DEFAULTS = {"lam0": "3/2", "alp0": "2", "a_value": "0", "words": 3}
+SIMPLICITY_DEFAULTS = {"lam0": "3/2", "alp0": "2", "a_value": "0"}
 _BATTERY_H = ("1", "y", "y+1", "y-2", "y^2-1")
 _DEGREE_SUITES = ("module", "submodule", "quotient", "restriction")
 DEFAULT_DEGREE = 3
 _VERIFY_FLAGS = {  # verify's optional flags: option -> (argparse dest, the suites that read it)
     "--which": ("which", ("algebra",)), "--map": ("map_name", ("homomorphism",)),
     "--spec": ("spec", ("submodule",)), "--a": ("a_value", ("quotient", "restriction")),
-    **{f"--{d}": (d, ("restriction",)) for d in ("algebra", "check", "lam0", "alp0", "words")},
+    **{f"--{d}": (d, ("restriction",)) for d in ("algebra", "check", "lam0", "alp0")},
     "--degree": ("degree", _DEGREE_SUITES),
 }
 
@@ -121,8 +121,6 @@ def build_parser():
             p.add_argument(f"--{name}0", help=f"numeric {name} (default "
                            f"{SIMPLICITY_DEFAULTS[name + '0']} for the simplicity check, "
                            f"the formal {name} for the others)")
-        p.add_argument("--words", type=_ascii_int, help="word length for span searches "
-                       f"(default {SIMPLICITY_DEFAULTS['words']}, at most {MAX_SIZE['words']})")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=(
@@ -280,10 +278,7 @@ def _verify_restriction(args):
             parse_quadext(SIMPLICITY_DEFAULTS[name] if value is None else value)
             for name, value in (("lam0", args.lam0), ("alp0", args.alp0), ("a_value", args.a_value))
         )
-        words = SIMPLICITY_DEFAULTS["words"] if args.words is None else args.words
-        return n1.check_simplicity_witness(
-            a, lam0, alp0, args.degree, words, index_window=args.window
-        )
+        return n1.check_simplicity_witness(a, lam0, alp0, args.degree, index_window=args.window)
     params = _restriction_params(args)
     if args.algebra == "N1NS":
         r = n1.RestrictedAction.neveu_schwarz(params)
@@ -295,8 +290,6 @@ def _verify_restriction(args):
 
 
 def _check_sizes(args):
-    if args.words is not None and args.words < 0:
-        raise _UsageError("--words must be >= 0")
     for name, cap in MAX_SIZE.items():
         value = getattr(args, name)
         if value is not None and value > cap:

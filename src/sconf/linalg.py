@@ -1,8 +1,10 @@
 """Exact linear algebra over Q(sqrt2): incremental row spaces.
 
-Only what the span witnesses and dimension counts need; vectors are plain
-lists of QuadExt.  Reduced rows are mostly zero, so reduction skips the
-arithmetic wherever a row entry is zero; the results are the same.
+Nothing in the package calls ``RowSpan`` since the simplicity witness became
+a certificate; the benchmark's traced replay (``perfbench/sweeps.py``) still
+imports it.  Vectors are plain lists of QuadExt.  Reduced rows are mostly
+zero, so reduction skips the arithmetic wherever a row entry is zero; the
+results are the same.
 """
 
 from __future__ import annotations

@@ -19,16 +19,20 @@ restricted action reads the same ``freemod._ACTION`` rows.  The N=1 sweeps
 act by one basis generator at a time, ``AlgebraElement.basis(sym)``, so a
 fault put on ``restricted_act`` sees which generator acts.
 
-The simplicity witness searches in coordinates over a table local to the
-call: ``restricted_act`` of each generator on each monomial, filled lazily
-once per (generator number, parity, exponent).  By linearity a vector's
-image is the sum of its coordinates times those images.  A start of degree
-<= degree_bound stops once its span holds every target, and the pooled span
-once it holds them all; a higher custom start searches on, to its
-truncation error.
+The simplicity witness is a certificate, not a search.  At a != 0 it acts
+by each generator it needs on each monomial once, through ``restricted_act``,
+into a table local to the call; forms from that table, by linearity, the
+Virasoro differences X_d = sum_k w_k lam0^(-m_k) L[m_k]; and checks every
+image exactly against its closed form.  X_d takes its d + 2 modes from the
+window |m| <= W and leaves it only when d > 2W - 1, which a note reports.
+At a = 0 it checks that x C[x] + C[s] is closed.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 from . import quotients
 from .algebras import (
@@ -44,7 +48,6 @@ from .algebras import (
 )
 from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD
-from .linalg import RowSpan
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, QE_ZERO, Scalar, as_quadext
@@ -134,58 +137,54 @@ def check_rank1_freeness(r, degree_bound):
     return report
 
 
-def _coordinates(v, max_degree):
-    """The nonzero coordinates of a numeric quotient element in the truncated
-    basis (even monomials first, then odd) as (index, QuadExt) pairs."""
-    shift = max_degree + 1 if v.parity == ODD else 0
-    for k, c in v.terms.items():
-        if k > max_degree:
-            raise ValueError(f"degree {k} exceeds the truncation bound {max_degree}")
-        yield k + shift, c.constant()
+def _difference_modes(d):
+    """The d + 2 modes of X_d, nearest 0 first: 0, -1, 1, -2, 2, ...  They are
+    consecutive, and the first 2W + 1 fill the window |m| <= W."""
+    return [(k + 1) // 2 * (-1) ** k for k in range(d + 2)]
 
 
-def _as_vector(v, max_degree):
-    """Coordinates of a numeric quotient element in the truncated basis."""
-    out = [QE_ZERO] * (2 * (max_degree + 1))
-    for i, c in _coordinates(v, max_degree):
-        out[i] = c
-    return out
+def _difference(d, lam0):
+    """X_d = sum_k w_k lam0^(-m_k) L[m_k] as (m_k, coefficient) pairs, with the
+    Lagrange top-coefficient weights w_k = (d+1)! / prod_{j != k} (m_k - m_j):
+    for p(m) of degree <= d + 1, sum_k w_k p(m_k) is (d+1)! times the
+    coefficient of m^(d+1)."""
+    modes = _difference_modes(d)
+    return [(m, lam0 ** -m * Fraction(factorial(d + 1), prod(m - n for n in modes if n != m)))
+            for m in modes]
 
 
-def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
-                             index_window=3, starts=None):
-    """Bounded simplicity certificate for the N=1 Ramond restriction.
+def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None,
+                             index_window=3):
+    """Exact simplicity certificate for the N=1 Ramond restriction, with lam
+    and alp specialized to the nonzero numbers lam0 and alp0.  Nothing reads
+    ``word_length``; it stays for positional callers.
 
-    Everything is specialized to numbers (lam0, alp0 nonzero) so spans are
-    exact linear algebra over Q(sqrt2).
-
-    * a != 0: generator words of length <= word_length (modes |m| <=
-      index_window) are applied to the starting monomials (by default every
-      monomial of degree <= degree_bound in either parity); the pooled span
-      of all word images must contain every monomial up to degree_bound in
-      both parities.  Falling short is reported as inconclusive, never as
-      failure -- the bounds may simply be too small.  Per-start coverage goes
-      to the notes: a single application never lowers the degree, so low
-      starts cannot reach the top odd monomials on their own within short
-      words.
     * a == 0: the span of x C[x] + C[s] must be closed under all generators
       in the window, certifying a proper nonzero invariant subspace.
+    * a != 0: T_m = lam0^(-m) L_m acts as f(x) -> (x + m b) f(x + m) on the
+      even part, b = -a/2, and as g(s) -> (s + m b') g(s + m) on the odd
+      part, b' = (1 - a)/2.  On v of degree d in one parity, T_m v is a
+      polynomial in m of degree d + 1 with top coefficient b lc(v) 1, so X_d
+      (``_difference``) sends v to (d+1)! b lc(v) 1.  Checked exactly, each
+      against its closed form: X_d on every monomial of degree <= d, for
+      d <= top; L0 x^k = x^(k+1) and L0 s^k = s^(k+1) for k <= degree_bound;
+      G0 x^k = (alp0/sqrt2) s^k and G0 s^k = (sqrt2/alp0) x^(k+1) for k = 0,
+      and at a = 1 for k <= degree_bound; T1 - T0 = b on 1_even, b' on 1_odd.
 
-    The a != 0 search keeps its vectors as coordinate lists (even monomials
-    first, then odd, up to degree_bound + word_length).  A table local to
-    the call maps (generator number, parity, exponent) to
-    ``restricted_act(generator, monomial)``, filled the first time the search
-    needs it; a vector's image is the sum of its coordinates times the images
-    of their monomials.  Only vectors of degree below degree_bound +
-    word_length are acted on, so from starts of degree <= degree_bound one
-    call acts at most |generators| * 2 * (degree_bound + word_length) times.
+      By linearity every nonzero v = v_even + v_odd with parts of degree
+      <= degree_bound then generates 1_even and 1_odd.  For a != 1, X_d with
+      d the larger degree gives c_e 1_even + c_o 1_odd != 0, and T1 - T0
+      separates the two units (b' - b = 1/2).  At a = 1, b' = 0 and X_d kills
+      the odd part, so a v led by its odd part goes through G0 first, which
+      raises its degree by one: top = degree_bound + 1.  From 1_even, L0 and
+      G0 reach every monomial; from 1_odd, G0 gives a multiple of x and X_1
+      one of 1_even, so top >= 1.  A mismatch is a violation: the verdict is
+      pass or fail, never inconclusive.
 
-    A note depends only on which targets a span holds, and the verdict only
-    on the pooled span holding them all, so a start's search ends once its
-    span holds every target and the pooled span then takes no more rows.
-    Only a start of degree <= degree_bound stops early, since from it no act
-    leaves the truncation; a higher custom start searches on and raises the
-    truncation error where its words leave it.
+    X_d takes its modes from the window |m| <= index_window and leaves it only
+    when d > 2 index_window - 1, with a note naming the modes outside: the
+    certificate is a proof, not a sweep.  Each generator acts on each
+    monomial once, and X_d is formed from those images by linearity.
     """
     a_value = as_quadext(a_value)
     lam0 = as_quadext(lam0)
@@ -201,14 +200,13 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
             "lam0": str(lam0),
             "alp0": str(alp0),
             "degree": degree_bound,
-            "words": word_length,
             "window": index_window,
         },
     )
-    gens = [AlgebraElement.basis(s) for s in basis_symbols("N1R", index_window)]
 
     if a_value.is_zero():
         # closure certificate for the proper subspace x C[x] + C[s]
+        gens = [AlgebraElement.basis(s) for s in basis_symbols("N1R", index_window)]
         spanning = [QuotientElement.monomial(EVEN, k + 1) for k in range(degree_bound + 1)]
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         _check_images(
@@ -222,84 +220,57 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length,
         )
         return report
 
-    # words can raise the degree by one per letter
-    max_degree = degree_bound + word_length
-    width = max_degree + 1
-    dim = 2 * width
-    images = {}  # (generator number, parity, exponent) -> restricted image of the monomial
+    mono = QuotientElement.monomial
+    b = {EVEN: -a_value / 2, ODD: (1 - a_value) / 2}
+    top = degree_bound + 1 if a_value == 1 else max(degree_bound, 1)
+    images = {}  # (family, mode, parity, exponent) -> the restricted image of the monomial
 
-    def act(g, coords):
-        """Coordinates of generator number g applied to the vector whose
-        nonzero coordinates are ``coords``: the sum of c times the image of
-        each monomial, by linearity."""
-        out = [QE_ZERO] * dim
-        for i, c in coords:
-            parity, k = divmod(i, width)
-            image = images.get((g, parity, k))
-            if image is None:
-                image = images[g, parity, k] = restricted_act(
-                    gens[g], QuotientElement.monomial(parity, k), r
-                )
-            for j, e in _coordinates(image, max_degree):
-                out[j] = out[j] + c * e
-        return out
+    def image(family, m, parity, k):
+        if (family, m, parity, k) not in images:
+            images[family, m, parity, k] = restricted_act(
+                AlgebraElement.basis(BasisSymbol("N1R", family, 2 * m)), mono(parity, k), r)
+        return images[family, m, parity, k]
 
-    target_monos = quotient_monomials(degree_bound)
-    targets = [_as_vector(t, max_degree) for t in target_monos]
-    if starts is None:
-        starts = target_monos
+    def combination(parity, k, pairs):
+        """The sum of c * image("L", m, parity, k) over the (m, c) pairs."""
+        out = {}
+        for m, c in pairs:
+            for j, e in image("L", m, parity, k).terms.items():
+                out[j] = out.get(j, QE_ZERO) + c * e.constant()
+        return QuotientElement(parity, {j: Scalar.number(e) for j, e in out.items() if e})
 
-    def orbit_span(start):
-        """Span of the word images of ``start``, with the early stop above
-        (pruning against it is sound: a vector inside the span of
-        already-expanded vectors contributes nothing new, by linearity of
-        the action)."""
-        stop = max(start.terms, default=0) <= degree_bound
-        span = RowSpan(dim)
-        frontier = [_as_vector(start, max_degree)]
-        span.add(frontier[0])
-        for _ in range(word_length):
-            new_frontier = []
-            for vec in frontier:
-                coords = [(i, c) for i, c in enumerate(vec) if c]
-                for g in range(len(gens)):
-                    w = act(g, coords)
-                    if span.add(w):
-                        if stop and _holds(span, targets):
-                            return span
-                        new_frontier.append(w)
-            frontier = new_frontier
-            if not frontier:
-                break
-        return span
+    steps = []  # (operator, parity, exponent, image of the monomial, its closed form)
+    for d in range(top + 1):
+        x_d = _difference(d, lam0)
+        steps += [(f"X_{d}", par, k, combination(par, k, x_d),
+                   mono(par, 0, factorial(d + 1) * b[par] if k == d else 0))
+                  for par, k in product((EVEN, ODD), range(d + 1))]
+    steps += [("L0", par, k, image("L", 0, par, k), mono(par, k + 1))
+              for par, k in product((EVEN, ODD), range(degree_bound + 1))]
+    steps += [("G0", par, k, image("G", 0, par, k), (mono(ODD, k, alp0 * INV_SQRT2)
+               if par == EVEN else mono(EVEN, k + 1, 2 * INV_SQRT2 / alp0)))
+              for par, k in product((EVEN, ODD), range(degree_bound + 1 if a_value == 1 else 1))]
+    steps += [("T1 - T0", par, 0, combination(par, 0, [(1, 1 / lam0), (0, -1)]),
+               mono(par, 0, b[par])) for par in (EVEN, ODD)]
+    for name, par, k, got, want in steps:
+        if got != want:
+            report.record(f"{name} on {mono(par, k)} ({('even', 'odd')[par]})", got, want)
 
-    pooled = RowSpan(dim)
-    for start in starts:
-        span = orbit_span(start)
-        missed = sum(1 for t in targets if not span.contains(t))
-        tag = "even" if start.parity == EVEN else "odd"
-        if missed:
-            report.notes.append(
-                f"start {start} ({tag}): span misses {missed} of {len(targets)} monomials"
-            )
-        else:
-            report.notes.append(f"start {start} ({tag}): full span reached")
-        for _, row in span.rows:
-            if _holds(pooled, targets):
-                break
-            pooled.add(row)
-    missing = [m for m, t in zip(target_monos, targets) if not pooled.contains(t)]
-    if missing:
-        report.inconclusive = True
+    report.notes.append(f"difference X_d over the d + 2 modes 0, -1, 1, ...: checked for "
+                        f"d <= {top}, b = {b[EVEN]} (even), b' = {b[ODD]} (odd)")
+    outside = [m for m in _difference_modes(top) if abs(m) > index_window]
+    if outside:
+        lo = 2 * index_window
         report.notes.append(
-            "pooled span misses "
-            + ", ".join(str(m) for m in missing)
-            + f" (bounds degree={degree_bound}, words={word_length} too small to conclude)"
+            f"modes {', '.join(map(str, outside))} outside the window |m| <= {index_window} "
+            f"serve X_{lo}{'' if lo == top else f' to X_{top}'}"
         )
+    if a_value == 1:
+        report.notes.append("a=1: b' = 0, so an odd-led vector goes through G0 first")
+    report.notes.append(
+        f"{len(steps)} identities checked exactly; " + (
+            f"{len(report.violations)} fail, so the certificate fails" if report.violations
+            else f"every nonzero vector of degree <= {degree_bound} generates 1_even and "
+            "1_odd, so the restriction is simple")
+    )
     return report
-
-
-def _holds(span, targets):
-    """Whether ``span`` contains every target; the targets are independent,
-    so a span of smaller rank cannot."""
-    return span.rank >= len(targets) and all(map(span.contains, targets))

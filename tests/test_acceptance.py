@@ -239,7 +239,7 @@ def test_criterion_10_n1_restriction():
     report_line(
         10,
         "N=1 restriction: relations (window 3, degree 3), rank-1 freeness to "
-        "degree 5, transported [G0,G0]=2L0 to degree 5, simplicity spans for "
+        "degree 5, transported [G0,G0]=2L0 to degree 5, simplicity certificates for "
         "a in {1,-1,2} and the a=0 closure certificate",
         ok,
     )

@@ -90,16 +90,28 @@ def test_verify_restriction_rank1(capsys):
 def test_restrict_simplicity(capsys):
     code, doc = run_json(
         capsys, "restrict", "--algebra", "N1R", "--a", "1", "--check", "simplicity",
-        "--degree", "3", "--words", "3",
+        "--degree", "3",
     )
     assert code == 0 and doc["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a", "1", "--window", "1", "--degree", "6"),
+    ("--a", "1+sqrt2", "--window", "6", "--degree", "6"),
+])
+def test_simplicity_at_the_caps_passes_by_certificate(capsys, argv):
+    code, out, err = run(capsys, "restrict", "--check", "simplicity", *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].endswith("so the restriction is simple")
+    # window 1 holds the modes of X_d only up to d = 1
+    assert ("outside the window" in out) == (argv[3] == "1")
 
 
 @pytest.mark.parametrize("check", ("relations", "rank1", "simplicity"))
 def test_restrict_is_verify_restriction(capsys, check):
     # both commands read their defaults from one place, so the same flags
     # must check the same thing; only the suite name differs
-    flags = ("--check", check, "--a", "1", "--window", "1", "--degree", "1", "--words", "1")
+    flags = ("--check", check, "--a", "1", "--window", "1", "--degree", "1")
     _, restrict = run_json(capsys, "restrict", *flags)
     _, verify = run_json(capsys, "verify", "restriction", *flags)
     assert restrict.pop("suite") != verify.pop("suite") == "restriction"
@@ -201,7 +213,7 @@ def test_simplicity_needs_n1r(capsys):
     for command in (("verify", "restriction"), ("restrict",)):
         code, out, err = run(
             capsys, *command, "--algebra", "N1NS", "--a", "1", "--check", "simplicity",
-            "--degree", "1", "--words", "1",
+            "--degree", "1",
         )
         assert code == 3 and out == "" and "N1R" in err
 
@@ -276,8 +288,8 @@ def _record_sweeps(monkeypatch):
     ("verify", "module", "--degree", "7"),
     ("verify", "submodule", "--degree", "7"),
     ("verify", "quotient", "--window", "7"),
-    ("verify", "restriction", "--check", "simplicity", "--a", "1", "--words", "7"),
-    ("restrict", "--check", "simplicity", "--a", "1", "--words", "7"),
+    ("verify", "restriction", "--check", "simplicity", "--a", "1", "--degree", "7"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--window", "7"),
     ("restrict", "--check", "rank1", "--degree", "7"),
     ("restrict", "--check", "relations", "--window", "7"),
 ])
@@ -294,10 +306,11 @@ def test_sizes_above_the_caps_are_usage_errors(capsys, monkeypatch, argv):
     ("restrict", "--check", "simplicity", "--a", "1", "--words", "-1"),
 ])
 def test_negative_words_is_a_usage_error(capsys, monkeypatch, argv):
+    # no command reads --words, so any value of it is an unknown argument
     calls = _record_sweeps(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and not calls
-    assert err == "usage error: --words must be >= 0\n"
+    assert err == f"usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,7 +319,7 @@ def test_negative_words_is_a_usage_error(capsys, monkeypatch, argv):
     ("act", "L[1]", "x^2\u00a0+ 1"),  # NO-BREAK SPACE
     ("verify", "module", "--window", "\uff16", "--degree", "1"),
     ("verify", "quotient", "--window", "1", "--degree", "\u0661"),
-    ("restrict", "--check", "simplicity", "--a", "1", "--words", "\uff12"),
+    ("restrict", "--check", "simplicity", "--a", "1", "--window", "\uff12"),
 ])
 def test_non_ascii_digits_are_usage_errors(capsys, monkeypatch, argv):
     calls = _record_sweeps(monkeypatch)
@@ -319,8 +332,8 @@ def test_sizes_at_the_caps_run(capsys, monkeypatch):
     assert run(capsys, "verify", "module", "--window", "6", "--degree", "6")[0] == 0
     assert calls[0][1] == (6, 6)
     assert run(capsys, "restrict", "--check", "simplicity", "--a", "1", "--window", "6",
-               "--degree", "6", "--words", "6")[0] == 0
-    assert calls[-1][1][3:] == (6, 6)
+               "--degree", "6")[0] == 0
+    assert calls[-1][1][3:] == (6,) and calls[-1][2] == {"index_window": 6}
 
 
 def test_variable_exponents_are_capped(capsys):

@@ -36,7 +36,7 @@ FLAGS = [
     (["--a", "1"], {"verify quotient", "verify restriction", "restrict", "act"}),
     (["--lam0", "2"], {"verify restriction", "restrict", "act"}),
     (["--check", "rank1"], {"verify restriction", "restrict"}),
-    (["--words", "1"], {"verify restriction", "restrict"}),
+    (["--words", "1"], set()),
     (["--degree", "1"], {"verify module", "verify submodule", "verify quotient",
                          "verify restriction", "restrict"}),
     (["--window", "1"], {"verify algebra", "verify module", "verify homomorphism",

@@ -41,7 +41,7 @@ CASES = [
     ["verify", "restriction", "--algebra", "N1R", "--a", "1", "--check", "rank1",
      "--degree", "2", "--json"],
     ["verify", "restriction", "--a", "0", "--check", "simplicity", "--window", "1",
-     "--degree", "1", "--words", "1"],
+     "--degree", "1"],
     ["act", "L[1]", "1", "--module", "omega", "--parity", "even"],
     ["act", "Gp[2]", "1", "--module", "omega", "--parity", "odd"],
     ["act", "Gp[0]; Gm[0]", "1", "--parity", "even"],
@@ -52,7 +52,7 @@ CASES = [
     ["decompose", "--h", "y^2-3"],
     ["restrict", "--algebra", "N1R", "--a", "1", "--check", "rank1", "--degree", "2"],
     ["restrict", "--algebra", "N1R", "--a", "1", "--check", "simplicity", "--window", "1",
-     "--degree", "1", "--words", "1"],
+     "--degree", "1"],
     ["restrict", "--algebra", "N1NS", "--a", "1", "--check", "relations", "--window", "1",
      "--degree", "1"],
     # --json variants and sqrt2 roots, repeated roots and an unsplit h
@@ -65,15 +65,13 @@ CASES = [
      "--degree", "1", "--json"],
     ["restrict", "--check", "rank1", "--degree", "1", "--lam0", "sqrt2", "--alp0=-1/3",
      "--json"],
-    # simplicity notes mixing "full span reached" and "span misses"
-    ["restrict", "--check", "simplicity", "--a", "1", "--window", "2", "--degree", "2",
-     "--words", "2"],
+    # simplicity certificates: the G0 detour at a = 1, modes outside the window,
+    # JSON and a sqrt2 root
+    ["restrict", "--check", "simplicity", "--a", "1", "--window", "2", "--degree", "2"],
     ["restrict", "--check", "simplicity", "--a", "-1", "--window", "1", "--degree", "3",
-     "--words", "1", "--json"],
-    ["restrict", "--check", "simplicity", "--a", "2", "--window", "1", "--degree", "1",
-     "--words", "3"],
-    ["restrict", "--check", "simplicity", "--a", "1+sqrt2", "--window", "2", "--degree", "2",
-     "--words", "3"],
+     "--json"],
+    ["restrict", "--check", "simplicity", "--a", "2", "--window", "1", "--degree", "1"],
+    ["restrict", "--check", "simplicity", "--a", "1+sqrt2", "--window", "2", "--degree", "2"],
     # act on omega and on a quotient, with odd and sqrt2 outputs
     ["act", "sqrt2*Gm[-1] + lam*Gp[3]", "x^2*y - 3*y^3", "--parity", "even"],
     ["act", "L[-2] + (1/2)*H[1]; Gp[1]", "s*t^2 + alp^-1*t", "--parity", "odd"],
@@ -107,8 +105,7 @@ CASES = [
     ["decompose", "--h", "y-1", "--roots", "2"],
     ["decompose", "--h", "y^2-2", "--roots", "sqrt2,sqrt2"],
     ["restrict", "--check", "simplicity", "--a", "1", "--words", "-1"],
-    ["restrict", "--algebra", "N1NS", "--a", "1", "--check", "simplicity", "--degree", "1",
-     "--words", "1"],
+    ["restrict", "--algebra", "N1NS", "--a", "1", "--check", "simplicity", "--degree", "1"],
 ]
 
 

@@ -20,7 +20,7 @@ def run(capsys, *argv):
 @pytest.mark.xfail(strict=True, reason="decompose gives no N-kind link for the root 0 "
                                        "(ROADMAP item 2)")
 def test_decompose_with_a_zero_root_lists_an_n_kind_link(capsys):
-    # M[h=y] ⊋ N[h=y - 1] ⊋ M[h=y^2 - y]: the a = 0 layer is not simple
+    # M ⊋ N[h=1] ⊋ M[h=y] ⊋ M[h=y^2 - y]: the a = 0 layer is not simple
     code, out = run(capsys, "decompose", "--h=y^2-y", "--json")
     assert code == 0
     assert any(link.startswith("N[") for link in json.loads(out)["params"]["chain"])
@@ -34,9 +34,13 @@ def test_decompose_answers_an_h_that_does_not_split(capsys):
     assert code == 0
 
 
-@pytest.mark.xfail(strict=True, reason="the simplicity search passes with no words "
-                                       "(ROADMAP item 4)")
-def test_simplicity_with_no_words_does_not_pass(capsys):
-    # every start note says the span misses 7 of 8 monomials
-    _, out = run(capsys, "restrict", "--check", "simplicity", "--a", "1", "--words", "0")
-    assert "status=pass" not in out.splitlines()[0]
+def test_simplicity_at_a_1_passes_by_certificate(capsys):
+    # a certificate: the pass is exact, with no word length to choose
+    code, out = run(capsys, "restrict", "--check", "simplicity", "--a", "1")
+    assert code == 0 and "status=pass" in out.splitlines()[0]
+    assert out.splitlines()[-1].endswith("so the restriction is simple")
+
+
+def test_simplicity_takes_no_word_length(capsys):
+    code, out = run(capsys, "restrict", "--check", "simplicity", "--a", "1", "--words", "0")
+    assert code == 3 and out == ""

@@ -169,10 +169,11 @@ def test_simplicity_nonzero_a():
 
 
 def test_simplicity_full_span_from_odd_unit():
-    report = check_simplicity_witness(
-        1, Fraction(3, 2), 2, 3, 3, starts=[QuotientElement.one(ODD)]
-    )
+    # the certificate covers every nonzero vector, 1_odd among them: at a = 1
+    # an odd start reaches 1_even through G0 and the even differences
+    report = check_simplicity_witness(1, Fraction(3, 2), 2, 3, 3)
     assert report.passed, report.render_text()
+    assert any("goes through G0" in note for note in report.notes)
 
 
 def test_simplicity_a_zero_closure_certificate():
@@ -195,15 +196,8 @@ def test_simplicity_requires_nonzero_specialization():
         check_simplicity_witness(1, 0, 2, 3, 3)
 
 
-def test_simplicity_inconclusive_when_bounds_tiny():
-    report = check_simplicity_witness(
-        1,
-        Fraction(3, 2),
-        2,
-        3,
-        1,
-        index_window=1,
-        starts=[QuotientElement.monomial(EVEN, 3)],
-    )
-    assert report.status == "inconclusive"
-    assert any("too small" in n for n in report.notes)
+def test_simplicity_smallest_bounds_give_the_exact_pass():
+    # degree 1, window 1 and no words: the certificate is exact at any bounds
+    report = check_simplicity_witness(1, Fraction(3, 2), 2, 1, 0, index_window=1)
+    assert report.status == "pass" and not report.violations
+    assert report.notes[-1].endswith("so the restriction is simple")

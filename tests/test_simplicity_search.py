@@ -1,10 +1,12 @@
-"""The simplicity witness's coordinate search against the element-wise search.
+"""The simplicity certificate against the element-wise span search.
 
-``n1.check_simplicity_witness`` acts on coordinate vectors through a table of
-generator images local to the call.  The oracle below is the search it
-replaced: it acts with ``restricted_act`` on every whole frontier element and
-reduces dense rows, every entry of every row.  Both must give the same
-report, note for note.
+At a != 0 ``n1.check_simplicity_witness`` decides simplicity by a Virasoro
+difference certificate, every identity checked exactly.  The oracle below is
+the bounded search the certificate replaced: it acts with ``restricted_act``
+on every whole frontier element and reduces dense rows, every entry of every
+row.  Where the certificate passes, the search from each monomial must reach
+the full span once it is given enough words.  A wrong row of the action must
+make the certificate fail; the search could only have found it inconclusive.
 """
 
 from collections import Counter
@@ -14,18 +16,30 @@ import random
 
 import pytest
 
-from sconf import n1
+from sconf import freemod, linalg, n1
 from sconf.algebras import AlgebraElement, basis_symbols
 from sconf.freemod import EVEN, ODD
 from sconf.linalg import RowSpan
-from sconf.n1 import RestrictedAction, _as_vector, check_simplicity_witness, restricted_act
+from sconf.n1 import RestrictedAction, check_simplicity_witness, restricted_act
 from sconf.parsing import parse_quotient_element
 from sconf.quotients import QuotientElement, QuotientParams, quotient_monomials
 from sconf.reports import VerificationReport
-from sconf.scalars import QE_ONE, QuadExt, Scalar, as_quadext
+from sconf.scalars import QE_ONE, QE_ZERO, QuadExt, Scalar, as_quadext
 
 LAM0, ALP0 = Fraction(3, 2), 2
 NONZERO_A = [1, -1, 2, Fraction(5, 2), QuadExt(1, 1)]
+BOUNDS = [(1, 1), (2, 1), (3, 2)]  # (degree, window)
+
+
+def _as_vector(v, max_degree):
+    """Coordinates of a numeric quotient element in the truncated basis (even
+    monomials first, then odd)."""
+    out = [QE_ZERO] * (2 * (max_degree + 1))
+    for k, c in v.terms.items():
+        if k > max_degree:
+            raise ValueError(f"degree {k} exceeds the truncation bound {max_degree}")
+        out[k + (max_degree + 1 if v.parity == ODD else 0)] = c.constant()
+    return out
 
 
 class DenseRowSpan:
@@ -117,20 +131,25 @@ def elementwise_witness(a_value, degree_bound, word_length, index_window, starts
 
 def _facts(report):
     return (report.status, report.notes, report.params,
-            [(v.context, v.got, v.expected) for v in report.violations])
+            [(v.context, v.lhs, v.rhs) for v in report.violations])
 
 
-def _assert_same(degree, words, window, a, starts=None):
-    got = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window,
-                                   starts=starts)
-    want = elementwise_witness(a, degree, words, window, starts)
-    assert _facts(got) == _facts(want), (a, degree, words, window)
+def _certificate(a, degree, window):
+    return check_simplicity_witness(a, LAM0, ALP0, degree, None, index_window=window)
 
 
 @pytest.mark.parametrize("a", NONZERO_A, ids=str)
-def test_coordinate_search_matches_elementwise_search(a):
-    for degree, words, window in product((1, 2, 3), (0, 1, 2, 3), (1, 2)):
-        _assert_same(degree, words, window, a)
+def test_certificate_passes_where_the_search_reaches_the_full_span(a):
+    for degree, window in BOUNDS:
+        report = _certificate(a, degree, window)
+        assert report.status == "pass" and not report.violations, report.render_text()
+        assert report.notes[-1].endswith("so the restriction is simple")
+        # degree + 1 words take the search from every monomial to every monomial
+        search = elementwise_witness(a, degree, degree + 1, window)
+        assert search.status == "pass"
+        starts = [note for note in search.notes if note.startswith("start ")]
+        assert len(starts) == 2 * (degree + 1)
+        assert all(note.endswith("full span reached") for note in starts), search.notes
 
 
 STARTS = {
@@ -143,19 +162,88 @@ STARTS = {
 
 @pytest.mark.parametrize("name", STARTS)
 @pytest.mark.parametrize("a", [1, Fraction(5, 2), QuadExt(1, 1)], ids=str)
-def test_coordinate_search_matches_on_custom_starts(name, a):
-    for words, window in product((1, 2), (1, 2)):
-        _assert_same(3, words, window, a, STARTS[name])
+def test_search_from_custom_starts_reaches_the_full_span(name, a):
+    # the certificate speaks of every nonzero vector, not only of monomials
+    for window in (1, 2):
+        assert _certificate(a, 3, window).passed
+        search = elementwise_witness(a, 3, 3, window, STARTS[name])
+        assert [note.rsplit(": ", 1)[1] for note in search.notes] == (
+            ["full span reached"] * len(STARTS[name])), search.notes
 
 
-def test_truncation_error_is_the_same():
-    # a start of degree degree + words leaves the truncation after one letter
-    start = [QuotientElement.monomial(ODD, 4)]
-    with pytest.raises(ValueError) as got:
-        check_simplicity_witness(1, LAM0, ALP0, 2, 2, index_window=1, starts=start)
-    with pytest.raises(ValueError) as want:
-        elementwise_witness(1, 2, 2, 1, start)
-    assert str(got.value) == str(want.value) == "degree 5 exceeds the truncation bound 4"
+@pytest.mark.parametrize("a", [1, 2, Fraction(5, 2)], ids=str)
+def test_starts_above_the_degree_bound_search_to_the_same_end(a):
+    # the certificate at degree_bound says nothing of a start above it; the
+    # certificate at the start's own degree covers it, and the search from
+    # that start must end where that certificate says, at the full span
+    for degree, words in product((1, 2), (1, 2, 3)):
+        assert _certificate(a, degree, 1).passed
+        for k, parity in product(range(degree + 1, degree + words + 1), (EVEN, ODD)):
+            start = [QuotientElement.monomial(parity, k)]
+            assert _certificate(a, k, 1).passed
+            search = elementwise_witness(a, k, words + 1, 1, start)
+            assert search.status == "pass", (a, degree, words, start)
+            assert search.notes[0].endswith("full span reached"), search.notes
+
+
+@pytest.mark.parametrize("a", [1, -1, 2], ids=str)
+def test_no_span_grows_after_it_holds_every_target(monkeypatch, a):
+    # the certificate proves the full span from every start without building
+    # a row space: no RowSpan is made or grown, so none grows past its targets
+    grown = []
+    add = linalg.RowSpan.add
+    init = linalg.RowSpan.__init__
+
+    def counting_init(self, dim):
+        grown.append(("new", dim))
+        init(self, dim)
+
+    def counting_add(self, vec):
+        grown.append(("add", len(vec)))
+        return add(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpan, "__init__", counting_init)
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    report = check_simplicity_witness(a, LAM0, ALP0, 3, 3, index_window=3)
+    assert report.status == "pass" and not report.violations
+    assert grown == []
+    # the patch is live: a RowSpan made and grown here is counted
+    RowSpan(2).add([QE_ONE, QE_ZERO])
+    assert grown == [("new", 2), ("add", 2)]
+
+
+# one number of an L row of freemod._ACTION, each changed as (row, old entry, new entry)
+L_ROW_MUTANTS = {
+    "even y term": (("L", EVEN), (0, 1, 0, 1), (0, 1, 0, 2)),
+    "odd shift": (("L", ODD), (0, 0, 0, 2), (0, 0, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("mutant", L_ROW_MUTANTS)
+@pytest.mark.parametrize("a", NONZERO_A, ids=str)
+def test_a_wrong_l_row_fails_the_certificate(monkeypatch, a, mutant):
+    key, old, new = L_ROW_MUTANTS[mutant]
+    parity, dy, number, power, rows = freemod._ACTION[key]
+    assert old in rows
+    rows = tuple(new if row == old else row for row in rows)
+    monkeypatch.setitem(freemod._ACTION, key, (parity, dy, number, power, rows))
+    report = _certificate(a, 1, 1)
+    assert report.status == "fail" and report.violations
+    # L_0 is untouched, since both entries are multiples of the mode: only a
+    # difference over several modes sees the change
+    assert {v.context.split()[0] for v in report.violations} <= {"X_0", "X_1", "X_2", "T1"}
+    assert report.notes[-1].endswith("so the certificate fails")
+
+
+@pytest.mark.parametrize("a", NONZERO_A, ids=str)
+def test_degree_3_at_window_1_names_the_modes_outside_the_window(a):
+    report = _certificate(a, 3, 1)
+    assert report.status == "pass", report.render_text()
+    # X_d needs d + 2 modes, and window 1 holds three: X_2 adds -2, X_3 adds
+    # 2, and X_4, which a = 1 needs for its G0 detour, adds -3
+    modes = "-2, 2, -3" if a == 1 else "-2, 2"
+    top = 4 if a == 1 else 3
+    assert f"modes {modes} outside the window |m| <= 1 serve X_2 to X_{top}" in report.notes
 
 
 @pytest.mark.parametrize("a", [0, 1, QuadExt(1, 1)], ids=str)
@@ -165,19 +253,19 @@ def test_one_action_per_generator_parity_and_exponent(monkeypatch, a, degree, wo
     good = n1.restricted_act
 
     def counting(x, v, r):
-        (k, c), = v.terms.items()  # one monomial with coefficient 1
-        assert c == 1
-        seen[tuple(x.terms), v.parity, k] += 1
+        (sym, c), = x.terms.items()  # one generator with coefficient 1
+        (k, e), = v.terms.items()  # on one monomial with coefficient 1
+        assert c == 1 and e == 1
+        seen[sym, v.parity, k] += 1
         return good(x, v, r)
 
     monkeypatch.setattr(n1, "restricted_act", counting)
     report = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window)
     assert report.passed
-    assert max(seen.values(), default=1) == 1
-    gens = len(basis_symbols("N1R", window))
-    if a:
-        assert sum(seen.values()) <= gens * 2 * (degree + words)
-    assert bool(seen) == bool(words or not a)
+    assert seen and max(seen.values()) == 1
+    # nothing reads the word length
+    monkeypatch.setattr(n1, "restricted_act", good)
+    assert _facts(report) == _facts(_certificate(a, degree, window))
 
 
 def test_rowspan_matches_dense_reduction():
@@ -197,50 +285,3 @@ def test_rowspan_matches_dense_reduction():
         vec = [rng.choice((0, 1, -3, Fraction(2, 5))) for _ in range(dim)]
         assert sparse.add(vec) == dense.add(vec)
         assert sparse.rows == dense.rows
-
-
-@pytest.mark.parametrize("a", [1, 2, Fraction(5, 2)], ids=str)
-def test_starts_above_the_degree_bound_search_to_the_same_end(a):
-    # a start above degree_bound may leave the truncation later in its
-    # search, so it must not stop early, whatever its span holds
-    for degree, words in product((1, 2), (1, 2, 3)):
-        for k, parity in product(range(degree + 1, degree + words + 1), (EVEN, ODD)):
-            start = [QuotientElement.monomial(parity, k)]
-            try:
-                got = _facts(check_simplicity_witness(a, LAM0, ALP0, degree, words,
-                                                      index_window=1, starts=start))
-            except ValueError as err:
-                got = str(err)
-            try:
-                want = _facts(elementwise_witness(a, degree, words, 1, start))
-            except ValueError as err:
-                want = str(err)
-            assert got == want, (a, degree, words, start)
-
-
-@pytest.mark.parametrize("a", [1, -1, 2], ids=str)
-def test_no_span_grows_after_it_holds_every_target(monkeypatch, a):
-    degree, words, window = 3, 3, 3
-    targets = [_as_vector(t, degree + words) for t in quotient_monomials(degree)]
-    spans = []
-
-    class CountingRowSpan(RowSpan):
-        def __init__(self, dim):
-            super().__init__(dim)
-            self.late_adds = 0
-            spans.append(self)
-
-        def full(self):
-            return all(self.contains(t) for t in targets)
-
-        def add(self, vec):
-            self.late_adds += self.full()
-            return super().add(vec)
-
-    monkeypatch.setattr(n1, "RowSpan", CountingRowSpan)
-    report = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window)
-    assert report.status == "pass"
-    # the pooled span, made first, and one span per default start
-    assert len(spans) == 1 + len(targets)
-    assert [s.late_adds for s in spans] == [0] * len(spans)
-    assert spans[0].full() and sum(s.full() for s in spans[1:]) >= 1
