@@ -60,6 +60,7 @@ the a = 0 closure certificate of ``n1.check_simplicity_witness``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from itertools import chain, product
 from math import lcm
 from operator import eq
@@ -94,6 +95,7 @@ _VALID_SYMBOLS = frozenset(
 )
 
 
+@total_ordering
 class BasisSymbol(Value):
     """One basis generator, identified by algebra tag, family, and 2*mode.
 
@@ -150,21 +152,6 @@ class BasisSymbol(Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.sort_index < other.sort_index
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort_index <= other.sort_index
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort_index > other.sort_index
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort_index >= other.sort_index
 
     def __hash__(self):
         return self._hash

@@ -149,12 +149,13 @@ class _Parser:
         value = int(toks[k])
         return -value if neg else value, k
 
-    def sum(self, acc, depth=0):
-        """Add the terms of a signed sum into ``acc``; returns ``acc``."""
+    def sum(self, acc, depth=0, algebra=None):
+        """Add the terms of a signed sum into ``acc``; returns ``acc``.
+        ``algebra`` is passed to ``term``."""
         toks = self.toks
         sign = -1 if self.accept("-") else 1
         while True:
-            self.term(acc, sign, depth)
+            self.term(acc, sign, depth, algebra)
             tok = toks[self.k]
             if tok == "+":
                 sign = 1
@@ -408,15 +409,7 @@ def parse_algebra_element(text, algebra):
     parser = _Parser(text)
     if not parser.toks[0]:
         parser.error("empty expression")
-    acc = {}
-    sign = -1 if parser.accept("-") else 1
-    while True:
-        parser.term(acc, sign, 0, algebra)
-        if parser.accept("+"):
-            sign = 1
-        elif parser.accept("-"):
-            sign = -1
-        elif not parser.toks[parser.k]:
-            return AlgebraElement(algebra, _scalars(_check_digits(acc)))
-        else:
-            parser.error("expected '+' or '-' between terms")
+    acc = parser.sum({}, 0, algebra)
+    if parser.toks[parser.k]:
+        parser.error("expected '+' or '-' between terms")
+    return AlgebraElement(algebra, _scalars(_check_digits(acc)))

@@ -27,22 +27,21 @@ and two QuadExts are equal exactly when their triples are.  The public
 ``QuadExt(rat, root2)`` takes ints or Fractions (anything else is a
 TypeError), and ``.rat`` and ``.root2`` give the two parts back as Fractions.
 Arithmetic results come from the one trusted constructor ``_qe``, which
-divides a triple by a single ``gcd(p, q, d)`` and skips it when ``d == 1``.
-``+`` and ``-`` add numerators directly when the denominators agree; ``*``
-takes one integer product per part when an operand has no sqrt2 part, and
-the four-product formula only when both carry sqrt2.  An int operand scales
-p and q, a Fraction scales by its numerator and denominator, and a rational
-QuadExt raised to n is ``(p^n, 0, d^n)``; ``x ** 1`` is x, here and for a
-Scalar.  A rational QuadExt hashes like the equal Fraction or int, and a
-QuadExt compares with an int by its fields.
+divides a triple by a single ``gcd(p, q, d)`` and skips it when ``d == 1``,
+so every result is canonical.  Each operation coerces its operand (an int or
+Fraction to a QuadExt, a number to a Scalar) and then applies one formula:
+``+`` and ``-`` cross-multiply over ``d*e``; ``*`` takes the four products
+``(pu + 2qv) + (pv + qu)*sqrt2`` over ``d*e``; ``==`` compares triples;
+``x ** n`` squares repeatedly, inverting first when n < 0; and a Scalar
+product sums every pair of terms with ``add_terms``.  A rational QuadExt
+hashes like the equal Fraction or int.
 
-``Scalar * s`` returns the Scalar itself when ``s`` is one (the int 1, a
-QuadExt or Fraction equal to 1, or ``SC_ONE``, which ``Scalar.number(1)``
-returns), and scales each coefficient when ``s`` is an int, Fraction or
-QuadExt.  The product of two one-term Scalars is built as its single term
-without the sparse kernel, since a product of nonzero field elements is
-never zero.  A one-term Scalar raised to n multiplies its exponent vector by
-n and raises its coefficient to n (negative n inverts the monomial first).
+One shortcut stays, as a contract: ``s * SC_ONE`` and ``SC_ONE * s`` return
+``s`` itself, and a number equal to 1 coerces to ``SC_ONE`` (the object
+``Scalar.number(1)`` returns).  The generator maps, ``apply_map`` and
+``AlgebraElement.basis`` keep a unit coefficient as that object, so
+``freemod.extend_linearly`` acts on ``v`` itself, not a scaled copy, when a
+coefficient is ``SC_ONE``.
 
 Every sparse polynomial in the package (Scalar terms, module and quotient
 elements, algebra elements, the parser's accumulators) is a dict from a
@@ -108,8 +107,9 @@ def _power(base, n, one):
     while n:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
+        if n:  # no square past the top bit
+            base = base * base
     return out
 
 
@@ -196,8 +196,6 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d, e = self.d, other.d
-        if d == e:
-            return _qe(self.p + other.p, self.q + other.q, d)
         return _qe(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
@@ -207,8 +205,6 @@ class QuadExt:
         if other is None:
             return NotImplemented
         d, e = self.d, other.d
-        if d == e:
-            return _qe(self.p - other.p, self.q - other.q, d)
         return _qe(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
@@ -221,21 +217,12 @@ class QuadExt:
         return _qe(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        p, q = self.p, self.q
-        if isinstance(other, QuadExt):
-            u, v = other.p, other.q
-            if not v:
-                return _qe(p * u, q * u, self.d * other.d)
-            if not q:
-                return _qe(p * u, p * v, self.d * other.d)
-            # (p + q*sqrt2)(u + v*sqrt2) = (pu + 2qv) + (pv + qu)*sqrt2
-            return _qe(p * u + 2 * q * v, p * v + q * u, self.d * other.d)
-        if isinstance(other, int):
-            return _qe(p * other, q * other, self.d)
-        if isinstance(other, Fraction):
-            n = other.numerator
-            return _qe(p * n, q * n, self.d * other.denominator)
-        return NotImplemented
+        other = _as_quadext(other)
+        if other is None:
+            return NotImplemented
+        p, q, u, v = self.p, self.q, other.p, other.q
+        # (p + q*sqrt2)(u + v*sqrt2) = (pu + 2qv) + (pv + qu)*sqrt2
+        return _qe(p * u + 2 * q * v, p * v + q * u, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -272,23 +259,14 @@ class QuadExt:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        if n == 1:
-            return base
-        if not base.q:
-            return _qe(base.p ** n, 0, base.d ** n)
-        return _power(base, n, QE_ONE)
+        return _power(self if n >= 0 else self.inverse(), abs(n), QE_ONE)
 
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, QuadExt):
-            if isinstance(other, int):  # by the fields, building no QuadExt
-                return not self.q and self.d == 1 and self.p == other
-            other = _as_quadext(other)
-            if other is None:
-                return NotImplemented
+        other = _as_quadext(other)
+        if other is None:
+            return NotImplemented
         return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
@@ -501,36 +479,19 @@ class Scalar:
         return Scalar({ev: -c for ev, c in self.terms.items()})
 
     def __mul__(self, other):
-        # One returns the other operand; a number scales each coefficient
-        # (an int or Fraction without becoming a QuadExt).
-        if isinstance(other, Scalar):
-            if other is SC_ONE:
-                return self
-            if self is SC_ONE:
-                return other
-        elif isinstance(other, (int, Fraction, QuadExt)):
-            if other == 1:
-                return self
-            if not other:
-                return SC_ZERO
-            if len(self.terms) == 1:
-                (ev, c), = self.terms.items()
-                return Scalar({ev: c * other})
-            return Scalar({ev: c * other for ev, c in self.terms.items()})
-        else:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
-        s, t = self.terms, other.terms
-        if not s or not t:
-            return SC_ZERO
-        if len(s) == 1 and len(t) == 1:
-            # a product of nonzero field elements is nonzero: one term, no merge
-            (ev1, c1), = s.items()
-            (ev2, c2), = t.items()
-            return Scalar({tuple(map(add, ev1, ev2)): c1 * c2})
+        # the SC_ONE identity is a contract, not a speed-up: see the module
+        # docstring (extend_linearly acts on v itself through it)
+        if other is SC_ONE:
+            return self
+        if self is SC_ONE:
+            return other
         return Scalar(add_terms({}, (
             (tuple(map(add, ev1, ev2)), c1 * c2)
-            for ev1, c1 in s.items()
-            for ev2, c2 in t.items()
+            for ev1, c1 in self.terms.items()
+            for ev2, c2 in other.terms.items()
         )))
 
     __rmul__ = __mul__
@@ -538,14 +499,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.invert_monomial()
-        n = abs(n)
-        if n == 1:
-            return base
-        if n and len(base.terms) == 1:
-            (ev, c), = base.terms.items()
-            return Scalar({tuple(e * n for e in ev): c ** n})
-        return _power(base, n, SC_ONE)
+        return _power(self if n >= 0 else self.invert_monomial(), abs(n), SC_ONE)
 
     def invert_monomial(self):
         """Inverse of a one-term scalar whose a/b exponents vanish.

@@ -8,7 +8,10 @@ as a reference, unless ``UNREFERENCED_NAMES`` names it with its reason.
 Every method that is not a dunder is read as an attribute somewhere in the
 package, or named in a class body (``__str__ = render``), unless
 ``UNREFERENCED_METHODS`` names it with its reason: a bare name elsewhere is
-a local or a parameter, not the method.
+a local or a parameter, not the method.  Every parameter of a function or
+method that is not a dunder is read in its body, unless
+``UNREAD_PARAMETERS`` names it with its reason; a method's first parameter
+is bound by the call, and a lambda's signature is its caller's.
 """
 
 import ast
@@ -125,3 +128,35 @@ def test_every_method_is_referenced():
         and node.name not in referenced
     }
     assert unreferenced == set(UNREFERENCED_METHODS)
+
+
+# module.[Class.]function.parameter -> why it stays although the body never reads it
+UNREAD_PARAMETERS = {
+    "n1.check_simplicity_witness.word_length": "perfbench/sweeps.py passes it positionally; "
+                                               "goes with ROADMAP item 1",
+    "quotients.iso_xi.p": "the layer map multiplies by h~ alone; perfbench/sweeps.py passes it "
+                          "positionally; goes with ROADMAP item 1",
+}
+
+
+def _unread_parameters(node, prefix, in_class=False):
+    """``prefix + function.parameter`` for every parameter that no name in
+    its function's body reads, in every function under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _unread_parameters(child, f"{prefix}{child.name}.", True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                a = child.args
+                params = [*[*a.posonlyargs, *a.args][in_class:], *a.kwonlyargs, a.vararg, a.kwarg]
+                read = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}
+                yield from (f"{prefix}{child.name}.{x.arg}" for x in params
+                            if x and x.arg not in read)
+            yield from _unread_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _unread_parameters(child, prefix, in_class)
+
+
+def test_every_parameter_is_read():
+    unread = {name for path in MODULES for name in _unread_parameters(_tree(path), f"{path.stem}.")}
+    assert unread == set(UNREAD_PARAMETERS)

@@ -194,3 +194,6 @@ def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
     n1.restricted_act(xn, q, r)
     image = apply_map(r.embedding, xn)
     assert calls_on(q, image) == sorted(image.terms) and len(seen) == 0
+    # a unit coefficient stays SC_ONE through the embedding: L_2 acts on q itself
+    n1.restricted_act(AlgebraElement.basis(BasisSymbol("N1R", "L", 2)), q, r)
+    assert calls_on(q) == [L2]
