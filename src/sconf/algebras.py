@@ -50,11 +50,11 @@ reverse order by the same sum when the two bracket rows are sign-related
 (equal up to the super-antisymmetry sign, in any term order); a pair whose
 rows are not sums each order on its own.  It and ``freemod.extend_linearly``
 read every image through one parity guard, ``_checked``, which refuses an
-image of the wrong parity.  ``_check_images`` is the one loop that applies
-each generator of a list to each vector of a list and tests the image.  Its
-five callers are the projection, phi and xi intertwining sweeps
-(``quotients``), the submodule closure (``submodules.check_closure``) and
-the a = 0 closure certificate of ``n1.check_simplicity_witness``.
+image of the wrong parity.  ``_check_images`` applies each generator of a
+list to each whole vector of a list and tests the image; a seam fault need
+not be linear.  Its callers are the submodule closure
+(``submodules.check_closure``) and the a = 0 closure certificate of
+``n1.check_simplicity_witness``; the intertwining sweeps compare in ints.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import chain, product
 from math import lcm
-from operator import eq
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
@@ -591,16 +590,15 @@ def check_representation(report, syms, basis_act, vectors, label):
     return report
 
 
-def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
-    """Record ``label``-prefixed violations where ``same(lhs(X, v), rhs(X, v))``
-    fails, for every X of ``syms`` (outer loop) and every v of ``vectors``
-    (inner loop).  Each side is recorded as its text, so it may be an element
-    or a fixed text such as ``"member"``."""
+def _check_images(report, syms, vectors, act, member, label, text):
+    """Record a ``label``-prefixed violation, the image against ``text``,
+    wherever ``member(act(X, v))`` fails, for every X of ``syms`` (outer
+    loop) and every v of ``vectors`` (inner loop)."""
     for sym in syms:
         for v in vectors:
-            left, right = lhs(sym, v), rhs(sym, v)
-            if not same(left, right):
-                report.record(f"{label}{sym} on {v}", left, right)
+            image = act(sym, v)
+            if not member(image):
+                report.record(f"{label}{sym} on {v}", image, text)
     return report
 
 

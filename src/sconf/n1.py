@@ -211,8 +211,8 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         _check_images(
             report, gens, spanning, lambda g, v: restricted_act(g, v, r),
-            lambda g, v: "member of xC[x]+C[s]", "a=0 closure ",
-            lambda out, _: out.parity != EVEN or 0 not in out.terms,
+            lambda out: out.parity != EVEN or 0 not in out.terms, "a=0 closure ",
+            "member of xC[x]+C[s]",
         )
         report.notes.append(
             "a=0: the subspace x*C[x] + C[s] is closed and omits 1_even, "

@@ -29,22 +29,31 @@ parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
 image is summed once into slices keyed x^i, and each output Scalar is built
 once.  ``project`` freezes a module element with ``_freeze``, adding each
-slice of x^i y^j, times the j-th power of the root, to the slices of x^i.
-``quotient_act`` is the linear extension of ``quotient_act_basis``
-(``freemod.extend_linearly``): one ``quotient_act_basis`` call per
-generator of the acting element, on the whole quotient element scaled by
-that generator's coefficient.  The
+coefficient of x^i y^j in ints, times the j-th power of the root, to the
+slices of x^i.  ``quotient_act`` is the linear extension of
+``quotient_act_basis`` (``freemod.extend_linearly``): one
+``quotient_act_basis`` call per generator of the acting element, on the
+whole quotient element scaled by that generator's coefficient.  The
 compatibility sweep reads ``quotient_act_basis`` itself, and
-``n1.restricted_act`` is ``quotient_act`` on the embedded image.  The
-projection, phi and xi sweeps are three of the five callers of the one
-generator sweep, ``algebras._check_images``.
+``n1.restricted_act`` is ``quotient_act`` on the embedded image.
+
+The projection, phi and xi intertwining sweeps read the two images of
+each (generator, monomial) case through ``act`` and ``quotient_act``, so
+through the basis actions and the parity guard, and decide the case in
+ints: the mapped side is formed from the images' (p, q, d) parts (frozen
+by ``_freeze``, rescaled by dst.alp/src.alp, or minus the quotient image
+times h~ as rows for ``submodules._member``) and compared with the other
+side (``_agree``).  The vectors' own images under project, iso_phi and the
+lift are built once per vector; only a failing case builds the mapped
+element, for its text.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from operator import add
 
-from .algebras import _check_images, basis_symbols, check_representation
+from .algebras import basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
     EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act,
@@ -55,7 +64,9 @@ from .scalars import (
     QE_ONE, Scalar, _qe, add_slice, add_terms, as_quadext, as_scalar,
     build_slices, monomial_text,
 )
-from .submodules import SubmoduleSpec, UniPoly, _deflated, check_containment, contains
+from .submodules import (
+    SubmoduleSpec, UniPoly, _deflated, _member, _rows, check_containment,
+)
 from .values import Value
 
 _VAR = {EVEN: ("x",), ODD: ("s",)}
@@ -139,26 +150,23 @@ def quotient_act(x, v, p):
     return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
 
 
-def _freeze(slices, parts):
-    """Slices keyed x^i y^j (s^i t^j) as slices keyed x^i (s^i), with the
-    second variable at the concrete root whose parts are ``parts``.  Each
-    power of the root is formed once by int multiplication, and each slice
-    is added in ints, times it, to the slices of x^i.  Reads ``slices`` up:
-    the first slot of x^i, when it is y^0's, is kept."""
+def _freeze(terms, parts):
+    """The terms ``{(i, j): Scalar}`` of a module element as slices ``{i:
+    {ev: [p, q, d]}}`` of x^i (s^i), with the second variable at the
+    concrete root whose parts are ``parts``: each power of the root is
+    formed once by int multiplication, and each coefficient is added in
+    ints, times it, to the slices of x^i."""
     powers, out = [[(1, 0, 1)]], {}
-    for (i, j), slot in slices.items():
-        target = out.get(i)
-        if target is None and not j:
-            out[i] = slot
-            continue
-        if target is None:
-            target = out[i] = {}
+    for (i, j), c in terms.items():
+        slot = out.get(i)
+        if slot is None:
+            slot = out[i] = {}
         while len(powers) <= j:
             powers.append([(p * u + 2 * q * v, p * v + q * u, d * e)
                            for p, q, d in powers[-1] for _, u, v, e in parts])
-        for ev, (P, Q, D) in slot.items():
+        for ev, x in c.terms.items():
             for u, w, e in powers[j]:
-                add_slice(target, ev, P * u + 2 * Q * w, P * w + Q * u, D * e)
+                add_slice(slot, ev, x.p * u + 2 * x.q * w, x.p * w + x.q * u, x.d * e)
     return out
 
 
@@ -169,9 +177,7 @@ def project(v, p):
     odd part.  The kernel is exactly the M-kind submodule of h = y + a.
     """
     p.concrete_a()  # refuse a formal root: _freeze shifts no parameter monomial
-    slices = {key: {ev: [x.p, x.q, x.d] for ev, x in c.terms.items()}
-              for key, c in v.terms.items()}
-    return QuotientElement(v.parity, build_slices(_freeze(slices, p.roots[v.parity])))
+    return QuotientElement(v.parity, build_slices(_freeze(v.terms, p.roots[v.parity])))
 
 
 def kernel_spec(p):
@@ -383,26 +389,49 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     )
 
 
+def _agree(slices, terms):
+    """Whether the slices ``{key: {ev: [p, q, d]}}`` sum to the terms
+    ``{key: Scalar}`` of an element: each nonzero slice is compared with the
+    coefficient it must equal by cross-multiplied ints, and every key of
+    ``terms`` must be met."""
+    met = 0
+    for key, slot in slices.items():
+        c = terms.get(key)
+        want = {} if c is None else c.terms
+        n = 0
+        for ev, (p, q, d) in slot.items():
+            if p or q:
+                x = want.get(ev)
+                if x is None or p * x.d != x.p * d or q * x.d != x.q * d:
+                    return False
+                n += 1
+        if n != len(want):
+            return False
+        if c is not None:
+            met += 1
+    return met == len(terms)
+
+
 def check_projection_intertwines(p, index_window, degree_bound):
-    """project(X . v) == X . project(v) for generators and monomials."""
+    """project(X . v) == X . project(v) for generators and monomials: the
+    module image, frozen at the root in ints, against the quotient image."""
     report = VerificationReport(
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    vectors = monomials(degree_bound)
-    projected = {id(v): project(v, p) for v in vectors}  # formed once per vector
-    return _check_images(
-        report,
-        basis_symbols("R", index_window),
-        vectors,
-        lambda sym, v: project(act(sym, v), p),
-        lambda sym, v: quotient_act(sym, projected[id(v)], p),
-        f"projection {p.describe()} ",
-    )
+    label = f"projection {p.describe()} "
+    pairs = [(v, project(v, p)) for v in monomials(degree_bound)]  # projected once per vector
+    for sym in basis_symbols("R", index_window):
+        for v, pv in pairs:
+            image, right = act(sym, v), quotient_act(sym, pv, p)
+            if not _agree(_freeze(image.terms, p.roots[image.parity]), right.terms):
+                report.record(f"{label}{sym} on {v}", project(image, p), right)
+    return report
 
 
 def check_phi_intertwines(src, dst, index_window, degree_bound):
-    """iso_phi commutes with every generator action in the window."""
+    """iso_phi commutes with every generator action in the window: the src
+    image, its odd part rescaled in ints, against the dst image."""
     report = VerificationReport(
         "phi-intertwines",
         {
@@ -412,30 +441,32 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    vectors = quotient_monomials(degree_bound)
-    mapped = {id(v): iso_phi(v, src, dst) for v in vectors}  # formed once per vector
-    return _check_images(
-        report,
-        basis_symbols("R", index_window),
-        vectors,
-        lambda sym, v: iso_phi(quotient_act(sym, v, src), src, dst),
-        lambda sym, v: quotient_act(sym, mapped[id(v)], dst),
-        f"phi {src.describe()}->{dst.describe()} ",
-    )
+    label = f"phi {src.describe()}->{dst.describe()} "
+    pairs = [(v, iso_phi(v, src, dst)) for v in quotient_monomials(degree_bound)]
+    scales = _parts(1, dst.alp * src.alp.invert_monomial())  # by parity, as iso_phi rescales
+    for sym in basis_symbols("R", index_window):
+        for v, mv in pairs:
+            image, right = quotient_act(sym, v, src), quotient_act(sym, mv, dst)
+            (sev, u, w, e), = scales[image.parity]
+            left = {k: {tuple(map(add, ev, sev)):
+                        [x.p * u + 2 * x.q * w, x.p * w + x.q * u, x.d * e]
+                        for ev, x in c.terms.items()}
+                    for k, c in image.terms.items()}
+            if not _agree(left, right.terms):
+                report.record(f"{label}{sym} on {v}", iso_phi(image, src, dst), right)
+    return report
 
 
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
     M_h with h = (y+a) h~ (membership-tested, not representative-equal).
-    The sweep runs ``iso_xi``'s product with h~(t+1) formed once per call."""
+    The sweep runs ``iso_xi``'s product (``_lift``) with h~(t+1) formed once
+    per call, and subtracts the quotient image times h~ in ints."""
     a = p.concrete_a()
-    h = UniPoly((a, QE_ONE)) * h_tilde
-    full = SubmoduleSpec("M", h)
+    full = SubmoduleSpec("M", UniPoly((a, QE_ONE)) * h_tilde)
     lifts = {EVEN: h_tilde, ODD: h_tilde.shifted(1)}  # parity -> multiplier
-
-    def xi(v):
-        return _lift(v, lifts[v.parity])
-
+    parts = {parity: [(j, c.p, c.q, c.d) for j, c in enumerate(by.coeffs) if c]
+             for parity, by in lifts.items()}
     report = VerificationReport(
         "xi-intertwines",
         {
@@ -445,14 +476,17 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    vectors = quotient_monomials(degree_bound)
-    lifted = {id(v): xi(v) for v in vectors}  # formed once per vector
-    return _check_images(
-        report,
-        basis_symbols("R", index_window),
-        vectors,
-        lambda sym, v: act(sym, lifted[id(v)]),
-        lambda sym, v: xi(quotient_act(sym, v, p)),
-        f"xi h~={h_tilde.render()} {p.describe()} ",
-        same=lambda left, right: contains(full, left - right),
-    )
+    label = f"xi h~={h_tilde.render()} {p.describe()} "
+    pairs = [(v, _lift(v, lifts[v.parity])) for v in quotient_monomials(degree_bound)]
+    for sym in basis_symbols("R", index_window):
+        for v, lv in pairs:
+            left, image = act(sym, lv), quotient_act(sym, v, p)
+            rows = _rows(left.terms)  # left - image * multiplier, as rows of ints
+            for k, c in image.terms.items():
+                for ev, x in c.terms.items():
+                    row = rows.setdefault((k, ev), {})
+                    for j, u, w, e in parts[image.parity]:
+                        add_slice(row, j, -x.p * u - 2 * x.q * w, -x.p * w - x.q * u, x.d * e)
+            if not _member(full, left.parity if left.terms else image.parity, rows):
+                report.record(f"{label}{sym} on {v}", left, _lift(image, lifts[image.parity]))
+    return report

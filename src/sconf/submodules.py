@@ -12,22 +12,14 @@ N kind), so it is decidable term by term.  Coefficients of h are restricted
 to Q(sqrt2) -- formal parameters inside h would make divisibility
 undecidable, and the action formulas never need them.
 
-One long division, ``_divmod_monic``, divides in machine ints.  A monic
-divisor d of degree n becomes g(z) = E^n d(z/E), E the lcm of its
-denominators, which is monic over Z[sqrt2] (``_int_divisor``); a dividend
-f of degree top becomes the ints of D E^top f(z/E), D the lcm of its own
-denominators (``_scaled``).  Dividing those by g takes no gcd and builds no
-QuadExt, and entry j of the result, remainder and quotient alike, stands
-for its ints over D E^(top - j) (``_unscaled``).  Every caller divides this
-way.  ``contains`` and ``reduce_mod`` divide a module element row by row
-(``_rows``), by the g of its parity, which a spec computes for both
-parities when it is built.  ``contains`` reads a remainder, and for the N
-kind the quotient's constant term, in ints and builds no Scalar;
-``UniPoly.divides`` reads its remainder in ints and builds no quotient.
-``reduce_mod``, ``UniPoly.divmod_monic``, the root deflation of
-``quotients.find_roots`` (``_deflated``) and ``UniPoly.shifted`` (a Taylor
-shift, by repeated division by y - c) build one QuadExt per coefficient
-they return.
+One long division, ``_divmod_monic``, divides in machine ints, by the
+integer form of a monic divisor that ``_int_divisor`` computes (a spec
+computes those of h(y) and h(t+1) when it is built).  Membership is one
+routine, ``_member``: it divides rows of [p, q, d] ints, one per power of
+the first variable and parameter monomial, and the first nonzero
+remainder (or, for the N kind, quotient constant term) decides.
+``contains`` reads an element's rows into it, and so does the xi sweep of
+``quotients``, from the ints it sums the two sides of a case into.
 """
 
 from __future__ import annotations
@@ -115,7 +107,7 @@ class UniPoly:
         if n < 1 or not c:
             return self
         divisor = _, E, _ = _linear(c)
-        P, Q, D = _scaled(dict(enumerate(self.coeffs)), E)
+        P, Q, D = _scaled(_coeff_row(self.coeffs), E)
         for lo in range(n):
             _divmod_monic(P, Q, divisor, lo)
         return UniPoly(_unscaled(P, Q, D, E, 0, n + 1))
@@ -134,7 +126,7 @@ class UniPoly:
         if not self.coeffs:
             return self, self
         divisor = n, E, _ = _int_divisor(d)
-        P, Q, D = _scaled(dict(enumerate(self.coeffs)), E)
+        P, Q, D = _scaled(_coeff_row(self.coeffs), E)
         _divmod_monic(P, Q, divisor)
         top = len(P)
         return (UniPoly(_unscaled(P, Q, D, E, n, top)),
@@ -146,7 +138,7 @@ class UniPoly:
         divisor = n, E, _ = _int_divisor(self.monic())
         if not other.coeffs:
             return True
-        P, Q, _ = _scaled(dict(enumerate(other.coeffs)), E)
+        P, Q, _ = _scaled(_coeff_row(other.coeffs), E)
         _divmod_monic(P, Q, divisor)
         return not any(P[:n]) and not any(Q[:n])
 
@@ -240,18 +232,23 @@ def _linear(r):
     return 1, r.d, ((0, r.p, r.q),)
 
 
+def _coeff_row(coeffs):
+    """QuadExt coefficients as a row {j: [p, q, d]}."""
+    return {j: [c.p, c.q, c.d] for j, c in enumerate(coeffs)}
+
+
 def _scaled(row, E):
-    """A row {j: QuadExt} of f = sum x y^j, top its highest j, as the ints
-    of D E^top f(z/E), D the lcm of the row's denominators: ascending lists
-    P, Q of the parts, and D.  Entry j stands for
+    """A row {j: [p, q, d]} of f = sum (p + q sqrt2)/d y^j, top its highest
+    j, as the ints of D E^top f(z/E), D the lcm of the row's denominators:
+    ascending lists P, Q of the parts, and D.  Entry j stands for
     (P[j] + Q[j] sqrt2) / (D E^(top - j))."""
     top = max(row)
-    D = lcm(*[x.d for x in row.values()])
+    D = lcm(*[d for _, _, d in row.values()])
     P, Q = [0] * (top + 1), [0] * (top + 1)
-    for j, x in row.items():
-        s = D // x.d * E ** (top - j)
-        P[j] = x.p * s
-        Q[j] = x.q * s
+    for j, (p, q, d) in row.items():
+        s = D // d * E ** (top - j)
+        P[j] = p * s
+        Q[j] = q * s
     return P, Q, D
 
 
@@ -282,7 +279,7 @@ def _deflated(p, r):
     """p / (y - r) when r is a root of the UniPoly p, else None: the remainder
     is read in ints before the quotient is built."""
     divisor = _, E, _ = _linear(r)
-    P, Q, D = _scaled(dict(enumerate(p.coeffs)), E)
+    P, Q, D = _scaled(_coeff_row(p.coeffs), E)
     _divmod_monic(P, Q, divisor)
     if P[0] or Q[0]:
         return None
@@ -291,11 +288,12 @@ def _deflated(p, r):
 
 def _rows(terms):
     """A module element's terms as rows: (power of the first variable,
-    parameter monomial) -> {power of the second variable: QuadExt}."""
+    parameter monomial) -> {power of the second variable: [p, q, d]}, each
+    list new, so that a caller may add into it (``scalars.add_slice``)."""
     rows = {}
     for (i, j), c in terms.items():
         for ev, x in c.terms.items():
-            rows.setdefault((i, ev), {})[j] = x
+            rows.setdefault((i, ev), {})[j] = [x.p, x.q, x.d]
     return rows
 
 
@@ -303,16 +301,22 @@ def contains(spec, v):
     """Exact membership of a module element in the submodule.
 
     The element must not involve the formal parameters a, b (membership is a
-    question about the h-ideal, not a parametric one).  Each row is divided
-    in ints, and the first nonzero remainder decides.
+    question about the h-ideal, not a parametric one).
     """
     if v.is_zero():
         return True
     rows = _rows(v.terms)
     if any(ev[_A] or ev[_B] for _, ev in rows):
         raise ValueError("membership is defined for elements free of the parameters a, b")
-    divisor = n, E, _ = spec._int_divisors[v.parity]
-    constant = v.parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
+    return _member(spec, v.parity, rows)
+
+
+def _member(spec, parity, rows):
+    """Whether the element of ``parity`` with rows ``rows`` (``_rows``) lies
+    in the submodule: each row is divided in ints, and the first nonzero
+    remainder decides."""
+    divisor = n, E, _ = spec._int_divisors[parity]
+    constant = parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
     for (i, _), row in rows.items():
         P, Q, _ = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
@@ -346,7 +350,7 @@ def check_closure(spec, index_window, degree_bound):
     )
     return _check_images(
         report, basis_symbols("R", index_window), spec.spanning_elements(degree_bound), act,
-        lambda sym, v: "member", f"closure {spec} under ", lambda out, _: contains(spec, out),
+        lambda out: contains(spec, out), f"closure {spec} under ", "member",
     )
 
 
