@@ -40,21 +40,18 @@ Nothing caches what it returns.  It has these readers:
 
 Both sweeps build symbols, Fractions and elements only for a failing case,
 for its text.  A symbol stores its mode and its hash when built, and
-equality compares the ``sort_index`` tuples, so lookups hash and compare
-symbols without building a tuple.  One builder, ``_generator_map``, reads
-the map rows.  The bracket-compatibility sweep of a basis action,
-``check_representation``, also runs in machine ints, over a table of that
+equality compares the ``sort_index`` tuples.  One builder,
+``_generator_map``, reads the map rows.  The bracket-compatibility sweep of
+a basis action, ``check_representation``, runs in ints over a table of that
 action's images local to the call.  It sums each unordered pair of
-generators once per vector, in one int accumulator, and decides the
-reverse order by the same sum when the two bracket rows are sign-related
-(equal up to the super-antisymmetry sign, in any term order); a pair whose
-rows are not sums each order on its own.  It and ``freemod.extend_linearly``
-read every image through one parity guard, ``_checked``, which refuses an
-image of the wrong parity.  ``_check_images`` applies each generator of a
-list to each whole vector of a list and tests the image; a seam fault need
-not be linear.  Its callers are the submodule closure
-(``submodules.check_closure``) and the a = 0 closure certificate of
-``n1.check_simplicity_witness``; the intertwining sweeps compare in ints.
+generators once for all vectors, each vector a signed digit of one packed
+int per coordinate, as the Jacobi sweep packs its families;
+``_signed_digits`` unpacks both.  It and ``freemod.extend_linearly`` read
+every image through one parity guard, ``_checked``.  ``_check_images``
+applies each generator of a list to each whole vector of a list and tests
+the image, since a seam fault need not be linear; its callers are
+``submodules.check_closure`` and the a = 0 certificate of
+``n1.check_simplicity_witness``.
 """
 
 from __future__ import annotations
@@ -456,6 +453,20 @@ def _split(vec, stride, scale=1):
     return out
 
 
+def _signed_digits(packed, w):
+    """The digits of ``packed`` in base 2**w, lowest first, each in [-2**(w -
+    1), 2**(w - 1)), up to the last nonzero one: the inverse of sum(d << w *
+    g) over digits d of size below 2**(w - 1)."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        packed = (packed - d) >> w
+    return out
+
+
 def check_representation(report, syms, basis_act, vectors, label):
     """Bracket compatibility of an action, recorded into ``report``.
 
@@ -466,29 +477,31 @@ def check_representation(report, syms, basis_act, vectors, label):
     ``basis_act(sym, w)`` applies one basis symbol to a vector.  Each
     violation's context is ``label`` followed by ``(X, Y) on v``.
 
-    The sweep runs in machine ints over a table local to the call.  The table
-    holds ``basis_act(symbol, monomial)`` once per (symbol, parity, monomial
-    key) the sweep needs: every symbol of ``syms`` and of their brackets on
-    the monomials of each v, and every symbol of ``syms`` on the monomials of
-    each Y.v, each read through ``_checked``.  A
-    coefficient (p + q sqrt2)/d of a parameter monomial becomes the ints
-    p D/d and q D/d, D the common denominator of the table and the vectors,
-    keyed by one int that packs the monomial, the exponent vector and the
-    power r of sqrt2; a product whose r reaches 2 doubles its int.  The
-    bracket rows are read from ``_bracket_ints`` as ints over B, the
-    ``_denominator`` of the algebra's table, keyed by (family, twice) and
-    numbered by ``_numbered_brackets``.  Both sides of a case are then
-    D**3 B times the exact ones, so they are equal exactly when those are.
+    The sweep runs in ints over a table local to the call: ``basis_act`` of
+    each symbol of ``syms`` and of their brackets on each monomial of the
+    vectors, and of ``syms`` on each monomial of each Y.v, read once through
+    ``_checked``.  A coefficient (p + q sqrt2)/d of a parameter monomial
+    becomes the ints p D/d and q D/d, D the common denominator, keyed by
+    ``_flat``; the bracket rows are ints over B, the table's
+    ``_denominator``.  Both sides of a case are then D**3 B times the exact
+    ones.
 
-    Each unordered pair {X, Y} is summed once per v: X.(Y.v) + sign Y.(X.v)
-    - [X, Y].v lands in one int accumulator, sign = -(-1)^{|X||Y|}, and a
-    diagonal pair is the one sum (1 + sign) X.(X.v) - [X, X].v.  When the
-    scaled rows of [Y, X] are sign times those of [X, Y], term for term in
-    any order, the case (Y, X) is sign times the case (X, Y) and fails
-    exactly when it does; a pair whose rows are not so related sums (Y, X)
-    as a case of its own.  Only a failing case is rebuilt, for its text,
-    from ``basis_act`` and the ``_basis_bracket`` rows.  An empty ``syms``
-    checks nothing.
+    Every vector is swept at once: vector t is the signed digit t, of width
+    w, of one int per coordinate, so Z.V for each numbered symbol Z, and
+    Y.V, are formed once, and each case is summed once.  R_k, twice the
+    largest sum of |f| over one table row of symbol k (so that it bounds the
+    sqrt2 variant too), bounds digit t of a case by (sum |scale| R_k B R_j +
+    sum |f| R_z) times the L1 norm of vector t; w is the bit length of the
+    largest such bound plus one, so no digit carries into the next, a case
+    passes exactly when its ints are 0, and the nonzero digits name the
+    failing vectors.
+
+    A case sums X.(Y.v) + sign Y.(X.v) - [X, Y].v, sign = -(-1)^{|X||Y|},
+    once per unordered pair {X, Y}; when the rows of [Y, X] are sign times
+    those of [X, Y], in any term order, (Y, X) fails exactly when (X, Y)
+    does, and otherwise is a case of its own.  Only a failing case is
+    rebuilt, for its text, from ``basis_act`` and the ``_basis_bracket``
+    rows.  An empty ``syms`` checks nothing.
     """
     if not syms:
         return report
@@ -498,17 +511,16 @@ def check_representation(report, syms, basis_act, vectors, label):
     brackets = _numbered_brackets(algebra, bden, list(number), number)
     symbols = [*syms, *(BasisSymbol(algebra, *key) for key in list(number)[n:])]
     images = {}  # (symbol number, parity, key) -> basis_act(symbol, monomial)
+    filled = {}  # (parity, key) -> how many leading symbols have their image
 
     def fill(count, parity, keys, cls):
-        # a unit monomial is built only while some symbol lacks its image,
-        # so once per (parity, key) over the whole table
         for key in keys:
-            unit = None
-            for k in range(count):
-                if (k, parity, key) not in images:
-                    if unit is None:
-                        unit = cls(parity, {key: SC_ONE})
+            have = filled.get((parity, key), 0)
+            if have < count:
+                unit = cls(parity, {key: SC_ONE})
+                for k in range(have, count):
                     images[k, parity, key] = _checked(basis_act, symbols[k], unit)
+                filled[parity, key] = count
 
     for v in vectors:
         fill(len(symbols), v.parity, v.terms, type(v))
@@ -529,22 +541,31 @@ def check_representation(report, syms, basis_act, vectors, label):
         for key in e.terms:
             if key not in numbers:
                 numbers[key], nk = nk, nk + 1
-    # rows[symbol][monomial] = (image, sqrt2 times image) as (int key, int)
-    # pairs, each ``den`` times the exact one, keyed by ``_flat``
+    # rows[symbol][monomial] = [image, sqrt2 times image] as (int key, int)
+    # pairs, each ``den`` times the exact one, keyed by ``_flat``; the sqrt2
+    # row is built when a part with r = 1 first reaches it.  spread[k] is
+    # R_k: twice the largest sum of |f| over one row of symbol k bounds the
+    # sums of both variants.
     rows = [[None] * nk for _ in symbols]
+    spread = [0] * len(symbols)
     for (k, parity, key), img in images.items():
-        plain = list(_flat(img.terms, keys[img.parity], den, base, nk).items())
-        root2 = [(c - nk, 2 * m) if c // nk & 1 else (c + nk, m) for c, m in plain]
-        rows[k][keys[parity][key]] = (plain, root2)
+        flat = _flat(img.terms, keys[img.parity], den, base, nk)
+        rows[k][keys[parity][key]] = [flat.items(), None]
+        spread[k] = max(spread[k], 2 * sum(map(abs, flat.values())))
 
     def apply(k, parts, acc, scale=1):
         """Add ``scale`` times symbol k on the ``_split`` vector into ``acc``."""
-        table = rows[k]
+        table, get = rows[k], acc.get
         for at, r, off, m in parts:
             m *= scale
-            for c, f in table[at][r]:
+            entry = table[at]
+            terms = entry[r]
+            if terms is None:
+                terms = entry[1] = [(c - nk, 2 * f) if c // nk & 1 else (c + nk, f)
+                                    for c, f in entry[0]]
+            for c, f in terms:
                 c += off
-                acc[c] = acc.get(c, 0) + m * f
+                acc[c] = get(c, 0) + m * f
         return acc
 
     scaled = [[tuple((z, den * c) for z, c in row) for row in row_list] for row_list in brackets]
@@ -563,19 +584,30 @@ def check_representation(report, syms, basis_act, vectors, label):
             cases.append((x, y, ((x, y, 1), (y, x, sign)), scaled[x][y], mirrored))
             if not mirrored:
                 cases.append((y, x, ((y, x, 1), (x, y, sign)), scaled[y][x], False))
+    # vector t is digit t of width w in one int per coordinate; w bounds
+    # every digit of every case accumulator, by its L1 norm
+    flats = [_flat(v.terms, keys[v.parity], den, base, nk) for v in vectors]
+    bound = max([sum([abs(scale) * spread[k] * bden * spread[at] for k, at, scale in sums])
+                 + sum([abs(f) * spread[z] for z, f in row]) for _, _, sums, row, _ in cases])
+    norm = max([sum(map(abs, flat.values())) for flat in flats], default=0)
+    w = (bound * norm).bit_length() + 1
+    packed = {}
+    for t, flat in enumerate(flats):
+        for c, m in flat.items():
+            packed[c] = packed.get(c, 0) + (m << w * t)
+    parts = _split(packed, nk)
+    zv = [apply(k, parts, {}) for k in range(len(symbols))]
+    yv = [_split(zv[y], nk, bden) for y in range(n)]
     fails = []
-    for t, v in enumerate(vectors):
-        parts = _split(_flat(v.terms, keys[v.parity], den, base, nk), nk)
-        zv = [apply(k, parts, {}) for k in range(len(symbols))]
-        yv = [_split(zv[y], nk, bden) for y in range(n)]
-        for x, y, sums, row, mirrored in cases:
-            acc = {}
-            for k, at, scale in sums:
-                apply(k, yv[at], acc, scale)
-            for z, f in row:
-                for c, m in zv[z].items():
-                    acc[c] = acc.get(c, 0) - f * m
-            if any(acc.values()):
+    for x, y, sums, row, mirrored in cases:
+        acc = {}
+        for k, at, scale in sums:
+            apply(k, yv[at], acc, scale)
+        for z, f in row:
+            for c, m in zv[z].items():
+                acc[c] = acc.get(c, 0) - f * m
+        if any(acc.values()):
+            for t in {t for m in acc.values() for t, d in enumerate(_signed_digits(m, w)) if d}:
                 fails.append((x, y, t))
                 if mirrored:
                     fails.append((y, x, t))
@@ -685,17 +717,10 @@ def check_super_jacobi(algebra, window):
                     tot += f * rows[s]
                 if tot:
                     fails.extend((t, tot) for t in {(i, j, k), (j, k, i), (k, i, j)})
-    half, mask = 1 << (w - 1), (1 << w) - 1
     for (i, j, k), tot in sorted(fails, key=lambda fail: fail[0]):
         mode = syms[i].twice + syms[j].twice + syms[k].twice
-        lhs = {}
-        for family in families:
-            v = tot & mask
-            if v >= half:
-                v -= mask + 1
-            if v:
-                lhs[BasisSymbol(algebra, family, mode)] = Fraction(v, den * den)
-            tot = (tot - v) >> w
+        lhs = {BasisSymbol(algebra, family, mode): Fraction(v, den * den)
+               for family, v in zip(families, _signed_digits(tot, w)) if v}
         report.record(f"jacobi {algebra} ({syms[i]}, {syms[j]}, {syms[k]})",
                       _render_fraction_combo(lhs), "0")
     return report

@@ -10,13 +10,19 @@ from math import lcm
 import pytest
 
 from sconf import algebras, freemod, n1, quotients
-from sconf.algebras import BasisSymbol, _basis_bracket, _checked, _flat, _split, basis_symbols
+from sconf.algebras import (BasisSymbol, _basis_bracket, _checked, _flat, _split,
+                            basis_symbols)
 from sconf.errors import MixedParity
+from sconf.freemod import EVEN, ODD, ModuleElement
 from sconf.n1 import RestrictedAction, check_n1_relations
 from sconf.quotients import QuotientParams, check_quotient_compatibility
-from sconf.scalars import SC_ONE
+from sconf.reports import VerificationReport
+from sconf.scalars import SC_ONE, QuadExt, Scalar
 
 P = QuotientParams(a=1)
+WIDE = QuotientParams(a=QuadExt(10**30, 7), lam=Scalar.number(12345678901234567891),
+                      alp=Scalar.number(98765432109876543211))
+ROOT2 = QuotientParams(a=QuadExt(1, 1))
 
 
 def test_sweeps_build_no_linear_action(monkeypatch):
@@ -177,6 +183,12 @@ SWEEPS = {
             lambda: check_n1_relations(RestrictedAction.ramond(P), 1, 1), "N1R"),
     "N1NS": (n1, "restricted_act",
              lambda: check_n1_relations(RestrictedAction.neveu_schwarz(P), 1, 1), "N1NS"),
+    # wide digits: a = 10**30 + 7 sqrt2, lam and alp of 20 digits
+    "quotient-wide": (quotients, "quotient_act_basis",
+                      lambda: check_quotient_compatibility(WIDE, 1, 2), "R"),
+    # images with sqrt2 coefficients reach the sqrt2 rows
+    "N1NS-sqrt2": (n1, "restricted_act",
+                   lambda: check_n1_relations(RestrictedAction.neveu_schwarz(ROOT2), 2, 2), "N1NS"),
 }
 
 
@@ -246,3 +258,53 @@ def test_a_twisted_pair_fails_in_the_orders_its_rows_allow(monkeypatch):
     report = freemod.check_module_compatibility(1, 1)
     pairs = {v.context.split(" on ")[0] for v in report.violations}
     assert pairs == {f"compat ({x}, {y})" for x, y in [(lone, zero), (paired, zero), (zero, paired)]}
+
+
+# ---------------------------------------------------------------------------
+# every vector is one signed digit of a packed int
+# ---------------------------------------------------------------------------
+
+def _as_reference(syms, basis_act, vectors):
+    """The sweep's report on ``vectors``, checked against the reference's."""
+    got, want = (sweep(VerificationReport("compat", {}), syms, basis_act, vectors, "")
+                 for sweep in (algebras.check_representation, reference_check_representation))
+    assert _facts(got) == _facts(want)
+    return got
+
+
+def _failing_vectors(report):
+    return {v.context.split(" on ", 1)[1] for v in report.violations}
+
+
+# the even R generators keep each parity, so a fault on the odd part reaches
+# the odd vectors only
+EVEN_R = [s for s in basis_symbols("R", 1) if not s.parity]
+
+
+def _odd_l_doubled(sym, w):
+    out = freemod.act_basis(sym, w)
+    return out * 2 if w.parity == ODD and sym.family == "L" else out
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_fault_in_the_end_digit_fails_that_vector_only(where):
+    even, odd = freemod.monomials(2, (EVEN,)), freemod.monomials(1, (ODD,))[-1:]
+    vectors = odd + even if where == "first" else even + odd
+    report = _as_reference(EVEN_R, _odd_l_doubled, vectors)
+    assert _failing_vectors(report) == {str(odd[0])}
+
+
+def test_digits_of_opposite_signs_side_by_side_each_fail():
+    v = ModuleElement.monomial(ODD, 1, 1)
+    report = _as_reference(EVEN_R, _odd_l_doubled, [v, -v, v])
+    contexts = [x.context for x in report.violations]
+    assert _failing_vectors(report) == {str(v), str(-v)}
+    assert len(contexts) == 3 * len({c.split(" on ")[0] for c in contexts})
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_passing_sweep_splits_once_per_generator_at_any_vector_count(monkeypatch, degree):
+    calls, good = [], algebras._split
+    monkeypatch.setattr(algebras, "_split", lambda *args: calls.append(args) or good(*args))
+    assert freemod.check_module_compatibility(1, degree).passed
+    assert len(calls) == len(basis_symbols("R", 1)) + 1
