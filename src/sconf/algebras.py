@@ -398,17 +398,16 @@ def bracket(x, y):
     return AlgebraElement(x.algebra, _bracket_terms(x.terms, y.terms))
 
 
-def _bracket_terms(xterms, yterms, drop_center=False):
+def _bracket_terms(xterms, yterms):
     """The terms of the bracket of two elements given by their terms: the sum
-    of c1 * c2 * ``_basis_bracket(s1, s2)``, without C when ``drop_center``."""
+    of c1 * c2 * ``_basis_bracket(s1, s2)``."""
     acc = {}
     for s1, c1 in xterms.items():
         for s2, c2 in yterms.items():
             parts = _basis_bracket(s1, s2)
             if parts:
                 c = c1 * c2
-                add_terms(acc, ((s, c * f) for s, f in parts
-                                if not (drop_center and s.family == "C")))
+                add_terms(acc, ((s, c * f) for s, f in parts))
     return acc
 
 
@@ -825,7 +824,8 @@ def check_homomorphism(gmap, window):
     D**2 times the product of the two tables' denominators, so they are
     equal exactly when the exact sides are.  Only a failing pair is rebuilt
     as elements, for its text, from ``_basis_bracket`` and
-    ``_bracket_terms``, which ``bracket`` sums too.
+    ``_bracket_terms``, which ``bracket`` sums too, the bracket side passed
+    through ``drop_center`` when ``mod_center`` is set.
     """
     report = VerificationReport(
         "homomorphism", {"map": gmap.name, "window": window, "mod_center": gmap.mod_center}
@@ -883,10 +883,10 @@ def check_homomorphism(gmap, window):
         lhs = {}
         for z, f in _basis_bracket(x, y):
             add_terms(lhs, ((s, c * f) for s, c in images[z].items()))
-        rhs = _bracket_terms(images[x], images[y], mod_center)
+        rhs = AlgebraElement(target, _bracket_terms(images[x], images[y]))
+        rhs = rhs.drop_center() if mod_center else rhs
         report.record(f"hom {gmap.name} ({x}, {y})",
-                      AlgebraElement(target, lhs).render(),
-                      AlgebraElement(target, rhs).render())
+                      AlgebraElement(target, lhs).render(), rhs.render())
     return report
 
 

@@ -630,6 +630,11 @@ def _corrupted_maps():
             "G": (("G", 2, 0, SQRT2),),
         }),
         "upsilon2-raw": GeneratorMap("upsilon2-raw", u2.source, u2.target, u2.rule),
+        # mod center: Gm's coefficient 1/sqrt2 -> sqrt2
+        "upsilon2": algebras._generator_map("upsilon2", "N1R", "R", {
+            "L": (("L", 1, 0, 1),),
+            "G": (("Gp", 1, 0, INV_SQRT2), ("Gm", 1, 0, SQRT2)),
+        }, mod_center=True),
     }
 
 

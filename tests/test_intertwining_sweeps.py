@@ -1,14 +1,15 @@
-"""The projection, phi and xi intertwining sweeps decide each case in ints.
+"""The projection, phi and xi intertwining sweeps against element-wise oracles.
 
-They give the reports of the element-wise sweeps they replaced, kept here
-verbatim as ``reference_projection``, ``reference_phi`` and
-``reference_xi``, with the generator loop they ran, ``_check_images``: the
-same params, status and violations (context, lhs and rhs, in order), with
-the action right, with each family doubled at either basis-action seam, and
-with a fault of its own for phi and for xi.  A passing sweep builds its
-projected, rescaled and lifted vectors once per vector and tests no
-membership through ``contains``, so the window does not change how often
-it calls them."""
+They give the reports of the element-wise sweeps, kept here verbatim as
+``reference_projection``, ``reference_phi`` and ``reference_xi``, with the
+generator loop they ran, ``_check_images``: the same params, status and
+violations (context, lhs and rhs, in order), with the action right, with
+each family doubled at either basis-action seam, and with a fault of its
+own for phi and for xi.  The projection and phi sweeps build each vector's
+own image once and call their map once more per case; the xi sweep decides
+each case in ints, so it lifts each vector once, tests no membership
+through ``contains``, and the window does not change how often it calls
+them."""
 
 from collections import Counter
 from fractions import Fraction
@@ -201,9 +202,9 @@ def test_a_lift_by_h_tilde_of_t_fails_as_the_reference_does(monkeypatch):
         assert _facts(got) == _facts(reference_xi(h_tilde, p, 2, 2))
 
 
-def _counted_sweeps(monkeypatch, window, degree):
-    """How often the passing sweeps call each element map and element
-    operation, at ``window`` and ``degree``."""
+def _counted(monkeypatch, sweep):
+    """How often the passing ``sweep()`` calls each element map and element
+    operation."""
     seen = Counter()
     with monkeypatch.context() as m:
         for owner, name in ((quotients, "project"), (quotients, "iso_phi"),
@@ -214,19 +215,23 @@ def _counted_sweeps(monkeypatch, window, degree):
                 return _good(*args)
 
             m.setattr(owner, name, counted)
-        reports = [check_projection_intertwines(QuotientParams(a=QuadExt(1, 1)), window, degree),
-                   check_phi_intertwines(*PHI[0], window, degree),
-                   check_xi_intertwines(parse_unipoly("y^2 - 2"), QuotientParams(a=1),
-                                        window, degree)]
-    assert all(report.passed for report in reports)
+        assert sweep().passed
     return seen
 
 
-def test_a_passing_sweep_maps_each_vector_once_whatever_the_window(monkeypatch):
+def test_projection_and_phi_map_each_case_and_xi_each_vector_once(monkeypatch):
     degree = 2
-    at_one = _counted_sweeps(monkeypatch, 1, degree)
-    assert at_one == _counted_sweeps(monkeypatch, 2, degree)
-    vectors = len(quotient_monomials(degree))
-    assert at_one["project"] == len(monomials(degree))
-    assert at_one["iso_phi"] == at_one["_lift"] == vectors
+    for window in (1, 2):
+        gens = len(basis_symbols("R", window))
+        seen = _counted(monkeypatch, lambda: check_projection_intertwines(
+            QuotientParams(a=QuadExt(1, 1)), window, degree))
+        assert seen["project"] == len(monomials(degree)) * (1 + gens)
+        seen = _counted(monkeypatch, lambda: check_phi_intertwines(*PHI[0], window, degree))
+        assert seen["iso_phi"] == len(quotient_monomials(degree)) * (1 + gens)
+    at_one, at_two = (
+        _counted(monkeypatch, lambda: check_xi_intertwines(
+            parse_unipoly("y^2 - 2"), QuotientParams(a=1), window, degree))
+        for window in (1, 2))
+    assert at_one == at_two
+    assert at_one["_lift"] == len(quotient_monomials(degree))
     assert at_one["contains"] == at_one["__sub__"] == 0
