@@ -40,18 +40,16 @@ Nothing caches what it returns.  It has these readers:
 
 Both sweeps build symbols, Fractions and elements only for a failing case,
 for its text.  A symbol stores its mode and its hash when built, and
-equality compares the ``sort_index`` tuples.  One builder,
-``_generator_map``, reads the map rows.  The bracket-compatibility sweep of
-a basis action, ``check_representation``, runs in ints over a table of that
-action's images local to the call.  It sums each unordered pair of
+equality compares the ``sort_index`` tuples.  ``_generator_map`` builds a
+map from rows; ``map_image`` reads and checks its image of one symbol, and
+``apply_map`` extends that linearly.  ``check_representation``, the
+bracket-compatibility sweep of a basis action, sums each unordered pair of
 generators once for all vectors, each vector a signed digit of one packed
-int per coordinate, as the Jacobi sweep packs its families;
-``_signed_digits`` unpacks both.  It and ``freemod.extend_linearly`` read
-every image through one parity guard, ``_checked``.  ``_check_images``
-applies each generator of a list to each whole vector of a list and tests
-the image, since a seam fault need not be linear; its callers are
-``submodules.check_closure`` and the a = 0 certificate of
-``n1.check_simplicity_witness``.
+int per coordinate, as the Jacobi sweep packs its families
+(``_signed_digits`` unpacks both).  It and ``freemod.extend_linearly``
+read every image through one parity guard, ``_checked``.
+``_check_images`` applies each generator of a list to each whole vector of
+a list, since a seam fault need not be linear.
 """
 
 from __future__ import annotations
@@ -214,10 +212,7 @@ class AlgebraElement:
 
     def parity(self):
         """Common parity of the non-central symbols (0 if only C or zero)."""
-        seen = {sym.parity for sym in self.terms if sym.family != "C"}
-        if len(seen) > 1:
-            raise MixedParity(f"element {self} has mixed parity")
-        return seen.pop() if seen else 0
+        return _parity(self.terms)
 
     def drop_center(self):
         terms = {s: c for s, c in self.terms.items() if s.family != "C"}
@@ -263,6 +258,16 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<{self.algebra} element {self.render()}>"
+
+
+def _parity(terms):
+    """The common parity of the non-central symbols of an element's terms
+    ``{symbol: coeff}`` (0 if only C or none)."""
+    seen = {sym.parity for sym in terms if sym.family != "C"}
+    if len(seen) > 1:
+        element = AlgebraElement(next(iter(terms)).algebra, terms)
+        raise MixedParity(f"element {element} has mixed parity")
+    return seen.pop() if seen else 0
 
 
 def basis_symbols(algebra, window):
@@ -419,20 +424,22 @@ def _checked(basis_act, sym, v):
     return image
 
 
-def _flat(terms, number, den, base, stride):
+def _packing(exponents, base):
+    """Each exponent vector ev of ``exponents`` packed as sum(ev[i] base**i)."""
+    return {ev: sum([x * base**i for i, x in enumerate(ev)]) for ev in exponents}
+
+
+def _flat(terms, number, den, packing, stride):
     """``den`` times the sum of c * e_k over the terms {key: Scalar c}, k =
-    ``number[key]``, as {k + stride (r + 2 packed ev): int}: ``0 <= k <
+    ``number[key]``, as {k + stride (r + 2 packing[ev]): int}: ``0 <= k <
     stride`` numbers the basis element e_k, each coefficient term is an
-    exponent vector ev, packed in base ``base``, times sqrt2**r, and ``den``
-    is a multiple of every coefficient denominator."""
+    exponent vector ev times sqrt2**r, and ``den`` is a multiple of every
+    coefficient denominator."""
     out = {}
     for key, c in terms.items():
         at = number[key]
         for ev, q in c.terms.items():
-            packed = 0
-            for x in reversed(ev):
-                packed = packed * base + x
-            where, s = at + 2 * stride * packed, den // q.d
+            where, s = at + 2 * stride * packing[ev], den // q.d
             if q.p:
                 out[where] = q.p * s
             if q.q:
@@ -530,10 +537,10 @@ def check_representation(report, syms, basis_act, vectors, label):
     elements = [*images.values(), *vectors]
     coeffs = [c for e in elements for c in e.terms.values()]
     den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
-    # exponent vectors pack into one int in base ``base``: a sum of three
-    # of them keeps every entry below base / 2 in size, so packing is injective
+    # each exponent vector packs once into one int, in a base that keeps every
+    # entry of a sum of three below base / 2 in size, so packing is injective
     exponents = {ev for c in coeffs for ev in c.terms}
-    base = 6 * max((abs(e) for ev in exponents for e in ev), default=0) + 1
+    packing = _packing(exponents, 6 * max((abs(e) for ev in exponents for e in ev), default=0) + 1)
     keys, nk = {}, 0  # parity -> {monomial key: number}
     for e in elements:
         numbers = keys.setdefault(e.parity, {})
@@ -548,7 +555,7 @@ def check_representation(report, syms, basis_act, vectors, label):
     rows = [[None] * nk for _ in symbols]
     spread = [0] * len(symbols)
     for (k, parity, key), img in images.items():
-        flat = _flat(img.terms, keys[img.parity], den, base, nk)
+        flat = _flat(img.terms, keys[img.parity], den, packing, nk)
         rows[k][keys[parity][key]] = [flat.items(), None]
         spread[k] = max(spread[k], 2 * sum(map(abs, flat.values())))
 
@@ -585,7 +592,7 @@ def check_representation(report, syms, basis_act, vectors, label):
                 cases.append((y, x, ((y, x, 1), (x, y, sign)), scaled[y][x], False))
     # vector t is digit t of width w in one int per coordinate; w bounds
     # every digit of every case accumulator, by its L1 norm
-    flats = [_flat(v.terms, keys[v.parity], den, base, nk) for v in vectors]
+    flats = [_flat(v.terms, keys[v.parity], den, packing, nk) for v in vectors]
     bound = max([sum([abs(scale) * spread[k] * bden * spread[at] for k, at, scale in sums])
                  + sum([abs(f) * spread[z] for z, f in row]) for _, _, sums, row, _ in cases])
     norm = max([sum(map(abs, flat.values())) for flat in flats], default=0)
@@ -766,8 +773,22 @@ class GeneratorMap(Value):
         object.__setattr__(self, "mod_center", mod_center)
 
 
+def map_image(gmap, sym):
+    """The image of the basis symbol ``sym`` under ``gmap`` as (target
+    symbol, coefficient) pairs, C dropped when ``mod_center`` is set.  Refuses
+    an image in another algebra or of another parity."""
+    image = gmap.rule(sym)
+    if image.algebra != gmap.target:
+        raise AlgebraMismatch(
+            f"rule of {gmap.name} produced a {image.algebra} element"
+        )
+    if sym.parity != image.parity():
+        raise MixedParity(f"map {gmap.name} does not preserve parity at {sym}")
+    return [(s, c) for s, c in image.terms.items() if not (gmap.mod_center and s.family == "C")]
+
+
 def apply_map(gmap, x):
-    """Linear extension of a GeneratorMap to an AlgebraElement."""
+    """Linear extension of ``map_image`` to an AlgebraElement."""
     if isinstance(x, BasisSymbol):
         x = AlgebraElement.basis(x)
     if x.algebra != gmap.source:
@@ -776,17 +797,7 @@ def apply_map(gmap, x):
         )
     out = {}
     for sym, coeff in x.terms.items():
-        image = gmap.rule(sym)
-        if image.algebra != gmap.target:
-            raise AlgebraMismatch(
-                f"rule of {gmap.name} produced a {image.algebra} element"
-            )
-        if sym.parity != image.parity():
-            raise MixedParity(f"map {gmap.name} does not preserve parity at {sym}")
-        add_terms(out, (
-            (s, c * coeff) for s, c in image.terms.items()
-            if not (gmap.mod_center and s.family == "C")
-        ))
+        add_terms(out, ((s, c * coeff) for s, c in map_image(gmap, sym)))
     return AlgebraElement(gmap.target, out)
 
 
@@ -801,7 +812,8 @@ def compose(outer, inner):
         name=f"{outer.name}.{inner.name}",
         source=inner.source,
         target=outer.target,
-        rule=lambda sym: apply_map(outer, apply_map(inner, sym)),
+        rule=lambda sym: AlgebraElement(outer.target, add_terms({}, (
+            (t, c * d) for s, d in map_image(inner, sym) for t, c in map_image(outer, s)))),
         mod_center=outer.mod_center or inner.mod_center,
     )
 
@@ -809,23 +821,18 @@ def compose(outer, inner):
 def check_homomorphism(gmap, window):
     """apply([x,y]) == [apply(x), apply(y)] for basis pairs in the window.
 
-    The sweep works in machine ints.  It numbers the window's symbols and
-    every symbol their brackets yield by (family, twice), reading those
-    brackets from ``_bracket_ints``.  A table local to the call holds the
-    terms of ``apply_map(gmap, s)`` for each numbered symbol s, one call per
-    symbol; ``apply_map`` refuses an image of mixed or wrong parity, which is
-    all ``bracket`` would check.  The target symbols of the images, and of
-    the target brackets of every two terms of window images, are numbered
-    the same way, and each image is flattened by ``_flat`` over D, the lcm
-    of its coefficient denominators.  Per pair, the sum of f * image(z) over
-    the source bracket is compared with the sum of c1 * c2 [s1, s2] over
-    the terms of the two images, C dropped when ``mod_center`` is set, as
-    ``apply_map`` drops it from the other side.  Both sides are scaled to
-    D**2 times the product of the two tables' denominators, so they are
-    equal exactly when the exact sides are.  Only a failing pair is rebuilt
-    as elements, for its text, from ``_basis_bracket`` and
-    ``_bracket_terms``, which ``bracket`` sums too, the bracket side passed
-    through ``drop_center`` when ``mod_center`` is set.
+    The sweep works in machine ints.  A table local to the call holds
+    ``apply_map(gmap, s)`` for each window symbol s and each symbol their
+    brackets yield (``_bracket_ints``), all numbered by (family, twice);
+    ``apply_map`` refuses an image of mixed or wrong parity, which is all
+    ``bracket`` would check.  Each image is flattened by ``_flat`` over D,
+    the lcm of the coefficient denominators.  Per pair, the sum of f *
+    image(z) over the source bracket is compared with the sum of c1 * c2
+    [s1, s2] over the terms of the two images, C dropped when
+    ``mod_center`` is set, both scaled to D**2 times the product of the two
+    tables' denominators.  Only a failing pair is rebuilt as elements, for
+    its text, from ``_basis_bracket`` and ``_bracket_terms``, the bracket
+    side passed through ``drop_center`` when ``mod_center`` is set.
     """
     report = VerificationReport(
         "homomorphism", {"map": gmap.name, "window": window, "mod_center": gmap.mod_center}
@@ -855,9 +862,11 @@ def check_homomorphism(gmap, window):
     nt = len(tnumber)
     coeffs = [c for row in terms for c in row.values()]
     den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
-    # a product of two coefficients keeps every exponent below base / 2 in size
-    base = 4 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
-    flat = [_flat(row, tnumber, den, base, nt) for row in terms]
+    # packed in a base that keeps every exponent of a product of two
+    # coefficients below base / 2 in size
+    exponents = {ev for c in coeffs for ev in c.terms}
+    packing = _packing(exponents, 4 * max((abs(e) for ev in exponents for e in ev), default=0) + 1)
+    flat = [_flat(row, tnumber, den, packing, nt) for row in terms]
     parts = [_split(image, nt) for image in flat[:n]]
     scale = den * tden
     fails = []

@@ -34,16 +34,16 @@ decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
 
 Every action is linear over the Scalars.  ``extend_linearly`` acts by an
-element x as the sum of the basis actions of the generators of x, each on
-the whole element scaled by that generator's coefficient (the element has
-fewer terms than its image); ``act`` is that extension of ``act_basis``,
-and ``quotients.quotient_act`` that of ``quotient_act_basis``.
-One guard, ``_require_r``, refuses an element or generator outside R for all
-four, with the text that each module names once as its ``_OWNER``.
-Nothing is tabulated or cached.  The bracket-compatibility sweep,
-``algebras.check_representation``, takes the basis action itself
-(``act_basis`` here) and keeps a table local to the call.  Both read each
-basis image through the one parity guard, ``algebras._checked``.
+element x, or by its terms, as the sum of the basis actions of its
+generators, each on the whole element scaled by that generator's
+coefficient (the element has fewer terms than its image): ``act`` extends
+``act_basis``, and ``quotients.quotient_act`` and ``n1.restricted_act``
+extend ``quotient_act_basis``.  One guard, ``_require_r``, refuses an
+element or generator outside R, with the text each module names as its
+``_OWNER``.  Nothing is tabulated or cached.  The bracket-compatibility
+sweep, ``algebras.check_representation``, takes the basis action itself
+and keeps a table local to the call.  Both read each basis image through
+the one parity guard, ``algebras._checked``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .algebras import BasisSymbol, _checked, basis_symbols, check_representation
+from .algebras import BasisSymbol, _checked, _parity, basis_symbols, check_representation
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
@@ -221,11 +221,11 @@ def _row_terms(sym, parity, terms, units, roots=None):
     parameter monomial ev, each summed in ints over the terms
     (``add_slice``).  The row scale lam^m * number * alp^power is formed in
     ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, and folded
-    into each input coefficient once.  ``roots``, the parts of the root v
-    is frozen at on each target parity, is for terms with l = 0: v then
-    enters only through the prefactor, where v^j becomes the j-th power of
-    the root, and every key is (i, 0).  A shift by the shared zero vector
-    ``_ZERO_EXP`` is skipped."""
+    into each input coefficient once.  With ``roots``, the parts of the
+    root v is frozen at on each target parity, the terms are ``(k, c)``
+    pairs of u^k and the slices are keyed i: v enters only through the
+    prefactor, v^j as the j-th power of the root.  A shift by the shared
+    zero vector ``_ZERO_EXP`` is skipped."""
     row = _ACTION.get((sym.family, parity))
     if row is None:
         return (parity + sym.parity) % 2, {}
@@ -238,40 +238,51 @@ def _row_terms(sym, parity, terms, units, roots=None):
             ev = uev if ev is _ZERO_EXP else tuple(map(add, ev, uev))
             p, q, d = p * u + 2 * q * v, p * v + q * u, d * e
     # (parts of a factor, its prefactor rows): the scale, and the scale times the root
-    scaled, frozen = [], []
+    uni, scaled, frozen = roots is not None, [], []
     for i, j, c, dm in rows:
         n = c + dm * m
-        if n and roots is not None and j:
-            frozen.append(((i, 0), n))
+        if n and uni and j:
+            frozen.append((i, n))
         elif n:
-            scaled.append(((i, j), n))
+            scaled.append((i if uni else (i, j), n))
     pre = [([(ev, p, q, d)], scaled)] if scaled else []
     if frozen:
         pre.append(([(ev if rev is _ZERO_EXP else tuple(map(add, ev, rev)), p * u + 2 * q * v,
                       p * v + q * u, d * e) for rev, u, v, e in roots[parity]], frozen))
     slices = {}
-    for (k, l), c in terms:
-        xs, ys = binomial_shift(k, m), binomial_shift(l, dy)
+    for k, c in terms:
+        if uni:
+            xs = binomial_shift(k, m)
+        else:
+            xs, ys = binomial_shift(k[0], m), binomial_shift(k[1], dy)
         for fac, fpre in pre:
-            parts = [(sev if ev is _ZERO_EXP else tuple(map(add, ev, sev)),
-                      x.p * sp + 2 * x.q * sq, x.p * sq + x.q * sp, x.d * sd)
-                     for ev, x in c.terms.items() for sev, sp, sq, sd in fac]
+            parts = []  # loops, not comprehensions: no frame per term or slot
+            for ev, x in c.terms.items():
+                for sev, sp, sq, sd in fac:
+                    parts.append((sev if ev is _ZERO_EXP else tuple(map(add, ev, sev)),
+                                  x.p * sp + 2 * x.q * sq, x.p * sq + x.q * sp, x.d * sd))
             nums = {}
-            for i, bx in xs:
-                for j, by in ys:
-                    b = bx * by
-                    for (di, dj), n in fpre:
-                        key = (i + di, j + dj)
-                        nums[key] = nums.get(key, 0) + b * n
+            if uni:
+                for i, b in xs:
+                    for di, n in fpre:
+                        nums[i + di] = nums.get(i + di, 0) + b * n
+            else:
+                for i, bx in xs:
+                    for j, by in ys:
+                        b = bx * by
+                        for (di, dj), n in fpre:
+                            key = (i + di, j + dj)
+                            nums[key] = nums.get(key, 0) + b * n
             for key, n in nums.items():
                 if not n:
                     continue
                 slot = slices.get(key)
-                if slot is None and len(fac) == 1:  # one factor part: distinct monomials
-                    slices[key] = {ev: [n * p, n * q, d] for ev, p, q, d in parts}
-                    continue
                 if slot is None:
                     slot = slices[key] = {}
+                    if len(fac) == 1:  # one factor part: distinct monomials
+                        for ev, p, q, d in parts:
+                            slot[ev] = [n * p, n * q, d]
+                        continue
                 for ev, p, q, d in parts:
                     add_slice(slot, ev, n * p, n * q, d)
     return parity, slices
@@ -295,15 +306,18 @@ def act_basis(sym, v):
 
 
 def extend_linearly(x, v, basis_act, owner):
-    """Act by ``x``, an R element or basis symbol, on ``v``: the sum over the
-    generators of x of ``basis_act(generator, coeff * v)``, each acting once
-    on the whole of v (on v itself when coeff is 1).  ``owner`` names the
-    module in the error for an element of another algebra."""
-    _require_r(x, owner)
-    if isinstance(x, BasisSymbol):
-        return _checked(basis_act, x, v)
-    out = type(v).zero((v.parity + x.parity()) % 2)
-    for sym, c in x.terms.items():
+    """Act by ``x`` on ``v``: the sum over the generators of x of
+    ``basis_act(generator, coeff * v)``, each acting once on the whole of v
+    (on v itself when coeff is ``SC_ONE``).  x is an R element or basis
+    symbol, refused otherwise with ``owner`` naming the module, or the terms
+    ``{R symbol: Scalar}`` of an R element."""
+    if not isinstance(x, dict):
+        _require_r(x, owner)
+        if isinstance(x, BasisSymbol):
+            return _checked(basis_act, x, v)
+        x = x.terms
+    out = type(v).zero((v.parity + _parity(x)) % 2)
+    for sym, c in x.items():
         out = out + _checked(basis_act, sym, v if c is SC_ONE else v * c)
     return out
 

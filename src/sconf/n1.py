@@ -13,19 +13,15 @@ coefficient alp/sqrt2.  Simplicity of the restriction holds exactly for a
 nonzero root parameter; at a = 0 the even span of x together with the whole
 odd part closes under the restricted action and witnesses non-simplicity.
 
-``restricted_act`` pushes an N=1 element through the embedding once and acts
-on the quotient by the image (``quotients.quotient_act``), so every
-restricted action reads the same ``freemod._ACTION`` rows.  The N=1 sweeps
-act by one basis generator at a time, ``AlgebraElement.basis(sym)``, so a
-fault put on ``restricted_act`` sees which generator acts.
+``restricted_act`` reads the embedding's image of each generator
+(``algebras.map_image``), merges the targets and acts by each through
+``quotients.quotient_act_basis`` (``freemod.extend_linearly``), building no
+embedded element.  The N=1 sweeps act by one basis generator at a time,
+``AlgebraElement.basis(sym)``, so a fault put on ``restricted_act`` sees
+which generator acts.
 
-The simplicity witness is a certificate, not a search.  At a != 0 it acts
-by each generator it needs on each monomial once, through ``restricted_act``,
-into a table local to the call; forms from that table, by linearity, the
-Virasoro differences X_d = sum_k w_k lam0^(-m_k) L[m_k]; and checks every
-image exactly against its closed form.  X_d takes its d + 2 modes from the
-window |m| <= W and leaves it only when d > 2W - 1, which a note reports.
-At a = 0 it checks that x C[x] + C[s] is closed.
+The simplicity witness is a certificate, not a search; its argument is in
+``check_simplicity_witness``.
 """
 
 from __future__ import annotations
@@ -39,18 +35,18 @@ from .algebras import (
     AlgebraElement,
     BasisSymbol,
     _check_images,
-    apply_map,
     basis_symbols,
     check_representation,
     compose,
     embed_ns1_in_r1,
     embed_r1_in_r2,
+    map_image,
 )
 from .errors import AlgebraMismatch
-from .freemod import EVEN, ODD
+from .freemod import EVEN, ODD, extend_linearly
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, QE_ZERO, Scalar, as_quadext
+from .scalars import INV_SQRT2, QE_ZERO, SC_ONE, Scalar, add_terms, as_quadext
 from .values import Value
 
 
@@ -81,11 +77,16 @@ class RestrictedAction(Value):
 
 
 def restricted_act(x, v, r):
-    """Push an N=1 element (or one basis symbol) through the embedding and act
-    on the quotient by its image."""
+    """Act on the quotient by the embedded image of an N=1 element (or one
+    basis symbol): the targets of each generator (``map_image``), merged,
+    each acting through ``quotients.quotient_act_basis``."""
     if x.algebra != r.source:
         raise AlgebraMismatch(f"expected a {r.source} element, got {x.algebra}")
-    return quotients.quotient_act(apply_map(r.embedding, x), v, r.params)
+    image = {}
+    for sym, coeff in ({x: SC_ONE} if isinstance(x, BasisSymbol) else x.terms).items():
+        add_terms(image, ((s, c * coeff) for s, c in map_image(r.embedding, sym)))
+    return extend_linearly(
+        image, v, lambda sym, w: quotients.quotient_act_basis(sym, w, r.params), None)
 
 
 def check_n1_relations(r, index_window, degree_bound):

@@ -23,19 +23,15 @@ by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
 
 The quotient is the module row read through the projection:
-``quotient_act_basis`` reads the generator's ``freemod._ACTION`` row on
-x^k y^0 (``freemod._row_terms``) with the ints that p builds with it: the
-parts of its lam, alp and their inverses (``units``) and of y = -a and
+``quotient_act_basis`` hands the terms x^k of v to the generator's
+``freemod._ACTION`` row (``freemod._row_terms``) with the ints p builds:
+the parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
-image is summed once into slices keyed x^i, and each output Scalar is built
-once.  ``project`` freezes a module element with ``_freeze``, adding each
-coefficient of x^i y^j in ints, times the j-th power of the root, to the
-slices of x^i.  ``quotient_act`` is the linear extension of
-``quotient_act_basis`` (``freemod.extend_linearly``): one
-``quotient_act_basis`` call per generator of the acting element, on the
-whole quotient element scaled by that generator's coefficient.  The
-compatibility sweep reads ``quotient_act_basis`` itself, and
-``n1.restricted_act`` is ``quotient_act`` on the embedded image.
+image is summed once into slices keyed i.  ``project`` freezes a module
+element with ``_freeze``, adding each coefficient of x^i y^j in ints, times
+the j-th power of the root, to the slices of x^i.  ``quotient_act`` is the
+linear extension of ``quotient_act_basis`` (``freemod.extend_linearly``),
+which ``n1.restricted_act`` extends over the embedded targets too.
 
 The projection and phi intertwining sweeps compare, for each (generator,
 monomial) case, the image of their map with the other side by element
@@ -135,11 +131,10 @@ _OWNER = "simple quotients are R-modules"
 
 def quotient_act_basis(sym, v, p):
     """Action of one Ramond basis generator on a quotient element: the
-    module's row on v lifted to C[x] y^0 + C[s] t^0, read at the frozen root."""
+    module's row read at the frozen root."""
     _require_r(sym, _OWNER)
-    lifted = (((k, 0), c) for k, c in v.terms.items())
-    parity, slices = _row_terms(sym, v.parity, lifted, p.units, p.roots)
-    return QuotientElement(parity, build_slices({i: s for (i, _), s in slices.items()}))
+    parity, slices = _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots)
+    return QuotientElement(parity, build_slices(slices))
 
 
 def quotient_act(x, v, p):

@@ -3,7 +3,7 @@
 ``freemod._row_terms`` sums an element's image in ints, once per output
 monomial and parameter monomial, and builds each output Scalar once;
 ``quotients.quotient_act_basis`` reads the same rows on the quotient
-element lifted to y^0 (t^0), with the frozen root in each row's prefactor,
+element's terms x^k (s^k), with the frozen root in each row's prefactor,
 so nothing is frozen after the sum; and ``freemod.extend_linearly``
 scales the input by each generator's coefficient.  The oracle below is the
 earlier kernel, kept verbatim: it scaled and summed one Scalar per input

@@ -1,13 +1,15 @@
 """N=1 restriction: transported action, rank-1 freeness, simplicity."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from sconf import n1
-from sconf.algebras import BasisSymbol, basis_symbols, bracket, AlgebraElement
-from sconf.errors import AlgebraMismatch
+from sconf import algebras, n1, quotients
+from sconf.algebras import (BasisSymbol, basis_symbols, bracket, AlgebraElement, _generator_map,
+                            apply_map)
+from sconf.errors import AlgebraMismatch, MixedParity
 from sconf.freemod import EVEN, ODD
 from sconf.n1 import (
     RestrictedAction,
@@ -16,9 +18,10 @@ from sconf.n1 import (
     check_simplicity_witness,
     restricted_act,
 )
-from sconf.parsing import parse_quotient_element
+from sconf.parsing import parse_algebra_element, parse_quotient_element
 from sconf.quotients import QuotientElement, QuotientParams, quotient_monomials
 from sconf.scalars import INV_SQRT2, SQRT2, QuadExt, Scalar
+from test_algebras import _corrupted_maps
 
 
 def q(text, parity=None):
@@ -201,3 +204,78 @@ def test_simplicity_smallest_bounds_give_the_exact_pass():
     report = check_simplicity_witness(1, Fraction(3, 2), 2, 1, 0, index_window=1)
     assert report.status == "pass" and not report.violations
     assert report.notes[-1].endswith("so the restriction is simple")
+
+
+# -- the embedding read per generator -------------------------------------------
+
+def _old_route(x, v, r):
+    """The reference: the embedded image built whole by ``apply_map`` and
+    acted by through ``quotient_act``."""
+    return quotients.quotient_act(apply_map(r.embedding, x), v, r.params)
+
+
+def _fold():
+    """N1R -> R modulo C with G_m -> (-1)^m (Gp_0 + Gm_0)/sqrt2: the targets
+    of G[0] + G[1] cancel.  Not a homomorphism; only the merge is tested."""
+    def sign(m):
+        return INV_SQRT2 if m % 2 == 0 else -INV_SQRT2
+
+    return _generator_map("fold", "N1R", "R", {
+        "L": (("L", 1, 0, 1),), "G": (("Gp", 0, 0, sign), ("Gm", 0, 0, sign))}, mod_center=True)
+
+
+_ACTING = {
+    "N1R": ["2*L[1] + lam*L[-2]", "G[0] + sqrt2*G[1] - alp*G[-2]", "0"],
+    "N1NS": ["L[1] - 1/3*L[0]", "G[1/2] + lam*G[-3/2]", "0"],
+    "fold": ["G[0] + G[1]", "G[0] + G[1] + 3*G[2]", "L[2] - L[-1]", "0"],
+}
+_VECTORS = [*quotient_monomials(3), q("x^3 - lam*x + 1/2"), q("sqrt2*s^2 + s - alp"),
+            q("x + 1") * Scalar.param("alp"), QuotientElement.zero(ODD)]
+_PARAMS = [QuotientParams(a=a, **specialized) for a in (0, 1, QuadExt(1, 1), None)
+           for specialized in ({}, {"lam": Scalar.number(Fraction(3, 2)), "alp": Scalar.number(2)})]
+
+
+@pytest.mark.parametrize("p", _PARAMS, ids=lambda p: p.describe())
+@pytest.mark.parametrize("source", ["N1R", "N1NS", "fold"])
+def test_restricted_act_matches_the_embedded_image(source, p):
+    if source == "fold":
+        r = RestrictedAction("N1R", _fold(), p)
+        assert apply_map(r.embedding, parse_algebra_element("G[0] + G[1]", "N1R")).is_zero()
+    else:
+        r = (RestrictedAction.ramond if source == "N1R" else RestrictedAction.neveu_schwarz)(p)
+    acting = [parse_algebra_element(text, r.source) for text in _ACTING[source]]
+    for x in [*basis_symbols(r.source, 3), *acting]:
+        for v in _VECTORS:
+            got, want = restricted_act(x, v, r), _old_route(x, v, r)
+            assert got == want and got.parity == want.parity and got.terms == want.terms, (x, v)
+
+
+def test_a_mixed_restricted_element_is_refused_as_its_image_was():
+    r = RestrictedAction.ramond(QuotientParams(a=1))
+    x = parse_algebra_element("L[1] + G[0]", "N1R")
+    with pytest.raises(MixedParity) as old:
+        _old_route(x, QuotientElement.one(EVEN), r)
+    with pytest.raises(MixedParity, match=re.escape(str(old.value))):
+        restricted_act(x, QuotientElement.one(EVEN), r)
+
+
+def test_the_restriction_checks_build_no_embedded_image(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("apply_map called on the N=1 path")
+
+    monkeypatch.setattr(algebras, "apply_map", refuse)
+    p = QuotientParams(a=1)
+    reports = [check_n1_relations(RestrictedAction.ramond(p), 1, 2),
+               check_n1_relations(RestrictedAction.neveu_schwarz(p), 1, 2),
+               check_rank1_freeness(RestrictedAction.ramond(p), 3)]
+    reports += [check_simplicity_witness(a, Fraction(3, 2), 2, 2, index_window=1) for a in (0, 1, 2)]
+    assert all(report.passed for report in reports), [r.render_text() for r in reports]
+
+
+def test_restricted_act_reads_the_map_it_is_given():
+    # upsilon2 with Gm's coefficient 1/sqrt2 -> sqrt2
+    r = RestrictedAction("N1R", _corrupted_maps()["upsilon2"], QuotientParams(a=1))
+    report = check_n1_relations(r, 1, 1)
+    # only {G, G} = 2 L reads the product of the Gp and Gm coefficients
+    assert not report.passed
+    assert all(v.context.count("G[") == 2 for v in report.violations)

@@ -10,8 +10,8 @@ from math import lcm
 import pytest
 
 from sconf import algebras, freemod, n1, quotients
-from sconf.algebras import (BasisSymbol, _basis_bracket, _checked, _flat, _split,
-                            basis_symbols)
+from sconf.algebras import (BasisSymbol, _basis_bracket, _checked, _flat, _packing,
+                            _split, basis_symbols)
 from sconf.errors import MixedParity
 from sconf.freemod import EVEN, ODD, ModuleElement
 from sconf.n1 import RestrictedAction, check_n1_relations
@@ -36,15 +36,11 @@ def test_sweeps_build_no_linear_action(monkeypatch):
         return good(x, w, r)
 
     monkeypatch.setattr(freemod, "act", refuse)
+    monkeypatch.setattr(quotients, "quotient_act", refuse)
     monkeypatch.setattr(n1, "restricted_act", one_generator)
-    with monkeypatch.context() as m:
-        # the N=1 basis action is quotient_act on the embedded generator
-        m.setattr(quotients, "quotient_act", refuse)
-        reports = [
-            freemod.check_module_compatibility(1, 1),
-            check_quotient_compatibility(P, 1, 1),
-        ]
-    reports += [
+    reports = [
+        freemod.check_module_compatibility(1, 1),
+        check_quotient_compatibility(P, 1, 1),
         check_n1_relations(RestrictedAction.ramond(P), 1, 1),
         check_n1_relations(RestrictedAction.neveu_schwarz(P), 1, 1),
     ]
@@ -120,6 +116,7 @@ def reference_check_representation(report, syms, basis_act, vectors, label):
     # exponent vectors pack into one int in base ``base``: a sum of three
     # of them keeps every entry below base / 2 in size, so packing is injective
     base = 6 * max((abs(e) for c in coeffs for ev in c.terms for e in ev), default=0) + 1
+    packing = _packing({ev for c in coeffs for ev in c.terms}, base)
     keys, nk = {}, 0  # parity -> {monomial key: number}
     for e in elements:
         numbers = keys.setdefault(e.parity, {})
@@ -130,7 +127,7 @@ def reference_check_representation(report, syms, basis_act, vectors, label):
     # pairs, each ``den`` times the exact one, keyed by ``_flat``
     rows = [[None] * nk for _ in symbols]
     for (k, parity, key), img in images.items():
-        plain = list(_flat(img.terms, keys[img.parity], den, base, nk).items())
+        plain = list(_flat(img.terms, keys[img.parity], den, packing, nk).items())
         root2 = [(c - nk, 2 * m) if c // nk & 1 else (c + nk, m) for c, m in plain]
         rows[k][keys[parity][key]] = (plain, root2)
 
@@ -148,7 +145,7 @@ def reference_check_representation(report, syms, basis_act, vectors, label):
     odd = [s.parity for s in syms]
     fails = []
     for t, v in enumerate(vectors):
-        parts = _split(_flat(v.terms, keys[v.parity], den, base, nk), nk)
+        parts = _split(_flat(v.terms, keys[v.parity], den, packing, nk), nk)
         zv = [apply(k, parts) for k in range(len(symbols))]
         yv = [_split(zv[y], nk, lcm_b) for y in range(n)]
         xyv = [[apply(x, yv[y]) for y in range(n)] for x in range(n)]
