@@ -38,9 +38,10 @@ monomial) case, the image of their map with the other side by element
 equality: project(X . v) with X . project(v), and iso_phi(X . v) with
 X . iso_phi(v).  Each vector's own projection or phi image is built once.
 The xi sweep tests membership in M_h instead, so it decides each case in
-ints: the module image of the lift minus the quotient image times h~, as
-rows for ``submodules._member``; only a failing case builds the lifted
-quotient image, for its text.
+ints: the module image of the ``iso_xi`` lift minus the quotient image
+times the multiplier, read from the lift of 1, as rows for
+``submodules._member``; only a failing case lifts the quotient image, for
+its text.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ class QuotientParams(Value):
             a = as_quadext(a)
         lam = as_scalar(lam)
         alp = as_scalar(alp)
+        inverses = []
         for name, value in (("lam", lam), ("alp", alp)):
             try:
-                value.invert_monomial()
+                inverses.append(value.invert_monomial())
             except NotAUnit as exc:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
         object.__setattr__(self, "a", a)
@@ -113,7 +115,7 @@ class QuotientParams(Value):
         # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1
         root = Scalar.param("a") if a is None else a
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "units", _parts(lam, lam ** -1, alp, alp ** -1))
+        object.__setattr__(self, "units", _parts(lam, inverses[0], alp, inverses[1]))
         object.__setattr__(self, "roots", _parts(-root, -root - 1))
 
     def concrete_a(self):
@@ -198,12 +200,7 @@ def iso_phi(v, src, dst):
 def iso_xi(v, h_tilde, p):
     """Embed a quotient element as a representative of the layer M_h~ / M_h
     with h = (y + a) h~: multiply by h~(y) (even) or h~(t+1) (odd)."""
-    return _lift(v, h_tilde if v.parity == EVEN else h_tilde.shifted(1))
-
-
-def _lift(v, by):
-    """``iso_xi``'s product: the quotient element v times ``by`` in the
-    second variable, as a module element."""
+    by = h_tilde if v.parity == EVEN else h_tilde.shifted(1)
     return ModuleElement(v.parity, add_terms({}, (
         ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(by.coeffs)
     )))
@@ -427,13 +424,10 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
     M_h with h = (y+a) h~ (membership-tested, not representative-equal).
-    The sweep runs ``iso_xi``'s product (``_lift``) with h~(t+1) formed once
-    per call, and subtracts the quotient image times h~ in ints."""
-    a = p.concrete_a()
-    full = SubmoduleSpec("M", UniPoly((a, QE_ONE)) * h_tilde)
-    lifts = {EVEN: h_tilde, ODD: h_tilde.shifted(1)}  # parity -> multiplier
-    parts = {parity: [(j, c.p, c.q, c.d) for j, c in enumerate(by.coeffs) if c]
-             for parity, by in lifts.items()}
+    Each vector is lifted by ``iso_xi`` once, and each parity's multiplier
+    is read from the lift of its 1; the quotient image times it is
+    subtracted in ints."""
+    full = SubmoduleSpec("M", kernel_spec(p).h * h_tilde)
     report = VerificationReport(
         "xi-intertwines",
         {
@@ -444,7 +438,10 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
         },
     )
     label = f"xi h~={h_tilde.render()} {p.describe()} "
-    pairs = [(v, _lift(v, lifts[v.parity])) for v in quotient_monomials(degree_bound)]
+    pairs = [(v, iso_xi(v, h_tilde, p)) for v in quotient_monomials(degree_bound)]
+    parts = {  # parity -> the parts of its multiplier, read from the lift of its 1
+        v.parity: [(j, c.p, c.q, c.d) for (_, j), s in lv.terms.items() for c in (s.constant(),)]
+        for v, lv in pairs if 0 in v.terms}
     for sym in basis_symbols("R", index_window):
         for v, lv in pairs:
             left, image = act(sym, lv), quotient_act(sym, v, p)
@@ -455,5 +452,5 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
                     for j, u, w, e in parts[image.parity]:
                         add_slice(row, j, -x.p * u - 2 * x.q * w, -x.p * w - x.q * u, x.d * e)
             if not _member(full, left.parity if left.terms else image.parity, rows):
-                report.record(f"{label}{sym} on {v}", left, _lift(image, lifts[image.parity]))
+                report.record(f"{label}{sym} on {v}", left, iso_xi(image, h_tilde, p))
     return report

@@ -7,9 +7,10 @@ violations (context, lhs and rhs, in order), with the action right, with
 each family doubled at either basis-action seam, and with a fault of its
 own for phi and for xi.  The projection and phi sweeps build each vector's
 own image once and call their map once more per case; the xi sweep decides
-each case in ints, so it lifts each vector once, tests no membership
-through ``contains``, and the window does not change how often it calls
-them."""
+each case in ints, so it lifts each vector once through ``iso_xi``, tests
+no membership through ``contains``, and the window does not change how
+often it calls them.  ``reference_xi`` lifts by a product of its own, so a
+wrong ``iso_xi`` fails the sweep and not the reference."""
 
 from collections import Counter
 from fractions import Fraction
@@ -19,14 +20,14 @@ import pytest
 
 from sconf import freemod, quotients, submodules
 from sconf.algebras import basis_symbols
-from sconf.freemod import EVEN, ODD, ParityElement, act, monomials
+from sconf.freemod import EVEN, ODD, ModuleElement, ParityElement, act, monomials
 from sconf.parsing import parse_unipoly
 from sconf.quotients import (
-    QuotientParams, _lift, check_phi_intertwines, check_projection_intertwines,
+    QuotientParams, check_phi_intertwines, check_projection_intertwines,
     check_xi_intertwines, iso_phi, project, quotient_act, quotient_monomials,
 )
 from sconf.reports import VerificationReport
-from sconf.scalars import QE_ONE, QuadExt, Scalar
+from sconf.scalars import QE_ONE, QuadExt, Scalar, add_terms
 from sconf.submodules import SubmoduleSpec, UniPoly, contains
 
 
@@ -82,6 +83,14 @@ def reference_phi(src, dst, index_window, degree_bound):
     )
 
 
+def _times(v, by):
+    """The quotient element v times the polynomial ``by`` in the second
+    variable, as a module element."""
+    return ModuleElement(v.parity, add_terms({}, (
+        ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(by.coeffs)
+    )))
+
+
 def reference_xi(h_tilde, p, index_window, degree_bound):
     a = p.concrete_a()
     h = UniPoly((a, QE_ONE)) * h_tilde
@@ -89,7 +98,7 @@ def reference_xi(h_tilde, p, index_window, degree_bound):
     lifts = {EVEN: h_tilde, ODD: h_tilde.shifted(1)}  # parity -> multiplier
 
     def xi(v):
-        return _lift(v, lifts[v.parity])
+        return _times(v, lifts[v.parity])
 
     report = VerificationReport(
         "xi-intertwines",
@@ -202,13 +211,32 @@ def test_a_lift_by_h_tilde_of_t_fails_as_the_reference_does(monkeypatch):
         assert _facts(got) == _facts(reference_xi(h_tilde, p, 2, 2))
 
 
+def _xi_swapped(v, h_tilde, p):
+    """iso_xi with its parity branches swapped."""
+    return _times(v, h_tilde.shifted(1) if v.parity == EVEN else h_tilde)
+
+
+def _xi_odd_minus_one(v, h_tilde, p):
+    """iso_xi lifting the odd part by h~(t-1), where h~(t+1) is right."""
+    return _times(v, h_tilde if v.parity == EVEN else h_tilde.shifted(-1))
+
+
+@pytest.mark.parametrize("wrong", [_xi_swapped, _xi_odd_minus_one], ids=["swapped", "t-1"])
+def test_a_wrong_iso_xi_fails_every_layer(monkeypatch, wrong):
+    monkeypatch.setattr(quotients, "iso_xi", wrong)
+    for a, h_tilde in XI:
+        p, h_tilde = QuotientParams(a=a), parse_unipoly(h_tilde)
+        assert check_xi_intertwines(h_tilde, p, 2, 2).status == "fail", (a, h_tilde)
+        assert reference_xi(h_tilde, p, 2, 2).passed
+
+
 def _counted(monkeypatch, sweep):
     """How often the passing ``sweep()`` calls each element map and element
     operation."""
     seen = Counter()
     with monkeypatch.context() as m:
         for owner, name in ((quotients, "project"), (quotients, "iso_phi"),
-                            (quotients, "_lift"), (submodules, "contains"),
+                            (quotients, "iso_xi"), (submodules, "contains"),
                             (ParityElement, "__sub__"), (Scalar, "__eq__")):
             def counted(*args, _good=getattr(owner, name), _name=name):
                 seen[_name] += 1
@@ -233,5 +261,5 @@ def test_projection_and_phi_map_each_case_and_xi_each_vector_once(monkeypatch):
             parse_unipoly("y^2 - 2"), QuotientParams(a=1), window, degree))
         for window in (1, 2))
     assert at_one == at_two
-    assert at_one["_lift"] == len(quotient_monomials(degree))
+    assert at_one["iso_xi"] == len(quotient_monomials(degree))
     assert at_one["contains"] == at_one["__sub__"] == 0

@@ -32,6 +32,7 @@ from sconf.quotients import (
     kernel_spec,
     project,
     quotient_act_basis,
+    quotient_monomials,
 )
 from sconf.scalars import QuadExt, Scalar
 from sconf.submodules import SubmoduleSpec, UniPoly, contains
@@ -246,13 +247,15 @@ def test_xi_intertwines_window2(a, ht):
     assert report.passed, report.render_text()
 
 
-def test_xi_sweep_forms_its_odd_lift_once(monkeypatch):
+def test_xi_sweep_shifts_the_kernel_divisors_and_each_odd_vector_once(monkeypatch):
     calls = []
     good = UniPoly.shifted
     monkeypatch.setattr(UniPoly, "shifted", lambda self, c: calls.append(self) or good(self, c))
     report = check_xi_intertwines(parse_unipoly("y^2 + y - 2"), QuotientParams(a=-1), 1, 2)
     assert report.passed, report.render_text()
-    assert len(calls) <= 2  # the kernel's odd divisor and h~(t+1)
+    # the odd divisors of M[y - 1] and of the full kernel, then h~(t+1) in
+    # iso_xi on each odd vector
+    assert len(calls) == 2 + sum(v.parity == ODD for v in quotient_monomials(2))
 
 
 # -- roots and composition series ---------------------------------------------------
