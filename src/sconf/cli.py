@@ -429,9 +429,7 @@ def main(argv=None):
             return 0
         if args.command == "decompose":
             return _emit(_cmd_decompose(args), args.json)
-        if args.command == "restrict":
-            return _emit(_cmd_restrict(args), args.json)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _emit(_cmd_restrict(args), args.json)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,18 +1,19 @@
-"""The action kernel against the earlier Scalar-by-Scalar kernel.
+"""The action kernel against the closed forms, on a seeded corpus.
 
-``freemod._row_terms`` sums an element's image in ints, once per output
-monomial and parameter monomial, and builds each output Scalar once;
-``quotients.quotient_act_basis`` reads the same rows on the quotient
-element's terms x^k (s^k), with the frozen root in each row's prefactor,
-so nothing is frozen after the sum; and ``freemod.extend_linearly``
-scales the input by each generator's coefficient.  The oracle below is the
-earlier kernel, kept verbatim: it scaled and summed one Scalar per input
-term and output monomial, froze the built bivariate image, and scaled each
-generator's image.  Both must give
-equal elements of equal parity on a seeded corpus that covers every family,
-modes |m| <= 5, degrees <= 6, both parities, multi-term Laurent
-coefficients with sqrt2 parts, concrete and formal roots a, and numeric
-lam and alp with sqrt2 parts.
+``freemod.act_basis`` sums an element's image in ints, once per output
+monomial and parameter monomial; ``quotients.quotient_act_basis`` reads the
+same rows on the quotient element's terms x^k (s^k), with the frozen root in
+each row's prefactor; ``freemod.extend_linearly`` scales the input by each
+generator's coefficient; and ``quotients.project`` freezes the second
+variable in ints.  The references of ``reference.py`` share none of that
+code: ``module_action`` and ``quotient_action`` evaluate the docstring
+formulas term by term, ``linear`` sums the generators' images, and
+``projection`` substitutes the root.  Both sides must give equal elements of
+equal parity on a corpus that covers every family, modes |m| <= 5, degrees
+<= 6, both parities, multi-term Laurent coefficients with sqrt2 parts,
+concrete and formal roots a, and numeric lam and alp with sqrt2 parts.  The
+tests keep the names they had when the reference was a copy of the earlier
+kernel.
 """
 
 import random
@@ -21,87 +22,14 @@ from fractions import Fraction
 import pytest
 
 from sconf import freemod, quotients
-from sconf.algebras import AlgebraElement, BasisSymbol, _checked, basis_symbols
-from sconf.freemod import (
-    _ACTION, EVEN, ODD, ModuleElement, _require_r, binomial_shift,
-)
+from sconf.algebras import AlgebraElement, BasisSymbol, basis_symbols
+from sconf.freemod import EVEN, ODD, ModuleElement
 from sconf.quotients import QuotientElement, QuotientParams
-from sconf.scalars import QuadExt, Scalar, add_terms
+from sconf.scalars import QuadExt, Scalar
+
+from reference import linear, module_action, projection, quotient_action
 
 _LAM, _ALP = Scalar.param("lam"), Scalar.param("alp")
-_OWNER = "the rank-2 module is an R-module"
-_Q_OWNER = "simple quotients are R-modules"
-
-
-# -- the earlier kernel, verbatim -------------------------------------------
-
-def _row_terms(sym, parity, terms, lam, alp):
-    """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
-    ``terms`` of a parity, with ``lam`` and ``alp``: the target parity and,
-    per pair, c times the row's scale with the integers ``{(i, j): n}`` of
-    the image of u^k v^l, so that the image is the sum of c * n * u^i v^j."""
-    row = _ACTION.get((sym.family, parity))
-    if row is None:
-        return (parity + sym.parity) % 2, ()
-    parity, dy, number, power, rows = row
-    m = sym.twice // 2
-    pre = [((i, j), c + d * m) for i, j, c, d in rows if c + d * m]
-    scale = lam ** m * number
-    if power:
-        scale = scale * alp ** power
-    images = []
-    for (k, l), c in terms:
-        nums = {}
-        for i, bx in binomial_shift(k, m):
-            for j, by in binomial_shift(l, dy):
-                for (p, q), n in pre:
-                    key = (i + p, j + q)
-                    nums[key] = nums.get(key, 0) + bx * by * n
-        images.append((c * scale, nums))
-    return parity, images
-
-
-def act_basis(sym, v):
-    """Action of one basis generator of the Ramond algebra."""
-    _require_r(sym, _OWNER)
-    parity, images = _row_terms(sym, v.parity, v.terms.items(), _LAM, _ALP)
-    out = {}
-    for c, nums in images:
-        add_terms(out, ((key, c * n) for key, n in nums.items()))
-    return ModuleElement(parity, out)
-
-
-def extend_linearly(x, v, basis_act, owner):
-    """Act by ``x``, an R element or basis symbol, on ``v``: the sum over the
-    generators of x of coeff * ``basis_act(generator, v)``, each acting once
-    on the whole of v.  ``owner`` names the module in the error for an
-    element of another algebra."""
-    _require_r(x, owner)
-    if isinstance(x, BasisSymbol):
-        return _checked(basis_act, x, v)
-    out = type(v).zero((v.parity + x.parity()) % 2)
-    for sym, c in x.terms.items():
-        out = out + _checked(basis_act, sym, v) * c
-    return out
-
-
-def quotient_act_basis(sym, v, p):
-    """Action of one Ramond basis generator on a quotient element: the
-    module's row on v lifted to C[x,y] + C[s,t], then frozen."""
-    _require_r(sym, _Q_OWNER)
-    lifted = (((k, 0), c) for k, c in v.terms.items())
-    parity, images = _row_terms(sym, v.parity, lifted, p.lam, p.alp)
-    out = {}
-    for c, nums in images:
-        add_terms(out, ((i, c * n) for i, n in _freeze(nums, parity, p.root).items()))
-    return QuotientElement(parity, out)
-
-
-def _freeze(terms, parity, a):
-    """Terms in x^i y^j (s^i t^j) as terms in x^i (s^i): y -> -a on the
-    even part, t -> -a-1 on the odd part."""
-    sub = -a if parity == EVEN else -a - 1
-    return add_terms({}, ((i, c * sub ** j if j else c) for (i, j), c in terms.items()))
 
 
 # -- the corpus ---------------------------------------------------------------
@@ -166,9 +94,9 @@ def test_act_basis_matches_the_earlier_kernel(seed):
         for parity in (EVEN, ODD):
             for _ in range(3):
                 v = _module_element(rng, parity)
-                _same(freemod.act_basis(sym, v), act_basis(sym, v))
+                _same(freemod.act_basis(sym, v), module_action(sym, v))
         mono = ModuleElement.monomial(rng.randint(0, 1), rng.randint(0, 6), rng.randint(0, 6))
-        _same(freemod.act_basis(sym, mono), act_basis(sym, mono))
+        _same(freemod.act_basis(sym, mono), module_action(sym, mono))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -179,10 +107,10 @@ def test_quotient_act_basis_matches_the_earlier_kernel(seed):
             for _ in range(3):
                 p = _params(rng)
                 v = _quotient_element(rng, parity, formal_a=p.a is None)
-                _same(quotients.quotient_act_basis(sym, v, p), quotient_act_basis(sym, v, p))
+                _same(quotients.quotient_act_basis(sym, v, p), quotient_action(sym, v, p))
         p = _params(rng)
         mono = QuotientElement.monomial(rng.randint(0, 1), rng.randint(0, 6))
-        _same(quotients.quotient_act_basis(sym, mono, p), quotient_act_basis(sym, mono, p))
+        _same(quotients.quotient_act_basis(sym, mono, p), quotient_action(sym, mono, p))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -191,11 +119,11 @@ def test_linear_extension_matches_the_earlier_kernel(seed):
     for _ in range(40):
         x = _algebra_element(rng)
         v = _module_element(rng, rng.randint(0, 1))
-        _same(freemod.act(x, v), extend_linearly(x, v, act_basis, _OWNER))
+        _same(freemod.act(x, v), linear(module_action, x, v))
         p = _params(rng)
         w = _quotient_element(rng, rng.randint(0, 1), formal_a=p.a is None)
         _same(quotients.quotient_act(x, w, p),
-              extend_linearly(x, w, lambda sym, u: quotient_act_basis(sym, u, p), _Q_OWNER))
+              linear(lambda sym, u: quotient_action(sym, u, p), x, w))
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -204,8 +132,7 @@ def test_projection_matches_the_earlier_freeze(seed):
     for _ in range(60):
         p = QuotientParams(a=rng.choice(_ROOTS[:-1]))
         v = _module_element(rng, rng.randint(0, 1))
-        old = QuotientElement(v.parity, _freeze(v.terms, v.parity, p.concrete_a()))
-        _same(quotients.project(v, p), old)
+        _same(quotients.project(v, p), projection(v, p.concrete_a()))
 
 
 def _count_scalar_adds(monkeypatch):
@@ -222,11 +149,8 @@ def test_colliding_images_are_summed_without_scalar_additions(monkeypatch):
     v = ModuleElement(EVEN, {(3, 0): Scalar.number(QuadExt(1, 1)), (2, 1): Scalar.param("lam")})
     q = QuotientElement(ODD, {3: Scalar.number(2), 2: Scalar.param("alp", -1)})
     p = QuotientParams(a=QuadExt(1, 1))
-    want = act_basis(L2, v), quotient_act_basis(L2, q, p)
+    want = module_action(L2, v), quotient_action(L2, q, p)
     calls = _count_scalar_adds(monkeypatch)
-    act_basis(L2, v)
-    assert calls, "the earlier kernel merges colliding images by Scalar addition"
-    calls.clear()
     got = freemod.act_basis(L2, v), quotients.quotient_act_basis(L2, q, p)
     assert not calls
     assert got == want

@@ -1,9 +1,10 @@
 """The Ramond action against its closed forms, and a wrong action row.
 
-The oracle transcribes the formulas of the ``freemod`` and ``quotients``
-module docstrings with element arithmetic alone: (x+m)^i is i repeated
-products by x + m, and y -> y-1, t -> t+1 and y -> -a are spelled out the
-same way.  It shares no code with the action's row table.
+The references, ``module_action`` and ``quotient_action`` of
+``reference.py``, transcribe the formulas of the ``freemod`` and
+``quotients`` module docstrings with element arithmetic alone: (x+m)^i is i
+repeated products by x + m, and y -> y-1, t -> t+1 and y -> -a are spelled
+out the same way.  They share no code with the action's row table.
 """
 
 from fractions import Fraction
@@ -21,16 +22,13 @@ from sconf.quotients import (
     check_quotient_compatibility,
     quotient_act_basis,
 )
-from sconf.scalars import SC_ONE, QuadExt, Scalar
+from sconf.scalars import QuadExt, Scalar
+
+from reference import module_action, quotient_action
 
 MODES = range(-3, 4)
 DEGREE = 3
 FAMILIES = ("L", "H", "Gp", "Gm")
-LAM, ALP = Scalar.param("lam"), Scalar.param("alp")
-
-
-def _num(c):
-    return Scalar.number(c)
 
 
 def _symbols():
@@ -42,44 +40,14 @@ def _symbols():
 
 # -- the rank-2 module ----------------------------------------------------------
 
-def _times(v, poly):
-    """v times a bivariate polynomial {(i, j): coefficient}."""
-    return v.times_poly({key: _num(c) for key, c in poly.items()})
-
-
-def _module_oracle(sym, parity, i, j):
-    """The docstring formula for ``sym`` on u^i v^j of the given parity."""
-    target = (parity + sym.parity) % 2
-    zero = ModuleElement.zero(target)
-    if sym.family == "C":
-        return zero
-    m = sym.twice // 2
-    dv = {("Gp", ODD): -1, ("Gm", EVEN): 1}.get((sym.family, parity), 0)
-    out = ModuleElement.one(target)
-    for _ in range(i):
-        out = _times(out, {(1, 0): 1, (0, 0): m})  # u + m
-    for _ in range(j):
-        out = _times(out, {(0, 1): 1, (0, 0): dv})  # v + shift
-    if sym.family == "L":
-        pre = {(1, 0): 1, (0, 1): Fraction(m, 2), (0, 0): m * parity}
-        return _times(out, pre) * LAM ** m
-    if sym.family == "H":
-        return _times(out, {(0, 1): 1}) * LAM ** m
-    if (sym.family, parity) == ("Gp", ODD):
-        return _times(out, {(1, 0): 1, (0, 1): m}) * LAM ** m * ALP.invert_monomial() * _num(2)
-    if (sym.family, parity) == ("Gm", EVEN):
-        return out * LAM ** m * ALP
-    return zero
-
-
 def test_module_action_matches_the_closed_forms():
     checked = 0
     for sym in _symbols():
         for parity in (EVEN, ODD):
             for i in range(DEGREE + 1):
                 for j in range(DEGREE + 1 - i):
-                    got = act_basis(sym, ModuleElement.monomial(parity, i, j))
-                    want = _module_oracle(sym, parity, i, j)
+                    v = ModuleElement.monomial(parity, i, j)
+                    got, want = act_basis(sym, v), module_action(sym, v)
                     assert got == want, (sym, parity, i, j, got, want)
                     assert got.parity == want.parity, (sym, parity, i, j)
                     checked += 1
@@ -87,40 +55,6 @@ def test_module_action_matches_the_closed_forms():
 
 
 # -- the simple quotients -------------------------------------------------------
-
-def _qtimes(v, poly):
-    """v times a univariate polynomial {k: Scalar}."""
-    out = QuotientElement.zero(v.parity)
-    for k1, c1 in v.terms.items():
-        for k2, c2 in poly.items():
-            out = out + QuotientElement.monomial(v.parity, k1 + k2, c1 * c2)
-    return out
-
-
-def _quotient_oracle(sym, parity, k, p):
-    """The quotient docstring formula for ``sym`` on x^k or s^k."""
-    target = (parity + sym.parity) % 2
-    zero = QuotientElement.zero(target)
-    if sym.family == "C":
-        return zero
-    m = sym.twice // 2
-    a = Scalar.param("a") if p.a is None else _num(p.a)
-    out = QuotientElement.one(target)
-    for _ in range(k):
-        out = _qtimes(out, {1: SC_ONE, 0: _num(m)})  # x + m
-    lam_m = p.lam ** m
-    if sym.family == "L":
-        constant = a * _num(Fraction(-m, 2)) + _num(Fraction(m, 2) * parity)
-        return _qtimes(out, {1: SC_ONE, 0: constant}) * lam_m
-    if sym.family == "H":
-        return out * (-a - _num(parity)) * lam_m
-    if (sym.family, parity) == ("Gp", ODD):
-        pre = {1: SC_ONE, 0: a * _num(-m)}
-        return _qtimes(out, pre) * lam_m * p.alp.invert_monomial() * _num(2)
-    if (sym.family, parity) == ("Gm", EVEN):
-        return out * lam_m * p.alp
-    return zero
-
 
 _NUMERIC = {"lam": Scalar.number(Fraction(3, 2)), "alp": Scalar.number(QuadExt(1, 1))}
 
@@ -133,8 +67,8 @@ def test_quotient_action_matches_the_closed_forms(a, numeric):
     for sym in _symbols():
         for parity in (EVEN, ODD):
             for k in range(DEGREE + 1):
-                got = quotient_act_basis(sym, QuotientElement.monomial(parity, k), p)
-                want = _quotient_oracle(sym, parity, k, p)
+                v = QuotientElement.monomial(parity, k)
+                got, want = quotient_act_basis(sym, v, p), quotient_action(sym, v, p)
                 assert got == want, (sym, parity, k, got, want)
                 assert got.parity == want.parity, (sym, parity, k)
 

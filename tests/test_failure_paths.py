@@ -1,17 +1,24 @@
 """Failure paths that no passing run reaches: the text a failing report
-prints, usage errors of ``restrict``, the refusals of ``map_image`` and the
-violations that two sweeps record under a fault."""
+prints, usage errors of ``restrict``, the refusals of ``map_image``,
+``maps_agree`` and ``parse_algebra_element``, and the violations that the
+sweeps and the submodule witness record under a fault."""
 
 import re
 
 import pytest
 
 from sconf import cli, freemod, n1, submodules
-from sconf.algebras import AlgebraElement, BasisSymbol, GeneratorMap, apply_map
-from sconf.errors import AlgebraMismatch, MixedParity
-from sconf.freemod import EVEN
-from sconf.parsing import parse_submodule_spec
+from sconf.algebras import (
+    AlgebraElement, BasisSymbol, GeneratorMap, apply_map, embed_r1_in_r2, maps_agree,
+    spectral_flow, topological_twist,
+)
+from sconf.errors import AlgebraMismatch, MixedParity, ParseError
+from sconf.freemod import EVEN, ModuleElement
+from sconf.parsing import parse_algebra_element, parse_submodule_spec
 from sconf.quotients import QuotientElement, QuotientParams
+
+from test_algebras import _corrupted_maps
+from test_compat_failures import scale_family
 from test_table_seams import _h_adds_one, _wrap
 
 VIOLATION = re.compile(r"  VIOLATION (.+?): lhs = .+ ; rhs = .+")
@@ -84,3 +91,53 @@ def test_lattice_order_records_each_failed_containment(monkeypatch):
         for context in ("N<=M for h=y", "M[y] <= M[y]", "M[y^2 - y] <= M[y]",
                         "M[y^2 - y] <= M[y^2 - y]")
     ]
+
+
+@pytest.mark.parametrize("other", [topological_twist, embed_r1_in_r2], ids=["target", "source"])
+def test_maps_agree_refuses_maps_between_other_algebras(other):
+    with pytest.raises(AlgebraMismatch,
+                       match="^maps with different source or target cannot agree$"):
+        maps_agree(spectral_flow(), other(), 1)
+
+
+def test_maps_agree_records_each_generator_where_the_maps_differ():
+    report = maps_agree(spectral_flow(), _corrupted_maps()["sigma"], 1)
+    assert report.render_text().splitlines() == [
+        "suite=map-agreement maps=sigma vs sigma window=1 status=fail violations=3",
+        "  VIOLATION agreement sigma vs sigma (L[-1]): lhs = L[-1] + 1/2*H[-1] ; "
+        "rhs = L[-1] + 1/3*H[-1]",
+        "  VIOLATION agreement sigma vs sigma (L[0]): lhs = L[0] + 1/2*H[0] + 1/24*C ; "
+        "rhs = L[0] + 1/3*H[0] + 1/24*C",
+        "  VIOLATION agreement sigma vs sigma (L[1]): lhs = L[1] + 1/2*H[1] ; "
+        "rhs = L[1] + 1/3*H[1]",
+    ]
+
+
+def test_rank1_freeness_records_the_even_and_the_odd_words(monkeypatch):
+    scale_family(monkeypatch, n1, "restricted_act", ("L",))
+    report = n1.check_rank1_freeness(n1.RestrictedAction.ramond(QuotientParams(a=1)), 2)
+    assert [(v.context, v.lhs, v.rhs) for v in report.violations] == [
+        ("L0^1 . 1_even", "2*x", "x"),
+        ("L0^1 G0 . 1_even", "alp*sqrt2*s", "1/2*alp*sqrt2*s"),
+        ("L0^2 . 1_even", "4*x^2", "x^2"),
+        ("L0^2 G0 . 1_even", "2*alp*sqrt2*s^2", "1/2*alp*sqrt2*s^2"),
+    ]
+
+
+def test_an_unknown_algebra_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_algebra_element("L[0]", "X")
+    assert str(info.value) == "unknown algebra 'X' (token 'X' at position 0)"
+    assert (info.value.pos, info.value.token) == (0, "X")
+
+
+def test_verify_submodule_records_a_witness_that_is_a_member(capsys, monkeypatch):
+    real, one = submodules.contains, ModuleElement.one(EVEN)
+    monkeypatch.setattr(submodules, "contains", lambda s, v: v == one or real(s, v))
+    assert cli.main(["verify", "submodule", "--window", "1", "--degree", "1"]) == 1
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first.startswith("suite=submodule specs=M[h=1],N[h=1],M[h=y],")
+    assert first.endswith(" window=1 degree=1 status=fail violations=1")
+    assert lines == [
+        "  VIOLATION proper submodule witness 1_even not in M[h=y]: lhs = member ; "
+        "rhs = not member"]

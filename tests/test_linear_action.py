@@ -1,7 +1,8 @@
 """Acting by a whole element equals the per-generator reference.
 
-The reference below is the linear extension written out: act by each basis
-generator of x on the whole element v, scale by its coefficient and sum.
+The reference, ``linear`` of ``reference.py``, is the linear extension
+written out: act by each basis generator of x on the whole element v, scale
+its image by the generator's coefficient and sum.
 ``freemod.act``, ``quotients.quotient_act`` and ``n1.restricted_act`` go
 through ``freemod.extend_linearly``, which calls the basis action once per
 generator of x on the whole of v; they must agree with the reference term by
@@ -19,6 +20,8 @@ from sconf.freemod import EVEN, ODD, ModuleElement, act, act_basis, extend_linea
 from sconf.n1 import RestrictedAction, restricted_act
 from sconf.quotients import QuotientElement, QuotientParams, quotient_act, quotient_act_basis
 from sconf.scalars import LAURENT_PARAMS, PARAMS, QuadExt, Scalar
+
+from reference import linear
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _quadexts = st.builds(QuadExt, _fractions, _fractions)
@@ -66,14 +69,6 @@ _params = st.builds(
 )
 
 
-def reference(basis_act, x, v):
-    """Sum over the generators of x of coeff * basis_act(generator, v)."""
-    acc = type(v).zero((v.parity + x.parity()) % 2)
-    for sym, coeff in x.terms.items():
-        acc = acc + basis_act(sym, v) * coeff
-    return acc
-
-
 def assert_same(got, want):
     assert got == want
     assert got.parity == want.parity
@@ -83,13 +78,13 @@ def assert_same(got, want):
 @settings(max_examples=30, deadline=None)
 @given(_algebra_elements("R"), _module_elements)
 def test_act_matches_the_per_generator_reference(x, v):
-    assert_same(act(x, v), reference(act_basis, x, v))
+    assert_same(act(x, v), linear(act_basis, x, v))
 
 
 @settings(max_examples=30, deadline=None)
 @given(_algebra_elements("R"), _quotient_elements, _params)
 def test_quotient_act_matches_the_per_generator_reference(x, v, p):
-    want = reference(lambda sym, w: quotient_act_basis(sym, w, p), x, v)
+    want = linear(lambda sym, w: quotient_act_basis(sym, w, p), x, v)
     assert_same(quotient_act(x, v, p), want)
 
 
@@ -99,7 +94,7 @@ def test_restricted_act_matches_the_per_generator_reference(data, source, v, p):
     r = RestrictedAction.ramond(p) if source == "N1R" else RestrictedAction.neveu_schwarz(p)
     x = data.draw(_algebra_elements(source))
     image = apply_map(r.embedding, x)
-    want = reference(lambda sym, w: quotient_act_basis(sym, w, p), image, v)
+    want = linear(lambda sym, w: quotient_act_basis(sym, w, p), image, v)
     assert_same(restricted_act(x, v, r), want)
 
 

@@ -1,4 +1,9 @@
-"""Membership, closure, and lattice order for the submodule family."""
+"""Membership, closure, and lattice order for the submodule family.
+
+The int long division that ``UniPoly`` and membership share is checked
+against the list division of ``reference.py``, which divides Q(sqrt2) or
+Scalar coefficients one by one; ``UniPoly.shifted`` against the binomial
+expansion it replaced, ``_binomial_shifted``."""
 
 import random
 from fractions import Fraction
@@ -10,7 +15,7 @@ from sconf.algebras import basis_symbols
 from sconf.freemod import EVEN, ODD, ModuleElement, act, binomial_shift
 from sconf.linalg import RowSpan
 from sconf.parsing import parse_module_element, parse_submodule_spec, parse_unipoly
-from sconf.scalars import QE_ZERO, SC_ZERO, QuadExt, Scalar, add_terms, as_quadext
+from sconf.scalars import QE_ZERO, QuadExt, Scalar, as_quadext
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
@@ -21,6 +26,8 @@ from sconf.submodules import (
     contains,
     reduce_mod,
 )
+
+from reference import divide_in_second_var, divmod_monic
 
 
 def spec(text):
@@ -46,42 +53,6 @@ def test_unipoly_arithmetic():
     assert parse_unipoly("2*y + 2").monic() == q
 
 
-# Two independent long divisions, kept as oracles for the one that UniPoly and
-# membership share: the dense UniPoly loop and the sparse bivariate one.
-
-def _dense_divmod_monic(self, d):
-    if not d.is_monic():
-        raise ValueError("divisor must be monic")
-    dd = d.degree
-    rem = list(self.coeffs)
-    quo = [QE_ZERO] * max(len(rem) - dd, 0)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k]
-        if c.is_zero():
-            continue
-        quo[k - dd] = c
-        for l in range(dd + 1):
-            rem[k - dd + l] = rem[k - dd + l] - c * d.coeffs[l]
-    return UniPoly(tuple(quo)), UniPoly(tuple(rem[:dd]))
-
-
-def _sparse_divide_in_second_var(terms, divisor):
-    dd = divisor.degree
-    minus_h = [(l, -d) for l, d in enumerate(divisor.coeffs) if d]
-    work = dict(terms)
-    quo = {}
-    while work:
-        jmax = max(j for _, j in work)
-        if jmax < dd:
-            break
-        for i, j in [k for k in work if k[1] == jmax]:
-            c = work[(i, j)]
-            quo[(i, j - dd)] = c
-            # subtract c * u^i v^(j-dd) * h; h is monic, so (i, j) cancels
-            add_terms(work, (((i, j - dd + l), c * d) for l, d in minus_h))
-    return work, quo
-
-
 def _random_quadext(rng):
     """A Q(sqrt2) number; zero a third of the time, irrational a third."""
     roll = rng.randrange(3)
@@ -105,11 +76,15 @@ def _random_scalar(rng):
 
 
 def test_one_division_matches_both_oracles():
+    """The int long division that ``UniPoly`` and membership share, against
+    the list division of ``reference.py``: on UniPolys, and per power of the
+    first variable on module elements."""
     rng = random.Random(20)
     for _ in range(2000):
         d = _random_poly(rng, rng.randint(0, 3), monic=True)
         p = _random_poly(rng, rng.randint(0, 7), monic=False)
-        assert p.divmod_monic(d) == _dense_divmod_monic(p, d)
+        quo, rem = divmod_monic(list(p.coeffs), d)
+        assert p.divmod_monic(d) == (UniPoly(quo), UniPoly(rem))
     for _ in range(1000):
         d = _random_poly(rng, rng.randint(0, 3), monic=True)
         terms = {}
@@ -117,7 +92,7 @@ def test_one_division_matches_both_oracles():
             c = _random_scalar(rng)
             if c:
                 terms[(rng.randint(0, 3), rng.randint(0, 6))] = c
-        rem, quo = _sparse_divide_in_second_var(terms, d)
+        rem, quo = divide_in_second_var(terms, d)
         v = ModuleElement(EVEN, terms)
         for kind in ("M", "N"):
             s = SubmoduleSpec(kind, d)
@@ -152,45 +127,12 @@ def test_divides_reads_the_remainder_of_the_division():
             UniPoly(()).divides(other)
 
 
-def _divmod_monic(rem, d):
-    """Long division of an ascending coefficient list by the monic UniPoly d.
-
-    Works over any coefficient ring (QuadExt, Scalar) because d is monic.
-    ``rem`` is reduced in place; returns the quotient's and the remainder's
-    coefficient lists, both ascending.
-    """
-    dd = d.degree
-    minus_d = [(l, -b) for l, b in enumerate(d.coeffs[:dd]) if b]
-    quo = [None] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = quo[k - dd] = rem[k]
-        if c:
-            # subtract c * y^(k-dd) * d below the leading term, which cancels
-            for l, b in minus_d:
-                rem[k - dd + l] = rem[k - dd + l] + c * b
-    return quo, rem[:dd]
-
-
-def _scalar_divide_in_second_var(terms, divisor):
-    """The earlier membership division, verbatim: one ``_divmod_monic`` on
-    the dense Scalar coefficient list of each power of the first variable."""
-    rows = {}
-    for (i, j), c in terms.items():
-        rows.setdefault(i, {})[j] = c
-    rem, quo = {}, {}
-    for i, row in rows.items():
-        q, r = _divmod_monic([row.get(j, SC_ZERO) for j in range(max(row) + 1)], divisor)
-        quo.update(((i, j), c) for j, c in enumerate(q) if c)
-        rem.update(((i, j), c) for j, c in enumerate(r) if c)
-    return rem, quo
-
-
 def _scalar_membership(s, w):
     """Membership read straight off the Scalar division: the remainder is
     empty and, for the N kind's even part, the quotient has no constant term;
     with the remainder, which ``reduce_mod`` returns."""
     even = w.parity == EVEN
-    rem, quo = _scalar_divide_in_second_var(w.terms, s.h if even else s.odd_divisor)
+    rem, quo = divide_in_second_var(w.terms, s.h if even else s.odd_divisor)
     return not rem and not (even and s.kind == "N" and (0, 0) in quo), rem, quo
 
 

@@ -10,11 +10,7 @@ from sconf.n1 import RestrictedAction, check_rank1_freeness, check_simplicity_wi
 from sconf.parsing import parse_submodule_spec
 from sconf.quotients import QuotientElement, QuotientParams
 
-
-def _only_violations(report, prefix):
-    assert report.status == "fail"
-    assert report.violations
-    assert all(v.context.startswith(prefix) for v in report.violations), report.violations
+from test_compat_failures import _only_violations, scale_family
 
 
 def _wrap(monkeypatch, module, name, fault):
@@ -24,11 +20,7 @@ def _wrap(monkeypatch, module, name, fault):
 
 
 def test_rank1_sweep_catches_a_wrong_family(monkeypatch):
-    def double_g(good, x, v, r):
-        out = good(x, v, r)
-        return out * 2 if any(s.family == "G" for s in x.terms) else out
-
-    _wrap(monkeypatch, n1, "restricted_act", double_g)
+    scale_family(monkeypatch, n1, "restricted_act", ("G",))
     report = check_rank1_freeness(RestrictedAction.ramond(QuotientParams(a=1)), 2)
     _only_violations(report, "L0^")
     assert {v.context for v in report.violations} == {f"L0^{k} G0 . 1_even" for k in range(3)}
