@@ -175,7 +175,7 @@ _set_sort_index = BasisSymbol.sort_index.__set__
 _set_hash = BasisSymbol._hash.__set__
 
 
-class AlgebraElement:
+class AlgebraElement(Value):
     """Finite linear combination of basis symbols with Scalar coefficients.
 
     All symbols share one algebra tag.  All non-central symbols must share one
@@ -183,18 +183,13 @@ class AlgebraElement:
     """
 
     __slots__ = ("algebra", "terms")
+    _fields = __slots__
 
     def __init__(self, algebra, terms=None):
         if algebra not in _ALGEBRA_FAMILIES:
             raise ValueError(f"unknown algebra {algebra!r}")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def __reduce__(self):
-        return AlgebraElement, (self.algebra, self.terms)
+        _set_element_algebra(self, algebra)
+        _set_element_terms(self, terms or {})
 
     @classmethod
     def basis(cls, symbol, coeff=1):
@@ -244,11 +239,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
     __hash__ = None
 
     def render(self):
@@ -258,6 +248,10 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<{self.algebra} element {self.render()}>"
+
+
+_set_element_algebra = AlgebraElement.algebra.__set__
+_set_element_terms = AlgebraElement.terms.__set__
 
 
 def _parity(terms):
@@ -507,10 +501,8 @@ def check_representation(report, syms, basis_act, vectors, label):
     those of [X, Y], in any term order, (Y, X) fails exactly when (X, Y)
     does, and otherwise is a case of its own.  Only a failing case is
     rebuilt, for its text, from ``basis_act`` and the ``_basis_bracket``
-    rows.  An empty ``syms`` checks nothing.
+    rows.
     """
-    if not syms:
-        return report
     n, algebra = len(syms), syms[0].algebra
     bden = _denominator(_TABLES[algebra])
     number = {(s.family, s.twice): k for k, s in enumerate(syms)}  # -> table row
@@ -766,11 +758,7 @@ class GeneratorMap(Value):
     _fields = __slots__
 
     def __init__(self, name, source, target, rule, mod_center=False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "mod_center", mod_center)
+        super().__init__(name, source, target, rule, mod_center)
 
 
 def map_image(gmap, sym):

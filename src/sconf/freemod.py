@@ -59,6 +59,7 @@ from .scalars import (
     _ZERO_EXP, SC_ONE, Scalar, add_slice, add_terms, as_scalar, build_slices,
     monomial_text, render_combination,
 )
+from .values import Value
 
 EVEN, ODD = 0, 1
 _VARS = {EVEN: ("x", "y"), ODD: ("s", "t")}
@@ -71,7 +72,7 @@ def binomial_shift(n, d):
     return [(k, comb(n, k) * d ** (n - k)) for k in range(n + 1)]
 
 
-class ParityElement:
+class ParityElement(Value):
     """A parity-tagged sparse polynomial with Scalar coefficients.
 
     ``terms`` maps an exponent key to a nonzero Scalar; subclasses fix the
@@ -81,18 +82,13 @@ class ParityElement:
     """
 
     __slots__ = ("parity", "terms")
+    _fields = __slots__
 
     def __init__(self, parity, terms=None):
         if parity not in (EVEN, ODD):
             raise ValueError("parity must be 0 (even) or 1 (odd)")
         _set_parity(self, parity)
         _set_terms(self, terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.parity, self.terms)
 
     @classmethod
     def _term(cls, parity, key, coeff):

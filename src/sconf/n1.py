@@ -46,7 +46,7 @@ from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD, extend_linearly
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, QE_ZERO, SC_ONE, Scalar, add_terms, as_quadext
+from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_quadext
 from .values import Value
 
 
@@ -63,9 +63,7 @@ class RestrictedAction(Value):
             raise AlgebraMismatch("embedding must map the source algebra into R")
         if not embedding.mod_center:
             raise AlgebraMismatch("the embedding must be taken modulo the center")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "embedding", embedding)
-        object.__setattr__(self, "params", params)
+        super().__init__(source, embedding, params)
 
     @classmethod
     def ramond(cls, params):
@@ -236,9 +234,9 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         """The sum of c * image("L", m, parity, k) over the (m, c) pairs."""
         out = {}
         for m, c in pairs:
-            for j, e in image("L", m, parity, k).terms.items():
-                out[j] = out.get(j, QE_ZERO) + c * e.constant()
-        return QuotientElement(parity, {j: Scalar.number(e) for j, e in out.items() if e})
+            terms = image("L", m, parity, k).terms.items()
+            add_terms(out, ((j, c * e.constant()) for j, e in terms))
+        return QuotientElement(parity, {j: Scalar.number(e) for j, e in out.items()})
 
     steps = []  # (operator, parity, exponent, image of the monomial, its closed form)
     for d in range(top + 1):

@@ -108,9 +108,7 @@ class QuotientParams(Value):
                 inverses.append(value.invert_monomial())
             except NotAUnit as exc:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "alp", alp)
+        super().__init__(a, lam, alp)
         # the root the action freezes y at, formal when a is None, and the ints
         # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1
         root = Scalar.param("a") if a is None else a
@@ -327,11 +325,6 @@ class CompositionSeries(Value):
 
     __slots__ = ("h", "chain", "factors")
     _fields = __slots__
-
-    def __init__(self, h, chain, factors):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "factors", factors)
 
 
 def composition_series(h, root_hint=None):

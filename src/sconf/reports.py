@@ -11,11 +11,6 @@ class Violation(Value):
     __slots__ = ("context", "lhs", "rhs")
     _fields = __slots__
 
-    def __init__(self, context, lhs, rhs):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
 
 class VerificationReport(Value):
     """Outcome of one verification sweep.

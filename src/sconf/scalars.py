@@ -19,7 +19,7 @@ zero in the formal ring" is the right reading of every "equals zero" check in
 the verification sweeps.
 
 All three types are immutable after construction and safe to share between
-threads.
+threads; QuadExt and Scalar take that refusal from ``values.Value``.
 
 A QuadExt is three ints ``(p, q, d)`` standing for ``(p + q*sqrt2)/d``, kept
 in lowest terms: ``d > 0`` and ``gcd(p, q, d) == 1``, so zero is ``(0, 0, 1)``
@@ -77,6 +77,7 @@ from math import gcd, lcm
 from operator import add
 
 from .errors import NotAUnit
+from .values import Value
 
 PARAMS = ("lam", "alp", "mu", "bet", "a", "b")
 LAURENT_PARAMS = frozenset(("lam", "alp", "mu", "bet"))
@@ -147,11 +148,12 @@ def render_combination(pairs):
     return join_signed(parts)
 
 
-class QuadExt:
+class QuadExt(Value):
     """An element ``(p + q*sqrt(2))/d`` of the field Q(sqrt2), stored as three
     ints in lowest terms (see the module docstring for the invariant)."""
 
     __slots__ = ("p", "q", "d")
+    _fields = __slots__
 
     def __init__(self, rat=0, root2=0):
         for part in (rat, root2):
@@ -163,12 +165,9 @@ class QuadExt:
         _set_q(self, v.numerator * (d // v.denominator))
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
-
     def __reduce__(self):
-        # pickle and copy through the trusted constructor: the default slot
-        # restore would go through the refusing __setattr__
+        # pickle and copy through the trusted constructor: ``QuadExt(rat,
+        # root2)`` does not take the stored triple
         return _qe, (self.p, self.q, self.d)
 
     @property
@@ -375,7 +374,7 @@ SQRT2 = QuadExt(0, 1)
 INV_SQRT2 = QuadExt(0, Fraction(1, 2))
 
 
-class Scalar:
+class Scalar(Value):
     """Sparse Laurent polynomial over Q(sqrt2) in the six formal parameters.
 
     Terms map an exponent vector (one integer slot per entry of ``PARAMS``)
@@ -384,17 +383,12 @@ class Scalar:
     """
 
     __slots__ = ("terms",)
+    _fields = __slots__
 
     def __init__(self, terms=None):
         # terms is trusted to be normalized (no zero coefficients, valid
         # exponents); use the classmethod constructors from outside.
         _set_terms(self, terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return Scalar, (self.terms,)
 
     # -- constructors ---------------------------------------------------------
 

@@ -38,22 +38,17 @@ from .values import Value
 _A, _B = PARAMS.index("a"), PARAMS.index("b")
 
 
-class UniPoly:
+class UniPoly(Value):
     """A univariate polynomial with QuadExt coefficients (ascending order)."""
 
     __slots__ = ("coeffs",)
+    _fields = __slots__
 
     def __init__(self, coeffs=()):
         cs = [as_quadext(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
+        _set_coeffs(self, tuple(cs))
 
     @classmethod
     def const(cls, v):
@@ -142,14 +137,6 @@ class UniPoly:
         _divmod_monic(P, Q, divisor)
         return not any(P[:n]) and not any(Q[:n])
 
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def render(self, var="y"):
         return join_signed(
             part
@@ -161,6 +148,9 @@ class UniPoly:
 
     def __repr__(self):
         return f"<UniPoly {self.render()}>"
+
+
+_set_coeffs = UniPoly.coeffs.__set__
 
 
 class SubmoduleSpec(Value):
@@ -176,8 +166,7 @@ class SubmoduleSpec(Value):
             raise ValueError("h must be nonzero")
         if not h.is_monic():
             h = h.monic()
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "h", h)
+        super().__init__(kind, h)
         # the odd divisor h(t+1), read by every membership test on the odd part
         object.__setattr__(self, "odd_divisor", h.shifted(1))
         # ``_int_divisor`` of h (even) and of h(t+1) (odd), by parity

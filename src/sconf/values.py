@@ -1,25 +1,35 @@
-"""The base of the package's plain value classes.
+"""The base of the package's immutable value classes.
 
-Each subclass writes its own ``__init__`` and names, in constructor order,
-the attributes it shows and compares in a ``_fields`` tuple.  ``Value``
-gives it what a frozen dataclass would: a ``repr`` of those fields, equality
-with instances of the same class only, a hash of the field tuple, an
-``AttributeError`` on assignment or deletion, and pickling and copying
-through the constructor, so an unpickled value is validated and its derived
-attributes are recomputed.  A derived attribute (``QuotientParams.root``,
-``.units`` and ``.roots``; ``SubmoduleSpec.odd_divisor`` and
-``._int_divisors``) is computed in ``__init__`` and stays out of
-``_fields``: it is neither shown nor compared.  A subclass's ``__init__``
-sets its attributes past the refusing ``__setattr__``, with
-``object.__setattr__`` or, where construction is hot (``BasisSymbol``),
-with each slot's own setter; no attribute is set after ``__init__``
-returns.
+Each subclass names, in constructor order, the attributes it shows and
+compares in a ``_fields`` tuple.  ``Value`` decides what a frozen dataclass
+would: ``Value(*values)`` stores the fields in that order, ``repr`` shows
+them, two values are equal when they are of one class and their fields are
+equal, the hash is that of the field tuple, assignment and deletion raise
+``AttributeError``, and pickling and copying go through the constructor, so
+an unpickled value is validated and its derived attributes are recomputed.
+A subclass overrides only what it decides otherwise: the numbers and
+elements keep their own ``repr``, ``QuadExt``, ``Scalar``, ``ParityElement``
+and ``BasisSymbol`` their own equality, and the unhashable ones set
+``__hash__ = None``.
+
+A subclass that validates calls ``super().__init__`` after.  A derived
+attribute (``QuotientParams.root``, ``.units`` and ``.roots``;
+``SubmoduleSpec.odd_divisor`` and ``._int_divisors``) is set past the
+refusing ``__setattr__`` with ``object.__setattr__`` and stays out of
+``_fields``: it is neither shown nor compared.  Where construction is hot
+(``BasisSymbol``, ``QuadExt``, ``Scalar``, ``ParityElement``,
+``AlgebraElement``, ``UniPoly``), ``__init__`` sets each slot through the
+slot's own setter instead.  No attribute is set after ``__init__`` returns.
 """
 
 
 class Value:
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)

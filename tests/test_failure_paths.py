@@ -1,21 +1,25 @@
 """Failure paths that no passing run reaches: the text a failing report
 prints, usage errors of ``restrict``, the refusals of ``map_image``,
-``maps_agree`` and ``parse_algebra_element``, and the violations that the
-sweeps and the submodule witness record under a fault."""
+``maps_agree`` and ``parse_algebra_element``, the window refusals of the
+sweeps, the violations that the sweeps and the submodule witness record
+under a fault, and the raises of ``composition_series`` under a faulty root
+finder or containment check."""
 
 import re
 
 import pytest
 
-from sconf import cli, freemod, n1, submodules
+from sconf import cli, freemod, n1, quotients, submodules
 from sconf.algebras import (
-    AlgebraElement, BasisSymbol, GeneratorMap, apply_map, embed_r1_in_r2, maps_agree,
-    spectral_flow, topological_twist,
+    AlgebraElement, BasisSymbol, GeneratorMap, apply_map, check_super_jacobi, embed_r1_in_r2,
+    maps_agree, spectral_flow, topological_twist,
 )
-from sconf.errors import AlgebraMismatch, MixedParity, ParseError
-from sconf.freemod import EVEN, ModuleElement
+from sconf.errors import AlgebraMismatch, MixedParity, ParseError, UnsplitPolynomial
+from sconf.freemod import EVEN, ModuleElement, check_module_compatibility
 from sconf.parsing import parse_algebra_element, parse_submodule_spec
-from sconf.quotients import QuotientElement, QuotientParams
+from sconf.quotients import QuotientElement, QuotientParams, composition_series
+from sconf.scalars import SQRT2
+from sconf.submodules import UniPoly
 
 from test_algebras import _corrupted_maps
 from test_compat_failures import scale_family
@@ -141,3 +145,37 @@ def test_verify_submodule_records_a_witness_that_is_a_member(capsys, monkeypatch
     assert lines == [
         "  VIOLATION proper submodule witness 1_even not in M[h=y]: lhs = member ; "
         "rhs = not member"]
+
+
+def test_the_sweeps_refuse_an_empty_window():
+    with pytest.raises(ValueError, match=r"^window must be >= 1$"):
+        check_super_jacobi("R", 0)
+    for window, degree in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=r"^index_window and degree_bound must be >= 1$"):
+            check_module_compatibility(window, degree)
+
+
+H12 = UniPoly.from_roots([1, 2])  # y^2 - 3*y + 2
+
+
+def test_composition_series_refuses_roots_that_do_not_multiply_back(monkeypatch):
+    good = quotients.find_roots
+    monkeypatch.setattr(quotients, "find_roots", lambda h, hint=None: good(h, hint)[:-1])
+    with pytest.raises(UnsplitPolynomial, match=r"^roots \[QuadExt\(Fraction\(1, 1\), "
+                                                r"Fraction\(0, 1\)\)\] do not multiply back "
+                                                r"to y\^2 - 3\*y \+ 2$"):
+        composition_series(H12)
+
+
+def test_composition_series_raises_on_a_failed_containment(monkeypatch):
+    monkeypatch.setattr(quotients, "check_containment", lambda inner, outer: False)
+    with pytest.raises(AssertionError, match=r"^chain link M\[h=y\^2 - 3\*y \+ 2\] <= "
+                                             r"M\[h=y - 1\] failed containment$"):
+        composition_series(H12)
+
+
+def test_a_unipoly_times_a_number_scales_each_coefficient():
+    p = UniPoly((1, SQRT2))
+    assert p * 2 == 2 * p == UniPoly((2, 2 * SQRT2))
+    assert p * SQRT2 == SQRT2 * p == UniPoly((SQRT2, 2))
+    assert (p * 0).is_zero() and (0 * p).is_zero()

@@ -168,8 +168,16 @@ def test_equality_and_hashing():
     (lambda: SubmoduleSpec("M", UniPoly((1, 1))), ("kind", "h", "odd_divisor")),
     (lambda: RestrictedAction.ramond(QuotientParams(a=1)), ("source", "embedding", "params")),
     (lambda: Violation("c", "l", "r"), ("context", "lhs", "rhs")),
+    # fresh numbers and elements, never the shared SC_ONE or SC_ZERO
+    (lambda: Scalar.monomial(QuadExt(1, 2), lam=-1), ("terms",)),
+    (lambda: QuadExt(Fraction(3, 4), 1), ("p", "q", "d", "rat", "root2")),
+    (lambda: UniPoly((1, 2)), ("coeffs", "degree")),
+    (lambda: parse_algebra_element("2*L[1] - sqrt2*H[0] + C", "R"), ("terms", "algebra")),
+    (lambda: parse_module_element("(lam + sqrt2)*x^2*y - 3"), ("terms", "parity")),
+    (lambda: QuotientElement.monomial(ODD, 3, Scalar.param("alp", -2)), ("terms", "parity")),
 ], ids=["BasisSymbol", "GeneratorMap", "QuotientParams", "CompositionSeries", "SubmoduleSpec",
-        "RestrictedAction", "Violation"])
+        "RestrictedAction", "Violation", "Scalar", "QuadExt", "UniPoly", "AlgebraElement",
+        "ModuleElement", "QuotientElement"])
 def test_frozen_classes_refuse_assignment(build, fields):
     value = build()
     before = repr(value)
