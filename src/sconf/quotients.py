@@ -27,11 +27,12 @@ The quotient is the module row read through the projection:
 ``freemod._ACTION`` row (``freemod._row_terms``) with the ints p builds:
 the parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
-image is summed once into slices keyed i.  ``project`` freezes a module
-element with ``_freeze``, adding each coefficient of x^i y^j in ints, times
-the j-th power of the root, to the slices of x^i.  ``quotient_act`` is the
-linear extension of ``quotient_act_basis`` (``freemod.extend_linearly``),
-which ``n1.restricted_act`` extends over the embedded targets too.
+image is summed once into slices keyed i.  ``project`` is
+``submodules.reduce_mod`` by the kernel ``p.kernel``, the M-kind submodule
+of h = y + a that p builds once, its keys (i, 0) read as i.
+``quotient_act`` is the linear extension of ``quotient_act_basis``
+(``freemod.extend_linearly``), which ``n1.restricted_act`` extends over the
+embedded targets too.
 
 The projection and phi intertwining sweeps compare, for each (generator,
 monomial) case, the image of their map with the other side by element
@@ -60,7 +61,7 @@ from .scalars import (
     build_slices, monomial_text,
 )
 from .submodules import (
-    SubmoduleSpec, UniPoly, _deflated, _member, _rows, check_containment,
+    SubmoduleSpec, UniPoly, _deflated, _member, _rows, check_containment, reduce_mod,
 )
 from .values import Value
 
@@ -94,7 +95,7 @@ class QuotientParams(Value):
     ``lam`` and ``alp``.
     """
 
-    __slots__ = ("a", "lam", "alp", "root", "units", "roots")
+    __slots__ = ("a", "lam", "alp", "root", "units", "roots", "kernel")
     _fields = ("a", "lam", "alp")
 
     def __init__(self, a=None, lam=_LAM, alp=_ALP):
@@ -109,12 +110,15 @@ class QuotientParams(Value):
             except NotAUnit as exc:
                 raise ValueError(f"{name} must be an invertible monomial: {exc}") from exc
         super().__init__(a, lam, alp)
-        # the root the action freezes y at, formal when a is None, and the ints
-        # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1
+        # the root the action freezes y at, formal when a is None, the ints
+        # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1,
+        # and the kernel of the projection, M-kind with h = y + a
         root = Scalar.param("a") if a is None else a
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "units", _parts(lam, inverses[0], alp, inverses[1]))
         object.__setattr__(self, "roots", _parts(-root, -root - 1))
+        object.__setattr__(self, "kernel",
+                           None if a is None else SubmoduleSpec("M", UniPoly((a, QE_ONE))))
 
     def concrete_a(self):
         if self.a is None:
@@ -143,39 +147,18 @@ def quotient_act(x, v, p):
     return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
 
 
-def _freeze(terms, parts):
-    """The terms ``{(i, j): Scalar}`` of a module element as slices ``{i:
-    {ev: [p, q, d]}}`` of x^i (s^i), with the second variable at the
-    concrete root whose parts are ``parts``: each power of the root is
-    formed once by int multiplication, and each coefficient is added in
-    ints, times it, to the slices of x^i."""
-    powers, out = [[(1, 0, 1)]], {}
-    for (i, j), c in terms.items():
-        slot = out.get(i)
-        if slot is None:
-            slot = out[i] = {}
-        while len(powers) <= j:
-            powers.append([(p * u + 2 * q * v, p * v + q * u, d * e)
-                           for p, q, d in powers[-1] for _, u, v, e in parts])
-        for ev, x in c.terms.items():
-            for u, w, e in powers[j]:
-                add_slice(slot, ev, x.p * u + 2 * x.q * w, x.p * w + x.q * u, x.d * e)
-    return out
-
-
 def project(v, p):
-    """Canonical projection from the rank-2 module onto the quotient.
-
-    Freezes the second variable: y -> -a on the even part, t -> -a-1 on the
-    odd part.  The kernel is exactly the M-kind submodule of h = y + a.
-    """
-    p.concrete_a()  # refuse a formal root: _freeze shifts no parameter monomial
-    return QuotientElement(v.parity, build_slices(_freeze(v.terms, p.roots[v.parity])))
+    """Canonical projection from the rank-2 module onto the quotient: the
+    remainder modulo the kernel, which sets y -> -a on the even part and
+    t -> -a-1 on the odd part."""
+    rem = reduce_mod(kernel_spec(p), v)
+    return QuotientElement(v.parity, {i: c for (i, _), c in rem.terms.items()})
 
 
 def kernel_spec(p):
     """The submodule that the projection kills: M-kind with h = y + a."""
-    return SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)))
+    p.concrete_a()
+    return p.kernel
 
 
 def iso_phi(v, src, dst):
@@ -187,7 +170,7 @@ def iso_phi(v, src, dst):
     """
     if src.lam != dst.lam:
         raise ParamMismatch(f"lam differs: {src.describe()} vs {dst.describe()}")
-    if (src.a is None) != (dst.a is None) or src.a != dst.a:
+    if src.a != dst.a:
         raise ParamMismatch(f"root parameter differs: {src.describe()} vs {dst.describe()}")
     if v.parity == EVEN:
         return QuotientElement(EVEN, dict(v.terms))
@@ -417,9 +400,9 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
     M_h with h = (y+a) h~ (membership-tested, not representative-equal).
-    Each vector is lifted by ``iso_xi`` once, and each parity's multiplier
-    is read from the lift of its 1; the quotient image times it is
-    subtracted in ints."""
+    ``iso_xi`` lifts each monomial once; the quotient image is multiplied,
+    in ints, by the multiplier read from the lift of 1, so an ``iso_xi``
+    that is wrong only on elements of several terms passes the sweep."""
     full = SubmoduleSpec("M", kernel_spec(p).h * h_tilde)
     report = VerificationReport(
         "xi-intertwines",

@@ -57,14 +57,14 @@ instead:
 * the one long division, ``submodules._divmod_monic``, which divides in
   Z[sqrt2] ints, each row over its own common denominator (for a module
   element, one row per power of x and parameter monomial);
-* the action: ``freemod._row_terms``, the one row reader, and
-  ``quotients.project`` (through ``_freeze``) sum an image in ints, one
-  slice per (monomial, parameter monomial), with ``add_slice``, scaling by
-  (exponent vector, p, q, d) ints, not QuadExts.  A slice is a plain list
-  ``[p, q, d]``: ``add_slice`` sums its ints in place over one denominator,
-  the lcm of those added there, and ``build_slices`` builds each nonzero
-  one once with ``_qe``, so no QuadExt changes after ``_qe`` or
-  ``QuadExt.__init__`` returns.  No slice outlives the call that builds it.
+* the action: ``freemod._row_terms``, the one row reader, sums an image
+  in ints, one slice per (monomial, parameter monomial), with
+  ``add_slice``, scaling by (exponent vector, p, q, d) ints, not QuadExts.
+  A slice is a plain list ``[p, q, d]``: ``add_slice`` sums its ints in
+  place over one denominator, the lcm of those added there, and
+  ``build_slices`` builds each nonzero one once with ``_qe``, so no QuadExt
+  changes after ``_qe`` or ``QuadExt.__init__`` returns.  No slice outlives
+  the call that builds it.
 
 ``join_signed`` is the one renderer of signed sums: every ``a - b + c`` text
 in the package comes out of it.

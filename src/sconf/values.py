@@ -13,7 +13,7 @@ and ``BasisSymbol`` their own equality, and the unhashable ones set
 ``__hash__ = None``.
 
 A subclass that validates calls ``super().__init__`` after.  A derived
-attribute (``QuotientParams.root``, ``.units`` and ``.roots``;
+attribute (``QuotientParams.root``, ``.units``, ``.roots`` and ``.kernel``;
 ``SubmoduleSpec.odd_divisor`` and ``._int_divisors``) is set past the
 refusing ``__setattr__`` with ``object.__setattr__`` and stays out of
 ``_fields``: it is neither shown nor compared.  Where construction is hot
@@ -32,7 +32,7 @@ class Value:
             object.__setattr__(self, name, value)
 
     def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

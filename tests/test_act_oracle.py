@@ -4,11 +4,12 @@
 monomial and parameter monomial; ``quotients.quotient_act_basis`` reads the
 same rows on the quotient element's terms x^k (s^k), with the frozen root in
 each row's prefactor; ``freemod.extend_linearly`` scales the input by each
-generator's coefficient; and ``quotients.project`` freezes the second
-variable in ints.  The references of ``reference.py`` share none of that
-code: ``module_action`` and ``quotient_action`` evaluate the docstring
-formulas term by term, ``linear`` sums the generators' images, and
-``projection`` substitutes the root.  Both sides must give equal elements of
+generator's coefficient; and ``quotients.project`` reduces modulo the
+kernel by the one long division, ``submodules.reduce_mod``.  The references
+of ``reference.py`` share none of that code: ``module_action`` and
+``quotient_action`` evaluate the docstring formulas term by term,
+``linear`` sums the generators' images, and ``projection`` substitutes the
+root.  Both sides must give equal elements of
 equal parity on a corpus that covers every family, modes |m| <= 5, degrees
 <= 6, both parities, multi-term Laurent coefficients with sqrt2 parts,
 concrete and formal roots a, and numeric lam and alp with sqrt2 parts.  The

@@ -11,8 +11,10 @@ is the only reference for its sweep, so it stays here and not in
 image once and call their map once more per case; the xi sweep decides
 each case in ints, so it lifts each vector once through ``iso_xi``, tests
 no membership through ``contains``, and the window does not change how
-often it calls them.  ``reference_xi`` lifts by a product of its own, so a
-wrong ``iso_xi`` fails the sweep and not the reference."""
+often it calls them.  ``reference_xi`` lifts by a product of its own, so an
+``iso_xi`` wrong on monomials fails the sweep and not the reference.  The
+sweep lifts only monomials, so ``iso_xi`` on elements of several terms is
+checked directly against that product, ``_times``."""
 
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +25,7 @@ import pytest
 from sconf import freemod, quotients, submodules
 from sconf.algebras import basis_symbols
 from sconf.freemod import EVEN, ODD, ModuleElement, ParityElement, act, monomials
-from sconf.parsing import parse_unipoly
+from sconf.parsing import parse_quotient_element, parse_unipoly
 from sconf.quotients import (
     QuotientParams, check_phi_intertwines, check_projection_intertwines,
     check_xi_intertwines, iso_phi, project, quotient_act, quotient_monomials,
@@ -217,6 +219,17 @@ def test_a_wrong_iso_xi_fails_every_layer(monkeypatch, wrong):
         p, h_tilde = QuotientParams(a=a), parse_unipoly(h_tilde)
         assert check_xi_intertwines(h_tilde, p, 2, 2).status == "fail", (a, h_tilde)
         assert reference_xi(h_tilde, p, 2, 2).passed
+
+
+@pytest.mark.parametrize("a, h_tilde", XI)
+def test_iso_xi_lifts_elements_of_several_terms(a, h_tilde):
+    p, h_tilde = QuotientParams(a=a), parse_unipoly(h_tilde)
+    lifts = {EVEN: h_tilde, ODD: h_tilde.shifted(1)}
+    for text, parity in (("x^3 - 2*lam*x + sqrt2", EVEN),
+                         ("alp*s^2 + (1 + sqrt2)*s - 1/2*lam^-1", ODD)):
+        v = parse_quotient_element(text, parity)
+        assert len(v.terms) == 3
+        assert quotients.iso_xi(v, h_tilde, p) == _times(v, lifts[parity])
 
 
 def _counted(monkeypatch, sweep):

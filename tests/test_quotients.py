@@ -95,8 +95,8 @@ def test_custom_lam_alp():
 # -- projection -------------------------------------------------------------------
 
 def test_the_action_sums_its_image_in_one_pass(monkeypatch):
-    """The root is read in the row's prefactor, so no slice is frozen after
-    the row is summed: with ``_freeze`` refusing, every family and parity
+    """The root is read in the row's prefactor, so no image is reduced after
+    the row is summed: with ``reduce_mod`` refusing, every family and parity
     still acts, by a basis symbol and by an element."""
     cases = [(p, BasisSymbol("R", "C") if family == "C" else sym(family, m), parity)
              for p in (QuotientParams(), QuotientParams(a=QuadExt(1, 1), lam=Scalar.number(2)))
@@ -110,9 +110,9 @@ def test_the_action_sums_its_image_in_one_pass(monkeypatch):
              quotients.quotient_act(element, v[parity], p)) for p, x, parity in cases]
 
     def refuse(*args):
-        raise AssertionError("an image is frozen after it is summed")
+        raise AssertionError("an image is reduced after it is summed")
 
-    monkeypatch.setattr(quotients, "_freeze", refuse)
+    monkeypatch.setattr(quotients, "reduce_mod", refuse)
     got = [(quotient_act_basis(x, v[parity], p), quotients.quotient_act(x, v[parity], p),
             quotients.quotient_act(element, v[parity], p)) for p, x, parity in cases]
     assert got == want
@@ -134,6 +134,28 @@ def test_project_substitutes():
 def test_project_needs_concrete_a():
     with pytest.raises(ValueError):
         project(mod("x"), QuotientParams(a=None))
+
+
+def test_the_kernel_is_built_once_per_params(monkeypatch):
+    """A concrete ``QuotientParams`` builds its kernel when it is made and a
+    formal one builds none; a projection sweep then builds no
+    ``SubmoduleSpec``."""
+    want, built = SubmoduleSpec("M", parse_unipoly("y + 1 + sqrt2")), []
+    good = SubmoduleSpec.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        good(self, *args)
+
+    monkeypatch.setattr(SubmoduleSpec, "__init__", counted)
+    p, formal = QuotientParams(a=QuadExt(1, 1)), QuotientParams()
+    assert len(built) == 1 and kernel_spec(p) is p.kernel == want
+    assert formal.kernel is None
+    with pytest.raises(ValueError, match="^this operation needs a concrete value for a$"):
+        kernel_spec(formal)
+    report = check_projection_intertwines(p, 2, 2)
+    assert report.passed, report.render_text()
+    assert len(built) == 1
 
 
 def test_projection_intertwines_H2_spot():
@@ -204,6 +226,14 @@ def test_phi_values_and_mismatch():
             QuotientParams(a=1),
             QuotientParams(a=1, lam=Scalar.param("mu"), alp=Scalar.param("bet")),
         )
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_phi_refuses_a_formal_against_a_concrete_root(a):
+    formal, concrete = QuotientParams(), QuotientParams(a=a)
+    for src, dst in ((formal, concrete), (concrete, formal)):
+        with pytest.raises(ParamMismatch, match="root parameter differs"):
+            iso_phi(q("x"), src, dst)
 
 
 def test_phi_intertwines_window2():
