@@ -48,8 +48,9 @@ generators once for all vectors, each vector a signed digit of one packed
 int per coordinate, as the Jacobi sweep packs its families
 (``_signed_digits`` unpacks both).  It and ``freemod.extend_linearly``
 read every image through one parity guard, ``_checked``.
-``_check_images`` applies each generator of a list to each whole vector of
-a list, since a seam fault need not be linear.
+``_check_images`` is the one generator-by-vector check loop: every map
+sweep and closure check compares its two sides of each case through it,
+on each whole vector, since a seam fault need not be linear.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import chain, product
 from math import lcm
+from operator import eq
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
@@ -620,15 +622,17 @@ def check_representation(report, syms, basis_act, vectors, label):
     return report
 
 
-def _check_images(report, syms, vectors, act, member, label, text):
-    """Record a ``label``-prefixed violation, the image against ``text``,
-    wherever ``member(act(X, v))`` fails, for every X of ``syms`` (outer
-    loop) and every v of ``vectors`` (inner loop)."""
+def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
+    """Record a ``label``-prefixed violation, ``lhs(X, v, w)`` against
+    ``rhs(X, v, w)``, wherever ``same`` of the two fails, for every X of
+    ``syms`` (outer loop) and every pair (v, w) of ``vectors`` (inner loop),
+    w the caller's image of v, built once per vector.  A side may be a
+    fixed text."""
     for sym in syms:
-        for v in vectors:
-            image = act(sym, v)
-            if not member(image):
-                report.record(f"{label}{sym} on {v}", image, text)
+        for v, w in vectors:
+            left, right = lhs(sym, v, w), rhs(sym, v, w)
+            if not same(left, right):
+                report.record(f"{label}{sym} on {v}", left, right)
     return report
 
 

@@ -209,9 +209,9 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         spanning = [QuotientElement.monomial(EVEN, k + 1) for k in range(degree_bound + 1)]
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         _check_images(
-            report, gens, spanning, lambda g, v: restricted_act(g, v, r),
-            lambda out: out.parity != EVEN or 0 not in out.terms, "a=0 closure ",
-            "member of xC[x]+C[s]",
+            report, gens, [(v, None) for v in spanning], lambda g, v, _: restricted_act(g, v, r),
+            lambda *_: "member of xC[x]+C[s]", "a=0 closure ",
+            same=lambda out, _: out.parity != EVEN or 0 not in out.terms,
         )
         report.notes.append(
             "a=0: the subspace x*C[x] + C[s] is closed and omits 1_even, "

@@ -34,22 +34,19 @@ of h = y + a that p builds once, its keys (i, 0) read as i.
 (``freemod.extend_linearly``), which ``n1.restricted_act`` extends over the
 embedded targets too.
 
-The projection and phi intertwining sweeps compare, for each (generator,
-monomial) case, the image of their map with the other side by element
-equality: project(X . v) with X . project(v), and iso_phi(X . v) with
-X . iso_phi(v).  Each vector's own projection or phi image is built once.
-The xi sweep tests membership in M_h instead, so it decides each case in
-ints: the module image of the ``iso_xi`` lift minus the quotient image
-times the multiplier, read from the lift of 1, as rows for
-``submodules._member``; only a failing case lifts the quotient image, for
-its text.
+The three intertwining sweeps are calls of one loop,
+``algebras._check_images``, which builds each vector's own image once and
+compares the two sides of each (generator, monomial) case: project(X . v)
+with X . project(v) and iso_phi(X . v) with X . iso_phi(v) by element
+equality, and X . iso_xi(v) with iso_xi(X . v) by membership of their
+difference in M_h (``submodules.contains``).
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
-from .algebras import basis_symbols, check_representation
+from .algebras import _check_images, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
     EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act,
@@ -57,11 +54,10 @@ from .freemod import (
 )
 from .reports import VerificationReport
 from .scalars import (
-    QE_ONE, Scalar, _qe, add_slice, add_terms, as_quadext, as_scalar,
-    build_slices, monomial_text,
+    QE_ONE, Scalar, _qe, add_terms, as_quadext, as_scalar, build_slices, monomial_text,
 )
 from .submodules import (
-    SubmoduleSpec, UniPoly, _deflated, _member, _rows, check_containment, reduce_mod,
+    SubmoduleSpec, UniPoly, _deflated, check_containment, contains, reduce_mod,
 )
 from .values import Value
 
@@ -299,7 +295,7 @@ class CompositionSeries(Value):
 
     The chain is maximal only when h(0) != 0: a root 0 gives a layer that
     is not simple, since an N-kind submodule lies strictly between its two
-    ends (ROADMAP item 2).
+    ends (ROADMAP: a maximal composition series when h(0) = 0).
 
     ``chain[i]`` is the M-kind spec of (y - a_1)...(y - a_{i+1}); the factor
     below chain[i] is the simple quotient with root parameter ``factors[i]``
@@ -365,14 +361,14 @@ def check_projection_intertwines(p, index_window, degree_bound):
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
-    label = f"projection {p.describe()} "
-    pairs = [(v, project(v, p)) for v in monomials(degree_bound)]  # projected once per vector
-    for sym in basis_symbols("R", index_window):
-        for v, pv in pairs:
-            left, right = project(act(sym, v), p), quotient_act(sym, pv, p)
-            if left != right:
-                report.record(f"{label}{sym} on {v}", left, right)
-    return report
+    return _check_images(
+        report,
+        basis_symbols("R", index_window),
+        [(v, project(v, p)) for v in monomials(degree_bound)],
+        lambda sym, v, _: project(act(sym, v), p),
+        lambda sym, _, pv: quotient_act(sym, pv, p),
+        f"projection {p.describe()} ",
+    )
 
 
 def check_phi_intertwines(src, dst, index_window, degree_bound):
@@ -386,23 +382,19 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    label = f"phi {src.describe()}->{dst.describe()} "
-    pairs = [(v, iso_phi(v, src, dst)) for v in quotient_monomials(degree_bound)]
-    for sym in basis_symbols("R", index_window):
-        for v, mv in pairs:
-            left = iso_phi(quotient_act(sym, v, src), src, dst)
-            right = quotient_act(sym, mv, dst)
-            if left != right:
-                report.record(f"{label}{sym} on {v}", left, right)
-    return report
+    return _check_images(
+        report,
+        basis_symbols("R", index_window),
+        [(v, iso_phi(v, src, dst)) for v in quotient_monomials(degree_bound)],
+        lambda sym, v, _: iso_phi(quotient_act(sym, v, src), src, dst),
+        lambda sym, _, mv: quotient_act(sym, mv, dst),
+        f"phi {src.describe()}->{dst.describe()} ",
+    )
 
 
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
-    M_h with h = (y+a) h~ (membership-tested, not representative-equal).
-    ``iso_xi`` lifts each monomial once; the quotient image is multiplied,
-    in ints, by the multiplier read from the lift of 1, so an ``iso_xi``
-    that is wrong only on elements of several terms passes the sweep."""
+    M_h with h = (y+a) h~: X . iso_xi(v) - iso_xi(X . v) lies in M_h."""
     full = SubmoduleSpec("M", kernel_spec(p).h * h_tilde)
     report = VerificationReport(
         "xi-intertwines",
@@ -413,20 +405,12 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    label = f"xi h~={h_tilde.render()} {p.describe()} "
-    pairs = [(v, iso_xi(v, h_tilde, p)) for v in quotient_monomials(degree_bound)]
-    parts = {  # parity -> the parts of its multiplier, read from the lift of its 1
-        v.parity: [(j, c.p, c.q, c.d) for (_, j), s in lv.terms.items() for c in (s.constant(),)]
-        for v, lv in pairs if 0 in v.terms}
-    for sym in basis_symbols("R", index_window):
-        for v, lv in pairs:
-            left, image = act(sym, lv), quotient_act(sym, v, p)
-            rows = _rows(left.terms)  # left - image * multiplier, as rows of ints
-            for k, c in image.terms.items():
-                for ev, x in c.terms.items():
-                    row = rows.setdefault((k, ev), {})
-                    for j, u, w, e in parts[image.parity]:
-                        add_slice(row, j, -x.p * u - 2 * x.q * w, -x.p * w - x.q * u, x.d * e)
-            if not _member(full, left.parity if left.terms else image.parity, rows):
-                report.record(f"{label}{sym} on {v}", left, iso_xi(image, h_tilde, p))
-    return report
+    return _check_images(
+        report,
+        basis_symbols("R", index_window),
+        [(v, iso_xi(v, h_tilde, p)) for v in quotient_monomials(degree_bound)],
+        lambda sym, _, lv: act(sym, lv),
+        lambda sym, v, _: iso_xi(quotient_act(sym, v, p), h_tilde, p),
+        f"xi h~={h_tilde.render()} {p.describe()} ",
+        same=lambda left, right: contains(full, left - right),
+    )

@@ -14,12 +14,10 @@ undecidable, and the action formulas never need them.
 
 One long division, ``_divmod_monic``, divides in machine ints, by the
 integer form of a monic divisor that ``_int_divisor`` computes (a spec
-computes those of h(y) and h(t+1) when it is built).  Membership is one
-routine, ``_member``: it divides rows of [p, q, d] ints, one per power of
-the first variable and parameter monomial, and the first nonzero
-remainder (or, for the N kind, quotient constant term) decides.
-``contains`` reads an element's rows into it, and so does the xi sweep of
-``quotients``, from the ints it sums the two sides of a case into.
+computes those of h(y) and h(t+1) when it is built).  Membership,
+``contains``, divides rows of [p, q, d] ints, one per power of the first
+variable and parameter monomial, and the first nonzero remainder (or, for
+the N kind, quotient constant term) decides.
 """
 
 from __future__ import annotations
@@ -277,8 +275,7 @@ def _deflated(p, r):
 
 def _rows(terms):
     """A module element's terms as rows: (power of the first variable,
-    parameter monomial) -> {power of the second variable: [p, q, d]}, each
-    list new, so that a caller may add into it (``scalars.add_slice``)."""
+    parameter monomial) -> {power of the second variable: [p, q, d]}."""
     rows = {}
     for (i, j), c in terms.items():
         for ev, x in c.terms.items():
@@ -287,7 +284,8 @@ def _rows(terms):
 
 
 def contains(spec, v):
-    """Exact membership of a module element in the submodule.
+    """Exact membership of a module element in the submodule, row by row
+    (``_rows``).
 
     The element must not involve the formal parameters a, b (membership is a
     question about the h-ideal, not a parametric one).
@@ -297,15 +295,8 @@ def contains(spec, v):
     rows = _rows(v.terms)
     if any(ev[_A] or ev[_B] for _, ev in rows):
         raise ValueError("membership is defined for elements free of the parameters a, b")
-    return _member(spec, v.parity, rows)
-
-
-def _member(spec, parity, rows):
-    """Whether the element of ``parity`` with rows ``rows`` (``_rows``) lies
-    in the submodule: each row is divided in ints, and the first nonzero
-    remainder decides."""
-    divisor = n, E, _ = spec._int_divisors[parity]
-    constant = parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
+    divisor = n, E, _ = spec._int_divisors[v.parity]
+    constant = v.parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
     for (i, _), row in rows.items():
         P, Q, _ = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
@@ -338,8 +329,10 @@ def check_closure(spec, index_window, degree_bound):
         {"spec": spec.render(), "window": index_window, "degree": degree_bound},
     )
     return _check_images(
-        report, basis_symbols("R", index_window), spec.spanning_elements(degree_bound), act,
-        lambda out: contains(spec, out), f"closure {spec} under ", "member",
+        report, basis_symbols("R", index_window),
+        [(v, None) for v in spec.spanning_elements(degree_bound)],
+        lambda sym, v, _: act(sym, v), lambda *_: "member", f"closure {spec} under ",
+        same=lambda out, _: contains(spec, out),
     )
 
 

@@ -68,7 +68,7 @@ def test_every_private_function_is_referenced():
 
 # public module-level name -> why it stays although nothing in the package uses it
 UNREFERENCED_NAMES = {
-    "RowSpan": "perfbench/sweeps.py imports it; goes with ROADMAP item 1",
+    "RowSpan": "perfbench/sweeps.py imports it; goes with ROADMAP: the benchmark without replays",
 }
 
 
@@ -97,9 +97,10 @@ UNREFERENCED_METHODS = {
     "Scalar.evaluate": "public specialisation of every parameter to a number",
     "VerificationReport.passed": "public verdict of a report for library callers",
     "UniPoly.divmod_monic": "public quotient and remainder; the tests read it",
-    "RowSpan.add": "perfbench/sweeps.py imports it; goes with ROADMAP item 1",
-    "RowSpan.rank": "part of RowSpan, which perfbench/sweeps.py imports; goes with ROADMAP "
-                    "item 1",
+    "RowSpan.add": "perfbench/sweeps.py imports it; goes with ROADMAP: the benchmark without "
+                   "replays",
+    "RowSpan.rank": "part of RowSpan, which perfbench/sweeps.py imports; goes with "
+                    "ROADMAP: the benchmark without replays",
 }
 
 
@@ -133,9 +134,9 @@ def test_every_method_is_referenced():
 # module.[Class.]function.parameter -> why it stays although the body never reads it
 UNREAD_PARAMETERS = {
     "n1.check_simplicity_witness.word_length": "perfbench/sweeps.py passes it positionally; "
-                                               "goes with ROADMAP item 1",
+                                               "goes with ROADMAP: the benchmark without replays",
     "quotients.iso_xi.p": "the layer map multiplies by h~ alone; perfbench/sweeps.py passes it "
-                          "positionally; goes with ROADMAP item 1",
+                          "positionally; goes with ROADMAP: the benchmark without replays",
 }
 
 

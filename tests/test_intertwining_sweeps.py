@@ -7,14 +7,11 @@ suite, params, notes and violations (context, lhs and rhs, in order), with
 the action right, with each family doubled at either basis-action seam
 (``scale_family``), and with a fault of its own for phi and for xi.  Each
 is the only reference for its sweep, so it stays here and not in
-``reference.py``.  The projection and phi sweeps build each vector's own
-image once and call their map once more per case; the xi sweep decides
-each case in ints, so it lifts each vector once through ``iso_xi``, tests
-no membership through ``contains``, and the window does not change how
-often it calls them.  ``reference_xi`` lifts by a product of its own, so an
-``iso_xi`` wrong on monomials fails the sweep and not the reference.  The
-sweep lifts only monomials, so ``iso_xi`` on elements of several terms is
-checked directly against that product, ``_times``."""
+``reference.py``.  Each sweep builds each vector's own image once and
+calls its map once more per case; the xi sweep also tests one membership
+through ``contains`` per case.  ``reference_xi`` lifts by a product of its
+own, ``_times``, so an ``iso_xi`` that is wrong, on monomials or only on
+elements of several terms, fails the sweep and not the reference."""
 
 from collections import Counter
 from fractions import Fraction
@@ -212,7 +209,15 @@ def _xi_odd_minus_one(v, h_tilde, p):
     return _times(v, h_tilde if v.parity == EVEN else h_tilde.shifted(-1))
 
 
-@pytest.mark.parametrize("wrong", [_xi_swapped, _xi_odd_minus_one], ids=["swapped", "t-1"])
+def _xi_leading_term(v, h_tilde, p):
+    """iso_xi keeping only the leading term of an element of several terms."""
+    top = max(v.terms, default=None)
+    return _times(v if len(v.terms) < 2 else v.monomial(v.parity, top, v.terms[top]),
+                  h_tilde if v.parity == EVEN else h_tilde.shifted(1))
+
+
+@pytest.mark.parametrize("wrong", [_xi_swapped, _xi_odd_minus_one, _xi_leading_term],
+                         ids=["swapped", "t-1", "leading-term"])
 def test_a_wrong_iso_xi_fails_every_layer(monkeypatch, wrong):
     monkeypatch.setattr(quotients, "iso_xi", wrong)
     for a, h_tilde in XI:
@@ -239,6 +244,7 @@ def _counted(monkeypatch, sweep):
     with monkeypatch.context() as m:
         for owner, name in ((quotients, "project"), (quotients, "iso_phi"),
                             (quotients, "iso_xi"), (submodules, "contains"),
+                            (quotients, "contains"),
                             (ParityElement, "__sub__"), (Scalar, "__eq__")):
             def counted(*args, _good=getattr(owner, name), _name=name):
                 seen[_name] += 1
@@ -249,7 +255,7 @@ def _counted(monkeypatch, sweep):
     return seen
 
 
-def test_projection_and_phi_map_each_case_and_xi_each_vector_once(monkeypatch):
+def test_projection_phi_and_xi_map_each_vector_once_and_each_case_once(monkeypatch):
     degree = 2
     for window in (1, 2):
         gens = len(basis_symbols("R", window))
@@ -258,10 +264,7 @@ def test_projection_and_phi_map_each_case_and_xi_each_vector_once(monkeypatch):
         assert seen["project"] == len(monomials(degree)) * (1 + gens)
         seen = _counted(monkeypatch, lambda: check_phi_intertwines(*PHI[0], window, degree))
         assert seen["iso_phi"] == len(quotient_monomials(degree)) * (1 + gens)
-    at_one, at_two = (
-        _counted(monkeypatch, lambda: check_xi_intertwines(
+        seen = _counted(monkeypatch, lambda: check_xi_intertwines(
             parse_unipoly("y^2 - 2"), QuotientParams(a=1), window, degree))
-        for window in (1, 2))
-    assert at_one == at_two
-    assert at_one["iso_xi"] == len(quotient_monomials(degree))
-    assert at_one["contains"] == at_one["__sub__"] == 0
+        assert seen["iso_xi"] == len(quotient_monomials(degree)) * (1 + gens)
+        assert seen["contains"] == seen["__sub__"] == len(quotient_monomials(degree)) * gens

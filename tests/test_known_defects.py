@@ -18,7 +18,7 @@ def run(capsys, *argv):
 
 
 @pytest.mark.xfail(strict=True, reason="decompose gives no N-kind link for the root 0 "
-                                       "(ROADMAP item 2)")
+                                       "(ROADMAP: a maximal composition series when h(0) = 0)")
 def test_decompose_with_a_zero_root_lists_an_n_kind_link(capsys):
     # M ⊋ N[h=1] ⊋ M[h=y] ⊋ M[h=y^2 - y]: the a = 0 layer is not simple
     code, out = run(capsys, "decompose", "--h=y^2-y", "--json")
@@ -27,7 +27,7 @@ def test_decompose_with_a_zero_root_lists_an_n_kind_link(capsys):
 
 
 @pytest.mark.xfail(strict=True, reason="decompose stops at a factor with no root in "
-                                       "Q(sqrt2) (ROADMAP item 3)")
+                                       "Q(sqrt2) (ROADMAP: decompose answers every h)")
 def test_decompose_answers_an_h_that_does_not_split(capsys):
     # "no root in Q(sqrt2)" is decided by the exact root search, not a bound
     code, _ = run(capsys, "decompose", "--h=y^2-3")

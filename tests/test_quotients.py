@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sconf import quotients
-from sconf.algebras import AlgebraElement, BasisSymbol
+from sconf.algebras import AlgebraElement, BasisSymbol, basis_symbols
 from sconf.errors import ParamMismatch, UnsplitPolynomial
 from sconf.freemod import EVEN, ODD, act_basis, monomials
 from sconf.linalg import RowSpan
@@ -277,15 +277,18 @@ def test_xi_intertwines_window2(a, ht):
     assert report.passed, report.render_text()
 
 
-def test_xi_sweep_shifts_the_kernel_divisors_and_each_odd_vector_once(monkeypatch):
+def test_xi_sweep_shifts_the_kernel_divisors_and_each_odd_element_it_lifts(monkeypatch):
     calls = []
     good = UniPoly.shifted
     monkeypatch.setattr(UniPoly, "shifted", lambda self, c: calls.append(self) or good(self, c))
     report = check_xi_intertwines(parse_unipoly("y^2 + y - 2"), QuotientParams(a=-1), 1, 2)
     assert report.passed, report.render_text()
     # the odd divisors of M[y - 1] and of the full kernel, then h~(t+1) in
-    # iso_xi on each odd vector
-    assert len(calls) == 2 + sum(v.parity == ODD for v in quotient_monomials(2))
+    # iso_xi on each odd vector and on each odd image X . v
+    syms, vectors = basis_symbols("R", 1), quotient_monomials(2)
+    odd = sum(v.parity == ODD for v in vectors)
+    odd += sum((sym.parity + v.parity) % 2 == ODD for sym in syms for v in vectors)
+    assert len(calls) == 2 + odd
 
 
 # -- roots and composition series ---------------------------------------------------
