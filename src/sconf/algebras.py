@@ -412,9 +412,9 @@ def _bracket_terms(xterms, yterms):
     return acc
 
 
-def _checked(basis_act, sym, v):
-    """``basis_act(sym, v)``, refused when it lands in the wrong parity."""
-    image = basis_act(sym, v)
+def _checked(image, sym, v):
+    """``image``, a basis action's image of ``v`` under ``sym``, refused when
+    it lands in the wrong parity."""
     if image.terms and image.parity != (v.parity + sym.parity) % 2:
         raise MixedParity(f"{sym} maps a monomial to the wrong parity")
     return image
@@ -519,7 +519,8 @@ def check_representation(report, syms, basis_act, vectors, label):
             if have < count:
                 unit = cls(parity, {key: SC_ONE})
                 for k in range(have, count):
-                    images[k, parity, key] = _checked(basis_act, symbols[k], unit)
+                    sym = symbols[k]
+                    images[k, parity, key] = _checked(basis_act(sym, unit), sym, unit)
                 filled[parity, key] = count
 
     for v in vectors:

@@ -264,10 +264,11 @@ def _verify_quotient(args):
 
 
 def _restriction_params(args):
-    lam = Scalar.param("lam") if args.lam0 is None else Scalar.number(parse_quadext(args.lam0))
-    alp = Scalar.param("alp") if args.alp0 is None else Scalar.number(parse_quadext(args.alp0))
+    # lam and alp keep QuotientParams' formal defaults unless given
+    given = {name: Scalar.number(parse_quadext(value))
+             for name, value in (("lam", args.lam0), ("alp", args.alp0)) if value is not None}
     a = args.a_value if args.a_value is not None else SIMPLICITY_DEFAULTS["a_value"]
-    return QuotientParams(a=parse_quadext(a), lam=lam, alp=alp)
+    return QuotientParams(a=parse_quadext(a), **given)
 
 
 def _verify_restriction(args):

@@ -23,9 +23,10 @@ binomial-shift image times its coefficient's parts into the slices
 (``scalars.add_slice``), and each output Scalar is built once from its
 slices (``scalars.build_slices``).  The row scale lam^m * number *
 alp^power is formed in ints from the (exponent vector, p, q, d) parts of
-lam, alp and their inverses (``_parts``) and folded into each input
-coefficient once, so no Scalar is multiplied or added on the way.  A
-quotient's frozen root enters the same way, through the prefactor rows.
+lam, alp and their inverses (``_parts``), times those of the coefficient
+the generator carries, and folded into each input coefficient once, so no
+Scalar is multiplied or added on the way.  A quotient's frozen root enters
+the same way, through the prefactor rows.
 
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
@@ -35,15 +36,15 @@ even->odd substitutions above are plain variable shifts plus a parity flip.
 
 Every action is linear over the Scalars.  ``extend_linearly`` acts by an
 element x, or by its terms, as the sum of the basis actions of its
-generators, each on the whole element scaled by that generator's
-coefficient (the element has fewer terms than its image): ``act`` extends
-``act_basis``, and ``quotients.quotient_act`` and ``n1.restricted_act``
-extend ``quotient_act_basis``.  One guard, ``_require_r``, refuses an
-element or generator outside R, with the text each module names as its
-``_OWNER``.  Nothing is tabulated or cached.  The bracket-compatibility
-sweep, ``algebras.check_representation``, takes the basis action itself
-and keeps a table local to the call.  Both read each basis image through
-the one parity guard, ``algebras._checked``.
+generators, each on the whole element itself, passed the generator's
+coefficient for the row scale (not ``SC_ONE``), so no scaled copy is built:
+``act`` extends ``act_basis``, and ``quotients.quotient_act`` and
+``n1.restricted_act`` extend ``quotient_act_basis``.  One guard,
+``_require_r``, refuses an element or generator outside R, with the text
+each module names as its ``_OWNER``.  Nothing is tabulated or cached.  The
+bracket-compatibility sweep, ``algebras.check_representation``, takes the
+basis action itself and keeps a table local to the call.  Both read each
+basis image through the one parity guard, ``algebras._checked``.
 """
 
 from __future__ import annotations
@@ -210,18 +211,19 @@ def _parts(*values):
 _UNITS = _parts(*(Scalar.param(name, e) for name in ("lam", "alp") for e in (1, -1)))
 
 
-def _row_terms(sym, parity, terms, units, roots=None):
+def _row_terms(sym, parity, terms, units, roots=None, coeff=None):
     """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
     ``terms`` of a parity: the target parity and the image as slices
     ``{(i, j): {ev: [p, q, d]}}``, one per output monomial u^i v^j and
     parameter monomial ev, each summed in ints over the terms
     (``add_slice``).  The row scale lam^m * number * alp^power is formed in
-    ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, and folded
-    into each input coefficient once.  With ``roots``, the parts of the
-    root v is frozen at on each target parity, the terms are ``(k, c)``
-    pairs of u^k and the slices are keyed i: v enters only through the
-    prefactor, v^j as the j-th power of the root.  A shift by the shared
-    zero vector ``_ZERO_EXP`` is skipped."""
+    ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, times the
+    parts of the Scalar ``coeff`` when one is given, and folded into each
+    input coefficient once.  With ``roots``, the parts of the root v is
+    frozen at on each target parity, the terms are ``(k, c)`` pairs of u^k
+    and the slices are keyed i: v enters only through the prefactor, v^j as
+    the j-th power of the root.  A shift by the shared zero vector
+    ``_ZERO_EXP`` is skipped."""
     row = _ACTION.get((sym.family, parity))
     if row is None:
         return (parity + sym.parity) % 2, {}
@@ -233,6 +235,9 @@ def _row_terms(sym, parity, terms, units, roots=None):
         for _ in range(n):
             ev = uev if ev is _ZERO_EXP else tuple(map(add, ev, uev))
             p, q, d = p * u + 2 * q * v, p * v + q * u, d * e
+    scale = [(ev, p, q, d)] if coeff is None else [
+        (ev if cev is _ZERO_EXP else tuple(map(add, ev, cev)), p * x.p + 2 * q * x.q,
+         p * x.q + q * x.p, d * x.d) for cev, x in coeff.terms.items()]
     # (parts of a factor, its prefactor rows): the scale, and the scale times the root
     uni, scaled, frozen = roots is not None, [], []
     for i, j, c, dm in rows:
@@ -241,10 +246,11 @@ def _row_terms(sym, parity, terms, units, roots=None):
             frozen.append((i, n))
         elif n:
             scaled.append((i if uni else (i, j), n))
-    pre = [([(ev, p, q, d)], scaled)] if scaled else []
+    pre = [(scale, scaled)] if scaled else []
     if frozen:
-        pre.append(([(ev if rev is _ZERO_EXP else tuple(map(add, ev, rev)), p * u + 2 * q * v,
-                      p * v + q * u, d * e) for rev, u, v, e in roots[parity]], frozen))
+        pre.append(([(sev if rev is _ZERO_EXP else tuple(map(add, sev, rev)), p * u + 2 * q * v,
+                      p * v + q * u, d * e)
+                     for sev, p, q, d in scale for rev, u, v, e in roots[parity]], frozen))
     slices = {}
     for k, c in terms:
         if uni:
@@ -294,27 +300,29 @@ def _require_r(x, owner):
         raise AlgebraMismatch(f"{owner}; got {x.algebra}")
 
 
-def act_basis(sym, v):
-    """Action of one basis generator of the Ramond algebra."""
+def act_basis(sym, v, coeff=None):
+    """Action of one basis generator of the Ramond algebra, on ``coeff * v``
+    when the Scalar ``coeff`` is given."""
     _require_r(sym, _OWNER)
-    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _UNITS)
+    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _UNITS, None, coeff)
     return ModuleElement(parity, build_slices(slices))
 
 
 def extend_linearly(x, v, basis_act, owner):
     """Act by ``x`` on ``v``: the sum over the generators of x of
-    ``basis_act(generator, coeff * v)``, each acting once on the whole of v
-    (on v itself when coeff is ``SC_ONE``).  x is an R element or basis
+    ``basis_act(generator, v, coeff)``, each acting once on v itself, with
+    coeff left out when it is ``SC_ONE``.  x is an R element or basis
     symbol, refused otherwise with ``owner`` naming the module, or the terms
     ``{R symbol: Scalar}`` of an R element."""
     if not isinstance(x, dict):
         _require_r(x, owner)
         if isinstance(x, BasisSymbol):
-            return _checked(basis_act, x, v)
+            return _checked(basis_act(x, v), x, v)
         x = x.terms
     out = type(v).zero((v.parity + _parity(x)) % 2)
     for sym, c in x.items():
-        out = out + _checked(basis_act, sym, v if c is SC_ONE else v * c)
+        image = basis_act(sym, v) if c is SC_ONE else basis_act(sym, v, c)
+        out = out + _checked(image, sym, v)
     return out
 
 

@@ -83,8 +83,8 @@ def restricted_act(x, v, r):
     image = {}
     for sym, coeff in ({x: SC_ONE} if isinstance(x, BasisSymbol) else x.terms).items():
         add_terms(image, ((s, c * coeff) for s, c in map_image(r.embedding, sym)))
-    return extend_linearly(
-        image, v, lambda sym, w: quotients.quotient_act_basis(sym, w, r.params), None)
+    return extend_linearly(image, v, lambda sym, w, *coeff: quotients.quotient_act_basis(
+        sym, w, r.params, *coeff), None)
 
 
 def check_n1_relations(r, index_window, degree_bound):

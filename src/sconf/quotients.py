@@ -27,12 +27,13 @@ The quotient is the module row read through the projection:
 ``freemod._ACTION`` row (``freemod._row_terms``) with the ints p builds:
 the parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
-image is summed once into slices keyed i.  ``project`` is
-``submodules.reduce_mod`` by the kernel ``p.kernel``, the M-kind submodule
-of h = y + a that p builds once, its keys (i, 0) read as i.
-``quotient_act`` is the linear extension of ``quotient_act_basis``
-(``freemod.extend_linearly``), which ``n1.restricted_act`` extends over the
-embedded targets too.
+image is summed once into slices keyed i.  ``project`` divides by y + a
+(even) or t + a + 1 (odd), the int divisors p stores (``divisors``), in
+the one long division that ``submodules.reduce_mod`` runs too, and reads
+the remainders' keys (i, 0) as i.  ``kernel_spec`` builds the kernel, the
+M-kind submodule of h = y + a, on request.  ``quotient_act`` is the linear
+extension of ``quotient_act_basis`` (``freemod.extend_linearly``), which
+``n1.restricted_act`` extends over the embedded targets too.
 
 The three intertwining sweeps are calls of one loop,
 ``algebras._check_images``, which builds each vector's own image once and
@@ -57,7 +58,7 @@ from .scalars import (
     QE_ONE, Scalar, _qe, add_terms, as_quadext, as_scalar, build_slices, monomial_text,
 )
 from .submodules import (
-    SubmoduleSpec, UniPoly, _deflated, check_containment, contains, reduce_mod,
+    SubmoduleSpec, UniPoly, _deflated, _linear, _remainders, check_containment, contains,
 )
 from .values import Value
 
@@ -91,7 +92,7 @@ class QuotientParams(Value):
     ``lam`` and ``alp``.
     """
 
-    __slots__ = ("a", "lam", "alp", "root", "units", "roots", "kernel")
+    __slots__ = ("a", "lam", "alp", "root", "units", "roots", "divisors")
     _fields = ("a", "lam", "alp")
 
     def __init__(self, a=None, lam=_LAM, alp=_ALP):
@@ -108,13 +109,13 @@ class QuotientParams(Value):
         super().__init__(a, lam, alp)
         # the root the action freezes y at, formal when a is None, the ints
         # the action reads: lam, 1/lam, alp, 1/alp, and y = -a and t = -a-1,
-        # and the kernel of the projection, M-kind with h = y + a
+        # and the int divisors of y + a and t + a + 1 that project reduces by
         root = Scalar.param("a") if a is None else a
+        y, t = -root, -root - 1
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "units", _parts(lam, inverses[0], alp, inverses[1]))
-        object.__setattr__(self, "roots", _parts(-root, -root - 1))
-        object.__setattr__(self, "kernel",
-                           None if a is None else SubmoduleSpec("M", UniPoly((a, QE_ONE))))
+        object.__setattr__(self, "roots", _parts(y, t))
+        object.__setattr__(self, "divisors", None if a is None else (_linear(y), _linear(t)))
 
     def concrete_a(self):
         if self.a is None:
@@ -129,32 +130,35 @@ class QuotientParams(Value):
 _OWNER = "simple quotients are R-modules"
 
 
-def quotient_act_basis(sym, v, p):
-    """Action of one Ramond basis generator on a quotient element: the
-    module's row read at the frozen root."""
+def quotient_act_basis(sym, v, p, coeff=None):
+    """Action of one Ramond basis generator on a quotient element, or on
+    ``coeff * v`` when the Scalar ``coeff`` is given: the module's row read
+    at the frozen root."""
     _require_r(sym, _OWNER)
-    parity, slices = _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots)
+    parity, slices = _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots, coeff)
     return QuotientElement(parity, build_slices(slices))
 
 
 def quotient_act(x, v, p):
     """Action of a homogeneous R-element (or one basis symbol) on a quotient
     element."""
-    return extend_linearly(x, v, lambda sym, w: quotient_act_basis(sym, w, p), _OWNER)
+    return extend_linearly(
+        x, v, lambda sym, w, *coeff: quotient_act_basis(sym, w, p, *coeff), _OWNER)
 
 
 def project(v, p):
     """Canonical projection from the rank-2 module onto the quotient: the
     remainder modulo the kernel, which sets y -> -a on the even part and
     t -> -a-1 on the odd part."""
-    rem = reduce_mod(kernel_spec(p), v)
-    return QuotientElement(v.parity, {i: c for (i, _), c in rem.terms.items()})
+    p.concrete_a()
+    rem = _remainders(p.divisors[v.parity], v.terms)
+    return QuotientElement(v.parity, {i: Scalar(t) for (i, _), t in rem.items()})
 
 
 def kernel_spec(p):
-    """The submodule that the projection kills: M-kind with h = y + a."""
-    p.concrete_a()
-    return p.kernel
+    """The submodule that the projection kills, built on each call: M-kind
+    with h = y + a."""
+    return SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)))
 
 
 def iso_phi(v, src, dst):

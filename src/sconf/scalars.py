@@ -40,8 +40,8 @@ One shortcut stays, as a contract: ``s * SC_ONE`` and ``SC_ONE * s`` return
 ``s`` itself, and a number equal to 1 coerces to ``SC_ONE`` (the object
 ``Scalar.number(1)`` returns).  The generator maps, ``apply_map`` and
 ``AlgebraElement.basis`` keep a unit coefficient as that object, so
-``freemod.extend_linearly`` acts on ``v`` itself, not a scaled copy, when a
-coefficient is ``SC_ONE``.
+``freemod.extend_linearly`` passes no coefficient for it and the row
+reader skips the fold.
 
 Every sparse polynomial in the package (Scalar terms, module and quotient
 elements, algebra elements, the parser's accumulators) is a dict from a
@@ -477,7 +477,7 @@ class Scalar(Value):
         if other is None:
             return NotImplemented
         # the SC_ONE identity is a contract, not a speed-up: see the module
-        # docstring (extend_linearly acts on v itself through it)
+        # docstring (extend_linearly passes no unit coefficient through it)
         if other is SC_ONE:
             return self
         if self is SC_ONE:

@@ -307,18 +307,26 @@ def contains(spec, v):
     return True
 
 
-def reduce_mod(spec, v):
-    """Canonical representative of v modulo the M-kind submodule of spec.h:
-    the remainder of each row's division in ints, each nonzero coefficient
-    unscaled once and each Scalar built once."""
-    divisor = n, E, _ = spec._int_divisors[v.parity]
+def _remainders(divisor, terms):
+    """The remainders of a module element's terms by the ``_int_divisor``
+    ``divisor`` in its second variable, one division in ints per row
+    (``_rows``): {(i, j): {ev: QuadExt}}, each nonzero coefficient unscaled
+    once."""
+    n, E, _ = divisor
     rem = {}
-    for (i, ev), row in _rows(v.terms).items():
+    for (i, ev), row in _rows(terms).items():
         P, Q, D = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
         for j, x in enumerate(_unscaled(P, Q, D, E, 0, min(n, len(P)))):
             if x:
                 rem.setdefault((i, j), {})[ev] = x
+    return rem
+
+
+def reduce_mod(spec, v):
+    """Canonical representative of v modulo the M-kind submodule of spec.h:
+    the remainders of ``_remainders``, each Scalar built once."""
+    rem = _remainders(spec._int_divisors[v.parity], v.terms)
     return ModuleElement(v.parity, {k: Scalar(t) for k, t in rem.items()})
 
 

@@ -13,7 +13,7 @@ and ``BasisSymbol`` their own equality, and the unhashable ones set
 ``__hash__ = None``.
 
 A subclass that validates calls ``super().__init__`` after.  A derived
-attribute (``QuotientParams.root``, ``.units``, ``.roots`` and ``.kernel``;
+attribute (``QuotientParams.root``, ``.units``, ``.roots`` and ``.divisors``;
 ``SubmoduleSpec.odd_divisor`` and ``._int_divisors``) is set past the
 refusing ``__setattr__`` with ``object.__setattr__`` and stays out of
 ``_fields``: it is neither shown nor compared.  Where construction is hot

@@ -3,18 +3,21 @@
 ``freemod.act_basis`` sums an element's image in ints, once per output
 monomial and parameter monomial; ``quotients.quotient_act_basis`` reads the
 same rows on the quotient element's terms x^k (s^k), with the frozen root in
-each row's prefactor; ``freemod.extend_linearly`` scales the input by each
-generator's coefficient; and ``quotients.project`` reduces modulo the
-kernel by the one long division, ``submodules.reduce_mod``.  The references
+each row's prefactor; ``freemod.extend_linearly`` passes each generator's
+coefficient to the basis action, which folds it into the row scale; and
+``quotients.project`` reduces modulo the kernel by the one long division
+that ``submodules.reduce_mod`` runs.  The references
 of ``reference.py`` share none of that code: ``module_action`` and
 ``quotient_action`` evaluate the docstring formulas term by term,
 ``linear`` sums the generators' images, and ``projection`` substitutes the
 root.  Both sides must give equal elements of
 equal parity on a corpus that covers every family, modes |m| <= 5, degrees
 <= 6, both parities, multi-term Laurent coefficients with sqrt2 parts,
-concrete and formal roots a, and numeric lam and alp with sqrt2 parts.  The
-tests keep the names they had when the reference was a copy of the earlier
-kernel.
+concrete and formal roots a, and numeric lam and alp with sqrt2 parts.
+Acting by a whole element is checked on the module, on quotients and on
+both N=1 restrictions, by operators whose coefficients have two terms, one
+with a sqrt2 part.  The tests keep the names they had when the reference was
+a copy of the earlier kernel.
 """
 
 import random
@@ -22,9 +25,10 @@ from fractions import Fraction
 
 import pytest
 
-from sconf import freemod, quotients
-from sconf.algebras import AlgebraElement, BasisSymbol, basis_symbols
-from sconf.freemod import EVEN, ODD, ModuleElement
+from sconf import freemod, n1, quotients
+from sconf.algebras import AlgebraElement, BasisSymbol, apply_map, basis_symbols
+from sconf.freemod import EVEN, ODD, ModuleElement, ParityElement
+from sconf.n1 import RestrictedAction
 from sconf.quotients import QuotientElement, QuotientParams
 from sconf.scalars import QuadExt, Scalar
 
@@ -125,6 +129,71 @@ def test_linear_extension_matches_the_earlier_kernel(seed):
         w = _quotient_element(rng, rng.randint(0, 1), formal_a=p.a is None)
         _same(quotients.quotient_act(x, w, p),
               linear(lambda sym, u: quotient_action(sym, u, p), x, w))
+
+
+_SURDS = tuple(c for c in _NUMBERS if isinstance(c, QuadExt))
+_QUOTIENTS = (QuotientParams(a=QuadExt(1, 1)), QuotientParams(),
+              QuotientParams(a=Fraction(3, 2), lam=Scalar.number(QuadExt(1, -1)),
+                             alp=Scalar.number(Fraction(-2, 3))))
+
+
+def _two_terms(rng, formal_a=False):
+    """A coefficient of two terms, of different lam powers, the first with a
+    sqrt2 part (the second with a, when asked)."""
+    lam, alp = rng.randint(-2, 2), rng.randint(-2, 2)
+    second = {"a": 1} if formal_a else {}
+    return (Scalar.monomial(rng.choice(_SURDS), lam=lam, alp=alp)
+            + Scalar.monomial(rng.choice(_NUMBERS), lam=lam + rng.choice((-1, 1)), **second))
+
+
+def _operator(rng, algebra, formal_a=False):
+    """An element of ``algebra`` of one parity: one to three generators, each
+    with a two-term coefficient."""
+    parity = rng.randint(0, 1)
+    pool = [s for s in basis_symbols(algebra, 3) if s.parity == parity and s.family != "C"]
+    return AlgebraElement(algebra, {s: _two_terms(rng, formal_a)
+                                    for s in rng.sample(pool, rng.randint(1, 3))})
+
+
+def _cases(rng):
+    """(what acts, its operator, vector and reference): the module, each of
+    ``_QUOTIENTS`` and both N=1 restrictions of the concrete first one."""
+    x = _operator(rng, "R")
+    v = _module_element(rng, rng.randint(0, 1))
+    out = [(freemod.act, x, v, linear(module_action, x, v))]
+    for p in _QUOTIENTS:
+        x = _operator(rng, "R", p.a is None)
+        w = _quotient_element(rng, rng.randint(0, 1), p.a is None)
+        out.append((lambda y, u, p=p: quotients.quotient_act(y, u, p), x, w,
+                    linear(lambda sym, u, p=p: quotient_action(sym, u, p), x, w)))
+    p = _QUOTIENTS[0]
+    for r in (RestrictedAction.ramond(p), RestrictedAction.neveu_schwarz(p)):
+        x = _operator(rng, r.source)
+        w = _quotient_element(rng, rng.randint(0, 1))
+        out.append((lambda y, u, r=r: n1.restricted_act(y, u, r), x, w,
+                    linear(lambda sym, u: quotient_action(sym, u, r.params),
+                           apply_map(r.embedding, x), w)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_two_term_coefficients_fold_into_the_row_scale(seed):
+    rng = random.Random(400 + seed)
+    for _ in range(15):
+        for act, x, v, want in _cases(rng):
+            _same(act(x, v), want)
+
+
+def test_acting_by_an_element_scales_no_element(monkeypatch):
+    """Each coefficient enters the row scale: no input or image is scaled by
+    ``ParityElement.__mul__`` on the way."""
+    cases = _cases(random.Random(500))
+    calls = []
+    good = ParityElement.__mul__
+    monkeypatch.setattr(ParityElement, "__mul__", lambda v, c: calls.append(1) or good(v, c))
+    for act, x, v, want in cases:
+        _same(act(x, v), want)
+    assert not calls
 
 
 @pytest.mark.parametrize("seed", range(2))

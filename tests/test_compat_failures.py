@@ -75,8 +75,8 @@ def test_projection_sweep_catches_a_wrong_family(monkeypatch):
 def test_phi_sweep_catches_a_wrong_family(monkeypatch):
     good = quotients.quotient_act_basis
 
-    def gm_without_alp(sym, v, p):
-        out = good(sym, v, p)
+    def gm_without_alp(sym, v, p, *coeff):
+        out = good(sym, v, p, *coeff)
         return out * p.alp.invert_monomial() if sym.family == "Gm" else out
 
     monkeypatch.setattr(quotients, "quotient_act_basis", gm_without_alp)

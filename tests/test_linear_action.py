@@ -19,7 +19,7 @@ from sconf.errors import AlgebraMismatch, MixedParity
 from sconf.freemod import EVEN, ODD, ModuleElement, act, act_basis, extend_linearly
 from sconf.n1 import RestrictedAction, restricted_act
 from sconf.quotients import QuotientElement, QuotientParams, quotient_act, quotient_act_basis
-from sconf.scalars import LAURENT_PARAMS, PARAMS, QuadExt, Scalar
+from sconf.scalars import LAURENT_PARAMS, PARAMS, SC_ONE, QuadExt, Scalar
 
 from reference import linear
 
@@ -148,7 +148,7 @@ def test_restricted_action_takes_only_its_source_algebra():
 
 
 def test_a_basis_action_that_changes_parity_wrongly_is_an_error():
-    def flip(sym, w):
+    def flip(sym, w, *coeff):
         return ModuleElement(1 - w.parity, dict(w.terms))
 
     v = ModuleElement(EVEN, {(0, 0): Scalar.number(1), (2, 1): Scalar.param("lam")})
@@ -159,17 +159,21 @@ def test_a_basis_action_that_changes_parity_wrongly_is_an_error():
 
 def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
     seen = []
-    for module, name in ((freemod, "act_basis"), (quotients, "quotient_act_basis")):
+    # the coefficient follows (sym, w) in act_basis and (sym, w, p) in quotient_act_basis
+    for module, name, fixed in ((freemod, "act_basis", 0), (quotients, "quotient_act_basis", 1)):
         good = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda sym, w, *rest, good=good: (
-            seen.append((sym, w)) or good(sym, w, *rest)))
+        monkeypatch.setattr(module, name, lambda sym, w, *rest, good=good, fixed=fixed: (
+            seen.append((sym, w, rest[fixed:])) or good(sym, w, *rest)))
 
     def calls_on(v, x=None):
-        # each generator acts on the whole of v, scaled by its coefficient in x
+        # each generator acts on v itself and is passed its coefficient in x,
+        # nothing when that is SC_ONE
         coeff = {} if x is None or isinstance(x, BasisSymbol) else x.terms
-        assert all(w is v if sym not in coeff else w == v * coeff[sym] for sym, w in seen), \
-            "a generator acted on part of the element"
-        out = sorted(sym for sym, _ in seen)
+        assert all(w is v for _, w, _ in seen), "a generator acted on a copy or part of v"
+        for sym, _, passed in seen:
+            c = coeff.get(sym, SC_ONE)
+            assert passed == (() if c is SC_ONE else (c,)), (sym, passed)
+        out = sorted(sym for sym, _, _ in seen)
         seen.clear()
         return out
 

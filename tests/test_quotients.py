@@ -96,8 +96,9 @@ def test_custom_lam_alp():
 
 def test_the_action_sums_its_image_in_one_pass(monkeypatch):
     """The root is read in the row's prefactor, so no image is reduced after
-    the row is summed: with ``reduce_mod`` refusing, every family and parity
-    still acts, by a basis symbol and by an element."""
+    the row is summed: with ``_remainders``, the division that ``project``
+    reduces by, refusing, every family and parity still acts, by a basis
+    symbol and by an element."""
     cases = [(p, BasisSymbol("R", "C") if family == "C" else sym(family, m), parity)
              for p in (QuotientParams(), QuotientParams(a=QuadExt(1, 1), lam=Scalar.number(2)))
              for family in ("L", "H", "Gp", "Gm", "C") for m in (-2, 0, 3)
@@ -112,7 +113,7 @@ def test_the_action_sums_its_image_in_one_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("an image is reduced after it is summed")
 
-    monkeypatch.setattr(quotients, "reduce_mod", refuse)
+    monkeypatch.setattr(quotients, "_remainders", refuse)
     got = [(quotient_act_basis(x, v[parity], p), quotients.quotient_act(x, v[parity], p),
             quotients.quotient_act(element, v[parity], p)) for p, x, parity in cases]
     assert got == want
@@ -136,10 +137,11 @@ def test_project_needs_concrete_a():
         project(mod("x"), QuotientParams(a=None))
 
 
-def test_the_kernel_is_built_once_per_params(monkeypatch):
-    """A concrete ``QuotientParams`` builds its kernel when it is made and a
-    formal one builds none; a projection sweep then builds no
-    ``SubmoduleSpec``."""
+def test_no_kernel_is_built_by_params_or_the_projection_sweep(monkeypatch):
+    """A ``QuotientParams``, concrete or formal, stores the int divisors of
+    y + a and t + a + 1 and builds no ``SubmoduleSpec``, nor does a
+    projection sweep; ``kernel_spec`` builds the kernel on request, with the
+    same divisors."""
     want, built = SubmoduleSpec("M", parse_unipoly("y + 1 + sqrt2")), []
     good = SubmoduleSpec.__init__
 
@@ -149,13 +151,14 @@ def test_the_kernel_is_built_once_per_params(monkeypatch):
 
     monkeypatch.setattr(SubmoduleSpec, "__init__", counted)
     p, formal = QuotientParams(a=QuadExt(1, 1)), QuotientParams()
-    assert len(built) == 1 and kernel_spec(p) is p.kernel == want
-    assert formal.kernel is None
-    with pytest.raises(ValueError, match="^this operation needs a concrete value for a$"):
-        kernel_spec(formal)
+    assert not built and formal.divisors is None
     report = check_projection_intertwines(p, 2, 2)
     assert report.passed, report.render_text()
-    assert len(built) == 1
+    assert not built
+    kernel = kernel_spec(p)
+    assert kernel == want and kernel._int_divisors == p.divisors
+    with pytest.raises(ValueError, match="^this operation needs a concrete value for a$"):
+        kernel_spec(formal)
 
 
 def test_projection_intertwines_H2_spot():

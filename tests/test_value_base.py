@@ -28,7 +28,7 @@ ALLOWED = {
 # classes whose own code calls object.__setattr__, and why
 RAW_SETTERS = {
     "Value": "Value.__init__ stores the fields",
-    "QuotientParams": "derived attributes root, units and roots",
+    "QuotientParams": "derived attributes root, units, roots and divisors",
     "SubmoduleSpec": "derived attributes odd_divisor and _int_divisors",
 }
 
