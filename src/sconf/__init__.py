@@ -77,6 +77,7 @@ from .quotients import (
     kernel_spec,
     project,
     quotient_act,
+    quotient_act_basis,
 )
 from .n1 import (
     RestrictedAction,

@@ -43,11 +43,11 @@ for its text.  A symbol stores its mode and its hash when built, and
 equality compares the ``sort_index`` tuples.  ``_generator_map`` builds a
 map from rows; ``map_image`` reads and checks its image of one symbol, and
 ``apply_map`` extends that linearly.  ``check_representation``, the
-bracket-compatibility sweep of a basis action, sums each unordered pair of
-generators once for all vectors, each vector a signed digit of one packed
-int per coordinate, as the Jacobi sweep packs its families
-(``_signed_digits`` unpacks both).  It and ``freemod.extend_linearly``
-read every image through one parity guard, ``_checked``.
+bracket-compatibility sweep of an action's rows, sums each unordered pair
+of generators once for all vectors, each vector a signed digit of one packed
+int per coordinate, as the Jacobi sweep packs its families (``_signed_digits``
+unpacks both).  It and ``freemod.linear_rows`` read every image's rows
+through one parity guard, ``_checked``.
 ``_check_images`` is the one generator-by-vector check loop: every map
 sweep and closure check compares its two sides of each case through it,
 on each whole vector, since a seam fault need not be linear.
@@ -63,7 +63,7 @@ from operator import eq
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination
+from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination, slices_of
 from .values import Value
 
 ALGEBRAS = ("R", "NS", "T", "N1R", "N1NS")
@@ -412,12 +412,13 @@ def _bracket_terms(xterms, yterms):
     return acc
 
 
-def _checked(image, sym, v):
-    """``image``, a basis action's image of ``v`` under ``sym``, refused when
-    it lands in the wrong parity."""
-    if image.terms and image.parity != (v.parity + sym.parity) % 2:
+def _checked(rows, sym, parity):
+    """``rows``, the (target parity, slices) of ``sym`` on a vector of
+    ``parity``, refused when the image is nonzero and of the wrong parity."""
+    if rows[0] != (parity + sym.parity) % 2 and any(
+            p or q for slot in rows[1].values() for p, q, _ in slot.values()):
         raise MixedParity(f"{sym} maps a monomial to the wrong parity")
-    return image
+    return rows
 
 
 def _packing(exponents, base):
@@ -425,21 +426,19 @@ def _packing(exponents, base):
     return {ev: sum([x * base**i for i, x in enumerate(ev)]) for ev in exponents}
 
 
-def _flat(terms, number, den, packing, stride):
-    """``den`` times the sum of c * e_k over the terms {key: Scalar c}, k =
-    ``number[key]``, as {k + stride (r + 2 packing[ev]): int}: ``0 <= k <
-    stride`` numbers the basis element e_k, each coefficient term is an
-    exponent vector ev times sqrt2**r, and ``den`` is a multiple of every
-    coefficient denominator."""
+def _flat(slices, number, den, packing, stride):
+    """``den`` times the slices {key: {ev: (p, q, d)}}, each (p + q sqrt2)/d ev
+    e_k, k = ``number[key]`` < ``stride``, as {k + stride (r + 2 packing[ev]):
+    int}, r 0 for p and 1 for q; ``den`` is a multiple of every d."""
     out = {}
-    for key, c in terms.items():
+    for key, slot in slices.items():
         at = number[key]
-        for ev, q in c.terms.items():
-            where, s = at + 2 * stride * packing[ev], den // q.d
-            if q.p:
-                out[where] = q.p * s
-            if q.q:
-                out[where + stride] = q.q * s
+        for ev, (p, q, d) in slot.items():
+            where, s = at + 2 * stride * packing[ev], den // d
+            if p:
+                out[where] = p * s
+            if q:
+                out[where + stride] = q * s
     return out
 
 
@@ -469,24 +468,22 @@ def _signed_digits(packed, w):
     return out
 
 
-def check_representation(report, syms, basis_act, vectors, label):
-    """Bracket compatibility of an action, recorded into ``report``.
-
-    For every ordered pair (X, Y) of ``syms`` and every vector v:
+def check_representation(report, syms, rows, vectors, label):
+    """Bracket compatibility of an action, recorded into ``report``: for
+    every ordered pair (X, Y) of ``syms`` and every vector v,
 
         [X, Y] . v  ==  X.(Y.v) - (-1)^{|X||Y|} Y.(X.v)
 
-    ``basis_act(sym, w)`` applies one basis symbol to a vector.  Each
-    violation's context is ``label`` followed by ``(X, Y) on v``.
+    ``rows(sym, w)`` is the action's rows seam (``freemod.basis_rows``).
+    Each violation's context is ``label`` followed by ``(X, Y) on v``.
 
-    The sweep runs in ints over a table local to the call: ``basis_act`` of
-    each symbol of ``syms`` and of their brackets on each monomial of the
+    The sweep runs in ints over a table local to the call: the rows of each
+    symbol of ``syms`` and of their brackets on each monomial of the
     vectors, and of ``syms`` on each monomial of each Y.v, read once through
-    ``_checked``.  A coefficient (p + q sqrt2)/d of a parameter monomial
-    becomes the ints p D/d and q D/d, D the common denominator, keyed by
-    ``_flat``; the bracket rows are ints over B, the table's
-    ``_denominator``.  Both sides of a case are then D**3 B times the exact
-    ones.
+    ``_checked``.  ``_flat`` turns their slices (p + q sqrt2)/d, and the
+    vectors' coefficients, into ints p D/d and q D/d over the common
+    denominator D; the bracket rows are ints over B, the table's
+    ``_denominator``, so both sides of a case are D**3 B times the exact ones.
 
     Every vector is swept at once: vector t is the signed digit t, of width
     w, of one int per coordinate, so Z.V for each numbered symbol Z, and
@@ -501,16 +498,15 @@ def check_representation(report, syms, basis_act, vectors, label):
     A case sums X.(Y.v) + sign Y.(X.v) - [X, Y].v, sign = -(-1)^{|X||Y|},
     once per unordered pair {X, Y}; when the rows of [Y, X] are sign times
     those of [X, Y], in any term order, (Y, X) fails exactly when (X, Y)
-    does, and otherwise is a case of its own.  Only a failing case is
-    rebuilt, for its text, from ``basis_act`` and the ``_basis_bracket``
-    rows.
+    does, and otherwise is a case of its own.  Only a failing case builds
+    elements (``from_rows``), for its text, with the ``_basis_bracket`` rows.
     """
     n, algebra = len(syms), syms[0].algebra
     bden = _denominator(_TABLES[algebra])
     number = {(s.family, s.twice): k for k, s in enumerate(syms)}  # -> table row
     brackets = _numbered_brackets(algebra, bden, list(number), number)
     symbols = [*syms, *(BasisSymbol(algebra, *key) for key in list(number)[n:])]
-    images = {}  # (symbol number, parity, key) -> basis_act(symbol, monomial)
+    images = {}  # (symbol number, parity, key) -> rows(symbol, monomial)
     filled = {}  # (parity, key) -> how many leading symbols have their image
 
     def fill(count, parity, keys, cls):
@@ -520,46 +516,45 @@ def check_representation(report, syms, basis_act, vectors, label):
                 unit = cls(parity, {key: SC_ONE})
                 for k in range(have, count):
                     sym = symbols[k]
-                    images[k, parity, key] = _checked(basis_act(sym, unit), sym, unit)
+                    images[k, parity, key] = _checked(rows(sym, unit), sym, parity)
                 filled[parity, key] = count
 
     for v in vectors:
         fill(len(symbols), v.parity, v.terms, type(v))
-    for (y, _, _), img in list(images.items()):
-        if y < n:
-            fill(n, img.parity, img.terms, type(img))
+    for (y, _, _), (parity, slices) in list(images.items()):
+        if y < n:  # the monomials of Y.v (one whose slice sums to 0 adds an unread row)
+            fill(n, parity, slices, type(vectors[0]))
 
-    elements = [*images.values(), *vectors]
-    coeffs = [c for e in elements for c in e.terms.values()]
-    den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
+    tables = [*images.values(), *((v.parity, slices_of(v.terms.items())) for v in vectors)]
+    slots = [slot for _, slices in tables for slot in slices.values()]
+    den = lcm(*{x[2] for slot in slots for x in slot.values()})
     # each exponent vector packs once into one int, in a base that keeps every
     # entry of a sum of three below base / 2 in size, so packing is injective
-    exponents = {ev for c in coeffs for ev in c.terms}
+    exponents = {ev for slot in slots for ev in slot}
     packing = _packing(exponents, 6 * max((abs(e) for ev in exponents for e in ev), default=0) + 1)
-    keys, nk = {}, 0  # parity -> {monomial key: number}
-    for e in elements:
-        numbers = keys.setdefault(e.parity, {})
-        for key in e.terms:
-            if key not in numbers:
-                numbers[key], nk = nk, nk + 1
-    # rows[symbol][monomial] = [image, sqrt2 times image] as (int key, int)
+    keys = ({}, {})  # parity -> {monomial key: number}
+    for parity, slices in tables:
+        for key in slices:
+            keys[parity].setdefault(key, len(keys[0]) + len(keys[1]))
+    nk = len(keys[0]) + len(keys[1])
+    # table[symbol][monomial] = [image, sqrt2 times image] as (int key, int)
     # pairs, each ``den`` times the exact one, keyed by ``_flat``; the sqrt2
     # row is built when a part with r = 1 first reaches it.  spread[k] is
     # R_k: twice the largest sum of |f| over one row of symbol k bounds the
     # sums of both variants.
-    rows = [[None] * nk for _ in symbols]
+    table = [[None] * nk for _ in symbols]
     spread = [0] * len(symbols)
-    for (k, parity, key), img in images.items():
-        flat = _flat(img.terms, keys[img.parity], den, packing, nk)
-        rows[k][keys[parity][key]] = [flat.items(), None]
+    for (k, parity, key), (target, slices) in images.items():
+        flat = _flat(slices, keys[target], den, packing, nk)
+        table[k][keys[parity][key]] = [flat.items(), None]
         spread[k] = max(spread[k], 2 * sum(map(abs, flat.values())))
 
     def apply(k, parts, acc, scale=1):
         """Add ``scale`` times symbol k on the ``_split`` vector into ``acc``."""
-        table, get = rows[k], acc.get
+        row, get = table[k], acc.get
         for at, r, off, m in parts:
             m *= scale
-            entry = table[at]
+            entry = row[at]
             terms = entry[r]
             if terms is None:
                 terms = entry[1] = [(c - nk, 2 * f) if c // nk & 1 else (c + nk, f)
@@ -587,7 +582,7 @@ def check_representation(report, syms, basis_act, vectors, label):
                 cases.append((y, x, ((y, x, 1), (x, y, sign)), scaled[y][x], False))
     # vector t is digit t of width w in one int per coordinate; w bounds
     # every digit of every case accumulator, by its L1 norm
-    flats = [_flat(v.terms, keys[v.parity], den, packing, nk) for v in vectors]
+    flats = [_flat(s, keys[parity], den, packing, nk) for parity, s in tables[len(images):]]
     bound = max([sum([abs(scale) * spread[k] * bden * spread[at] for k, at, scale in sums])
                  + sum([abs(f) * spread[z] for z, f in row]) for _, _, sums, row, _ in cases])
     norm = max([sum(map(abs, flat.values())) for flat in flats], default=0)
@@ -612,12 +607,16 @@ def check_representation(report, syms, basis_act, vectors, label):
                 fails.append((x, y, t))
                 if mirrored:
                     fails.append((y, x, t))
+
+    def act(sym, w):  # an element, for a failing case's text
+        return type(w).from_rows(rows(sym, w))
+
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
         lhs = type(v).zero(v.parity)
         for z, f in _basis_bracket(xs, ys):
-            lhs = lhs + basis_act(z, v) * f
-        xy, yx = basis_act(xs, basis_act(ys, v)), basis_act(ys, basis_act(xs, v))
+            lhs = lhs + act(z, v) * f
+        xy, yx = act(xs, act(ys, v)), act(ys, act(xs, v))
         rhs = xy + yx if xs.parity and ys.parity else xy - yx
         report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
     return report
@@ -840,7 +839,8 @@ def check_homomorphism(gmap, window):
     images = {}  # symbol -> the terms of its image, in symbol number order
     for s in syms + [BasisSymbol(source, *key) for key in list(number)[n:]]:
         images[s] = apply_map(gmap, s).terms
-    terms = [{(t.family, t.twice): c for t, c in image.items()} for image in images.values()]
+    terms = [slices_of(((t.family, t.twice), c) for t, c in image.items())
+             for image in images.values()]
     tnumber = {}  # target (family, twice) -> number, the window images' first
     for key in chain.from_iterable(terms[:n]):
         tnumber.setdefault(key, len(tnumber))
@@ -853,11 +853,11 @@ def check_homomorphism(gmap, window):
     for key in chain.from_iterable(terms):
         tnumber.setdefault(key, len(tnumber))
     nt = len(tnumber)
-    coeffs = [c for row in terms for c in row.values()]
-    den = lcm(*(q.d for c in coeffs for q in c.terms.values()))
+    slots = [slot for row in terms for slot in row.values()]
+    den = lcm(*{x[2] for slot in slots for x in slot.values()})
     # packed in a base that keeps every exponent of a product of two
     # coefficients below base / 2 in size
-    exponents = {ev for c in coeffs for ev in c.terms}
+    exponents = {ev for slot in slots for ev in slot}
     packing = _packing(exponents, 4 * max((abs(e) for ev in exponents for e in ev), default=0) + 1)
     flat = [_flat(row, tnumber, den, packing, nt) for row in terms]
     parts = [_split(image, nt) for image in flat[:n]]

@@ -15,18 +15,17 @@ coefficients in the Scalar ring so that the module parameters ``lam`` and
     C . anything  = 0
 
 These formulas are written once, as the rows of ``_ACTION``.  One reader,
-``_row_terms``, evaluates a row: ``act_basis`` with the formal lam and alp,
-``quotients.quotient_act_basis`` with the quotient's and its frozen root.
-It sums the image of a whole element in ints, one slice per (output
-monomial, parameter monomial): each input term adds the integers of its
+``_row_terms``, evaluates a row: ``basis_rows`` with the formal lam and alp,
+``quotients.quotient_rows`` with the quotient's and its frozen root.  It
+sums the image of a whole element in ints, one slice per (output monomial,
+parameter monomial): each input term adds the integers of its
 binomial-shift image times its coefficient's parts into the slices
-(``scalars.add_slice``), and each output Scalar is built once from its
-slices (``scalars.build_slices``).  The row scale lam^m * number *
-alp^power is formed in ints from the (exponent vector, p, q, d) parts of
-lam, alp and their inverses (``_parts``), times those of the coefficient
-the generator carries, and folded into each input coefficient once, so no
-Scalar is multiplied or added on the way.  A quotient's frozen root enters
-the same way, through the prefactor rows.
+(``scalars.add_slice``).  The row scale lam^m * number * alp^power is
+formed in ints from the (exponent vector, p, q, d) parts of lam, alp and
+their inverses (``_parts``), times those of the coefficient the generator
+carries, and folded into each input coefficient once, so no Scalar is
+multiplied or added on the way.  A quotient's frozen root enters the same
+way, through the prefactor rows.
 
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
@@ -34,17 +33,24 @@ resp. t.  Both parities share one bivariate representation; the parity tag
 decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
 
-Every action is linear over the Scalars.  ``extend_linearly`` acts by an
-element x, or by its terms, as the sum of the basis actions of its
-generators, each on the whole element itself, passed the generator's
-coefficient for the row scale (not ``SC_ONE``), so no scaled copy is built:
-``act`` extends ``act_basis``, and ``quotients.quotient_act`` and
-``n1.restricted_act`` extend ``quotient_act_basis``.  One guard,
+Every action is linear over the Scalars, and its currency is the rows:
+the target parity and the slices ``{key: {ev: [p, q, d]}}`` of the image.
+``basis_rows``, ``quotients.quotient_rows`` and ``n1.restricted_rows`` are
+the three rows seams; ``act_basis``, ``quotient_act_basis`` and
+``restricted_act`` build one element from them (``ParityElement.from_rows``).
+``linear_rows`` acts by an element x, or by its terms, as the sum in ints
+of the rows of its generators, each on the whole element itself, passed
+the generator's coefficient for the row scale (not ``SC_ONE``), so no
+scaled copy is built; ``extend_linearly`` builds that sum once: ``act``
+extends ``basis_rows``, ``quotients.quotient_act`` extends
+``quotient_rows``, and ``n1.restricted_rows`` sums the quotient rows of the
+embedded generators through ``linear_rows`` too.  One guard,
 ``_require_r``, refuses an element or generator outside R, with the text
 each module names as its ``_OWNER``.  Nothing is tabulated or cached.  The
-bracket-compatibility sweep, ``algebras.check_representation``, takes the
-basis action itself and keeps a table local to the call.  Both read each
-basis image through the one parity guard, ``algebras._checked``.
+bracket-compatibility sweep, ``algebras.check_representation``, takes a
+rows function itself and keeps a table of slices local to the call.  Both
+read each basis image's rows through the one parity guard,
+``algebras._checked``.
 """
 
 from __future__ import annotations
@@ -97,6 +103,12 @@ class ParityElement(Value):
         if coeff.is_zero():
             return cls(parity)
         return cls(parity, {key: coeff})
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The element that rows, a (target parity, slices) pair, stand for."""
+        parity, slices = rows
+        return cls(parity, build_slices(slices))
 
     @classmethod
     def one(cls, parity):
@@ -300,35 +312,56 @@ def _require_r(x, owner):
         raise AlgebraMismatch(f"{owner}; got {x.algebra}")
 
 
-def act_basis(sym, v, coeff=None):
-    """Action of one basis generator of the Ramond algebra, on ``coeff * v``
-    when the Scalar ``coeff`` is given."""
+def basis_rows(sym, v, coeff=None):
+    """Action of one basis generator of the Ramond algebra on ``v``, or on
+    ``coeff * v`` when the Scalar ``coeff`` is given, as rows: the target
+    parity and the slices of the image."""
     _require_r(sym, _OWNER)
-    parity, slices = _row_terms(sym, v.parity, v.terms.items(), _UNITS, None, coeff)
-    return ModuleElement(parity, build_slices(slices))
+    return _row_terms(sym, v.parity, v.terms.items(), _UNITS, None, coeff)
 
 
-def extend_linearly(x, v, basis_act, owner):
-    """Act by ``x`` on ``v``: the sum over the generators of x of
-    ``basis_act(generator, v, coeff)``, each acting once on v itself, with
-    coeff left out when it is ``SC_ONE``.  x is an R element or basis
+def act_basis(sym, v, coeff=None):
+    """The element ``basis_rows`` stands for."""
+    return ModuleElement.from_rows(basis_rows(sym, v, coeff))
+
+
+def linear_rows(x, v, rows, owner):
+    """Act by ``x`` on ``v`` in ints: the rows of the sum over the generators
+    of x of ``rows(generator, v, coeff)``, each acting once on v itself,
+    with coeff left out when it is ``SC_ONE``, each read through
+    ``_checked`` and added slice by slice (``add_slice``); the fresh slices
+    that ``rows`` returns are taken over.  x is an R element or basis
     symbol, refused otherwise with ``owner`` naming the module, or the terms
     ``{R symbol: Scalar}`` of an R element."""
     if not isinstance(x, dict):
         _require_r(x, owner)
         if isinstance(x, BasisSymbol):
-            return _checked(basis_act(x, v), x, v)
+            return _checked(rows(x, v), x, v.parity)
         x = x.terms
-    out = type(v).zero((v.parity + _parity(x)) % 2)
+    parity, out = (v.parity + _parity(x)) % 2, {}
     for sym, c in x.items():
-        image = basis_act(sym, v) if c is SC_ONE else basis_act(sym, v, c)
-        out = out + _checked(image, sym, v)
-    return out
+        _, slices = _checked(rows(sym, v) if c is SC_ONE else rows(sym, v, c), sym, v.parity)
+        if not out:
+            out = slices
+            continue
+        for key, slot in slices.items():
+            have = out.get(key)
+            if have is None:
+                out[key] = slot
+            else:
+                for ev, (p, q, d) in slot.items():
+                    add_slice(have, ev, p, q, d)
+    return parity, out
+
+
+def extend_linearly(x, v, rows, owner):
+    """The element of ``v``'s class that ``linear_rows`` stands for."""
+    return type(v).from_rows(linear_rows(x, v, rows, owner))
 
 
 def act(x, v):
     """Action of a homogeneous R-element (or one basis symbol) on a module element."""
-    return extend_linearly(x, v, act_basis, _OWNER)
+    return extend_linearly(x, v, basis_rows, _OWNER)
 
 
 def monomials(degree_bound, parities=(EVEN, ODD)):
@@ -359,7 +392,7 @@ def check_module_compatibility(index_window, degree_bound):
         "module-compatibility", {"window": index_window, "degree": degree_bound}
     )
     return check_representation(
-        report, basis_symbols("R", index_window), act_basis, monomials(degree_bound), "compat ",
+        report, basis_symbols("R", index_window), basis_rows, monomials(degree_bound), "compat ",
     )
 
 

@@ -13,12 +13,12 @@ coefficient alp/sqrt2.  Simplicity of the restriction holds exactly for a
 nonzero root parameter; at a = 0 the even span of x together with the whole
 odd part closes under the restricted action and witnesses non-simplicity.
 
-``restricted_act`` reads the embedding's image of each generator
-(``algebras.map_image``), merges the targets and acts by each through
-``quotients.quotient_act_basis`` (``freemod.extend_linearly``), building no
-embedded element.  The N=1 sweeps act by one basis generator at a time,
-``AlgebraElement.basis(sym)``, so a fault put on ``restricted_act`` sees
-which generator acts.
+``restricted_rows`` reads the embedding's image of each generator
+(``algebras.map_image``), merges the targets and sums their rows through
+``quotients.quotient_rows`` in ints (``freemod.linear_rows``), building no
+embedded element; ``restricted_act`` builds its element.  The N=1 sweeps
+act by one basis generator at a time, so a fault put on
+``restricted_rows`` sees which generator acts.
 
 The simplicity witness is a certificate, not a search; its argument is in
 ``check_simplicity_witness``.
@@ -43,7 +43,7 @@ from .algebras import (
     map_image,
 )
 from .errors import AlgebraMismatch
-from .freemod import EVEN, ODD, extend_linearly
+from .freemod import EVEN, ODD, linear_rows
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
 from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_quadext
@@ -74,17 +74,23 @@ class RestrictedAction(Value):
         return cls("N1NS", compose(embed_r1_in_r2(), embed_ns1_in_r1()), params)
 
 
-def restricted_act(x, v, r):
+def restricted_rows(x, v, r):
     """Act on the quotient by the embedded image of an N=1 element (or one
-    basis symbol): the targets of each generator (``map_image``), merged,
-    each acting through ``quotients.quotient_act_basis``."""
+    basis symbol), as rows (target parity, slices): the targets of each
+    generator (``map_image``), merged, their ``quotients.quotient_rows``
+    summed in ints (``freemod.linear_rows``)."""
     if x.algebra != r.source:
         raise AlgebraMismatch(f"expected a {r.source} element, got {x.algebra}")
     image = {}
     for sym, coeff in ({x: SC_ONE} if isinstance(x, BasisSymbol) else x.terms).items():
         add_terms(image, ((s, c * coeff) for s, c in map_image(r.embedding, sym)))
-    return extend_linearly(image, v, lambda sym, w, *coeff: quotients.quotient_act_basis(
+    return linear_rows(image, v, lambda sym, w, *coeff: quotients.quotient_rows(
         sym, w, r.params, *coeff), None)
+
+
+def restricted_act(x, v, r):
+    """The element ``restricted_rows`` stands for."""
+    return QuotientElement.from_rows(restricted_rows(x, v, r))
 
 
 def check_n1_relations(r, index_window, degree_bound):
@@ -101,7 +107,7 @@ def check_n1_relations(r, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols(r.source, index_window),
-        lambda sym, w: restricted_act(AlgebraElement.basis(sym), w, r),
+        lambda sym, w: restricted_rows(sym, w, r),
         quotient_monomials(degree_bound),
         f"n1 {r.source} {r.params.describe()} ",
     )

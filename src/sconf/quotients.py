@@ -23,17 +23,18 @@ by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
 
 The quotient is the module row read through the projection:
-``quotient_act_basis`` hands the terms x^k of v to the generator's
+``quotient_rows`` hands the terms x^k of v to the generator's
 ``freemod._ACTION`` row (``freemod._row_terms``) with the ints p builds:
 the parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
-image is summed once into slices keyed i.  ``project`` divides by y + a
-(even) or t + a + 1 (odd), the int divisors p stores (``divisors``), in
-the one long division that ``submodules.reduce_mod`` runs too, and reads
-the remainders' keys (i, 0) as i.  ``kernel_spec`` builds the kernel, the
-M-kind submodule of h = y + a, on request.  ``quotient_act`` is the linear
-extension of ``quotient_act_basis`` (``freemod.extend_linearly``), which
-``n1.restricted_act`` extends over the embedded targets too.
+image is summed once into slices keyed i, which ``quotient_act_basis``
+builds into an element.  ``project`` divides by y + a (even) or t + a + 1
+(odd), the int divisors p stores (``divisors``), in the one long division
+that ``submodules.reduce_mod`` runs too, and reads the remainders' keys
+(i, 0) as i.  ``kernel_spec`` builds the kernel, the M-kind submodule of
+h = y + a, on request.  ``quotient_act`` is the linear extension of
+``quotient_rows`` (``freemod.extend_linearly``), whose int sum
+``n1.restricted_rows`` runs over the embedded targets too.
 
 The three intertwining sweeps are calls of one loop,
 ``algebras._check_images``, which builds each vector's own image once and
@@ -55,7 +56,7 @@ from .freemod import (
 )
 from .reports import VerificationReport
 from .scalars import (
-    QE_ONE, Scalar, _qe, add_terms, as_quadext, as_scalar, build_slices, monomial_text,
+    QE_ONE, Scalar, _qe, add_terms, as_quadext, as_scalar, monomial_text,
 )
 from .submodules import (
     SubmoduleSpec, UniPoly, _deflated, _linear, _remainders, check_containment, contains,
@@ -130,20 +131,24 @@ class QuotientParams(Value):
 _OWNER = "simple quotients are R-modules"
 
 
-def quotient_act_basis(sym, v, p, coeff=None):
+def quotient_rows(sym, v, p, coeff=None):
     """Action of one Ramond basis generator on a quotient element, or on
-    ``coeff * v`` when the Scalar ``coeff`` is given: the module's row read
-    at the frozen root."""
+    ``coeff * v`` when the Scalar ``coeff`` is given, as rows (target
+    parity, slices): the module's row read at the frozen root."""
     _require_r(sym, _OWNER)
-    parity, slices = _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots, coeff)
-    return QuotientElement(parity, build_slices(slices))
+    return _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots, coeff)
+
+
+def quotient_act_basis(sym, v, p, coeff=None):
+    """The element ``quotient_rows`` stands for."""
+    return QuotientElement.from_rows(quotient_rows(sym, v, p, coeff))
 
 
 def quotient_act(x, v, p):
     """Action of a homogeneous R-element (or one basis symbol) on a quotient
     element."""
     return extend_linearly(
-        x, v, lambda sym, w, *coeff: quotient_act_basis(sym, w, p, *coeff), _OWNER)
+        x, v, lambda sym, w, *coeff: quotient_rows(sym, w, p, *coeff), _OWNER)
 
 
 def project(v, p):
@@ -353,7 +358,7 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols("R", index_window),
-        lambda sym, w: quotient_act_basis(sym, w, p),
+        lambda sym, w: quotient_rows(sym, w, p),
         quotient_monomials(degree_bound),
         f"quotient compat {p.describe()} ",
     )
@@ -399,7 +404,7 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
     M_h with h = (y+a) h~: X . iso_xi(v) - iso_xi(X . v) lies in M_h."""
-    full = SubmoduleSpec("M", kernel_spec(p).h * h_tilde)
+    full = SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)) * h_tilde)
     report = VerificationReport(
         "xi-intertwines",
         {

@@ -40,8 +40,8 @@ One shortcut stays, as a contract: ``s * SC_ONE`` and ``SC_ONE * s`` return
 ``s`` itself, and a number equal to 1 coerces to ``SC_ONE`` (the object
 ``Scalar.number(1)`` returns).  The generator maps, ``apply_map`` and
 ``AlgebraElement.basis`` keep a unit coefficient as that object, so
-``freemod.extend_linearly`` passes no coefficient for it and the row
-reader skips the fold.
+``freemod.linear_rows`` passes no coefficient for it and the row reader
+skips the fold.
 
 Every sparse polynomial in the package (Scalar terms, module and quotient
 elements, algebra elements, the parser's accumulators) is a dict from a
@@ -61,10 +61,15 @@ instead:
   in ints, one slice per (monomial, parameter monomial), with
   ``add_slice``, scaling by (exponent vector, p, q, d) ints, not QuadExts.
   A slice is a plain list ``[p, q, d]``: ``add_slice`` sums its ints in
-  place over one denominator, the lcm of those added there, and
-  ``build_slices`` builds each nonzero one once with ``_qe``, so no QuadExt
-  changes after ``_qe`` or ``QuadExt.__init__`` returns.  No slice outlives
-  the call that builds it.
+  place over one denominator, the lcm of those added there.  Slices are
+  the action's currency: ``freemod.linear_rows`` sums the generators of an
+  element with ``add_slice`` too, ``build_slices`` builds each nonzero one
+  once with ``_qe`` only where a caller needs an element, so no QuadExt
+  changes after ``_qe`` or ``QuadExt.__init__`` returns, and the
+  compatibility sweep flattens them to ints without building any
+  (``slices_of`` reads the terms of a Scalar back into slices for it).  A slice
+  lives as long as the call that makes it, or, in the table of
+  ``algebras.check_representation``, as long as that sweep's call.
 
 ``join_signed`` is the one renderer of signed sums: every ``a - b + c`` text
 in the package comes out of it.
@@ -358,6 +363,12 @@ def build_slices(slices):
     return out
 
 
+def slices_of(pairs):
+    """The slices ``{key: {ev: [p, q, d]}}`` of the ``(key, Scalar)`` pairs,
+    which ``build_slices`` builds back."""
+    return {key: {ev: [q.p, q.q, q.d] for ev, q in c.terms.items()} for key, c in pairs}
+
+
 def _as_quadext(v):
     if isinstance(v, QuadExt):
         return v
@@ -477,7 +488,7 @@ class Scalar(Value):
         if other is None:
             return NotImplemented
         # the SC_ONE identity is a contract, not a speed-up: see the module
-        # docstring (extend_linearly passes no unit coefficient through it)
+        # docstring (linear_rows passes no unit coefficient through it)
         if other is SC_ONE:
             return self
         if self is SC_ONE:

@@ -3,8 +3,9 @@
 Each routine below is written from a formula, the closed forms of the
 ``freemod`` and ``quotients`` module docstrings or a definition, with the
 public element arithmetic of ``sconf`` alone.  None reads an action row
-(``freemod._ACTION``) or one of the int kernels that the checked routines
-run on (``algebras._flat``, ``_packing``, ``_split``,
+(``freemod._ACTION``), the slices a rows seam returns, or one of the int
+kernels that the checked routines run on (``algebras._flat``, which
+flattens those slices, ``_packing``, ``_split``,
 ``submodules._divmod_monic``), so one wrong row or kernel cannot fool both
 sides of a comparison.  ``test_reference_is_independent`` fails once this
 file imports a ``_``-prefixed name from ``sconf`` or reads one off an

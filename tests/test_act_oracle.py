@@ -3,8 +3,9 @@
 ``freemod.act_basis`` sums an element's image in ints, once per output
 monomial and parameter monomial; ``quotients.quotient_act_basis`` reads the
 same rows on the quotient element's terms x^k (s^k), with the frozen root in
-each row's prefactor; ``freemod.extend_linearly`` passes each generator's
-coefficient to the basis action, which folds it into the row scale; and
+each row's prefactor; ``freemod.linear_rows`` passes each generator's
+coefficient to the rows seam, which folds it into the row scale, and sums
+the generators' slices in ints; and
 ``quotients.project`` reduces modulo the kernel by the one long division
 that ``submodules.reduce_mod`` runs.  The references
 of ``reference.py`` share none of that code: ``module_action`` and

@@ -1,8 +1,10 @@
 """No cache outlives the sweep or the request that filled it.
 
-Acting by an element tabulates nothing.  The table of generator images in
+Acting by an element tabulates nothing.  The table of generator rows in
 ``algebras.check_representation`` and the table of map images in
-``algebras.check_homomorphism`` are local to their calls.  The package
+``algebras.check_homomorphism`` are local to their calls; each detector
+below is checked to see its table from inside a call that fills it, so
+neither passes for want of recognising one.  The package
 keeps no module-level cache: every bracket is read from the tables when it
 is needed.  The argument parser that every ``cli.main`` call shares is
 per-process configuration, built once from constants when ``cli`` is
@@ -52,13 +54,15 @@ def test_every_cache_is_on_the_allow_list():
 
 
 def _is_table(obj):
-    """A dict from (generator, parity, monomial key) to a parity-tagged image,
-    as the table of ``check_representation`` is; it numbers its generators."""
+    """A dict from (generator, parity, monomial key) to an image, as the
+    table of ``check_representation`` is (it numbers its generators): a
+    parity-tagged element, or rows, a (target parity, slices) pair."""
     if type(obj) is not dict or not obj:
         return False
     key, image = next(iter(obj.items()))
     return (type(key) is tuple and len(key) == 3 and key[1] in (EVEN, ODD)
-            and isinstance(image, ParityElement))
+            and (isinstance(image, ParityElement) or type(image) is tuple
+                 and len(image) == 2 and image[0] in (EVEN, ODD) and type(image[1]) is dict))
 
 
 def _live_actions():
@@ -82,6 +86,23 @@ def test_no_action_table_survives_sweeps_or_requests():
                              "--parity", "odd"]) == 0
             assert cli.main(["act", f"Gm[{k % 4}]; L[-1]", f"x^{k % 6 + 1} - 2", "--module",
                              "quotient", "--a", "3/2", "--lam0", "sqrt2"]) == 0
+    assert _live_actions() == before == 0
+
+
+def test_a_sweep_holds_one_table_while_it_fills_it(monkeypatch):
+    before = _live_actions()
+    seen, calls, good = [], [], freemod.basis_rows
+
+    def counting(sym, v, *coeff):
+        calls.append(sym)
+        if len(calls) % 16 == 0:  # a scan of every live object per call is slow
+            seen.append(_live_actions())
+        return good(sym, v, *coeff)
+
+    monkeypatch.setattr(freemod, "basis_rows", counting)
+    assert freemod.check_module_compatibility(1, 1).passed
+    monkeypatch.undo()
+    assert seen and set(seen) == {1}
     assert _live_actions() == before == 0
 
 

@@ -1,7 +1,10 @@
 """The verification sweeps report a wrong action as a failure.
 
-``scale_family`` is the one fault injector of the sweep tests: it scales the
-images of the generators of some families at one basis-action seam.  That
+``on_rows`` is the one fault injector of the sweep tests: it replaces a
+rows seam (``freemod.basis_rows``, ``quotients.quotient_rows`` or
+``n1.restricted_rows``), which every sweep and every built image reads, by
+the rows, target parity and slices, of a wrong image.  ``scale_family``
+scales the images of the generators of some families through it.  That
 each report's violations are exactly those of the element-wise reference is
 checked in ``test_representation_sweep.py`` and
 ``test_intertwining_sweeps.py``."""
@@ -20,7 +23,7 @@ from sconf.quotients import (
     iso_xi,
     quotient_monomials,
 )
-from sconf.scalars import Scalar
+from sconf.scalars import Scalar, slices_of
 
 
 def _only_violations(report, prefix):
@@ -29,29 +32,49 @@ def _only_violations(report, prefix):
     assert all(v.context.startswith(prefix) for v in report.violations), report.violations
 
 
-def scale_family(monkeypatch, module, name, families, factor=2):
-    """Replace ``module.name``, a basis action or ``n1.restricted_act``, by an
-    action that scales by ``factor`` the image of a generator of one of the
-    ``families`` (of an element with such a generator); return the action it
-    replaced."""
-    good = getattr(module, name)
+def as_rows(element):
+    """``element`` as the rows, target parity and fresh slices ``{key: {ev:
+    [p, q, d]}}``, that a rows function returns."""
+    return element.parity, slices_of(element.terms.items())
 
-    def wrong(x, *rest):
-        out = good(x, *rest)
-        syms = x.terms if isinstance(x, AlgebraElement) else (x,)
-        return out * factor if any(s.family in families for s in syms) else out
 
-    monkeypatch.setattr(module, name, wrong)
+def families_of(x):
+    """The families of the generators of ``x``, a basis symbol or an element."""
+    return {s.family for s in (x.terms if isinstance(x, AlgebraElement) else (x,))}
+
+
+def on_rows(monkeypatch, module, name, fault):
+    """Replace the rows function ``module.name`` by the rows of ``fault(good,
+    *args)``, an element, where ``good(*args)`` is the element that the
+    right rows of ``args`` (generator, vector, ...) stand for; return
+    ``good``."""
+    right = getattr(module, name)
+
+    def good(x, v, *rest):
+        return type(v).from_rows(right(x, v, *rest))
+
+    monkeypatch.setattr(module, name, lambda *args: as_rows(fault(good, *args)))
     return good
 
 
+def scale_family(monkeypatch, module, name, families, factor=2):
+    """Put on the rows function ``module.name`` a fault that scales by
+    ``factor`` the image of a generator of one of the ``families`` (of an
+    element with such a generator); return the right action (``on_rows``)."""
+    def wrong(good, x, *rest):
+        out = good(x, *rest)
+        return out * factor if families_of(x) & set(families) else out
+
+    return on_rows(monkeypatch, module, name, wrong)
+
+
 def test_module_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, freemod, "act_basis", ("H",))
+    scale_family(monkeypatch, freemod, "basis_rows", ("H",))
     _only_violations(freemod.check_module_compatibility(1, 1), "compat (")
 
 
 def test_quotient_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
+    scale_family(monkeypatch, quotients, "quotient_rows", ("L",))
     p = QuotientParams(a=1)
     _only_violations(
         check_quotient_compatibility(p, 1, 1), f"quotient compat {p.describe()} ("
@@ -59,7 +82,7 @@ def test_quotient_sweep_catches_a_wrong_family(monkeypatch):
 
 
 def test_n1_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, n1, "restricted_act", ("G",))
+    scale_family(monkeypatch, n1, "restricted_rows", ("G",))
     r = RestrictedAction.neveu_schwarz(QuotientParams(a=1))
     _only_violations(
         check_n1_relations(r, 1, 1), f"n1 N1NS {r.params.describe()} ("
@@ -67,26 +90,24 @@ def test_n1_sweep_catches_a_wrong_family(monkeypatch):
 
 
 def test_projection_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
+    scale_family(monkeypatch, quotients, "quotient_rows", ("L",))
     p = QuotientParams(a=1)
     _only_violations(check_projection_intertwines(p, 1, 1), "projection ")
 
 
 def test_phi_sweep_catches_a_wrong_family(monkeypatch):
-    good = quotients.quotient_act_basis
-
-    def gm_without_alp(sym, v, p, *coeff):
+    def gm_without_alp(good, sym, v, p, *coeff):
         out = good(sym, v, p, *coeff)
         return out * p.alp.invert_monomial() if sym.family == "Gm" else out
 
-    monkeypatch.setattr(quotients, "quotient_act_basis", gm_without_alp)
+    on_rows(monkeypatch, quotients, "quotient_rows", gm_without_alp)
     src = QuotientParams(a=1)
     dst = QuotientParams(a=1, alp=Scalar.param("bet"))
     _only_violations(check_phi_intertwines(src, dst, 1, 1), "phi ")
 
 
 def test_xi_sweep_catches_a_wrong_family_and_reports_the_module_side(monkeypatch):
-    good = scale_family(monkeypatch, quotients, "quotient_act_basis", ("L",))
+    good = scale_family(monkeypatch, quotients, "quotient_rows", ("L",))
     h_tilde = parse_unipoly("y - 1")
     p = QuotientParams(a=1)
     report = check_xi_intertwines(h_tilde, p, 1, 1)
@@ -106,7 +127,7 @@ def test_xi_sweep_catches_a_wrong_family_and_reports_the_module_side(monkeypatch
 
 
 def test_shift_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, freemod, "act_basis", ("L", "H"))
+    scale_family(monkeypatch, freemod, "basis_rows", ("L", "H"))
     report = freemod.check_shift_identities(1, 1, 1)
     _only_violations(report, "shift ")
     prefixes = {v.context[:len("shift L0^")] for v in report.violations}

@@ -22,16 +22,15 @@ from sconf.scalars import SQRT2
 from sconf.submodules import UniPoly
 
 from test_algebras import _corrupted_maps
-from test_compat_failures import scale_family
-from test_table_seams import _h_adds_one, _wrap
+from test_compat_failures import on_rows, scale_family
+from test_table_seams import _h_adds_one
 
 VIOLATION = re.compile(r"  VIOLATION (.+?): lhs = .+ ; rhs = .+")
 
 
 def test_a_failing_verify_prints_each_violation_in_context_order(capsys, monkeypatch):
-    good = freemod.act_basis
-    monkeypatch.setattr(freemod, "act_basis",
-                        lambda sym, v: good(sym, v) * 2 if sym.family == "H" else good(sym, v))
+    on_rows(monkeypatch, freemod, "basis_rows",
+            lambda good, sym, v: good(sym, v) * 2 if sym.family == "H" else good(sym, v))
     assert cli.main(["verify", "module", "--window", "1", "--degree", "1"]) == 1
     first, *lines = capsys.readouterr().out.splitlines()
     assert first == "suite=module window=1 degree=1 status=fail violations=186"
@@ -72,7 +71,7 @@ def test_map_image_refuses_an_image_of_another_parity():
 
 
 def test_central_triviality_records_the_bracket_combination(monkeypatch):
-    _wrap(monkeypatch, freemod, "act_basis", _h_adds_one)
+    on_rows(monkeypatch, freemod, "basis_rows", _h_adds_one)
     report = freemod.check_central_triviality(1)
     even, odd = "(3*lam - 3*lam^-1)*y", "(3*lam - 3*lam^-1)*t"
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == [
@@ -118,7 +117,7 @@ def test_maps_agree_records_each_generator_where_the_maps_differ():
 
 
 def test_rank1_freeness_records_the_even_and_the_odd_words(monkeypatch):
-    scale_family(monkeypatch, n1, "restricted_act", ("L",))
+    scale_family(monkeypatch, n1, "restricted_rows", ("L",))
     report = n1.check_rank1_freeness(n1.RestrictedAction.ramond(QuotientParams(a=1)), 2)
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == [
         ("L0^1 . 1_even", "2*x", "x"),

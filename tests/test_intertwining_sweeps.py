@@ -4,7 +4,7 @@ They give the reports of the element-wise sweeps, kept here verbatim as
 ``reference_projection``, ``reference_phi`` and ``reference_xi``, with the
 generator loop they ran, ``_check_images``: equal reports, so the same
 suite, params, notes and violations (context, lhs and rhs, in order), with
-the action right, with each family doubled at either basis-action seam
+the action right, with each family doubled at either rows seam
 (``scale_family``), and with a fault of its own for phi and for xi.  Each
 is the only reference for its sweep, so it stays here and not in
 ``reference.py``.  Each sweep builds each vector's own image once and
@@ -31,7 +31,7 @@ from sconf.reports import VerificationReport
 from sconf.scalars import QE_ONE, QuadExt, Scalar, add_terms
 from sconf.submodules import SubmoduleSpec, UniPoly, contains
 
-from test_compat_failures import scale_family
+from test_compat_failures import on_rows, scale_family
 
 
 def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
@@ -158,8 +158,8 @@ def test_the_sweeps_pass_with_the_reference_on_a_right_action():
             assert got == want
 
 
-@pytest.mark.parametrize("module, name", [(quotients, "quotient_act_basis"),
-                                          (freemod, "act_basis")], ids=["quotient", "module"])
+@pytest.mark.parametrize("module, name", [(quotients, "quotient_rows"),
+                                          (freemod, "basis_rows")], ids=["quotient", "module"])
 @pytest.mark.parametrize("family", ["L", "H", "Gp", "Gm"])
 def test_a_doubled_family_fails_as_the_reference_does(monkeypatch, module, name, family):
     scale_family(monkeypatch, module, name, (family,))
@@ -172,13 +172,11 @@ def test_a_doubled_family_fails_as_the_reference_does(monkeypatch, module, name,
 def test_a_gm_without_alp_fails_phi_as_the_reference_does(monkeypatch):
     # doubling a family fails no phi case, since both sides double; dropping
     # alp from Gm differs between the two alp values
-    good = quotients.quotient_act_basis
-
-    def gm_without_alp(sym, v, p, *coeff):
+    def gm_without_alp(good, sym, v, p, *coeff):
         out = good(sym, v, p, *coeff)
         return out * p.alp.invert_monomial() if sym.family == "Gm" else out
 
-    monkeypatch.setattr(quotients, "quotient_act_basis", gm_without_alp)
+    on_rows(monkeypatch, quotients, "quotient_rows", gm_without_alp)
     for src, dst in PHI:
         got = check_phi_intertwines(src, dst, 2, 2)
         assert got.status == "fail"

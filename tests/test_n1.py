@@ -22,6 +22,7 @@ from sconf.parsing import parse_algebra_element, parse_quotient_element
 from sconf.quotients import QuotientElement, QuotientParams, quotient_monomials
 from sconf.scalars import INV_SQRT2, SQRT2, QuadExt, Scalar
 from test_algebras import _corrupted_maps
+from test_compat_failures import families_of, on_rows
 
 
 def q(text, parity=None):
@@ -101,9 +102,8 @@ def test_relations_neveu_schwarz():
 
 
 def _twist_images(monkeypatch, twist):
-    """Replace every restricted image by ``twist(x, image)``."""
-    good = n1.restricted_act
-    monkeypatch.setattr(n1, "restricted_act", lambda x, v, r: twist(x, good(x, v, r)))
+    """Replace every restricted image by ``twist(x, image)``, at the rows seam."""
+    on_rows(monkeypatch, n1, "restricted_rows", lambda good, x, v, r: twist(x, good(x, v, r)))
 
 
 def _restriction(source):
@@ -135,7 +135,7 @@ def test_sqrt2_on_g_breaks_exactly_the_g_pairs(monkeypatch, source):
     # sqrt2 G . sqrt2 G = 2 G.G while [G, G] = 2 L keeps its coefficient;
     # [L, G] scales by sqrt2 on both sides
     _twist_images(
-        monkeypatch, lambda x, out: out * SQRT2 if any(s.family == "G" for s in x.terms) else out
+        monkeypatch, lambda x, out: out * SQRT2 if "G" in families_of(x) else out
     )
     r = _restriction(source)
     report = check_n1_relations(r, 1, 1)

@@ -1,15 +1,16 @@
-"""The bracket-compatibility sweeps act through the basis action they are
+"""The bracket-compatibility sweeps act through the rows seam they are
 given, one generator at a time, never through ``act`` or ``quotient_act`` on
-whole algebra elements.  The sweep, which sums each unordered generator pair
-once in packed ints, records the violations of the element-wise ordered-pair
-sweep ``pair_violations`` of ``reference.py``, in its order and with its
-texts: on every sweep with the action right, with families scaled at the
-basis-action seam and with twisted bracket rows, and on vectors packed side
-by side as the signed digits of one int."""
+whole algebra elements, and build no element on a passing case.  The sweep,
+which sums each unordered generator pair once in packed ints, records the
+violations of the element-wise ordered-pair sweep ``pair_violations`` of
+``reference.py``, in its order and with its texts: on every sweep with the
+action right, with families scaled at the rows seam and with twisted
+bracket rows, and on vectors packed side by side as the signed digits of
+one int."""
 
 import pytest
 
-from sconf import algebras, freemod, n1, quotients
+from sconf import algebras, freemod, n1, quotients, scalars
 from sconf.algebras import BasisSymbol, basis_symbols
 from sconf.errors import MixedParity
 from sconf.freemod import EVEN, ODD, ModuleElement, monomials
@@ -19,7 +20,7 @@ from sconf.reports import VerificationReport
 from sconf.scalars import QuadExt, Scalar
 
 from reference import linear, pair_violations
-from test_compat_failures import scale_family
+from test_compat_failures import as_rows, scale_family
 
 P = QuotientParams(a=1)
 WIDE = QuotientParams(a=QuadExt(10**30, 7), lam=Scalar.number(12345678901234567891),
@@ -31,15 +32,15 @@ def test_sweeps_build_no_linear_action(monkeypatch):
     def refuse(*args):
         raise AssertionError("a compatibility sweep acted by a whole element")
 
-    good = n1.restricted_act
+    good = n1.restricted_rows
 
     def one_generator(x, w, r):
-        assert len(x.terms) == 1, f"an N=1 sweep acted by {x}"
+        assert isinstance(x, BasisSymbol) or len(x.terms) == 1, f"an N=1 sweep acted by {x}"
         return good(x, w, r)
 
     monkeypatch.setattr(freemod, "act", refuse)
     monkeypatch.setattr(quotients, "quotient_act", refuse)
-    monkeypatch.setattr(n1, "restricted_act", one_generator)
+    monkeypatch.setattr(n1, "restricted_rows", one_generator)
     reports = [
         freemod.check_module_compatibility(1, 1),
         check_quotient_compatibility(P, 1, 1),
@@ -49,14 +50,36 @@ def test_sweeps_build_no_linear_action(monkeypatch):
     assert all(r.passed for r in reports), [r.render_text() for r in reports]
 
 
+def test_a_passing_sweep_builds_no_element(monkeypatch):
+    calls, good = [], scalars.build_slices
+
+    def counting(slices):
+        calls.append(slices)
+        return good(slices)
+
+    for module in (scalars, freemod, quotients, n1, algebras):
+        if getattr(module, "build_slices", None) is good:
+            monkeypatch.setattr(module, "build_slices", counting)
+    reports = [
+        freemod.check_module_compatibility(1, 2),
+        check_quotient_compatibility(P, 1, 1),
+        check_n1_relations(RestrictedAction.ramond(P), 1, 1),
+        check_n1_relations(RestrictedAction.neveu_schwarz(P), 1, 1),
+    ]
+    assert all(r.passed for r in reports), [r.render_text() for r in reports]
+    assert calls == []
+    freemod.act(BasisSymbol("R", "L", 2), ModuleElement.one(EVEN))
+    assert len(calls) == 1  # the counter sees the one element an act builds
+
+
 @pytest.mark.parametrize("module, name, sweep", [
-    (freemod, "act_basis", lambda: freemod.check_module_compatibility(1, 1)),
-    (quotients, "quotient_act_basis", lambda: check_quotient_compatibility(P, 1, 1)),
-    (n1, "restricted_act", lambda: check_n1_relations(RestrictedAction.ramond(P), 1, 1)),
+    (freemod, "basis_rows", lambda: freemod.check_module_compatibility(1, 1)),
+    (quotients, "quotient_rows", lambda: check_quotient_compatibility(P, 1, 1)),
+    (n1, "restricted_rows", lambda: check_n1_relations(RestrictedAction.ramond(P), 1, 1)),
 ])
 def test_an_image_of_the_wrong_parity_is_an_error(monkeypatch, module, name, sweep):
     # returning its argument, an odd generator keeps the monomial's parity
-    monkeypatch.setattr(module, name, lambda x, w, *rest: w)
+    monkeypatch.setattr(module, name, lambda x, w, *rest: as_rows(w))
     with pytest.raises(MixedParity, match="maps a monomial to the wrong parity"):
         sweep()
 
@@ -66,14 +89,14 @@ def test_an_image_of_the_wrong_parity_is_an_error(monkeypatch, module, name, swe
 # ---------------------------------------------------------------------------
 
 def _module(window, degree):
-    return (freemod, "act_basis", "R",
+    return (freemod, "basis_rows", "R",
             lambda: freemod.check_module_compatibility(window, degree),
             lambda: pair_violations(basis_symbols("R", window), freemod.act,
                                     monomials(degree), "compat "))
 
 
 def _quotient(p, window, degree):
-    return (quotients, "quotient_act_basis", "R",
+    return (quotients, "quotient_rows", "R",
             lambda: check_quotient_compatibility(p, window, degree),
             lambda: pair_violations(basis_symbols("R", window),
                                     lambda x, v: quotients.quotient_act(x, v, p),
@@ -81,7 +104,7 @@ def _quotient(p, window, degree):
 
 
 def _n1(r, window, degree):
-    return (n1, "restricted_act", r.source,
+    return (n1, "restricted_rows", r.source,
             lambda: check_n1_relations(r, window, degree),
             lambda: pair_violations(basis_symbols(r.source, window),
                                     lambda x, v: n1.restricted_act(x, v, r),
@@ -89,7 +112,7 @@ def _n1(r, window, degree):
                                     f"n1 {r.source} {r.params.describe()} "))
 
 
-# name -> (module holding the basis action the sweep reads, its name, the
+# name -> (module holding the rows seam the sweep reads, its name, the
 # algebra of the generators, the sweep, the element-wise reference's
 # (context, lhs, rhs) triples)
 SWEEPS = {
@@ -169,11 +192,12 @@ def test_a_twisted_pair_fails_in_the_orders_its_rows_allow(monkeypatch):
 # every vector is one signed digit of a packed int
 # ---------------------------------------------------------------------------
 
-def _as_reference(syms, basis_act, vectors):
+def _as_reference(syms, rows, vectors):
     """The sweep's report on ``vectors``, checked against the reference's."""
-    got = algebras.check_representation(VerificationReport("compat", {}), syms, basis_act,
+    got = algebras.check_representation(VerificationReport("compat", {}), syms, rows,
                                         vectors, "")
-    want = pair_violations(syms, lambda x, v: linear(basis_act, x, v), vectors, "")
+    want = pair_violations(
+        syms, lambda x, v: linear(lambda s, w: type(w).from_rows(rows(s, w)), x, v), vectors, "")
     assert [(v.context, v.lhs, v.rhs) for v in got.violations] == want
     return got
 
@@ -188,8 +212,11 @@ EVEN_R = [s for s in basis_symbols("R", 1) if not s.parity]
 
 
 def _odd_l_doubled(sym, w):
-    out = freemod.act_basis(sym, w)
-    return out * 2 if w.parity == ODD and sym.family == "L" else out
+    parity, slices = freemod.basis_rows(sym, w)
+    if w.parity == ODD and sym.family == "L":
+        slices = {key: {ev: [2 * p, 2 * q, d] for ev, (p, q, d) in slot.items()}
+                  for key, slot in slices.items()}
+    return parity, slices
 
 
 @pytest.mark.parametrize("where", ["first", "last"])

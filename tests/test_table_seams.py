@@ -1,7 +1,8 @@
 """A wrong basis action shows in every sweep that acts through it.
 
-Each sweep looks up ``freemod.act_basis`` or ``n1.restricted_act`` when it
-acts, so a fault put there before the sweep runs must show in its report.
+Each sweep, and each built image, looks up the rows seam
+``freemod.basis_rows`` or ``n1.restricted_rows`` when it acts, so a fault
+put there (``on_rows``) before the sweep runs must show in its report.
 """
 
 from sconf import freemod, n1, submodules
@@ -10,17 +11,11 @@ from sconf.n1 import RestrictedAction, check_rank1_freeness, check_simplicity_wi
 from sconf.parsing import parse_submodule_spec
 from sconf.quotients import QuotientElement, QuotientParams
 
-from test_compat_failures import _only_violations, scale_family
-
-
-def _wrap(monkeypatch, module, name, fault):
-    """Replace ``module.name`` by ``fault(good, *args)``."""
-    good = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: fault(good, *args))
+from test_compat_failures import _only_violations, families_of, on_rows, scale_family
 
 
 def test_rank1_sweep_catches_a_wrong_family(monkeypatch):
-    scale_family(monkeypatch, n1, "restricted_act", ("G",))
+    scale_family(monkeypatch, n1, "restricted_rows", ("G",))
     report = check_rank1_freeness(RestrictedAction.ramond(QuotientParams(a=1)), 2)
     _only_violations(report, "L0^")
     assert {v.context for v in report.violations} == {f"L0^{k} G0 . 1_even" for k in range(3)}
@@ -29,7 +24,7 @@ def test_rank1_sweep_catches_a_wrong_family(monkeypatch):
 def _leak(good, x, v, r):
     """The restricted action, plus 1_even on an even image of an L element."""
     out = good(x, v, r)
-    if out.parity == EVEN and any(s.family == "L" for s in x.terms):
+    if out.parity == EVEN and "L" in families_of(x):
         return out + QuotientElement.one(EVEN)
     return out
 
@@ -41,13 +36,13 @@ def _h_adds_one(good, sym, v):
 
 
 def test_a0_closure_certificate_catches_a_leak_into_the_constants(monkeypatch):
-    _wrap(monkeypatch, n1, "restricted_act", _leak)
+    on_rows(monkeypatch, n1, "restricted_rows", _leak)
     report = check_simplicity_witness(0, 3, 2, 1, 1, index_window=1)
     _only_violations(report, "a=0 closure L[")
 
 
 def test_closure_sweep_catches_a_wrong_family(monkeypatch):
-    _wrap(monkeypatch, freemod, "act_basis", _h_adds_one)
+    on_rows(monkeypatch, freemod, "basis_rows", _h_adds_one)
     report = submodules.check_closure(parse_submodule_spec("M[h=y^2-1]"), 1, 1)
     _only_violations(report, "closure M[h=y^2 - 1] under H[")
 
@@ -58,7 +53,7 @@ def test_odd_square_sweep_catches_a_wrong_family(monkeypatch):
             return ModuleElement(1 - v.parity, dict(v.terms))
         return good(sym, v)
 
-    _wrap(monkeypatch, freemod, "act_basis", gp_keeps_even)
+    on_rows(monkeypatch, freemod, "basis_rows", gp_keeps_even)
     report = freemod.check_odd_square_zero(1, 1)
     _only_violations(report, "Gp[")
 
@@ -67,7 +62,7 @@ def test_central_sweep_catches_a_wrong_family(monkeypatch):
     def c_is_identity(good, sym, v):
         return v if sym.family == "C" else good(sym, v)
 
-    _wrap(monkeypatch, freemod, "act_basis", c_is_identity)
+    on_rows(monkeypatch, freemod, "basis_rows", c_is_identity)
     _only_violations(freemod.check_central_triviality(1), "C on ")
 
 
@@ -108,10 +103,10 @@ _A0_LEAK = [
 
 def test_closure_and_a0_certificate_record_every_violation_in_sweep_order(monkeypatch):
     # generator outer, spanning vector inner; each side as its full text
-    _wrap(monkeypatch, freemod, "act_basis", _h_adds_one)
+    on_rows(monkeypatch, freemod, "basis_rows", _h_adds_one)
     report = submodules.check_closure(parse_submodule_spec("M[h=y^2-1]"), 1, 1)
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == _CLOSURE_H_ADDS_ONE
     monkeypatch.undo()
-    _wrap(monkeypatch, n1, "restricted_act", _leak)
+    on_rows(monkeypatch, n1, "restricted_rows", _leak)
     report = check_simplicity_witness(0, 3, 2, 1, 1, index_window=1)
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == _A0_LEAK
