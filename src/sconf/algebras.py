@@ -50,7 +50,9 @@ unpacks both).  It and ``freemod.linear_rows`` read every image's rows
 through one parity guard, ``_checked``.
 ``_check_images`` is the one generator-by-vector check loop: every map
 sweep and closure check compares its two sides of each case through it,
-on each whole vector, since a seam fault need not be linear.
+on each whole vector, since a seam fault need not be linear.  The sides
+are rows, compared in ints (``scalars.same_rows`` or the caller's test),
+and only a failing case builds elements, for its text.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import chain, product
 from math import lcm
-from operator import eq
 
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination, slices_of
+from .scalars import (
+    INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination, same_rows, slices_of,
+)
 from .values import Value
 
 ALGEBRAS = ("R", "NS", "T", "N1R", "N1NS")
@@ -622,17 +625,20 @@ def check_representation(report, syms, rows, vectors, label):
     return report
 
 
-def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
+def _check_images(report, syms, vectors, lhs, rhs, label, cls, same=same_rows):
     """Record a ``label``-prefixed violation, ``lhs(X, v, w)`` against
     ``rhs(X, v, w)``, wherever ``same`` of the two fails, for every X of
     ``syms`` (outer loop) and every pair (v, w) of ``vectors`` (inner loop),
-    w the caller's image of v, built once per vector.  A side may be a
-    fixed text."""
+    w the caller's image of v, built once per vector.  A side is rows,
+    (target parity, slices), or a fixed text; ``same`` compares the two in
+    ints, by default by ``same_rows``.  Only a failing case builds its rows
+    into elements of ``cls`` (``from_rows``), for its text."""
     for sym in syms:
         for v, w in vectors:
             left, right = lhs(sym, v, w), rhs(sym, v, w)
             if not same(left, right):
-                report.record(f"{label}{sym} on {v}", left, right)
+                report.record(f"{label}{sym} on {v}", *[
+                    x if isinstance(x, str) else cls.from_rows(x) for x in (left, right)])
     return report
 
 

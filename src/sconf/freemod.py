@@ -41,10 +41,11 @@ the three rows seams; ``act_basis``, ``quotient_act_basis`` and
 ``linear_rows`` acts by an element x, or by its terms, as the sum in ints
 of the rows of its generators, each on the whole element itself, passed
 the generator's coefficient for the row scale (not ``SC_ONE``), so no
-scaled copy is built; ``extend_linearly`` builds that sum once: ``act``
-extends ``basis_rows``, ``quotients.quotient_act`` extends
-``quotient_rows``, and ``n1.restricted_rows`` sums the quotient rows of the
-embedded generators through ``linear_rows`` too.  One guard,
+scaled copy is built: ``act_rows`` extends ``basis_rows`` and
+``quotients.quotient_act_rows`` extends ``quotient_rows``, ``act`` and
+``quotient_act`` build that sum once, and ``n1.restricted_rows`` sums the
+quotient rows of the embedded generators through ``linear_rows`` too.
+``to_rows`` reads an element back into rows, for the map seams.  One guard,
 ``_require_r``, refuses an element or generator outside R, with the text
 each module names as its ``_OWNER``.  Nothing is tabulated or cached.  The
 bracket-compatibility sweep, ``algebras.check_representation``, takes a
@@ -64,7 +65,7 @@ from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
     _ZERO_EXP, SC_ONE, Scalar, add_slice, add_terms, as_scalar, build_slices,
-    monomial_text, render_combination,
+    monomial_text, render_combination, slices_of,
 )
 from .values import Value
 
@@ -109,6 +110,10 @@ class ParityElement(Value):
         """The element that rows, a (target parity, slices) pair, stand for."""
         parity, slices = rows
         return cls(parity, build_slices(slices))
+
+    def to_rows(self):
+        """The rows, (parity, fresh slices), that ``from_rows`` builds back."""
+        return self.parity, slices_of(self.terms.items())
 
     @classmethod
     def one(cls, parity):
@@ -354,14 +359,15 @@ def linear_rows(x, v, rows, owner):
     return parity, out
 
 
-def extend_linearly(x, v, rows, owner):
-    """The element of ``v``'s class that ``linear_rows`` stands for."""
-    return type(v).from_rows(linear_rows(x, v, rows, owner))
+def act_rows(x, v):
+    """Action of a homogeneous R-element (or one basis symbol) on a module
+    element, as rows: the linear extension of ``basis_rows``."""
+    return linear_rows(x, v, basis_rows, _OWNER)
 
 
 def act(x, v):
-    """Action of a homogeneous R-element (or one basis symbol) on a module element."""
-    return extend_linearly(x, v, basis_rows, _OWNER)
+    """The element ``act_rows`` stands for."""
+    return type(v).from_rows(act_rows(x, v))
 
 
 def monomials(degree_bound, parities=(EVEN, ODD)):

@@ -16,8 +16,9 @@ odd part closes under the restricted action and witnesses non-simplicity.
 ``restricted_rows`` reads the embedding's image of each generator
 (``algebras.map_image``), merges the targets and sums their rows through
 ``quotients.quotient_rows`` in ints (``freemod.linear_rows``), building no
-embedded element; ``restricted_act`` builds its element.  The N=1 sweeps
-act by one basis generator at a time, so a fault put on
+embedded element; ``restricted_act`` builds its element, and the a = 0
+closure of ``check_simplicity_witness`` reads the rows themselves.  The
+N=1 sweeps act by one basis generator at a time, so a fault put on
 ``restricted_rows`` sees which generator acts.
 
 The simplicity witness is a certificate, not a search; its argument is in
@@ -215,9 +216,10 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         spanning = [QuotientElement.monomial(EVEN, k + 1) for k in range(degree_bound + 1)]
         spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
         _check_images(
-            report, gens, [(v, None) for v in spanning], lambda g, v, _: restricted_act(g, v, r),
-            lambda *_: "member of xC[x]+C[s]", "a=0 closure ",
-            same=lambda out, _: out.parity != EVEN or 0 not in out.terms,
+            report, gens, [(v, None) for v in spanning], lambda g, v, _: restricted_rows(g, v, r),
+            lambda *_: "member of xC[x]+C[s]", "a=0 closure ", QuotientElement,
+            same=lambda out, _: out[0] != EVEN or not any(
+                p or q for p, q, d in out[1].get(0, {}).values()),
         )
         report.notes.append(
             "a=0: the subspace x*C[x] + C[s] is closed and omits 1_even, "

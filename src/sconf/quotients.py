@@ -28,38 +28,46 @@ The quotient is the module row read through the projection:
 the parts of its lam, alp and their inverses (``units``) and of y = -a and
 t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
 image is summed once into slices keyed i, which ``quotient_act_basis``
-builds into an element.  ``project`` divides by y + a (even) or t + a + 1
-(odd), the int divisors p stores (``divisors``), in the one long division
-that ``submodules.reduce_mod`` runs too, and reads the remainders' keys
-(i, 0) as i.  ``kernel_spec`` builds the kernel, the M-kind submodule of
-h = y + a, on request.  ``quotient_act`` is the linear extension of
-``quotient_rows`` (``freemod.extend_linearly``), whose int sum
+builds into an element.  ``quotient_act_rows`` is the linear extension of
+``quotient_rows`` (``freemod.linear_rows``), whose int sum
 ``n1.restricted_rows`` runs over the embedded targets too.
+``kernel_spec`` builds the kernel, the M-kind submodule of h = y + a, on
+request.
+
+Each map has one rows seam, rows in and rows out, in ints, and its element
+function (``project``, ``iso_phi``, ``iso_xi``) builds from it.
+``project_rows`` divides by y + a (even) or t + a + 1 (odd), the int
+divisors p stores (``divisors``), in the long division of
+``submodules._remainders``, and reads the remainders' keys (i, 0) as i.
+``phi_rows`` scales the odd values by dst.alp/src.alp (``_phi_scale``,
+which checks lam and a), and ``xi_rows`` multiplies by the coefficients of
+h~(y) (even) or h~(t+1) (odd).
 
 The three intertwining sweeps are calls of one loop,
-``algebras._check_images``, which builds each vector's own image once and
-compares the two sides of each (generator, monomial) case: project(X . v)
-with X . project(v) and iso_phi(X . v) with X . iso_phi(v) by element
-equality, and X . iso_xi(v) with iso_xi(X . v) by membership of their
-difference in M_h (``submodules.contains``).
+``algebras._check_images``: each builds each vector's own image once and
+compares the rows of the two sides of each (generator, monomial) case in
+ints, project(X . v) with X . project(v) and phi(X . v) with X . phi(v) by
+``scalars.same_rows``, and X . xi(v) with xi(X . v) by membership of their
+difference in M_h (``submodules.contains_rows``).  The phi sweep forms its
+scale, and the xi sweep h~(t+1), once.  The sweeps read each seam as a
+module global, so a fault put on one shows in every sweep that reads it.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .algebras import _check_images, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act,
-    extend_linearly, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act_rows,
+    linear_rows, monomials,
 )
 from .reports import VerificationReport
-from .scalars import (
-    QE_ONE, Scalar, _qe, add_terms, as_quadext, as_scalar, monomial_text,
-)
+from .scalars import QE_ONE, Scalar, _qe, add_slice, as_quadext, as_scalar, monomial_text
 from .submodules import (
-    SubmoduleSpec, UniPoly, _deflated, _linear, _remainders, check_containment, contains,
+    SubmoduleSpec, UniPoly, _deflated, _linear, _remainders, check_containment, contains_rows,
 )
 from .values import Value
 
@@ -144,20 +152,30 @@ def quotient_act_basis(sym, v, p, coeff=None):
     return QuotientElement.from_rows(quotient_rows(sym, v, p, coeff))
 
 
-def quotient_act(x, v, p):
+def quotient_act_rows(x, v, p):
     """Action of a homogeneous R-element (or one basis symbol) on a quotient
-    element."""
-    return extend_linearly(
-        x, v, lambda sym, w, *coeff: quotient_rows(sym, w, p, *coeff), _OWNER)
+    element, as rows: the linear extension of ``quotient_rows``."""
+    return linear_rows(x, v, lambda sym, w, *coeff: quotient_rows(sym, w, p, *coeff), _OWNER)
+
+
+def quotient_act(x, v, p):
+    """The element ``quotient_act_rows`` stands for."""
+    return type(v).from_rows(quotient_act_rows(x, v, p))
+
+
+def project_rows(rows, p):
+    """The canonical projection on rows, (parity, slices keyed (i, j)): the
+    remainders by y + a (even) or t + a + 1 (odd), the int divisors p
+    stores, which set y -> -a and t -> -a-1, keyed i."""
+    p.concrete_a()
+    parity, slices = rows
+    return parity, {i: slot for (i, _), slot in _remainders(p.divisors[parity], slices).items()}
 
 
 def project(v, p):
-    """Canonical projection from the rank-2 module onto the quotient: the
-    remainder modulo the kernel, which sets y -> -a on the even part and
-    t -> -a-1 on the odd part."""
-    p.concrete_a()
-    rem = _remainders(p.divisors[v.parity], v.terms)
-    return QuotientElement(v.parity, {i: Scalar(t) for (i, _), t in rem.items()})
+    """Canonical projection from the rank-2 module onto the quotient
+    (``project_rows``)."""
+    return QuotientElement.from_rows(project_rows(v.to_rows(), p))
 
 
 def kernel_spec(p):
@@ -166,30 +184,52 @@ def kernel_spec(p):
     return SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)))
 
 
-def iso_phi(v, src, dst):
-    """The quotient-to-quotient isomorphism: identity on the even part,
-    rescaling by dst.alp/src.alp on the odd part.
-
-    Exists exactly when the lam data and the root data agree; everything else
-    raises ParamMismatch.
-    """
+def _phi_scale(src, dst):
+    """The (exponent vector, p, q, d) ints of dst.alp/src.alp.  The
+    isomorphism exists exactly when the lam data and the root data agree;
+    everything else raises ParamMismatch."""
     if src.lam != dst.lam:
         raise ParamMismatch(f"lam differs: {src.describe()} vs {dst.describe()}")
     if src.a != dst.a:
         raise ParamMismatch(f"root parameter differs: {src.describe()} vs {dst.describe()}")
-    if v.parity == EVEN:
-        return QuotientElement(EVEN, dict(v.terms))
-    ratio = dst.alp * src.alp.invert_monomial()
-    return v * ratio
+    (part,), = _parts(dst.alp * src.alp.invert_monomial())
+    return part
+
+
+def phi_rows(rows, scale):
+    """``iso_phi`` on rows: the even part as it is, each odd value times the
+    monomial ``scale`` (``_phi_scale``), in ints."""
+    parity, slices = rows
+    if parity == EVEN:
+        return rows
+    sev, sp, sq, sd = scale
+    return parity, {key: {tuple(map(add, ev, sev)): [p * sp + 2 * q * sq, p * sq + q * sp, d * sd]
+                          for ev, (p, q, d) in slot.items()} for key, slot in slices.items()}
+
+
+def iso_phi(v, src, dst):
+    """The quotient-to-quotient isomorphism: identity on the even part,
+    rescaling by dst.alp/src.alp on the odd part (``phi_rows``)."""
+    return QuotientElement.from_rows(phi_rows(v.to_rows(), _phi_scale(src, dst)))
+
+
+def xi_rows(rows, lifts):
+    """``iso_xi`` on rows keyed k: each value times each coefficient of the
+    multiplier of its parity, ``lifts`` = (h~(y), h~(t+1)), in ints, keyed
+    (k, j) by the power j."""
+    parity, slices = rows
+    by = [(j, c.p, c.q, c.d) for j, c in enumerate(lifts[parity].coeffs) if c]
+    return parity, {(k, j): {ev: [p * cp + 2 * q * cq, p * cq + q * cp, d * cd]
+                             for ev, (p, q, d) in slot.items()}
+                    for k, slot in slices.items() for j, cp, cq, cd in by}
 
 
 def iso_xi(v, h_tilde, p):
     """Embed a quotient element as a representative of the layer M_h~ / M_h
-    with h = (y + a) h~: multiply by h~(y) (even) or h~(t+1) (odd)."""
-    by = h_tilde if v.parity == EVEN else h_tilde.shifted(1)
-    return ModuleElement(v.parity, add_terms({}, (
-        ((k, j), c * hc) for k, c in v.terms.items() for j, hc in enumerate(by.coeffs)
-    )))
+    with h = (y + a) h~: multiply by h~(y) (even) or h~(t+1) (odd)
+    (``xi_rows``; the multiplier of the other parity is not formed)."""
+    lifts = (h_tilde, None) if v.parity == EVEN else (None, h_tilde.shifted(1))
+    return ModuleElement.from_rows(xi_rows(v.to_rows(), lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +414,16 @@ def check_projection_intertwines(p, index_window, degree_bound):
         report,
         basis_symbols("R", index_window),
         [(v, project(v, p)) for v in monomials(degree_bound)],
-        lambda sym, v, _: project(act(sym, v), p),
-        lambda sym, _, pv: quotient_act(sym, pv, p),
+        lambda sym, v, _: project_rows(act_rows(sym, v), p),
+        lambda sym, _, pv: quotient_act_rows(sym, pv, p),
         f"projection {p.describe()} ",
+        QuotientElement,
     )
 
 
 def check_phi_intertwines(src, dst, index_window, degree_bound):
-    """iso_phi commutes with every generator action in the window."""
+    """iso_phi commutes with every generator action in the window; the lam
+    and root data are checked, and dst.alp/src.alp formed, once."""
     report = VerificationReport(
         "phi-intertwines",
         {
@@ -391,19 +433,33 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    syms, scale = basis_symbols("R", index_window), _phi_scale(src, dst)
     return _check_images(
         report,
-        basis_symbols("R", index_window),
-        [(v, iso_phi(v, src, dst)) for v in quotient_monomials(degree_bound)],
-        lambda sym, v, _: iso_phi(quotient_act(sym, v, src), src, dst),
-        lambda sym, _, mv: quotient_act(sym, mv, dst),
+        syms,
+        [(v, QuotientElement.from_rows(phi_rows(v.to_rows(), scale)))
+         for v in quotient_monomials(degree_bound)],
+        lambda sym, v, _: phi_rows(quotient_act_rows(sym, v, src), scale),
+        lambda sym, _, mv: quotient_act_rows(sym, mv, dst),
         f"phi {src.describe()}->{dst.describe()} ",
+        QuotientElement,
     )
+
+
+def _minus(left, right):
+    """The rows left - right of one parity, in fresh slices (``add_slice``)."""
+    out = {key: {ev: list(x) for ev, x in slot.items()} for key, slot in left[1].items()}
+    for key, slot in right[1].items():
+        have = out.setdefault(key, {})
+        for ev, (p, q, d) in slot.items():
+            add_slice(have, ev, -p, -q, d)
+    return left[0], out
 
 
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
-    M_h with h = (y+a) h~: X . iso_xi(v) - iso_xi(X . v) lies in M_h."""
+    M_h with h = (y+a) h~: X . iso_xi(v) - iso_xi(X . v) lies in M_h.  The
+    multiplier h~(t+1) is formed once."""
     full = SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)) * h_tilde)
     report = VerificationReport(
         "xi-intertwines",
@@ -414,12 +470,15 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
+    syms, lifts = basis_symbols("R", index_window), (h_tilde, h_tilde.shifted(1))
     return _check_images(
         report,
-        basis_symbols("R", index_window),
-        [(v, iso_xi(v, h_tilde, p)) for v in quotient_monomials(degree_bound)],
-        lambda sym, _, lv: act(sym, lv),
-        lambda sym, v, _: iso_xi(quotient_act(sym, v, p), h_tilde, p),
+        syms,
+        [(v, ModuleElement.from_rows(xi_rows(v.to_rows(), lifts)))
+         for v in quotient_monomials(degree_bound)],
+        lambda sym, _, lv: act_rows(sym, lv),
+        lambda sym, v, _: xi_rows(quotient_act_rows(sym, v, p), lifts),
         f"xi h~={h_tilde.render()} {p.describe()} ",
-        same=lambda left, right: contains(full, left - right),
+        ModuleElement,
+        same=lambda left, right: left[0] == right[0] and contains_rows(full, _minus(left, right)),
     )

@@ -67,7 +67,9 @@ instead:
   once with ``_qe`` only where a caller needs an element, so no QuadExt
   changes after ``_qe`` or ``QuadExt.__init__`` returns, and the
   compatibility sweep flattens them to ints without building any
-  (``slices_of`` reads the terms of a Scalar back into slices for it).  A slice
+  (``slices_of`` reads the terms of a Scalar back into slices for it).
+  Slices are not normalised, so ``same_rows`` compares two images value by
+  value in ints, for the map sweeps of ``algebras._check_images``.  A slice
   lives as long as the call that makes it, or, in the table of
   ``algebras.check_representation``, as long as that sweep's call.
 
@@ -367,6 +369,29 @@ def slices_of(pairs):
     """The slices ``{key: {ev: [p, q, d]}}`` of the ``(key, Scalar)`` pairs,
     which ``build_slices`` builds back."""
     return {key: {ev: [q.p, q.q, q.d] for ev, q in c.terms.items()} for key, c in pairs}
+
+
+_NO_SLOT, _ZERO_SLICE = {}, (0, 0, 1)
+
+
+def same_rows(left, right):
+    """Whether two rows, (target parity, slices), stand for one element,
+    compared in ints: each (key, ev) value by cross-multiplying its
+    denominators, a missing value or one whose ints are 0 counting as 0.
+    Zeros of either parity are the same, as zero elements are."""
+    (lp, ls), (rp, rs) = left, right
+    for key, slot in ls.items():
+        other = rs.get(key, _NO_SLOT)
+        for ev, (p, q, d) in slot.items():
+            u, v, e = other.get(ev, _ZERO_SLICE)
+            if p * e != u * d or q * e != v * d:
+                return False
+    for key, slot in rs.items():
+        other = ls.get(key, _NO_SLOT)
+        for ev, (p, q, _) in slot.items():
+            if (p or q) and ev not in other:
+                return False
+    return lp == rp or not any(p or q for slot in ls.values() for p, q, _ in slot.values())
 
 
 def _as_quadext(v):

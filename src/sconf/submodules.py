@@ -15,9 +15,14 @@ undecidable, and the action formulas never need them.
 One long division, ``_divmod_monic``, divides in machine ints, by the
 integer form of a monic divisor that ``_int_divisor`` computes (a spec
 computes those of h(y) and h(t+1) when it is built).  Membership,
-``contains``, divides rows of [p, q, d] ints, one per power of the first
-variable and parameter monomial, and the first nonzero remainder (or, for
-the N kind, quotient constant term) decides.
+``contains_rows``, reads an element's slices, the action's currency, into
+rows of [p, q, d] ints, one per power of the first variable and parameter
+monomial (``_rows``), divides each, and the first nonzero remainder (or,
+for the N kind, quotient constant term) decides; ``_remainders`` returns
+the remainders as slices, which ``quotients.project_rows`` reads.  So the
+closure sweep and the a = 0 closure of ``n1.check_simplicity_witness``
+build no element on a passing case, and ``contains`` and ``reduce_mod``
+read an element through its rows (``to_rows``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import product
 from math import lcm
 
 from .algebras import _check_images, basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, act, monomials
+from .freemod import EVEN, ODD, ModuleElement, act_rows, monomials
 from .reports import VerificationReport
 from .scalars import (
     PARAMS, QE_ONE, QE_ZERO, Scalar, _qe, as_quadext, join_signed, monomial_text,
@@ -273,31 +278,32 @@ def _deflated(p, r):
     return UniPoly(_unscaled(P, Q, D, E, 1, len(P)))
 
 
-def _rows(terms):
-    """A module element's terms as rows: (power of the first variable,
-    parameter monomial) -> {power of the second variable: [p, q, d]}."""
+def _rows(slices):
+    """The slices ``{(i, j): {ev: [p, q, d]}}`` of a module element as rows:
+    (power of the first variable, parameter monomial) -> {power of the
+    second variable: [p, q, d]}, a value whose ints are 0 left out."""
     rows = {}
-    for (i, j), c in terms.items():
-        for ev, x in c.terms.items():
-            rows.setdefault((i, ev), {})[j] = [x.p, x.q, x.d]
+    for (i, j), slot in slices.items():
+        for ev, x in slot.items():
+            if x[0] or x[1]:
+                rows.setdefault((i, ev), {})[j] = x
     return rows
 
 
-def contains(spec, v):
-    """Exact membership of a module element in the submodule, row by row
-    (``_rows``).
+def contains_rows(spec, rows):
+    """Exact membership in the submodule of the element that rows, (parity,
+    slices), stand for, row by row (``_rows``), in ints.
 
     The element must not involve the formal parameters a, b (membership is a
     question about the h-ideal, not a parametric one).
     """
-    if v.is_zero():
-        return True
-    rows = _rows(v.terms)
-    if any(ev[_A] or ev[_B] for _, ev in rows):
+    parity, slices = rows
+    by_row = _rows(slices)
+    if any(ev[_A] or ev[_B] for _, ev in by_row):
         raise ValueError("membership is defined for elements free of the parameters a, b")
-    divisor = n, E, _ = spec._int_divisors[v.parity]
-    constant = v.parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
-    for (i, _), row in rows.items():
+    divisor = n, E, _ = spec._int_divisors[parity]
+    constant = parity == EVEN and spec.kind == "N"  # the quotient may have no constant term
+    for (i, _), row in by_row.items():
         P, Q, _ = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
         if any(P[:n]) or any(Q[:n]):
@@ -307,31 +313,41 @@ def contains(spec, v):
     return True
 
 
-def _remainders(divisor, terms):
-    """The remainders of a module element's terms by the ``_int_divisor``
-    ``divisor`` in its second variable, one division in ints per row
-    (``_rows``): {(i, j): {ev: QuadExt}}, each nonzero coefficient unscaled
-    once."""
+def contains(spec, v):
+    """Exact membership of a module element in the submodule
+    (``contains_rows``)."""
+    return contains_rows(spec, v.to_rows())
+
+
+def _remainders(divisor, slices):
+    """The remainders of the slices of a module element by the
+    ``_int_divisor`` ``divisor`` in its second variable, one division in
+    ints per row (``_rows``), as slices ``{(i, j): {ev: [p, q, d]}}``, j
+    below the divisor's degree, each value over its row's denominator and
+    none of them 0."""
     n, E, _ = divisor
     rem = {}
-    for (i, ev), row in _rows(terms).items():
+    for (i, ev), row in _rows(slices).items():
         P, Q, D = _scaled(row, E)
         _divmod_monic(P, Q, divisor)
-        for j, x in enumerate(_unscaled(P, Q, D, E, 0, min(n, len(P)))):
-            if x:
-                rem.setdefault((i, j), {})[ev] = x
+        top = len(P) - 1
+        for j in range(min(n, top + 1)):
+            if P[j] or Q[j]:
+                rem.setdefault((i, j), {})[ev] = [P[j], Q[j], D * E ** (top - j)]
     return rem
 
 
 def reduce_mod(spec, v):
     """Canonical representative of v modulo the M-kind submodule of spec.h:
-    the remainders of ``_remainders``, each Scalar built once."""
-    rem = _remainders(spec._int_divisors[v.parity], v.terms)
-    return ModuleElement(v.parity, {k: Scalar(t) for k, t in rem.items()})
+    the element the remainders of ``_remainders`` stand for."""
+    return ModuleElement.from_rows(
+        (v.parity, _remainders(spec._int_divisors[v.parity], v.to_rows()[1])))
 
 
 def check_closure(spec, index_window, degree_bound):
-    """Every generator maps every spanning element back into the submodule."""
+    """Every generator maps every spanning element back into the submodule:
+    the rows of each image (``act_rows``) are divided in ints
+    (``contains_rows``), and only a failing case builds its image."""
     report = VerificationReport(
         "submodule-closure",
         {"spec": spec.render(), "window": index_window, "degree": degree_bound},
@@ -339,8 +355,8 @@ def check_closure(spec, index_window, degree_bound):
     return _check_images(
         report, basis_symbols("R", index_window),
         [(v, None) for v in spec.spanning_elements(degree_bound)],
-        lambda sym, v, _: act(sym, v), lambda *_: "member", f"closure {spec} under ",
-        same=lambda out, _: contains(spec, out),
+        lambda sym, v, _: act_rows(sym, v), lambda *_: "member", f"closure {spec} under ",
+        ModuleElement, same=lambda out, _: contains_rows(spec, out),
     )
 
 

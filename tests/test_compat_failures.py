@@ -1,9 +1,12 @@
 """The verification sweeps report a wrong action as a failure.
 
-``on_rows`` is the one fault injector of the sweep tests: it replaces a
-rows seam (``freemod.basis_rows``, ``quotients.quotient_rows`` or
-``n1.restricted_rows``), which every sweep and every built image reads, by
-the rows, target parity and slices, of a wrong image.  ``scale_family``
+``on_rows`` is the one fault injector of the action in the sweep tests: it
+replaces a rows seam (``freemod.basis_rows``, ``quotients.quotient_rows``
+or ``n1.restricted_rows``), which every sweep and every built image reads,
+by the rows, target parity and slices, of a wrong image.  ``on_map`` does
+the same for a map seam (``quotients.project_rows``, ``phi_rows`` or
+``xi_rows``), which the intertwining sweeps and the element maps read.
+``scale_family``
 scales the images of the generators of some families through it.  That
 each report's violations are exactly those of the element-wise reference is
 checked in ``test_representation_sweep.py`` and
@@ -54,6 +57,23 @@ def on_rows(monkeypatch, module, name, fault):
         return type(v).from_rows(right(x, v, *rest))
 
     monkeypatch.setattr(module, name, lambda *args: as_rows(fault(good, *args)))
+    return good
+
+
+def on_map(monkeypatch, module, name, classes, fault):
+    """Replace the map seam ``module.name``, ``(rows, *rest) -> rows``
+    (``quotients.project_rows``, ``phi_rows`` or ``xi_rows``), by the rows
+    of ``fault(good, v, *rest)``, an element: v is the element of the first
+    of the two ``classes`` that the rows given stand for, and ``good(v,
+    *rest)`` the element of the second that the right seam maps v to;
+    return ``good``."""
+    right, (source, target) = getattr(module, name), classes
+
+    def good(v, *rest):
+        return target.from_rows(right(v.to_rows(), *rest))
+
+    monkeypatch.setattr(module, name, lambda rows, *rest: as_rows(
+        fault(good, source.from_rows(rows), *rest)))
     return good
 
 

@@ -5,13 +5,16 @@ They give the reports of the element-wise sweeps, kept here verbatim as
 generator loop they ran, ``_check_images``: equal reports, so the same
 suite, params, notes and violations (context, lhs and rhs, in order), with
 the action right, with each family doubled at either rows seam
-(``scale_family``), and with a fault of its own for phi and for xi.  Each
-is the only reference for its sweep, so it stays here and not in
-``reference.py``.  Each sweep builds each vector's own image once and
-calls its map once more per case; the xi sweep also tests one membership
-through ``contains`` per case.  ``reference_xi`` lifts by a product of its
-own, ``_times``, so an ``iso_xi`` that is wrong, on monomials or only on
-elements of several terms, fails the sweep and not the reference."""
+(``scale_family``), and with a fault of its own for each map at its rows
+seam (``on_map``).  Each is the only reference for its sweep, so it stays
+here and not in ``reference.py``.  Each sweep maps each vector once and
+each case once more through its map seam (``project_rows``, ``phi_rows``,
+``xi_rows``); the xi sweep also tests one membership through
+``contains_rows`` per case, and the phi sweep checks its parameters once.
+The battery holds a xi layer and a phi pair with sqrt2 coefficients.
+``reference_xi`` lifts by a product of its own, ``_times``, so an
+``xi_rows`` that is wrong, on monomials or only on elements of several
+terms, fails the sweep and not the reference."""
 
 from collections import Counter
 from fractions import Fraction
@@ -19,19 +22,19 @@ from operator import eq
 
 import pytest
 
-from sconf import freemod, quotients, submodules
+from sconf import freemod, quotients
 from sconf.algebras import basis_symbols
-from sconf.freemod import EVEN, ODD, ModuleElement, ParityElement, act, monomials
+from sconf.freemod import EVEN, ODD, ModuleElement, act, monomials
 from sconf.parsing import parse_quotient_element, parse_unipoly
 from sconf.quotients import (
-    QuotientParams, check_phi_intertwines, check_projection_intertwines,
+    QuotientElement, QuotientParams, check_phi_intertwines, check_projection_intertwines,
     check_xi_intertwines, iso_phi, project, quotient_act, quotient_monomials,
 )
 from sconf.reports import VerificationReport
 from sconf.scalars import QE_ONE, QuadExt, Scalar, add_terms
 from sconf.submodules import SubmoduleSpec, UniPoly, contains
 
-from test_compat_failures import on_rows, scale_family
+from test_compat_failures import on_map, on_rows, scale_family
 
 
 def _check_images(report, syms, vectors, lhs, rhs, label, same=eq):
@@ -130,8 +133,12 @@ PHI = (
     (QuotientParams(a=1), QuotientParams(a=1, alp=Scalar.param("bet"))),
     (QuotientParams(a=QuadExt(1, 1), alp=Scalar.number(2)),
      QuotientParams(a=QuadExt(1, 1), alp=Scalar.param("bet", -1))),
+    # alp with sqrt2 coefficients: dst.alp/src.alp = (1 + sqrt2)/sqrt2 * bet/alp
+    (QuotientParams(a=QuadExt(1, 1), alp=Scalar.monomial(QuadExt(0, 1), alp=1)),
+     QuotientParams(a=QuadExt(1, 1), alp=Scalar.monomial(QuadExt(1, 1), bet=1))),
 )
-XI = ((1, "y - 1"), (0, "y + 1"), (-1, "y^2 + y - 2"), (1, "y^2 - 2"))
+XI = ((1, "y - 1"), (0, "y + 1"), (-1, "y^2 + y - 2"), (1, "y^2 - 2"),
+      (QuadExt(1, 1), "y - sqrt2"))
 
 
 def _sweeps(window, degree):
@@ -197,31 +204,55 @@ def test_a_lift_by_h_tilde_of_t_fails_as_the_reference_does(monkeypatch):
         assert got == reference_xi(h_tilde, p, 2, 2)
 
 
-def _xi_swapped(v, h_tilde, p):
-    """iso_xi with its parity branches swapped."""
-    return _times(v, h_tilde.shifted(1) if v.parity == EVEN else h_tilde)
+def _xi_swapped(good, v, lifts):
+    """xi_rows with its parity branches swapped."""
+    return good(v, lifts[::-1])
 
 
-def _xi_odd_minus_one(v, h_tilde, p):
-    """iso_xi lifting the odd part by h~(t-1), where h~(t+1) is right."""
-    return _times(v, h_tilde if v.parity == EVEN else h_tilde.shifted(-1))
+def _xi_odd_minus_one(good, v, lifts):
+    """xi_rows lifting the odd part by h~(t-1), where h~(t+1) is right."""
+    return good(v, (lifts[0], lifts[0].shifted(-1)))
 
 
-def _xi_leading_term(v, h_tilde, p):
-    """iso_xi keeping only the leading term of an element of several terms."""
+def _xi_leading_term(good, v, lifts):
+    """xi_rows keeping only the leading term of an element of several terms."""
     top = max(v.terms, default=None)
-    return _times(v if len(v.terms) < 2 else v.monomial(v.parity, top, v.terms[top]),
-                  h_tilde if v.parity == EVEN else h_tilde.shifted(1))
+    return good(v if len(v.terms) < 2 else v.monomial(v.parity, top, v.terms[top]), lifts)
 
 
 @pytest.mark.parametrize("wrong", [_xi_swapped, _xi_odd_minus_one, _xi_leading_term],
                          ids=["swapped", "t-1", "leading-term"])
 def test_a_wrong_iso_xi_fails_every_layer(monkeypatch, wrong):
-    monkeypatch.setattr(quotients, "iso_xi", wrong)
+    on_map(monkeypatch, quotients, "xi_rows", (QuotientElement, ModuleElement), wrong)
     for a, h_tilde in XI:
         p, h_tilde = QuotientParams(a=a), parse_unipoly(h_tilde)
         assert check_xi_intertwines(h_tilde, p, 2, 2).status == "fail", (a, h_tilde)
         assert reference_xi(h_tilde, p, 2, 2).passed
+
+
+def test_a_phi_without_its_odd_scale_fails_as_the_reference_does(monkeypatch):
+    # phi_rows returns the odd part unscaled; iso_phi reads the seam too
+    on_map(monkeypatch, quotients, "phi_rows", (QuotientElement, QuotientElement),
+           lambda good, v, scale: v)
+    for src, dst in PHI:
+        got = check_phi_intertwines(src, dst, 2, 2)
+        assert got.status == "fail"
+        assert got == reference_phi(src, dst, 2, 2)
+
+
+def test_a_projection_freezing_t_at_minus_a_fails_as_the_reference_does(monkeypatch):
+    # project_rows divides the odd part by t + a, where t + a + 1 is right;
+    # project reads the seam too
+    def odd_root_off_by_one(good, v, p):
+        return good(v, QuotientParams(a=p.a - 1, lam=p.lam, alp=p.alp) if v.parity else p)
+
+    on_map(monkeypatch, quotients, "project_rows", (ModuleElement, QuotientElement),
+           odd_root_off_by_one)
+    for a in ROOTS:
+        p = QuotientParams(a=a)
+        got = check_projection_intertwines(p, 2, 2)
+        assert got.status == "fail", a
+        assert got == reference_projection(p, 2, 2)
 
 
 @pytest.mark.parametrize("a, h_tilde", XI)
@@ -236,19 +267,17 @@ def test_iso_xi_lifts_elements_of_several_terms(a, h_tilde):
 
 
 def _counted(monkeypatch, sweep):
-    """How often the passing ``sweep()`` calls each element map and element
-    operation."""
+    """How often the passing ``sweep()`` calls each map seam, the membership
+    seam, the difference of the xi sides and the phi parameter check."""
     seen = Counter()
     with monkeypatch.context() as m:
-        for owner, name in ((quotients, "project"), (quotients, "iso_phi"),
-                            (quotients, "iso_xi"), (submodules, "contains"),
-                            (quotients, "contains"),
-                            (ParityElement, "__sub__"), (Scalar, "__eq__")):
-            def counted(*args, _good=getattr(owner, name), _name=name):
+        for name in ("project_rows", "phi_rows", "xi_rows", "contains_rows", "_minus",
+                     "_phi_scale"):
+            def counted(*args, _good=getattr(quotients, name), _name=name):
                 seen[_name] += 1
                 return _good(*args)
 
-            m.setattr(owner, name, counted)
+            m.setattr(quotients, name, counted)
         assert sweep().passed
     return seen
 
@@ -259,10 +288,11 @@ def test_projection_phi_and_xi_map_each_vector_once_and_each_case_once(monkeypat
         gens = len(basis_symbols("R", window))
         seen = _counted(monkeypatch, lambda: check_projection_intertwines(
             QuotientParams(a=QuadExt(1, 1)), window, degree))
-        assert seen["project"] == len(monomials(degree)) * (1 + gens)
+        assert seen["project_rows"] == len(monomials(degree)) * (1 + gens)
         seen = _counted(monkeypatch, lambda: check_phi_intertwines(*PHI[0], window, degree))
-        assert seen["iso_phi"] == len(quotient_monomials(degree)) * (1 + gens)
+        assert seen["phi_rows"] == len(quotient_monomials(degree)) * (1 + gens)
+        assert seen["_phi_scale"] == 1
         seen = _counted(monkeypatch, lambda: check_xi_intertwines(
             parse_unipoly("y^2 - 2"), QuotientParams(a=1), window, degree))
-        assert seen["iso_xi"] == len(quotient_monomials(degree)) * (1 + gens)
-        assert seen["contains"] == seen["__sub__"] == len(quotient_monomials(degree)) * gens
+        assert seen["xi_rows"] == len(quotient_monomials(degree)) * (1 + gens)
+        assert seen["contains_rows"] == seen["_minus"] == len(quotient_monomials(degree)) * gens

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sconf import freemod, n1, quotients
 from sconf.algebras import AlgebraElement, BasisSymbol, apply_map, basis_symbols
 from sconf.errors import AlgebraMismatch, MixedParity
-from sconf.freemod import EVEN, ODD, ModuleElement, act, act_basis, basis_rows, extend_linearly
+from sconf.freemod import EVEN, ODD, ModuleElement, act, act_basis, basis_rows, linear_rows
 from sconf.n1 import RestrictedAction, restricted_act
 from sconf.quotients import (
     QuotientElement, QuotientParams, quotient_act, quotient_act_basis, quotient_rows,
@@ -110,11 +110,11 @@ def test_restricted_act_matches_the_per_generator_reference(data, source, v, p):
 def test_the_zero_vector_keeps_its_parity(x, parity):
     p = QuotientParams(a=1)
     for v in (ModuleElement.zero(EVEN), ModuleElement.one(EVEN) * 0):
-        for out in (act(x, v), extend_linearly(x, v, basis_rows, "m")):
+        for out in (act(x, v), ModuleElement.from_rows(linear_rows(x, v, basis_rows, "m"))):
             assert out.is_zero() and out.parity == parity
-    for out in (quotient_act(x, QuotientElement.zero(EVEN), p),
-                extend_linearly(x, QuotientElement.zero(EVEN),
-                                lambda sym, w: quotient_rows(sym, w, p), "m")):
+    w = QuotientElement.zero(EVEN)
+    for out in (quotient_act(x, w, p), QuotientElement.from_rows(
+            linear_rows(x, w, lambda sym, u: quotient_rows(sym, u, p), "m"))):
         assert out.is_zero() and out.parity == parity
 
 
@@ -157,7 +157,7 @@ def test_a_basis_action_that_changes_parity_wrongly_is_an_error():
     v = ModuleElement(EVEN, {(0, 0): Scalar.number(1), (2, 1): Scalar.param("lam")})
     for x in (BasisSymbol("R", "L", 0), AlgebraElement.basis(BasisSymbol("R", "H", 2), 3)):
         with pytest.raises(MixedParity, match="maps a monomial to the wrong parity"):
-            extend_linearly(x, v, flip, "m")
+            linear_rows(x, v, flip, "m")
 
 
 def test_each_generator_acts_once_on_the_whole_element(monkeypatch):

@@ -10,12 +10,17 @@ one int."""
 
 import pytest
 
-from sconf import algebras, freemod, n1, quotients, scalars
+from sconf import algebras, freemod, n1, quotients, scalars, submodules
 from sconf.algebras import BasisSymbol, basis_symbols
 from sconf.errors import MixedParity
 from sconf.freemod import EVEN, ODD, ModuleElement, monomials
-from sconf.n1 import RestrictedAction, check_n1_relations
-from sconf.quotients import QuotientParams, check_quotient_compatibility, quotient_monomials
+from sconf.n1 import RestrictedAction, check_n1_relations, check_simplicity_witness
+from sconf.parsing import parse_submodule_spec, parse_unipoly
+from sconf.quotients import (
+    QuotientParams, check_phi_intertwines, check_projection_intertwines,
+    check_quotient_compatibility, check_xi_intertwines, quotient_monomials,
+)
+from sconf.submodules import check_closure
 from sconf.reports import VerificationReport
 from sconf.scalars import QuadExt, Scalar
 
@@ -57,7 +62,7 @@ def test_a_passing_sweep_builds_no_element(monkeypatch):
         calls.append(slices)
         return good(slices)
 
-    for module in (scalars, freemod, quotients, n1, algebras):
+    for module in (scalars, freemod, quotients, n1, algebras, submodules):
         if getattr(module, "build_slices", None) is good:
             monkeypatch.setattr(module, "build_slices", counting)
     reports = [
@@ -68,6 +73,22 @@ def test_a_passing_sweep_builds_no_element(monkeypatch):
     ]
     assert all(r.passed for r in reports), [r.render_text() for r in reports]
     assert calls == []
+    # the map sweeps and the closures compare rows: no case builds an
+    # element; a map sweep builds the image of each of its vectors once,
+    # the element that the action seam of its other side reads
+    src, dst = ROOT2, QuotientParams(a=ROOT2.a, alp=Scalar.monomial(QuadExt(0, 1), bet=1))
+    for sweep, images in [
+        (lambda: check_projection_intertwines(ROOT2, 1, 2), len(monomials(2))),
+        (lambda: check_phi_intertwines(src, dst, 1, 2), len(quotient_monomials(2))),
+        (lambda: check_xi_intertwines(parse_unipoly("y - sqrt2"), ROOT2, 1, 2),
+         len(quotient_monomials(2))),
+        (lambda: check_closure(parse_submodule_spec("N[h=y^2 - sqrt2*y + 1/2]"), 1, 2), 0),
+        (lambda: check_simplicity_witness(0, QuadExt(3, 0), 2, 2, index_window=1), 0),
+    ]:
+        del calls[:]
+        report = sweep()
+        assert report.passed, report.render_text()
+        assert len(calls) == images, report.suite
     freemod.act(BasisSymbol("R", "L", 2), ModuleElement.one(EVEN))
     assert len(calls) == 1  # the counter sees the one element an act builds
 

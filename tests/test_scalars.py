@@ -22,6 +22,8 @@ from sconf.scalars import (
     _power,
     add_terms,
     as_quadext,
+    build_slices,
+    same_rows,
 )
 
 
@@ -410,3 +412,48 @@ def test_one_term_powers_match_repeated_squaring(u, n):
     if n < 0 and any(ev[a] or ev[b] for ev in u.terms):
         with pytest.raises(NotAUnit):
             u ** n
+
+
+# -- rows equality ----------------------------------------------------------------
+
+_E0 = (0,) * len(PARAMS)
+_LAM = (1,) + (0,) * (len(PARAMS) - 1)
+
+
+def test_same_rows_pinned_cases():
+    def same(left, right):
+        return same_rows(left, right), same_rows(right, left)
+
+    # slices are not normalised: one value over two denominators
+    assert same((0, {1: {_E0: [1, 0, 2]}}), (0, {1: {_E0: [2, 0, 4]}})) == (True, True)
+    assert same((0, {1: {_E0: [1, 3, 2]}}), (0, {1: {_E0: [-2, -6, -4]}})) == (True, True)
+    # a value whose ints sum to 0, a key on one side only with value 0, and
+    # an empty slot all count as absent
+    assert same((0, {1: {_E0: [1, 0, 2]}, 2: {_E0: [0, 0, 3]}}),
+                (0, {1: {_E0: [2, 0, 4]}})) == (True, True)
+    assert same((0, {1: {_E0: [1, 0, 2], _LAM: [0, 0, 5]}}),
+                (0, {1: {_E0: [1, 0, 2]}, 3: {}})) == (True, True)
+    # a differing sqrt2 part, exponent vector or key is unequal
+    assert same((0, {1: {_E0: [1, 1, 2]}}), (0, {1: {_E0: [1, 0, 2]}})) == (False, False)
+    assert same((0, {1: {_E0: [1, 0, 2]}}), (0, {1: {_LAM: [1, 0, 2]}})) == (False, False)
+    assert same((0, {1: {_E0: [1, 0, 2]}}), (0, {2: {_E0: [1, 0, 2]}})) == (False, False)
+    assert same((0, {1: {_E0: [1, 0, 2]}}), (0, {})) == (False, False)
+    # zeros of either parity are the same; nonzero images of two parities are not
+    assert same((0, {}), (1, {3: {_E0: [0, 0, 7]}})) == (True, True)
+    assert same((0, {1: {_E0: [1, 0, 2]}}), (1, {1: {_E0: [1, 0, 2]}})) == (False, False)
+
+
+_slices = st.dictionaries(
+    st.integers(0, 2),
+    st.dictionaries(st.sampled_from([_E0, _LAM]),
+                    st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.integers(1, 4)).map(list),
+                    max_size=2),
+    max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 1), _slices, st.integers(0, 1), _slices)
+def test_same_rows_compares_the_values_the_slices_stand_for(lp, left, rp, right):
+    built = build_slices(left), build_slices(right)
+    assert same_rows((lp, left), (rp, right)) == (built[0] == built[1] and (
+        lp == rp or not built[0]))

@@ -245,7 +245,7 @@ def test_degree_3_at_window_1_names_the_modes_outside_the_window(a):
 @pytest.mark.parametrize("degree, words, window", [(1, 2, 1), (3, 3, 3), (2, 0, 2)])
 def test_one_action_per_generator_parity_and_exponent(monkeypatch, a, degree, words, window):
     seen = Counter()
-    good = n1.restricted_act
+    good = n1.restricted_rows
 
     def counting(x, v, r):
         (sym, c), = x.terms.items()  # one generator with coefficient 1
@@ -254,12 +254,13 @@ def test_one_action_per_generator_parity_and_exponent(monkeypatch, a, degree, wo
         seen[sym, v.parity, k] += 1
         return good(x, v, r)
 
-    monkeypatch.setattr(n1, "restricted_act", counting)
+    # the rows seam, which restricted_act and the a = 0 closure both read
+    monkeypatch.setattr(n1, "restricted_rows", counting)
     report = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window)
     assert report.passed
     assert seen and max(seen.values()) == 1
     # nothing reads the word length
-    monkeypatch.setattr(n1, "restricted_act", good)
+    monkeypatch.setattr(n1, "restricted_rows", good)
     assert report == _certificate(a, degree, window)
 
 

@@ -15,7 +15,7 @@ from sconf.algebras import basis_symbols
 from sconf.freemod import EVEN, ODD, ModuleElement, act, binomial_shift
 from sconf.linalg import RowSpan
 from sconf.parsing import parse_module_element, parse_submodule_spec, parse_unipoly
-from sconf.scalars import QE_ZERO, QuadExt, Scalar, as_quadext
+from sconf.scalars import PARAMS, QE_ZERO, QuadExt, Scalar, as_quadext
 from sconf.submodules import (
     SubmoduleSpec,
     UniPoly,
@@ -24,6 +24,7 @@ from sconf.submodules import (
     check_containment,
     check_lattice_order,
     contains,
+    contains_rows,
     reduce_mod,
 )
 
@@ -160,26 +161,26 @@ def test_membership_per_parameter_slice_matches_the_scalar_division():
 
 
 def test_membership_builds_no_scalar(monkeypatch):
-    """The closure sweeps of the oracle specs: ``contains`` decides every
-    image in ints."""
+    """The closure sweeps of the oracle specs: ``contains_rows`` decides
+    every image in ints."""
     inside, built, calls = [], [], []
-    init, real = Scalar.__init__, submodules.contains
+    init, real = Scalar.__init__, submodules.contains_rows
 
     def counting_init(self, terms=None):
         if inside:
             built.append(terms)
         init(self, terms)
 
-    def tracked(s, v):
-        calls.append(v)
-        inside.append(v)
+    def tracked(s, rows):
+        calls.append(rows)
+        inside.append(rows)
         try:
-            return real(s, v)
+            return real(s, rows)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Scalar, "__init__", counting_init)
-    monkeypatch.setattr(submodules, "contains", tracked)
+    monkeypatch.setattr(submodules, "contains_rows", tracked)
     for text in _ORACLE_SPECS:
         assert check_closure(spec(text), 2, 2).passed
     assert len(calls) > 1000 and built == []
@@ -219,6 +220,20 @@ def test_membership_refuses_a_and_b_before_dividing():
         with pytest.raises(ValueError, match="^membership is defined for elements free of the "
                            "parameters a, b$"):
             contains(spec("M[h=y]"), v)
+
+
+def test_membership_of_rows_reads_values_not_slots():
+    """``contains_rows`` reads unnormalised slices: a value whose ints sum to
+    0 is absent, also when its parameter monomial holds a or b, and a
+    nonzero one with a or b is refused with the text ``contains`` gives."""
+    a = tuple(int(name == "a") for name in PARAMS)
+    one = (0,) * len(PARAMS)
+    member = (EVEN, {(0, 1): {one: [2, 0, 2]}, (1, 0): {a: [0, 0, 3]}, (2, 0): {}})
+    assert contains_rows(spec("M[h=y]"), member)
+    assert not contains_rows(spec("M[h=y]"), (EVEN, {(0, 0): {one: [1, 0, 2]}}))
+    with pytest.raises(ValueError, match="^membership is defined for elements free of the "
+                       "parameters a, b$"):
+        contains_rows(spec("M[h=y]"), (EVEN, {(0, 1): {a: [1, 0, 2]}}))
 
 
 def _binomial_shifted(self, c):
