@@ -60,7 +60,6 @@ from .submodules import (
     check_containment,
     check_lattice_order,
     contains,
-    reduce_mod,
 )
 from .quotients import (
     CompositionSeries,
@@ -74,7 +73,6 @@ from .quotients import (
     find_roots,
     iso_phi,
     iso_xi,
-    kernel_spec,
     project,
     quotient_act,
     quotient_act_basis,

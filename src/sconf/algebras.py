@@ -46,13 +46,12 @@ map from rows; ``map_image`` reads and checks its image of one symbol, and
 bracket-compatibility sweep of an action's rows, sums each unordered pair
 of generators once for all vectors, each vector a signed digit of one packed
 int per coordinate, as the Jacobi sweep packs its families (``_signed_digits``
-unpacks both).  It and ``freemod.linear_rows`` read every image's rows
-through one parity guard, ``_checked``.
-``_check_images`` is the one generator-by-vector check loop: every map
-sweep and closure check compares its two sides of each case through it,
-on each whole vector, since a seam fault need not be linear.  The sides
-are rows, compared in ints (``scalars.same_rows`` or the caller's test),
-and only a failing case builds elements, for its text.
+unpacks both).  ``_check_images`` is the one generator-by-vector check
+loop of the map sweeps and closure checks: each side acts by a generator
+on the whole vector list at once, each vector whole, since a seam fault
+need not be linear, and the sides of a case are compared in ints.  Every
+image of a rows seam is read through one parity guard, ``_checked``, and
+only a failing case builds elements, for its text.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ from math import lcm
 from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
-    INV_SQRT2, SC_ONE, Scalar, add_terms, as_scalar, render_combination, same_rows, slices_of,
+    _ZERO_EXP, INV_SQRT2, Scalar, add_terms, as_scalar, render_combination, same_rows,
+    slices_of,
 )
 from .values import Value
 
@@ -415,13 +415,16 @@ def _bracket_terms(xterms, yterms):
     return acc
 
 
-def _checked(rows, sym, parity):
-    """``rows``, the (target parity, slices) of ``sym`` on a vector of
-    ``parity``, refused when the image is nonzero and of the wrong parity."""
-    if rows[0] != (parity + sym.parity) % 2 and any(
-            p or q for slot in rows[1].values() for p, q, _ in slot.values()):
-        raise MixedParity(f"{sym} maps a monomial to the wrong parity")
-    return rows
+def _checked(images, sym, vs):
+    """``images``, the rows of ``sym`` on each of the rows ``vs``, refused
+    when one is nonzero and of the wrong parity or when their counts
+    differ."""
+    odd = sym.parity
+    for (target, slices), (parity, _) in zip(images, vs, strict=True):
+        if target != (parity + odd) % 2 and any(
+                p or q for slot in slices.values() for p, q, _ in slot.values()):
+            raise MixedParity(f"{sym} maps a monomial to the wrong parity")
+    return images
 
 
 def _packing(exponents, base):
@@ -477,14 +480,16 @@ def check_representation(report, syms, rows, vectors, label):
 
         [X, Y] . v  ==  X.(Y.v) - (-1)^{|X||Y|} Y.(X.v)
 
-    ``rows(sym, w)`` is the action's rows seam (``freemod.basis_rows``).
-    Each violation's context is ``label`` followed by ``(X, Y) on v``.
+    ``rows(sym, ws)`` is the action's rows seam (``freemod.basis_rows``),
+    one rows per rows of the list ``ws``.  Each violation's context is
+    ``label`` followed by ``(X, Y) on v``.
 
     The sweep runs in ints over a table local to the call: the rows of each
     symbol of ``syms`` and of their brackets on each monomial of the
     vectors, and of ``syms`` on each monomial of each Y.v, read once through
-    ``_checked``.  ``_flat`` turns their slices (p + q sqrt2)/d, and the
-    vectors' coefficients, into ints p D/d and q D/d over the common
+    ``_checked``: one seam call per symbol and fill round, on the unit
+    monomials it lacks.  ``_flat`` turns their slices (p + q sqrt2)/d, and
+    the vectors' coefficients, into ints p D/d and q D/d over the common
     denominator D; the bracket rows are ints over B, the table's
     ``_denominator``, so both sides of a case are D**3 B times the exact ones.
 
@@ -510,23 +515,25 @@ def check_representation(report, syms, rows, vectors, label):
     brackets = _numbered_brackets(algebra, bden, list(number), number)
     symbols = [*syms, *(BasisSymbol(algebra, *key) for key in list(number)[n:])]
     images = {}  # (symbol number, parity, key) -> rows(symbol, monomial)
-    filled = {}  # (parity, key) -> how many leading symbols have their image
 
-    def fill(count, parity, keys, cls):
-        for key in keys:
-            have = filled.get((parity, key), 0)
-            if have < count:
-                unit = cls(parity, {key: SC_ONE})
-                for k in range(have, count):
-                    sym = symbols[k]
-                    images[k, parity, key] = _checked(rows(sym, unit), sym, parity)
-                filled[parity, key] = count
+    def fill(count):
+        """The rows of the first ``count`` symbols on the unit monomials of
+        ``needs`` that they lack, one seam call per symbol."""
+        for k, sym in enumerate(symbols[:count]):
+            todo = [(parity, key) for parity, keys in enumerate(needs) for key in keys
+                    if (k, parity, key) not in images]
+            if todo:
+                units = [(parity, {key: {_ZERO_EXP: [1, 0, 1]}}) for parity, key in todo]
+                images.update(zip([(k, *t) for t in todo], _checked(rows(sym, units), sym, units)))
 
+    needs = ({}, {})  # parity -> the monomial keys to act on, in order
     for v in vectors:
-        fill(len(symbols), v.parity, v.terms, type(v))
+        needs[v.parity].update(dict.fromkeys(v.terms))
+    fill(len(symbols))
     for (y, _, _), (parity, slices) in list(images.items()):
         if y < n:  # the monomials of Y.v (one whose slice sums to 0 adds an unread row)
-            fill(n, parity, slices, type(vectors[0]))
+            needs[parity].update(dict.fromkeys(slices))
+    fill(n)
 
     tables = [*images.values(), *((v.parity, slices_of(v.terms.items())) for v in vectors)]
     slots = [slot for _, slices in tables for slot in slices.values()]
@@ -612,7 +619,7 @@ def check_representation(report, syms, rows, vectors, label):
                     fails.append((y, x, t))
 
     def act(sym, w):  # an element, for a failing case's text
-        return type(w).from_rows(rows(sym, w))
+        return type(w).from_rows(rows(sym, [w.to_rows()])[0])
 
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
@@ -626,16 +633,17 @@ def check_representation(report, syms, rows, vectors, label):
 
 
 def _check_images(report, syms, vectors, lhs, rhs, label, cls, same=same_rows):
-    """Record a ``label``-prefixed violation, ``lhs(X, v, w)`` against
-    ``rhs(X, v, w)``, wherever ``same`` of the two fails, for every X of
-    ``syms`` (outer loop) and every pair (v, w) of ``vectors`` (inner loop),
-    w the caller's image of v, built once per vector.  A side is rows,
-    (target parity, slices), or a fixed text; ``same`` compares the two in
-    ints, by default by ``same_rows``.  Only a failing case builds its rows
-    into elements of ``cls`` (``from_rows``), for its text."""
+    """Record a ``label``-prefixed violation wherever ``same`` of the two
+    sides of a case fails, for every X of ``syms`` (outer loop) and every v
+    of ``vectors`` (inner loop).  ``lhs(X, vs)`` and ``rhs(X, vs)`` act by X
+    on the rows ``vs`` of the whole vector list at once and return one side
+    per vector: rows, (target parity, slices), or a fixed text.  ``same``
+    compares two sides in ints, by default by ``same_rows``.  Only a
+    failing case builds its rows into elements of ``cls`` (``from_rows``),
+    for its text."""
+    vs = [v.to_rows() for v in vectors]
     for sym in syms:
-        for v, w in vectors:
-            left, right = lhs(sym, v, w), rhs(sym, v, w)
+        for v, left, right in zip(vectors, lhs(sym, vs), rhs(sym, vs), strict=True):
             if not same(left, right):
                 report.record(f"{label}{sym} on {v}", *[
                     x if isinstance(x, str) else cls.from_rows(x) for x in (left, right)])

@@ -15,17 +15,14 @@ coefficients in the Scalar ring so that the module parameters ``lam`` and
     C . anything  = 0
 
 These formulas are written once, as the rows of ``_ACTION``.  One reader,
-``_row_terms``, evaluates a row: ``basis_rows`` with the formal lam and alp,
-``quotients.quotient_rows`` with the quotient's and its frozen root.  It
-sums the image of a whole element in ints, one slice per (output monomial,
-parameter monomial): each input term adds the integers of its
-binomial-shift image times its coefficient's parts into the slices
-(``scalars.add_slice``).  The row scale lam^m * number * alp^power is
-formed in ints from the (exponent vector, p, q, d) parts of lam, alp and
-their inverses (``_parts``), times those of the coefficient the generator
-carries, and folded into each input coefficient once, so no Scalar is
-multiplied or added on the way.  A quotient's frozen root enters the same
-way, through the prefactor rows.
+``_row_terms``, evaluates a row on a list of vectors: ``basis_rows`` with
+the formal lam and alp, ``quotients.quotient_rows`` with the quotient's and
+its frozen root.  The head of a row, its scale lam^m * number * alp^power
+times the generator's coefficient and its prefactor rows, is formed in ints
+(``_head``, from the parts of ``_parts``) once per parity in a call; the
+body adds the binomial-shift image of each term of each vector into its
+slices (``scalars.add_slice``), one per (output monomial, parameter
+monomial), so no Scalar is multiplied or added on the way.
 
 Restricted to the commuting pair (L_0, H_0) the module is free with the two
 basis vectors 1_even and 1_odd: L_0 multiplies by x resp. s and H_0 by y
@@ -34,24 +31,17 @@ decides whether the variables read (x, y) or (s, t), and the odd->even /
 even->odd substitutions above are plain variable shifts plus a parity flip.
 
 Every action is linear over the Scalars, and its currency is the rows:
-the target parity and the slices ``{key: {ev: [p, q, d]}}`` of the image.
-``basis_rows``, ``quotients.quotient_rows`` and ``n1.restricted_rows`` are
-the three rows seams; ``act_basis``, ``quotient_act_basis`` and
-``restricted_act`` build one element from them (``ParityElement.from_rows``).
-``linear_rows`` acts by an element x, or by its terms, as the sum in ints
-of the rows of its generators, each on the whole element itself, passed
-the generator's coefficient for the row scale (not ``SC_ONE``), so no
-scaled copy is built: ``act_rows`` extends ``basis_rows`` and
-``quotients.quotient_act_rows`` extends ``quotient_rows``, ``act`` and
-``quotient_act`` build that sum once, and ``n1.restricted_rows`` sums the
-quotient rows of the embedded generators through ``linear_rows`` too.
-``to_rows`` reads an element back into rows, for the map seams.  One guard,
-``_require_r``, refuses an element or generator outside R, with the text
-each module names as its ``_OWNER``.  Nothing is tabulated or cached.  The
-bracket-compatibility sweep, ``algebras.check_representation``, takes a
-rows function itself and keeps a table of slices local to the call.  Both
-read each basis image's rows through the one parity guard,
-``algebras._checked``.
+the target parity and the slices ``{key: {ev: [p, q, d]}}`` of an image.
+The three rows seams, ``basis_rows``, ``quotients.quotient_rows`` and
+``n1.restricted_rows``, act by one generator on a list of rows and return
+one rows per vector.  ``linear_rows`` is their list form for an element:
+one seam call per generator of x, passed its coefficient (not ``SC_ONE``),
+summed in ints.  Elements are built only at the edges: ``act``,
+``act_basis`` and their quotient and N=1 counterparts convert their vector
+once (``to_rows``) and build the result (``from_rows``).  ``_require_r``
+refuses a generator outside R, with the text each module names as its
+``_OWNER``, and every caller reads a seam's images through the one parity
+guard, ``algebras._checked``.  Nothing is tabulated or cached.
 """
 
 from __future__ import annotations
@@ -228,22 +218,18 @@ def _parts(*values):
 _UNITS = _parts(*(Scalar.param(name, e) for name in ("lam", "alp") for e in (1, -1)))
 
 
-def _row_terms(sym, parity, terms, units, roots=None, coeff=None):
-    """Read the ``_ACTION`` row of ``sym`` on the ``((k, l), c)`` pairs
-    ``terms`` of a parity: the target parity and the image as slices
-    ``{(i, j): {ev: [p, q, d]}}``, one per output monomial u^i v^j and
-    parameter monomial ev, each summed in ints over the terms
-    (``add_slice``).  The row scale lam^m * number * alp^power is formed in
-    ints from ``units``, the parts of lam, 1/lam, alp and 1/alp, times the
-    parts of the Scalar ``coeff`` when one is given, and folded into each
-    input coefficient once.  With ``roots``, the parts of the root v is
-    frozen at on each target parity, the terms are ``(k, c)`` pairs of u^k
-    and the slices are keyed i: v enters only through the prefactor, v^j as
-    the j-th power of the root.  A shift by the shared zero vector
-    ``_ZERO_EXP`` is skipped."""
+def _head(sym, parity, units, roots, coeff):
+    """The head of the ``_ACTION`` row of ``sym`` on a parity: the target
+    parity, the mode m, the shift of the second variable and the (parts of
+    a factor, its prefactor rows) pairs.  The row scale lam^m * number *
+    alp^power is formed in ints from ``units``, the parts of lam, 1/lam,
+    alp and 1/alp, times the parts of the Scalar ``coeff`` when one is
+    given.  With ``roots``, the parts of the root v is frozen at on each
+    target parity, a prefactor row with v^j folds the j-th power of the
+    root into its factor and keeps only u^i.  A missing row has no pairs."""
     row = _ACTION.get((sym.family, parity))
     if row is None:
-        return (parity + sym.parity) % 2, {}
+        return (parity + sym.parity) % 2, 0, 0, ()
     parity, dy, number, power, rows = row
     m = sym.twice // 2
     (p, d), ev, q = number.as_integer_ratio(), _ZERO_EXP, 0
@@ -268,43 +254,63 @@ def _row_terms(sym, parity, terms, units, roots=None, coeff=None):
         pre.append(([(sev if rev is _ZERO_EXP else tuple(map(add, sev, rev)), p * u + 2 * q * v,
                       p * v + q * u, d * e)
                      for sev, p, q, d in scale for rev, u, v, e in roots[parity]], frozen))
-    slices = {}
-    for k, c in terms:
-        if uni:
-            xs = binomial_shift(k, m)
-        else:
-            xs, ys = binomial_shift(k[0], m), binomial_shift(k[1], dy)
-        for fac, fpre in pre:
-            parts = []  # loops, not comprehensions: no frame per term or slot
-            for ev, x in c.terms.items():
-                for sev, sp, sq, sd in fac:
-                    parts.append((sev if ev is _ZERO_EXP else tuple(map(add, ev, sev)),
-                                  x.p * sp + 2 * x.q * sq, x.p * sq + x.q * sp, x.d * sd))
-            nums = {}
+    return parity, m, dy, pre
+
+
+def _row_terms(sym, vs, units, roots=None, coeff=None):
+    """Read the ``_ACTION`` row of ``sym`` on each of the rows ``vs``, one
+    rows per vector: the target parity and the image as slices ``{(i, j):
+    {ev: [p, q, d]}}``, one per output monomial u^i v^j and parameter
+    monomial ev, each summed in ints over the slices of the vector
+    (``add_slice``).  The head (``_head``) is formed once per parity in
+    the call; the body, the binomial shift times each factor's parts,
+    reads each vector's slices.  With ``roots`` the slices are keyed by
+    the power of u alone, in and out.  A shift by the shared zero vector
+    ``_ZERO_EXP`` is skipped."""
+    heads, uni, out = {}, roots is not None, []
+    for parity, vslices in vs:
+        head = heads.get(parity)
+        if head is None:
+            head = heads[parity] = _head(sym, parity, units, roots, coeff)
+        target, m, dy, pre = head
+        slices = {}
+        for k, slot in vslices.items() if pre else ():
             if uni:
-                for i, b in xs:
-                    for di, n in fpre:
-                        nums[i + di] = nums.get(i + di, 0) + b * n
+                xs = binomial_shift(k, m)
             else:
-                for i, bx in xs:
-                    for j, by in ys:
-                        b = bx * by
-                        for (di, dj), n in fpre:
-                            key = (i + di, j + dj)
-                            nums[key] = nums.get(key, 0) + b * n
-            for key, n in nums.items():
-                if not n:
-                    continue
-                slot = slices.get(key)
-                if slot is None:
-                    slot = slices[key] = {}
-                    if len(fac) == 1:  # one factor part: distinct monomials
-                        for ev, p, q, d in parts:
-                            slot[ev] = [n * p, n * q, d]
+                xs, ys = binomial_shift(k[0], m), binomial_shift(k[1], dy)
+            for fac, fpre in pre:
+                parts = []  # loops, not comprehensions: no frame per term or slot
+                for ev, (xp, xq, xd) in slot.items():
+                    for sev, sp, sq, sd in fac:
+                        parts.append((sev if ev is _ZERO_EXP else tuple(map(add, ev, sev)),
+                                      xp * sp + 2 * xq * sq, xp * sq + xq * sp, xd * sd))
+                nums = {}
+                if uni:
+                    for i, b in xs:
+                        for di, n in fpre:
+                            nums[i + di] = nums.get(i + di, 0) + b * n
+                else:
+                    for i, bx in xs:
+                        for j, by in ys:
+                            b = bx * by
+                            for (di, dj), n in fpre:
+                                key = (i + di, j + dj)
+                                nums[key] = nums.get(key, 0) + b * n
+                for key, n in nums.items():
+                    if not n:
                         continue
-                for ev, p, q, d in parts:
-                    add_slice(slot, ev, n * p, n * q, d)
-    return parity, slices
+                    oslot = slices.get(key)
+                    if oslot is None:
+                        oslot = slices[key] = {}
+                        if len(fac) == 1:  # one factor part: distinct monomials
+                            for ev, p, q, d in parts:
+                                oslot[ev] = [n * p, n * q, d]
+                            continue
+                    for ev, p, q, d in parts:
+                        add_slice(oslot, ev, n * p, n * q, d)
+        out.append((target, slices))
+    return out
 
 
 _OWNER = "the rank-2 module is an R-module"
@@ -317,57 +323,56 @@ def _require_r(x, owner):
         raise AlgebraMismatch(f"{owner}; got {x.algebra}")
 
 
-def basis_rows(sym, v, coeff=None):
-    """Action of one basis generator of the Ramond algebra on ``v``, or on
-    ``coeff * v`` when the Scalar ``coeff`` is given, as rows: the target
-    parity and the slices of the image."""
+def basis_rows(sym, vs, coeff=None):
+    """Action of one basis generator of the Ramond algebra on each of the
+    rows ``vs``, or on ``coeff`` times each when the Scalar ``coeff`` is
+    given: one rows, target parity and slices, per vector."""
     _require_r(sym, _OWNER)
-    return _row_terms(sym, v.parity, v.terms.items(), _UNITS, None, coeff)
+    return _row_terms(sym, vs, _UNITS, None, coeff)
 
 
 def act_basis(sym, v, coeff=None):
     """The element ``basis_rows`` stands for."""
-    return ModuleElement.from_rows(basis_rows(sym, v, coeff))
+    return ModuleElement.from_rows(basis_rows(sym, [v.to_rows()], coeff)[0])
 
 
-def linear_rows(x, v, rows, owner):
-    """Act by ``x`` on ``v`` in ints: the rows of the sum over the generators
-    of x of ``rows(generator, v, coeff)``, each acting once on v itself,
-    with coeff left out when it is ``SC_ONE``, each read through
-    ``_checked`` and added slice by slice (``add_slice``); the fresh slices
-    that ``rows`` returns are taken over.  x is an R element or basis
-    symbol, refused otherwise with ``owner`` naming the module, or the terms
-    ``{R symbol: Scalar}`` of an R element."""
+def linear_rows(x, vs, rows, owner, *args):
+    """Act by ``x`` on each of the rows ``vs`` in ints: per vector, the sum
+    over the generators of x of ``rows(generator, vs, *args, coeff)``, one
+    call per generator on the whole list, with coeff left out when it is
+    ``SC_ONE``, each read through ``_checked`` and added slice by slice
+    (``add_slice``); the fresh slices that ``rows`` returns are taken
+    over.  x is an R element or basis symbol, refused otherwise with
+    ``owner`` naming the module, or the terms ``{R symbol: Scalar}`` of an
+    R element."""
     if not isinstance(x, dict):
         _require_r(x, owner)
         if isinstance(x, BasisSymbol):
-            return _checked(rows(x, v), x, v.parity)
+            return _checked(rows(x, vs, *args), x, vs)
         x = x.terms
-    parity, out = (v.parity + _parity(x)) % 2, {}
+    parity, outs = _parity(x), [{} for _ in vs]
     for sym, c in x.items():
-        _, slices = _checked(rows(sym, v) if c is SC_ONE else rows(sym, v, c), sym, v.parity)
-        if not out:
-            out = slices
-            continue
-        for key, slot in slices.items():
-            have = out.get(key)
-            if have is None:
-                out[key] = slot
-            else:
-                for ev, (p, q, d) in slot.items():
-                    add_slice(have, ev, p, q, d)
-    return parity, out
-
-
-def act_rows(x, v):
-    """Action of a homogeneous R-element (or one basis symbol) on a module
-    element, as rows: the linear extension of ``basis_rows``."""
-    return linear_rows(x, v, basis_rows, _OWNER)
+        images = _checked(rows(sym, vs, *args) if c is SC_ONE else rows(sym, vs, *args, c),
+                          sym, vs)
+        for t, (_, slices) in enumerate(images):
+            out = outs[t]
+            if not out:
+                outs[t] = slices
+                continue
+            for key, slot in slices.items():
+                have = out.get(key)
+                if have is None:
+                    out[key] = slot
+                else:
+                    for ev, (p, q, d) in slot.items():
+                        add_slice(have, ev, p, q, d)
+    return [((vp + parity) % 2, out) for (vp, _), out in zip(vs, outs)]
 
 
 def act(x, v):
-    """The element ``act_rows`` stands for."""
-    return type(v).from_rows(act_rows(x, v))
+    """Action of a homogeneous R-element (or one basis symbol) on a module
+    element: the linear extension of ``basis_rows``."""
+    return type(v).from_rows(linear_rows(x, [v.to_rows()], basis_rows, _OWNER)[0])
 
 
 def monomials(degree_bound, parities=(EVEN, ODD)):

@@ -13,13 +13,13 @@ coefficient alp/sqrt2.  Simplicity of the restriction holds exactly for a
 nonzero root parameter; at a = 0 the even span of x together with the whole
 odd part closes under the restricted action and witnesses non-simplicity.
 
-``restricted_rows`` reads the embedding's image of each generator
-(``algebras.map_image``), merges the targets and sums their rows through
+``restricted_rows`` acts by one N=1 generator (or element) on a list of
+rows: it reads the embedding's image of each generator once
+(``algebras.map_image``), merges the targets and sums their
 ``quotients.quotient_rows`` in ints (``freemod.linear_rows``), building no
-embedded element; ``restricted_act`` builds its element, and the a = 0
-closure of ``check_simplicity_witness`` reads the rows themselves.  The
-N=1 sweeps act by one basis generator at a time, so a fault put on
-``restricted_rows`` sees which generator acts.
+embedded element.  Every check acts through it on all the vectors it needs
+at once (the rank-1 words one step at a time) and builds an element only
+for a failing case's text.
 
 The simplicity witness is a certificate, not a search; its argument is in
 ``check_simplicity_witness``.
@@ -33,7 +33,6 @@ from math import factorial, prod
 
 from . import quotients
 from .algebras import (
-    AlgebraElement,
     BasisSymbol,
     _check_images,
     basis_symbols,
@@ -47,7 +46,7 @@ from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD, linear_rows
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_quadext
+from .scalars import INV_SQRT2, SC_ONE, Scalar, add_slice, add_terms, as_quadext, same_rows
 from .values import Value
 
 
@@ -75,23 +74,22 @@ class RestrictedAction(Value):
         return cls("N1NS", compose(embed_r1_in_r2(), embed_ns1_in_r1()), params)
 
 
-def restricted_rows(x, v, r):
-    """Act on the quotient by the embedded image of an N=1 element (or one
-    basis symbol), as rows (target parity, slices): the targets of each
-    generator (``map_image``), merged, their ``quotients.quotient_rows``
-    summed in ints (``freemod.linear_rows``)."""
+def restricted_rows(x, vs, r):
+    """Act on each of the quotient rows ``vs`` by the embedded image of an
+    N=1 element (or one basis symbol), one rows per vector: the targets of
+    each generator (``map_image``, read once per call), merged, their
+    ``quotients.quotient_rows`` summed in ints (``freemod.linear_rows``)."""
     if x.algebra != r.source:
         raise AlgebraMismatch(f"expected a {r.source} element, got {x.algebra}")
     image = {}
     for sym, coeff in ({x: SC_ONE} if isinstance(x, BasisSymbol) else x.terms).items():
         add_terms(image, ((s, c * coeff) for s, c in map_image(r.embedding, sym)))
-    return linear_rows(image, v, lambda sym, w, *coeff: quotients.quotient_rows(
-        sym, w, r.params, *coeff), None)
+    return linear_rows(image, vs, quotients.quotient_rows, None, r.params)
 
 
 def restricted_act(x, v, r):
     """The element ``restricted_rows`` stands for."""
-    return QuotientElement.from_rows(restricted_rows(x, v, r))
+    return QuotientElement.from_rows(restricted_rows(x, [v.to_rows()], r)[0])
 
 
 def check_n1_relations(r, index_window, degree_bound):
@@ -108,7 +106,7 @@ def check_n1_relations(r, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols(r.source, index_window),
-        lambda sym, w: restricted_rows(sym, w, r),
+        lambda sym, vs: restricted_rows(sym, vs, r),
         quotient_monomials(degree_bound),
         f"n1 {r.source} {r.params.describe()} ",
     )
@@ -126,20 +124,18 @@ def check_rank1_freeness(r, degree_bound):
     report = VerificationReport(
         "rank1-freeness", {"params": r.params.describe(), "degree": degree_bound}
     )
-    L0 = AlgebraElement.basis(BasisSymbol("N1R", "L", 0))
-    G0 = AlgebraElement.basis(BasisSymbol("N1R", "G", 0))
+    L0, G0 = BasisSymbol("N1R", "L", 0), BasisSymbol("N1R", "G", 0)
     odd_coeff = r.params.alp * Scalar.number(INV_SQRT2)
-    even_word = QuotientElement.one(EVEN)
-    odd_word = restricted_act(G0, QuotientElement.one(EVEN), r)
+    even_word = QuotientElement.one(EVEN).to_rows()
+    (odd_word,) = restricted_rows(G0, [even_word], r)
     for k in range(degree_bound + 1):
-        expect_even = QuotientElement.monomial(EVEN, k)
-        if even_word != expect_even:
-            report.record(f"L0^{k} . 1_even", even_word.render(), expect_even.render())
-        expect_odd = QuotientElement.monomial(ODD, k, odd_coeff)
-        if odd_word != expect_odd:
-            report.record(f"L0^{k} G0 . 1_even", odd_word.render(), expect_odd.render())
-        even_word = restricted_act(L0, even_word, r)
-        odd_word = restricted_act(L0, odd_word, r)
+        if k:  # one L0 step on both words
+            even_word, odd_word = restricted_rows(L0, [even_word, odd_word], r)
+        for name, word, want in (
+                (f"L0^{k} . 1_even", even_word, QuotientElement.monomial(EVEN, k)),
+                (f"L0^{k} G0 . 1_even", odd_word, QuotientElement.monomial(ODD, k, odd_coeff))):
+            if not same_rows(word, want.to_rows()):
+                report.record(name, QuotientElement.from_rows(word), want)
     return report
 
 
@@ -189,8 +185,9 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
 
     X_d takes its modes from the window |m| <= index_window and leaves it only
     when d > 2 index_window - 1, with a note naming the modes outside: the
-    certificate is a proof, not a sweep.  Each generator acts on each
-    monomial once, and X_d is formed from those images by linearity.
+    certificate is a proof, not a sweep.  Each generator acts once, on all
+    the monomials it is checked on, and X_d and T1 - T0 are formed from
+    those images by linearity, in ints.
     """
     a_value = as_quadext(a_value)
     lam0 = as_quadext(lam0)
@@ -210,14 +207,15 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         },
     )
 
+    mono = QuotientElement.monomial
     if a_value.is_zero():
         # closure certificate for the proper subspace x C[x] + C[s]
-        gens = [AlgebraElement.basis(s) for s in basis_symbols("N1R", index_window)]
-        spanning = [QuotientElement.monomial(EVEN, k + 1) for k in range(degree_bound + 1)]
-        spanning += [QuotientElement.monomial(ODD, k) for k in range(degree_bound + 1)]
+        spanning = [mono(EVEN, k + 1) for k in range(degree_bound + 1)]
+        spanning += [mono(ODD, k) for k in range(degree_bound + 1)]
         _check_images(
-            report, gens, [(v, None) for v in spanning], lambda g, v, _: restricted_rows(g, v, r),
-            lambda *_: "member of xC[x]+C[s]", "a=0 closure ", QuotientElement,
+            report, basis_symbols("N1R", index_window), spanning,
+            lambda g, vs: restricted_rows(g, vs, r),
+            lambda g, vs: ["member of xC[x]+C[s]"] * len(vs), "a=0 closure ", QuotientElement,
             same=lambda out, _: out[0] != EVEN or not any(
                 p or q for p, q, d in out[1].get(0, {}).values()),
         )
@@ -227,41 +225,44 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
         )
         return report
 
-    mono = QuotientElement.monomial
     b = {EVEN: -a_value / 2, ODD: (1 - a_value) / 2}
     top = degree_bound + 1 if a_value == 1 else max(degree_bound, 1)
-    images = {}  # (family, mode, parity, exponent) -> the restricted image of the monomial
+    images = {}  # (family, mode, parity, exponent) -> the restricted rows of the monomial
+    # L_m for the modes of X_top on degree <= top, G0 on degree 0 (a = 1: <= the bound)
+    for family, m, n in [*(("L", m, top) for m in _difference_modes(top)),
+                         ("G", 0, degree_bound if a_value == 1 else 0)]:
+        keys = list(product((EVEN, ODD), range(n + 1)))
+        images.update(zip([(family, m, *key) for key in keys], restricted_rows(
+            BasisSymbol("N1R", family, 2 * m), [mono(*key).to_rows() for key in keys], r)))
 
-    def image(family, m, parity, k):
-        if (family, m, parity, k) not in images:
-            images[family, m, parity, k] = restricted_act(
-                AlgebraElement.basis(BasisSymbol("N1R", family, 2 * m)), mono(parity, k), r)
-        return images[family, m, parity, k]
-
-    def combination(parity, k, pairs):
-        """The sum of c * image("L", m, parity, k) over the (m, c) pairs."""
+    def combination(par, k, pairs):
+        """The rows of the sum of c * L_m on the monomial over the (m, c) pairs, in ints."""
         out = {}
         for m, c in pairs:
-            terms = image("L", m, parity, k).terms.items()
-            add_terms(out, ((j, c * e.constant()) for j, e in terms))
-        return QuotientElement(parity, {j: Scalar.number(e) for j, e in out.items()})
+            c = as_quadext(c)
+            for j, slot in images["L", m, par, k][1].items():
+                have = out.setdefault(j, {})
+                for ev, (p, q, d) in slot.items():
+                    add_slice(have, ev, p * c.p + 2 * q * c.q, p * c.q + q * c.p, d * c.d)
+        return par, out
 
-    steps = []  # (operator, parity, exponent, image of the monomial, its closed form)
+    steps = []  # (operator, parity, exponent, rows of its image of the monomial, its closed form)
     for d in range(top + 1):
         x_d = _difference(d, lam0)
         steps += [(f"X_{d}", par, k, combination(par, k, x_d),
                    mono(par, 0, factorial(d + 1) * b[par] if k == d else 0))
                   for par, k in product((EVEN, ODD), range(d + 1))]
-    steps += [("L0", par, k, image("L", 0, par, k), mono(par, k + 1))
+    steps += [("L0", par, k, images["L", 0, par, k], mono(par, k + 1))
               for par, k in product((EVEN, ODD), range(degree_bound + 1))]
-    steps += [("G0", par, k, image("G", 0, par, k), (mono(ODD, k, alp0 * INV_SQRT2)
+    steps += [("G0", par, k, images["G", 0, par, k], (mono(ODD, k, alp0 * INV_SQRT2)
                if par == EVEN else mono(EVEN, k + 1, 2 * INV_SQRT2 / alp0)))
               for par, k in product((EVEN, ODD), range(degree_bound + 1 if a_value == 1 else 1))]
     steps += [("T1 - T0", par, 0, combination(par, 0, [(1, 1 / lam0), (0, -1)]),
                mono(par, 0, b[par])) for par in (EVEN, ODD)]
     for name, par, k, got, want in steps:
-        if got != want:
-            report.record(f"{name} on {mono(par, k)} ({('even', 'odd')[par]})", got, want)
+        if not same_rows(got, want.to_rows()):
+            report.record(f"{name} on {mono(par, k)} ({('even', 'odd')[par]})",
+                          QuotientElement.from_rows(got), want)
 
     report.notes.append(f"difference X_d over the d + 2 modes 0, -1, 1, ...: checked for "
                         f"d <= {top}, b = {b[EVEN]} (even), b' = {b[ODD]} (odd)")

@@ -23,34 +23,25 @@ by any invertible monomial, e.g. concrete nonzero numbers for specializations
 or ``mu``/``bet`` for a second family of modules.
 
 The quotient is the module row read through the projection:
-``quotient_rows`` hands the terms x^k of v to the generator's
-``freemod._ACTION`` row (``freemod._row_terms``) with the ints p builds:
-the parts of its lam, alp and their inverses (``units``) and of y = -a and
-t = -a-1 (``roots``).  The root enters through the row's prefactor, so the
-image is summed once into slices keyed i, which ``quotient_act_basis``
-builds into an element.  ``quotient_act_rows`` is the linear extension of
-``quotient_rows`` (``freemod.linear_rows``), whose int sum
-``n1.restricted_rows`` runs over the embedded targets too.
-``kernel_spec`` builds the kernel, the M-kind submodule of h = y + a, on
-request.
+``quotient_rows`` hands the rows x^k of its vectors to the generator's
+``freemod._ACTION`` row (``freemod._row_terms``) with the parts p builds,
+of its lam, alp and their inverses (``units``) and of y = -a and t = -a-1
+(``roots``), which enter through the row's prefactor.
 
 Each map has one rows seam, rows in and rows out, in ints, and its element
-function (``project``, ``iso_phi``, ``iso_xi``) builds from it.
-``project_rows`` divides by y + a (even) or t + a + 1 (odd), the int
-divisors p stores (``divisors``), in the long division of
-``submodules._remainders``, and reads the remainders' keys (i, 0) as i.
-``phi_rows`` scales the odd values by dst.alp/src.alp (``_phi_scale``,
-which checks lam and a), and ``xi_rows`` multiplies by the coefficients of
-h~(y) (even) or h~(t+1) (odd).
+function (``project``, ``iso_phi``, ``iso_xi``) wraps it.  ``project_rows``
+divides by y + a (even) or t + a + 1 (odd), the int divisors p stores, in
+the long division of ``submodules._remainders``.  ``phi_rows`` scales the
+odd values by dst.alp/src.alp (``_phi_scale``, which checks lam and a), and
+``xi_rows`` multiplies by the coefficients of h~(y) or h~(t+1).
 
 The three intertwining sweeps are calls of one loop,
-``algebras._check_images``: each builds each vector's own image once and
-compares the rows of the two sides of each (generator, monomial) case in
-ints, project(X . v) with X . project(v) and phi(X . v) with X . phi(v) by
-``scalars.same_rows``, and X . xi(v) with xi(X . v) by membership of their
-difference in M_h (``submodules.contains_rows``).  The phi sweep forms its
-scale, and the xi sweep h~(t+1), once.  The sweeps read each seam as a
-module global, so a fault put on one shows in every sweep that reads it.
+``algebras._check_images``: each maps its vectors' rows once, calls each
+action seam once per generator on the whole list, and compares the two
+sides of each case in ints, by ``scalars.same_rows`` or, for xi, by
+membership of their difference in M_h (``submodules.contains_rows``).  The
+sweeps read each seam as a module global, so a fault put on one shows in
+every sweep that reads it.
 """
 
 from __future__ import annotations
@@ -58,11 +49,12 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 from operator import add
 
-from .algebras import _check_images, basis_symbols, check_representation
+from . import freemod
+from .algebras import _check_images, _checked, basis_symbols, check_representation
 from .errors import NotAUnit, ParamMismatch, UnsplitPolynomial
 from .freemod import (
-    EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, act_rows,
-    linear_rows, monomials,
+    EVEN, ODD, ModuleElement, ParityElement, _parts, _require_r, _row_terms, linear_rows,
+    monomials,
 )
 from .reports import VerificationReport
 from .scalars import QE_ONE, Scalar, _qe, add_slice, as_quadext, as_scalar, monomial_text
@@ -139,28 +131,23 @@ class QuotientParams(Value):
 _OWNER = "simple quotients are R-modules"
 
 
-def quotient_rows(sym, v, p, coeff=None):
-    """Action of one Ramond basis generator on a quotient element, or on
-    ``coeff * v`` when the Scalar ``coeff`` is given, as rows (target
-    parity, slices): the module's row read at the frozen root."""
+def quotient_rows(sym, vs, p, coeff=None):
+    """Action of one Ramond basis generator on each of the quotient rows
+    ``vs``, or on ``coeff`` times each when the Scalar ``coeff`` is given:
+    one rows per vector, the module's row read at the frozen root."""
     _require_r(sym, _OWNER)
-    return _row_terms(sym, v.parity, v.terms.items(), p.units, p.roots, coeff)
+    return _row_terms(sym, vs, p.units, p.roots, coeff)
 
 
 def quotient_act_basis(sym, v, p, coeff=None):
     """The element ``quotient_rows`` stands for."""
-    return QuotientElement.from_rows(quotient_rows(sym, v, p, coeff))
-
-
-def quotient_act_rows(x, v, p):
-    """Action of a homogeneous R-element (or one basis symbol) on a quotient
-    element, as rows: the linear extension of ``quotient_rows``."""
-    return linear_rows(x, v, lambda sym, w, *coeff: quotient_rows(sym, w, p, *coeff), _OWNER)
+    return QuotientElement.from_rows(quotient_rows(sym, [v.to_rows()], p, coeff)[0])
 
 
 def quotient_act(x, v, p):
-    """The element ``quotient_act_rows`` stands for."""
-    return type(v).from_rows(quotient_act_rows(x, v, p))
+    """Action of a homogeneous R-element (or one basis symbol) on a quotient
+    element: the linear extension of ``quotient_rows``."""
+    return type(v).from_rows(linear_rows(x, [v.to_rows()], quotient_rows, _OWNER, p)[0])
 
 
 def project_rows(rows, p):
@@ -176,12 +163,6 @@ def project(v, p):
     """Canonical projection from the rank-2 module onto the quotient
     (``project_rows``)."""
     return QuotientElement.from_rows(project_rows(v.to_rows(), p))
-
-
-def kernel_spec(p):
-    """The submodule that the projection kills, built on each call: M-kind
-    with h = y + a."""
-    return SubmoduleSpec("M", UniPoly((p.concrete_a(), QE_ONE)))
 
 
 def _phi_scale(src, dst):
@@ -398,7 +379,7 @@ def check_quotient_compatibility(p, index_window, degree_bound):
     return check_representation(
         report,
         basis_symbols("R", index_window),
-        lambda sym, w: quotient_rows(sym, w, p),
+        lambda sym, vs: quotient_rows(sym, vs, p),
         quotient_monomials(degree_bound),
         f"quotient compat {p.describe()} ",
     )
@@ -410,12 +391,15 @@ def check_projection_intertwines(p, index_window, degree_bound):
         "projection-intertwines",
         {"params": p.describe(), "window": index_window, "degree": degree_bound},
     )
+    vectors = monomials(degree_bound)
+    images = [project_rows(v.to_rows(), p) for v in vectors]
     return _check_images(
         report,
         basis_symbols("R", index_window),
-        [(v, project(v, p)) for v in monomials(degree_bound)],
-        lambda sym, v, _: project_rows(act_rows(sym, v), p),
-        lambda sym, _, pv: quotient_act_rows(sym, pv, p),
+        vectors,
+        lambda sym, vs: [project_rows(w, p)
+                         for w in _checked(freemod.basis_rows(sym, vs), sym, vs)],
+        lambda sym, _: _checked(quotient_rows(sym, images, p), sym, images),
         f"projection {p.describe()} ",
         QuotientElement,
     )
@@ -433,14 +417,15 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    syms, scale = basis_symbols("R", index_window), _phi_scale(src, dst)
+    vectors, scale = quotient_monomials(degree_bound), _phi_scale(src, dst)
+    images = [phi_rows(v.to_rows(), scale) for v in vectors]
     return _check_images(
         report,
-        syms,
-        [(v, QuotientElement.from_rows(phi_rows(v.to_rows(), scale)))
-         for v in quotient_monomials(degree_bound)],
-        lambda sym, v, _: phi_rows(quotient_act_rows(sym, v, src), scale),
-        lambda sym, _, mv: quotient_act_rows(sym, mv, dst),
+        basis_symbols("R", index_window),
+        vectors,
+        lambda sym, vs: [phi_rows(w, scale)
+                         for w in _checked(quotient_rows(sym, vs, src), sym, vs)],
+        lambda sym, _: _checked(quotient_rows(sym, images, dst), sym, images),
         f"phi {src.describe()}->{dst.describe()} ",
         QuotientElement,
     )
@@ -470,14 +455,14 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
             "degree": degree_bound,
         },
     )
-    syms, lifts = basis_symbols("R", index_window), (h_tilde, h_tilde.shifted(1))
+    vectors, lifts = quotient_monomials(degree_bound), (h_tilde, h_tilde.shifted(1))
+    images = [xi_rows(v.to_rows(), lifts) for v in vectors]
     return _check_images(
         report,
-        syms,
-        [(v, ModuleElement.from_rows(xi_rows(v.to_rows(), lifts)))
-         for v in quotient_monomials(degree_bound)],
-        lambda sym, _, lv: act_rows(sym, lv),
-        lambda sym, v, _: xi_rows(quotient_act_rows(sym, v, p), lifts),
+        basis_symbols("R", index_window),
+        vectors,
+        lambda sym, _: _checked(freemod.basis_rows(sym, images), sym, images),
+        lambda sym, vs: [xi_rows(w, lifts) for w in _checked(quotient_rows(sym, vs, p), sym, vs)],
         f"xi h~={h_tilde.render()} {p.describe()} ",
         ModuleElement,
         same=lambda left, right: left[0] == right[0] and contains_rows(full, _minus(left, right)),

@@ -368,7 +368,12 @@ def build_slices(slices):
 def slices_of(pairs):
     """The slices ``{key: {ev: [p, q, d]}}`` of the ``(key, Scalar)`` pairs,
     which ``build_slices`` builds back."""
-    return {key: {ev: [q.p, q.q, q.d] for ev, q in c.terms.items()} for key, c in pairs}
+    out = {}
+    for key, c in pairs:  # loops, not comprehensions: no frame per key
+        slot = out[key] = {}
+        for ev, q in c.terms.items():
+            slot[ev] = [q.p, q.q, q.d]
+    return out
 
 
 _NO_SLOT, _ZERO_SLICE = {}, (0, 0, 1)

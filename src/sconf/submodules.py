@@ -20,9 +20,8 @@ rows of [p, q, d] ints, one per power of the first variable and parameter
 monomial (``_rows``), divides each, and the first nonzero remainder (or,
 for the N kind, quotient constant term) decides; ``_remainders`` returns
 the remainders as slices, which ``quotients.project_rows`` reads.  So the
-closure sweep and the a = 0 closure of ``n1.check_simplicity_witness``
-build no element on a passing case, and ``contains`` and ``reduce_mod``
-read an element through its rows (``to_rows``).
+closure sweep builds no element on a passing case, and ``contains`` reads
+an element through its rows (``to_rows``).
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from __future__ import annotations
 from itertools import product
 from math import lcm
 
-from .algebras import _check_images, basis_symbols
-from .freemod import EVEN, ODD, ModuleElement, act_rows, monomials
+from . import freemod
+from .algebras import _check_images, _checked, basis_symbols
+from .freemod import EVEN, ODD, ModuleElement, monomials
 from .reports import VerificationReport
 from .scalars import (
     PARAMS, QE_ONE, QE_ZERO, Scalar, _qe, as_quadext, join_signed, monomial_text,
@@ -337,26 +337,19 @@ def _remainders(divisor, slices):
     return rem
 
 
-def reduce_mod(spec, v):
-    """Canonical representative of v modulo the M-kind submodule of spec.h:
-    the element the remainders of ``_remainders`` stand for."""
-    return ModuleElement.from_rows(
-        (v.parity, _remainders(spec._int_divisors[v.parity], v.to_rows()[1])))
-
-
 def check_closure(spec, index_window, degree_bound):
     """Every generator maps every spanning element back into the submodule:
-    the rows of each image (``act_rows``) are divided in ints
+    the rows of each image (``freemod.basis_rows``) are divided in ints
     (``contains_rows``), and only a failing case builds its image."""
     report = VerificationReport(
         "submodule-closure",
         {"spec": spec.render(), "window": index_window, "degree": degree_bound},
     )
     return _check_images(
-        report, basis_symbols("R", index_window),
-        [(v, None) for v in spec.spanning_elements(degree_bound)],
-        lambda sym, v, _: act_rows(sym, v), lambda *_: "member", f"closure {spec} under ",
-        ModuleElement, same=lambda out, _: contains_rows(spec, out),
+        report, basis_symbols("R", index_window), spec.spanning_elements(degree_bound),
+        lambda sym, vs: _checked(freemod.basis_rows(sym, vs), sym, vs),
+        lambda sym, vs: ["member"] * len(vs), f"closure {spec} under ", ModuleElement,
+        same=lambda out, _: contains_rows(spec, out),
     )
 
 

@@ -7,7 +7,7 @@ each row's prefactor; ``freemod.linear_rows`` passes each generator's
 coefficient to the rows seam, which folds it into the row scale, and sums
 the generators' slices in ints; and
 ``quotients.project`` reduces modulo the kernel by the one long division
-that ``submodules.reduce_mod`` runs.  The references
+that ``submodules._remainders`` runs.  The references
 of ``reference.py`` share none of that code: ``module_action`` and
 ``quotient_action`` evaluate the docstring formulas term by term,
 ``linear`` sums the generators' images, and ``projection`` substitutes the

@@ -20,7 +20,7 @@ from sconf.freemod import EVEN, ODD
 from sconf.n1 import RestrictedAction, check_n1_relations
 from sconf.parsing import parse_module_element, parse_submodule_spec
 from sconf.quotients import QuotientParams, check_quotient_compatibility
-from sconf.submodules import SubmoduleSpec, check_closure, contains, reduce_mod
+from sconf.submodules import SubmoduleSpec, _remainders, check_closure, contains
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sconf"
 SETTERS = {"_set_p", "_set_q", "_set_d"}
@@ -70,7 +70,7 @@ def test_submodule_spec_slots_never_change(text):
     for parity, element in ((EVEN, "x*y^3 - sqrt2*x*y + 1/2*x + y"), (ODD, "s*t^3 + 2*t")):
         v = parse_module_element(element, parity)
         contains(spec, v)
-        reduce_mod(spec, v)
+        _remainders(spec._int_divisors[parity], v.to_rows()[1])
     assert check_closure(spec, 1, 2).passed
     for name in names:
         assert getattr(spec, name) is before[name], name

@@ -3,7 +3,8 @@
 ``on_rows`` is the one fault injector of the action in the sweep tests: it
 replaces a rows seam (``freemod.basis_rows``, ``quotients.quotient_rows``
 or ``n1.restricted_rows``), which every sweep and every built image reads,
-by the rows, target parity and slices, of a wrong image.  ``on_map`` does
+by the rows, target parity and slices, of a wrong image of each vector of
+the list the seam is given.  ``on_map`` does
 the same for a map seam (``quotients.project_rows``, ``phi_rows`` or
 ``xi_rows``), which the intertwining sweeps and the element maps read.
 ``scale_family``
@@ -14,10 +15,11 @@ checked in ``test_representation_sweep.py`` and
 
 from sconf import freemod, n1, quotients
 from sconf.algebras import AlgebraElement, basis_symbols
-from sconf.freemod import act_basis
+from sconf.freemod import ModuleElement, act_basis
 from sconf.n1 import RestrictedAction, check_n1_relations
 from sconf.parsing import parse_unipoly
 from sconf.quotients import (
+    QuotientElement,
     QuotientParams,
     check_phi_intertwines,
     check_projection_intertwines,
@@ -46,17 +48,23 @@ def families_of(x):
     return {s.family for s in (x.terms if isinstance(x, AlgebraElement) else (x,))}
 
 
+# module -> the class of the elements its rows seam acts on
+_ELEMENTS = {freemod: ModuleElement, quotients: QuotientElement, n1: QuotientElement}
+
+
 def on_rows(monkeypatch, module, name, fault):
-    """Replace the rows function ``module.name`` by the rows of ``fault(good,
-    *args)``, an element, where ``good(*args)`` is the element that the
-    right rows of ``args`` (generator, vector, ...) stand for; return
-    ``good``."""
-    right = getattr(module, name)
+    """Replace the rows seam ``module.name``, ``(x, vs, ...)`` -> one rows
+    per vector of the list ``vs``, by the rows of ``fault(good, x, v,
+    ...)``, an element, for each vector: v is the element that its rows
+    stand for, and ``good(x, v, ...)`` the element that the right seam maps
+    v to; return ``good``."""
+    right, cls = getattr(module, name), _ELEMENTS[module]
 
     def good(x, v, *rest):
-        return type(v).from_rows(right(x, v, *rest))
+        return type(v).from_rows(right(x, [v.to_rows()], *rest)[0])
 
-    monkeypatch.setattr(module, name, lambda *args: as_rows(fault(good, *args)))
+    monkeypatch.setattr(module, name, lambda x, vs, *rest: [
+        as_rows(fault(good, x, cls.from_rows(w), *rest)) for w in vs])
     return good
 
 

@@ -3,8 +3,10 @@
 Every name a module imports is used in that module (``__init__.py`` is
 exempt: it re-exports), every private function ``_name`` is referenced
 somewhere in the package besides its own definition, and so is every public
-module-level function and class, where an export from ``__init__.py`` counts
-as a reference, unless ``UNREFERENCED_NAMES`` names it with its reason.
+module-level function and class, unless ``UNREFERENCED_NAMES`` names it with
+its reason.  An export from ``__init__.py`` counts as a reference only when
+the README lists the name as library API: the Library tour imports it, or
+the list of library-only checks names it.
 Every method that is not a dunder is read as an attribute somewhere in the
 package, or named in a class body (``__str__ = render``), unless
 ``UNREFERENCED_METHODS`` names it with its reason: a bare name elsewhere is
@@ -67,20 +69,42 @@ def test_every_private_function_is_referenced():
 
 
 # public module-level name -> why it stays although nothing in the package uses it
+_REPLAYS = "; goes with ROADMAP: the benchmark without replays"
 UNREFERENCED_NAMES = {
-    "RowSpan": "perfbench/sweeps.py imports it; goes with ROADMAP: the benchmark without replays",
+    "RowSpan": "perfbench/sweeps.py imports it" + _REPLAYS,
+    "bracket": "perfbench/sweeps.py and perfbench/climix.py import it" + _REPLAYS,
+    "act_basis": "perfbench/sweeps.py imports it" + _REPLAYS,
+    "quotient_act_basis": "perfbench/sweeps.py imports it" + _REPLAYS,
+    "iso_phi": "perfbench/sweeps.py calls it" + _REPLAYS,
+    "iso_xi": "perfbench/sweeps.py calls it" + _REPLAYS,
 }
+README = SRC.parents[1] / "README.md"
+
+
+def _library_api():
+    """The names the README lists as library API: those that the Library
+    tour's code imports from ``sconf`` and the library-only checks."""
+    text = README.read_text()
+    tour = text.split("## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    checks = text.split("### Library-only checks\n", 1)[1].split("\n#", 1)[0]
+    return {alias.name for node in ast.walk(ast.parse(tour)) if isinstance(node, ast.ImportFrom)
+            and node.module == "sconf" for alias in node.names} | set(
+        re.findall(r"^\* `(check_\w+)`", checks, re.MULTILINE))
 
 
 def test_every_public_name_is_referenced():
     trees = {path.name: _tree(path) for path in MODULES}
-    referenced = set().union(*map(_referenced, trees.values()))
-    referenced |= {
+    referenced = set().union(*(_referenced(tree) for name, tree in trees.items()
+                               if name != "__init__.py"))
+    exported = {
         alias.asname or alias.name
         for node in ast.walk(trees["__init__.py"])
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    api = _library_api()
+    assert api and api <= exported  # the README lists names that sconf exports
+    referenced |= api
     public = {
         node.name
         for tree in trees.values()

@@ -110,11 +110,12 @@ def test_restricted_act_matches_the_per_generator_reference(data, source, v, p):
 def test_the_zero_vector_keeps_its_parity(x, parity):
     p = QuotientParams(a=1)
     for v in (ModuleElement.zero(EVEN), ModuleElement.one(EVEN) * 0):
-        for out in (act(x, v), ModuleElement.from_rows(linear_rows(x, v, basis_rows, "m"))):
+        for out in (act(x, v), ModuleElement.from_rows(
+                linear_rows(x, [v.to_rows()], basis_rows, "m")[0])):
             assert out.is_zero() and out.parity == parity
     w = QuotientElement.zero(EVEN)
     for out in (quotient_act(x, w, p), QuotientElement.from_rows(
-            linear_rows(x, w, lambda sym, u: quotient_rows(sym, u, p), "m"))):
+            linear_rows(x, [w.to_rows()], quotient_rows, "m", p)[0])):
         assert out.is_zero() and out.parity == parity
 
 
@@ -151,13 +152,14 @@ def test_restricted_action_takes_only_its_source_algebra():
 
 
 def test_a_basis_action_that_changes_parity_wrongly_is_an_error():
-    def flip(sym, w, *coeff):
-        return as_rows(ModuleElement(1 - w.parity, dict(w.terms)))
+    def flip(sym, ws, *coeff):
+        return [as_rows(ModuleElement(1 - parity, ModuleElement.from_rows((parity, slices)).terms))
+                for parity, slices in ws]
 
     v = ModuleElement(EVEN, {(0, 0): Scalar.number(1), (2, 1): Scalar.param("lam")})
     for x in (BasisSymbol("R", "L", 0), AlgebraElement.basis(BasisSymbol("R", "H", 2), 3)):
         with pytest.raises(MixedParity, match="maps a monomial to the wrong parity"):
-            linear_rows(x, v, flip, "m")
+            linear_rows(x, [ModuleElement.zero(ODD).to_rows(), v.to_rows()], flip, "m")
 
 
 def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
@@ -165,17 +167,18 @@ def test_each_generator_acts_once_on_the_whole_element(monkeypatch):
     L2, Hm2 = BasisSymbol("R", "L", 2), BasisSymbol("R", "H", -2)
     v = ModuleElement(EVEN, {(1, 0): Scalar.number(3), (0, 2): Scalar.param("alp")})
     want = act_basis(L2, v)  # before the seams count: act_basis reads basis_rows too
-    # the coefficient follows (sym, w) in basis_rows and (sym, w, p) in quotient_rows
+    # the coefficient follows (sym, ws) in basis_rows and (sym, ws, p) in quotient_rows
     for module, name, fixed in ((freemod, "basis_rows", 0), (quotients, "quotient_rows", 1)):
         good = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda sym, w, *rest, good=good, fixed=fixed: (
-            seen.append((sym, w, rest[fixed:])) or good(sym, w, *rest)))
+        monkeypatch.setattr(module, name, lambda sym, ws, *rest, good=good, fixed=fixed: (
+            seen.append((sym, ws, rest[fixed:])) or good(sym, ws, *rest)))
 
     def calls_on(v, x=None):
-        # each generator acts on v itself and is passed its coefficient in x,
-        # nothing when that is SC_ONE
+        # each generator acts on the rows of v, converted once per call, and
+        # is passed its coefficient in x, nothing when that is SC_ONE
         coeff = {} if x is None or isinstance(x, BasisSymbol) else x.terms
-        assert all(w is v for _, w, _ in seen), "a generator acted on a copy or part of v"
+        assert all(ws is seen[0][1] for _, ws, _ in seen), "v was converted once per generator"
+        assert seen[0][1] == [v.to_rows()]
         for sym, _, passed in seen:
             c = coeff.get(sym, SC_ONE)
             assert passed == (() if c is SC_ONE else (c,)), (sym, passed)

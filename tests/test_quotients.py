@@ -29,8 +29,8 @@ from sconf.quotients import (
     find_roots,
     iso_phi,
     iso_xi,
-    kernel_spec,
     project,
+    project_rows,
     quotient_act_basis,
     quotient_monomials,
 )
@@ -139,9 +139,8 @@ def test_project_needs_concrete_a():
 
 def test_no_kernel_is_built_by_params_or_the_projection_sweep(monkeypatch):
     """A ``QuotientParams``, concrete or formal, stores the int divisors of
-    y + a and t + a + 1 and builds no ``SubmoduleSpec``, nor does a
-    projection sweep; ``kernel_spec`` builds the kernel on request, with the
-    same divisors."""
+    y + a and t + a + 1, those of the kernel, and builds no
+    ``SubmoduleSpec``, nor does a projection sweep."""
     want, built = SubmoduleSpec("M", parse_unipoly("y + 1 + sqrt2")), []
     good = SubmoduleSpec.__init__
 
@@ -155,10 +154,9 @@ def test_no_kernel_is_built_by_params_or_the_projection_sweep(monkeypatch):
     report = check_projection_intertwines(p, 2, 2)
     assert report.passed, report.render_text()
     assert not built
-    kernel = kernel_spec(p)
-    assert kernel == want and kernel._int_divisors == p.divisors
+    assert want._int_divisors == p.divisors
     with pytest.raises(ValueError, match="^this operation needs a concrete value for a$"):
-        kernel_spec(formal)
+        project_rows(mod("x").to_rows(), formal)
 
 
 def test_projection_intertwines_H2_spot():
@@ -206,7 +204,7 @@ def test_project_surjective_with_kernel_dimension():
     assert span.rank == d + 1
     kernel_dim = n_monos - span.rank
     assert kernel_dim == d * (d + 1) // 2  # count of (y+a) x^i y^j, i+j <= d-1
-    ker = kernel_spec(p)
+    ker = SubmoduleSpec("M", parse_unipoly("y + 1"))  # the kernel at a = 1
     for v in monomials(d - 1, parities=(EVEN,)):
         lifted = v.times_poly({(0, 1): Scalar.number(1), (0, 0): Scalar.number(1)})
         assert contains(ker, lifted) and project(lifted, p).is_zero()

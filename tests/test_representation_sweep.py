@@ -14,7 +14,9 @@ from sconf import algebras, freemod, n1, quotients, scalars, submodules
 from sconf.algebras import BasisSymbol, basis_symbols
 from sconf.errors import MixedParity
 from sconf.freemod import EVEN, ODD, ModuleElement, monomials
-from sconf.n1 import RestrictedAction, check_n1_relations, check_simplicity_witness
+from sconf.n1 import (
+    RestrictedAction, check_n1_relations, check_rank1_freeness, check_simplicity_witness,
+)
 from sconf.parsing import parse_submodule_spec, parse_unipoly
 from sconf.quotients import (
     QuotientParams, check_phi_intertwines, check_projection_intertwines,
@@ -25,7 +27,7 @@ from sconf.reports import VerificationReport
 from sconf.scalars import QuadExt, Scalar
 
 from reference import linear, pair_violations
-from test_compat_failures import as_rows, scale_family
+from test_compat_failures import scale_family
 
 P = QuotientParams(a=1)
 WIDE = QuotientParams(a=QuadExt(10**30, 7), lam=Scalar.number(12345678901234567891),
@@ -39,9 +41,9 @@ def test_sweeps_build_no_linear_action(monkeypatch):
 
     good = n1.restricted_rows
 
-    def one_generator(x, w, r):
+    def one_generator(x, ws, r):
         assert isinstance(x, BasisSymbol) or len(x.terms) == 1, f"an N=1 sweep acted by {x}"
-        return good(x, w, r)
+        return good(x, ws, r)
 
     monkeypatch.setattr(freemod, "act", refuse)
     monkeypatch.setattr(quotients, "quotient_act", refuse)
@@ -73,22 +75,22 @@ def test_a_passing_sweep_builds_no_element(monkeypatch):
     ]
     assert all(r.passed for r in reports), [r.render_text() for r in reports]
     assert calls == []
-    # the map sweeps and the closures compare rows: no case builds an
-    # element; a map sweep builds the image of each of its vectors once,
-    # the element that the action seam of its other side reads
+    # the map sweeps and the closures compare rows and map each vector's
+    # rows: nothing builds an element, and neither do the rank-1 words and
+    # the simplicity certificate
     src, dst = ROOT2, QuotientParams(a=ROOT2.a, alp=Scalar.monomial(QuadExt(0, 1), bet=1))
-    for sweep, images in [
-        (lambda: check_projection_intertwines(ROOT2, 1, 2), len(monomials(2))),
-        (lambda: check_phi_intertwines(src, dst, 1, 2), len(quotient_monomials(2))),
-        (lambda: check_xi_intertwines(parse_unipoly("y - sqrt2"), ROOT2, 1, 2),
-         len(quotient_monomials(2))),
-        (lambda: check_closure(parse_submodule_spec("N[h=y^2 - sqrt2*y + 1/2]"), 1, 2), 0),
-        (lambda: check_simplicity_witness(0, QuadExt(3, 0), 2, 2, index_window=1), 0),
+    for sweep in [
+        lambda: check_projection_intertwines(ROOT2, 1, 2),
+        lambda: check_phi_intertwines(src, dst, 1, 2),
+        lambda: check_xi_intertwines(parse_unipoly("y - sqrt2"), ROOT2, 1, 2),
+        lambda: check_closure(parse_submodule_spec("N[h=y^2 - sqrt2*y + 1/2]"), 1, 2),
+        lambda: check_simplicity_witness(0, QuadExt(3, 0), 2, 2, index_window=1),
+        lambda: check_simplicity_witness(QuadExt(1, 1), QuadExt(3, 0), 2, 2, index_window=1),
+        lambda: check_rank1_freeness(RestrictedAction.ramond(ROOT2), 3),
     ]:
-        del calls[:]
         report = sweep()
         assert report.passed, report.render_text()
-        assert len(calls) == images, report.suite
+        assert calls == [], report.suite
     freemod.act(BasisSymbol("R", "L", 2), ModuleElement.one(EVEN))
     assert len(calls) == 1  # the counter sees the one element an act builds
 
@@ -100,7 +102,7 @@ def test_a_passing_sweep_builds_no_element(monkeypatch):
 ])
 def test_an_image_of_the_wrong_parity_is_an_error(monkeypatch, module, name, sweep):
     # returning its argument, an odd generator keeps the monomial's parity
-    monkeypatch.setattr(module, name, lambda x, w, *rest: as_rows(w))
+    monkeypatch.setattr(module, name, lambda x, vs, *rest: vs)
     with pytest.raises(MixedParity, match="maps a monomial to the wrong parity"):
         sweep()
 
@@ -217,8 +219,8 @@ def _as_reference(syms, rows, vectors):
     """The sweep's report on ``vectors``, checked against the reference's."""
     got = algebras.check_representation(VerificationReport("compat", {}), syms, rows,
                                         vectors, "")
-    want = pair_violations(
-        syms, lambda x, v: linear(lambda s, w: type(w).from_rows(rows(s, w)), x, v), vectors, "")
+    want = pair_violations(syms, lambda x, v: linear(
+        lambda s, w: type(w).from_rows(rows(s, [w.to_rows()])[0]), x, v), vectors, "")
     assert [(v.context, v.lhs, v.rhs) for v in got.violations] == want
     return got
 
@@ -232,12 +234,11 @@ def _failing_vectors(report):
 EVEN_R = [s for s in basis_symbols("R", 1) if not s.parity]
 
 
-def _odd_l_doubled(sym, w):
-    parity, slices = freemod.basis_rows(sym, w)
-    if w.parity == ODD and sym.family == "L":
-        slices = {key: {ev: [2 * p, 2 * q, d] for ev, (p, q, d) in slot.items()}
-                  for key, slot in slices.items()}
-    return parity, slices
+def _odd_l_doubled(sym, ws):
+    return [(parity, {key: {ev: [2 * p, 2 * q, d] for ev, (p, q, d) in slot.items()}
+                      for key, slot in slices.items()})
+            if w[0] == ODD and sym.family == "L" else (parity, slices)
+            for w, (parity, slices) in zip(ws, freemod.basis_rows(sym, ws))]
 
 
 @pytest.mark.parametrize("where", ["first", "last"])

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from sconf import freemod, linalg, n1
-from sconf.algebras import AlgebraElement, basis_symbols
+from sconf.algebras import AlgebraElement, BasisSymbol, basis_symbols
 from sconf.freemod import EVEN, ODD
 from sconf.linalg import RowSpan
 from sconf.n1 import RestrictedAction, check_simplicity_witness, restricted_act
@@ -244,21 +244,25 @@ def test_degree_3_at_window_1_names_the_modes_outside_the_window(a):
 @pytest.mark.parametrize("a", [0, 1, QuadExt(1, 1)], ids=str)
 @pytest.mark.parametrize("degree, words, window", [(1, 2, 1), (3, 3, 3), (2, 0, 2)])
 def test_one_action_per_generator_parity_and_exponent(monkeypatch, a, degree, words, window):
-    seen = Counter()
+    seen, batches = Counter(), Counter()
     good = n1.restricted_rows
 
-    def counting(x, v, r):
-        (sym, c), = x.terms.items()  # one generator with coefficient 1
-        (k, e), = v.terms.items()  # on one monomial with coefficient 1
-        assert c == 1 and e == 1
-        seen[sym, v.parity, k] += 1
-        return good(x, v, r)
+    def counting(x, vs, r):
+        assert isinstance(x, BasisSymbol)  # one generator
+        batches[x] += 1
+        for parity, slices in vs:
+            (k, _), = slices.items()  # on one monomial with coefficient 1
+            unit = QuotientElement.monomial(parity, k)
+            assert QuotientElement.from_rows((parity, slices)) == unit
+            seen[x, parity, k] += 1
+        return good(x, vs, r)
 
-    # the rows seam, which restricted_act and the a = 0 closure both read
+    # the rows seam, which the certificate and the a = 0 closure both read
     monkeypatch.setattr(n1, "restricted_rows", counting)
     report = check_simplicity_witness(a, LAM0, ALP0, degree, words, index_window=window)
     assert report.passed
     assert seen and max(seen.values()) == 1
+    assert max(batches.values()) == 1  # each generator acts on all its monomials at once
     # nothing reads the word length
     monkeypatch.setattr(n1, "restricted_rows", good)
     assert report == _certificate(a, degree, window)

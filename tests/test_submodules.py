@@ -25,10 +25,17 @@ from sconf.submodules import (
     check_lattice_order,
     contains,
     contains_rows,
-    reduce_mod,
 )
 
 from reference import divide_in_second_var, divmod_monic
+
+
+def reduce_mod(s, v):
+    """The canonical representative of v modulo the M-kind submodule of
+    s.h: the element that the remainders of ``submodules._remainders`` by
+    the spec's int divisor of v's parity stand for."""
+    return ModuleElement.from_rows(
+        (v.parity, submodules._remainders(s._int_divisors[v.parity], v.to_rows()[1])))
 
 
 def spec(text):
@@ -131,7 +138,7 @@ def test_divides_reads_the_remainder_of_the_division():
 def _scalar_membership(s, w):
     """Membership read straight off the Scalar division: the remainder is
     empty and, for the N kind's even part, the quotient has no constant term;
-    with the remainder, which ``reduce_mod`` returns."""
+    with the remainder, which ``reduce_mod`` (above) returns."""
     even = w.parity == EVEN
     rem, quo = divide_in_second_var(w.terms, s.h if even else s.odd_divisor)
     return not rem and not (even and s.kind == "N" and (0, 0) in quo), rem, quo
