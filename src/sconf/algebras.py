@@ -65,7 +65,7 @@ from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
     _ZERO_EXP, INV_SQRT2, Scalar, add_terms, as_scalar, render_combination, same_rows,
-    slices_of,
+    slices_of, sum_rows,
 )
 from .values import Value
 
@@ -507,7 +507,8 @@ def check_representation(report, syms, rows, vectors, label):
     once per unordered pair {X, Y}; when the rows of [Y, X] are sign times
     those of [X, Y], in any term order, (Y, X) fails exactly when (X, Y)
     does, and otherwise is a case of its own.  Only a failing case builds
-    elements (``from_rows``), for its text, with the ``_basis_bracket`` rows.
+    elements (``from_rows``), for its text: the ``_basis_bracket`` rows and
+    the two products, each summed in ints (``sum_rows``).
     """
     n, algebra = len(syms), syms[0].algebra
     bden = _denominator(_TABLES[algebra])
@@ -618,17 +619,16 @@ def check_representation(report, syms, rows, vectors, label):
                 if mirrored:
                     fails.append((y, x, t))
 
-    def act(sym, w):  # an element, for a failing case's text
-        return type(w).from_rows(rows(sym, [w.to_rows()])[0])
+    def image(sym, w):  # rows, for a failing case's text
+        return rows(sym, [w])[0]
 
     for x, y, t in sorted(fails):
         xs, ys, v = syms[x], syms[y], vectors[t]
-        lhs = type(v).zero(v.parity)
-        for z, f in _basis_bracket(xs, ys):
-            lhs = lhs + act(z, v) * f
-        xy, yx = act(xs, act(ys, v)), act(ys, act(xs, v))
-        rhs = xy + yx if xs.parity and ys.parity else xy - yx
-        report.record(f"{label}({xs}, {ys}) on {v}", lhs.render(), rhs.render())
+        w, parity = v.to_rows(), (v.parity + xs.parity + ys.parity) % 2
+        lhs = sum_rows(parity, [(f, image(z, w)) for z, f in _basis_bracket(xs, ys)])
+        rhs = sum_rows(parity, [(1, image(xs, image(ys, w))),
+                                (1 if xs.parity and ys.parity else -1, image(ys, image(xs, w)))])
+        report.record(f"{label}({xs}, {ys}) on {v}", *map(type(v).from_rows, (lhs, rhs)))
     return report
 
 

@@ -243,7 +243,7 @@ def _verify_submodule(args):
         reports,
     )
     witness = submodules.SubmoduleSpec("M", parse_unipoly("y"))
-    if submodules.contains(witness, freemod.ModuleElement.one(freemod.EVEN)):
+    if submodules.contains_rows(witness, freemod.ModuleElement.one(freemod.EVEN).to_rows()):
         merged.record("proper submodule witness 1_even not in M[h=y]", "member", "not member")
     return merged
 

@@ -36,17 +36,20 @@ The three rows seams, ``basis_rows``, ``quotients.quotient_rows`` and
 ``n1.restricted_rows``, act by one generator on a list of rows and return
 one rows per vector.  ``linear_rows`` is their list form for an element:
 one seam call per generator of x, passed its coefficient (not ``SC_ONE``),
-summed in ints.  Elements are built only at the edges: ``act``,
-``act_basis`` and their quotient and N=1 counterparts convert their vector
-once (``to_rows``) and build the result (``from_rows``).  ``_require_r``
-refuses a generator outside R, with the text each module names as its
-``_OWNER``, and every caller reads a seam's images through the one parity
-guard, ``algebras._checked``.  Nothing is tabulated or cached.
+summed by the one kernel ``scalars.sum_rows``.  Every check acts on rows
+and builds elements only for a failing case's text; ``act``, ``act_basis``
+and their quotient and N=1 counterparts convert their vector once
+(``to_rows``) and build the result (``from_rows``) for ``sconf act`` and
+library callers.  ``_require_r`` refuses a generator outside R, with the
+text each module names as its ``_OWNER``, and every caller reads a seam's
+images through the one parity guard, ``algebras._checked``.  Nothing is
+tabulated or cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 from operator import add
 
@@ -55,7 +58,7 @@ from .errors import AlgebraMismatch, MixedParity
 from .reports import VerificationReport
 from .scalars import (
     _ZERO_EXP, SC_ONE, Scalar, add_slice, add_terms, as_scalar, build_slices,
-    monomial_text, render_combination, slices_of,
+    monomial_text, render_combination, same_rows, slices_of, sum_rows,
 )
 from .values import Value
 
@@ -331,42 +334,28 @@ def basis_rows(sym, vs, coeff=None):
     return _row_terms(sym, vs, _UNITS, None, coeff)
 
 
-def act_basis(sym, v, coeff=None):
+def act_basis(sym, v):
     """The element ``basis_rows`` stands for."""
-    return ModuleElement.from_rows(basis_rows(sym, [v.to_rows()], coeff)[0])
+    return ModuleElement.from_rows(basis_rows(sym, [v.to_rows()])[0])
 
 
 def linear_rows(x, vs, rows, owner, *args):
     """Act by ``x`` on each of the rows ``vs`` in ints: per vector, the sum
-    over the generators of x of ``rows(generator, vs, *args, coeff)``, one
-    call per generator on the whole list, with coeff left out when it is
-    ``SC_ONE``, each read through ``_checked`` and added slice by slice
-    (``add_slice``); the fresh slices that ``rows`` returns are taken
-    over.  x is an R element or basis symbol, refused otherwise with
-    ``owner`` naming the module, or the terms ``{R symbol: Scalar}`` of an
-    R element."""
+    (``sum_rows``) over the generators of x of ``rows(generator, vs,
+    *args, coeff)``, one call per generator on the whole list, with coeff
+    left out when it is ``SC_ONE``, each read through ``_checked``.  x is
+    an R element or basis symbol, refused otherwise with ``owner`` naming
+    the module, or the terms ``{R symbol: Scalar}`` of an R element."""
     if not isinstance(x, dict):
         _require_r(x, owner)
         if isinstance(x, BasisSymbol):
             return _checked(rows(x, vs, *args), x, vs)
         x = x.terms
-    parity, outs = _parity(x), [{} for _ in vs]
-    for sym, c in x.items():
-        images = _checked(rows(sym, vs, *args) if c is SC_ONE else rows(sym, vs, *args, c),
-                          sym, vs)
-        for t, (_, slices) in enumerate(images):
-            out = outs[t]
-            if not out:
-                outs[t] = slices
-                continue
-            for key, slot in slices.items():
-                have = out.get(key)
-                if have is None:
-                    out[key] = slot
-                else:
-                    for ev, (p, q, d) in slot.items():
-                        add_slice(have, ev, p, q, d)
-    return [((vp + parity) % 2, out) for (vp, _), out in zip(vs, outs)]
+    parity = _parity(x)
+    images = [_checked(rows(sym, vs, *args) if c is SC_ONE else rows(sym, vs, *args, c), sym, vs)
+              for sym, c in x.items()]
+    return [sum_rows((vp + parity) % 2, [(1, image[t]) for image in images])
+            for t, (vp, _) in enumerate(vs)]
 
 
 def act(x, v):
@@ -407,6 +396,11 @@ def check_module_compatibility(index_window, degree_bound):
     )
 
 
+def _images(sym, vs):
+    """The rows of ``sym`` on each of the rows ``vs``, read through ``_checked``."""
+    return _checked(basis_rows(sym, vs), sym, vs)
+
+
 def check_uh_freeness(degree_bound):
     """L_0 and H_0 act as multiplication by the two variables.
 
@@ -417,21 +411,23 @@ def check_uh_freeness(degree_bound):
     bound applies L_0 or H_0 to a monomial of lower degree.
     """
     report = VerificationReport("uh-freeness", {"degree": degree_bound})
-    L0 = BasisSymbol("R", "L", 0)
-    H0 = BasisSymbol("R", "H", 0)
-    for v in monomials(degree_bound):
-        for name, Z, var in (("L0", L0, (1, 0)), ("H0", H0, (0, 1))):
-            got, expect = act(Z, v), v.times_poly({var: SC_ONE})
-            if got != expect:
-                report.record(f"{name} on {v}", got.render(), expect.render())
+    vectors = monomials(degree_bound)
+    vs = [v.to_rows() for v in vectors]
+    sides = [(name, _images(BasisSymbol("R", family, 0), vs), di, dj)
+             for name, family, di, dj in (("L0", "L", 1, 0), ("H0", "H", 0, 1))]
+    for t, (v, (parity, slices)) in enumerate(zip(vectors, vs)):
+        for name, images, di, dj in sides:
+            expect = parity, {(i + di, j + dj): slot for (i, j), slot in slices.items()}
+            if not same_rows(images[t], expect):
+                report.record(f"{name} on {v}", *map(ModuleElement.from_rows, (images[t], expect)))
     return report
 
 
-def _powers(sym, v, n):
-    """``[v, sym.v, ..., sym^n.v]``."""
-    out = [v]
+def _powers(sym, vs, n):
+    """``[vs, sym.vs, ..., sym^n.vs]`` for the rows ``vs``, one seam call a power."""
+    out = [vs]
     for _ in range(n):
-        out.append(act(sym, out[-1]))
+        out.append(_images(sym, out[-1]))
     return out
 
 
@@ -444,7 +440,8 @@ def check_shift_identities(index_window, n_max, degree_bound):
         X . L0^n = (L0 + m)^n . X            (all four families)
         X . H0^n = (H0 - e)^n . X            (e = +1 for Gp, -1 for Gm, 0 else)
 
-    Z^k.v is formed once per (v, Z), and Z^k.(X v) once per (X, v, Z).
+    Each power of Z acts once on the monomials and once per X on their
+    images X.v; X acts once on the monomials and once on all the Z^n.v.
     """
     report = VerificationReport(
         "shift-identities",
@@ -453,37 +450,40 @@ def check_shift_identities(index_window, n_max, degree_bound):
     zs = (("L0", BasisSymbol("R", "L", 0)), ("H0", BasisSymbol("R", "H", 0)))
     eps = {"L": 0, "H": 0, "Gp": 1, "Gm": -1}
     vectors = monomials(degree_bound)
-    z_powers = [[_powers(Z, v, n_max) for _, Z in zs] for v in vectors]
+    vs = [v.to_rows() for v in vectors]
+    z_powers = [_powers(Z, vs, n_max) for _, Z in zs]
+    cases = list(product(range(1, n_max + 1), range(len(vs)), range(len(zs))))
     for X in (s for s in basis_symbols("R", index_window) if s.family != "C"):
         shifts = (X.twice // 2, -eps[X.family])
-        xv_powers = [[_powers(Z, xv, n_max) for _, Z in zs]
-                     for xv in (act(X, v) for v in vectors)]
-        for n in range(1, n_max + 1):
-            for v, vz, xz in zip(vectors, z_powers, xv_powers):
-                # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
-                for (name, _), d, zv, zxv in zip(zs, shifts, vz, xz):
-                    lhs = act(X, zv[n])
-                    rhs = ModuleElement.zero(zxv[0].parity)
-                    for k, c in binomial_shift(n, d):
-                        rhs = rhs + zxv[k] * Scalar.number(c)
-                    if lhs != rhs:
-                        report.record(
-                            f"shift {name}^{n} under {X} on {v}", lhs.render(), rhs.render()
-                        )
+        xvs = _images(X, vs)
+        xz = [_powers(Z, xvs, n_max) for _, Z in zs]
+        lhs = _images(X, [z_powers[z][n][t] for n, t, z in cases])
+        for (n, t, z), left in zip(cases, lhs):
+            # X . Z^n v == (Z + d)^n . X v for (Z, d) = (L0, m), (H0, -e)
+            right = sum_rows(xvs[t][0], [(c, xz[z][k][t])
+                                         for k, c in binomial_shift(n, shifts[z])])
+            if not same_rows(left, right):
+                report.record(f"shift {zs[z][0]}^{n} under {X} on {vectors[t]}",
+                              *map(ModuleElement.from_rows, (left, right)))
     return report
 
 
 def check_odd_square_zero(index_window, degree_bound):
-    """Gp_m Gp_n = 0 and Gm_m Gm_n = 0 as operators on monomials."""
+    """Gp_m Gp_n = 0 and Gm_m Gm_n = 0 as operators on monomials; each X
+    acts once, on the images of every Y of its family."""
     report = VerificationReport(
         "odd-square-zero", {"window": index_window, "degree": degree_bound}
     )
     odd = [s for s in basis_symbols("R", index_window) if s.parity]
-    for X, Y in ((X, Y) for X in odd for Y in odd if X.family == Y.family):
-        for v in monomials(degree_bound):
-            out = act(X, act(Y, v))
-            if not out.is_zero():
-                report.record(f"{X} {Y} on {v}", out.render(), "0")
+    vectors = monomials(degree_bound)
+    vs = [v.to_rows() for v in vectors]
+    once = {Y: _images(Y, vs) for Y in odd}
+    for X in odd:
+        ys = [Y for Y in odd if Y.family == X.family]
+        outs = _images(X, [w for Y in ys for w in once[Y]])
+        for (Y, v), out in zip(product(ys, vectors), outs):
+            if not same_rows(out, (EVEN, {})):
+                report.record(f"{X} {Y} on {v}", ModuleElement.from_rows(out), "0")
     return report
 
 
@@ -495,15 +495,14 @@ def check_central_triviality(degree_bound):
     C row in ``_ACTION`` fails the first half.
     """
     report = VerificationReport("central-triviality", {"degree": degree_bound})
-    C = BasisSymbol("R", "C")
-    H1 = BasisSymbol("R", "H", 2)
-    Hm1 = BasisSymbol("R", "H", -2)
-    three = Scalar.number(3)
-    for v in monomials(degree_bound):
-        cv = act(C, v)
-        if not cv.is_zero():
-            report.record(f"C on {v}", cv.render(), "0")
-        combo = act(H1, act(Hm1, v)) * three - act(Hm1, act(H1, v)) * three
-        if not combo.is_zero():
-            report.record(f"3[H1,H-1] combo on {v}", combo.render(), "0")
+    C, H1, Hm1 = (BasisSymbol("R", *f) for f in (("C",), ("H", 2), ("H", -2)))
+    vectors = monomials(degree_bound)
+    vs = [v.to_rows() for v in vectors]
+    lefts, rights = _images(H1, _images(Hm1, vs)), _images(Hm1, _images(H1, vs))
+    for v, cv, left, right in zip(vectors, _images(C, vs), lefts, rights):
+        if not same_rows(cv, (EVEN, {})):
+            report.record(f"C on {v}", ModuleElement.from_rows(cv), "0")
+        combo = sum_rows(left[0], [(3, left), (-3, right)])
+        if not same_rows(combo, (EVEN, {})):
+            report.record(f"3[H1,H-1] combo on {v}", ModuleElement.from_rows(combo), "0")
     return report

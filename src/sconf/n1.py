@@ -46,7 +46,7 @@ from .errors import AlgebraMismatch
 from .freemod import EVEN, ODD, linear_rows
 from .quotients import QuotientElement, QuotientParams, quotient_monomials
 from .reports import VerificationReport
-from .scalars import INV_SQRT2, SC_ONE, Scalar, add_slice, add_terms, as_quadext, same_rows
+from .scalars import INV_SQRT2, SC_ONE, Scalar, add_terms, as_quadext, same_rows, sum_rows
 from .values import Value
 
 
@@ -237,14 +237,7 @@ def check_simplicity_witness(a_value, lam0, alp0, degree_bound, word_length=None
 
     def combination(par, k, pairs):
         """The rows of the sum of c * L_m on the monomial over the (m, c) pairs, in ints."""
-        out = {}
-        for m, c in pairs:
-            c = as_quadext(c)
-            for j, slot in images["L", m, par, k][1].items():
-                have = out.setdefault(j, {})
-                for ev, (p, q, d) in slot.items():
-                    add_slice(have, ev, p * c.p + 2 * q * c.q, p * c.q + q * c.p, d * c.d)
-        return par, out
+        return sum_rows(par, [(c, images["L", m, par, k]) for m, c in pairs])
 
     steps = []  # (operator, parity, exponent, rows of its image of the monomial, its closed form)
     for d in range(top + 1):

@@ -39,9 +39,9 @@ The three intertwining sweeps are calls of one loop,
 ``algebras._check_images``: each maps its vectors' rows once, calls each
 action seam once per generator on the whole list, and compares the two
 sides of each case in ints, by ``scalars.same_rows`` or, for xi, by
-membership of their difference in M_h (``submodules.contains_rows``).  The
-sweeps read each seam as a module global, so a fault put on one shows in
-every sweep that reads it.
+membership of their difference (``scalars.sum_rows``) in M_h
+(``submodules.contains_rows``).  The sweeps read each seam as a module
+global, so a fault put on one shows in every sweep that reads it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .freemod import (
     monomials,
 )
 from .reports import VerificationReport
-from .scalars import QE_ONE, Scalar, _qe, add_slice, as_quadext, as_scalar, monomial_text
+from .scalars import QE_ONE, Scalar, _qe, as_quadext, as_scalar, monomial_text, sum_rows
 from .submodules import (
     SubmoduleSpec, UniPoly, _deflated, _linear, _remainders, check_containment, contains_rows,
 )
@@ -139,9 +139,9 @@ def quotient_rows(sym, vs, p, coeff=None):
     return _row_terms(sym, vs, p.units, p.roots, coeff)
 
 
-def quotient_act_basis(sym, v, p, coeff=None):
+def quotient_act_basis(sym, v, p):
     """The element ``quotient_rows`` stands for."""
-    return QuotientElement.from_rows(quotient_rows(sym, [v.to_rows()], p, coeff)[0])
+    return QuotientElement.from_rows(quotient_rows(sym, [v.to_rows()], p)[0])
 
 
 def quotient_act(x, v, p):
@@ -431,16 +431,6 @@ def check_phi_intertwines(src, dst, index_window, degree_bound):
     )
 
 
-def _minus(left, right):
-    """The rows left - right of one parity, in fresh slices (``add_slice``)."""
-    out = {key: {ev: list(x) for ev, x in slot.items()} for key, slot in left[1].items()}
-    for key, slot in right[1].items():
-        have = out.setdefault(key, {})
-        for ev, (p, q, d) in slot.items():
-            add_slice(have, ev, -p, -q, d)
-    return left[0], out
-
-
 def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
     """iso_xi commutes with every generator action, modulo the full kernel
     M_h with h = (y+a) h~: X . iso_xi(v) - iso_xi(X . v) lies in M_h.  The
@@ -465,5 +455,6 @@ def check_xi_intertwines(h_tilde, p, index_window, degree_bound):
         lambda sym, vs: [xi_rows(w, lifts) for w in _checked(quotient_rows(sym, vs, p), sym, vs)],
         f"xi h~={h_tilde.render()} {p.describe()} ",
         ModuleElement,
-        same=lambda left, right: left[0] == right[0] and contains_rows(full, _minus(left, right)),
+        same=lambda left, right: left[0] == right[0] and contains_rows(
+            full, sum_rows(left[0], [(1, left), (-1, right)])),
     )

@@ -50,24 +50,27 @@ kernel, ``add_terms(out, pairs)``: it adds each ``(key, coeff)`` pair into the
 dict ``out`` in place and returns it.  A coefficient that is zero, or a sum
 that cancels to zero, leaves no entry, so ``out`` stays free of zeros.  The
 coefficients only need ``+`` and truth-testing (falsy exactly when zero);
-QuadExt, Scalar and Fraction all qualify.  Three kinds of code sum by hand
+QuadExt, Scalar and Fraction all qualify.  Three kinds of code sum in ints
 instead:
 
 * the machine-int loops of the sweeps;
 * the one long division, ``submodules._divmod_monic``, which divides in
   Z[sqrt2] ints, each row over its own common denominator (for a module
   element, one row per power of x and parameter monomial);
-* the action: ``freemod._row_terms``, the one row reader, sums an image
-  in ints, one slice per (monomial, parameter monomial), with
+* the action's rows: ``freemod._row_terms``, the one row reader, sums an
+  image in ints, one slice per (monomial, parameter monomial), with
   ``add_slice``, scaling by (exponent vector, p, q, d) ints, not QuadExts.
   A slice is a plain list ``[p, q, d]``: ``add_slice`` sums its ints in
   place over one denominator, the lcm of those added there.  Slices are
-  the action's currency: ``freemod.linear_rows`` sums the generators of an
-  element with ``add_slice`` too, ``build_slices`` builds each nonzero one
-  once with ``_qe`` only where a caller needs an element, so no QuadExt
-  changes after ``_qe`` or ``QuadExt.__init__`` returns, and the
-  compatibility sweep flattens them to ints without building any
-  (``slices_of`` reads the terms of a Scalar back into slices for it).
+  the action's currency; every other sum of them is the one kernel
+  ``sum_rows(parity, [(c, rows), ...])``, c an int, Fraction or QuadExt:
+  the generators of an element (``freemod.linear_rows``), the operator
+  identities' sides, the xi sweep's difference, the simplicity
+  certificate's combinations and a failing case's text.  ``build_slices``
+  builds each nonzero value once with ``_qe`` only where a caller needs an
+  element, so no QuadExt changes after ``_qe`` or ``QuadExt.__init__``
+  returns, and the compatibility sweep flattens them to ints without
+  building any (``slices_of`` reads a Scalar's terms back into slices).
   Slices are not normalised, so ``same_rows`` compares two images value by
   value in ints, for the map sweeps of ``algebras._check_images``.  A slice
   lives as long as the call that makes it, or, in the table of
@@ -348,6 +351,19 @@ def add_slice(slot, ev, p, q, d):
         x[0] = x[0] * u + p * v
         x[1] = x[1] * u + q * v
         x[2] = e * u
+
+
+def sum_rows(parity, pairs):
+    """The rows (``parity``, fresh slices) of the sum of c * rows over the
+    ``(c, rows)`` pairs, c an int, Fraction or QuadExt, in ints (``add_slice``)."""
+    out = {}
+    for c, (_, slices) in pairs:
+        c = as_quadext(c)
+        for key, slot in slices.items():
+            have = out.setdefault(key, {})
+            for ev, (p, q, d) in slot.items():
+                add_slice(have, ev, p * c.p + 2 * q * c.q, p * c.q + q * c.p, d * c.d)
+    return parity, out
 
 
 def build_slices(slices):

@@ -20,8 +20,9 @@ rows of [p, q, d] ints, one per power of the first variable and parameter
 monomial (``_rows``), divides each, and the first nonzero remainder (or,
 for the N kind, quotient constant term) decides; ``_remainders`` returns
 the remainders as slices, which ``quotients.project_rows`` reads.  So the
-closure sweep builds no element on a passing case, and ``contains`` reads
-an element through its rows (``to_rows``).
+closure sweep builds no element on a passing case, and
+``check_containment`` and ``contains`` read an element through its rows
+(``to_rows``).
 """
 
 from __future__ import annotations
@@ -355,7 +356,7 @@ def check_closure(spec, index_window, degree_bound):
 
 def check_containment(inner, outer):
     """Whether the inner submodule sits inside the outer one."""
-    return all(contains(outer, g) for g in inner.generators())
+    return all(contains_rows(outer, g.to_rows()) for g in inner.generators())
 
 
 def check_lattice_order(specs):

@@ -9,6 +9,8 @@ multi-term vectors and sqrt2 coefficients.  The head of a row
 (``freemod._head``) is formed once per (generator, parity) in a call, and
 each sweep of the quotient-n1 pass calls each seam once per generator on
 its whole vector list; ``map_image`` is read once per generator and call.
+The operator-identity checks of ``freemod`` call ``basis_rows`` a number
+of times that does not depend on the degree.
 """
 
 from collections import Counter
@@ -165,6 +167,30 @@ def test_a_compatibility_sweep_acts_by_each_generator_once_per_fill(monkeypatch,
     heads, calls, maps = _counted(monkeypatch, FILLS[name])
     assert max(heads.values()) == max(calls.values()) == 2
     assert max(maps.values(), default=2) == 2
+
+
+def test_the_operator_identity_checks_act_on_the_whole_monomial_list(monkeypatch):
+    # the seam calls do not grow with the number of monomials
+    window, n_max = 1, 2
+    gens = [s for s in basis_symbols("R", window) if s.family != "C"]
+    L0, H0, H1, Hm1, C = (BasisSymbol("R", *f) for f in (
+        ("L", 0), ("H", 0), ("H", 2), ("H", -2), ("C",)))
+
+    def calls_of(sweep):
+        return {sym: n for (_, sym), n in _counted(monkeypatch, sweep)[1].items()}
+
+    for degree in (1, 3):
+        assert calls_of(lambda: freemod.check_uh_freeness(degree)) == {L0: 1, H0: 1}
+        # each Y on the monomials, each X on the images of its family
+        assert calls_of(lambda: freemod.check_odd_square_zero(window, degree)) == {
+            X: 2 for X in gens if X.parity}
+        assert calls_of(lambda: freemod.check_central_triviality(degree)) == {
+            C: 1, H1: 2, Hm1: 2}
+        # each X on the monomials and on all the Z^n.v; each power of Z on
+        # the monomials and on each list X.v
+        z_calls = n_max * (1 + len(gens))
+        assert calls_of(lambda: freemod.check_shift_identities(window, n_max, degree)) == {
+            X: 2 + z_calls * (X in (L0, H0)) for X in gens}
 
 
 def test_the_rank1_words_act_once_per_step(monkeypatch):

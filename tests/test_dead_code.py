@@ -125,6 +125,8 @@ UNREFERENCED_METHODS = {
                    "replays",
     "RowSpan.rank": "part of RowSpan, which perfbench/sweeps.py imports; goes with "
                     "ROADMAP: the benchmark without replays",
+    "RowSpan.contains": "perfbench/sweeps.py calls it on a RowSpan; goes with ROADMAP: the "
+                        "benchmark without replays",
 }
 
 
@@ -199,3 +201,30 @@ def test_an_entry_kept_for_perfbench_names_what_perfbench_still_uses():
     for used, reason in kept:
         for cited in re.findall(r"perfbench/(\w+\.py)", reason):
             assert used in (PERFBENCH / cited).read_text(), (used, reason)
+
+
+# the element functions: each converts its vector to rows once and calls a
+# rows seam, so only the edge that parses an element and prints one calls them
+ELEMENT_FUNCTIONS = {"act", "act_basis", "quotient_act", "quotient_act_basis", "restricted_act",
+                     "project", "iso_phi", "iso_xi", "contains"}
+
+
+def _element_calls(node, prefix):
+    """(dotted path of the enclosing function, name) for every call of a
+    bare name or attribute in ``ELEMENT_FUNCTIONS`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{prefix}.{child.name}"
+        elif isinstance(child, ast.Call):
+            called = getattr(child.func, "id", getattr(child.func, "attr", None))
+            if called in ELEMENT_FUNCTIONS:
+                yield prefix, called
+        yield from _element_calls(child, inner)
+
+
+def test_only_the_act_request_calls_an_element_function():
+    # every check acts on rows through the seams; `sconf act` acts on the
+    # element it parsed
+    calls = {call for path in MODULES for call in _element_calls(_tree(path), path.stem)}
+    assert calls == {("cli._cmd_act", "act")}

@@ -135,8 +135,9 @@ def test_an_unknown_algebra_is_a_parse_error():
 
 
 def test_verify_submodule_records_a_witness_that_is_a_member(capsys, monkeypatch):
-    real, one = submodules.contains, ModuleElement.one(EVEN)
-    monkeypatch.setattr(submodules, "contains", lambda s, v: v == one or real(s, v))
+    real, one = submodules.contains_rows, ModuleElement.one(EVEN)
+    monkeypatch.setattr(submodules, "contains_rows",
+                        lambda s, rows: ModuleElement.from_rows(rows) == one or real(s, rows))
     assert cli.main(["verify", "submodule", "--window", "1", "--degree", "1"]) == 1
     first, *lines = capsys.readouterr().out.splitlines()
     assert first.startswith("suite=submodule specs=M[h=1],N[h=1],M[h=y],")

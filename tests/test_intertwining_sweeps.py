@@ -268,10 +268,11 @@ def test_iso_xi_lifts_elements_of_several_terms(a, h_tilde):
 
 def _counted(monkeypatch, sweep):
     """How often the passing ``sweep()`` calls each map seam, the membership
-    seam, the difference of the xi sides and the phi parameter check."""
+    seam, the sum that forms the difference of the xi sides and the phi
+    parameter check."""
     seen = Counter()
     with monkeypatch.context() as m:
-        for name in ("project_rows", "phi_rows", "xi_rows", "contains_rows", "_minus",
+        for name in ("project_rows", "phi_rows", "xi_rows", "contains_rows", "sum_rows",
                      "_phi_scale"):
             def counted(*args, _good=getattr(quotients, name), _name=name):
                 seen[_name] += 1
@@ -295,4 +296,4 @@ def test_projection_phi_and_xi_map_each_vector_once_and_each_case_once(monkeypat
         seen = _counted(monkeypatch, lambda: check_xi_intertwines(
             parse_unipoly("y^2 - 2"), QuotientParams(a=1), window, degree))
         assert seen["xi_rows"] == len(quotient_monomials(degree)) * (1 + gens)
-        assert seen["contains_rows"] == seen["_minus"] == len(quotient_monomials(degree)) * gens
+        assert seen["contains_rows"] == seen["sum_rows"] == len(quotient_monomials(degree)) * gens

@@ -5,6 +5,9 @@ Each sweep, and each built image, looks up the rows seam
 put there (``on_rows``) before the sweep runs must show in its report.
 """
 
+import json
+from pathlib import Path
+
 from sconf import freemod, n1, submodules
 from sconf.freemod import EVEN, ModuleElement
 from sconf.n1 import RestrictedAction, check_rank1_freeness, check_simplicity_witness
@@ -47,13 +50,15 @@ def test_closure_sweep_catches_a_wrong_family(monkeypatch):
     _only_violations(report, "closure M[h=y^2 - 1] under H[")
 
 
-def test_odd_square_sweep_catches_a_wrong_family(monkeypatch):
-    def gp_keeps_even(good, sym, v):
-        if sym.family == "Gp" and v.parity == EVEN:
-            return ModuleElement(1 - v.parity, dict(v.terms))
-        return good(sym, v)
+def _gp_keeps_even(good, sym, v):
+    """The module action, except that Gp sends an even vector to its terms, odd."""
+    if sym.family == "Gp" and v.parity == EVEN:
+        return ModuleElement(1 - v.parity, dict(v.terms))
+    return good(sym, v)
 
-    on_rows(monkeypatch, freemod, "basis_rows", gp_keeps_even)
+
+def test_odd_square_sweep_catches_a_wrong_family(monkeypatch):
+    on_rows(monkeypatch, freemod, "basis_rows", _gp_keeps_even)
     report = freemod.check_odd_square_zero(1, 1)
     _only_violations(report, "Gp[")
 
@@ -110,3 +115,23 @@ def test_closure_and_a0_certificate_record_every_violation_in_sweep_order(monkey
     on_rows(monkeypatch, n1, "restricted_rows", _leak)
     report = check_simplicity_witness(0, 3, 2, 1, 1, index_window=1)
     assert [(v.context, v.lhs, v.rhs) for v in report.violations] == _A0_LEAK
+
+
+# each violation list as (context, lhs, rhs), in sweep order, as recorded
+# when the checks acted on elements one vector at a time
+MUTANT_VIOLATIONS = json.loads(
+    (Path(__file__).resolve().parent / "mutant_violations.json").read_text())
+
+
+def test_shift_and_odd_square_sweeps_record_every_violation_in_sweep_order(monkeypatch):
+    # generator outer, then n, then the vector, then L0 before H0
+    scale_family(monkeypatch, freemod, "basis_rows", ("L", "H"))
+    report = freemod.check_shift_identities(1, 1, 1)
+    assert [[v.context, v.lhs, v.rhs] for v in report.violations] == MUTANT_VIOLATIONS[
+        "shift_identities(1, 1, 1), L and H images doubled"]
+    monkeypatch.undo()
+    # X outer, then Y of its family, then the vector
+    on_rows(monkeypatch, freemod, "basis_rows", _gp_keeps_even)
+    report = freemod.check_odd_square_zero(1, 1)
+    assert [[v.context, v.lhs, v.rhs] for v in report.violations] == MUTANT_VIOLATIONS[
+        "odd_square_zero(1, 1), Gp keeps an even vector's terms"]
